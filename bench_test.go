@@ -9,9 +9,9 @@ import (
 	"perm/internal/workload"
 )
 
-// This file holds one benchmark per experiment of DESIGN.md §4 — the
-// regenerating targets for every figure of the paper (E1–E4) and for the
-// performance-shaped experiments (E5–E8). cmd/permbench prints the same
+// This file holds one benchmark per experiment — the regenerating targets for
+// every figure of the paper (E1–E4) and for the performance-shaped
+// experiments (E5–E8). cmd/permbench prints the same
 // measurements as tables; these benches integrate them with `go test -bench`.
 
 // mustForum returns a DB loaded with the scaled forum workload.
@@ -262,7 +262,7 @@ func BenchmarkIncremental(b *testing.B) {
 }
 
 // BenchmarkOptimizerAblation measures the planner's contribution on a
-// provenance query (DESIGN.md S8): the same rewritten plan with and without
+// provenance query: the same rewritten plan with and without
 // the logical optimizer (predicate pushdown, filter merging, projection
 // collapsing).
 func BenchmarkOptimizerAblation(b *testing.B) {

@@ -1,5 +1,4 @@
-// Command permbench regenerates the experiments of DESIGN.md/EXPERIMENTS.md:
-// E5 (provenance overhead by query class), E6 (rewrite strategy ablation),
+// Command permbench regenerates the performance-shaped experiments: E5 (provenance overhead by query class), E6 (rewrite strategy ablation),
 // E7 (lazy vs eager provenance) and E8 (incremental provenance via
 // BASERELATION and external provenance).
 //

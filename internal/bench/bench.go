@@ -1,7 +1,6 @@
 // Package bench implements the experiment harness that regenerates every
-// figure of the paper and the performance-shaped experiments E5–E8 of
-// DESIGN.md. Each experiment returns a Table that cmd/permbench prints and
-// EXPERIMENTS.md records.
+// figure of the paper and the performance-shaped experiments E5–E8. Each
+// experiment returns a Table that cmd/permbench prints.
 package bench
 
 import (

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -181,29 +182,40 @@ func (db *DB) Catalog() *catalog.Catalog { return db.Store().Catalog() }
 // process down.
 const DefaultWorkMem = 64 << 20
 
+// sessionSettings lists every session setting: its default and, for
+// enumerated settings, the values it accepts (nil = free-form, or validated
+// by set).
+var sessionSettings = map[string]struct {
+	def     string
+	allowed []string
+}{
+	"provenance_contribution":      {"influence", []string{"influence", "copy", "copycomplete"}},
+	"provenance_strategy":          {"heuristic", []string{"heuristic", "cost"}},
+	"provenance_agg_strategy":      {"auto", []string{"auto", "joingroup", "crossfilter"}},
+	"provenance_set_strategy":      {"auto", []string{"auto", "pad", "join"}},
+	"provenance_distinct_strategy": {"auto", []string{"auto", "pass", "join"}},
+	"optimizer":                    {"on", []string{"on", "off"}},
+	"plan_cache":                   {"on", []string{"on", "off"}},
+	"provenance_schema_name":       {"public", nil},
+	"work_mem":                     {strconv.FormatInt(DefaultWorkMem, 10), nil}, // bytes, 0 = unlimited
+	"trace":                        {"off", []string{"on", "off"}},
+	"slow_query_ms":                {"off", nil}, // ms; 0 = log all
+	"parallelism":                  {"1", nil},   // workers; 0 = GOMAXPROCS, 1 = serial
+}
+
 // NewSession opens a session with default settings.
 func (db *DB) NewSession() *Session {
 	s := &Session{
-		db: db,
-		settings: map[string]string{
-			"provenance_contribution":      "influence",
-			"provenance_strategy":          "heuristic",
-			"provenance_agg_strategy":      "auto",
-			"provenance_set_strategy":      "auto",
-			"provenance_distinct_strategy": "auto",
-			"optimizer":                    "on",
-			"provenance_schema_name":       "public",
-			"plan_cache":                   "on",
-			"work_mem":                     strconv.FormatInt(DefaultWorkMem, 10),
-			"trace":                        "off",
-			"slow_query_ms":                "-1",
-			"parallelism":                  "1",
-		},
-		cache: newPlanCache(),
-		mem:   executor.NewMemTracker(DefaultWorkMem, ""),
+		db:       db,
+		settings: make(map[string]string, len(sessionSettings)),
+		cache:    newPlanCache(),
+		mem:      executor.NewMemTracker(DefaultWorkMem, ""),
 	}
-	s.slowMs.Store(-1)
-	s.fingerprint = s.computeFingerprint()
+	// Defaults go through the same code SET does, so every memo starts out
+	// derived from the setting it mirrors.
+	for name, spec := range sessionSettings {
+		s.mustSet(name, spec.def)
+	}
 	db.sessions.Add(1)
 	return s
 }
@@ -284,7 +296,7 @@ func (db *DB) ReplicationStatus() ReplStatus {
 // cache (see plancache.go for the keying and invalidation rules).
 //
 // perm.DB shares one implicit session across goroutines, so the settings map
-// is guarded: all writes go through runSet and all reads through setting();
+// is guarded: all writes go through set and all reads through setting();
 // the plan-cache key fingerprint is memoized there instead of being rebuilt
 // (and the map iterated) on every statement.
 type Session struct {
@@ -356,22 +368,17 @@ func (s *Session) SetParallelism(n int) {
 	if n > maxParallelism {
 		n = maxParallelism
 	}
-	s.settingsMu.Lock()
-	s.settings["parallelism"] = strconv.Itoa(n)
-	s.fingerprint = s.computeFingerprint()
-	s.settingsMu.Unlock()
-	s.parDeg.Store(int32(n))
+	s.mustSet("parallelism", strconv.Itoa(n))
 }
 
 // SetWorkMem sets the session's blocking-operator memory budget in bytes
 // (<= 0 = unlimited) — the programmatic form of SET work_mem, used by the
 // network server to apply its -work-mem flag to every connection's session.
 func (s *Session) SetWorkMem(n int64) {
-	s.settingsMu.Lock()
-	s.settings["work_mem"] = strconv.FormatInt(n, 10)
-	s.fingerprint = s.computeFingerprint()
-	s.settingsMu.Unlock()
-	s.mem.SetBudget(n)
+	if n < 0 {
+		n = 0
+	}
+	s.mustSet("work_mem", strconv.FormatInt(n, 10))
 }
 
 // SetTempDir redirects the session's spill files ("" = the OS temp
@@ -1063,62 +1070,58 @@ func (s *Session) runUpdate(up *sql.UpdateStmt, args []value.Value) (*Result, er
 }
 
 func (s *Session) runSet(st *sql.SetStmt) (*Result, error) {
-	name := strings.ToLower(st.Name)
-	val := strings.ToLower(st.Value)
-	if name == "wal_sync" {
+	if strings.EqualFold(st.Name, "wal_sync") {
 		// Database-scoped, not a session setting: it reconfigures the shared
 		// write-ahead log, so it never enters the session fingerprint.
 		ctl := s.db.walController()
 		if ctl == nil {
 			return nil, fmt.Errorf("no write-ahead log: server runs without a data directory")
 		}
-		if err := ctl.SetSyncPolicy(val); err != nil {
+		if err := ctl.SetSyncPolicy(strings.ToLower(st.Value)); err != nil {
 			return nil, err
 		}
 		return &Result{Tag: "SET"}, nil
 	}
-	valid := map[string][]string{
-		"provenance_contribution":      {"influence", "copy", "copycomplete"},
-		"provenance_strategy":          {"heuristic", "cost"},
-		"provenance_agg_strategy":      {"auto", "joingroup", "crossfilter"},
-		"provenance_set_strategy":      {"auto", "pad", "join"},
-		"provenance_distinct_strategy": {"auto", "pass", "join"},
-		"optimizer":                    {"on", "off"},
-		"plan_cache":                   {"on", "off"},
-		"provenance_schema_name":       nil, // free-form
-		"work_mem":                     nil, // validated below (byte count)
-		"trace":                        {"on", "off"},
-		"slow_query_ms":                nil, // validated below (ms, -1 = off)
-		"parallelism":                  nil, // validated below (workers; 0 = GOMAXPROCS)
+	if err := s.set(st.Name, st.Value); err != nil {
+		return nil, err
 	}
-	allowed, ok := valid[name]
+	return &Result{Tag: "SET"}, nil
+}
+
+// mustSet is set for values that are valid by construction: the defaults and
+// the programmatic setters.
+func (s *Session) mustSet(name, value string) {
+	if err := s.set(name, value); err != nil {
+		panic("engine: " + err.Error())
+	}
+}
+
+// set validates one setting, normalizes its value, stores it, and derives
+// both the plan-cache fingerprint and the memo the statement path reads in
+// place of the map. It is the only writer of s.settings, so a memo cannot
+// disagree with the setting it mirrors.
+func (s *Session) set(rawName, rawValue string) error {
+	name, val := strings.ToLower(rawName), strings.ToLower(rawValue)
+	spec, ok := sessionSettings[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown setting %q", st.Name)
+		return fmt.Errorf("unknown setting %q", rawName)
 	}
-	if allowed != nil {
-		found := false
-		for _, a := range allowed {
-			if val == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("invalid value %q for %s (valid: %s)", st.Value, name, strings.Join(allowed, ", "))
-		}
+	if spec.allowed != nil && !slices.Contains(spec.allowed, val) {
+		return fmt.Errorf("invalid value %q for %s (valid: %s)", rawValue, name, strings.Join(spec.allowed, ", "))
 	}
-	if name == "work_mem" {
+	s.settingsMu.Lock()
+	defer s.settingsMu.Unlock()
+	switch name {
+	case "work_mem":
 		n, err := strconv.ParseInt(val, 10, 64)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("invalid value %q for work_mem (bytes, >= 0; 0 = unlimited)", st.Value)
+			return fmt.Errorf("invalid value %q for work_mem (bytes, >= 0; 0 = unlimited)", rawValue)
 		}
 		s.mem.SetBudget(n)
 		val = strconv.FormatInt(n, 10)
-	}
-	if name == "trace" {
+	case "trace":
 		s.traceFlag.Store(val == "on")
-	}
-	if name == "slow_query_ms" {
+	case "slow_query_ms":
 		// The grammar has no negative literals, so "off" is the way to
 		// disable from SQL (it normalizes to the sentinel -1).
 		n := int64(-1)
@@ -1126,25 +1129,22 @@ func (s *Session) runSet(st *sql.SetStmt) (*Result, error) {
 			var err error
 			n, err = strconv.ParseInt(val, 10, 64)
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("invalid value %q for slow_query_ms (ms; 0 = log all, off = disable)", st.Value)
+				return fmt.Errorf("invalid value %q for slow_query_ms (ms; 0 = log all, off = disable)", rawValue)
 			}
 		}
 		s.slowMs.Store(n)
 		val = strconv.FormatInt(n, 10)
-	}
-	if name == "parallelism" {
+	case "parallelism":
 		n, err := strconv.ParseInt(val, 10, 32)
 		if err != nil || n < 0 || n > maxParallelism {
-			return nil, fmt.Errorf("invalid value %q for parallelism (workers, 0-%d; 0 = GOMAXPROCS, 1 = serial)", st.Value, maxParallelism)
+			return fmt.Errorf("invalid value %q for parallelism (workers, 0-%d; 0 = GOMAXPROCS, 1 = serial)", rawValue, maxParallelism)
 		}
 		s.parDeg.Store(int32(n))
 		val = strconv.FormatInt(n, 10)
 	}
-	s.settingsMu.Lock()
 	s.settings[name] = val
 	s.fingerprint = s.computeFingerprint()
-	s.settingsMu.Unlock()
-	return &Result{Tag: "SET"}, nil
+	return nil
 }
 
 func (s *Session) runShow(st *sql.ShowStmt) (*Result, error) {

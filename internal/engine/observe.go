@@ -82,11 +82,11 @@ type SlowQuery struct {
 // -slow-query-ms flag): statements taking >= ms log one SlowQuery record.
 // 0 logs every statement; negative disables (the default).
 func (s *Session) SetSlowQueryMs(ms int64) {
-	s.slowMs.Store(ms)
-	s.settingsMu.Lock()
-	s.settings["slow_query_ms"] = strconv.FormatInt(ms, 10)
-	s.fingerprint = s.computeFingerprint()
-	s.settingsMu.Unlock()
+	val := "off"
+	if ms >= 0 {
+		val = strconv.FormatInt(ms, 10)
+	}
+	s.mustSet("slow_query_ms", val)
 }
 
 // SetSlowQueryLog installs the slow-query sink (the network server points

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -65,6 +66,40 @@ func parseSelect(t *testing.T, q string) *sql.SelectStmt {
 	return sel
 }
 
+// opCount is one operator of a measured tree, flattened for comparison
+// across runs (each run plans afresh, so nodes cannot be matched by identity).
+type opCount struct {
+	op   string
+	rows int64
+}
+
+// analyzeCounts runs EXPLAIN ANALYZE and returns the measured tree in
+// preorder, failing if any operator of the fully drained query never ran, and
+// the widest fan-out any operator reported.
+func analyzeCounts(t *testing.T, s *Session, q string) (ex *Explanation, counts []opCount, workers int) {
+	t.Helper()
+	ex, err := s.ExplainAnalyze(parseSelect(t, q))
+	if err != nil {
+		t.Fatalf("ExplainAnalyze: %v", err)
+	}
+	if !ex.Analyzed || ex.Stats == nil {
+		t.Fatalf("analyzed explanation missing stats: %+v", ex)
+	}
+	ex.Stats.Walk(func(n *executor.OpStats) {
+		if n.Opens == 0 {
+			t.Errorf("operator %T never opened in a fully drained query", n.Op)
+		}
+		counts = append(counts, opCount{fmt.Sprintf("%T", n.Op), n.Rows})
+		if n.Workers > workers {
+			workers = n.Workers
+		}
+	})
+	if strings.Contains(ex.AnalyzedTree, "(never executed)") {
+		t.Errorf("analyzed tree has unexecuted operators:\n%s", ex.AnalyzedTree)
+	}
+	return ex, counts, workers
+}
+
 // TestExplainAnalyzeCounters checks the measured tree against actual
 // execution on a provenance-rewritten join: the root's row count must equal
 // the query's result cardinality, and every scan must report the rows it
@@ -74,13 +109,7 @@ func TestExplainAnalyzeCounters(t *testing.T) {
 	q := `SELECT PROVENANCE d.name, e.salary FROM dept d, emp e WHERE d.id = e.dept`
 
 	want := exec(t, s, q)
-	ex, err := s.ExplainAnalyze(parseSelect(t, q))
-	if err != nil {
-		t.Fatalf("ExplainAnalyze: %v", err)
-	}
-	if !ex.Analyzed || ex.Stats == nil {
-		t.Fatalf("analyzed explanation missing stats: %+v", ex)
-	}
+	ex, counts, _ := analyzeCounts(t, s, q)
 	if ex.RowCount != len(want.Rows) {
 		t.Fatalf("RowCount = %d, actual rows = %d", ex.RowCount, len(want.Rows))
 	}
@@ -88,24 +117,17 @@ func TestExplainAnalyzeCounters(t *testing.T) {
 		t.Errorf("root operator rows = %d, actual = %d", got, len(want.Rows))
 	}
 
-	// Every executed operator produced a sane count, and the tree saw the
-	// base tables: 200 emp rows and 3 dept rows enter somewhere.
-	var counts []int64
-	ex.Stats.Walk(func(n *executor.OpStats) {
-		if n.Opens == 0 {
-			t.Errorf("operator %T never opened in a fully drained query", n.Op)
-		}
-		counts = append(counts, n.Rows)
-	})
+	// The tree saw the base tables: 200 emp rows and 3 dept rows enter
+	// somewhere.
 	if len(counts) < 3 {
 		t.Fatalf("expected at least scan+scan+join operators, got %d nodes", len(counts))
 	}
 	saw200, saw3 := false, false
 	for _, c := range counts {
-		if c == 200 {
+		if c.rows == 200 {
 			saw200 = true
 		}
-		if c == 3 {
+		if c.rows == 3 {
 			saw3 = true
 		}
 	}
@@ -130,6 +152,50 @@ func TestExplainAnalyzeCounters(t *testing.T) {
 			t.Errorf("EXPLAIN ANALYZE output missing %q:\n%s", needle, out.String())
 		}
 	}
+
+	t.Run("across degrees", func(t *testing.T) { explainTotalsAcrossDegrees(t, s) })
+}
+
+// explainTotalsAcrossDegrees: the measured tree is the same whichever way the
+// statement ran. At parallelism 2, over a probe side big enough to fan out
+// and over one small enough to fall back, every operator must report what the
+// serial run reports — workers' private counters are summed into the
+// displayed tree, and the fallback is instrumented like any other subtree.
+func explainTotalsAcrossDegrees(t *testing.T, s *Session) {
+	small := []string{
+		`SELECT PROVENANCE d.name, e.salary FROM emp e, dept d WHERE d.id = e.dept`,
+		`SELECT dept, count(*), sum(salary) FROM emp WHERE id % 3 = 0 GROUP BY dept`,
+	}
+	big := append([]string{
+		`SELECT e.id, d.name FROM emp e JOIN dept d ON e.dept = d.id WHERE e.salary % 2 = 0`,
+		`SELECT id + 1, salary FROM emp WHERE salary % 5 = 0`,
+	}, small...)
+	check := func(queries []string, wantWorkers int) {
+		t.Helper()
+		for _, q := range queries {
+			exec(t, s, `SET parallelism = 1`)
+			_, serial, _ := analyzeCounts(t, s, q)
+			exec(t, s, `SET parallelism = 2`)
+			_, par, workers := analyzeCounts(t, s, q)
+			if workers != wantWorkers {
+				t.Errorf("%q: widest fan-out = %d workers, want %d", q, workers, wantWorkers)
+			}
+			if fmt.Sprint(par) != fmt.Sprint(serial) {
+				t.Errorf("%q: measured tree differs by degree\nparallelism=1: %v\nparallelism=2: %v", q, serial, par)
+			}
+		}
+	}
+	check(small, 0) // 200 probe rows: below the fan-out floor
+	var b strings.Builder
+	b.WriteString(`INSERT INTO emp VALUES `)
+	for i := 200; i < 2200; i++ {
+		if i > 200 {
+			b.WriteString(", ")
+		}
+		b.WriteString("(" + itoa(i) + ", " + itoa(i%2+1) + ", " + itoa(1000+i) + ")")
+	}
+	exec(t, s, b.String())
+	check(big, 2)
 }
 
 // TestExplainAnalyzeSpillCounters forces spilling with a tiny work_mem and

@@ -39,44 +39,55 @@ func seedParallelDB(t testing.TB) *DB {
 // to the serial path and still agree: gather chains, partition-wise hash and
 // nested-loop joins, partition-wise aggregation, DISTINCT aggregates and
 // float sums (ineligible), subqueries, sorts, and provenance rewrites.
-var parallelSuite = []string{
+// fansOut marks the shapes that must really run on workers at degree >= 2
+// under a wide budget; the rest may fall back. The comma joins carry a
+// single-side conjunct on their build side, which the planner pushes below
+// the cross join: the shape is unchanged, the nested loop is 6000 x 300
+// rather than 6000 x 3000.
+var parallelSuite = []struct {
+	q       string
+	fansOut bool
+}{
 	// gather: scan/filter/project chains
-	`SELECT k, v FROM big WHERE v % 3 = 0`,
-	`SELECT k + v, s FROM big WHERE k < 25`,
+	{`SELECT k, v FROM big WHERE v % 3 = 0`, true},
+	{`SELECT k + v, s FROM big WHERE k < 25`, true},
 	// partition-wise hash join
-	`SELECT b.k, b.v, o.v FROM big b, other o WHERE b.v = o.v`,
-	`SELECT b.k, o.s FROM big b JOIN other o ON b.v = o.v WHERE b.k % 2 = 0`,
-	`SELECT b.v, o.v FROM big b LEFT JOIN other o ON b.v = o.v WHERE b.v < 500`,
+	{`SELECT b.k, b.v, o.v FROM big b, other o WHERE b.v = o.v AND o.v < 300`, true},
+	{`SELECT b.k, o.s FROM big b JOIN other o ON b.v = o.v WHERE b.k % 2 = 0`, true},
+	{`SELECT b.v, o.v FROM big b LEFT JOIN other o ON b.v = o.v WHERE b.v < 500`, true},
 	// partition-wise nested-loop and cross joins
-	`SELECT b.v, sm.w FROM big b, small sm WHERE b.v % 97 < sm.w AND b.v % 11 = 0`,
-	`SELECT count(*) FROM big b, small sm`,
+	{`SELECT b.v, sm.w FROM big b, small sm WHERE b.v % 97 < sm.w AND b.v % 11 = 0`, true},
+	{`SELECT count(*) FROM big b, small sm`, true},
 	// partition-wise aggregation with worker-order partial merge
-	`SELECT k, count(*), sum(v), min(s), max(v) FROM big GROUP BY k`,
-	`SELECT k % 7, count(*), avg(v) FROM big WHERE v % 2 = 0 GROUP BY k % 7`,
-	`SELECT count(*), sum(v), min(v), max(s) FROM big`,
+	{`SELECT k, count(*), sum(v), min(s), max(v) FROM big GROUP BY k`, true},
+	{`SELECT k % 7, count(*), avg(v) FROM big WHERE v % 2 = 0 GROUP BY k % 7`, true},
+	{`SELECT count(*), sum(v), min(v), max(s) FROM big`, true},
 	// serial-fallback shapes (DISTINCT aggregates, sorts, subqueries)
-	`SELECT k, count(DISTINCT s) FROM big GROUP BY k`,
-	`SELECT k, v FROM big ORDER BY v DESC, k LIMIT 100`,
-	`SELECT DISTINCT k FROM big`,
-	`SELECT k FROM big WHERE v IN (SELECT v FROM other) ORDER BY k LIMIT 50`,
+	{`SELECT k, count(DISTINCT s) FROM big GROUP BY k`, false},
+	{`SELECT k, v FROM big ORDER BY v DESC, k LIMIT 100`, false},
+	{`SELECT DISTINCT k FROM big`, false},
+	{`SELECT k FROM big WHERE v IN (SELECT v FROM other) ORDER BY k LIMIT 50`, false},
 	// provenance-rewritten plans through the same operators
-	`SELECT PROVENANCE k, v FROM big WHERE v % 5 = 0`,
-	`SELECT PROVENANCE b.k, o.v FROM big b, other o WHERE b.v = o.v`,
-	`SELECT PROVENANCE k, count(*), sum(v) FROM big GROUP BY k`,
+	{`SELECT PROVENANCE k, v FROM big WHERE v % 5 = 0`, true},
+	{`SELECT PROVENANCE b.k, o.v FROM big b, other o WHERE b.v = o.v AND o.v < 300`, true},
+	{`SELECT PROVENANCE k, count(*), sum(v) FROM big GROUP BY k`, true},
 }
 
 // TestParallelDifferential pins the headline contract: for every query in the
 // suite, every (parallelism, work_mem) combination must produce bytes
 // identical to the serial wide-budget run — including the forced-spill
 // configurations, where parallel operators either spill per worker (joins) or
-// fall back to the serial spilling path (aggregation).
+// fall back to the serial spilling path (aggregation). The trace proves the
+// wide-budget runs at degree >= 2 really fanned out, so the suite cannot pass
+// by falling back everywhere.
 func TestParallelDifferential(t *testing.T) {
 	db := seedParallelDB(t)
 	base := db.NewSession()
 	defer base.Close()
+	mustExecSpill(t, base, `SET parallelism = 1`)
 	want := make(map[string]string, len(parallelSuite))
-	for _, q := range parallelSuite {
-		want[q] = renderFull(mustExecSpill(t, base, q))
+	for _, c := range parallelSuite {
+		want[c.q] = renderFull(mustExecSpill(t, base, c.q))
 	}
 
 	for _, deg := range []int{1, 2, 8} {
@@ -88,16 +99,25 @@ func TestParallelDifferential(t *testing.T) {
 				dir := t.TempDir()
 				s.SetTempDir(dir)
 				mustExecSpill(t, s, fmt.Sprintf(`SET parallelism = %d`, deg))
+				mustExecSpill(t, s, `SET trace = on`)
 				if tiny {
 					mustExecSpill(t, s, fmt.Sprintf(`SET work_mem = %d`, tinyWorkMem))
 				}
-				for _, q := range parallelSuite {
-					got := renderFull(mustExecSpill(t, s, q))
-					if got != want[q] {
-						t.Fatalf("diverged on %q:\nwant:\n%.2000s\ngot:\n%.2000s", q, want[q], got)
+				for _, c := range parallelSuite {
+					got := renderFull(mustExecSpill(t, s, c.q))
+					if got != want[c.q] {
+						t.Fatalf("diverged on %q:\nwant:\n%.2000s\ngot:\n%.2000s", c.q, want[c.q], got)
 					}
 					if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-						t.Fatalf("%q left %d files in temp dir (err %v)", q, len(ents), err)
+						t.Fatalf("%q left %d files in temp dir (err %v)", c.q, len(ents), err)
+					}
+					tr := s.LastTrace()
+					if deg == 1 && tr.ParallelOps != 0 {
+						t.Errorf("%q fanned out (%d ops) at parallelism 1", c.q, tr.ParallelOps)
+					}
+					if deg > 1 && !tiny && c.fansOut && (tr.ParallelOps == 0 || tr.ParallelWorkers < int64(deg)) {
+						t.Errorf("%q never fanned out at parallelism %d: %d ops, %d workers",
+							c.q, deg, tr.ParallelOps, tr.ParallelWorkers)
 					}
 				}
 				if ms := s.MemStatus(); ms.Tracked != 0 {
@@ -105,6 +125,139 @@ func TestParallelDifferential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestParallelDefaultDegree: a fresh session is serial on any host — the
+// setting says so and the executor agrees — and only SET parallelism = 0
+// hands it every core.
+func TestParallelDefaultDegree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	db := seedParallelDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExecSpill(t, s, `SET trace = on`)
+	q := `SELECT k, v FROM big WHERE v % 3 = 0`
+
+	if got := mustExecSpill(t, s, `SHOW parallelism`).Rows[0][0].Str(); got != "1" {
+		t.Errorf("default SHOW parallelism = %q, want 1", got)
+	}
+	mustExecSpill(t, s, q)
+	if tr := s.LastTrace(); tr.ParallelOps != 0 || tr.ParallelWorkers != 0 {
+		t.Errorf("default session fanned out: %d ops, %d workers", tr.ParallelOps, tr.ParallelWorkers)
+	}
+
+	mustExecSpill(t, s, `SET parallelism = 0`)
+	mustExecSpill(t, s, q)
+	if tr := s.LastTrace(); tr.ParallelOps != 1 || tr.ParallelWorkers != 4 {
+		t.Errorf("parallelism 0 on 4 procs: %d ops, %d workers, want 1 and 4", tr.ParallelOps, tr.ParallelWorkers)
+	}
+}
+
+// snapshotShapes are one gather, one partition-wise join and one
+// partition-wise aggregate, each sensitive to a single extra row in big.
+var snapshotShapes = []string{
+	`SELECT k, v, s FROM big WHERE v = 99999`,
+	`SELECT b.v, sm.w FROM big b JOIN small sm ON b.k = sm.w WHERE b.v = 99999`,
+	`SELECT count(*), max(v) FROM big`,
+}
+
+// renderShapes runs snapshotShapes at the given degree and flattens the
+// results, checking that the big-table statements really fanned out.
+func renderShapes(t *testing.T, s *Session, deg int) string {
+	t.Helper()
+	mustExecSpill(t, s, fmt.Sprintf(`SET parallelism = %d`, deg))
+	mustExecSpill(t, s, `SET trace = on`)
+	var b strings.Builder
+	for _, q := range snapshotShapes {
+		b.WriteString(renderFull(mustExecSpill(t, s, q)))
+		if tr := s.LastTrace(); deg > 1 && tr.ParallelOps == 0 {
+			t.Errorf("%q did not fan out at parallelism %d", q, deg)
+		}
+	}
+	return b.String()
+}
+
+// TestParallelReadYourWrites: partitions are cut from the rows the statement
+// sees, so inside a transaction every parallel shape reads the transaction's
+// own uncommitted insert, exactly as the serial path does.
+func TestParallelReadYourWrites(t *testing.T) {
+	db := seedParallelDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExecSpill(t, s, `BEGIN`)
+	mustExecSpill(t, s, `INSERT INTO big VALUES (7, 99999, 'mine')`)
+	serial := renderShapes(t, s, 1)
+	if !strings.Contains(serial, "mine") || !strings.Contains(serial, "6001|99999") {
+		t.Fatalf("serial run does not read its own write:\n%s", serial)
+	}
+	if par := renderShapes(t, s, 2); par != serial {
+		t.Errorf("parallelism 2 inside the transaction diverged from serial:\nwant:\n%s\ngot:\n%s", serial, par)
+	}
+	mustExecSpill(t, s, `ROLLBACK`)
+	if after := renderShapes(t, s, 2); strings.Contains(after, "99999") {
+		t.Errorf("rolled-back insert still visible:\n%s", after)
+	}
+}
+
+// TestParallelPinnedSnapshot: a reader whose snapshot was pinned before
+// another session's commit — an open cursor, or an open transaction — must
+// not see that commit at any degree. Its partitions come from the pinned
+// snapshot, not from the table as of fan-out time.
+func TestParallelPinnedSnapshot(t *testing.T) {
+	db := seedParallelDB(t)
+	q := `SELECT k, v, s FROM big WHERE v % 1000 = 999`
+	type reader struct {
+		cursor *Rows
+		txn    *Session
+		out    strings.Builder
+	}
+	readers := make([]reader, 2)
+	for i := range readers {
+		cs := db.NewSession()
+		defer cs.Close()
+		mustExecSpill(t, cs, fmt.Sprintf(`SET parallelism = %d`, i+1))
+		rows, err := cs.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		first, err := rows.Next()
+		if err != nil || first == nil {
+			t.Fatalf("parallelism=%d: first row = %v, err %v", i+1, first, err)
+		}
+		fmt.Fprintln(&readers[i].out, first)
+		readers[i].cursor = rows
+		readers[i].txn = db.NewSession()
+		defer readers[i].txn.Close()
+		mustExecSpill(t, readers[i].txn, `BEGIN`)
+	}
+
+	writer := db.NewSession()
+	defer writer.Close()
+	mustExecSpill(t, writer, `INSERT INTO big VALUES (3, 99999, 'late')`)
+
+	for i := range readers {
+		r := &readers[i]
+		for {
+			row, err := r.cursor.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == nil {
+				break
+			}
+			fmt.Fprintln(&r.out, row)
+		}
+		r.out.WriteString(renderShapes(t, r.txn, i+1))
+		mustExecSpill(t, r.txn, `ROLLBACK`)
+		if strings.Contains(r.out.String(), "99999") {
+			t.Errorf("parallelism=%d: reader saw a commit later than its snapshot:\n%s", i+1, r.out.String())
+		}
+	}
+	if readers[0].out.String() != readers[1].out.String() {
+		t.Errorf("pinned-snapshot reads differ by degree:\nparallelism=1:\n%s\nparallelism=2:\n%s",
+			readers[0].out.String(), readers[1].out.String())
 	}
 }
 

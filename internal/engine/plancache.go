@@ -142,19 +142,22 @@ func normalizeSQL(text string) string {
 }
 
 // planNeutralSettings are session settings that never influence what plan
-// the pipeline produces — observability toggles bound at executor-open time,
+// the pipeline produces — observability toggles and the executor's resources
+// (Context.Parallel, the MemTracker budget), all bound at executor-open time,
 // not plan time. They are excluded from the settings fingerprint so flipping
 // them neither invalidates nor forks cached plans (and keeps cache keys
 // short).
 var planNeutralSettings = map[string]bool{
 	"trace":         true,
 	"slow_query_ms": true,
+	"parallelism":   true,
+	"work_mem":      true,
 }
 
 // computeFingerprint serializes every plan-affecting session setting into
-// the key suffix. Callers hold settingsMu (or own the session exclusively,
-// as in NewSession); the result is memoized in s.fingerprint so the map is
-// only iterated when a setting actually changes, never per statement.
+// the key suffix. Its one caller, set, holds settingsMu; the result is
+// memoized in s.fingerprint so the map is only iterated when a setting
+// actually changes, never per statement.
 func (s *Session) computeFingerprint() string {
 	names := make([]string, 0, len(s.settings))
 	for k := range s.settings {
@@ -165,13 +168,6 @@ func (s *Session) computeFingerprint() string {
 	sort.Strings(names)
 	var b strings.Builder
 	for _, k := range names {
-		// Serial execution is the unmarked default: eliding parallelism=1
-		// keeps the per-statement cache-key string in the same allocation
-		// size class it had before the knob existed, while any non-serial
-		// degree (including 0 = all cores) still forks the key.
-		if k == "parallelism" && s.settings[k] == "1" {
-			continue
-		}
 		b.WriteString(k)
 		b.WriteByte('=')
 		b.WriteString(s.settings[k])

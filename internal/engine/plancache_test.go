@@ -140,6 +140,27 @@ func TestPlanCacheSetInvalidation(t *testing.T) {
 	}
 }
 
+// TestPlanCacheExecutorSettingsAreNeutral: parallelism and work_mem bind when
+// the executor opens, never at plan time, so changing them must neither
+// invalidate nor fork cached plans.
+func TestPlanCacheExecutorSettingsAreNeutral(t *testing.T) {
+	for _, set := range []string{`SET parallelism = 2`, `SET parallelism = 0`, `SET work_mem = 4096`} {
+		t.Run(set, func(t *testing.T) {
+			s := cacheSession(t)
+			q := `SELECT PROVENANCE a FROM t`
+			exec(t, s, q)
+			_, misses, _ := s.PlanCacheStats()
+			exec(t, s, set)
+			if res := exec(t, s, q); !res.CacheHit {
+				t.Errorf("%s forced a re-plan", set)
+			}
+			if _, after, _ := s.PlanCacheStats(); after != misses {
+				t.Errorf("%s: plan-cache misses went %d -> %d", set, misses, after)
+			}
+		})
+	}
+}
+
 func TestPlanCacheCrossSessionIsolation(t *testing.T) {
 	db := NewDB()
 	s1 := db.NewSession()

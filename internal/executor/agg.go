@@ -44,6 +44,11 @@ type aggIter struct {
 	reg    fileReg
 	merger *seqMerger
 	fold   *aggFold // current fold, released via Close on error unwinds
+	// part, set in a parallel worker's subtree, makes this a partial
+	// aggregation: Open folds the worker's partition without spilling and,
+	// instead of emitting, leaves the groups in part.partial for the
+	// coordinator's mergePartials.
+	part *partition
 }
 
 // aggState accumulates one aggregate within one group.
@@ -81,6 +86,20 @@ type aggGroup struct {
 // aggGroupFixedBytes approximates the per-group footprint beyond key bytes
 // and DISTINCT entries.
 const aggGroupFixedBytes = 96
+
+// groupBaseBytes is a group's accountable footprint before its map key and
+// any DISTINCT entries: the key row, the struct, and the aggregate states.
+func groupBaseBytes(keys value.Row, nStates int) int64 {
+	return rowBytes(keys) + aggGroupFixedBytes + int64(nStates)*48
+}
+
+// appendGroupKey frames a group's key values into its group-table map key.
+func appendGroupKey(dst []byte, keys value.Row) []byte {
+	for _, v := range keys {
+		dst = value.AppendFramedKey(dst, v)
+	}
+	return dst
+}
 
 // Aggregation partition files hold two record kinds, discriminated by their
 // first byte: raw input rows (sequence-tagged, folded downstream) and partial
@@ -136,7 +155,7 @@ func decodeAggPartial(rec []byte, nAggs int) (*aggGroup, int64, error) {
 		return nil, 0, err
 	}
 	g := &aggGroup{keys: keys, states: make([]aggState, nAggs), firstSeq: firstSeq}
-	bytes := rowBytes(keys) + aggGroupFixedBytes + int64(nAggs)*48
+	bytes := groupBaseBytes(keys, nAggs)
 	for i := 0; i < nAggs; i++ {
 		st := &g.states[i]
 		count, n := binary.Uvarint(rest)
@@ -232,27 +251,14 @@ func (a *aggIter) Open(ctx *Context) error {
 		}
 	}
 
-	if fold.parts == nil {
-		// Everything fit: emit the groups in first-appearance order, exactly
-		// the historical in-memory path.
-		out, err := a.emitGroups(fold)
-		if err != nil {
-			return err
-		}
-		// Scalar aggregation over empty input still produces one (empty) group.
-		if len(a.op.GroupBy) == 0 && len(out) == 0 {
-			g := fold.newGroup(value.Row{}, 0)
-			row, err := a.groupRow(g)
-			if err != nil {
-				return err
-			}
-			out = append(out, row)
-		}
-		a.out = out
-		a.pos = 0
+	if a.part != nil {
+		a.part.partial = fold.order
 		fold.acct.releaseAll()
 		a.fold = nil
 		return nil
+	}
+	if fold.parts == nil {
+		return a.emitResident(fold)
 	}
 
 	// Spilled: the resident groups become the first output file, then every
@@ -343,18 +349,62 @@ func (a *aggIter) resolvePartition(f *spill.File, level int, outputs *[]*spill.F
 	return nil
 }
 
-// emitGroups finalizes a fold's groups into rows, in insertion order
-// (ascending first-appearance).
-func (a *aggIter) emitGroups(fold *aggFold) ([]value.Row, error) {
+// emitResident finalizes a fold that never spilled: its groups become the
+// output in insertion (first-appearance) order, exactly the historical
+// in-memory path.
+func (a *aggIter) emitResident(fold *aggFold) error {
+	// Scalar aggregation over empty input still produces one (empty) group.
+	if len(a.op.GroupBy) == 0 && len(fold.order) == 0 {
+		fold.order = append(fold.order, fold.newGroup(value.Row{}, 0))
+	}
 	out := make([]value.Row, 0, len(fold.order))
 	for _, g := range fold.order {
 		row, err := a.groupRow(g)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out = append(out, row)
 	}
-	return out, nil
+	a.out = out
+	a.pos = 0
+	fold.acct.releaseAll()
+	a.fold = nil
+	return nil
+}
+
+// mergePartials is Open for the coordinator of a partition-wise aggregation:
+// the workers already folded the input, so it only merges their partial groups
+// and emits. With contiguous partitions, any group of worker w first appeared
+// globally before any group whose first worker is w+1, so insertion across
+// workers in worker order IS the serial first-appearance order. The merged
+// table never spills: outgrowing work_mem returns errParallelOverflow and the
+// caller re-runs the aggregation serially, which does.
+func (a *aggIter) mergePartials(ctx *Context, parts []partition) error {
+	a.release()
+	a.ctx = ctx
+	fold := a.newFold(0)
+	a.fold = fold
+	for i := range parts {
+		for _, g := range parts[i].partial {
+			fold.keyScratch = appendGroupKey(fold.keyScratch[:0], g.keys)
+			dst, ok := fold.groups[string(fold.keyScratch)]
+			if !ok {
+				fold.groups[string(fold.keyScratch)] = g
+				fold.order = append(fold.order, g)
+				fold.acct.grow(g.bytes)
+				if fold.acct.spillable() && fold.acct.over() {
+					return errParallelOverflow
+				}
+				continue
+			}
+			for s := range dst.states {
+				if err := mergeAggState(&dst.states[s], &g.states[s]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return a.emitResident(fold)
 }
 
 // writeGroups finalizes a fold's groups into a fresh sequence-tagged output
@@ -441,13 +491,7 @@ func (a *aggIter) newFold(level int) *aggFold {
 }
 
 func (f *aggFold) newGroup(keys value.Row, firstSeq uint64) *aggGroup {
-	return newAggGroup(f.a.op.Aggs, keys, firstSeq)
-}
-
-// newAggGroup initializes a group's states for the given aggregate list; the
-// serial fold and the parallel workers share it so partial states start out
-// identical.
-func newAggGroup(aggs []algebra.AggExpr, keys value.Row, firstSeq uint64) *aggGroup {
+	aggs := f.a.op.Aggs
 	g := &aggGroup{keys: keys, states: make([]aggState, len(aggs)), firstSeq: firstSeq}
 	for i, ae := range aggs {
 		st := &g.states[i]
@@ -483,7 +527,7 @@ func (f *aggFold) add(seq uint64, row value.Row) error {
 		g = f.newGroup(f.keyVals.Clone(), seq)
 		f.groups[string(f.keyScratch)] = g
 		f.order = append(f.order, g)
-		g.bytes = int64(len(f.keyScratch)) + rowBytes(g.keys) + aggGroupFixedBytes + int64(len(g.states))*48
+		g.bytes = int64(len(f.keyScratch)) + groupBaseBytes(g.keys, len(g.states))
 		f.acct.grow(g.bytes)
 		f.growSinceEvict += g.bytes
 	}
@@ -511,6 +555,11 @@ func (f *aggFold) add(seq uint64, row value.Row) error {
 	// previous scan found nothing left to shed, rescan only once enough new
 	// growth accrued for a fragment to have crossed the run floor.
 	if f.acct.spillable() && f.acct.over() {
+		if f.a.part != nil {
+			// A worker's partial fold never spills: the statement falls back
+			// to the serial aggregation, which does.
+			return errParallelOverflow
+		}
 		if !f.evictStuck || f.growSinceEvict >= minDistinctRunBytes {
 			return f.evictOver()
 		}
@@ -524,7 +573,7 @@ func (f *aggFold) routing() bool {
 	if f.parts != nil {
 		return true
 	}
-	if f.acct.spillable() && f.acct.over() && len(f.order) >= minFoldGroups && f.level < maxSpillLevel {
+	if f.a.part == nil && f.acct.spillable() && f.acct.over() && len(f.order) >= minFoldGroups && f.level < maxSpillLevel {
 		f.parts = newPartitionSet(f.a.ctx.Mem.Pool(), &f.a.reg, f.level)
 		return true
 	}
@@ -541,10 +590,7 @@ func (f *aggFold) addPartial(rec []byte) error {
 	if err != nil {
 		return err
 	}
-	f.keyScratch = f.keyScratch[:0]
-	for _, v := range g.keys {
-		f.keyScratch = value.AppendFramedKey(f.keyScratch, v)
-	}
+	f.keyScratch = appendGroupKey(f.keyScratch[:0], g.keys)
 	if _, exists := f.groups[string(f.keyScratch)]; exists {
 		return fmt.Errorf("executor: internal: partial aggregate state after its group became resident")
 	}
@@ -619,10 +665,7 @@ func (f *aggFold) evictOver() error {
 		if f.parts == nil {
 			f.parts = newPartitionSet(m.Pool(), &f.a.reg, f.level)
 		}
-		key = key[:0]
-		for _, v := range g.keys {
-			key = value.AppendFramedKey(key, v)
-		}
+		key = appendGroupKey(key[:0], g.keys)
 		f.rec = appendAggPartial(f.rec[:0], g)
 		if err := f.parts.route(key, f.rec); err != nil {
 			return err
@@ -710,6 +753,43 @@ func (s *aggState) fold(ae algebra.AggExpr, arg value.Value) error {
 		}
 	default:
 		return fmt.Errorf("executor: unknown aggregate %q", ae.Func)
+	}
+	return nil
+}
+
+// mergeAggState folds one partial state into another. Exact for count, min,
+// max and integer sums; float SUM/AVG and DISTINCT never reach here
+// (parAggEligible).
+func mergeAggState(dst, src *aggState) error {
+	dst.count += src.count
+	if !src.sum.IsNull() {
+		if dst.sum.IsNull() {
+			dst.sum = src.sum
+		} else {
+			v, err := value.Add(dst.sum, src.sum)
+			if err != nil {
+				return err
+			}
+			dst.sum = v
+		}
+	}
+	if !src.min.IsNull() {
+		if dst.min.IsNull() {
+			dst.min = src.min
+		} else if c, err := value.Compare(src.min, dst.min); err != nil {
+			return err
+		} else if c < 0 {
+			dst.min = src.min
+		}
+	}
+	if !src.max.IsNull() {
+		if dst.max.IsNull() {
+			dst.max = src.max
+		} else if c, err := value.Compare(src.max, dst.max); err != nil {
+			return err
+		} else if c > 0 {
+			dst.max = src.max
+		}
 	}
 	return nil
 }

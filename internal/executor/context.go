@@ -167,7 +167,7 @@ func (c *Context) subplanIter(sp *algebra.Subplan) (iterator, error) {
 	if it, ok := c.subplanIters[sp]; ok {
 		return it, nil
 	}
-	it, err := build(sp.Plan)
+	it, err := builder{}.build(sp.Plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -293,80 +293,126 @@ type iterator interface {
 	Close() error
 }
 
-// build maps a logical operator to its uninstrumented iterator — the
-// default, zero-overhead path.
-func build(op algebra.Op) (iterator, error) { return buildInto(op, nil) }
+// builder maps a logical plan to its iterator tree. Its one recursive method
+// serves every caller — statement roots (serial or parallel, plain or
+// instrumented), subplans, lateral join inputs, and the subtree each parallel
+// worker runs — so an operator is constructed, instrumented and accounted in
+// exactly one place whichever way it ends up running.
+type builder struct {
+	// graft lets eligible subtrees (fanOutLeaf) run partition-wise under a
+	// gatherIter. Only statement roots opened at a degree above 1 set it;
+	// nothing below a gather, a lateral join or a subplan fans out again.
+	graft bool
+	// part, set in a parallel worker's subtree, stands in for the plan's own
+	// inputs: the worker's range of the base scan, the shared build side.
+	part *partition
+}
 
-// buildInto maps a logical operator to its iterator. With a non-nil parent
-// stats node (EXPLAIN ANALYZE, SET trace) every concrete operator gets a
-// stats child and a statIter wrapper; pass-through nodes (BaseRel, ProvDone)
-// attach their input directly to the parent, exactly as they produce no
-// iterator of their own.
-func buildInto(op algebra.Op, parent *OpStats) (iterator, error) {
+// build maps a logical operator to its iterator. With a non-nil parent stats
+// node (EXPLAIN ANALYZE, SET trace) every concrete operator gets a stats
+// child and a statIter wrapper; a nil parent is the default, zero-overhead
+// path. Pass-through nodes (BaseRel, ProvDone) produce no iterator of their
+// own, so their input attaches directly to the parent.
+func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
+	op = skipMarkers(op)
+	n := node(parent, op)
+	// A subtree that can run partition-wise is built as the ordinary serial
+	// iterator and handed to a gather, which fans out over it at Open when
+	// the statement's degree and the table's size warrant, and otherwise
+	// just runs it.
+	var g *gatherIter
+	if b.graft {
+		if leaf := fanOutLeaf(op); leaf != nil {
+			g = &gatherIter{op: op, leaf: leaf, n: n}
+			b.graft = false
+		}
+	}
+	var err error
+	input := func(child algebra.Op) iterator {
+		if err != nil {
+			return nil
+		}
+		var it iterator
+		it, err = b.build(child, n)
+		return it
+	}
+	var it iterator
 	switch o := op.(type) {
 	case *algebra.Scan:
-		return wrapStat(&scanIter{op: o}, node(parent, o)), nil
+		if b.part != nil {
+			it = &sliceScanIter{rows: b.part.leaf}
+		} else {
+			it = &scanIter{op: o}
+		}
 	case *algebra.Values:
-		return wrapStat(&valuesIter{op: o}, node(parent, o)), nil
+		it = &valuesIter{op: o}
 	case *algebra.Project:
-		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&projectIter{op: o, input: in}, n), nil
+		it = &projectIter{op: o, input: input(o.Input)}
 	case *algebra.Select:
-		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&filterIter{op: o, input: in}, n), nil
-	case *algebra.BaseRel:
-		return buildInto(o.Input, parent)
-	case *algebra.ProvDone:
-		return buildInto(o.Input, parent)
+		it = &filterIter{op: o, input: input(o.Input)}
 	case *algebra.Join:
-		return buildJoin(o, parent)
+		// Lateral joins always run nested-loop with per-left-row re-execution
+		// of the right side; equi-joins run as hash joins; everything else
+		// falls back to a generic nested loop.
+		if o.Lateral {
+			switch o.Kind {
+			case algebra.JoinInner, algebra.JoinCross, algebra.JoinLeft:
+			default:
+				return nil, fmt.Errorf("executor: lateral %s join is not supported", o.Kind)
+			}
+			// Both inputs stay serial: the right side re-runs once per outer
+			// row, and fanning that out would launch workers per row.
+			b.graft = false
+			it = &lateralJoinIter{op: o, left: input(o.Left), right: input(o.Right)}
+			break
+		}
+		left := input(o.Left)
+		var right iterator
+		if b.part != nil {
+			right = &sliceScanIter{rows: b.part.right}
+		} else {
+			right = input(o.Right)
+		}
+		if g != nil {
+			g.right = right
+		}
+		if keys := extractEquiKeys(o); len(keys) > 0 {
+			it = &hashJoinIter{op: o, left: left, right: right, keys: keys}
+		} else {
+			it = &nlJoinIter{op: o, left: left, right: right}
+		}
 	case *algebra.Agg:
-		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&aggIter{op: o, input: in}, n), nil
+		it = &aggIter{op: o, input: input(o.Input), part: b.part}
 	case *algebra.Distinct:
-		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&distinctIter{input: in}, n), nil
+		it = &distinctIter{input: input(o.Input)}
 	case *algebra.SetOp:
-		n := node(parent, o)
-		l, err := buildInto(o.Left, n)
-		if err != nil {
-			return nil, err
-		}
-		r, err := buildInto(o.Right, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&setOpIter{op: o, left: l, right: r}, n), nil
+		it = &setOpIter{op: o, left: input(o.Left), right: input(o.Right)}
 	case *algebra.Sort:
-		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&sortIter{op: o, input: in}, n), nil
+		it = &sortIter{op: o, input: input(o.Input)}
 	case *algebra.Limit:
-		n := node(parent, o)
-		in, err := buildInto(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&limitIter{op: o, input: in}, n), nil
+		it = &limitIter{op: o, input: input(o.Input)}
+	default:
+		return nil, fmt.Errorf("executor: no iterator for operator %T", op)
 	}
-	return nil, fmt.Errorf("executor: no iterator for operator %T", op)
+	if err != nil {
+		return nil, err
+	}
+	if g != nil {
+		g.serial, it = it, g
+	}
+	return wrapStat(it, n), nil
+}
+
+// skipMarkers strips the BaseRel/ProvDone markers, which execute nothing.
+func skipMarkers(op algebra.Op) algebra.Op {
+	for {
+		switch o := op.(type) {
+		case *algebra.BaseRel:
+			op = o.Input
+		case *algebra.ProvDone:
+			op = o.Input
+		default:
+			return op
+		}
+	}
 }

@@ -85,15 +85,15 @@ func decodeJoinRec(rec []byte) (ord uint64, hashable bool, key []byte, row value
 func (h *hashJoinIter) openGrace(buffered []buildRow, total int) error {
 	ctx := h.ctx
 	pool := ctx.Mem.Pool()
-	buildParts := newPartitionSet(pool, &h.reg, 0)
-	probeParts := newPartitionSet(pool, &h.reg, 0)
+	buildSet := newPartitionSet(pool, &h.reg, 0)
+	probeSet := newPartitionSet(pool, &h.reg, 0)
 
 	var rec []byte
 	nBuild := uint64(0)
 	for i := range buffered {
 		br := &buffered[i]
 		rec = appendJoinRec(rec[:0], nBuild, br.key != nil, br.key, br.row)
-		if err := buildParts.route(br.key, rec); err != nil {
+		if err := buildSet.route(br.key, rec); err != nil {
 			h.right.Close()
 			return err
 		}
@@ -129,7 +129,7 @@ func (h *hashJoinIter) openGrace(buffered []buildRow, total int) error {
 			key = nil
 		}
 		rec = appendJoinRec(rec[:0], nBuild, hashable, key, row)
-		if err := buildParts.route(key, rec); err != nil {
+		if err := buildSet.route(key, rec); err != nil {
 			h.right.Close()
 			return err
 		}
@@ -165,7 +165,7 @@ func (h *hashJoinIter) openGrace(buffered []buildRow, total int) error {
 			key = nil
 		}
 		rec = appendJoinRec(rec[:0], nProbe, hashable, key, row)
-		if err := probeParts.route(key, rec); err != nil {
+		if err := probeSet.route(key, rec); err != nil {
 			return err
 		}
 		nProbe++
@@ -173,7 +173,7 @@ func (h *hashJoinIter) openGrace(buffered []buildRow, total int) error {
 
 	var outputs []*spill.File
 	for i := 0; i < spillPartitions; i++ {
-		if err := h.joinPartition(buildParts.files[i], probeParts.files[i], 1, nProbe, &outputs); err != nil {
+		if err := h.joinPartition(buildSet.files[i], probeSet.files[i], 1, nProbe, &outputs); err != nil {
 			return err
 		}
 	}

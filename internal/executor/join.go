@@ -15,34 +15,6 @@ import (
 // seed keeps build and probe sides consistent across iterators.
 var joinHashSeed = maphash.MakeSeed()
 
-// buildJoin picks a join algorithm: lateral joins always run nested-loop with
-// per-left-row re-execution of the right side; equi-joins run as hash joins;
-// everything else falls back to a generic nested loop.
-func buildJoin(op *algebra.Join, parent *OpStats) (iterator, error) {
-	n := node(parent, op)
-	if op.Lateral {
-		switch op.Kind {
-		case algebra.JoinInner, algebra.JoinCross, algebra.JoinLeft:
-			return wrapStat(&lateralJoinIter{op: op, stats: n}, n), nil
-		default:
-			return nil, fmt.Errorf("executor: lateral %s join is not supported", op.Kind)
-		}
-	}
-	left, err := buildInto(op.Left, n)
-	if err != nil {
-		return nil, err
-	}
-	right, err := buildInto(op.Right, n)
-	if err != nil {
-		return nil, err
-	}
-	keys := extractEquiKeys(op)
-	if len(keys) > 0 {
-		return wrapStat(&hashJoinIter{op: op, left: left, right: right, keys: keys}, n), nil
-	}
-	return wrapStat(&nlJoinIter{op: op, left: left, right: right}, n), nil
-}
-
 // equiKey is one hashable join key pair: leftExpr over the left schema,
 // rightExpr over the right schema (already un-shifted). nullEq marks
 // IS NOT DISTINCT FROM keys where NULL joins NULL.
@@ -727,7 +699,6 @@ type lateralJoinIter struct {
 	right iterator
 	ctx   *Context
 	cond  compiledPred
-	stats *OpStats
 
 	curProbe value.Row
 	curRows  []value.Row
@@ -740,19 +711,6 @@ func (l *lateralJoinIter) Open(ctx *Context) error {
 	l.curProbe = nil
 	if l.cond == nil && l.op.Cond != nil {
 		l.cond = compilePred(l.op.Cond)
-	}
-	var err error
-	if l.right == nil {
-		l.right, err = buildInto(l.op.Right, l.stats)
-		if err != nil {
-			return err
-		}
-	}
-	if l.left == nil {
-		l.left, err = buildInto(l.op.Left, l.stats)
-		if err != nil {
-			return err
-		}
 	}
 	return l.left.Open(ctx)
 }
@@ -810,9 +768,4 @@ func (l *lateralJoinIter) Next() (value.Row, error) {
 	}
 }
 
-func (l *lateralJoinIter) Close() error {
-	if l.left != nil {
-		return l.left.Close()
-	}
-	return nil
-}
+func (l *lateralJoinIter) Close() error { return l.left.Close() }

@@ -2,7 +2,6 @@ package executor
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -10,41 +9,44 @@ import (
 	"perm/internal/value"
 )
 
-// Intra-query parallelism. Three operators fan work out to ctx.Parallel
-// worker goroutines, each running a private iterator tree over a contiguous
-// range of the base scan's snapshot:
+// Intra-query parallelism is a property of the one executor, not a second set
+// of operators. The builder (context.go) wraps every subtree that can run
+// partition-wise — together with its ordinary serial iterator — in a
+// gatherIter. At Open the gather cuts the base scan's rows, as this statement
+// sees them, into ctx.Parallel contiguous ranges and runs the same subtree,
+// built by the same builder, once per range on a worker goroutine:
 //
-//   - parGatherIter: a Scan/Select/Project chain. Workers stream their range
-//     through the chain; the coordinator concatenates worker outputs in worker
-//     order, which for contiguous ranges over order-preserving operators is
-//     exactly the serial row order.
-//   - parJoinIter: a hash or nested-loop join whose probe (left) side is such
-//     a chain. The coordinator materializes the build side once; each worker
-//     joins its probe range against the shared read-only rows with a private
-//     join iterator (its own compiled expressions, hash table, and memory
-//     account against the one shared budget). Probe-side-local kinds only
+//   - A Scan/Select/Project chain. Workers stream their range through the
+//     chain; the coordinator concatenates worker outputs in worker order,
+//     which for contiguous ranges over order-preserving operators is exactly
+//     the serial row order.
+//   - A hash or nested-loop join whose probe (left) side is such a chain. The
+//     coordinator materializes the build side once; each worker joins its
+//     probe range against the shared read-only rows with a private join
+//     iterator (its own compiled expressions, hash table, and memory account
+//     against the one shared budget). Probe-side-local kinds only
 //     (INNER/LEFT/SEMI/ANTI/CROSS): their output factors by probe row, so
 //     worker-order concatenation again reproduces the serial order byte for
 //     byte.
-//   - parAggIter: hash aggregation over such a chain. Workers fold partial
-//     group states over their range; the coordinator merges partials in worker
-//     order (count/sum/min/max compose exactly), which reproduces the serial
+//   - Hash aggregation over such a chain. Workers fold partial group states
+//     over their range; the coordinator merges partials in worker order
+//     (count/sum/min/max compose exactly), which reproduces the serial
 //     first-appearance emission order.
 //
-// Everything else runs serial, with parallel subtrees grafted underneath
-// (buildPar). Workers share the statement's interrupt channel, deadline and
-// MemTracker through workerClone contexts; the exchange between a worker and
-// the coordinator is a bounded channel of row batches, so a fast worker parks
+// Workers share the statement's interrupt channel, deadline and MemTracker
+// through workerClone contexts; the exchange between a worker and the
+// coordinator is a bounded channel of row batches, so a fast worker parks
 // after parallelQueueLen batches instead of buffering its whole output. Close
 // cancels via the quit channel and joins every worker — no goroutine outlives
 // its statement.
 //
-// Serial fallbacks (always producing identical results, since the parallel
-// plans are exact): degree < 2 at Open, a probe table smaller than
+// Whenever fan-out is off the gather runs the serial iterator on the caller's
+// goroutine with no exchange — always with identical results, since the
+// parallel plans are exact: degree < 2 at Open, a base table smaller than
 // minParallelRows, a row budget (per-worker budgets would not add up to the
-// serial semantics), a parallel join whose build side cannot stay resident
-// within work_mem, or a parallel aggregation whose group table outgrows it
-// (partial-state spilling stays a serial-path feature).
+// serial semantics), a join whose build side cannot stay resident within
+// work_mem, or an aggregation whose group table outgrows it (partial-state
+// spilling stays a serial-path feature).
 
 const (
 	// parallelBatchRows is the exchange batch size: one channel operation per
@@ -62,115 +64,27 @@ const (
 // run instead. It never escapes the executor.
 var errParallelOverflow = errors.New("executor: parallel operator over memory budget")
 
-// buildPar mirrors buildInto with parallel operators grafted in wherever the
-// subtree is eligible. Only statement roots build through it (subplans and
-// lateral right sides stay serial); every parallel operator still re-checks
-// eligibility at Open and falls back to an identical serial tree.
-func buildPar(op algebra.Op, parent *OpStats) (iterator, error) {
+// --- eligibility ----------------------------------------------------------------
+
+// fanOutLeaf returns the base scan to partition when op's subtree can run
+// partition-wise, or nil. A bare scan partitions fine but gains nothing:
+// moving rows through the exchange costs more than the slice iteration it
+// replaces.
+func fanOutLeaf(op algebra.Op) *algebra.Scan {
 	switch o := op.(type) {
+	case *algebra.Select, *algebra.Project:
+		return gatherLeaf(op)
 	case *algebra.Join:
 		if parJoinEligible(o) {
-			n := node(parent, o)
-			return wrapStat(&parJoinIter{op: o, keys: extractEquiKeys(o)}, n), nil
+			return gatherLeaf(o.Left)
 		}
-		if !o.Lateral {
-			n := node(parent, o)
-			left, err := buildPar(o.Left, n)
-			if err != nil {
-				return nil, err
-			}
-			right, err := buildPar(o.Right, n)
-			if err != nil {
-				return nil, err
-			}
-			if keys := extractEquiKeys(o); len(keys) > 0 {
-				return wrapStat(&hashJoinIter{op: o, left: left, right: right, keys: keys}, n), nil
-			}
-			return wrapStat(&nlJoinIter{op: o, left: left, right: right}, n), nil
-		}
-		return buildJoin(o, parent)
 	case *algebra.Agg:
 		if parAggEligible(o) {
-			n := node(parent, o)
-			return wrapStat(&parAggIter{op: o}, n), nil
+			return gatherLeaf(o.Input)
 		}
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&aggIter{op: o, input: in}, n), nil
-	case *algebra.Scan, *algebra.Select, *algebra.Project:
-		if gatherLeaf(op) != nil && chainHasWork(op) {
-			n := node(parent, op)
-			return wrapStat(&parGatherIter{op: op}, n), nil
-		}
-		return buildSerialNode(op, parent)
-	case *algebra.BaseRel:
-		return buildPar(o.Input, parent)
-	case *algebra.ProvDone:
-		return buildPar(o.Input, parent)
-	case *algebra.Distinct:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&distinctIter{input: in}, n), nil
-	case *algebra.Sort:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&sortIter{op: o, input: in}, n), nil
-	case *algebra.Limit:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&limitIter{op: o, input: in}, n), nil
-	case *algebra.SetOp:
-		n := node(parent, o)
-		l, err := buildPar(o.Left, n)
-		if err != nil {
-			return nil, err
-		}
-		r, err := buildPar(o.Right, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&setOpIter{op: o, left: l, right: r}, n), nil
 	}
-	return buildInto(op, parent)
+	return nil
 }
-
-// buildSerialNode builds one serial Scan/Select/Project iterator whose input
-// (if any) still goes through buildPar.
-func buildSerialNode(op algebra.Op, parent *OpStats) (iterator, error) {
-	switch o := op.(type) {
-	case *algebra.Scan:
-		return wrapStat(&scanIter{op: o}, node(parent, o)), nil
-	case *algebra.Select:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&filterIter{op: o, input: in}, n), nil
-	case *algebra.Project:
-		n := node(parent, o)
-		in, err := buildPar(o.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		return wrapStat(&projectIter{op: o, input: in}, n), nil
-	}
-	return nil, fmt.Errorf("executor: no iterator for operator %T", op)
-}
-
-// --- eligibility ----------------------------------------------------------------
 
 // exprParSafe reports whether an expression may run inside a worker: no
 // subplans (their caches and any correlation belong to the statement context)
@@ -184,7 +98,7 @@ func exprParSafe(e algebra.Expr) bool {
 // Scan under any stack of parallel-safe Select/Project (and the pass-through
 // BaseRel/ProvDone markers) — or nil when the subtree has another shape.
 func gatherLeaf(op algebra.Op) *algebra.Scan {
-	switch o := op.(type) {
+	switch o := skipMarkers(op).(type) {
 	case *algebra.Scan:
 		return o
 	case *algebra.Select:
@@ -199,27 +113,8 @@ func gatherLeaf(op algebra.Op) *algebra.Scan {
 			}
 		}
 		return gatherLeaf(o.Input)
-	case *algebra.BaseRel:
-		return gatherLeaf(o.Input)
-	case *algebra.ProvDone:
-		return gatherLeaf(o.Input)
 	}
 	return nil
-}
-
-// chainHasWork reports whether a gatherable chain does per-row compute. A bare
-// scan partitions fine but gains nothing from fan-out: moving rows through the
-// exchange costs more than the slice iteration it replaces.
-func chainHasWork(op algebra.Op) bool {
-	switch o := op.(type) {
-	case *algebra.Select, *algebra.Project:
-		return true
-	case *algebra.BaseRel:
-		return chainHasWork(o.Input)
-	case *algebra.ProvDone:
-		return chainHasWork(o.Input)
-	}
-	return false
 }
 
 // parJoinEligible: non-lateral probe-side-local kinds whose output factors by
@@ -269,6 +164,20 @@ func parAggEligible(o *algebra.Agg) bool {
 
 // --- worker plumbing ------------------------------------------------------------
 
+// partition is what one worker's subtree runs over in place of the plan's
+// own inputs, and where a partial aggregation leaves its result.
+type partition struct {
+	// leaf is the worker's contiguous range of the base scan's rows.
+	leaf []value.Row
+	// right is a join's build side, materialized once by the coordinator and
+	// shared read-only by every worker.
+	right []value.Row
+	// partial receives an aggregation worker's groups, in the worker's
+	// first-appearance order. The coordinator reads it once the worker's
+	// end-of-stream has arrived.
+	partial []*aggGroup
+}
+
 // sliceScanIter iterates a pre-resolved row slice: a worker's contiguous
 // partition of the coordinator's snapshot, or the shared materialized build
 // side of a parallel join.
@@ -287,34 +196,6 @@ func (s *sliceScanIter) Next() (value.Row, error) {
 	return row, nil
 }
 func (s *sliceScanIter) Close() error { return nil }
-
-// buildGatherWorker builds one worker's private iterator over a gatherable
-// chain, with the leaf scan replaced by the worker's partition. Each worker
-// compiles its own expressions: compiled closures carry scratch state and are
-// not goroutine-safe to share.
-func buildGatherWorker(op algebra.Op, part []value.Row) (iterator, error) {
-	switch o := op.(type) {
-	case *algebra.Scan:
-		return &sliceScanIter{rows: part}, nil
-	case *algebra.Select:
-		in, err := buildGatherWorker(o.Input, part)
-		if err != nil {
-			return nil, err
-		}
-		return &filterIter{op: o, input: in}, nil
-	case *algebra.Project:
-		in, err := buildGatherWorker(o.Input, part)
-		if err != nil {
-			return nil, err
-		}
-		return &projectIter{op: o, input: in}, nil
-	case *algebra.BaseRel:
-		return buildGatherWorker(o.Input, part)
-	case *algebra.ProvDone:
-		return buildGatherWorker(o.Input, part)
-	}
-	return nil, fmt.Errorf("executor: operator %T is not range-partitionable", op)
-}
 
 // splitRows cuts rows into deg contiguous partitions (the last may be short;
 // trailing partitions may be empty when deg > len).
@@ -352,8 +233,9 @@ type exchange struct {
 	wg      sync.WaitGroup
 	outs    []chan parBatch
 	workers []*Context
-	rows    []int64 // per-worker emitted rows, written by the worker, read after join
-	ns      []int64 // per-worker wall time, same discipline
+	roots   []*OpStats // per-worker stats sentinels; all nil when uninstrumented
+	rows    []int64    // per-worker emitted rows, written by the worker, read after join
+	ns      []int64    // per-worker wall time, same discipline
 	wi      int
 	cur     []value.Row
 	curIdx  int
@@ -368,17 +250,19 @@ func newExchange(deg int) *exchange {
 		quit:    make(chan struct{}),
 		outs:    make([]chan parBatch, 0, deg),
 		workers: make([]*Context, 0, deg),
+		roots:   make([]*OpStats, 0, deg),
 		rows:    make([]int64, deg),
 		ns:      make([]int64, deg),
 	}
 }
 
-// launch starts one worker draining it. The worker owns it entirely,
-// including Close on every exit path.
-func (e *exchange) launch(parent *Context, it iterator) {
+// launch starts one worker draining it, whose stats tree (if any) hangs under
+// root. The worker owns it entirely, including Close on every exit path.
+func (e *exchange) launch(parent *Context, it iterator, root *OpStats) {
 	w := len(e.outs)
 	out := make(chan parBatch, parallelQueueLen)
 	e.outs = append(e.outs, out)
+	e.roots = append(e.roots, root)
 	wctx := parent.workerClone()
 	e.workers = append(e.workers, wctx)
 	e.wg.Add(1)
@@ -469,566 +353,177 @@ func (e *exchange) next() (value.Row, error) {
 }
 
 // shutdown cancels outstanding workers, joins them all, and absorbs their
-// counters. Idempotent via the caller niling its reference.
+// counters. The caller drops its reference afterwards.
 func (e *exchange) shutdown(parent *Context) {
 	close(e.quit)
 	e.wg.Wait()
 	for _, w := range e.workers {
 		parent.absorbWorker(w)
 	}
-	if e.err == nil {
-		e.err = errors.New("executor: exchange closed")
-	}
 }
 
-// recordWorkers publishes the per-worker rollup on the operator's stats node.
-// Callers invoke it only after the exchange's workers are joined.
-func recordWorkers(n *OpStats, deg int, rows, ns []int64) {
-	if n == nil {
-		return
-	}
-	n.Workers = deg
-	n.WorkerRows = append([]int64(nil), rows...)
-	n.WorkerNs = append([]int64(nil), ns...)
+// --- gather -----------------------------------------------------------------------
+
+// gatherIter runs one partition-wise subtree: fanned out to workers when the
+// statement's degree and the table's size warrant, and as the plain serial
+// iterator otherwise.
+type gatherIter struct {
+	op   algebra.Op    // the subtree's root: a chain node, a Join, or an Agg
+	leaf *algebra.Scan // the base scan whose rows are partitioned
+	// serial is op's ordinary iterator from the same builder: the whole
+	// subtree whenever fan-out is off, and an aggregation's final merge when
+	// it is on.
+	serial iterator
+	// right (joins only) is serial's build-side input, which the coordinator
+	// drains once on behalf of every worker.
+	right iterator
+	n     *OpStats // op's stats node; nil when uninstrumented
+	ctx   *Context
+	ex    *exchange // live while workers run
+	acct  memAcct   // the shared materialized build side
 }
 
-// parDegree resolves the fan-out for one Open: the session degree, bounded by
-// the partition count that still gives every worker at least one row.
-func parDegree(ctx *Context, nRows int) int {
-	d := int(ctx.Parallel)
-	if d > nRows {
-		d = nRows
-	}
-	return d
-}
-
-// parSnapshot resolves the chain's base table and takes the one snapshot every
-// partition is cut from (workers must never re-snapshot: a concurrent writer
-// could swap the live slice between looks).
-func parSnapshot(ctx *Context, leaf *algebra.Scan) ([]value.Row, error) {
-	t := ctx.Store.Table(leaf.Table)
-	if t == nil {
-		return nil, fmt.Errorf("executor: table %q does not exist", leaf.Table)
-	}
-	return t.Snapshot(), nil
-}
-
-// --- parallel gather (scan/filter/project chains) --------------------------------
-
-type parGatherIter struct {
-	op     algebra.Op
-	ctx    *Context
-	ex     *exchange
-	serial iterator // built lazily, reused across serial-fallback re-Opens
-	inPar  bool
-}
-
-func (g *parGatherIter) Open(ctx *Context) error {
+func (g *gatherIter) Open(ctx *Context) error {
 	g.release()
 	g.ctx = ctx
-	leaf := gatherLeaf(g.op)
-	var rows []value.Row
-	deg := 0
-	if int(ctx.Parallel) > 1 && ctx.RowBudget == 0 {
-		var err error
-		if rows, err = parSnapshot(ctx, leaf); err != nil {
+	g.acct.ctx = ctx
+	ranges, err := g.partitions(ctx)
+	if err != nil {
+		return err
+	}
+	if ranges != nil {
+		err := g.fanOut(ctx, ranges)
+		if err == nil {
+			return nil
+		}
+		// Join whatever was launched before the error leaves (callers do not
+		// Close an operator whose Open failed) or the serial run starts.
+		g.release()
+		if err != errParallelOverflow {
 			return err
 		}
-		deg = parDegree(ctx, len(rows))
-	}
-	if deg < 2 || len(rows) < minParallelRows {
-		return g.openSerial(ctx)
-	}
-	g.inPar = true
-	g.ex = newExchange(deg)
-	for _, part := range splitRows(rows, deg) {
-		it, err := buildGatherWorker(g.op, part)
-		if err != nil {
-			g.release()
-			return err
-		}
-		g.ex.launch(ctx, it)
-	}
-	ctx.ParallelOps++
-	ctx.ParallelWorkers += int32(deg)
-	return nil
-}
-
-func (g *parGatherIter) openSerial(ctx *Context) error {
-	if g.serial == nil {
-		it, err := build(g.op)
-		if err != nil {
-			return err
-		}
-		g.serial = it
 	}
 	return g.serial.Open(ctx)
 }
 
-func (g *parGatherIter) Next() (value.Row, error) {
-	if !g.inPar {
-		if g.serial == nil {
-			return nil, nil
-		}
-		return g.serial.Next()
+// partitions makes the degree decision for one Open and cuts the base scan
+// accordingly; nil means run serial.
+func (g *gatherIter) partitions(ctx *Context) ([][]value.Row, error) {
+	if ctx.Parallel < 2 || ctx.RowBudget != 0 {
+		return nil, nil
 	}
-	return g.ex.next()
-}
-
-func (g *parGatherIter) release() {
-	if g.ex != nil {
-		// Join the workers before reading their rows/ns counters —
-		// recordWorkers' contract; a worker's deferred timing write races
-		// with the copy otherwise.
-		g.ex.shutdown(g.ctx)
-		if g.ctx != nil && g.ctx.owner != nil {
-			recordWorkers(g.ctx.owner, len(g.ex.outs), g.ex.rows, g.ex.ns)
-		}
-		g.ex = nil
+	// The rows THIS statement sees — its pinned snapshot, or its
+	// transaction's read-your-writes view — resolved once: workers never look
+	// at the table themselves, so every partition is cut from the same rows.
+	rows, err := ctx.TableRows(g.leaf.Table)
+	if err != nil || len(rows) < minParallelRows {
+		return nil, err
 	}
-	g.inPar = false
+	return splitRows(rows, int(ctx.Parallel)), nil
 }
 
-func (g *parGatherIter) Close() error {
-	g.release()
-	if g.serial != nil {
-		return g.serial.Close()
-	}
-	return nil
-}
-
-// --- parallel partition-wise join ------------------------------------------------
-
-type parJoinIter struct {
-	op     *algebra.Join
-	keys   []equiKey
-	ctx    *Context
-	ex     *exchange
-	acct   memAcct // the coordinator's shared materialized build side
-	serial iterator
-	inPar  bool
-}
-
-func (j *parJoinIter) Open(ctx *Context) error {
-	j.release()
-	j.ctx = ctx
-	j.acct.ctx = ctx
-	var rows []value.Row
-	deg := 0
-	if int(ctx.Parallel) > 1 && ctx.RowBudget == 0 {
+// fanOut launches one worker per range, each running op's subtree from the
+// same builder with its inputs replaced by the worker's partition. Each worker
+// compiles its own expressions: compiled closures carry scratch state and are
+// not goroutine-safe to share. errParallelOverflow means state that must stay
+// resident does not fit work_mem and the serial iterator should run instead.
+func (g *gatherIter) fanOut(ctx *Context, ranges [][]value.Row) error {
+	var shared []value.Row
+	if g.right != nil {
 		var err error
-		if rows, err = parSnapshot(ctx, gatherLeaf(j.op.Left)); err != nil {
+		if shared, err = g.materializeRight(ctx); err != nil {
 			return err
 		}
-		deg = parDegree(ctx, len(rows))
 	}
-	if deg < 2 || len(rows) < minParallelRows {
-		return j.openSerial(ctx)
-	}
-	// Materialize the build side once, charged against work_mem. If it cannot
-	// stay resident the serial join runs instead: its grace machinery spills,
-	// which a table shared read-only across workers cannot.
-	shared, err := j.materializeRight(ctx)
-	if err == errParallelOverflow {
-		j.acct.releaseAll()
-		return j.openSerial(ctx)
-	}
-	if err != nil {
-		return err
-	}
-	j.inPar = true
-	j.ex = newExchange(deg)
-	for _, part := range splitRows(rows, deg) {
-		left, err := buildGatherWorker(j.op.Left, part)
+	parts := make([]partition, len(ranges))
+	g.ex = newExchange(len(ranges))
+	for w := range parts {
+		parts[w] = partition{leaf: ranges[w], right: shared}
+		var root *OpStats
+		if g.n != nil {
+			root = &OpStats{}
+		}
+		it, err := builder{part: &parts[w]}.build(g.op, root)
 		if err != nil {
-			j.release()
 			return err
 		}
-		right := &sliceScanIter{rows: shared}
-		var wit iterator
-		if len(j.keys) > 0 {
-			wit = &hashJoinIter{op: j.op, left: left, right: right, keys: j.keys}
-		} else {
-			wit = &nlJoinIter{op: j.op, left: left, right: right}
-		}
-		j.ex.launch(ctx, wit)
+		g.ex.launch(ctx, it, root)
 	}
-	if ctx.owner != nil {
-		ctx.owner.BuildRows = int64(len(shared))
+	if agg, ok := g.serial.(*aggIter); ok {
+		// Partial folds emit no rows, so the exchange's first answer is its
+		// end: every worker finished, or one failed.
+		if _, err := g.ex.next(); err != nil {
+			return err
+		}
+		for w := range parts {
+			g.ex.rows[w] = int64(len(parts[w].partial)) // a fold's output is its groups
+		}
+		g.release()
+		if err := agg.mergePartials(ctx, parts); err != nil {
+			return err
+		}
 	}
 	ctx.ParallelOps++
-	ctx.ParallelWorkers += int32(deg)
+	ctx.ParallelWorkers += int32(len(parts))
 	return nil
 }
 
 // materializeRight drains the build side into memory under the coordinator's
-// account, failing with errParallelOverflow the moment it crosses the budget.
-func (j *parJoinIter) materializeRight(ctx *Context) ([]value.Row, error) {
-	right, err := build(j.op.Right)
-	if err != nil {
+// account, failing with errParallelOverflow the moment it crosses the budget:
+// the serial join's grace machinery spills, which rows shared read-only
+// across workers cannot.
+func (g *gatherIter) materializeRight(ctx *Context) ([]value.Row, error) {
+	if err := g.right.Open(ctx); err != nil {
+		g.right.Close()
 		return nil, err
 	}
-	if err := right.Open(ctx); err != nil {
-		right.Close()
-		return nil, err
-	}
-	defer right.Close()
+	defer g.right.Close()
 	var rows []value.Row
 	for {
 		if err := ctx.tick(); err != nil {
 			return nil, err
 		}
-		row, err := right.Next()
+		row, err := g.right.Next()
 		if err != nil {
 			return nil, err
 		}
 		if row == nil {
+			if g.n != nil {
+				g.n.BuildRows = int64(len(rows))
+			}
 			return rows, nil
 		}
 		rows = append(rows, row)
-		j.acct.grow(rowBytes(row) + rowSliceBytes)
-		if j.acct.spillable() && j.acct.over() {
+		g.acct.grow(rowBytes(row) + rowSliceBytes)
+		if g.acct.spillable() && g.acct.over() {
 			return nil, errParallelOverflow
 		}
 	}
 }
 
-func (j *parJoinIter) openSerial(ctx *Context) error {
-	if j.serial == nil {
-		it, err := buildJoin(j.op, nil)
-		if err != nil {
-			return err
-		}
-		j.serial = it
+func (g *gatherIter) Next() (value.Row, error) {
+	if g.ex != nil {
+		return g.ex.next()
 	}
-	return j.serial.Open(ctx)
+	return g.serial.Next()
 }
 
-func (j *parJoinIter) Next() (value.Row, error) {
-	if !j.inPar {
-		if j.serial == nil {
-			return nil, nil
+// release joins the workers, publishes their stats, and returns the shared
+// build side's bytes.
+func (g *gatherIter) release() {
+	if g.ex != nil {
+		// Join before reading the workers' counters and stats trees: a
+		// worker's deferred timing write races with the read otherwise.
+		g.ex.shutdown(g.ctx)
+		if g.n != nil {
+			g.n.absorbWorkers(g.ex.roots, g.ex.rows, g.ex.ns)
 		}
-		return j.serial.Next()
+		g.ex = nil
 	}
-	return j.ex.next()
+	g.acct.releaseAll()
 }
 
-func (j *parJoinIter) release() {
-	if j.ex != nil {
-		// Join the workers before reading their rows/ns counters —
-		// recordWorkers' contract; a worker's deferred timing write races
-		// with the copy otherwise.
-		j.ex.shutdown(j.ctx)
-		if j.ctx != nil && j.ctx.owner != nil {
-			recordWorkers(j.ctx.owner, len(j.ex.outs), j.ex.rows, j.ex.ns)
-		}
-		j.ex = nil
-	}
-	j.acct.releaseAll()
-	j.inPar = false
-}
-
-func (j *parJoinIter) Close() error {
-	j.release()
-	if j.serial != nil {
-		return j.serial.Close()
-	}
-	return nil
-}
-
-// --- parallel partition-wise aggregation -----------------------------------------
-
-type parAggIter struct {
-	op     *algebra.Agg
-	ctx    *Context
-	acct   memAcct
-	out    []value.Row
-	pos    int
-	serial iterator
-	inPar  bool
-}
-
-// parAggWorker is one worker's partial fold: groups in local first-appearance
-// order, plus the rollup the coordinator publishes after joining it.
-type parAggWorker struct {
-	groups map[string]*aggGroup
-	order  []*aggGroup
-	keys   []string // framed group key per order entry
-	rows   int64
-	ns     int64
-	err    error
-}
-
-func (a *parAggIter) Open(ctx *Context) error {
-	a.release()
-	a.ctx = ctx
-	a.acct.ctx = ctx
-	var rows []value.Row
-	deg := 0
-	if int(ctx.Parallel) > 1 && ctx.RowBudget == 0 {
-		var err error
-		if rows, err = parSnapshot(ctx, gatherLeaf(a.op.Input)); err != nil {
-			return err
-		}
-		deg = parDegree(ctx, len(rows))
-	}
-	if deg < 2 || len(rows) < minParallelRows {
-		return a.openSerial(ctx)
-	}
-	parts := splitRows(rows, deg)
-	workers := make([]*parAggWorker, deg)
-	wctxs := make([]*Context, deg)
-	var wg sync.WaitGroup
-	for w := 0; w < deg; w++ {
-		workers[w] = &parAggWorker{groups: make(map[string]*aggGroup)}
-		wctxs[w] = ctx.workerClone()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			a.foldPartition(workers[w], wctxs[w], parts[w])
-		}(w)
-	}
-	wg.Wait()
-	for _, w := range wctxs {
-		ctx.absorbWorker(w)
-	}
-	if n := ctx.owner; n != nil {
-		n.Workers = deg
-		n.WorkerRows = make([]int64, deg)
-		n.WorkerNs = make([]int64, deg)
-		for w, pw := range workers {
-			n.WorkerRows[w] = pw.rows
-			n.WorkerNs[w] = pw.ns
-		}
-	}
-	out, err := a.mergeWorkers(workers)
-	if err == errParallelOverflow {
-		a.acct.releaseAll()
-		return a.openSerial(ctx)
-	}
-	if err != nil {
-		return err
-	}
-	a.inPar = true
-	a.out = out
-	a.pos = 0
-	a.acct.releaseAll()
-	ctx.ParallelOps++
-	ctx.ParallelWorkers += int32(deg)
-	return nil
-}
-
-// foldPartition folds one partition into partial groups. It never spills:
-// crossing the budget aborts with errParallelOverflow and the serial path
-// (which does spill) takes over.
-func (a *parAggIter) foldPartition(w *parAggWorker, wctx *Context, part []value.Row) {
-	t0 := time.Now()
-	defer func() { w.ns = time.Since(t0).Nanoseconds() }()
-	acct := memAcct{ctx: wctx}
-	defer acct.releaseAll()
-	it, err := buildGatherWorker(a.op.Input, part)
-	if err != nil {
-		w.err = err
-		return
-	}
-	groupBy := compileAll(a.op.GroupBy)
-	argExprs := make([]compiledExpr, len(a.op.Aggs))
-	for i, ae := range a.op.Aggs {
-		if ae.Arg != nil {
-			argExprs[i] = Compile(ae.Arg)
-		}
-	}
-	if err := it.Open(wctx); err != nil {
-		it.Close()
-		w.err = err
-		return
-	}
-	defer it.Close()
-	keyVals := make(value.Row, len(groupBy))
-	var keyScratch, distinctScratch []byte
-	var seq uint64
-	for {
-		if err := wctx.tick(); err != nil {
-			w.err = err
-			return
-		}
-		row, err := it.Next()
-		if err != nil {
-			w.err = err
-			return
-		}
-		if row == nil {
-			return
-		}
-		w.rows++
-		keyScratch = keyScratch[:0]
-		for i, ge := range groupBy {
-			v, err := ge(row, wctx)
-			if err != nil {
-				w.err = err
-				return
-			}
-			keyVals[i] = v
-			keyScratch = value.AppendFramedKey(keyScratch, v)
-		}
-		g, ok := w.groups[string(keyScratch)]
-		if !ok {
-			g = newAggGroup(a.op.Aggs, keyVals.Clone(), seq)
-			w.groups[string(keyScratch)] = g
-			w.order = append(w.order, g)
-			w.keys = append(w.keys, string(keyScratch))
-			acct.grow(int64(len(keyScratch)) + rowBytes(g.keys) + aggGroupFixedBytes + int64(len(g.states))*48)
-		}
-		seq++
-		for i, ae := range a.op.Aggs {
-			var arg value.Value
-			if argExprs[i] != nil {
-				v, err := argExprs[i](row, wctx)
-				if err != nil {
-					w.err = err
-					return
-				}
-				arg = v
-			}
-			if _, err := g.states[i].accumulate(ae, arg, &distinctScratch); err != nil {
-				w.err = err
-				return
-			}
-		}
-		if acct.spillable() && acct.over() {
-			w.err = errParallelOverflow
-			return
-		}
-	}
-}
-
-// mergeWorkers combines partial groups in worker order. With contiguous
-// partitions, any group of worker w first appeared globally before any group
-// whose first worker is w+1, so insertion order across workers in worker
-// order IS the serial first-appearance order.
-func (a *parAggIter) mergeWorkers(workers []*parAggWorker) ([]value.Row, error) {
-	for _, w := range workers {
-		if w.err != nil {
-			return nil, w.err
-		}
-	}
-	merged := make(map[string]*aggGroup)
-	var order []*aggGroup
-	for _, w := range workers {
-		for i, g := range w.order {
-			key := w.keys[i]
-			dst, ok := merged[key]
-			if !ok {
-				merged[key] = g
-				order = append(order, g)
-				a.acct.grow(int64(len(key)) + rowBytes(g.keys) + aggGroupFixedBytes + int64(len(g.states))*48)
-				if a.acct.spillable() && a.acct.over() {
-					return nil, errParallelOverflow
-				}
-				continue
-			}
-			for s := range dst.states {
-				if err := mergeAggState(&dst.states[s], &g.states[s]); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	// Scalar aggregation over empty input still produces one (empty) group,
-	// exactly like the serial path.
-	if len(a.op.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, newAggGroup(a.op.Aggs, value.Row{}, 0))
-	}
-	out := make([]value.Row, 0, len(order))
-	for _, g := range order {
-		row := make(value.Row, 0, len(g.keys)+len(g.states))
-		row = append(row, g.keys...)
-		for i, ae := range a.op.Aggs {
-			v, err := g.states[i].result(ae)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// mergeAggState folds one partial state into another. Exact for count, min,
-// max and integer sums; float SUM/AVG never reaches here (eligibility).
-func mergeAggState(dst, src *aggState) error {
-	dst.count += src.count
-	if !src.sum.IsNull() {
-		if dst.sum.IsNull() {
-			dst.sum = src.sum
-		} else {
-			v, err := value.Add(dst.sum, src.sum)
-			if err != nil {
-				return err
-			}
-			dst.sum = v
-		}
-	}
-	if !src.min.IsNull() {
-		if dst.min.IsNull() {
-			dst.min = src.min
-		} else if c, err := value.Compare(src.min, dst.min); err != nil {
-			return err
-		} else if c < 0 {
-			dst.min = src.min
-		}
-	}
-	if !src.max.IsNull() {
-		if dst.max.IsNull() {
-			dst.max = src.max
-		} else if c, err := value.Compare(src.max, dst.max); err != nil {
-			return err
-		} else if c > 0 {
-			dst.max = src.max
-		}
-	}
-	return nil
-}
-
-func (a *parAggIter) openSerial(ctx *Context) error {
-	if a.serial == nil {
-		in, err := build(a.op.Input)
-		if err != nil {
-			return err
-		}
-		a.serial = &aggIter{op: a.op, input: in}
-	}
-	return a.serial.Open(ctx)
-}
-
-func (a *parAggIter) Next() (value.Row, error) {
-	if !a.inPar {
-		if a.serial == nil {
-			return nil, nil
-		}
-		return a.serial.Next()
-	}
-	if a.pos >= len(a.out) {
-		return nil, nil
-	}
-	row := a.out[a.pos]
-	a.pos++
-	return row, nil
-}
-
-func (a *parAggIter) release() {
-	a.out = nil
-	a.pos = 0
-	a.acct.releaseAll()
-	a.inPar = false
-}
-
-func (a *parAggIter) Close() error {
-	a.release()
-	if a.serial != nil {
-		return a.serial.Close()
-	}
-	return nil
+func (g *gatherIter) Close() error {
+	g.release()
+	return g.serial.Close()
 }

@@ -47,11 +47,12 @@ type OpStats struct {
 	// stream the right side per outer row).
 	BuildRows int64
 
-	// Workers is the fan-out degree of a parallel operator (0 for serial
-	// operators, and for parallel operators that fell back to the serial
-	// path). WorkerRows/WorkerNs are the per-worker output row counts and
-	// wall times, indexed by worker; they are written only after the
-	// workers are joined, so instrumented reads never race.
+	// Workers is the fan-out degree of an operator that ran partition-wise
+	// (0 when it ran serial). WorkerRows/WorkerNs are the per-worker output
+	// row counts and wall times, indexed by worker; they are written only
+	// after the workers are joined, so instrumented reads never race. The
+	// operators beneath it then carry totals across workers: rows and times
+	// summed, Opens counting one per worker.
 	Workers    int
 	WorkerRows []int64
 	WorkerNs   []int64
@@ -72,6 +73,34 @@ func (n *OpStats) Walk(f func(*OpStats)) {
 	f(n)
 	for _, c := range n.Children {
 		c.Walk(f)
+	}
+}
+
+// absorbWorkers publishes a joined fan-out on the operator's node: the
+// per-worker rollup, and every worker's private stats tree summed operator by
+// operator into the displayed subtree, so each operator shows its total
+// however many goroutines ran it. Callers invoke it only after the workers are
+// joined.
+func (n *OpStats) absorbWorkers(roots []*OpStats, rows, ns []int64) {
+	n.Workers, n.WorkerRows, n.WorkerNs = len(roots), rows, ns
+	shown := map[algebra.Op]*OpStats{}
+	n.Walk(func(d *OpStats) { shown[d.Op] = d })
+	for _, root := range roots {
+		root.Walk(func(w *OpStats) {
+			d := shown[w.Op]
+			if d == nil {
+				return // the worker's sentinel root
+			}
+			d.MemPeak += w.MemPeak
+			if d != n {
+				// n's own rows and times are the coordinator's, measured by
+				// its statIter like any operator's.
+				d.Opens += w.Opens
+				d.Rows += w.Rows
+				d.OpenNs += w.OpenNs
+				d.NextNs += w.NextNs
+			}
+		})
 	}
 }
 

@@ -38,25 +38,7 @@ func (s *Stream) Context() *Context { return s.ctx }
 // the live stream. The schema (and thus result columns) is available
 // immediately; rows follow on demand.
 func Open(ctx *Context, plan algebra.Op) (*Stream, error) {
-	var it iterator
-	var err error
-	if ctx.Parallel > 1 {
-		// Statement roots with a parallelism degree build through buildPar,
-		// which grafts parallel operators wherever a subtree is eligible.
-		// Results are identical either way; ineligible or too-small subtrees
-		// fall back to the serial iterators at Open.
-		it, err = buildPar(plan, nil)
-	} else {
-		it, err = build(plan)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Open(ctx); err != nil {
-		it.Close()
-		return nil, err
-	}
-	return &Stream{it: it, ctx: ctx, schema: plan.Schema()}, nil
+	return open(ctx, plan, nil)
 }
 
 // OpenInstrumented is Open with per-operator counters: every concrete
@@ -66,22 +48,26 @@ func Open(ctx *Context, plan algebra.Op) (*Stream, error) {
 // SET trace; everything else takes the unwrapped Open path.
 func OpenInstrumented(ctx *Context, plan algebra.Op) (*Stream, *OpStats, error) {
 	sentinel := &OpStats{}
-	var it iterator
-	var err error
-	if ctx.Parallel > 1 {
-		it, err = buildPar(plan, sentinel)
-	} else {
-		it, err = buildInto(plan, sentinel)
-	}
+	s, err := open(ctx, plan, sentinel)
 	if err != nil {
 		return nil, nil, err
 	}
-	root := sentinel.Children[0]
+	return s, sentinel.Children[0], nil
+}
+
+// open builds plan under the stats parent (nil = uninstrumented). A statement
+// with a parallelism degree lets the builder graft gathers wherever a subtree
+// is eligible; results are identical either way.
+func open(ctx *Context, plan algebra.Op, parent *OpStats) (*Stream, error) {
+	it, err := builder{graft: ctx.Parallel > 1}.build(plan, parent)
+	if err != nil {
+		return nil, err
+	}
 	if err := it.Open(ctx); err != nil {
 		it.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return &Stream{it: it, ctx: ctx, schema: plan.Schema()}, root, nil
+	return &Stream{it: it, ctx: ctx, schema: plan.Schema()}, nil
 }
 
 // Schema describes the stream's columns.
