@@ -627,62 +627,106 @@ func MapExprs(op Op, fn func(Expr) Expr) Op {
 }
 
 // MapOwnExprs rewrites only this operator's own expressions through fn,
-// leaving children untouched.
+// leaving children untouched. It returns op itself when fn returned every
+// expression unchanged, and a copy otherwise.
 func MapOwnExprs(op Op, fn func(Expr) Expr) Op {
-	out := op
-	switch o := out.(type) {
-	case *Project:
-		cp := *o
-		cp.Exprs = make([]Expr, len(o.Exprs))
-		for i, e := range o.Exprs {
-			cp.Exprs[i] = fn(e)
-		}
-		return &cp
-	case *Select:
-		cp := *o
-		cp.Cond = fn(o.Cond)
-		return &cp
-	case *Join:
-		cp := *o
-		if o.Cond != nil {
-			cp.Cond = fn(o.Cond)
-		}
-		return &cp
-	case *Agg:
-		cp := *o
-		cp.GroupBy = make([]Expr, len(o.GroupBy))
-		for i, g := range o.GroupBy {
-			cp.GroupBy[i] = fn(g)
-		}
-		cp.Aggs = make([]AggExpr, len(o.Aggs))
-		for i, a := range o.Aggs {
-			na := a
-			if a.Arg != nil {
-				na.Arg = fn(a.Arg)
+	// mapAll maps a slice, copying it at the first expression fn changes.
+	mapAll := func(exprs []Expr) ([]Expr, bool) {
+		changed := false
+		for i, e := range exprs {
+			ne := fn(e)
+			if ne == e {
+				continue
 			}
-			cp.Aggs[i] = na
-		}
-		return &cp
-	case *Sort:
-		cp := *o
-		cp.Keys = make([]SortKey, len(o.Keys))
-		for i, k := range o.Keys {
-			cp.Keys[i] = SortKey{Expr: fn(k.Expr), Desc: k.Desc}
-		}
-		return &cp
-	case *Values:
-		cp := *o
-		cp.Rows = make([][]Expr, len(o.Rows))
-		for i, row := range o.Rows {
-			nr := make([]Expr, len(row))
-			for j, e := range row {
-				nr[j] = fn(e)
+			if !changed {
+				exprs = append([]Expr(nil), exprs...)
+				changed = true
 			}
-			cp.Rows[i] = nr
+			exprs[i] = ne
 		}
-		return &cp
+		return exprs, changed
 	}
-	return out
+	switch o := op.(type) {
+	case *Project:
+		if exprs, changed := mapAll(o.Exprs); changed {
+			cp := *o
+			cp.Exprs = exprs
+			return &cp
+		}
+	case *Select:
+		if cond := fn(o.Cond); cond != o.Cond {
+			cp := *o
+			cp.Cond = cond
+			return &cp
+		}
+	case *Join:
+		if o.Cond != nil {
+			if cond := fn(o.Cond); cond != o.Cond {
+				cp := *o
+				cp.Cond = cond
+				return &cp
+			}
+		}
+	case *Agg:
+		groupBy, changed := mapAll(o.GroupBy)
+		aggs, aggsChanged := o.Aggs, false
+		for i, a := range o.Aggs {
+			if a.Arg == nil {
+				continue
+			}
+			arg := fn(a.Arg)
+			if arg == a.Arg {
+				continue
+			}
+			if !aggsChanged {
+				aggs = append([]AggExpr(nil), o.Aggs...)
+				aggsChanged = true
+			}
+			aggs[i].Arg = arg
+		}
+		if changed || aggsChanged {
+			cp := *o
+			cp.GroupBy, cp.Aggs = groupBy, aggs
+			return &cp
+		}
+	case *Sort:
+		keys, changed := o.Keys, false
+		for i, k := range o.Keys {
+			ne := fn(k.Expr)
+			if ne == k.Expr {
+				continue
+			}
+			if !changed {
+				keys = append([]SortKey(nil), o.Keys...)
+				changed = true
+			}
+			keys[i].Expr = ne
+		}
+		if changed {
+			cp := *o
+			cp.Keys = keys
+			return &cp
+		}
+	case *Values:
+		rows, changed := o.Rows, false
+		for i, row := range o.Rows {
+			nr, rowChanged := mapAll(row)
+			if !rowChanged {
+				continue
+			}
+			if !changed {
+				rows = append([][]Expr(nil), o.Rows...)
+				changed = true
+			}
+			rows[i] = nr
+		}
+		if changed {
+			cp := *o
+			cp.Rows = rows
+			return &cp
+		}
+	}
+	return op
 }
 
 // CountOps returns the number of operators in the tree.

@@ -97,16 +97,18 @@ func (s *Session) explain(sel *sql.SelectStmt, analyze bool) (*Explanation, erro
 		ex.Stats = root
 		ex.SpillFiles, ex.SpillBytes = root.SpillFiles, root.SpillBytes
 		ex.SubplanHits, ex.SubplanMisses = int64(ctx.SubplanHits), int64(ctx.SubplanMisses)
-		ex.AnalyzedTree = analyzedTree(opt, root)
+		ex.AnalyzedTree = analyzedTree(opt, root, pl)
 	}
 	return ex, nil
 }
 
 // analyzedTree renders the optimized plan annotated with the measured
-// per-operator counters — the EXPLAIN ANALYZE payload. Stats nodes are
-// matched to plan nodes by operator identity; pass-through nodes (BaseRel,
-// ProvDone) executed no iterator and carry no annotation.
-func analyzedTree(plan algebra.Op, root *executor.OpStats) string {
+// per-operator counters — the EXPLAIN ANALYZE payload — each beside the
+// planner's estimate for the operator, so the estimator's error reads off
+// one line. Stats nodes are matched to plan nodes by operator identity;
+// pass-through nodes (BaseRel, ProvDone) executed no iterator and carry no
+// annotation.
+func analyzedTree(plan algebra.Op, root *executor.OpStats, pl *planner.Planner) string {
 	byOp := map[algebra.Op]*executor.OpStats{}
 	root.Walk(func(n *executor.OpStats) { byOp[n.Op] = n })
 	return algebra.AnnotatedTree(plan, func(op algebra.Op) string {
@@ -118,7 +120,7 @@ func analyzedTree(plan algebra.Op, root *executor.OpStats) string {
 			return "(never executed)"
 		}
 		var sb strings.Builder
-		fmt.Fprintf(&sb, "(rows=%d", n.Rows)
+		fmt.Fprintf(&sb, "(rows=%d est≈%.0f", n.Rows, pl.EstimateRows(op))
 		if n.Opens > 1 {
 			fmt.Fprintf(&sb, " loops=%d", n.Opens)
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -135,9 +136,18 @@ func TestExplainAnalyzeCounters(t *testing.T) {
 		t.Errorf("scan cardinalities not observed (counts = %v)", counts)
 	}
 
-	// The rendered tree carries the measured annotations.
+	// The rendered tree carries the measured annotations, and beside every
+	// measured row count the estimate it is to be read against.
 	if !strings.Contains(ex.AnalyzedTree, "rows=") || !strings.Contains(ex.AnalyzedTree, "time=") {
 		t.Errorf("analyzed tree missing annotations:\n%s", ex.AnalyzedTree)
+	}
+	if n, est := strings.Count(ex.AnalyzedTree, "(rows="), len(regexp.MustCompile(`\(rows=\d+ est≈\d+ `).FindAllString(ex.AnalyzedTree, -1)); n == 0 || n != est {
+		t.Errorf("%d measured operators, %d of them with an estimate beside the measurement:\n%s", n, est, ex.AnalyzedTree)
+	}
+	// 200 emp rows come out of a scan estimated at exactly 200 (the catalog
+	// keeps the row count), so this pair is known.
+	if !strings.Contains(ex.AnalyzedTree, "(rows=200 est≈200 ") {
+		t.Errorf("emp scan does not read rows=200 est≈200:\n%s", ex.AnalyzedTree)
 	}
 
 	// And the SQL-level EXPLAIN ANALYZE output includes the analyzed section.

@@ -84,6 +84,9 @@ var spillSuite = []string{
 	`SELECT k, s FROM big EXCEPT ALL SELECT k, s FROM other`,
 	`SELECT k, s FROM big UNION SELECT k, s FROM other`,
 	`SELECT k FROM big UNION SELECT k FROM other ORDER BY k`,
+	// the provenance join-back α(T) ⟕ T⁺, commuted to build on the groups:
+	// a grace RIGHT join that emits through the projection above it
+	`SELECT PROVENANCE v % 701, count(*), sum(v) FROM big GROUP BY v % 701`,
 }
 
 // TestSpillDifferential runs the battery under the default (generous) budget

@@ -306,6 +306,29 @@ type builder struct {
 	// part, set in a parallel worker's subtree, stands in for the plan's own
 	// inputs: the worker's range of the base scan, the shared build side.
 	part *partition
+	// emit, set for the one build call that makes the join directly under it,
+	// is a projection of plain columns and constants: that join writes its
+	// output rows through it and no projectIter is built.
+	emit *algebra.Project
+}
+
+// emitsThrough reports whether a projection can hand its column map to the
+// operator under it: every expression is a plain column or a constant, and
+// the input is a non-lateral join that makes its output rows itself (semi and
+// anti joins pass probe rows through).
+func emitsThrough(p *algebra.Project) bool {
+	j, ok := skipMarkers(p.Input).(*algebra.Join)
+	if !ok || j.Lateral || j.Kind == algebra.JoinSemi || j.Kind == algebra.JoinAnti {
+		return false
+	}
+	for _, e := range p.Exprs {
+		switch e.(type) {
+		case *algebra.ColIdx, *algebra.Const:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // build maps a logical operator to its iterator. With a non-nil parent stats
@@ -316,6 +339,8 @@ type builder struct {
 func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 	op = skipMarkers(op)
 	n := node(parent, op)
+	emit := b.emit
+	b.emit = nil
 	// A subtree that can run partition-wise is built as the ordinary serial
 	// iterator and handed to a gather, which fans out over it at Open when
 	// the statement's degree and the table's size warrant, and otherwise
@@ -323,7 +348,7 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 	var g *gatherIter
 	if b.graft {
 		if leaf := fanOutLeaf(op); leaf != nil {
-			g = &gatherIter{op: op, leaf: leaf, n: n}
+			g = &gatherIter{op: op, leaf: leaf, n: n, emit: emit}
 			b.graft = false
 		}
 	}
@@ -347,7 +372,14 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 	case *algebra.Values:
 		it = &valuesIter{op: o}
 	case *algebra.Project:
-		it = &projectIter{op: o, input: input(o.Input)}
+		if emitsThrough(o) {
+			// The join below writes this projection's rows itself; the stats
+			// node above still counts them as the projection's.
+			b.emit = o
+			it = input(o.Input)
+		} else {
+			it = &projectIter{op: o, input: input(o.Input)}
+		}
 	case *algebra.Select:
 		it = &filterIter{op: o, input: input(o.Input)}
 	case *algebra.Join:
@@ -376,10 +408,11 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		if g != nil {
 			g.right = right
 		}
+		out := newJoinEmit(o, emit)
 		if keys := extractEquiKeys(o); len(keys) > 0 {
-			it = &hashJoinIter{op: o, left: left, right: right, keys: keys}
+			it = &hashJoinIter{op: o, left: left, right: right, keys: keys, out: out}
 		} else {
-			it = &nlJoinIter{op: o, left: left, right: right}
+			it = &nlJoinIter{op: o, left: left, right: right, out: out}
 		}
 	case *algebra.Agg:
 		it = &aggIter{op: o, input: input(o.Input), part: b.part}

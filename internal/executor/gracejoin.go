@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 
 	"perm/internal/algebra"
 	"perm/internal/spill"
@@ -78,11 +77,11 @@ func decodeJoinRec(rec []byte) (ord uint64, hashable bool, key []byte, row value
 }
 
 // openGrace finishes the join on disk after the build side crossed the
-// budget: buffered is the accounted in-memory prefix (with keys already
-// computed), total the build rows drained so far. It consumes the rest of the
-// right input and the whole left input, then joins partition pairs and arms
-// the merger.
-func (h *hashJoinIter) openGrace(buffered []buildRow, total int) error {
+// budget: h.table holds the accounted in-memory prefix (with keys already
+// computed), total is the build rows drained so far. It consumes the rest of
+// the right input and the whole left input, then joins partition pairs and
+// arms the merger.
+func (h *hashJoinIter) openGrace(total int) error {
 	ctx := h.ctx
 	pool := ctx.Mem.Pool()
 	buildSet := newPartitionSet(pool, &h.reg, 0)
@@ -90,15 +89,16 @@ func (h *hashJoinIter) openGrace(buffered []buildRow, total int) error {
 
 	var rec []byte
 	nBuild := uint64(0)
-	for i := range buffered {
-		br := &buffered[i]
-		rec = appendJoinRec(rec[:0], nBuild, br.key != nil, br.key, br.row)
-		if err := buildSet.route(br.key, rec); err != nil {
+	for i := range h.table.rows {
+		key := h.table.key(i)
+		rec = appendJoinRec(rec[:0], nBuild, key != nil, key, h.table.rows[i].row)
+		if err := buildSet.route(key, rec); err != nil {
 			h.right.Close()
 			return err
 		}
 		nBuild++
 	}
+	h.table = buildTable{}
 	h.acct.releaseAll()
 	// Route the rest of the build input straight to disk.
 	for {
@@ -245,11 +245,12 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 	// Chunked build-half reader. pending holds one looked-ahead record (the
 	// peek that discovers whether a full chunk was the final one).
 	var pending []byte
-	var brs []buildRow
+	var tbl buildTable
 	var ords []uint64
 	multiKey := false
 	loadChunk := func() (last bool, err error) {
-		brs, ords = brs[:0], ords[:0]
+		tbl.reset()
+		ords = ords[:0]
 		acct.releaseAll()
 		if bf == nil {
 			return true, nil
@@ -272,17 +273,12 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 			if err != nil {
 				return false, err
 			}
-			br := buildRow{row: row}
-			if hashable {
-				br.key = append([]byte(nil), key...)
-			}
-			if len(brs) > 0 && !multiKey && !bytes.Equal(br.key, brs[0].key) {
+			acct.grow(tbl.add(row, key, hashable))
+			ords = append(ords, ord)
+			if n := len(tbl.rows); n > 1 && !multiKey && !bytes.Equal(tbl.key(n-1), tbl.key(0)) {
 				multiKey = true
 			}
-			brs = append(brs, br)
-			ords = append(ords, ord)
-			acct.grow(rowBytes(row) + int64(len(br.key)) + buildRowFixedBytes)
-			if acct.spillable() && acct.over() && len(brs) >= minBufferRows {
+			if acct.spillable() && acct.over() && len(tbl.rows) >= minBufferRows {
 				// Chunk full; peek whether the file has more.
 				nxt, err := bf.Next()
 				if err != nil {
@@ -309,7 +305,7 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 		// Over budget with separable keys: re-partition both halves a level
 		// deeper (rerouteJoinFile rewinds bf, discarding the partial chunk)
 		// and recurse per sub-pair.
-		brs, ords, pending = nil, nil, nil
+		tbl, ords, pending = buildTable{}, nil, nil
 		acct.releaseAll()
 		pool := ctx.Mem.Pool()
 		subBuild := newPartitionSet(pool, &h.reg, level)
@@ -328,9 +324,13 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 		return nil
 	}
 
+	// emit appends one output row, already in its final shape: projecting
+	// before the record is encoded keeps the columns the projection above the
+	// join drops out of the spilled outputs too.
 	var out *spill.File
 	var outRec []byte
-	emit := func(seq uint64, row value.Row) error {
+	outRow := make(value.Row, len(h.out.cols))
+	emit := func(seq uint64, l, r value.Row) error {
 		if out == nil {
 			f, err := ctx.Mem.Pool().Create()
 			if err != nil {
@@ -340,7 +340,7 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 			*outputs = append(*outputs, f)
 			out = f
 		}
-		outRec = appendSeqRow(outRec[:0], seq, row)
+		outRec = appendSeqRow(outRec[:0], seq, h.out.fill(outRow, l, r))
 		return out.Append(outRec)
 	}
 
@@ -364,8 +364,6 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 		return w < uint64(len(seen)) && seen[w]&(1<<(p&63)) != 0
 	}
 
-	nLeft := len(h.op.Left.Schema())
-	nRight := len(h.op.Right.Schema())
 	var comb value.Row
 	chunk := uint64(0)
 	for {
@@ -383,13 +381,7 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 		if chunkTag > joinChunkMask {
 			chunkTag = joinChunkMask
 		}
-		table := make(map[uint64][]int32, len(brs))
-		for i := range brs {
-			if brs[i].key != nil {
-				sum := maphash.Bytes(joinHashSeed, brs[i].key)
-				table[sum] = append(table[sum], int32(i))
-			}
-		}
+		tbl.index()
 		if pf != nil {
 			if err := pf.StartRead(); err != nil {
 				return err
@@ -416,40 +408,33 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 				}
 				matched := false
 				if hashable {
-					sum := maphash.Bytes(joinHashSeed, key)
 				matchLoop:
-					for _, bi := range table[sum] {
-						br := &brs[bi]
-						if !bytes.Equal(br.key, key) {
+					for bi := tbl.first(key); bi >= 0; bi = tbl.next[bi] {
+						if !tbl.matches(bi, key) {
 							continue
 						}
-						ok := true
-						var combined value.Row
+						br := &tbl.rows[bi]
 						if h.cond != nil {
-							combined = combineScratch(&comb, probe, br.row)
-							ok, err = h.cond(combined, ctx)
+							ok, err := h.cond(combineScratch(&comb, probe, br.row), ctx)
 							if err != nil {
 								return err
 							}
-						}
-						if !ok {
-							continue
+							if !ok {
+								continue
+							}
 						}
 						matched = true
 						br.matched = true
 						switch kind {
 						case algebra.JoinSemi:
-							if err := emit(seq<<joinSeqShift|chunkTag, probe); err != nil {
+							if err := emit(seq<<joinSeqShift|chunkTag, probe, nil); err != nil {
 								return err
 							}
 							break matchLoop
 						case algebra.JoinAnti:
 							break matchLoop
 						default:
-							if combined == nil {
-								combined = combineScratch(&comb, probe, br.row)
-							}
-							if err := emit(seq<<joinSeqShift|chunkTag, combined); err != nil {
+							if err := emit(seq<<joinSeqShift|chunkTag, probe, br.row); err != nil {
 								return err
 							}
 						}
@@ -461,22 +446,16 @@ func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uin
 				if !matched && last && probeAlone && !(multiChunk && getSeen(pos-1)) {
 					// Unmatched across every chunk: LEFT/FULL null-pad, ANTI
 					// passes the probe through.
-					var row value.Row
-					if kind == algebra.JoinAnti {
-						row = probe
-					} else {
-						row = value.Concat(probe, value.NullRow(nRight))
-					}
-					if err := emit(seq<<joinSeqShift|chunkTag, row); err != nil {
+					if err := emit(seq<<joinSeqShift|chunkTag, probe, nil); err != nil {
 						return err
 					}
 				}
 			}
 		}
 		if wantTail {
-			for i := range brs {
-				if !brs[i].matched {
-					if err := emit((tailBase+ords[i])<<joinSeqShift, value.Concat(value.NullRow(nLeft), brs[i].row)); err != nil {
+			for i := range tbl.rows {
+				if !tbl.rows[i].matched {
+					if err := emit((tailBase+ords[i])<<joinSeqShift, nil, tbl.rows[i].row); err != nil {
 						return err
 					}
 				}

@@ -86,12 +86,13 @@ func sideOf(e algebra.Expr, nLeft int) (int, bool) {
 	}
 }
 
-// buildRow is one materialized build-side row. key is the framed hash-key
-// encoding (nil when the row has a NULL in a strict-equality key and can
-// never match).
+// buildRow is one materialized build-side row. Its hash key, if it has one,
+// lives in the owning table's arena; keyLen < 0 marks a row with a NULL in a
+// strict-equality key, which can never match.
 type buildRow struct {
 	row     value.Row
-	key     []byte
+	keyOff  int
+	keyLen  int32
 	matched bool
 }
 
@@ -100,6 +101,153 @@ type buildRow struct {
 // its share of the hash-table buckets.
 const buildRowFixedBytes = 96
 
+// buildTable is the build side of a hash join: the rows in insertion order,
+// their framed key bytes back to back in one arena, and a chained bucket
+// index over them. A chain lists the rows of one bucket in insertion order,
+// so a probe meets its matches in the order the build input produced them.
+// Nothing in it is allocated per row.
+type buildTable struct {
+	rows  []buildRow
+	arena []byte
+	heads []int32 // bucket → first row of its chain, -1 when empty
+	next  []int32 // row → next row of the same bucket, -1 at the end
+}
+
+// add appends a build row with its key (ignored unless hashable) and returns
+// the bytes to charge for it.
+func (t *buildTable) add(row value.Row, key []byte, hashable bool) int64 {
+	br := buildRow{row: row, keyLen: -1}
+	charge := rowBytes(row) + buildRowFixedBytes
+	if hashable {
+		br.keyOff, br.keyLen = len(t.arena), int32(len(key))
+		t.arena = append(t.arena, key...)
+		charge += int64(len(key))
+	}
+	t.rows = append(t.rows, br)
+	return charge
+}
+
+// key returns row i's key bytes, nil for a row that can never match.
+func (t *buildTable) key(i int) []byte {
+	br := &t.rows[i]
+	if br.keyLen < 0 {
+		return nil
+	}
+	return t.arena[br.keyOff : br.keyOff+int(br.keyLen)]
+}
+
+// reset empties the table, keeping its storage for the next load.
+func (t *buildTable) reset() {
+	t.rows, t.arena = t.rows[:0], t.arena[:0]
+}
+
+// index builds the bucket chains over the rows added so far. Rows link in
+// from last to first, each at the head of its chain, which leaves every
+// chain in insertion order.
+func (t *buildTable) index() {
+	buckets := 1
+	for buckets < len(t.rows) {
+		buckets <<= 1
+	}
+	if cap(t.heads) < buckets || cap(t.next) < len(t.rows) {
+		t.heads, t.next = make([]int32, buckets), make([]int32, len(t.rows))
+	}
+	t.heads, t.next = t.heads[:buckets], t.next[:len(t.rows)]
+	for b := range t.heads {
+		t.heads[b] = -1
+	}
+	for i := len(t.rows) - 1; i >= 0; i-- {
+		if key := t.key(i); key != nil {
+			b := maphash.Bytes(joinHashSeed, key) & uint64(buckets-1)
+			t.next[i] = t.heads[b]
+			t.heads[b] = int32(i)
+		}
+	}
+}
+
+// first returns the head of the chain a probe key falls in (-1 when empty);
+// the caller walks it through next and confirms each candidate with matches,
+// so bucket collisions stay correct.
+func (t *buildTable) first(key []byte) int32 {
+	return t.heads[maphash.Bytes(joinHashSeed, key)&uint64(len(t.heads)-1)]
+}
+
+func (t *buildTable) matches(i int32, key []byte) bool {
+	return bytes.Equal(t.key(int(i)), key)
+}
+
+// joinEmit makes a join's output rows. Every row a join hands up is built
+// here, once, from the probe row, the build row and constants: through the
+// column map of the projection directly above the join when the builder
+// found one it could fold in, and through the identity map otherwise — so
+// there is one emit path, and no join output is allocated a second time by a
+// projectIter above it.
+type joinEmit struct {
+	// cols maps output column → source: c >= 0 reads column c of left⧺right,
+	// c < 0 reads consts[^c]. Nil for semi and anti joins, whose output is
+	// the probe row itself.
+	cols   []int32
+	consts []value.Value
+	nLeft  int
+}
+
+// newJoinEmit derives the emitter for a join and the pure column-and-constant
+// projection above it (nil: emit left⧺right).
+func newJoinEmit(j *algebra.Join, proj *algebra.Project) *joinEmit {
+	if j.Kind == algebra.JoinSemi || j.Kind == algebra.JoinAnti {
+		return &joinEmit{}
+	}
+	e := &joinEmit{nLeft: len(j.Left.Schema())}
+	if proj == nil {
+		e.cols = make([]int32, e.nLeft+len(j.Right.Schema()))
+		for i := range e.cols {
+			e.cols[i] = int32(i)
+		}
+		return e
+	}
+	e.cols = make([]int32, len(proj.Exprs))
+	for i, x := range proj.Exprs {
+		switch x := x.(type) {
+		case *algebra.ColIdx:
+			e.cols[i] = int32(x.Idx)
+		case *algebra.Const:
+			e.cols[i] = ^int32(len(e.consts))
+			e.consts = append(e.consts, x.Val)
+		}
+	}
+	return e
+}
+
+// row allocates the output row for a probe/build pair; a nil side reads as
+// all NULLs (outer-join padding).
+func (e *joinEmit) row(l, r value.Row) value.Row {
+	return e.fill(make(value.Row, len(e.cols)), l, r)
+}
+
+// fill is row into caller-owned storage: dst must be len(cols) long.
+func (e *joinEmit) fill(dst, l, r value.Row) value.Row {
+	if e.cols == nil {
+		return l
+	}
+	for i, c := range e.cols {
+		switch {
+		case c < 0:
+			dst[i] = e.consts[^c]
+		case int(c) < e.nLeft:
+			if l != nil {
+				dst[i] = l[c]
+			} else {
+				dst[i] = value.Null
+			}
+		case r != nil:
+			dst[i] = r[int(c)-e.nLeft]
+		default:
+			dst[i] = value.Null
+		}
+	}
+	return dst
+}
+
 // --- hash join -------------------------------------------------------------------
 
 type hashJoinIter struct {
@@ -107,6 +255,7 @@ type hashJoinIter struct {
 	left  iterator
 	right iterator
 	keys  []equiKey
+	out   *joinEmit
 	ctx   *Context
 
 	// compiled per-side key evaluators and residual condition
@@ -115,23 +264,16 @@ type hashJoinIter struct {
 	nullEq   []bool
 	cond     compiledPred // nil when the join has no condition
 
-	// table buckets build-row indices by maphash of the framed key bytes;
-	// probes confirm candidates with a byte-slice equality check, so hash
-	// collisions stay correct.
-	table map[uint64][]int32
-	// buildRows is a flat slice (one allocation) in insertion order, for
-	// full-join unmatched emission.
-	buildRows []buildRow
-	// keyScratch is the reusable key-encoding buffer (zero allocs per probe).
+	table buildTable
+	// keyScratch is the reusable key-encoding buffer (zero allocs per probe);
+	// between probes it holds the current probe's key.
 	keyScratch []byte
-	// comb is the reusable probe⧺build scratch row for residual-condition
-	// evaluation; ownership transfers to the caller when a combined row is
-	// emitted.
+	// comb is the reusable probe⧺build scratch row the residual condition is
+	// evaluated on; it never leaves the iterator.
 	comb value.Row
-	// current probe state
+	// current probe state: cur is the next candidate of the probe's chain
 	curProbe   value.Row
-	curMatches []int32
-	curIdx     int
+	cur        int32
 	curMatched bool
 	// full-join tail state
 	tailIdx int
@@ -151,7 +293,6 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	h.inTail, h.done = false, false
 	h.tailIdx = 0
 	h.curProbe = nil
-	h.curMatches = nil
 	h.acct.ctx = ctx
 	if h.leftKey == nil {
 		h.leftKey = make([]compiledExpr, len(h.keys))
@@ -170,10 +311,9 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 		return err
 	}
 	// Stream the build side in, charging every retained row (its payload, its
-	// stable key copy, and the struct/bucket overhead). The moment the budget
-	// is crossed the join hands the buffered prefix — and both remaining
-	// inputs — to the grace path, which finishes on disk.
-	var rows []buildRow
+	// key bytes, and the struct/bucket overhead). The moment the budget is
+	// crossed the join hands the buffered prefix — and both remaining inputs —
+	// to the grace path, which finishes on disk.
 	total := 0
 	for {
 		if err := ctx.tick(); err != nil {
@@ -199,28 +339,16 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 			h.right.Close()
 			return err
 		}
-		br := buildRow{row: row}
-		if hashable {
-			br.key = append([]byte(nil), key...)
-		}
-		rows = append(rows, br)
-		h.acct.grow(rowBytes(row) + int64(len(br.key)) + buildRowFixedBytes)
-		if h.acct.spillable() && h.acct.over() && len(rows) >= minBufferRows {
-			return h.openGrace(rows, total)
+		h.acct.grow(h.table.add(row, key, hashable))
+		if h.acct.spillable() && h.acct.over() && len(h.table.rows) >= minBufferRows {
+			return h.openGrace(total)
 		}
 	}
 	h.right.Close()
-	h.buildRows = rows
-	h.table = make(map[uint64][]int32, len(rows))
 	if ctx.owner != nil {
-		ctx.owner.BuildRows = int64(len(rows))
+		ctx.owner.BuildRows = int64(len(h.table.rows))
 	}
-	for i := range rows {
-		if rows[i].key != nil {
-			sum := maphash.Bytes(joinHashSeed, rows[i].key)
-			h.table[sum] = append(h.table[sum], int32(i))
-		}
-	}
+	h.table.index()
 	return h.left.Open(ctx)
 }
 
@@ -242,8 +370,7 @@ func (h *hashJoinIter) appendKey(dst []byte, row value.Row, side []compiledExpr)
 }
 
 // combineScratch copies l⧺r into the reusable scratch row pointed to by
-// scratch and returns it. The caller must either drop the returned row or
-// take ownership by setting *scratch = nil before handing it out.
+// scratch and returns it, valid until the next call.
 func combineScratch(scratch *value.Row, l, r value.Row) value.Row {
 	n := len(l) + len(r)
 	if cap(*scratch) < n {
@@ -262,8 +389,6 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 		// replays the outputs in exact serial emission order.
 		return h.merger.Next()
 	}
-	nRight := len(h.op.Right.Schema())
-	nLeft := len(h.op.Left.Schema())
 	for {
 		// Poll for cancellation: a probe stream that never matches loops here
 		// without emitting rows, invisible to the materialization polls.
@@ -275,11 +400,11 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 		}
 		if h.inTail {
 			// FULL/RIGHT JOIN: emit unmatched build-side rows null-padded.
-			for h.tailIdx < len(h.buildRows) {
-				br := &h.buildRows[h.tailIdx]
+			for h.tailIdx < len(h.table.rows) {
+				br := &h.table.rows[h.tailIdx]
 				h.tailIdx++
 				if !br.matched {
-					return value.Concat(value.NullRow(nLeft), br.row), nil
+					return h.out.row(nil, br.row), nil
 				}
 			}
 			h.done = true
@@ -299,39 +424,33 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 				return nil, nil
 			}
 			h.curProbe = probe
-			h.curIdx = 0
 			h.curMatched = false
 			key, hashable, err := h.appendKey(h.keyScratch[:0], probe, h.leftKey)
 			h.keyScratch = key
 			if err != nil {
 				return nil, err
 			}
-			h.curMatches = h.curMatches[:0]
+			h.cur = -1
 			if hashable {
-				sum := maphash.Bytes(joinHashSeed, key)
-				for _, bi := range h.table[sum] {
-					if bytes.Equal(h.buildRows[bi].key, key) {
-						h.curMatches = append(h.curMatches, bi)
-					}
-				}
+				h.cur = h.table.first(key)
 			}
 		}
-		// Scan candidate matches.
-		for h.curIdx < len(h.curMatches) {
-			br := &h.buildRows[h.curMatches[h.curIdx]]
-			h.curIdx++
-			ok := true
-			var combined value.Row
+		// Walk the probe's chain.
+		for h.cur >= 0 {
+			bi := h.cur
+			h.cur = h.table.next[bi]
+			if !h.table.matches(bi, h.keyScratch) {
+				continue
+			}
+			br := &h.table.rows[bi]
 			if h.cond != nil {
-				combined = combineScratch(&h.comb, h.curProbe, br.row)
-				var err error
-				ok, err = h.cond(combined, h.ctx)
+				ok, err := h.cond(combineScratch(&h.comb, h.curProbe, br.row), h.ctx)
 				if err != nil {
 					return nil, err
 				}
-			}
-			if !ok {
-				continue
+				if !ok {
+					continue
+				}
 			}
 			h.curMatched = true
 			br.matched = true
@@ -346,11 +465,7 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 				h.curProbe = nil
 				goto nextProbe
 			default:
-				if combined == nil {
-					return value.Concat(h.curProbe, br.row), nil
-				}
-				h.comb = nil // transfer scratch ownership to the caller
-				return combined, nil
+				return h.out.row(h.curProbe, br.row), nil
 			}
 		}
 		// Probe exhausted its matches.
@@ -361,7 +476,7 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 			switch h.op.Kind {
 			case algebra.JoinLeft, algebra.JoinFull:
 				if !matched {
-					return value.Concat(probe, value.NullRow(nRight)), nil
+					return h.out.row(probe, nil), nil
 				}
 			case algebra.JoinAnti:
 				if !matched {
@@ -375,8 +490,7 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 
 // release drops the build table, merger, spill files and accounted bytes.
 func (h *hashJoinIter) release() {
-	h.table = nil
-	h.buildRows = nil
+	h.table = buildTable{}
 	h.merger.Close()
 	h.merger = nil
 	h.reg.closeAll()
@@ -394,6 +508,7 @@ type nlJoinIter struct {
 	op    *algebra.Join
 	left  iterator
 	right iterator
+	out   *joinEmit
 	ctx   *Context
 	cond  compiledPred
 
@@ -482,9 +597,15 @@ func (n *nlJoinIter) Open(ctx *Context) error {
 	return n.left.Open(ctx)
 }
 
+// matches evaluates the join condition on probe⧺row.
+func (n *nlJoinIter) matches(row value.Row) (bool, error) {
+	if n.cond == nil {
+		return true, nil
+	}
+	return n.cond(combineScratch(&n.comb, n.curProbe, row), n.ctx)
+}
+
 func (n *nlJoinIter) Next() (value.Row, error) {
-	nLeft := len(n.op.Left.Schema())
-	nRight := len(n.op.Right.Schema())
 	for {
 		if err := n.ctx.tick(); err != nil {
 			return nil, err
@@ -497,7 +618,7 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 				br := &n.rightRows[n.tailIdx]
 				n.tailIdx++
 				if !br.matched {
-					return value.Concat(value.NullRow(nLeft), br.row), nil
+					return n.out.row(nil, br.row), nil
 				}
 			}
 			if n.spillFile != nil {
@@ -528,7 +649,7 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 					if err != nil {
 						return nil, err
 					}
-					return value.Concat(value.NullRow(nLeft), row), nil
+					return n.out.row(nil, row), nil
 				}
 			}
 			n.done = true
@@ -561,15 +682,9 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 				}
 				br := &n.rightRows[n.curIdx]
 				n.curIdx++
-				ok := true
-				var combined value.Row
-				if n.cond != nil {
-					combined = combineScratch(&n.comb, n.curProbe, br.row)
-					var err error
-					ok, err = n.cond(combined, n.ctx)
-					if err != nil {
-						return nil, err
-					}
+				ok, err := n.matches(br.row)
+				if err != nil {
+					return nil, err
 				}
 				if !ok {
 					continue
@@ -585,11 +700,7 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 					n.curProbe = nil
 					goto nextProbe
 				default:
-					if combined == nil {
-						return value.Concat(n.curProbe, br.row), nil
-					}
-					n.comb = nil // transfer scratch ownership to the caller
-					return combined, nil
+					return n.out.row(n.curProbe, br.row), nil
 				}
 			}
 			if n.spillFile != nil {
@@ -621,14 +732,9 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				ok := true
-				var combined value.Row
-				if n.cond != nil {
-					combined = combineScratch(&n.comb, n.curProbe, row)
-					ok, err = n.cond(combined, n.ctx)
-					if err != nil {
-						return nil, err
-					}
+				ok, err := n.matches(row)
+				if err != nil {
+					return nil, err
 				}
 				if !ok {
 					continue
@@ -644,11 +750,7 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 					n.curProbe = nil
 					goto nextProbe
 				default:
-					if combined == nil {
-						return value.Concat(n.curProbe, row), nil
-					}
-					n.comb = nil // transfer scratch ownership to the caller
-					return combined, nil
+					return n.out.row(n.curProbe, row), nil
 				}
 			}
 		}
@@ -659,7 +761,7 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 			switch n.op.Kind {
 			case algebra.JoinLeft, algebra.JoinFull:
 				if !matched {
-					return value.Concat(probe, value.NullRow(nRight)), nil
+					return n.out.row(probe, nil), nil
 				}
 			case algebra.JoinAnti:
 				if !matched {

@@ -377,10 +377,13 @@ type gatherIter struct {
 	// right (joins only) is serial's build-side input, which the coordinator
 	// drains once on behalf of every worker.
 	right iterator
-	n     *OpStats // op's stats node; nil when uninstrumented
-	ctx   *Context
-	ex    *exchange // live while workers run
-	acct  memAcct   // the shared materialized build side
+	// emit (joins only) is the projection serial writes its rows through; the
+	// workers' joins get the same one.
+	emit *algebra.Project
+	n    *OpStats // op's stats node; nil when uninstrumented
+	ctx  *Context
+	ex   *exchange // live while workers run
+	acct memAcct   // the shared materialized build side
 }
 
 func (g *gatherIter) Open(ctx *Context) error {
@@ -443,7 +446,7 @@ func (g *gatherIter) fanOut(ctx *Context, ranges [][]value.Row) error {
 		if g.n != nil {
 			root = &OpStats{}
 		}
-		it, err := builder{part: &parts[w]}.build(g.op, root)
+		it, err := builder{part: &parts[w], emit: g.emit}.build(g.op, root)
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,11 @@
 // Package planner implements the optimizer stage of the Perm pipeline
 // (Figure 3: "optimize and transform into plan"): rule-based logical
-// optimizations (constant folding, predicate pushdown, filter merging,
-// identity-projection removal) and the cardinality estimator that both the
-// planner and the provenance rewriter's cost-based strategy chooser use.
-// Perm deliberately reuses the host DBMS's optimizer on rewritten queries;
-// this package plays that role for the Go engine.
+// optimizations (constant folding, predicate pushdown into and below joins,
+// filter merging, identity-projection removal), the choice of each hash
+// join's build side, and the cardinality estimator that both the planner and
+// the provenance rewriter's cost-based strategy chooser use. Perm
+// deliberately reuses the host DBMS's optimizer on rewritten queries; this
+// package plays that role for the Go engine.
 package planner
 
 import (
@@ -18,53 +19,83 @@ import (
 // Planner optimizes plans and estimates cardinalities against a catalog.
 type Planner struct {
 	Cat *catalog.Catalog
-	// MaxPasses bounds the fixpoint iteration of the rewrite rules.
-	MaxPasses int
 }
 
 // New returns a planner over the catalog.
 func New(cat *catalog.Catalog) *Planner {
-	return &Planner{Cat: cat, MaxPasses: 8}
+	return &Planner{Cat: cat}
 }
 
-// Optimize applies the logical rewrite rules to a fixpoint (bounded).
+// Optimize applies the logical rewrite rules to their fixpoint, then picks
+// the build side of every hash join from the estimates.
 func (p *Planner) Optimize(op algebra.Op) algebra.Op {
-	passes := p.MaxPasses
-	if passes <= 0 {
-		passes = 8
-	}
-	for i := 0; i < passes; i++ {
-		next, changed := p.pass(op)
-		op = next
-		if !changed {
-			break
-		}
-	}
+	op, _ = pass(op)
+	op, _ = buildSides(op, &estimator{cat: p.Cat})
 	return op
 }
 
-// pass applies one bottom-up optimization pass.
-func (p *Planner) pass(op algebra.Op) (algebra.Op, bool) {
-	changed := false
+// mapChildren rebuilds op over fn's results for its children, returning op
+// itself when fn changed none of them.
+func mapChildren(op algebra.Op, fn func(algebra.Op) (algebra.Op, bool)) (algebra.Op, bool) {
 	children := op.Children()
-	if len(children) > 0 {
-		newChildren := make([]algebra.Op, len(children))
-		for i, c := range children {
-			nc, ch := p.pass(c)
-			newChildren[i] = nc
-			changed = changed || ch
+	var rebuilt []algebra.Op
+	for i, c := range children {
+		nc, changed := fn(c)
+		if !changed {
+			continue
 		}
-		if changed {
-			op = op.WithChildren(newChildren)
+		if rebuilt == nil {
+			rebuilt = append(rebuilt, children...)
 		}
+		rebuilt[i] = nc
 	}
-	// Fold constants in this operator's expressions.
+	if rebuilt == nil {
+		return op, false
+	}
+	return op.WithChildren(rebuilt), true
+}
+
+// pass optimizes a subtree bottom-up and leaves it at the rules' fixpoint,
+// visiting every node once. A node is copied only when a child, an
+// expression or its place in the tree changed; a subtree already at the
+// fixpoint is walked, not rebuilt.
+func pass(op algebra.Op) (algebra.Op, bool) {
+	op, changed := mapChildren(op, pass)
+	op, settled := settle(op)
+	return op, changed || settled
+}
+
+// settle brings a node whose children are at the fixpoint there itself: it
+// folds the node's constants and applies rules at its root until none
+// matches. A rule settles the nodes it builds below the new root (the filter
+// pushed one level down meets the next join of a comma list there), so an
+// n-way list resolves however deep it nests, and so does a stack of
+// projections. It ends because every rule either removes an operator or
+// moves a filter towards the leaves, and none does the opposite.
+func settle(op algebra.Op) (algebra.Op, bool) {
+	changed := false
 	op = algebra.MapOwnExprs(op, func(e algebra.Expr) algebra.Expr {
 		ne, ch := FoldConstants(e)
 		changed = changed || ch
 		return ne
 	})
+	if next, ok := rewrite(op); ok {
+		next, _ = settle(next)
+		return next, true
+	}
+	return op, changed
+}
 
+// filter is a settled Select over an input at the fixpoint: what a rule
+// that moves a condition down puts there.
+func filter(input algebra.Op, cond algebra.Expr) algebra.Op {
+	op, _ := settle(&algebra.Select{Input: input, Cond: cond})
+	return op
+}
+
+// rewrite applies the first rule that matches at the root of op, whose
+// children are at the fixpoint; so is every node under the root it returns.
+func rewrite(op algebra.Op) (algebra.Op, bool) {
 	switch o := op.(type) {
 	case *algebra.Select:
 		// Drop trivially-true filters.
@@ -83,11 +114,11 @@ func (p *Planner) pass(op algebra.Op) (algebra.Op, bool) {
 		if proj, ok := o.Input.(*algebra.Project); ok && !algebra.HasSubplan(o.Cond) {
 			if cond, ok2 := substitute(o.Cond, proj.Exprs); ok2 {
 				np := *proj
-				np.Input = &algebra.Select{Input: proj.Input, Cond: cond}
+				np.Input = filter(proj.Input, cond)
 				return &np, true
 			}
 		}
-		// Push conjuncts into join sides.
+		// Push conjuncts into the join condition and below the join.
 		if join, ok := o.Input.(*algebra.Join); ok && !join.Lateral {
 			if next, ok2 := pushIntoJoin(o, join); ok2 {
 				return next, true
@@ -95,37 +126,37 @@ func (p *Planner) pass(op algebra.Op) (algebra.Op, bool) {
 		}
 		// Swap with sort (filter first).
 		if srt, ok := o.Input.(*algebra.Sort); ok {
-			return &algebra.Sort{
-				Input: &algebra.Select{Input: srt.Input, Cond: o.Cond},
-				Keys:  srt.Keys,
-			}, true
+			return &algebra.Sort{Input: filter(srt.Input, o.Cond), Keys: srt.Keys}, true
 		}
 	case *algebra.Project:
 		// Collapse identity projections that change nothing observable.
 		if isIdentityProject(o) {
 			return o.Input, true
 		}
-		// Merge Project(Project) when the outer references are substitutable.
-		if inner, ok := o.Input.(*algebra.Project); ok {
-			merged := true
-			newExprs := make([]algebra.Expr, len(o.Exprs))
-			for i, e := range o.Exprs {
-				ne, ok2 := substitute(e, inner.Exprs)
-				if !ok2 {
-					merged = false
-					break
-				}
-				newExprs[i] = ne
-			}
-			if merged {
-				np := *o
-				np.Input = inner.Input
-				np.Exprs = newExprs
-				return &np, true
-			}
-		}
+		return mergeProjects(o)
 	}
-	return op, changed
+	return nil, false
+}
+
+// mergeProjects folds Project(Project) into one when the outer references
+// are substitutable.
+func mergeProjects(o *algebra.Project) (algebra.Op, bool) {
+	inner, ok := o.Input.(*algebra.Project)
+	if !ok {
+		return nil, false
+	}
+	newExprs := make([]algebra.Expr, len(o.Exprs))
+	for i, e := range o.Exprs {
+		ne, ok := substitute(e, inner.Exprs)
+		if !ok {
+			return nil, false
+		}
+		newExprs[i] = ne
+	}
+	np := *o
+	np.Input = inner.Input
+	np.Exprs = newExprs
+	return &np, true
 }
 
 // isIdentityProject reports whether the projection emits its input unchanged
@@ -176,47 +207,62 @@ func cheap(e algebra.Expr) bool {
 	return false
 }
 
-// pushIntoJoin pushes filter conjuncts that reference only one join side
-// below the join (inner joins only; outer joins change NULL semantics).
+// sides reports which inputs of a join whose left input has nLeft columns
+// the expression reads.
+func sides(e algebra.Expr, nLeft int) (left, right bool) {
+	algebra.MapCols(e, func(c *algebra.ColIdx) algebra.Expr {
+		if c.Idx < nLeft {
+			left = true
+		} else {
+			right = true
+		}
+		return c
+	})
+	return left, right
+}
+
+// pushIntoJoin moves the filter's conjuncts to where an inner or cross join
+// can use them: one that reads a single input goes below the join, one that
+// reads both becomes part of the join condition (a cross join turns inner),
+// so that a comma list with its WHERE plans exactly like JOIN ... ON — its
+// equalities reach the hash join's key extraction, the rest the nested
+// loop's condition. Outer, semi and anti joins are left alone: a filter above
+// them sees the NULL-extended rows, a condition inside them does not.
 func pushIntoJoin(sel *algebra.Select, join *algebra.Join) (algebra.Op, bool) {
 	if join.Kind != algebra.JoinInner && join.Kind != algebra.JoinCross {
 		return nil, false
 	}
 	nLeft := len(join.Left.Schema())
-	var leftConds, rightConds, rest []algebra.Expr
+	var leftConds, rightConds, joinConds, rest []algebra.Expr
 	for _, conj := range algebra.SplitAnd(sel.Cond) {
 		if algebra.HasSubplan(conj) {
 			rest = append(rest, conj)
 			continue
 		}
-		used := map[int]bool{}
-		algebra.ColsUsed(conj, used)
-		left, right := false, false
-		for idx := range used {
-			if idx < nLeft {
-				left = true
-			} else {
-				right = true
-			}
-		}
-		switch {
-		case left && !right:
+		switch left, right := sides(conj, nLeft); {
+		case left && right:
+			joinConds = append(joinConds, conj)
+		case left:
 			leftConds = append(leftConds, conj)
-		case right && !left:
+		case right:
 			rightConds = append(rightConds, algebra.ShiftCols(conj, -nLeft))
 		default:
 			rest = append(rest, conj)
 		}
 	}
-	if len(leftConds) == 0 && len(rightConds) == 0 {
+	if len(leftConds)+len(rightConds)+len(joinConds) == 0 {
 		return nil, false
 	}
 	nj := *join
 	if c := algebra.AndAll(leftConds); c != nil {
-		nj.Left = &algebra.Select{Input: join.Left, Cond: c}
+		nj.Left = filter(join.Left, c)
 	}
 	if c := algebra.AndAll(rightConds); c != nil {
-		nj.Right = &algebra.Select{Input: join.Right, Cond: c}
+		nj.Right = filter(join.Right, c)
+	}
+	if c := algebra.AndAll(joinConds); c != nil {
+		nj.Kind = algebra.JoinInner
+		nj.Cond = algebra.AndAll([]algebra.Expr{join.Cond, c})
 	}
 	var out algebra.Op = &nj
 	if c := algebra.AndAll(rest); c != nil {
@@ -225,87 +271,180 @@ func pushIntoJoin(sel *algebra.Select, join *algebra.Join) (algebra.Op, bool) {
 	return out, true
 }
 
-// FoldConstants evaluates constant sub-expressions at plan time.
-func FoldConstants(e algebra.Expr) (algebra.Expr, bool) {
-	changed := false
-	var fold func(algebra.Expr) algebra.Expr
-	fold = func(e algebra.Expr) algebra.Expr {
-		switch x := e.(type) {
-		case *algebra.Bin:
-			l := fold(x.L)
-			r := fold(x.R)
-			lc, lok := l.(*algebra.Const)
-			rc, rok := r.(*algebra.Const)
-			if lok && rok && foldableOp(x.Op) {
-				if v, err := executor.Eval(&algebra.Bin{Op: x.Op, L: lc, R: rc}, nil, nil); err == nil {
-					changed = true
-					return &algebra.Const{Val: v}
-				}
-			}
-			if l != x.L || r != x.R {
-				changed = true
-				return &algebra.Bin{Op: x.Op, L: l, R: r}
-			}
-			return x
-		case *algebra.Not:
-			inner := fold(x.E)
-			if c, ok := inner.(*algebra.Const); ok {
-				if c.Val.IsNull() {
-					changed = true
-					return &algebra.Const{Val: value.Null}
-				}
-				if c.Val.K == value.KindBool {
-					changed = true
-					return &algebra.Const{Val: value.NewBool(!c.Val.Bool())}
-				}
-			}
-			if inner != x.E {
-				changed = true
-				return &algebra.Not{E: inner}
-			}
-			return x
-		case *algebra.Neg:
-			inner := fold(x.E)
-			if c, ok := inner.(*algebra.Const); ok {
-				if v, err := value.Neg(c.Val); err == nil {
-					changed = true
-					return &algebra.Const{Val: v}
-				}
-			}
-			if inner != x.E {
-				changed = true
-				return &algebra.Neg{E: inner}
-			}
-			return x
-		case *algebra.IsNull:
-			inner := fold(x.E)
-			if c, ok := inner.(*algebra.Const); ok {
-				changed = true
-				return &algebra.Const{Val: value.NewBool(c.Val.IsNull() != x.Not)}
-			}
-			if inner != x.E {
-				changed = true
-				return &algebra.IsNull{E: inner, Not: x.Not}
-			}
-			return x
-		case *algebra.Cast:
-			inner := fold(x.E)
-			if c, ok := inner.(*algebra.Const); ok {
-				if v, err := value.Coerce(c.Val, x.To); err == nil {
-					changed = true
-					return &algebra.Const{Val: v}
-				}
-			}
-			if inner != x.E {
-				changed = true
-				return &algebra.Cast{E: inner, To: x.To}
-			}
-			return x
-		}
-		return e
+// --- build side -------------------------------------------------------------------
+
+// buildSideRatio is how much bigger (estimated rows × columns) the right
+// input of a hash join must be than the left before the join is commuted.
+// The margin keeps joins of similar inputs, where the estimate decides
+// nothing, in the order they were written.
+const buildSideRatio = 2
+
+// isEquiKey reports whether a join conjunct is an equality between the two
+// inputs — what the executor hashes on. Like the executor's key extraction
+// it counts an operand without columns as belonging to the left input.
+func isEquiKey(conj algebra.Expr, nLeft int) bool {
+	b, ok := conj.(*algebra.Bin)
+	if !ok || (b.Op != sql.OpEq && b.Op != sql.OpNotDistinct) || algebra.HasSubplan(conj) {
+		return false
 	}
-	out := fold(e)
-	return out, changed
+	ll, lr := sides(b.L, nLeft)
+	rl, rr := sides(b.R, nLeft)
+	if (ll && lr) || (rl && rr) {
+		return false
+	}
+	return lr != rr
+}
+
+// joinConjuncts counts the condition's equi keys and its other conjuncts.
+func joinConjuncts(j *algebra.Join) (equi, residual int) {
+	nLeft := len(j.Left.Schema())
+	for _, conj := range algebra.SplitAnd(j.Cond) {
+		if isEquiKey(conj, nLeft) {
+			equi++
+		} else {
+			residual++
+		}
+	}
+	return equi, residual
+}
+
+// buildSides is the one pass after the fixpoint. The executor's hash join
+// materializes its right input and streams its left, so a join whose right
+// input is estimated much the bigger is commuted; the projection that
+// restores the column order merges into a projection above it here, and
+// otherwise costs nothing at run time because a join emits through the
+// projection above it. Like every cost-based choice the decision lives in
+// the cached plan until ANALYZE or DDL, and the order of an unordered result
+// may depend on it.
+func buildSides(op algebra.Op, est *estimator) (algebra.Op, bool) {
+	op, changed := mapChildren(op, func(c algebra.Op) (algebra.Op, bool) { return buildSides(c, est) })
+	switch o := op.(type) {
+	case *algebra.Join:
+		if next, ok := commute(o, est); ok {
+			return next, true
+		}
+	case *algebra.Project:
+		if changed {
+			if next, ok := mergeProjects(o); ok {
+				return next, true
+			}
+		}
+	}
+	return op, changed
+}
+
+// commute swaps the inputs of a hash join whose right (build) input is more
+// than buildSideRatio times the size of its left. Semi and anti joins have
+// no mirror image in the algebra, lateral joins have a fixed direction, and
+// a subplan in the condition keeps its column space.
+func commute(j *algebra.Join, est *estimator) (algebra.Op, bool) {
+	if j.Lateral || j.Cond == nil || algebra.HasSubplan(j.Cond) {
+		return nil, false
+	}
+	kind := j.Kind
+	switch j.Kind {
+	case algebra.JoinInner, algebra.JoinFull:
+	case algebra.JoinLeft:
+		kind = algebra.JoinRight
+	case algebra.JoinRight:
+		kind = algebra.JoinLeft
+	default:
+		return nil, false
+	}
+	if equi, _ := joinConjuncts(j); equi == 0 {
+		return nil, false
+	}
+	nLeft, nRight := len(j.Left.Schema()), len(j.Right.Schema())
+	if est.memo == nil {
+		est.memo = map[algebra.Op]float64{}
+	}
+	if est.rows(j.Right)*float64(nRight) <= buildSideRatio*est.rows(j.Left)*float64(nLeft) {
+		return nil, false
+	}
+	// Old column i lives at swapped[i] of the commuted join.
+	swapped := func(i int) int {
+		if i < nLeft {
+			return i + nRight
+		}
+		return i - nLeft
+	}
+	nj := &algebra.Join{
+		Kind:  kind,
+		Left:  j.Right,
+		Right: j.Left,
+		Cond: algebra.MapCols(j.Cond, func(c *algebra.ColIdx) algebra.Expr {
+			return &algebra.ColIdx{Idx: swapped(c.Idx), Typ: c.Typ, Name: c.Name}
+		}),
+		Sch: make(algebra.Schema, len(j.Sch)),
+	}
+	exprs := make([]algebra.Expr, len(j.Sch))
+	for i, col := range j.Sch {
+		nj.Sch[swapped(i)] = col
+		exprs[i] = &algebra.ColIdx{Idx: swapped(i), Typ: col.Type, Name: col.Name}
+	}
+	return &algebra.Project{Input: nj, Exprs: exprs, Sch: j.Sch}, true
+}
+
+// FoldConstants evaluates constant sub-expressions at plan time. It returns
+// e itself, and false, when there is nothing to fold.
+func FoldConstants(e algebra.Expr) (algebra.Expr, bool) {
+	switch x := e.(type) {
+	case *algebra.Bin:
+		l, lch := FoldConstants(x.L)
+		r, rch := FoldConstants(x.R)
+		lc, lok := l.(*algebra.Const)
+		rc, rok := r.(*algebra.Const)
+		if lok && rok && foldableOp(x.Op) {
+			if v, err := executor.Eval(&algebra.Bin{Op: x.Op, L: lc, R: rc}, nil, nil); err == nil {
+				return &algebra.Const{Val: v}, true
+			}
+		}
+		if lch || rch {
+			return &algebra.Bin{Op: x.Op, L: l, R: r}, true
+		}
+	case *algebra.Not:
+		inner, ch := FoldConstants(x.E)
+		if c, ok := inner.(*algebra.Const); ok {
+			if c.Val.IsNull() {
+				return &algebra.Const{Val: value.Null}, true
+			}
+			if c.Val.K == value.KindBool {
+				return &algebra.Const{Val: value.NewBool(!c.Val.Bool())}, true
+			}
+		}
+		if ch {
+			return &algebra.Not{E: inner}, true
+		}
+	case *algebra.Neg:
+		inner, ch := FoldConstants(x.E)
+		if c, ok := inner.(*algebra.Const); ok {
+			if v, err := value.Neg(c.Val); err == nil {
+				return &algebra.Const{Val: v}, true
+			}
+		}
+		if ch {
+			return &algebra.Neg{E: inner}, true
+		}
+	case *algebra.IsNull:
+		inner, ch := FoldConstants(x.E)
+		if c, ok := inner.(*algebra.Const); ok {
+			return &algebra.Const{Val: value.NewBool(c.Val.IsNull() != x.Not)}, true
+		}
+		if ch {
+			return &algebra.IsNull{E: inner, Not: x.Not}, true
+		}
+	case *algebra.Cast:
+		inner, ch := FoldConstants(x.E)
+		if c, ok := inner.(*algebra.Const); ok {
+			if v, err := value.Coerce(c.Val, x.To); err == nil {
+				return &algebra.Const{Val: v}, true
+			}
+		}
+		if ch {
+			return &algebra.Cast{E: inner, To: x.To}, true
+		}
+	}
+	return e, false
 }
 
 // foldableOp excludes AND/OR (3VL short-circuits are already cheap and
@@ -322,13 +461,50 @@ func foldableOp(op sql.BinOp) bool {
 
 const defaultTableRows = 1000
 
+// conjunctSelectivity is the share of rows n filter conjuncts are assumed to
+// keep: a quarter each, floored at one percent.
+func conjunctSelectivity(n int) float64 {
+	sel := 1.0
+	for i := 0; i < n; i++ {
+		sel *= 0.25
+	}
+	if sel < 0.01 {
+		sel = 0.01
+	}
+	return sel
+}
+
 // EstimateRows estimates the output cardinality of a plan using catalog
 // statistics; unknown tables default to 1000 rows. The provenance rewriter's
 // cost-based strategy chooser consumes this.
 func (p *Planner) EstimateRows(op algebra.Op) float64 {
+	e := estimator{cat: p.Cat}
+	return e.rows(op)
+}
+
+// estimator computes cardinality estimates, remembering them per node when
+// memo is set (one optimizer pass asks about the same subtrees repeatedly).
+type estimator struct {
+	cat  *catalog.Catalog
+	memo map[algebra.Op]float64
+}
+
+func (e *estimator) rows(op algebra.Op) float64 {
+	if e.memo == nil {
+		return e.estimate(op)
+	}
+	if est, ok := e.memo[op]; ok {
+		return est
+	}
+	est := e.estimate(op)
+	e.memo[op] = est
+	return est
+}
+
+func (e *estimator) estimate(op algebra.Op) float64 {
 	switch o := op.(type) {
 	case *algebra.Scan:
-		st := p.Cat.TableStats(o.Table)
+		st := e.cat.TableStats(o.Table)
 		if st.RowCount > 0 {
 			return float64(st.RowCount)
 		}
@@ -336,41 +512,41 @@ func (p *Planner) EstimateRows(op algebra.Op) float64 {
 	case *algebra.Values:
 		return float64(len(o.Rows))
 	case *algebra.Project:
-		return p.EstimateRows(o.Input)
+		return e.rows(o.Input)
 	case *algebra.BaseRel:
-		return p.EstimateRows(o.Input)
+		return e.rows(o.Input)
 	case *algebra.ProvDone:
-		return p.EstimateRows(o.Input)
+		return e.rows(o.Input)
 	case *algebra.Select:
-		sel := 1.0
-		for range algebra.SplitAnd(o.Cond) {
-			sel *= 0.25
-		}
-		if sel < 0.01 {
-			sel = 0.01
-		}
-		return p.EstimateRows(o.Input) * sel
+		return e.rows(o.Input) * conjunctSelectivity(len(algebra.SplitAnd(o.Cond)))
 	case *algebra.Join:
-		l := p.EstimateRows(o.Left)
-		r := p.EstimateRows(o.Right)
+		l := e.rows(o.Left)
+		r := e.rows(o.Right)
 		switch o.Kind {
 		case algebra.JoinCross:
 			return l * r
 		case algebra.JoinSemi, algebra.JoinAnti:
 			return l / 2
 		}
-		if o.Cond == nil {
-			return l * r
+		est := l * r
+		if o.Cond != nil {
+			equi, residual := joinConjuncts(o)
+			if equi > 0 {
+				// Equi-join heuristic: |L×R| / max(|L|,|R|).
+				den := l
+				if r > den {
+					den = r
+				}
+				if den < 1 {
+					den = 1
+				}
+				est /= den
+			}
+			// Whatever else the condition says filters the pairs like a WHERE.
+			if residual > 0 {
+				est *= conjunctSelectivity(residual)
+			}
 		}
-		// Equi-join heuristic: |L×R| / max(|L|,|R|).
-		den := l
-		if r > den {
-			den = r
-		}
-		if den < 1 {
-			den = 1
-		}
-		est := l * r / den
 		if o.Kind == algebra.JoinLeft && est < l {
 			est = l
 		}
@@ -382,7 +558,7 @@ func (p *Planner) EstimateRows(op algebra.Op) float64 {
 		}
 		return est
 	case *algebra.Agg:
-		in := p.EstimateRows(o.Input)
+		in := e.rows(o.Input)
 		if len(o.GroupBy) == 0 {
 			return 1
 		}
@@ -392,10 +568,10 @@ func (p *Planner) EstimateRows(op algebra.Op) float64 {
 		}
 		return groups
 	case *algebra.Distinct:
-		return p.EstimateRows(o.Input) * 0.5
+		return e.rows(o.Input) * 0.5
 	case *algebra.SetOp:
-		l := p.EstimateRows(o.Left)
-		r := p.EstimateRows(o.Right)
+		l := e.rows(o.Left)
+		r := e.rows(o.Right)
 		switch o.Kind {
 		case algebra.UnionAll:
 			return l + r
@@ -410,9 +586,9 @@ func (p *Planner) EstimateRows(op algebra.Op) float64 {
 			return l * 0.5
 		}
 	case *algebra.Sort:
-		return p.EstimateRows(o.Input)
+		return e.rows(o.Input)
 	case *algebra.Limit:
-		in := p.EstimateRows(o.Input)
+		in := e.rows(o.Input)
 		if o.Count >= 0 && float64(o.Count) < in {
 			return float64(o.Count)
 		}
