@@ -11,8 +11,8 @@ import (
 
 // This file holds one benchmark per experiment — the regenerating targets for
 // every figure of the paper (E1–E4) and for the performance-shaped
-// experiments (E5–E8). cmd/permbench prints the same
-// measurements as tables; these benches integrate them with `go test -bench`.
+// experiments (E5–E8), run with `go test -bench`. The end-to-end benchmark
+// with recorded baselines is permperf (benchmarks/).
 
 // mustForum returns a DB loaded with the scaled forum workload.
 func mustForum(b *testing.B, n int) *perm.DB {

@@ -2,7 +2,6 @@ package executor
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -20,8 +19,8 @@ import (
 // input streaming — the input is never materialized — and accounts the group
 // table (keys, states, DISTINCT seen-sets) against the session budget. Once
 // over budget, resident groups keep absorbing their rows in memory, while
-// rows of NEW groups route to hash partitions on disk; partitions resolve
-// recursively with the same rule. Resident state that itself outgrows the
+// rows of NEW groups route to hash partitions on disk; the grace driver
+// resolves the partitions recursively with the same fold. Resident state that itself outgrows the
 // budget sheds in one of two ways: COUNT(DISTINCT …) seen-sets flush their
 // fragment as sorted element runs (merged back with dedup at emission, so even
 // one giant set never sits fully resident), and other oversized groups
@@ -34,16 +33,14 @@ type aggIter struct {
 	op    *algebra.Agg
 	input iterator
 	ctx   *Context
-	out   []value.Row
-	pos   int
 	// compiled group-by and aggregate-argument evaluators, built on first
 	// Open and kept across re-Opens (lateral/correlated re-execution).
 	groupBy  []compiledExpr
 	argExprs []compiledExpr
-	// spill state
-	reg    fileReg
-	merger *seqMerger
-	fold   *aggFold // current fold, released via Close on error unwinds
+	// d resolves what the fold routes to disk and holds the output either
+	// way; fold is the group table of the level being folded.
+	d    graceDriver
+	fold aggFold
 	// part, set in a parallel worker's subtree, makes this a partial
 	// aggregation: Open folds the worker's partition without spilling and,
 	// instead of emitting, leaves the groups in part.partial for the
@@ -208,7 +205,6 @@ func decodeAggPartial(rec []byte, nAggs int) (*aggGroup, int64, error) {
 
 func (a *aggIter) Open(ctx *Context) error {
 	a.release()
-	a.ctx = ctx
 	if err := a.input.Open(ctx); err != nil {
 		return err
 	}
@@ -226,150 +222,23 @@ func (a *aggIter) Open(ctx *Context) error {
 		}
 	}
 
-	fold := a.newFold(0)
-	a.fold = fold
-	total := 0
-	for {
-		// The fold emits no rows until every input is consumed, so it polls
-		// for cancellation itself (like the join probe loops).
-		if err := ctx.tick(); err != nil {
-			return err
-		}
-		row, err := a.input.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		total++
-		if ctx.RowBudget > 0 && total > int(ctx.RowBudget) {
-			return fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
-		}
-		if err := fold.add(uint64(total-1), row); err != nil {
-			return err
-		}
+	a.start(ctx)
+	seq := uint64(0)
+	if err := drainRows(ctx, a.input, func(row value.Row) error {
+		seq++
+		return a.fold.addRow(seq-1, row)
+	}); err != nil {
+		return err
 	}
-
 	if a.part != nil {
-		a.part.partial = fold.order
-		fold.acct.releaseAll()
-		a.fold = nil
+		a.part.partial = a.fold.order
+		a.fold.release()
 		return nil
 	}
-	if fold.parts == nil {
-		return a.emitResident(fold)
-	}
-
-	// Spilled: the resident groups become the first output file, then every
-	// partition resolves recursively into more, and the merge replays all of
-	// them in ascending first-appearance order.
-	var outputs []*spill.File
-	if err := a.writeGroups(fold, &outputs); err != nil {
-		return err
-	}
-	parts := fold.parts
-	fold.acct.releaseAll()
-	a.fold = nil
-	for _, f := range parts.files {
-		if f == nil {
-			continue
-		}
-		if err := a.resolvePartition(f, 1, &outputs); err != nil {
-			return err
-		}
-	}
-	m, err := newSeqMerger(ctx, &a.reg, outputs)
-	if err != nil {
-		return err
-	}
-	a.merger = m
-	return nil
-}
-
-// resolvePartition folds one spilled partition, cascading to sub-partitions
-// one level deeper when it is itself over budget.
-func (a *aggIter) resolvePartition(f *spill.File, level int, outputs *[]*spill.File) error {
-	if err := f.StartRead(); err != nil {
-		return err
-	}
-	fold := a.newFold(level)
-	a.fold = fold
-	for {
-		if err := a.ctx.tick(); err != nil {
-			return err
-		}
-		rec, err := f.Next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			break
-		}
-		if len(rec) == 0 {
-			return fmt.Errorf("executor: empty aggregation spill record")
-		}
-		switch rec[0] {
-		case aggRecRaw:
-			seq, row, err := decodeSeqRow(rec[1:])
-			if err != nil {
-				return err
-			}
-			if err := fold.add(seq, row); err != nil {
-				return err
-			}
-		case aggRecPartial:
-			if err := fold.addPartial(rec); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("executor: unknown aggregation spill record kind %d", rec[0])
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := a.writeGroups(fold, outputs); err != nil {
-		return err
-	}
-	parts := fold.parts
-	fold.acct.releaseAll()
-	a.fold = nil
-	if parts == nil {
-		return nil
-	}
-	for _, sf := range parts.files {
-		if sf == nil {
-			continue
-		}
-		if err := a.resolvePartition(sf, level+1, outputs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// emitResident finalizes a fold that never spilled: its groups become the
-// output in insertion (first-appearance) order, exactly the historical
-// in-memory path.
-func (a *aggIter) emitResident(fold *aggFold) error {
-	// Scalar aggregation over empty input still produces one (empty) group.
-	if len(a.op.GroupBy) == 0 && len(fold.order) == 0 {
-		fold.order = append(fold.order, fold.newGroup(value.Row{}, 0))
-	}
-	out := make([]value.Row, 0, len(fold.order))
-	for _, g := range fold.order {
-		row, err := a.groupRow(g)
-		if err != nil {
-			return err
-		}
-		out = append(out, row)
-	}
-	a.out = out
-	a.pos = 0
-	fold.acct.releaseAll()
-	a.fold = nil
-	return nil
+	// Emit the resident groups; if rows were routed, the driver folds every
+	// partition the same way and merges all outputs back into ascending
+	// first-appearance order.
+	return a.d.finish()
 }
 
 // mergePartials is Open for the coordinator of a partition-wise aggregation:
@@ -381,9 +250,8 @@ func (a *aggIter) emitResident(fold *aggFold) error {
 // caller re-runs the aggregation serially, which does.
 func (a *aggIter) mergePartials(ctx *Context, parts []partition) error {
 	a.release()
-	a.ctx = ctx
-	fold := a.newFold(0)
-	a.fold = fold
+	a.start(ctx)
+	fold := &a.fold
 	for i := range parts {
 		for _, g := range parts[i].partial {
 			fold.keyScratch = appendGroupKey(fold.keyScratch[:0], g.keys)
@@ -404,37 +272,7 @@ func (a *aggIter) mergePartials(ctx *Context, parts []partition) error {
 			}
 		}
 	}
-	return a.emitResident(fold)
-}
-
-// writeGroups finalizes a fold's groups into a fresh sequence-tagged output
-// file (skipped when the fold holds none). Groups sort by first-appearance
-// before writing: insertion order is already ascending for raw-row folds, but
-// an admitted partial (evicted upstream later than its first row) can arrive
-// behind younger groups, and the merger requires each file ascending.
-func (a *aggIter) writeGroups(fold *aggFold, outputs *[]*spill.File) error {
-	if len(fold.order) == 0 {
-		return nil
-	}
-	sort.Slice(fold.order, func(i, j int) bool { return fold.order[i].firstSeq < fold.order[j].firstSeq })
-	out, err := a.ctx.Mem.Pool().Create()
-	if err != nil {
-		return err
-	}
-	a.reg.add(out)
-	*outputs = append(*outputs, out)
-	var rec []byte
-	for _, g := range fold.order {
-		row, err := a.groupRow(g)
-		if err != nil {
-			return err
-		}
-		rec = appendSeqRow(rec[:0], g.firstSeq, row)
-		if err := out.Append(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.d.finish()
 }
 
 // groupRow builds one output row: group keys then finalized aggregates.
@@ -446,7 +284,7 @@ func (a *aggIter) groupRow(g *aggGroup) (value.Row, error) {
 	for i, ae := range a.op.Aggs {
 		st := &g.states[i]
 		if st.runs != nil {
-			if err := st.finalizeDistinct(a.ctx, &a.reg, ae); err != nil {
+			if err := st.finalizeDistinct(a.ctx, &a.d.reg, ae); err != nil {
 				return nil, err
 			}
 		}
@@ -459,15 +297,15 @@ func (a *aggIter) groupRow(g *aggGroup) (value.Row, error) {
 	return row, nil
 }
 
-// aggFold is one in-memory aggregation pass: a group table plus (once over
-// budget) the partition set rows of non-resident groups route to.
+// aggFold is one in-memory aggregation pass — the live input at level 0, one
+// partition file below it: a group table, which once over budget routes the
+// rows of non-resident groups one level down through the driver.
 type aggFold struct {
-	a      *aggIter
-	level  int
-	acct   memAcct
-	groups map[string]*aggGroup
-	order  []*aggGroup
-	parts  *partitionSet
+	a       *aggIter
+	acct    memAcct
+	groups  map[string]*aggGroup
+	order   []*aggGroup
+	routing bool // rows of non-resident groups go to the partitions
 	// evictStuck records that the last evictOver scan released nothing;
 	// growSinceEvict accrues charged growth since that scan, so the next one
 	// only runs once a fragment can plausibly have crossed the run floor.
@@ -480,14 +318,70 @@ type aggFold struct {
 	rec             []byte
 }
 
-func (a *aggIter) newFold(level int) *aggFold {
-	return &aggFold{
+func (f *aggFold) begin([2]*spill.File) bool {
+	f.acct.releaseAll()
+	a := f.a
+	*f = aggFold{
 		a:       a,
-		level:   level,
 		acct:    memAcct{ctx: a.ctx},
 		groups:  make(map[string]*aggGroup),
 		keyVals: make(value.Row, len(a.groupBy)),
+		// the scratch buffers carry over
+		keyScratch: f.keyScratch, distinctScratch: f.distinctScratch, rec: f.rec,
 	}
+	return true
+}
+
+// add folds one partition record: a sequence-tagged raw row, or the partial
+// state of a group evicted upstream.
+func (f *aggFold) add(rec []byte) error {
+	if len(rec) == 0 {
+		return fmt.Errorf("executor: empty aggregation spill record")
+	}
+	switch rec[0] {
+	case aggRecRaw:
+		seq, row, err := decodeSeqRow(rec[1:])
+		if err != nil {
+			return err
+		}
+		return f.addRow(seq, row)
+	case aggRecPartial:
+		return f.addPartial(rec)
+	}
+	return fmt.Errorf("executor: unknown aggregation spill record kind %d", rec[0])
+}
+
+// finish turns the fold's groups into output rows, tagged by first
+// appearance. A level-0 fold inserted its groups in that order already; below
+// it an admitted partial (evicted upstream later than its first row) can sit
+// behind younger groups, and an output file must ascend.
+func (f *aggFold) finish() error {
+	a := f.a
+	// Scalar aggregation over empty input still produces one (empty) group.
+	if len(a.op.GroupBy) == 0 && len(f.order) == 0 && !a.d.spilled() {
+		f.order = append(f.order, f.newGroup(value.Row{}, 0))
+	}
+	if a.d.level > 0 {
+		sort.Slice(f.order, func(i, j int) bool { return f.order[i].firstSeq < f.order[j].firstSeq })
+	}
+	a.d.expect(len(f.order))
+	for _, g := range f.order {
+		row, err := a.groupRow(g)
+		if err != nil {
+			return err
+		}
+		if err := a.d.emit(g.firstSeq, row); err != nil {
+			return err
+		}
+	}
+	f.release()
+	return nil
+}
+
+// release drops the group table and returns its bytes.
+func (f *aggFold) release() {
+	f.groups, f.order = nil, nil
+	f.acct.releaseAll()
 }
 
 func (f *aggFold) newGroup(keys value.Row, firstSeq uint64) *aggGroup {
@@ -503,9 +397,9 @@ func (f *aggFold) newGroup(keys value.Row, firstSeq uint64) *aggGroup {
 	return g
 }
 
-// add folds one (sequence, row) pair: accumulate into a resident group,
+// addRow folds one (sequence, row) pair: accumulate into a resident group,
 // create the group if there is room, or route the row to a partition.
-func (f *aggFold) add(seq uint64, row value.Row) error {
+func (f *aggFold) addRow(seq uint64, row value.Row) error {
 	// The group key is built in the scratch buffer and looked up
 	// allocation-free; only new groups pay for a map-owned key string.
 	f.keyScratch = f.keyScratch[:0]
@@ -519,10 +413,9 @@ func (f *aggFold) add(seq uint64, row value.Row) error {
 	}
 	g, ok := f.groups[string(f.keyScratch)]
 	if !ok {
-		if f.routing() {
-			f.rec = append(f.rec[:0], aggRecRaw)
-			f.rec = appendSeqRow(f.rec, seq, row)
-			return f.parts.route(f.keyScratch, f.rec)
+		if f.routes() {
+			f.rec = appendSeqRow(append(f.rec[:0], aggRecRaw), seq, row)
+			return f.a.d.route(0, f.keyScratch, f.rec)
 		}
 		g = f.newGroup(f.keyVals.Clone(), seq)
 		f.groups[string(f.keyScratch)] = g
@@ -567,17 +460,14 @@ func (f *aggFold) add(seq uint64, row value.Row) error {
 	return nil
 }
 
-// routing reports whether rows of non-resident groups currently route to disk
-// partitions, creating the partition set on the first routed row.
-func (f *aggFold) routing() bool {
-	if f.parts != nil {
-		return true
+// routes reports whether rows of non-resident groups go to the partitions,
+// which they do from the first overflow on. (A worker's partial fold never
+// spills; see addRow.)
+func (f *aggFold) routes() bool {
+	if !f.routing && f.a.part == nil {
+		f.routing = f.a.d.overflow(&f.acct, len(f.order), minFoldGroups)
 	}
-	if f.a.part == nil && f.acct.spillable() && f.acct.over() && len(f.order) >= minFoldGroups && f.level < maxSpillLevel {
-		f.parts = newPartitionSet(f.a.ctx.Mem.Pool(), &f.a.reg, f.level)
-		return true
-	}
-	return false
+	return f.routing
 }
 
 // addPartial folds one serialized partial group state (rec includes the
@@ -594,8 +484,8 @@ func (f *aggFold) addPartial(rec []byte) error {
 	if _, exists := f.groups[string(f.keyScratch)]; exists {
 		return fmt.Errorf("executor: internal: partial aggregate state after its group became resident")
 	}
-	if f.routing() {
-		return f.parts.route(f.keyScratch, rec)
+	if f.routes() {
+		return f.a.d.route(0, f.keyScratch, rec)
 	}
 	g.bytes = bytes + int64(len(f.keyScratch))
 	f.groups[string(f.keyScratch)] = g
@@ -645,7 +535,7 @@ func (f *aggFold) evictOver() error {
 				hasRuns = true
 			}
 			if st.distinct != nil && st.fragBytes >= minDistinctRunBytes {
-				rel, err := st.flushFragment(m.Pool(), &f.a.reg)
+				rel, err := st.flushFragment(f.a.ctx, &f.a.d.reg)
 				if err != nil {
 					return err
 				}
@@ -659,17 +549,15 @@ func (f *aggFold) evictOver() error {
 			released = true
 			continue
 		}
-		if hasRuns || f.level >= maxSpillLevel {
+		if hasRuns || f.a.d.level >= maxSpillLevel {
 			continue
-		}
-		if f.parts == nil {
-			f.parts = newPartitionSet(m.Pool(), &f.a.reg, f.level)
 		}
 		key = appendGroupKey(key[:0], g.keys)
 		f.rec = appendAggPartial(f.rec[:0], g)
-		if err := f.parts.route(key, f.rec); err != nil {
+		if err := f.a.d.route(0, key, f.rec); err != nil {
 			return err
 		}
+		f.routing = true
 		delete(f.groups, string(key))
 		evicted[g] = true
 		released = true
@@ -802,22 +690,19 @@ const minDistinctRunBytes = 2048
 // and clears it, returning the released footprint. Canonical keys sort
 // bytewise, so every run is internally ascending and duplicate-free;
 // duplicates exist only across runs and fall to the merge's dedup.
-func (s *aggState) flushFragment(pool *spill.Pool, reg *fileReg) (int64, error) {
+func (s *aggState) flushFragment(ctx *Context, reg *fileReg) (int64, error) {
 	keys := make([]string, 0, len(s.distinct))
 	for k := range s.distinct {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	f, err := pool.Create()
+	f, err := reg.create(ctx)
 	if err != nil {
 		return 0, err
 	}
-	reg.add(f)
 	var rec []byte
 	for _, k := range keys {
-		rec = binary.AppendUvarint(rec[:0], uint64(len(k)))
-		rec = append(rec, k...)
-		rec = spill.AppendValue(rec, s.distinct[k])
+		rec = appendElemRec(rec[:0], []byte(k), s.distinct[k])
 		if err := f.Append(rec); err != nil {
 			return 0, err
 		}
@@ -829,98 +714,31 @@ func (s *aggState) flushFragment(pool *spill.Pool, reg *fileReg) (int64, error) 
 	return released, nil
 }
 
-// distinctCursor walks one sorted DISTINCT run. Keys copy out of the file's
-// read buffer (Next aliases it); values copy by construction (DecodeValue).
-type distinctCursor struct {
-	f   *spill.File
-	key []byte
-	val value.Value
+// appendElemRec encodes one record of a DISTINCT run: the element's
+// length-prefixed canonical key, then the element.
+func appendElemRec(dst, key []byte, val value.Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	return spill.AppendValue(dst, val)
 }
 
-func (c *distinctCursor) advance() (done bool, err error) {
-	rec, err := c.f.Next()
-	if err != nil {
-		return false, err
-	}
-	if rec == nil {
-		return true, c.f.Close()
-	}
-	klen, n := binary.Uvarint(rec)
-	if n <= 0 || uint64(len(rec)-n) < klen {
-		return false, fmt.Errorf("executor: corrupt DISTINCT run record")
-	}
-	c.key = append(c.key[:0], rec[n:n+int(klen)]...)
-	c.val, _, err = spill.DecodeValue(rec[n+int(klen):])
-	return false, err
-}
-
-// distinctHeap orders run cursors by canonical element key. Equal keys carry
-// equal values, so ties need no break.
-type distinctHeap []*distinctCursor
-
-func (h distinctHeap) Len() int           { return len(h) }
-func (h distinctHeap) Less(i, j int) bool { return bytes.Compare(h[i].key, h[j].key) < 0 }
-func (h distinctHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *distinctHeap) Push(x any)        { *h = append(*h, x.(*distinctCursor)) }
-func (h *distinctHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// distinctMerger streams the deduplicating k-way merge of sorted element runs:
-// each step surfaces one distinct element and advances every cursor sitting on
-// it.
-type distinctMerger struct {
-	h       distinctHeap
-	scratch []byte
-}
-
-func openDistinctHeap(files []*spill.File) (*distinctMerger, error) {
-	m := &distinctMerger{h: make(distinctHeap, 0, len(files))}
-	for _, f := range files {
-		if err := f.StartRead(); err != nil {
-			return nil, err
+// elemOrder is the merge order of DISTINCT runs: by canonical element key,
+// bytewise, each element once. Equal keys carry equal values, so which copy
+// surfaces does not matter. Keys copy out of the file's read buffer (Next
+// aliases it); values copy by construction (DecodeValue).
+var elemOrder = &mergeOrder{
+	decode: func(rec []byte, r *mergeRec) (err error) {
+		klen, n := binary.Uvarint(rec)
+		if n <= 0 || uint64(len(rec)-n) < klen {
+			return fmt.Errorf("executor: corrupt DISTINCT run record")
 		}
-		c := &distinctCursor{f: f}
-		done, err := c.advance()
-		if err != nil {
-			return nil, err
-		}
-		if !done {
-			m.h = append(m.h, c)
-		}
-	}
-	heap.Init(&m.h)
-	return m, nil
-}
-
-func (m *distinctMerger) remaining() int { return len(m.h) }
-
-func (m *distinctMerger) minRecord(dst []byte) []byte {
-	c := m.h[0]
-	dst = binary.AppendUvarint(dst, uint64(len(c.key)))
-	dst = append(dst, c.key...)
-	return spill.AppendValue(dst, c.val)
-}
-
-func (m *distinctMerger) step() error {
-	m.scratch = append(m.scratch[:0], m.h[0].key...)
-	for len(m.h) > 0 && bytes.Equal(m.h[0].key, m.scratch) {
-		c := m.h[0]
-		done, err := c.advance()
-		if err != nil {
-			return err
-		}
-		if done {
-			heap.Pop(&m.h)
-		} else {
-			heap.Fix(&m.h, 0)
-		}
-	}
-	return nil
+		r.key = append(r.key[:0], rec[n:n+int(klen)]...)
+		r.val, _, err = spill.DecodeValue(rec[n+int(klen):])
+		return err
+	},
+	encode:   func(dst []byte, r *mergeRec) []byte { return appendElemRec(dst, r.key, r.val) },
+	cmp:      func(a, b *mergeRec) int { return bytes.Compare(a.key, b.key) },
+	collapse: true,
 }
 
 // finalizeDistinct recomputes a spilled DISTINCT state's aggregates from the
@@ -929,26 +747,21 @@ func (m *distinctMerger) step() error {
 // eager values and never reach here.
 func (s *aggState) finalizeDistinct(ctx *Context, reg *fileReg, ae algebra.AggExpr) error {
 	if len(s.distinct) > 0 {
-		if _, err := s.flushFragment(ctx.Mem.Pool(), reg); err != nil {
+		if _, err := s.flushFragment(ctx, reg); err != nil {
 			return err
 		}
 	}
-	files, err := reduceToFanIn(ctx.Mem.Pool(), reg, s.runs,
-		func(fs []*spill.File) (mergeStream, error) { return openDistinctHeap(fs) }, ctx.tick)
+	m, err := newMerger(ctx, reg, elemOrder, s.runs)
 	if err != nil {
 		return err
 	}
 	s.runs = nil
-	m, err := openDistinctHeap(files)
-	if err != nil {
-		return err
-	}
 	s.count, s.sum, s.min, s.max = 0, value.Null, value.Null, value.Null
-	for m.remaining() > 0 {
+	for r := m.head(); r != nil; r = m.head() {
 		if err := ctx.tick(); err != nil {
 			return err
 		}
-		if err := s.fold(ae, m.h[0].val); err != nil {
+		if err := s.fold(ae, r.val); err != nil {
 			return err
 		}
 		if err := m.step(); err != nil {
@@ -978,29 +791,21 @@ func (s *aggState) result(ae algebra.AggExpr) (value.Value, error) {
 	return value.Null, fmt.Errorf("executor: unknown aggregate %q", ae.Func)
 }
 
-func (a *aggIter) Next() (value.Row, error) {
-	if a.merger != nil {
-		return a.merger.Next()
-	}
-	if a.pos >= len(a.out) {
-		return nil, nil
-	}
-	row := a.out[a.pos]
-	a.pos++
-	return row, nil
+func (a *aggIter) Next() (value.Row, error) { return a.d.Next() }
+
+// start readies the iterator for a level-0 fold under ctx (whose scratch is
+// sized by the compiled group-by list).
+func (a *aggIter) start(ctx *Context) {
+	a.ctx = ctx
+	a.d.start(ctx, &a.fold)
+	a.fold.a = a
+	a.fold.begin([2]*spill.File{})
 }
 
 // release drops all aggregation state: output, accounting, spill files.
 func (a *aggIter) release() {
-	a.out = nil
-	a.pos = 0
-	a.merger.Close()
-	a.merger = nil
-	a.reg.closeAll()
-	if a.fold != nil {
-		a.fold.acct.releaseAll()
-		a.fold = nil
-	}
+	a.fold.release()
+	a.d.release()
 }
 
 func (a *aggIter) Close() error {

@@ -1,10 +1,10 @@
-// Compile-once expression evaluation. Every iterator lowers its expressions
-// into closures at Open time, so the per-node type switch, binary-operator
-// dispatch and scalar-function lookup of the tree-walking Eval run once per
-// query instead of once per row. The closures implement exactly the SQL
-// three-valued logic of eval.go; eval.go remains the reference
-// implementation (and the path used for one-shot evaluation such as INSERT
-// literals).
+// Compile-once expression evaluation, the executor's one evaluator. Every
+// iterator lowers its expressions into closures at Open time, so the per-node
+// type switch, binary-operator dispatch and scalar-function lookup run once
+// per query instead of once per row; one-shot evaluation (constant folding,
+// INSERT literals) compiles and calls. The closures implement SQL
+// three-valued logic; the tree-walking reference they are tested against
+// lives in evalref_test.go.
 package executor
 
 import (
@@ -126,12 +126,7 @@ func Compile(e algebra.Expr) compiledExpr {
 			return value.Coerce(v, to)
 		}
 	case *algebra.Subplan:
-		// Subplans execute a nested plan; the plan's own iterators compile
-		// their expressions when that plan opens, so the closure just defers
-		// to the subplan machinery.
-		return func(row value.Row, ctx *Context) (value.Value, error) {
-			return evalSubplan(x, row, ctx)
-		}
+		return compileSubplan(x)
 	}
 	return func(value.Row, *Context) (value.Value, error) {
 		return value.Null, fmt.Errorf("executor: cannot evaluate expression %T", e)
@@ -417,4 +412,161 @@ func compileAll(exprs []algebra.Expr) []compiledExpr {
 		out[i] = Compile(e)
 	}
 	return out
+}
+
+// compileSubplan lowers a scalar/EXISTS/IN/ANY/ALL subquery: the needle and
+// the quantified comparison compile here, once; the nested plan's own
+// iterators compile their expressions when that plan first opens.
+func compileSubplan(sp *algebra.Subplan) compiledExpr {
+	needle := Compile(sp.Needle)
+	// ANY/ALL compare the needle with each element over a scratch pair (safe
+	// to reuse for the reason compileFunc's argument scratch is).
+	var cmp compiledExpr
+	pair := make(value.Row, 2)
+	if sp.Mode == algebra.AnySubplan || sp.Mode == algebra.AllSubplan {
+		cmp = compileBin(&algebra.Bin{Op: sp.CmpOp, L: &algebra.ColIdx{Idx: 0}, R: &algebra.ColIdx{Idx: 1}})
+	}
+	return func(row value.Row, ctx *Context) (value.Value, error) {
+		var rows []value.Row
+		if !sp.Correlated {
+			cached, ok := ctx.subplanCache[sp]
+			if !ok {
+				ctx.SubplanMisses++
+				res, err := Run(ctx, sp.Plan)
+				cached = &subplanResult{err: err}
+				if err == nil {
+					cached.rows = res.Rows
+				}
+				ctx.subplanCache[sp] = cached
+			} else {
+				ctx.SubplanHits++
+			}
+			if cached.err != nil {
+				return value.Null, cached.err
+			}
+			// Fast path: uncorrelated IN membership via hash lookup. The probe key
+			// is built in the context's scratch buffer; map lookups through
+			// string(scratch) stay on the compiler's no-allocation path, so probing
+			// costs zero allocations per outer row.
+			if sp.Mode == algebra.InSubplan {
+				n, err := needle(row, ctx)
+				if err != nil || n.IsNull() {
+					return value.Null, err
+				}
+				set, sawNull := cached.membership()
+				ctx.keyScratch = n.AppendKey(ctx.keyScratch[:0])
+				if _, ok := set[string(ctx.keyScratch)]; ok {
+					return value.NewBool(!sp.Neg), nil
+				}
+				if sawNull {
+					return value.Null, nil
+				}
+				return value.NewBool(sp.Neg), nil
+			}
+			rows = cached.rows
+		} else {
+			// Correlated: re-open the cached iterator tree under this outer row
+			// (compile-once — the tree is built on first use, see subplanIter).
+			it, err := ctx.subplanIter(sp)
+			if err != nil {
+				return value.Null, err
+			}
+			ctx.pushOuter(row)
+			rows, err = reopenAndDrain(it, ctx)
+			ctx.popOuter()
+			if err != nil {
+				return value.Null, err
+			}
+		}
+		switch sp.Mode {
+		case algebra.ScalarSubplan:
+			if len(rows) == 0 {
+				return value.Null, nil
+			}
+			if len(rows) > 1 {
+				return value.Null, fmt.Errorf("scalar subquery produced more than one row")
+			}
+			return rows[0][0], nil
+		case algebra.ExistsSubplan:
+			return value.NewBool((len(rows) > 0) != sp.Neg), nil
+		case algebra.InSubplan:
+			n, err := needle(row, ctx)
+			if err != nil || n.IsNull() {
+				return value.Null, err
+			}
+			sawNull := false
+			for _, r := range rows {
+				v := r[0]
+				if v.IsNull() {
+					sawNull = true
+					continue
+				}
+				if value.Equal(n, v) {
+					return value.NewBool(!sp.Neg), nil
+				}
+			}
+			if sawNull {
+				return value.Null, nil
+			}
+			return value.NewBool(sp.Neg), nil
+		case algebra.AnySubplan, algebra.AllSubplan:
+			var err error
+			if pair[0], err = needle(row, ctx); err != nil {
+				return value.Null, err
+			}
+			sawNull := false
+			for _, r := range rows {
+				pair[1] = r[0]
+				c, err := cmp(pair, ctx)
+				if err != nil {
+					return value.Null, err
+				}
+				if c.IsNull() {
+					sawNull = true
+					continue
+				}
+				if sp.Mode == algebra.AnySubplan && c.Bool() {
+					return value.NewBool(true), nil
+				}
+				if sp.Mode == algebra.AllSubplan && !c.Bool() {
+					return value.NewBool(false), nil
+				}
+			}
+			if sawNull {
+				return value.Null, nil
+			}
+			return value.NewBool(sp.Mode == algebra.AllSubplan), nil
+		}
+		return value.Null, fmt.Errorf("executor: unknown subplan mode %d", sp.Mode)
+	}
+}
+
+// likeMatch implements SQL LIKE with % (any sequence) and _ (any single
+// character), case sensitively, via iterative backtracking.
+func likeMatch(s, pattern string) bool {
+	// Convert to runes for correct _ semantics.
+	str, pat := []rune(s), []rune(pattern)
+	si, pi := 0, 0
+	starSi, starPi := -1, -1
+	for si < len(str) {
+		switch {
+		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == str[si]):
+			si++
+			pi++
+		case pi < len(pat) && pat[pi] == '%':
+			starPi = pi
+			starSi = si
+			pi++
+		case starPi >= 0:
+			starSi++
+			si = starSi
+			pi = starPi + 1
+		default:
+			return false
+		}
+	}
+	for pi < len(pat) && pat[pi] == '%' {
+		pi++
+	}
+	return pi == len(pat)
 }

@@ -419,7 +419,17 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 	case *algebra.Distinct:
 		it = &distinctIter{input: input(o.Input)}
 	case *algebra.SetOp:
-		it = &setOpIter{op: o, left: input(o.Left), right: input(o.Right)}
+		left, right := input(o.Left), input(o.Right)
+		switch o.Kind {
+		case algebra.UnionAll:
+			it = &concatIter{left: left, right: right}
+		case algebra.UnionDistinct:
+			it = &distinctIter{input: &concatIter{left: left, right: right}}
+		case algebra.IntersectAll, algebra.IntersectDistinct, algebra.ExceptAll, algebra.ExceptDistinct:
+			it = &setOpIter{op: o, left: left, right: right}
+		default:
+			return nil, fmt.Errorf("executor: unknown set operation %v", o.Kind)
+		}
 	case *algebra.Sort:
 		it = &sortIter{op: o, input: input(o.Input)}
 	case *algebra.Limit:

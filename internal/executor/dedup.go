@@ -1,7 +1,6 @@
 package executor
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"perm/internal/spill"
@@ -12,10 +11,10 @@ import (
 // UNION DISTINCT. It streams while its seen-set fits the budget; once over,
 // the resident keys are frozen to disk as tombstones, every further row
 // routes to a grace partition, and the operator turns blocking for the
-// remainder: partitions resolve recursively, emitting each partition's
-// first-occurrence rows tagged with their input sequence, and the final
-// merge replays them in ascending sequence — exactly the order the pure
-// streaming path would have produced after the already-emitted prefix.
+// remainder: the driver resolves the partitions with the same filter, each
+// first occurrence tagged with its input sequence, and the final merge
+// replays them in ascending sequence — exactly the order the pure streaming
+// path would have produced after the already-emitted prefix.
 //
 // Partition record format: [0x00, key bytes] is a tombstone (key emitted or
 // routed before the freeze — suppress, never emit), [0x01, uvarint seq, row]
@@ -23,199 +22,111 @@ import (
 // precedes every routed row of that key, which is what makes per-partition
 // resolution order-free.
 type dedupState struct {
-	ctx   *Context
-	acct  memAcct
-	reg   *fileReg
-	seen  map[string]struct{}
-	parts *partitionSet
-	seq   uint64
-	key   []byte // scratch: canonical row key
-	rec   []byte // scratch: partition record
+	d    graceDriver
+	acct memAcct
+	seen map[string]struct{}
+	// frozen: the seen-set went to the partitions one level down as
+	// tombstones, and every record of this level follows it there.
+	frozen bool
+	seq    uint64
+	key    []byte // scratch: canonical row key
+	rec    []byte // scratch: partition record
 }
 
-func newDedupState(ctx *Context, reg *fileReg) *dedupState {
-	return &dedupState{ctx: ctx, acct: memAcct{ctx: ctx}, reg: reg, seen: make(map[string]struct{})}
+// start readies the filter for its owner's Open.
+func (s *dedupState) start(ctx *Context) {
+	s.release()
+	s.d.start(ctx, s)
+	s.acct.ctx = ctx
+	s.seq = 0
+	s.begin([2]*spill.File{})
+}
+
+func (s *dedupState) begin([2]*spill.File) bool {
+	s.acct.releaseAll()
+	s.seen, s.frozen = make(map[string]struct{}), false
+	return true
 }
 
 // offer decides one input row: emit=true means the caller streams it out now
 // (first occurrence while under budget); false means it was a duplicate or
 // was routed to a partition for the blocking phase.
-func (d *dedupState) offer(row value.Row) (emit bool, err error) {
-	d.key = row.AppendKey(d.key[:0])
-	seq := d.seq
-	d.seq++
-	if d.parts != nil {
-		return false, d.routeRow(d.parts, d.key, seq, row)
-	}
-	if _, dup := d.seen[string(d.key)]; dup {
-		return false, nil
-	}
-	if d.acct.spillable() && d.acct.over() && len(d.seen) >= minFoldGroups {
-		if err := d.freeze(); err != nil {
-			return false, err
-		}
-		return false, d.routeRow(d.parts, d.key, seq, row)
-	}
-	d.seen[string(d.key)] = struct{}{}
-	d.acct.grow(int64(len(d.key)) + mapEntryBytes)
-	return true, nil
+func (s *dedupState) offer(row value.Row) (emit bool, err error) {
+	s.key = row.AppendKey(s.key[:0])
+	s.seq++
+	return s.see(s.key, false, s.seq-1, row)
 }
 
-// freeze dumps the resident seen-set to the level-0 partitions as tombstones
-// and switches to routing.
-func (d *dedupState) freeze() error {
-	d.parts = newPartitionSet(d.ctx.Mem.Pool(), d.reg, 0)
-	for k := range d.seen {
-		if err := d.routeTombstone(d.parts, []byte(k)); err != nil {
-			return err
-		}
+// add is offer for a partition record; first occurrences go to the driver's
+// output.
+func (s *dedupState) add(rec []byte) error {
+	if len(rec) < 1 {
+		return fmt.Errorf("executor: corrupt dedup spill record")
 	}
-	d.seen = nil
-	d.acct.releaseAll()
-	return nil
-}
-
-func (d *dedupState) routeTombstone(ps *partitionSet, key []byte) error {
-	d.rec = append(d.rec[:0], 0x00)
-	d.rec = append(d.rec, key...)
-	return ps.route(key, d.rec)
-}
-
-func (d *dedupState) routeRow(ps *partitionSet, key []byte, seq uint64, row value.Row) error {
-	d.rec = append(d.rec[:0], 0x01)
-	d.rec = binary.AppendUvarint(d.rec, seq)
-	d.rec = spill.AppendRow(d.rec, row)
-	return ps.route(key, d.rec)
-}
-
-// finish resolves the partitions (if any) into a sequence merger over the
-// remaining first-occurrence rows. A nil merger with nil error means the
-// state never spilled and everything was already emitted live.
-func (d *dedupState) finish() (*seqMerger, error) {
-	if d.parts == nil {
-		return nil, nil
-	}
-	var outputs []*spill.File
-	for _, f := range d.parts.files {
-		if f == nil {
-			continue
-		}
-		if err := d.resolvePartition(f, 1, &outputs); err != nil {
-			return nil, err
-		}
-	}
-	return newSeqMerger(d.ctx, d.reg, outputs)
-}
-
-// resolvePartition reads one partition file, emitting first occurrences to a
-// fresh output file. If the resident set outgrows the budget mid-way, the
-// frozen set and the remaining records cascade to sub-partitions one level
-// deeper, preserving the tombstones-first-per-key invariant.
-func (d *dedupState) resolvePartition(f *spill.File, level int, outputs *[]*spill.File) error {
-	if err := f.StartRead(); err != nil {
+	if rec[0] == 0x00 {
+		_, err := s.see(rec[1:], true, 0, nil)
 		return err
 	}
-	acct := memAcct{ctx: d.ctx}
-	defer acct.releaseAll()
-	seen := make(map[string]struct{})
-	var sub *partitionSet
-	var out *spill.File
-	var outRec []byte
-	for {
-		if err := d.ctx.tick(); err != nil {
-			return err
+	seq, row, err := decodeSeqRow(rec[1:])
+	if err != nil {
+		return err
+	}
+	s.key = row.AppendKey(s.key[:0])
+	first, err := s.see(s.key, false, seq, row)
+	if first {
+		return s.d.emit(seq, row)
+	}
+	return err
+}
+
+// see decides one key at the current level: a tombstone or the row with that
+// key. first=true means the key is new here and now resident. When the
+// resident set outgrows the budget it cascades, with everything after it, one
+// level deeper — tombstones first, preserving the per-key invariant.
+func (s *dedupState) see(key []byte, tomb bool, seq uint64, row value.Row) (first bool, err error) {
+	if _, dup := s.seen[string(key)]; dup {
+		return false, nil // already emitted, routed, or tombstoned
+	}
+	if !s.frozen && s.d.overflow(&s.acct, len(s.seen), minFoldGroups) {
+		for k := range s.seen {
+			if err := s.routeTombstone([]byte(k)); err != nil {
+				return false, err
+			}
 		}
-		rec, err := f.Next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			break
-		}
-		if len(rec) < 1 {
-			return fmt.Errorf("executor: corrupt dedup spill record")
-		}
-		tomb := rec[0] == 0x00
-		var seq uint64
-		var row value.Row
-		var key []byte
+		// From here every record routes, so drop the set (nil-map reads are
+		// legal and always miss).
+		s.seen, s.frozen = nil, true
+		s.acct.releaseAll()
+	}
+	if s.frozen {
 		if tomb {
-			key = rec[1:]
-		} else {
-			if seq, row, err = decodeSeqRow(rec[1:]); err != nil {
-				return err
-			}
-			key = row.AppendKey(d.key[:0])
-			d.key = key
+			return false, s.routeTombstone(key)
 		}
-		if _, dup := seen[string(key)]; dup {
-			continue // resident: already emitted, routed, or tombstoned
-		}
-		if sub != nil || (acct.spillable() && acct.over() && len(seen) >= minFoldGroups && level < maxSpillLevel) {
-			if sub == nil {
-				sub = newPartitionSet(d.ctx.Mem.Pool(), d.reg, level)
-				for k := range seen {
-					if err := d.routeTombstone(sub, []byte(k)); err != nil {
-						return err
-					}
-				}
-				// The resident set is frozen into the sub-partitions; from
-				// here every record routes, so drop it (nil-map reads are
-				// legal and always miss).
-				seen = nil
-				acct.releaseAll()
-			}
-			if tomb {
-				if err := d.routeTombstone(sub, key); err != nil {
-					return err
-				}
-			} else if err := d.routeRow(sub, key, seq, row); err != nil {
-				return err
-			}
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		acct.grow(int64(len(key)) + mapEntryBytes)
-		if !tomb {
-			if out == nil {
-				if out, err = d.ctx.Mem.Pool().Create(); err != nil {
-					return err
-				}
-				d.reg.add(out)
-				*outputs = append(*outputs, out)
-			}
-			outRec = appendSeqRow(outRec[:0], seq, row)
-			if err := out.Append(outRec); err != nil {
-				return err
-			}
-		}
+		s.rec = appendSeqRow(append(s.rec[:0], 0x01), seq, row)
+		return false, s.d.route(0, key, s.rec)
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if sub == nil {
-		return nil
-	}
-	for _, sf := range sub.files {
-		if sf == nil {
-			continue
-		}
-		if err := d.resolvePartition(sf, level+1, outputs); err != nil {
-			return err
-		}
-	}
+	s.seen[string(key)] = struct{}{}
+	s.acct.grow(int64(len(key)) + mapEntryBytes)
+	return !tomb, nil
+}
+
+func (s *dedupState) routeTombstone(key []byte) error {
+	s.rec = append(append(s.rec[:0], 0x00), key...)
+	return s.d.route(0, key, s.rec)
+}
+
+// finish drops the level's seen-set: its first occurrences are already out.
+func (s *dedupState) finish() error {
+	s.seen = nil
+	s.acct.releaseAll()
 	return nil
 }
 
-// release drops all dedup state (accounting only; spill files belong to the
-// owner's registry).
-func (d *dedupState) release() {
-	if d == nil {
-		return
-	}
-	d.seen = nil
-	d.parts = nil
-	d.acct.releaseAll()
+// release drops all dedup state, accounting, and spill files.
+func (s *dedupState) release() {
+	s.seen = nil
+	s.acct.releaseAll()
+	s.d.release()
 }
 
 // mapEntryBytes is the charged per-entry overhead of a Go map entry beyond

@@ -8,6 +8,10 @@ import (
 	"perm/internal/value"
 )
 
+// This file is the tree-walking reference evaluator: the straightforward
+// reading of SQL expression semantics that TestCompileMatchesEval holds the
+// compiled evaluator (compile.go) to. Nothing outside the tests calls it.
+
 // Eval evaluates a resolved expression against a row under the context's
 // correlation stack, with SQL NULL semantics throughout.
 func Eval(e algebra.Expr, row value.Row, ctx *Context) (value.Value, error) {
@@ -99,7 +103,7 @@ func Eval(e algebra.Expr, row value.Row, ctx *Context) (value.Value, error) {
 		}
 		return value.Coerce(v, x.To)
 	case *algebra.Subplan:
-		return evalSubplan(x, row, ctx)
+		return Compile(x)(row, ctx) // subplans run iterator trees, which compile
 	}
 	return value.Null, fmt.Errorf("executor: cannot evaluate expression %T", e)
 }
@@ -236,157 +240,6 @@ func evalInMembership(needle value.Value, list []algebra.Expr, row value.Row, ct
 		return value.Null, nil
 	}
 	return value.NewBool(neg), nil
-}
-
-// evalSubplan runs a nested plan for scalar/EXISTS/IN consumption.
-func evalSubplan(sp *algebra.Subplan, row value.Row, ctx *Context) (value.Value, error) {
-	var rows []value.Row
-	if !sp.Correlated {
-		cached, ok := ctx.subplanCache[sp]
-		if !ok {
-			ctx.SubplanMisses++
-			res, err := Run(ctx, sp.Plan)
-			cached = &subplanResult{err: err}
-			if err == nil {
-				cached.rows = res.Rows
-			}
-			ctx.subplanCache[sp] = cached
-		} else {
-			ctx.SubplanHits++
-		}
-		if cached.err != nil {
-			return value.Null, cached.err
-		}
-		// Fast path: uncorrelated IN membership via hash lookup. The probe key
-		// is built in the context's scratch buffer; map lookups through
-		// string(scratch) stay on the compiler's no-allocation path, so probing
-		// costs zero allocations per outer row.
-		if sp.Mode == algebra.InSubplan {
-			needle, err := Eval(sp.Needle, row, ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			if needle.IsNull() {
-				return value.Null, nil
-			}
-			set, sawNull := cached.membership()
-			ctx.keyScratch = needle.AppendKey(ctx.keyScratch[:0])
-			if _, ok := set[string(ctx.keyScratch)]; ok {
-				return value.NewBool(!sp.Neg), nil
-			}
-			if sawNull {
-				return value.Null, nil
-			}
-			return value.NewBool(sp.Neg), nil
-		}
-		rows = cached.rows
-	} else {
-		// Correlated: re-open the cached iterator tree under this outer row
-		// (compile-once — the tree is built on first use, see subplanIter).
-		it, err := ctx.subplanIter(sp)
-		if err != nil {
-			return value.Null, err
-		}
-		ctx.pushOuter(row)
-		rows, err = reopenAndDrain(it, ctx)
-		ctx.popOuter()
-		if err != nil {
-			return value.Null, err
-		}
-	}
-	switch sp.Mode {
-	case algebra.ScalarSubplan:
-		if len(rows) == 0 {
-			return value.Null, nil
-		}
-		if len(rows) > 1 {
-			return value.Null, fmt.Errorf("scalar subquery produced more than one row")
-		}
-		return rows[0][0], nil
-	case algebra.ExistsSubplan:
-		return value.NewBool((len(rows) > 0) != sp.Neg), nil
-	case algebra.InSubplan:
-		needle, err := Eval(sp.Needle, row, ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		if needle.IsNull() {
-			return value.Null, nil
-		}
-		sawNull := false
-		for _, r := range rows {
-			v := r[0]
-			if v.IsNull() {
-				sawNull = true
-				continue
-			}
-			if value.Equal(needle, v) {
-				return value.NewBool(!sp.Neg), nil
-			}
-		}
-		if sawNull {
-			return value.Null, nil
-		}
-		return value.NewBool(sp.Neg), nil
-	case algebra.AnySubplan, algebra.AllSubplan:
-		needle, err := Eval(sp.Needle, row, ctx)
-		if err != nil {
-			return value.Null, err
-		}
-		sawNull := false
-		for _, r := range rows {
-			cmp, err := evalBin(&algebra.Bin{Op: sp.CmpOp,
-				L: &algebra.Const{Val: needle}, R: &algebra.Const{Val: r[0]}}, nil, ctx)
-			if err != nil {
-				return value.Null, err
-			}
-			if cmp.IsNull() {
-				sawNull = true
-				continue
-			}
-			if sp.Mode == algebra.AnySubplan && cmp.Bool() {
-				return value.NewBool(true), nil
-			}
-			if sp.Mode == algebra.AllSubplan && !cmp.Bool() {
-				return value.NewBool(false), nil
-			}
-		}
-		if sawNull {
-			return value.Null, nil
-		}
-		return value.NewBool(sp.Mode == algebra.AllSubplan), nil
-	}
-	return value.Null, fmt.Errorf("executor: unknown subplan mode %d", sp.Mode)
-}
-
-// likeMatch implements SQL LIKE with % (any sequence) and _ (any single
-// character), case sensitively, via iterative backtracking.
-func likeMatch(s, pattern string) bool {
-	// Convert to runes for correct _ semantics.
-	str, pat := []rune(s), []rune(pattern)
-	si, pi := 0, 0
-	starSi, starPi := -1, -1
-	for si < len(str) {
-		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == str[si]):
-			si++
-			pi++
-		case pi < len(pat) && pat[pi] == '%':
-			starPi = pi
-			starSi = si
-			pi++
-		case starPi >= 0:
-			starSi++
-			si = starSi
-			pi = starPi + 1
-		default:
-			return false
-		}
-	}
-	for pi < len(pat) && pat[pi] == '%' {
-		pi++
-	}
-	return pi == len(pat)
 }
 
 // evalFunc evaluates a scalar function call through the builtin registry.

@@ -1,8 +1,6 @@
 package executor
 
 import (
-	"container/heap"
-
 	"perm/internal/algebra"
 	"perm/internal/spill"
 	"perm/internal/value"
@@ -16,8 +14,9 @@ import (
 // Stability contract: the in-memory path is sort.SliceStable over input
 // order, and the external path must match it byte for byte. Runs are
 // contiguous input ranges created in input order, each internally stable, so
-// the merge breaks key ties by run index — rows with equal keys surface in
-// input order across run boundaries. TestSpillSortStability pins this.
+// the merge breaks key ties by run index (the merger's input position) — rows
+// with equal keys surface in input order across run boundaries.
+// TestSpillSortStability pins this.
 
 // runRecord encodes one sort record: the key row, then the payload row.
 func runRecord(dst []byte, keys, row value.Row) []byte {
@@ -51,126 +50,16 @@ func sortKeyCompare(sortKeys []algebra.SortKey, a, b value.Row) int {
 	return 0
 }
 
-// runCursor is one sorted run primed with its next record.
-type runCursor struct {
-	f    *spill.File
-	idx  int // run creation index: the tie-break that preserves stability
-	keys value.Row
-	row  value.Row
-}
-
-func (c *runCursor) advance() (done bool, err error) {
-	rec, err := c.f.Next()
-	if err != nil {
-		return false, err
+// runOrder is the merge order of sorted runs: by key row under the ORDER BY
+// direction flags. Ties fall to the merger's input position, i.e. run
+// creation order.
+func runOrder(sortKeys []algebra.SortKey) *mergeOrder {
+	return &mergeOrder{
+		decode: func(rec []byte, r *mergeRec) (err error) {
+			r.keys, r.row, err = decodeRunRecord(rec)
+			return err
+		},
+		encode: func(dst []byte, r *mergeRec) []byte { return runRecord(dst, r.keys, r.row) },
+		cmp:    func(a, b *mergeRec) int { return sortKeyCompare(sortKeys, a.keys, b.keys) },
 	}
-	if rec == nil {
-		return true, c.f.Close()
-	}
-	c.keys, c.row, err = decodeRunRecord(rec)
-	return false, err
-}
-
-// runHeap orders run cursors by (sort keys, run index).
-type runHeap struct {
-	sortKeys []algebra.SortKey
-	cs       []*runCursor
-}
-
-func (h *runHeap) Len() int { return len(h.cs) }
-func (h *runHeap) Less(i, j int) bool {
-	if c := sortKeyCompare(h.sortKeys, h.cs[i].keys, h.cs[j].keys); c != 0 {
-		return c < 0
-	}
-	return h.cs[i].idx < h.cs[j].idx
-}
-func (h *runHeap) Swap(i, j int) { h.cs[i], h.cs[j] = h.cs[j], h.cs[i] }
-func (h *runHeap) Push(x any)    { h.cs = append(h.cs, x.(*runCursor)) }
-func (h *runHeap) Pop() any {
-	old := h.cs
-	n := len(old)
-	x := old[n-1]
-	h.cs = old[:n-1]
-	return x
-}
-
-// runMerger streams the k-way merge of sorted runs.
-type runMerger struct {
-	h runHeap
-}
-
-func (m *runMerger) remaining() int { return m.h.Len() }
-
-func (m *runMerger) minRecord(dst []byte) []byte {
-	c := m.h.cs[0]
-	return runRecord(dst, c.keys, c.row)
-}
-
-// newRunMerger merges runs (in creation order). Sets past mergeFanIn are
-// first reduced in passes (reduceToFanIn): adjacent runs merge into one
-// replacement run that keeps their position, so the run-index tie-break
-// stays equivalent to input order across passes.
-func newRunMerger(ctx *Context, reg *fileReg, sortKeys []algebra.SortKey, runs []*spill.File) (*runMerger, error) {
-	runs, err := reduceToFanIn(ctx.Mem.Pool(), reg, runs,
-		func(fs []*spill.File) (mergeStream, error) { return openRunHeap(sortKeys, fs) }, ctx.tick)
-	if err != nil {
-		return nil, err
-	}
-	return openRunHeap(sortKeys, runs)
-}
-
-func openRunHeap(sortKeys []algebra.SortKey, runs []*spill.File) (*runMerger, error) {
-	m := &runMerger{h: runHeap{sortKeys: sortKeys, cs: make([]*runCursor, 0, len(runs))}}
-	for i, f := range runs {
-		if err := f.StartRead(); err != nil {
-			return nil, err
-		}
-		c := &runCursor{f: f, idx: i}
-		done, err := c.advance()
-		if err != nil {
-			return nil, err
-		}
-		if !done {
-			m.h.cs = append(m.h.cs, c)
-		}
-	}
-	heap.Init(&m.h)
-	return m, nil
-}
-
-func (m *runMerger) step() error {
-	c := m.h.cs[0]
-	done, err := c.advance()
-	if err != nil {
-		return err
-	}
-	if done {
-		heap.Pop(&m.h)
-	} else {
-		heap.Fix(&m.h, 0)
-	}
-	return nil
-}
-
-// Next returns the next row in sort order, (nil, nil) at end.
-func (m *runMerger) Next() (value.Row, error) {
-	if m == nil || m.h.Len() == 0 {
-		return nil, nil
-	}
-	row := m.h.cs[0].row
-	if err := m.step(); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
-// Close releases the runs still held.
-func (m *runMerger) Close() {
-	if m == nil {
-		return
-	}
-	for _, c := range m.h.cs {
-		c.f.Close()
-	}
-	m.h.cs = nil
 }

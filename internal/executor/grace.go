@@ -1,8 +1,8 @@
 package executor
 
 import (
-	"container/heap"
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"perm/internal/spill"
@@ -11,11 +11,12 @@ import (
 
 // This file holds the spill machinery shared by the blocking operators:
 // hash partitioning (grace-style, with per-level rehashing), sequence-tagged
-// output files, and the k-way merge that reassembles spilled output in the
-// exact order the in-memory path would have produced. Every operator's
-// contract is: with or without spilling, byte-identical results in the same
-// order — the differential suite runs the same queries under a huge and a
-// tiny work_mem and asserts exactly that.
+// output files, and the driver that resolves partitions recursively and
+// reassembles their output (through the merger, merge.go) in the exact order
+// the in-memory path would have produced. Every operator's contract is: with
+// or without spilling, byte-identical results in the same order — the
+// differential suite runs the same queries under a huge and a tiny work_mem
+// and asserts exactly that.
 
 const (
 	// spillPartitions is the grace fan-out per level.
@@ -82,7 +83,14 @@ type fileReg struct {
 	files []*spill.File
 }
 
-func (r *fileReg) add(f *spill.File) { r.files = append(r.files, f) }
+// create opens a fresh spill file in the session's pool and registers it.
+func (r *fileReg) create(ctx *Context) (*spill.File, error) {
+	f, err := ctx.Mem.Pool().Create()
+	if err == nil {
+		r.files = append(r.files, f)
+	}
+	return f, err
+}
 
 func (r *fileReg) closeAll() {
 	for _, f := range r.files {
@@ -93,31 +101,7 @@ func (r *fileReg) closeAll() {
 
 // partitionSet is one level of grace partitioning: records route to one of
 // spillPartitions files by key hash, files created lazily.
-type partitionSet struct {
-	pool  *spill.Pool
-	reg   *fileReg
-	level int
-	files [spillPartitions]*spill.File
-}
-
-func newPartitionSet(pool *spill.Pool, reg *fileReg, level int) *partitionSet {
-	return &partitionSet{pool: pool, reg: reg, level: level}
-}
-
-// route appends rec to the partition key hashes into.
-func (ps *partitionSet) route(key []byte, rec []byte) error {
-	idx := spillHash(key, ps.level) % spillPartitions
-	f := ps.files[idx]
-	if f == nil {
-		var err error
-		if f, err = ps.pool.Create(); err != nil {
-			return err
-		}
-		ps.reg.add(f)
-		ps.files[idx] = f
-	}
-	return f.Append(rec)
-}
+type partitionSet [spillPartitions]*spill.File
 
 // --- sequence-tagged output files ------------------------------------------------
 
@@ -138,162 +122,272 @@ func decodeSeqRow(rec []byte) (uint64, value.Row, error) {
 	return seq, row, err
 }
 
-// seqCursor is one output file primed with its next record.
-type seqCursor struct {
-	f   *spill.File
-	seq uint64
-	row value.Row
+// seqOrder is the merge order of sequence-tagged output files: ascending
+// sequence, i.e. the order the unspilled operator would have emitted in.
+var seqOrder = &mergeOrder{
+	decode: func(rec []byte, r *mergeRec) (err error) {
+		r.seq, r.row, err = decodeSeqRow(rec)
+		return err
+	},
+	encode: func(dst []byte, r *mergeRec) []byte { return appendSeqRow(dst, r.seq, r.row) },
+	cmp: func(a, b *mergeRec) int {
+		switch {
+		case a.seq < b.seq:
+			return -1
+		case a.seq > b.seq:
+			return 1
+		}
+		return 0
+	},
 }
 
-// advance loads the cursor's next record; done=true at end of file (the file
-// is closed and removed).
-func (c *seqCursor) advance() (done bool, err error) {
-	rec, err := c.f.Next()
-	if err != nil {
-		return false, err
+// --- the grace driver ------------------------------------------------------------
+
+// graceFold is what a blocking operator supplies to the grace driver: how one
+// partition folds. The operator's level-0 pass over its live input uses the
+// same fold — it feeds it rows instead of records and ends with the driver's
+// finish — so an operator whose input never overflowed has run nothing but
+// the fold, and its output is the driver's resident rows.
+type graceFold interface {
+	// begin readies the fold for one partition, given the partition's file
+	// per input (an input that routed nothing here has none). False skips the
+	// partition: nothing in it can reach the output.
+	begin(in [2]*spill.File) bool
+	// add folds one record of in[0].
+	add(rec []byte) error
+	// finish runs after in[0]'s last record: the fold emits what it holds —
+	// an operator with a second input scans in[1] here — and returns its
+	// accounted memory.
+	finish() error
+}
+
+// errRepartition, from a fold's add or finish, abandons the partition: the
+// fold can only make progress on smaller pieces. The driver discards the
+// partition's output so far and sends every record of its files one level
+// deeper, keyed by the fold's routeKey; the files are intact, so nothing is
+// lost or duplicated.
+var errRepartition = errors.New("executor: partition over memory budget")
+
+// repartitioner is the graceFold of an operator that returns errRepartition.
+type repartitioner interface {
+	// routeKey extracts the partitioning key from a record of in[side].
+	routeKey(side int, rec []byte) ([]byte, error)
+}
+
+// graceDriver owns what every spilling hash operator needs around its fold:
+// the partition sets records overflow into, reading a partition file back
+// under the cancellation poll, the overflow test, the recursion one level
+// deeper, the sequence-tagged output files (created on first use), and the
+// merger that replays them in sequence order.
+type graceDriver struct {
+	ctx  *Context
+	fold graceFold
+	reg  fileReg
+	// The partition being folded: its level, and the files records routed
+	// from it land in, which resolve at level+1 once its fold has finished.
+	level  int
+	sub    [2]partitionSet
+	routed bool
+	// Output. While the level-0 fold has routed nothing, emitted rows stay
+	// resident; from then on they go to out, the current output file.
+	rows    []value.Row
+	pos     int
+	out     *spill.File
+	outputs []*spill.File
+	rec     []byte
+	merger  *merger
+}
+
+// start readies the driver for an operator's Open: the level-0 pass.
+func (d *graceDriver) start(ctx *Context, fold graceFold) {
+	d.release()
+	d.ctx, d.fold = ctx, fold
+}
+
+// overflow is the one spill decision: acct's operator holds resident entries,
+// the session is over budget, the operator has made its floor of progress,
+// and there is a level left to push the remainder down to. Past maxSpillLevel
+// a fold finishes in memory regardless.
+func (d *graceDriver) overflow(acct *memAcct, resident, floor int) bool {
+	return acct.spillable() && acct.over() && resident >= floor && d.level < maxSpillLevel
+}
+
+// spilled reports whether the level-0 pass has routed anything to disk (once
+// true it stays true until the next start).
+func (d *graceDriver) spilled() bool { return d.routed || d.level > 0 }
+
+// route appends rec to the partition of input side that key hashes into, one
+// level below the partition being folded.
+func (d *graceDriver) route(side int, key, rec []byte) error {
+	d.routed = true
+	idx := spillHash(key, d.level) % spillPartitions
+	f := d.sub[side][idx]
+	if f == nil {
+		var err error
+		if f, err = d.reg.create(d.ctx); err != nil {
+			return err
+		}
+		d.sub[side][idx] = f
 	}
-	if rec == nil {
-		return true, c.f.Close()
+	return f.Append(rec)
+}
+
+// emit hands the driver one output row, tagged with its place in the
+// operator's unspilled output order. Within one output file tags must ascend
+// (cut starts a new file). A spilled row is encoded at once, so the caller may
+// reuse its storage; a resident row is retained.
+func (d *graceDriver) emit(seq uint64, row value.Row) error {
+	if !d.spilled() {
+		d.rows = append(d.rows, row)
+		return nil
 	}
-	c.seq, c.row, err = decodeSeqRow(rec)
-	return false, err
-}
-
-// seqHeap orders cursors by sequence number. Sequence numbers are unique
-// (each input row has one), so the order is total.
-type seqHeap []*seqCursor
-
-func (h seqHeap) Len() int           { return len(h) }
-func (h seqHeap) Less(i, j int) bool { return h[i].seq < h[j].seq }
-func (h seqHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *seqHeap) Push(x any)        { *h = append(*h, x.(*seqCursor)) }
-func (h *seqHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h seqHeap) MinSeq() uint64     { return h[0].seq }
-func (h seqHeap) MinRow() value.Row  { return h[0].row }
-
-// mergeStream is the common shape of the two k-way mergers during a
-// fan-in-reduction pass: expose the current minimum as a re-encoded record,
-// then step past it.
-type mergeStream interface {
-	remaining() int
-	minRecord(dst []byte) []byte
-	step() error
-}
-
-// reduceToFanIn merges the leading mergeFanIn files into one replacement
-// file (which keeps their position, preserving positional tie-breaks) until
-// at most mergeFanIn files remain. tick is the cancellation poll — a large
-// reduction pass must stay interruptible.
-func reduceToFanIn(pool *spill.Pool, reg *fileReg, files []*spill.File,
-	open func([]*spill.File) (mergeStream, error), tick func() error) ([]*spill.File, error) {
-	for len(files) > mergeFanIn {
-		out, err := pool.Create()
+	if d.out == nil {
+		f, err := d.reg.create(d.ctx)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		reg.add(out)
-		m, err := open(files[:mergeFanIn])
-		if err != nil {
-			return nil, err
-		}
-		var rec []byte
-		for m.remaining() > 0 {
-			if err := tick(); err != nil {
-				return nil, err
-			}
-			rec = m.minRecord(rec[:0])
-			if err := out.Append(rec); err != nil {
-				return nil, err
-			}
-			if err := m.step(); err != nil {
-				return nil, err
-			}
-		}
-		files = append([]*spill.File{out}, files[mergeFanIn:]...)
+		d.out = f
+		d.outputs = append(d.outputs, f)
 	}
-	return files, nil
+	d.rec = appendSeqRow(d.rec[:0], seq, row)
+	return d.out.Append(d.rec)
 }
 
-// seqMerger streams the union of sequence-tagged output files in ascending
-// sequence order — i.e. in the exact order the in-memory operator would have
-// emitted. It holds one record per file; file sets past mergeFanIn are first
-// reduced in passes.
-type seqMerger struct {
-	h seqHeap
-}
-
-func (m *seqMerger) remaining() int { return m.h.Len() }
-
-func (m *seqMerger) minRecord(dst []byte) []byte {
-	return appendSeqRow(dst, m.h.MinSeq(), m.h.MinRow())
-}
-
-// newSeqMerger builds a merger over files (each already fully written). Large
-// file sets are reduced to mergeFanIn with intermediate merge passes so the
-// merger never holds more than mergeFanIn files open.
-func newSeqMerger(ctx *Context, reg *fileReg, files []*spill.File) (*seqMerger, error) {
-	files, err := reduceToFanIn(ctx.Mem.Pool(), reg, files,
-		func(fs []*spill.File) (mergeStream, error) { return openSeqHeap(fs) }, ctx.tick)
-	if err != nil {
-		return nil, err
+// expect announces n rows about to be emitted, so resident output is sized
+// once.
+func (d *graceDriver) expect(n int) {
+	if !d.spilled() {
+		d.rows = make([]value.Row, 0, n)
 	}
-	return openSeqHeap(files)
 }
 
-// openSeqHeap rewinds files for reading and primes the heap.
-func openSeqHeap(files []*spill.File) (*seqMerger, error) {
-	m := &seqMerger{h: make(seqHeap, 0, len(files))}
-	for _, f := range files {
-		if err := f.StartRead(); err != nil {
-			return nil, err
-		}
-		c := &seqCursor{f: f}
-		done, err := c.advance()
-		if err != nil {
-			return nil, err
-		}
-		if !done {
-			m.h = append(m.h, c)
-		}
+// cut makes the next emitted row start a new output file.
+func (d *graceDriver) cut() { d.out = nil }
+
+// scan reads f (nil reads as empty) from its start, handing each record to fn
+// under the cancellation poll. rec is only valid during the call.
+func (d *graceDriver) scan(f *spill.File, fn func(rec []byte) error) error {
+	if f == nil {
+		return nil
 	}
-	heap.Init(&m.h)
-	return m, nil
-}
-
-// step advances past the current minimum.
-func (m *seqMerger) step() error {
-	c := m.h[0]
-	done, err := c.advance()
-	if err != nil {
+	if err := f.StartRead(); err != nil {
 		return err
 	}
-	if done {
-		heap.Pop(&m.h)
-	} else {
-		heap.Fix(&m.h, 0)
+	for {
+		if err := d.ctx.tick(); err != nil {
+			return err
+		}
+		rec, err := f.Next()
+		if err != nil || rec == nil {
+			return err
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+}
+
+// finish ends the level-0 pass: the fold emits what it still holds, and if
+// anything was routed, every partition resolves — recursively — and the merger
+// over their outputs is armed.
+func (d *graceDriver) finish() error {
+	if err := d.fold.finish(); err != nil {
+		return err
+	}
+	if !d.routed {
+		return nil
+	}
+	if err := d.descend(); err != nil {
+		return err
+	}
+	m, err := newMerger(d.ctx, &d.reg, seqOrder, d.outputs)
+	d.merger, d.outputs = m, nil
+	return err
+}
+
+// descend resolves the partitions routed from the one just folded.
+func (d *graceDriver) descend() error {
+	sub, level := d.sub, d.level
+	for i := range sub[0] {
+		in := [2]*spill.File{sub[0][i], sub[1][i]}
+		if in[0] == nil && in[1] == nil {
+			continue
+		}
+		if err := d.resolve(in, level+1); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// Next returns the next row in ascending sequence order, (nil, nil) at end.
-func (m *seqMerger) Next() (value.Row, error) {
-	if m == nil || m.h.Len() == 0 {
+// resolve folds one partition and then whatever it routed deeper.
+func (d *graceDriver) resolve(in [2]*spill.File, level int) error {
+	d.level, d.sub, d.routed = level, [2]partitionSet{}, false
+	d.cut()
+	kept := len(d.outputs)
+	var err error
+	if d.fold.begin(in) {
+		if err = d.scan(in[0], d.fold.add); err == nil {
+			err = d.fold.finish()
+		}
+	}
+	if err == errRepartition {
+		err = d.repartition(in, kept)
+	}
+	if err != nil {
+		return err
+	}
+	for _, f := range in {
+		if f != nil {
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+	}
+	return d.descend()
+}
+
+// repartition answers errRepartition: it drops the outputs the abandoned fold
+// wrote (those past kept) and routes every record of the partition's files one
+// level down.
+func (d *graceDriver) repartition(in [2]*spill.File, kept int) error {
+	for _, f := range d.outputs[kept:] {
+		f.Close()
+	}
+	d.outputs = d.outputs[:kept]
+	keyOf := d.fold.(repartitioner).routeKey
+	for side, f := range in {
+		if err := d.scan(f, func(rec []byte) error {
+			key, err := keyOf(side, rec)
+			if err != nil {
+				return err
+			}
+			return d.route(side, key, rec)
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Next returns the operator's next output row: the resident rows when nothing
+// spilled, the merged outputs otherwise.
+func (d *graceDriver) Next() (value.Row, error) {
+	if d.merger != nil {
+		return d.merger.Next()
+	}
+	if d.pos >= len(d.rows) {
 		return nil, nil
 	}
-	row := m.h.MinRow()
-	if err := m.step(); err != nil {
-		return nil, err
-	}
+	row := d.rows[d.pos]
+	d.pos++
 	return row, nil
 }
 
-// Close releases the files still held.
-func (m *seqMerger) Close() {
-	if m == nil {
-		return
-	}
-	for _, c := range m.h {
-		c.f.Close()
-	}
-	m.h = nil
+// release drops the output and every spill file; the fold's accounted memory
+// is the operator's to return.
+func (d *graceDriver) release() {
+	d.merger.Close()
+	d.reg.closeAll()
+	*d = graceDriver{}
 }

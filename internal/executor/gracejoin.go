@@ -5,17 +5,16 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"perm/internal/algebra"
 	"perm/internal/spill"
 	"perm/internal/value"
 )
 
 // This file is the spill path of the hash join: grace hash partitioning for
 // build sides that exceed work_mem. Both inputs route to paired disk
-// partitions by join-key hash, each partition pair joins independently (one
-// level deeper when its build half is itself over budget), and the
-// sequence-tagged outputs merge back into the exact order the in-memory
-// probe loop would have produced:
+// partitions by join-key hash, the grace driver joins each partition pair
+// independently — with the probe step of the in-memory join, against a table
+// holding the pair's build half — and the sequence-tagged outputs merge back
+// into the exact order the in-memory probe loop would have produced:
 //
 //   - every output row is tagged probeSeq<<joinSeqShift|chunk, so the k-way
 //     merge replays probes in input order with matches in build-insertion
@@ -76,77 +75,61 @@ func decodeJoinRec(rec []byte) (ord uint64, hashable bool, key []byte, row value
 	return ord, hashable, key, row, err
 }
 
-// openGrace finishes the join on disk after the build side crossed the
-// budget: h.table holds the accounted in-memory prefix (with keys already
-// computed), total is the build rows drained so far. It consumes the rest of
-// the right input and the whole left input, then joins partition pairs and
-// arms the merger.
-func (h *hashJoinIter) openGrace(total int) error {
-	ctx := h.ctx
-	pool := ctx.Mem.Pool()
-	buildSet := newPartitionSet(pool, &h.reg, 0)
-	probeSet := newPartitionSet(pool, &h.reg, 0)
+// graceJoin is the hash join's state while the driver folds one partition
+// pair: in[0] holds the build half, which add loads into the join's table,
+// in[1] the probe half, which every chunk of the build half is joined against.
+type graceJoin struct {
+	nProbe uint64      // probe rows routed at level 0: where the tail's tags start
+	probe  *spill.File // the pair's probe half
+	ords   []uint64    // build ordinal of each table row, for the tail's tags
+	chunk  uint64      // chunks of this pair joined so far
+	full   bool        // the table holds a budget-sized chunk
+	// multiKey: the first chunk shows more than one key, so rehashing can
+	// separate them.
+	multiKey bool
+	// seen is the cross-chunk probe-matched bitmap, indexed by the probe
+	// row's position in the pair's probe file (identical on every scan).
+	// Only a multi-chunk pair allocates it. Its words are charged to bmAcct,
+	// which lives for the whole pair.
+	seen   []uint64
+	bmAcct memAcct
+	outRow value.Row
+	rec    []byte
+}
 
-	var rec []byte
-	nBuild := uint64(0)
+// routeRow sends one input row (side 0 build, 1 probe) with its ordinal on
+// that side to the level-0 partitions.
+func (h *hashJoinIter) routeRow(side int, ord uint64, hashable bool, key []byte, row value.Row) error {
+	if !hashable {
+		key = nil
+	}
+	h.rec = appendJoinRec(h.rec[:0], ord, hashable, key, row)
+	return h.d.route(side, key, h.rec)
+}
+
+// spillTable moves the buffered build prefix, keys already computed, to the
+// level-0 partitions.
+func (h *hashJoinIter) spillTable() error {
 	for i := range h.table.rows {
 		key := h.table.key(i)
-		rec = appendJoinRec(rec[:0], nBuild, key != nil, key, h.table.rows[i].row)
-		if err := buildSet.route(key, rec); err != nil {
-			h.right.Close()
+		if err := h.routeRow(0, uint64(i), key != nil, key, h.table.rows[i].row); err != nil {
 			return err
 		}
-		nBuild++
 	}
 	h.table = buildTable{}
 	h.acct.releaseAll()
-	// Route the rest of the build input straight to disk.
-	for {
-		if err := ctx.tick(); err != nil {
-			h.right.Close()
-			return err
-		}
-		row, err := h.right.Next()
-		if err != nil {
-			h.right.Close()
-			return err
-		}
-		if row == nil {
-			break
-		}
-		total++
-		if ctx.RowBudget > 0 && total > int(ctx.RowBudget) {
-			h.right.Close()
-			return fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
-		}
-		key, hashable, err := h.appendKey(h.keyScratch[:0], row, h.rightKey)
-		h.keyScratch = key
-		if err != nil {
-			h.right.Close()
-			return err
-		}
-		if !hashable {
-			key = nil
-		}
-		rec = appendJoinRec(rec[:0], nBuild, hashable, key, row)
-		if err := buildSet.route(key, rec); err != nil {
-			h.right.Close()
-			return err
-		}
-		nBuild++
-	}
-	h.right.Close()
-	if ctx.owner != nil {
-		ctx.owner.BuildRows = int64(nBuild)
-	}
+	return nil
+}
 
-	// Route the probe input the same way, tagging each row with its sequence.
-	if err := h.left.Open(ctx); err != nil {
+// openGrace finishes the join on disk after the build side crossed the
+// budget and went to the partitions: it routes the whole probe input the same
+// way, each row tagged with its sequence, then has the driver join the pairs.
+func (h *hashJoinIter) openGrace() error {
+	if err := h.left.Open(h.ctx); err != nil {
 		return err
 	}
-	nProbe := uint64(0)
 	for {
-		if err := ctx.tick(); err != nil {
+		if err := h.ctx.tick(); err != nil {
 			return err
 		}
 		row, err := h.left.Next()
@@ -154,330 +137,165 @@ func (h *hashJoinIter) openGrace(total int) error {
 			return err
 		}
 		if row == nil {
-			break
+			return h.d.finish()
 		}
 		key, hashable, err := h.appendKey(h.keyScratch[:0], row, h.leftKey)
 		h.keyScratch = key
 		if err != nil {
 			return err
 		}
-		if !hashable {
-			key = nil
-		}
-		rec = appendJoinRec(rec[:0], nProbe, hashable, key, row)
-		if err := probeSet.route(key, rec); err != nil {
+		if err := h.routeRow(1, h.nProbe, hashable, key, row); err != nil {
 			return err
 		}
-		nProbe++
+		h.nProbe++
 	}
+}
 
-	var outputs []*spill.File
-	for i := 0; i < spillPartitions; i++ {
-		if err := h.joinPartition(buildSet.files[i], probeSet.files[i], 1, nProbe, &outputs); err != nil {
+func (h *hashJoinIter) begin(in [2]*spill.File) bool {
+	h.table.reset()
+	h.acct.releaseAll()
+	h.bmAcct.ctx = h.ctx
+	h.bmAcct.releaseAll()
+	h.probe, h.ords, h.seen = in[1], h.ords[:0], h.seen[:0]
+	h.chunk, h.full, h.multiKey = 0, false, false
+	// Without build rows a pair matters only to a join kind that emits
+	// unmatched probes.
+	return in[0] != nil || h.p.keepsUnmatched()
+}
+
+// add loads one build record into the table. The table fills to a
+// budget-sized chunk; a pair whose build half fits one chunk joins exactly
+// like the in-memory path. When a record arrives to a full table the pair is
+// over budget: it re-partitions a level deeper if its first chunk showed
+// separable keys, and otherwise — dominated by one hot key no rehashing can
+// split — block-joins chunk by chunk against repeated probe scans.
+func (h *hashJoinIter) add(rec []byte) error {
+	if h.full {
+		if h.chunk == 0 && h.multiKey && h.d.level < maxSpillLevel {
+			h.table.reset()
+			h.acct.releaseAll()
+			return errRepartition
+		}
+		if err := h.joinChunk(false); err != nil {
 			return err
 		}
 	}
-	m, err := newSeqMerger(ctx, &h.reg, outputs)
+	ord, hashable, key, row, err := decodeJoinRec(rec)
 	if err != nil {
 		return err
 	}
-	h.merger = m
+	t := &h.table
+	h.acct.grow(t.add(row, key, hashable))
+	h.ords = append(h.ords, ord)
+	if n := len(t.rows); n > 1 && !h.multiKey && !bytes.Equal(t.key(n-1), t.key(0)) {
+		h.multiKey = true
+	}
+	h.full = h.acct.spillable() && h.acct.over() && len(t.rows) >= minBufferRows
 	return nil
 }
 
-// rerouteJoinFile re-reads a partition file and redistributes every record
-// one level deeper (the per-level hash salt sends what this level hashed
-// together to different sub-partitions).
-func rerouteJoinFile(f *spill.File, ps *partitionSet, tick func() error) error {
-	if f == nil {
-		return nil
-	}
-	if err := f.StartRead(); err != nil {
-		return err
-	}
-	for {
-		if err := tick(); err != nil {
-			return err
-		}
-		rec, err := f.Next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			return f.Close()
-		}
-		_, hashable, key, _, err := decodeJoinRec(rec)
-		if err != nil {
-			return err
-		}
-		if !hashable {
-			key = nil
-		}
-		if err := ps.route(key, rec); err != nil {
-			return err
-		}
-	}
+// finish joins the last (usually the only) chunk and drops the table.
+func (h *hashJoinIter) finish() error {
+	err := h.joinChunk(true)
+	h.table = buildTable{}
+	return err
 }
 
-// joinPartition joins one build/probe partition pair. The build half loads
-// into memory in budget-sized chunks: a single-chunk partition joins exactly
-// like the in-memory path; one that is over budget either re-partitions a
-// level deeper (when its first chunk shows more than one key, so rehashing
-// can separate them) or block-joins chunk by chunk against repeated probe
-// scans. Outputs are sequence-tagged files appended to outputs.
-func (h *hashJoinIter) joinPartition(bf, pf *spill.File, level int, tailBase uint64, outputs *[]*spill.File) error {
-	if bf == nil && pf == nil {
-		return nil
+// routeKey re-keys one record of a pair being re-partitioned (the per-level
+// hash salt sends what this level hashed together to different sub-pairs).
+func (h *hashJoinIter) routeKey(_ int, rec []byte) ([]byte, error) {
+	_, hashable, key, _, err := decodeJoinRec(rec)
+	if !hashable {
+		key = nil
 	}
-	ctx := h.ctx
-	kind := h.op.Kind
-	wantTail := kind == algebra.JoinFull || kind == algebra.JoinRight
-	probeAlone := kind == algebra.JoinLeft || kind == algebra.JoinFull || kind == algebra.JoinAnti
-	if bf == nil && !wantTail && !probeAlone {
-		// No build rows and the join kind emits nothing for unmatched probes.
-		pf.Close()
-		return nil
-	}
+	return key, err
+}
 
-	acct := memAcct{ctx: ctx}
-	defer acct.releaseAll()
-
-	// Chunked build-half reader. pending holds one looked-ahead record (the
-	// peek that discovers whether a full chunk was the final one).
-	var pending []byte
-	var tbl buildTable
-	var ords []uint64
-	multiKey := false
-	loadChunk := func() (last bool, err error) {
-		tbl.reset()
-		ords = ords[:0]
-		acct.releaseAll()
-		if bf == nil {
-			return true, nil
-		}
-		for {
-			if err := ctx.tick(); err != nil {
-				return false, err
-			}
-			rec := pending
-			pending = nil
-			if rec == nil {
-				if rec, err = bf.Next(); err != nil {
-					return false, err
-				}
-				if rec == nil {
-					return true, nil
-				}
-			}
-			ord, hashable, key, row, err := decodeJoinRec(rec)
-			if err != nil {
-				return false, err
-			}
-			acct.grow(tbl.add(row, key, hashable))
-			ords = append(ords, ord)
-			if n := len(tbl.rows); n > 1 && !multiKey && !bytes.Equal(tbl.key(n-1), tbl.key(0)) {
-				multiKey = true
-			}
-			if acct.spillable() && acct.over() && len(tbl.rows) >= minBufferRows {
-				// Chunk full; peek whether the file has more.
-				nxt, err := bf.Next()
-				if err != nil {
-					return false, err
-				}
-				if nxt == nil {
-					return true, nil
-				}
-				pending = append([]byte(nil), nxt...)
-				return false, nil
-			}
-		}
+// joinChunk streams the pair's probe half against the table, then emits the
+// chunk's FULL/RIGHT tail and empties the table. last says no build row of
+// the pair remains outside the table, so probes unmatched so far resolve.
+func (h *hashJoinIter) joinChunk(last bool) error {
+	// One output file per chunk: within a chunk, emission follows the probe
+	// scan (ascending seq) then the tail (ascending past-the-probes tags), so
+	// each file is ascending — the merger's invariant. A shared file would
+	// interleave chunk rounds and break it.
+	h.d.cut()
+	multiChunk := h.chunk > 0 || !last
+	// Chunk tags saturate at joinChunkMask: beyond ~1M chunks per partition
+	// ordering among a probe's own matches could degrade, but each chunk holds
+	// at least minBufferRows rows so that is unreachable for any input the row
+	// budget admits.
+	tag := h.chunk
+	if tag > joinChunkMask {
+		tag = joinChunkMask
 	}
-	if bf != nil {
-		if err := bf.StartRead(); err != nil {
-			return err
-		}
+	if h.outRow == nil {
+		h.outRow = make(value.Row, len(h.out.cols))
 	}
-	last, err := loadChunk()
-	if err != nil {
-		return err
-	}
-	if !last && multiKey && level < maxSpillLevel {
-		// Over budget with separable keys: re-partition both halves a level
-		// deeper (rerouteJoinFile rewinds bf, discarding the partial chunk)
-		// and recurse per sub-pair.
-		tbl, ords, pending = buildTable{}, nil, nil
-		acct.releaseAll()
-		pool := ctx.Mem.Pool()
-		subBuild := newPartitionSet(pool, &h.reg, level)
-		subProbe := newPartitionSet(pool, &h.reg, level)
-		if err := rerouteJoinFile(bf, subBuild, ctx.tick); err != nil {
-			return err
-		}
-		if err := rerouteJoinFile(pf, subProbe, ctx.tick); err != nil {
-			return err
-		}
-		for i := 0; i < spillPartitions; i++ {
-			if err := h.joinPartition(subBuild.files[i], subProbe.files[i], level+1, tailBase, outputs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// emit appends one output row, already in its final shape: projecting
 	// before the record is encoded keeps the columns the projection above the
 	// join drops out of the spilled outputs too.
-	var out *spill.File
-	var outRec []byte
-	outRow := make(value.Row, len(h.out.cols))
 	emit := func(seq uint64, l, r value.Row) error {
-		if out == nil {
-			f, err := ctx.Mem.Pool().Create()
+		return h.d.emit(seq, h.out.fill(h.outRow, l, r))
+	}
+	h.table.index()
+	var pos uint64
+	err := h.d.scan(h.probe, func(rec []byte) error {
+		pos++
+		seq, hashable, key, probe, err := decodeJoinRec(rec)
+		if err != nil {
+			return err
+		}
+		before := multiChunk && h.getSeen(pos-1) // matched in an earlier chunk
+		if before && h.p.firstMatchEnds() {
+			return nil // already resolved there
+		}
+		h.startProbe(probe, key, hashable)
+		for h.p.row != nil {
+			l, r, ok, err := h.nextOutput(last && !before)
 			if err != nil {
 				return err
 			}
-			h.reg.add(f)
-			*outputs = append(*outputs, f)
-			out = f
-		}
-		outRec = appendSeqRow(outRec[:0], seq, h.out.fill(outRow, l, r))
-		return out.Append(outRec)
-	}
-
-	// seen is the cross-chunk probe-matched bitmap, indexed by the probe
-	// row's position in this partition's file (identical on every scan).
-	// Only a multi-chunk partition allocates it. Its words are charged to
-	// bmAcct, which lives for the whole partition.
-	bmAcct := memAcct{ctx: ctx}
-	defer bmAcct.releaseAll()
-	var seen []uint64
-	setSeen := func(p uint64) {
-		w := p >> 6
-		for uint64(len(seen)) <= w {
-			seen = append(seen, 0)
-			bmAcct.grow(8)
-		}
-		seen[w] |= 1 << (p & 63)
-	}
-	getSeen := func(p uint64) bool {
-		w := p >> 6
-		return w < uint64(len(seen)) && seen[w]&(1<<(p&63)) != 0
-	}
-
-	var comb value.Row
-	chunk := uint64(0)
-	for {
-		// One output file per chunk: within a chunk, emission follows the
-		// probe scan (ascending seq) then the tail (ascending past-the-probes
-		// tags), so each file is ascending — the merger's invariant. A shared
-		// file would interleave chunk rounds and break it.
-		out = nil
-		multiChunk := chunk > 0 || !last
-		// Chunk tags saturate at joinChunkMask: beyond ~1M chunks per
-		// partition ordering among a probe's own matches could degrade, but
-		// each chunk holds at least minBufferRows rows so that is unreachable
-		// for any input the row budget admits.
-		chunkTag := chunk
-		if chunkTag > joinChunkMask {
-			chunkTag = joinChunkMask
-		}
-		tbl.index()
-		if pf != nil {
-			if err := pf.StartRead(); err != nil {
-				return err
-			}
-			var pos uint64
-			for {
-				if err := ctx.tick(); err != nil {
+			if ok {
+				if err := emit(seq<<joinSeqShift|tag, l, r); err != nil {
 					return err
-				}
-				rec, err := pf.Next()
-				if err != nil {
-					return err
-				}
-				if rec == nil {
-					break
-				}
-				pos++
-				seq, hashable, key, probe, err := decodeJoinRec(rec)
-				if err != nil {
-					return err
-				}
-				if (kind == algebra.JoinSemi || kind == algebra.JoinAnti) && multiChunk && getSeen(pos-1) {
-					continue // match already resolved in an earlier chunk
-				}
-				matched := false
-				if hashable {
-				matchLoop:
-					for bi := tbl.first(key); bi >= 0; bi = tbl.next[bi] {
-						if !tbl.matches(bi, key) {
-							continue
-						}
-						br := &tbl.rows[bi]
-						if h.cond != nil {
-							ok, err := h.cond(combineScratch(&comb, probe, br.row), ctx)
-							if err != nil {
-								return err
-							}
-							if !ok {
-								continue
-							}
-						}
-						matched = true
-						br.matched = true
-						switch kind {
-						case algebra.JoinSemi:
-							if err := emit(seq<<joinSeqShift|chunkTag, probe, nil); err != nil {
-								return err
-							}
-							break matchLoop
-						case algebra.JoinAnti:
-							break matchLoop
-						default:
-							if err := emit(seq<<joinSeqShift|chunkTag, probe, br.row); err != nil {
-								return err
-							}
-						}
-					}
-				}
-				if matched && multiChunk {
-					setSeen(pos - 1)
-				}
-				if !matched && last && probeAlone && !(multiChunk && getSeen(pos-1)) {
-					// Unmatched across every chunk: LEFT/FULL null-pad, ANTI
-					// passes the probe through.
-					if err := emit(seq<<joinSeqShift|chunkTag, probe, nil); err != nil {
-						return err
-					}
 				}
 			}
 		}
-		if wantTail {
-			for i := range tbl.rows {
-				if !tbl.rows[i].matched {
-					if err := emit((tailBase+ords[i])<<joinSeqShift, nil, tbl.rows[i].row); err != nil {
-						return err
-					}
+		if h.p.matched && multiChunk {
+			h.setSeen(pos - 1)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if h.p.buildTail() {
+		for i := range h.table.rows {
+			if !h.table.rows[i].matched {
+				if err := emit((h.nProbe+h.ords[i])<<joinSeqShift, nil, h.table.rows[i].row); err != nil {
+					return err
 				}
 			}
 		}
-		if last {
-			break
-		}
-		chunk++
-		if last, err = loadChunk(); err != nil {
-			return err
-		}
 	}
-	if bf != nil {
-		if err := bf.Close(); err != nil {
-			return err
-		}
-	}
-	if pf != nil {
-		if err := pf.Close(); err != nil {
-			return err
-		}
-	}
+	h.table.reset()
+	h.ords = h.ords[:0]
+	h.acct.releaseAll()
+	h.chunk++
 	return nil
+}
+
+func (h *hashJoinIter) setSeen(p uint64) {
+	w := p >> 6
+	for uint64(len(h.seen)) <= w {
+		h.seen = append(h.seen, 0)
+		h.bmAcct.grow(8)
+	}
+	h.seen[w] |= 1 << (p & 63)
+}
+
+func (h *hashJoinIter) getSeen(p uint64) bool {
+	w := p >> 6
+	return w < uint64(len(h.seen)) && h.seen[w]&(1<<(p&63)) != 0
 }

@@ -173,7 +173,7 @@ type sortIter struct {
 	keyExprs []compiledExpr
 	acct     memAcct
 	reg      fileReg
-	merger   *runMerger
+	merger   *merger
 }
 
 type sortKeyed struct {
@@ -213,11 +213,10 @@ func (s *sortIter) Open(ctx *Context) error {
 	// flushRun sorts the buffered batch and writes it out as one run.
 	flushRun := func() error {
 		sortBatch(all)
-		f, err := ctx.Mem.Pool().Create()
+		f, err := s.reg.create(ctx)
 		if err != nil {
 			return err
 		}
-		s.reg.add(f)
 		runs = append(runs, f)
 		for _, k := range all {
 			rec = runRecord(rec[:0], k.keys, k.row)
@@ -231,22 +230,7 @@ func (s *sortIter) Open(ctx *Context) error {
 		return nil
 	}
 
-	total := 0
-	for {
-		if err := ctx.tick(); err != nil {
-			return err
-		}
-		row, err := s.input.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		total++
-		if ctx.RowBudget > 0 && total > int(ctx.RowBudget) {
-			return fmt.Errorf("executor: sort input exceeds row budget of %d rows", ctx.RowBudget)
-		}
+	err := drainRows(ctx, s.input, func(row value.Row) error {
 		keys := make(value.Row, len(keyExprs))
 		for i, ke := range keyExprs {
 			v, err := ke(row, ctx)
@@ -266,10 +250,12 @@ func (s *sortIter) Open(ctx *Context) error {
 		// and pays merge passes over all of them.
 		if s.acct.spillable() && s.acct.over() && len(all) >= minSortRunRows &&
 			batchBytes >= sortRunTargetBytes(ctx.Mem.Budget()) {
-			if err := flushRun(); err != nil {
-				return err
-			}
+			return flushRun()
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	if len(runs) == 0 {
@@ -288,12 +274,8 @@ func (s *sortIter) Open(ctx *Context) error {
 			return err
 		}
 	}
-	m, err := newRunMerger(ctx, &s.reg, s.op.Keys, runs)
-	if err != nil {
-		return err
-	}
-	s.merger = m
-	return nil
+	s.merger, err = newMerger(ctx, &s.reg, runOrder(s.op.Keys), runs)
+	return err
 }
 
 func (s *sortIter) Next() (value.Row, error) {
@@ -364,42 +346,29 @@ func (l *limitIter) Close() error { return l.input.Close() }
 // past the budget it freezes the seen keys to disk and grace-partitions the
 // remainder (see dedupState), producing the same rows in the same order.
 type distinctIter struct {
-	input  iterator
-	dedup  *dedupState
-	reg    fileReg
-	merger *seqMerger
-	done   bool
+	input iterator
+	dedup dedupState
+	done  bool // input exhausted: what is left comes from the partitions
 }
 
 func (d *distinctIter) Open(ctx *Context) error {
-	d.release()
-	d.dedup = newDedupState(ctx, &d.reg)
+	d.done = false
+	d.dedup.start(ctx)
 	return d.input.Open(ctx)
 }
 
 func (d *distinctIter) Next() (value.Row, error) {
-	for {
-		if d.merger != nil {
-			return d.merger.Next()
-		}
-		if d.done {
-			return nil, nil
-		}
+	for !d.done {
 		row, err := d.input.Next()
 		if err != nil {
 			return nil, err
 		}
 		if row == nil {
 			d.done = true
-			m, err := d.dedup.finish()
-			if err != nil {
+			if err := d.dedup.d.finish(); err != nil {
 				return nil, err
 			}
-			if m == nil {
-				return nil, nil
-			}
-			d.merger = m
-			continue
+			break
 		}
 		emit, err := d.dedup.offer(row)
 		if err != nil {
@@ -409,21 +378,70 @@ func (d *distinctIter) Next() (value.Row, error) {
 			return row, nil
 		}
 	}
-}
-
-// release drops all dedup state, accounting, and spill files.
-func (d *distinctIter) release() {
-	d.merger.Close()
-	d.merger = nil
-	d.reg.closeAll()
-	d.dedup.release()
-	d.dedup = nil
-	d.done = false
+	return d.dedup.d.Next()
 }
 
 func (d *distinctIter) Close() error {
-	d.release()
+	d.dedup.release()
 	return d.input.Close()
+}
+
+// --- Concat --------------------------------------------------------------------
+
+// concatIter is UNION ALL: the left input's rows, then the right's. Under a
+// distinctIter it is UNION DISTINCT.
+type concatIter struct {
+	left, right iterator
+	onRight     bool
+}
+
+func (c *concatIter) Open(ctx *Context) error {
+	c.onRight = false
+	if err := c.left.Open(ctx); err != nil {
+		return err
+	}
+	return c.right.Open(ctx)
+}
+
+func (c *concatIter) Next() (value.Row, error) {
+	if !c.onRight {
+		if row, err := c.left.Next(); err != nil || row != nil {
+			return row, err
+		}
+		c.onRight = true
+	}
+	return c.right.Next()
+}
+
+func (c *concatIter) Close() error {
+	c.left.Close()
+	return c.right.Close()
+}
+
+// --- draining -------------------------------------------------------------------
+
+// drainRows pulls src to its end, handing each row to fn. Every operator that
+// consumes a whole input before it emits runs its input through here, so this
+// is the one place such a loop polls for cancellation (it emits nothing the
+// materialization polls could see) and counts against the row budget.
+func drainRows(ctx *Context, src interface{ Next() (value.Row, error) }, fn func(value.Row) error) error {
+	n := 0
+	for {
+		if err := ctx.tick(); err != nil {
+			return err
+		}
+		row, err := src.Next()
+		if err != nil || row == nil {
+			return err
+		}
+		n++
+		if ctx.RowBudget > 0 && n > int(ctx.RowBudget) {
+			return fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
+		}
+		if err := fn(row); err != nil {
+			return err
+		}
+	}
 }
 
 // reopenAndDrain runs a prebuilt iterator tree to completion under the
@@ -435,36 +453,18 @@ func reopenAndDrain(it iterator, ctx *Context) ([]value.Row, error) {
 	if err := it.Open(ctx); err != nil {
 		return nil, err
 	}
-	return drain(it, ctx)
-}
-
-// drain materializes an iterator (caller must have opened it); it closes the
-// iterator when done.
-func drain(it iterator, ctx *Context) ([]value.Row, error) {
 	defer it.Close()
 	var rows []value.Row
-	for {
-		row, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return rows, nil
-		}
+	if err := drainRows(ctx, it, func(row value.Row) error {
 		rows = append(rows, row)
-		if ctx.RowBudget > 0 && len(rows) > int(ctx.RowBudget) {
-			return nil, fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
-		}
-		if len(rows)&interruptMask == 0 {
-			if err := ctx.interrupted(); err != nil {
-				return nil, err
-			}
-		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	return rows, nil
 }
 
-// interruptMask spaces the cancellation polls in the materialization loops:
-// the channel select runs once every interruptMask+1 rows, which keeps the
-// per-row overhead unmeasurable while still canceling runaway provenance
-// joins within microseconds.
+// interruptMask spaces the cancellation polls: the channel select runs once
+// every interruptMask+1 rows, which keeps the per-row overhead unmeasurable
+// while still canceling runaway provenance joins within microseconds.
 const interruptMask = 255

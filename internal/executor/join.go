@@ -2,7 +2,6 @@ package executor
 
 import (
 	"bytes"
-	"fmt"
 	"hash/maphash"
 
 	"perm/internal/algebra"
@@ -248,6 +247,57 @@ func (e *joinEmit) fill(dst, l, r value.Row) value.Row {
 	return dst
 }
 
+// --- one probe step ---------------------------------------------------------------
+
+// probeState follows one probe row through its candidate build rows. Both
+// join operators drive it — the hash join from a bucket chain, the nested
+// loop from its whole build side — and it is the one place the join kind
+// decides what a match, or the lack of one, emits.
+type probeState struct {
+	kind    algebra.JoinKind
+	row     value.Row // the probe row in flight; nil between probes
+	matched bool      // a candidate qualified
+	done    bool      // no further candidate can change the outcome
+}
+
+func (p *probeState) start(row value.Row) { p.row, p.matched, p.done = row, false, false }
+
+// match records a qualifying candidate and reports whether probe⧺candidate is
+// an output row. (A semi join's output row is the probe alone, which is what
+// its joinEmit makes of any pair.)
+func (p *probeState) match() (emit bool) {
+	p.matched = true
+	switch p.kind {
+	case algebra.JoinSemi:
+		p.done = true // emit the probe once, skip the rest
+	case algebra.JoinAnti:
+		p.done = true // a match disqualifies the probe row
+		return false
+	}
+	return true
+}
+
+// alone reports whether the probe row, having met every candidate, is an
+// output row by itself.
+func (p *probeState) alone() bool { return !p.matched && p.keepsUnmatched() }
+
+// keepsUnmatched: the join emits a probe row that matched nothing —
+// null-padded by LEFT/FULL, passed through by ANTI.
+func (p *probeState) keepsUnmatched() bool {
+	return p.kind == algebra.JoinLeft || p.kind == algebra.JoinFull || p.kind == algebra.JoinAnti
+}
+
+// firstMatchEnds: one match settles the probe row (SEMI, ANTI).
+func (p *probeState) firstMatchEnds() bool {
+	return p.kind == algebra.JoinSemi || p.kind == algebra.JoinAnti
+}
+
+// buildTail: once the probes are through, the join emits the build rows that
+// matched nothing, null-padded (FULL, RIGHT).
+func (p *probeState) buildTail() bool {
+	return p.kind == algebra.JoinFull || p.kind == algebra.JoinRight
+}
+
 // --- hash join -------------------------------------------------------------------
 
 type hashJoinIter struct {
@@ -265,26 +315,26 @@ type hashJoinIter struct {
 	cond     compiledPred // nil when the join has no condition
 
 	table buildTable
-	// keyScratch is the reusable key-encoding buffer (zero allocs per probe);
-	// between probes it holds the current probe's key.
+	// keyScratch is the reusable key-encoding buffer (zero allocs per probe).
 	keyScratch []byte
 	// comb is the reusable probe⧺build scratch row the residual condition is
 	// evaluated on; it never leaves the iterator.
 	comb value.Row
-	// current probe state: cur is the next candidate of the probe's chain
-	curProbe   value.Row
-	cur        int32
-	curMatched bool
+	// current probe state: its key, and cur, the next candidate of its chain
+	p        probeState
+	probeKey []byte
+	cur      int32
 	// full-join tail state
 	tailIdx int
 	inTail  bool
 	done    bool
-	// spill state: the build side is charged against work_mem; past the
-	// budget the whole join switches to grace partitioning (gracejoin.go) and
-	// the output streams from the merger instead of the probe loop.
-	acct   memAcct
-	reg    fileReg
-	merger *seqMerger
+	// The build side is charged against work_mem. Past the budget the whole
+	// join switches to grace partitioning (gracejoin.go): the driver joins
+	// partition by partition and the output streams from its merger instead
+	// of the probe loop.
+	acct memAcct
+	d    graceDriver
+	graceJoin
 }
 
 func (h *hashJoinIter) Open(ctx *Context) error {
@@ -292,8 +342,9 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	h.ctx = ctx
 	h.inTail, h.done = false, false
 	h.tailIdx = 0
-	h.curProbe = nil
+	h.p = probeState{kind: h.op.Kind}
 	h.acct.ctx = ctx
+	h.d.start(ctx, h)
 	if h.leftKey == nil {
 		h.leftKey = make([]compiledExpr, len(h.keys))
 		h.rightKey = make([]compiledExpr, len(h.keys))
@@ -312,41 +363,34 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	}
 	// Stream the build side in, charging every retained row (its payload, its
 	// key bytes, and the struct/bucket overhead). The moment the budget is
-	// crossed the join hands the buffered prefix — and both remaining inputs —
-	// to the grace path, which finishes on disk.
-	total := 0
-	for {
-		if err := ctx.tick(); err != nil {
-			h.right.Close()
-			return err
-		}
-		row, err := h.right.Next()
-		if err != nil {
-			h.right.Close()
-			return err
-		}
-		if row == nil {
-			break
-		}
-		total++
-		if ctx.RowBudget > 0 && total > int(ctx.RowBudget) {
-			h.right.Close()
-			return fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
-		}
+	// crossed the buffered prefix moves to the grace partitions, and the rest
+	// of the build input follows it there row by row.
+	nBuild := uint64(0)
+	err := drainRows(ctx, h.right, func(row value.Row) error {
 		key, hashable, err := h.appendKey(h.keyScratch[:0], row, h.rightKey)
 		h.keyScratch = key
 		if err != nil {
-			h.right.Close()
 			return err
 		}
-		h.acct.grow(h.table.add(row, key, hashable))
-		if h.acct.spillable() && h.acct.over() && len(h.table.rows) >= minBufferRows {
-			return h.openGrace(total)
+		nBuild++
+		if h.d.spilled() {
+			return h.routeRow(0, nBuild-1, hashable, key, row)
 		}
-	}
+		h.acct.grow(h.table.add(row, key, hashable))
+		if h.d.overflow(&h.acct, len(h.table.rows), minBufferRows) {
+			return h.spillTable()
+		}
+		return nil
+	})
 	h.right.Close()
+	if err != nil {
+		return err
+	}
 	if ctx.owner != nil {
-		ctx.owner.BuildRows = int64(len(h.table.rows))
+		ctx.owner.BuildRows = int64(nBuild)
+	}
+	if h.d.spilled() {
+		return h.openGrace()
 	}
 	h.table.index()
 	return h.left.Open(ctx)
@@ -383,11 +427,54 @@ func combineScratch(scratch *value.Row, l, r value.Row) value.Row {
 	return c
 }
 
+// startProbe makes row the probe in flight. key is only read while the probe
+// lasts; an unhashable probe has no candidates.
+func (h *hashJoinIter) startProbe(row value.Row, key []byte, hashable bool) {
+	h.p.start(row)
+	h.probeKey, h.cur = key, -1
+	if hashable {
+		h.cur = h.table.first(key)
+	}
+}
+
+// nextOutput advances the probe in flight to its next output row, l⧺r with a
+// nil r reading as NULLs; ok=false means the probe ended without another. It
+// walks the probe's bucket chain in the table, which holds the whole build
+// side or — for a grace partition joined in chunks — one chunk of it. Only
+// when the table holds the last of the build rows this probe can meet may
+// resolve be set, so that a probe left without a match emits alone.
+func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err error) {
+	p := &h.p
+	for h.cur >= 0 && !p.done {
+		bi := h.cur
+		h.cur = h.table.next[bi]
+		if !h.table.matches(bi, h.probeKey) {
+			continue
+		}
+		br := &h.table.rows[bi]
+		if h.cond != nil {
+			ok, err := h.cond(combineScratch(&h.comb, p.row, br.row), h.ctx)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		br.matched = true
+		if p.match() {
+			return p.row, br.row, true, nil
+		}
+	}
+	l, p.row = p.row, nil
+	return l, nil, resolve && p.alone(), nil
+}
+
 func (h *hashJoinIter) Next() (value.Row, error) {
-	if h.merger != nil {
+	if h.d.spilled() {
 		// Grace path: the join already ran partition by partition; the merger
 		// replays the outputs in exact serial emission order.
-		return h.merger.Next()
+		return h.d.Next()
 	}
 	for {
 		// Poll for cancellation: a probe stream that never matches loops here
@@ -410,91 +497,42 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 			h.done = true
 			return nil, nil
 		}
-		if h.curProbe == nil {
+		if h.p.row == nil {
 			probe, err := h.left.Next()
 			if err != nil {
 				return nil, err
 			}
 			if probe == nil {
-				if h.op.Kind == algebra.JoinFull || h.op.Kind == algebra.JoinRight {
+				if h.p.buildTail() {
 					h.inTail = true
 					continue
 				}
 				h.done = true
 				return nil, nil
 			}
-			h.curProbe = probe
-			h.curMatched = false
 			key, hashable, err := h.appendKey(h.keyScratch[:0], probe, h.leftKey)
 			h.keyScratch = key
 			if err != nil {
 				return nil, err
 			}
-			h.cur = -1
-			if hashable {
-				h.cur = h.table.first(key)
-			}
+			h.startProbe(probe, key, hashable)
 		}
-		// Walk the probe's chain.
-		for h.cur >= 0 {
-			bi := h.cur
-			h.cur = h.table.next[bi]
-			if !h.table.matches(bi, h.keyScratch) {
-				continue
-			}
-			br := &h.table.rows[bi]
-			if h.cond != nil {
-				ok, err := h.cond(combineScratch(&h.comb, h.curProbe, br.row), h.ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			h.curMatched = true
-			br.matched = true
-			switch h.op.Kind {
-			case algebra.JoinSemi:
-				// Emit probe once, skip the rest.
-				probe := h.curProbe
-				h.curProbe = nil
-				return probe, nil
-			case algebra.JoinAnti:
-				// A match disqualifies the probe row.
-				h.curProbe = nil
-				goto nextProbe
-			default:
-				return h.out.row(h.curProbe, br.row), nil
-			}
+		l, r, ok, err := h.nextOutput(true)
+		if err != nil {
+			return nil, err
 		}
-		// Probe exhausted its matches.
-		{
-			probe := h.curProbe
-			matched := h.curMatched
-			h.curProbe = nil
-			switch h.op.Kind {
-			case algebra.JoinLeft, algebra.JoinFull:
-				if !matched {
-					return h.out.row(probe, nil), nil
-				}
-			case algebra.JoinAnti:
-				if !matched {
-					return probe, nil
-				}
-			}
+		if ok {
+			return h.out.row(l, r), nil
 		}
-	nextProbe:
 	}
 }
 
-// release drops the build table, merger, spill files and accounted bytes.
+// release drops the build table, grace state, spill files and accounted bytes.
 func (h *hashJoinIter) release() {
 	h.table = buildTable{}
-	h.merger.Close()
-	h.merger = nil
-	h.reg.closeAll()
+	h.graceJoin = graceJoin{}
 	h.acct.releaseAll()
+	h.d.release()
 }
 
 func (h *hashJoinIter) Close() error {
@@ -512,35 +550,68 @@ type nlJoinIter struct {
 	ctx   *Context
 	cond  compiledPred
 
-	rightRows []buildRow
-	// Spill state: once the materialized right side crosses work_mem, every
-	// further row appends to one spill file in insertion order and probes
-	// stream the file after scanning the resident prefix — emission order is
-	// identical to the fully resident loop. spillMatched mirrors
-	// buildRow.matched for spilled rows, indexed by file ordinal.
-	acct         memAcct
-	reg          fileReg
-	spillFile    *spill.File
-	spillMatched []bool
+	// build is the materialized right side, which every probe row (and then
+	// the FULL/RIGHT tail) walks in insertion order.
+	build nlBuild
+	acct  memAcct
+	reg   fileReg
 
-	comb       value.Row
-	curProbe   value.Row
-	curIdx     int
-	curMatch   bool
-	inFile     bool
-	fileOrd    int
-	inTail     bool
-	tailIdx    int
-	tailInFile bool
-	done       bool
+	comb   value.Row
+	p      probeState
+	inTail bool
+	done   bool
+}
+
+// nlBuild is the nested loop's build side and the cursor over it. Once the
+// materialized rows cross work_mem, every further row appends to one spill
+// file in insertion order, and a walk streams the file after the resident
+// prefix — the same candidates in the same order as a fully resident loop.
+type nlBuild struct {
+	rows []buildRow
+	file *spill.File
+	// fileMatched mirrors buildRow.matched for spilled rows, by file ordinal.
+	fileMatched []bool
+	// cursor: pos counts the candidates handed out since rewind
+	pos int
+}
+
+func (b *nlBuild) rewind() { b.pos = 0 }
+
+// next returns the next candidate and its matched flag, a nil row at the end.
+// It polls for cancellation per candidate: one probe row can scan the whole
+// build side without a match.
+func (b *nlBuild) next(ctx *Context) (value.Row, *bool, error) {
+	if err := ctx.tick(); err != nil {
+		return nil, nil, err
+	}
+	i := b.pos
+	b.pos++
+	if i < len(b.rows) {
+		return b.rows[i].row, &b.rows[i].matched, nil
+	}
+	if i -= len(b.rows); i >= len(b.fileMatched) {
+		return nil, nil, nil
+	}
+	if i == 0 {
+		// The file position carries across emitted rows; only a rewind
+		// restarts it.
+		if err := b.file.StartRead(); err != nil {
+			return nil, nil, err
+		}
+	}
+	rec, err := b.file.Next()
+	if err != nil {
+		return nil, nil, err
+	}
+	row, _, err := spill.DecodeRow(rec)
+	return row, &b.fileMatched[i], err
 }
 
 func (n *nlJoinIter) Open(ctx *Context) error {
 	n.release()
 	n.ctx = ctx
-	n.done, n.inTail, n.inFile, n.tailInFile = false, false, false, false
-	n.tailIdx, n.fileOrd = 0, 0
-	n.curProbe = nil
+	n.done, n.inTail = false, false
+	n.p = probeState{kind: n.op.Kind}
 	n.acct.ctx = ctx
 	if n.cond == nil && n.op.Cond != nil {
 		n.cond = compilePred(n.op.Cond)
@@ -548,236 +619,96 @@ func (n *nlJoinIter) Open(ctx *Context) error {
 	if err := n.right.Open(ctx); err != nil {
 		return err
 	}
+	b := &n.build
 	var rec []byte
-	total := 0
-	for {
-		if err := ctx.tick(); err != nil {
-			n.right.Close()
-			return err
-		}
-		row, err := n.right.Next()
-		if err != nil {
-			n.right.Close()
-			return err
-		}
-		if row == nil {
-			break
-		}
-		total++
-		if ctx.RowBudget > 0 && total > int(ctx.RowBudget) {
-			n.right.Close()
-			return fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
-		}
-		if n.spillFile == nil && n.acct.spillable() && n.acct.over() && len(n.rightRows) >= minBufferRows {
-			f, err := ctx.Mem.Pool().Create()
-			if err != nil {
-				n.right.Close()
+	err := drainRows(ctx, n.right, func(row value.Row) (err error) {
+		if b.file == nil && n.acct.spillable() && n.acct.over() && len(b.rows) >= minBufferRows {
+			if b.file, err = n.reg.create(ctx); err != nil {
 				return err
 			}
-			n.reg.add(f)
-			n.spillFile = f
 		}
-		if n.spillFile != nil {
-			rec = spill.AppendRow(rec[:0], row)
-			if err := n.spillFile.Append(rec); err != nil {
-				n.right.Close()
-				return err
-			}
-			n.spillMatched = append(n.spillMatched, false)
-			n.acct.grow(1) // the matched flag stays resident per spilled row
-		} else {
-			n.rightRows = append(n.rightRows, buildRow{row: row})
+		if b.file == nil {
+			b.rows = append(b.rows, buildRow{row: row})
 			n.acct.grow(rowBytes(row) + buildRowFixedBytes)
+			return nil
 		}
-	}
+		b.fileMatched = append(b.fileMatched, false)
+		n.acct.grow(1) // the matched flag stays resident per spilled row
+		rec = spill.AppendRow(rec[:0], row)
+		return b.file.Append(rec)
+	})
 	n.right.Close()
+	if err != nil {
+		return err
+	}
 	if ctx.owner != nil {
-		ctx.owner.BuildRows = int64(total)
+		ctx.owner.BuildRows = int64(len(b.rows) + len(b.fileMatched))
 	}
 	return n.left.Open(ctx)
 }
 
-// matches evaluates the join condition on probe⧺row.
-func (n *nlJoinIter) matches(row value.Row) (bool, error) {
-	if n.cond == nil {
-		return true, nil
-	}
-	return n.cond(combineScratch(&n.comb, n.curProbe, row), n.ctx)
-}
-
 func (n *nlJoinIter) Next() (value.Row, error) {
-	for {
-		if err := n.ctx.tick(); err != nil {
-			return nil, err
-		}
-		if n.done {
-			return nil, nil
-		}
+	for !n.done {
 		if n.inTail {
-			for n.tailIdx < len(n.rightRows) {
-				br := &n.rightRows[n.tailIdx]
-				n.tailIdx++
-				if !br.matched {
-					return n.out.row(nil, br.row), nil
-				}
+			// FULL/RIGHT JOIN: emit unmatched build-side rows null-padded.
+			row, matched, err := n.build.next(n.ctx)
+			if err != nil {
+				return nil, err
 			}
-			if n.spillFile != nil {
-				if !n.tailInFile {
-					if err := n.spillFile.StartRead(); err != nil {
-						return nil, err
-					}
-					n.tailInFile = true
-					n.fileOrd = 0
-				}
-				for {
-					if err := n.ctx.tick(); err != nil {
-						return nil, err
-					}
-					rec, err := n.spillFile.Next()
-					if err != nil {
-						return nil, err
-					}
-					if rec == nil {
-						break
-					}
-					ord := n.fileOrd
-					n.fileOrd++
-					if n.spillMatched[ord] {
-						continue
-					}
-					row, _, err := spill.DecodeRow(rec)
-					if err != nil {
-						return nil, err
-					}
-					return n.out.row(nil, row), nil
-				}
+			if row == nil {
+				n.done = true
+			} else if !*matched {
+				return n.out.row(nil, row), nil
 			}
-			n.done = true
-			return nil, nil
+			continue
 		}
-		if n.curProbe == nil {
+		if n.p.row == nil {
 			probe, err := n.left.Next()
 			if err != nil {
 				return nil, err
 			}
+			n.build.rewind()
 			if probe == nil {
-				if n.op.Kind == algebra.JoinFull || n.op.Kind == algebra.JoinRight {
-					n.inTail = true
-					continue
-				}
-				n.done = true
-				return nil, nil
+				n.inTail = n.p.buildTail()
+				n.done = !n.inTail
+				continue
 			}
-			n.curProbe = probe
-			n.curIdx = 0
-			n.inFile = false
-			n.curMatch = false
+			n.p.start(probe)
 		}
-		if !n.inFile {
-			for n.curIdx < len(n.rightRows) {
-				// Per-candidate poll: one probe row can scan the whole right side
-				// without a match, so the outer-loop poll alone is not enough.
-				if err := n.ctx.tick(); err != nil {
-					return nil, err
-				}
-				br := &n.rightRows[n.curIdx]
-				n.curIdx++
-				ok, err := n.matches(br.row)
+		for !n.p.done {
+			row, matched, err := n.build.next(n.ctx)
+			if err != nil {
+				return nil, err
+			}
+			if row == nil {
+				break
+			}
+			if n.cond != nil {
+				ok, err := n.cond(combineScratch(&n.comb, n.p.row, row), n.ctx)
 				if err != nil {
 					return nil, err
 				}
 				if !ok {
 					continue
 				}
-				n.curMatch = true
-				br.matched = true
-				switch n.op.Kind {
-				case algebra.JoinSemi:
-					probe := n.curProbe
-					n.curProbe = nil
-					return probe, nil
-				case algebra.JoinAnti:
-					n.curProbe = nil
-					goto nextProbe
-				default:
-					return n.out.row(n.curProbe, br.row), nil
-				}
 			}
-			if n.spillFile != nil {
-				// Resident prefix exhausted: stream the spilled suffix in
-				// insertion order (the file position carries across emitted
-				// rows; only a new probe rewinds it).
-				if err := n.spillFile.StartRead(); err != nil {
-					return nil, err
-				}
-				n.inFile = true
-				n.fileOrd = 0
+			*matched = true
+			if n.p.match() {
+				return n.out.row(n.p.row, row), nil
 			}
 		}
-		if n.inFile {
-			for {
-				if err := n.ctx.tick(); err != nil {
-					return nil, err
-				}
-				rec, err := n.spillFile.Next()
-				if err != nil {
-					return nil, err
-				}
-				if rec == nil {
-					break
-				}
-				ord := n.fileOrd
-				n.fileOrd++
-				row, _, err := spill.DecodeRow(rec)
-				if err != nil {
-					return nil, err
-				}
-				ok, err := n.matches(row)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				n.curMatch = true
-				n.spillMatched[ord] = true
-				switch n.op.Kind {
-				case algebra.JoinSemi:
-					probe := n.curProbe
-					n.curProbe = nil
-					return probe, nil
-				case algebra.JoinAnti:
-					n.curProbe = nil
-					goto nextProbe
-				default:
-					return n.out.row(n.curProbe, row), nil
-				}
-			}
+		probe := n.p.row
+		n.p.row = nil
+		if n.p.alone() {
+			return n.out.row(probe, nil), nil
 		}
-		{
-			probe := n.curProbe
-			matched := n.curMatch
-			n.curProbe = nil
-			switch n.op.Kind {
-			case algebra.JoinLeft, algebra.JoinFull:
-				if !matched {
-					return n.out.row(probe, nil), nil
-				}
-			case algebra.JoinAnti:
-				if !matched {
-					return probe, nil
-				}
-			}
-		}
-	nextProbe:
 	}
+	return nil, nil
 }
 
 // release drops the materialized right side, spill file and accounted bytes.
 func (n *nlJoinIter) release() {
-	n.rightRows = nil
-	n.spillMatched = nil
-	n.spillFile = nil
+	n.build = nlBuild{}
 	n.reg.closeAll()
 	n.acct.releaseAll()
 }

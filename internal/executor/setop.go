@@ -1,375 +1,233 @@
 package executor
 
 import (
-	"fmt"
-
 	"perm/internal/algebra"
 	"perm/internal/spill"
 	"perm/internal/value"
 )
 
-// setOpIter implements UNION/INTERSECT/EXCEPT in both bag (ALL) and set
-// (DISTINCT) semantics. UNION ALL streams; UNION DISTINCT streams through
-// the spillable dedup filter (see dedup.go); INTERSECT/EXCEPT buffer both
-// sides under the session budget and grace-partition past it: both sides
-// hash-partition by row key into paired files, each pair resolves with the
-// in-memory count-map algorithm (recursing a level deeper when a pair is
-// itself over budget), and the sequence-tagged outputs merge back into left
-// input order — byte-identical to the in-memory path.
+// setOpIter implements INTERSECT and EXCEPT in both bag (ALL) and set
+// (DISTINCT) semantics. (UNION is a concatIter, under a distinctIter for
+// UNION DISTINCT.) Both sides buffer under the session budget and the
+// count-map fold runs over the buffers: count the right side's rows by key,
+// then stream the left side through the counts in input order. Past the
+// budget both sides hash-partition by row key into paired files instead, the
+// grace driver runs the same fold over each pair (re-partitioning a pair that
+// is itself over budget a level deeper), and the sequence-tagged outputs
+// merge back into left input order — byte-identical to the in-memory path.
 type setOpIter struct {
 	op    *algebra.SetOp
 	left  iterator
 	right iterator
-	ctx   *Context
-
-	// streaming state for UNION ALL / UNION DISTINCT
-	onRight    bool
-	dedup      *dedupState // non-nil for UNION DISTINCT
-	streamDone bool
-	// materialized output for in-memory INTERSECT/EXCEPT
-	out []value.Row
-	pos int
-	// mode
-	streaming bool
-	// scratch is the reusable row-key buffer; map lookups via string(scratch)
-	// do not allocate.
-	scratch []byte
-	// spill state
-	acct   memAcct
-	reg    fileReg
-	merger *seqMerger
+	d     graceDriver
+	acct  memAcct
+	// The fold's input: the level-0 buffers, or — folding a partition — the
+	// right file through add and the left file, probe, in finish.
+	lbuf, rbuf []value.Row
+	probe      *spill.File
+	algo       *setAlgo
+	// scratch is the reusable row-key buffer (map lookups via string(scratch)
+	// do not allocate), rec the reusable partition record.
+	scratch, rec []byte
 }
 
 func (s *setOpIter) Open(ctx *Context) error {
 	s.release()
-	s.ctx = ctx
+	s.d.start(ctx, s)
 	s.acct.ctx = ctx
-	switch s.op.Kind {
-	case algebra.UnionAll, algebra.UnionDistinct:
-		s.streaming = true
-		if s.op.Kind == algebra.UnionDistinct {
-			s.dedup = newDedupState(ctx, &s.reg)
-		}
-		if err := s.left.Open(ctx); err != nil {
-			return err
-		}
-		return s.right.Open(ctx)
-	}
-	s.streaming = false
 	if err := s.left.Open(ctx); err != nil {
 		return err
 	}
 	defer s.left.Close()
-
 	// Collect both sides, switching to paired hash partitions the moment the
 	// buffered total crosses the budget. Left rows carry their input
-	// sequence; right rows are bag entries and need none.
-	var lbuf, rbuf []value.Row
-	var lparts, rparts *partitionSet
-	var lseq uint64 // left input sequence, the output-order tag
-	var rec []byte
-	routeLeft := func(seq uint64, row value.Row) error {
-		s.scratch = row.AppendKey(s.scratch[:0])
-		rec = appendSeqRow(rec[:0], seq, row)
-		return lparts.route(s.scratch, rec)
-	}
-	routeRight := func(row value.Row) error {
-		s.scratch = row.AppendKey(s.scratch[:0])
-		rec = spill.AppendRow(rec[:0], row)
-		return rparts.route(s.scratch, rec)
-	}
-	spillOut := func() error {
-		lparts = newPartitionSet(ctx.Mem.Pool(), &s.reg, 0)
-		rparts = newPartitionSet(ctx.Mem.Pool(), &s.reg, 0)
-		for i, row := range lbuf {
-			if err := routeLeft(uint64(i), row); err != nil {
-				return err
-			}
+	// sequence, the output-order tag; right rows are bag entries and need none.
+	var lseq uint64
+	if err := drainRows(ctx, s.left, func(row value.Row) error {
+		lseq++
+		if s.d.spilled() {
+			return s.routeLeft(lseq-1, row)
 		}
-		for _, row := range rbuf {
-			if err := routeRight(row); err != nil {
-				return err
-			}
-		}
-		lbuf, rbuf = nil, nil
-		s.acct.releaseAll()
-		return nil
-	}
-	collect := func(in iterator, isLeft bool) error {
-		total := 0
-		for {
-			if err := ctx.tick(); err != nil {
-				return err
-			}
-			row, err := in.Next()
-			if err != nil {
-				return err
-			}
-			if row == nil {
-				return nil
-			}
-			total++
-			if ctx.RowBudget > 0 && total > int(ctx.RowBudget) {
-				return fmt.Errorf("executor: intermediate result exceeds row budget of %d rows", ctx.RowBudget)
-			}
-			if lparts != nil {
-				if isLeft {
-					err = routeLeft(lseq, row)
-					lseq++
-				} else {
-					err = routeRight(row)
-				}
-				if err != nil {
-					return err
-				}
-				continue
-			}
-			if isLeft {
-				lbuf = append(lbuf, row)
-				lseq++
-			} else {
-				rbuf = append(rbuf, row)
-			}
-			s.acct.grow(rowBytes(row))
-			if s.acct.spillable() && s.acct.over() && len(lbuf)+len(rbuf) >= minBufferRows {
-				if err := spillOut(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := collect(s.left, true); err != nil {
+		s.lbuf = append(s.lbuf, row)
+		return s.buffered(row)
+	}); err != nil {
 		return err
 	}
 	if err := s.right.Open(ctx); err != nil {
 		return err
 	}
 	defer s.right.Close()
-	if err := collect(s.right, false); err != nil {
+	if err := drainRows(ctx, s.right, func(row value.Row) error {
+		if s.d.spilled() {
+			return s.routeRight(row)
+		}
+		s.rbuf = append(s.rbuf, row)
+		return s.buffered(row)
+	}); err != nil {
 		return err
 	}
+	return s.d.finish()
+}
 
-	if lparts == nil {
-		// In-memory path: count the right side, then emit left rows in order.
-		algo, err := newSetAlgo(s.op.Kind, len(rbuf))
-		if err != nil {
-			return err
-		}
-		for _, r := range rbuf {
-			s.scratch = r.AppendKey(s.scratch[:0])
-			algo.countRight(s.scratch)
-		}
-		for _, l := range lbuf {
-			s.scratch = l.AppendKey(s.scratch[:0])
-			if emit, _ := algo.offerLeft(s.scratch); emit {
-				s.out = append(s.out, l)
-			}
-		}
-		s.acct.releaseAll()
+// buffered charges one buffered row and, over budget, moves both buffers to
+// the level-0 partitions.
+func (s *setOpIter) buffered(row value.Row) error {
+	s.acct.grow(rowBytes(row))
+	if !s.d.overflow(&s.acct, len(s.lbuf)+len(s.rbuf), minBufferRows) {
 		return nil
 	}
-
-	var outputs []*spill.File
-	for i := 0; i < spillPartitions; i++ {
-		if err := s.resolvePair(lparts.files[i], rparts.files[i], 1, &outputs); err != nil {
+	for i, row := range s.lbuf {
+		if err := s.routeLeft(uint64(i), row); err != nil {
 			return err
 		}
 	}
-	m, err := newSeqMerger(ctx, &s.reg, outputs)
-	if err != nil {
-		return err
+	for _, row := range s.rbuf {
+		if err := s.routeRight(row); err != nil {
+			return err
+		}
 	}
-	s.merger = m
+	s.lbuf, s.rbuf = nil, nil
+	s.acct.releaseAll()
 	return nil
 }
 
-// resolvePair resolves one (left, right) partition pair with the count-map
-// algorithm, under the budget: the right side builds the count map, then the
-// left side streams through it emitting sequence-tagged survivors. If either
-// phase outgrows the budget — the count map while counting, or the DISTINCT
-// variants' emitted-set while streaming — the attempt restarts one level
-// deeper: both files are still intact (and any partial output is discarded),
-// so re-partitioning loses and duplicates nothing.
-func (s *setOpIter) resolvePair(lf, rf *spill.File, level int, outputs *[]*spill.File) error {
-	if lf == nil {
-		// No left rows can survive without a left side; the right file (if
-		// any) only ever subtracts.
-		if rf != nil {
-			return rf.Close()
-		}
-		return nil
-	}
-	acct := memAcct{ctx: s.ctx}
-	defer acct.releaseAll()
+func (s *setOpIter) routeLeft(seq uint64, row value.Row) error {
+	s.scratch = row.AppendKey(s.scratch[:0])
+	s.rec = appendSeqRow(s.rec[:0], seq, row)
+	return s.d.route(1, s.scratch, s.rec)
+}
 
-	// restartDeeper abandons this attempt (discarding the partial output
-	// file, if any) and re-partitions both files into sub-pairs.
-	restartDeeper := func(partialOut *spill.File) error {
-		if partialOut != nil {
-			partialOut.Close()
-			*outputs = (*outputs)[:len(*outputs)-1]
-		}
-		acct.releaseAll()
-		subL := newPartitionSet(s.ctx.Mem.Pool(), &s.reg, level)
-		subR := newPartitionSet(s.ctx.Mem.Pool(), &s.reg, level)
-		if err := s.repartition(rf, subR, false); err != nil {
-			return err
-		}
-		if err := s.repartition(lf, subL, true); err != nil {
-			return err
-		}
-		for i := 0; i < spillPartitions; i++ {
-			if err := s.resolvePair(subL.files[i], subR.files[i], level+1, outputs); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+func (s *setOpIter) routeRight(row value.Row) error {
+	s.scratch = row.AppendKey(s.scratch[:0])
+	s.rec = spill.AppendRow(s.rec[:0], row)
+	return s.d.route(0, s.scratch, s.rec)
+}
 
-	rrows := int64(0)
-	if rf != nil {
-		rrows = rf.Records()
+// begin readies the fold for one partition pair: in[0] holds the right rows,
+// in[1] the left. Without a left file no row can survive — the right side
+// only ever subtracts.
+func (s *setOpIter) begin(in [2]*spill.File) bool {
+	if in[1] == nil {
+		return false
 	}
-	algo, err := newSetAlgo(s.op.Kind, int(rrows))
+	rrows := 0
+	if in[0] != nil {
+		rrows = int(in[0].Records())
+	}
+	s.algo = newSetAlgo(s.op.Kind, rrows)
+	s.probe = in[1]
+	return true
+}
+
+// add counts one right-side record.
+func (s *setOpIter) add(rec []byte) error {
+	row, _, err := spill.DecodeRow(rec)
 	if err != nil {
 		return err
 	}
-	if rf != nil {
-		if err := rf.StartRead(); err != nil {
-			return err
-		}
-		for {
-			if err := s.ctx.tick(); err != nil {
-				return err
-			}
-			rec, err := rf.Next()
-			if err != nil {
-				return err
-			}
-			if rec == nil {
-				break
-			}
-			row, _, err := spill.DecodeRow(rec)
-			if err != nil {
-				return err
-			}
-			s.scratch = row.AppendKey(s.scratch[:0])
-			if algo.countRight(s.scratch) {
-				acct.grow(int64(len(s.scratch)) + mapEntryBytes)
-			}
-			if acct.spillable() && acct.over() && len(algo.rcount) >= minFoldGroups && level < maxSpillLevel {
-				return restartDeeper(nil)
-			}
-		}
-	}
-	if err := lf.StartRead(); err != nil {
-		return err
-	}
-	var out *spill.File
-	var outRec []byte
-	for {
-		if err := s.ctx.tick(); err != nil {
-			return err
-		}
-		rec, err := lf.Next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			break
-		}
-		seq, row, err := decodeSeqRow(rec)
-		if err != nil {
-			return err
-		}
-		s.scratch = row.AppendKey(s.scratch[:0])
-		emit, newEmitted := algo.offerLeft(s.scratch)
-		if newEmitted {
-			// The DISTINCT variants' emitted-set grows with distinct LEFT
-			// keys, which rcount (right keys) does not bound — EXCEPT
-			// DISTINCT over a distinct-heavy left side would otherwise grow
-			// without limit. Account it and restart deeper when over.
-			acct.grow(int64(len(s.scratch)) + mapEntryBytes)
-			if acct.spillable() && acct.over() && len(algo.emitted) >= minFoldGroups && level < maxSpillLevel {
-				return restartDeeper(out)
-			}
-		}
-		if !emit {
-			continue
-		}
-		if out == nil {
-			if out, err = s.ctx.Mem.Pool().Create(); err != nil {
-				return err
-			}
-			s.reg.add(out)
-			*outputs = append(*outputs, out)
-		}
-		outRec = appendSeqRow(outRec[:0], seq, row)
-		if err := out.Append(outRec); err != nil {
-			return err
-		}
-	}
-	if rf != nil {
-		if err := rf.Close(); err != nil {
-			return err
-		}
-	}
-	return lf.Close()
+	return s.countRight(row)
 }
 
-// repartition streams one file's records into a deeper partition set.
-func (s *setOpIter) repartition(f *spill.File, sub *partitionSet, seqTagged bool) error {
-	if f == nil {
+func (s *setOpIter) countRight(row value.Row) error {
+	s.scratch = row.AppendKey(s.scratch[:0])
+	return s.charge(s.algo.countRight(s.scratch), len(s.algo.rcount))
+}
+
+// charge accounts a partition fold's map entry (if the key was new) and
+// restarts the partition one level deeper when its maps outgrow the budget.
+// Re-partitioning needs the input on disk, so the fold over the level-0
+// buffers — which fit the budget as rows — neither charges its maps nor
+// overflows.
+func (s *setOpIter) charge(newKey bool, resident int) error {
+	if s.probe == nil {
 		return nil
 	}
-	if err := f.StartRead(); err != nil {
-		return err
+	if newKey {
+		s.acct.grow(int64(len(s.scratch)) + mapEntryBytes)
 	}
-	for {
-		if err := s.ctx.tick(); err != nil {
-			return err
-		}
-		rec, err := f.Next()
-		if err != nil {
-			return err
-		}
-		if rec == nil {
-			return f.Close()
-		}
-		var row value.Row
-		if seqTagged {
-			if _, row, err = decodeSeqRow(rec); err != nil {
-				return err
-			}
-		} else if row, _, err = spill.DecodeRow(rec); err != nil {
-			return err
-		}
-		s.scratch = row.AppendKey(s.scratch[:0])
-		if err := sub.route(s.scratch, rec); err != nil {
-			return err
-		}
+	if s.d.overflow(&s.acct, resident, minFoldGroups) {
+		s.algo = nil
+		s.acct.releaseAll()
+		return errRepartition
 	}
+	return nil
 }
 
-// setAlgo is the kind-specific count-map arithmetic of INTERSECT/EXCEPT,
-// shared by the in-memory and per-partition paths.
+// finish streams the left side through the counts, emitting survivors in
+// input order.
+func (s *setOpIter) finish() error {
+	if s.probe != nil {
+		if err := s.d.scan(s.probe, func(rec []byte) error {
+			seq, row, err := decodeSeqRow(rec)
+			if err != nil {
+				return err
+			}
+			return s.offerLeft(seq, row)
+		}); err != nil {
+			return err
+		}
+	} else {
+		s.algo = newSetAlgo(s.op.Kind, len(s.rbuf))
+		for _, row := range s.rbuf {
+			if err := s.countRight(row); err != nil {
+				return err
+			}
+		}
+		for i, row := range s.lbuf {
+			if err := s.offerLeft(uint64(i), row); err != nil {
+				return err
+			}
+		}
+		s.lbuf, s.rbuf = nil, nil
+	}
+	s.algo = nil
+	s.acct.releaseAll()
+	return nil
+}
+
+func (s *setOpIter) offerLeft(seq uint64, row value.Row) error {
+	s.scratch = row.AppendKey(s.scratch[:0])
+	emit, newEmitted := s.algo.offerLeft(s.scratch)
+	if newEmitted {
+		// The DISTINCT variants' emitted-set grows with distinct LEFT keys,
+		// which rcount (right keys) does not bound — EXCEPT DISTINCT over a
+		// distinct-heavy left side would otherwise grow without limit.
+		if err := s.charge(true, len(s.algo.emitted)); err != nil {
+			return err
+		}
+	}
+	if !emit {
+		return nil
+	}
+	return s.d.emit(seq, row)
+}
+
+// routeKey re-keys one record of a pair being re-partitioned.
+func (s *setOpIter) routeKey(side int, rec []byte) ([]byte, error) {
+	var row value.Row
+	var err error
+	if side == 1 {
+		_, row, err = decodeSeqRow(rec)
+	} else {
+		row, _, err = spill.DecodeRow(rec)
+	}
+	s.scratch = row.AppendKey(s.scratch[:0])
+	return s.scratch, err
+}
+
+// setAlgo is the kind-specific count-map arithmetic of INTERSECT/EXCEPT.
 type setAlgo struct {
 	kind    algebra.SetOpKind
 	rcount  map[string]int
 	emitted map[string]struct{} // DISTINCT variants only
 }
 
-func newSetAlgo(kind algebra.SetOpKind, rhint int) (*setAlgo, error) {
-	switch kind {
-	case algebra.IntersectAll, algebra.IntersectDistinct, algebra.ExceptAll, algebra.ExceptDistinct:
-	default:
-		return nil, fmt.Errorf("executor: unknown set operation %v", kind)
-	}
+func newSetAlgo(kind algebra.SetOpKind, rhint int) *setAlgo {
 	a := &setAlgo{kind: kind, rcount: make(map[string]int, rhint)}
 	if kind == algebra.IntersectDistinct || kind == algebra.ExceptDistinct {
 		a.emitted = make(map[string]struct{})
 	}
-	return a, nil
+	return a
 }
 
 // countRight adds one right-side occurrence; it reports whether the key is
@@ -417,86 +275,16 @@ func (a *setAlgo) offerLeft(key []byte) (emit, newEmitted bool) {
 	return false, false
 }
 
-func (s *setOpIter) Next() (value.Row, error) {
-	if s.streaming {
-		for {
-			if s.merger != nil {
-				return s.merger.Next()
-			}
-			if s.streamDone {
-				return nil, nil
-			}
-			var src iterator
-			if s.onRight {
-				src = s.right
-			} else {
-				src = s.left
-			}
-			row, err := src.Next()
-			if err != nil {
-				return nil, err
-			}
-			if row == nil {
-				if !s.onRight {
-					s.onRight = true
-					continue
-				}
-				s.streamDone = true
-				if s.dedup == nil {
-					return nil, nil
-				}
-				m, err := s.dedup.finish()
-				if err != nil {
-					return nil, err
-				}
-				if m == nil {
-					return nil, nil
-				}
-				s.merger = m
-				continue
-			}
-			if s.dedup != nil {
-				emit, err := s.dedup.offer(row)
-				if err != nil {
-					return nil, err
-				}
-				if !emit {
-					continue
-				}
-			}
-			return row, nil
-		}
-	}
-	if s.merger != nil {
-		return s.merger.Next()
-	}
-	if s.pos >= len(s.out) {
-		return nil, nil
-	}
-	row := s.out[s.pos]
-	s.pos++
-	return row, nil
-}
+func (s *setOpIter) Next() (value.Row, error) { return s.d.Next() }
 
 // release drops all set-operation state: buffers, accounting, spill files.
 func (s *setOpIter) release() {
-	s.out = nil
-	s.pos = 0
-	s.onRight = false
-	s.streamDone = false
-	s.merger.Close()
-	s.merger = nil
-	s.reg.closeAll()
-	s.dedup.release()
-	s.dedup = nil
+	s.lbuf, s.rbuf, s.probe, s.algo = nil, nil, nil, nil
 	s.acct.releaseAll()
+	s.d.release()
 }
 
 func (s *setOpIter) Close() error {
 	s.release()
-	if s.streaming {
-		s.left.Close()
-		return s.right.Close()
-	}
 	return nil
 }

@@ -1,8 +1,6 @@
 package executor
 
 import (
-	"fmt"
-
 	"perm/internal/algebra"
 	"perm/internal/value"
 )
@@ -133,18 +131,12 @@ func (s *Stream) Close() error {
 // surface.
 func (s *Stream) Drain() ([]value.Row, error) {
 	var rows []value.Row
-	for {
-		row, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			return rows, nil
-		}
+	if err := drainRows(s.ctx, s, func(row value.Row) error {
 		rows = append(rows, row)
-		if s.ctx.RowBudget > 0 && len(rows) > int(s.ctx.RowBudget) {
-			s.Close()
-			return nil, fmt.Errorf("executor: result exceeds row budget of %d rows", s.ctx.RowBudget)
-		}
+		return nil
+	}); err != nil {
+		s.Close()
+		return nil, err
 	}
+	return rows, nil
 }

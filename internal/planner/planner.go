@@ -395,7 +395,7 @@ func FoldConstants(e algebra.Expr) (algebra.Expr, bool) {
 		lc, lok := l.(*algebra.Const)
 		rc, rok := r.(*algebra.Const)
 		if lok && rok && foldableOp(x.Op) {
-			if v, err := executor.Eval(&algebra.Bin{Op: x.Op, L: lc, R: rc}, nil, nil); err == nil {
+			if v, err := executor.CompileExpr(&algebra.Bin{Op: x.Op, L: lc, R: rc})(nil, nil); err == nil {
 				return &algebra.Const{Val: v}, true
 			}
 		}

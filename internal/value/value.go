@@ -335,12 +335,16 @@ func (v Value) AppendKey(dst []byte) []byte {
 			return append(dst, 0x01, 'T')
 		}
 		return append(dst, 0x01, 'F')
-	case KindInt, KindFloat:
-		f := v.Float()
-		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+	case KindInt:
+		return strconv.AppendInt(append(dst, 0x02), v.I, 10)
+	case KindFloat:
+		// An integral float that fits int64 takes its integer's key, so 5 and
+		// 5.0 share one; every integer keeps its exact digits (routing BIGINTs
+		// through float64 would collapse neighbours above 2^53).
+		if f := v.F; f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
 			return strconv.AppendInt(append(dst, 0x02), int64(f), 10)
 		}
-		return strconv.AppendFloat(append(dst, 0x02, 'f'), f, 'b', -1, 64)
+		return strconv.AppendFloat(append(dst, 0x02, 'f'), v.F, 'b', -1, 64)
 	case KindString:
 		return append(append(dst, 0x03), v.S...)
 	}

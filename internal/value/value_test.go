@@ -371,3 +371,26 @@ func TestRowKeyInjective(t *testing.T) {
 		t.Error("row keys must be injective across column boundaries")
 	}
 }
+
+// TestIntegerKeysAreExact: every integer keeps its own key, however large —
+// float64 has 53 bits of mantissa, so a key derived from the float form gave
+// 2^53 and 2^53+1 the same one — while an integral float still shares the key
+// of the integer it equals.
+func TestIntegerKeysAreExact(t *testing.T) {
+	const p53 = int64(1) << 53
+	for _, n := range []int64{p53, 1e15, -p53, math.MaxInt64 - 1, math.MinInt64} {
+		a, b := NewInt(n), NewInt(n+1)
+		if a.Key() == b.Key() {
+			t.Errorf("%d and %d share the key %q", n, n+1, a.Key())
+		}
+	}
+	for _, f := range []float64{5, -0.0, 1e15, float64(p53), 1e18, -(1 << 63)} {
+		if i, fl := NewInt(int64(f)), NewFloat(f); i.Key() != fl.Key() {
+			t.Errorf("int %d has key %q, float %g has key %q", int64(f), i.Key(), f, fl.Key())
+		}
+	}
+	// Past int64 a float has no integer to agree with and keeps its own form.
+	if a, b := NewFloat(1<<63), NewFloat(1e19); a.Key() == b.Key() || a.Key() == NewInt(math.MaxInt64).Key() {
+		t.Errorf("floats beyond int64: keys %q, %q", a.Key(), b.Key())
+	}
+}
