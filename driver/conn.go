@@ -809,17 +809,17 @@ func toEngineValue(v sqldriver.Value) (value.Value, error) {
 }
 
 func toDriverValue(v value.Value) sqldriver.Value {
-	switch v.K {
+	switch v.Kind() {
 	case value.KindNull:
 		return nil
 	case value.KindBool:
-		return v.B
+		return v.Bool()
 	case value.KindInt:
-		return v.I
+		return v.Int()
 	case value.KindFloat:
-		return v.F
+		return v.Float()
 	case value.KindString:
-		return v.S
+		return v.Str()
 	}
 	return nil
 }

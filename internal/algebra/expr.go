@@ -25,7 +25,7 @@ type Expr interface {
 type Const struct{ Val value.Value }
 
 // Type implements Expr.
-func (c *Const) Type() value.Kind { return c.Val.K }
+func (c *Const) Type() value.Kind { return c.Val.Kind() }
 func (c *Const) String() string   { return c.Val.SQLLiteral() }
 
 // NewNull returns a NULL constant.

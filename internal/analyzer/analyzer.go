@@ -201,17 +201,17 @@ func (a *Analyzer) analyzeSelect(st *sql.SelectStmt, outer *scope) (algebra.Op, 
 
 func constInt(e sql.Expr) (int64, error) {
 	lit, ok := e.(*sql.Literal)
-	if !ok || lit.Val.K != value.KindInt {
+	if !ok || lit.Val.Kind() != value.KindInt {
 		return 0, fmt.Errorf("expected an integer constant")
 	}
-	return lit.Val.I, nil
+	return lit.Val.Int(), nil
 }
 
 // resolveOrderKey resolves one ORDER BY key against an output schema:
 // a positional constant or an expression over the output columns.
 func (a *Analyzer) resolveOrderKey(e sql.Expr, outSch algebra.Schema, outScope *scope) (algebra.Expr, error) {
-	if lit, ok := e.(*sql.Literal); ok && lit.Val.K == value.KindInt {
-		pos := int(lit.Val.I)
+	if lit, ok := e.(*sql.Literal); ok && lit.Val.Kind() == value.KindInt {
+		pos := int(lit.Val.Int())
 		if pos < 1 || pos > len(outSch) {
 			return nil, fmt.Errorf("ORDER BY position %d is out of range", pos)
 		}
@@ -408,8 +408,8 @@ func (a *Analyzer) analyzeCore(core *sql.SelectCore, outer *scope, orderBy []sql
 		visScope := &scope{cols: visSch, outer: outer}
 		for _, o := range orderBy {
 			k := orderKey{hidden: -1, desc: o.Desc}
-			if lit, ok := o.Expr.(*sql.Literal); ok && lit.Val.K == value.KindInt {
-				pos := int(lit.Val.I)
+			if lit, ok := o.Expr.(*sql.Literal); ok && lit.Val.Kind() == value.KindInt {
+				pos := int(lit.Val.Int())
 				if pos < 1 || pos > nVisible {
 					return nil, fmt.Errorf("ORDER BY position %d is out of range", pos)
 				}
@@ -686,8 +686,8 @@ func (a *Analyzer) analyzeAggregation(core *sql.SelectCore, input algebra.Op, sc
 	for _, ge := range core.GroupBy {
 		// GROUP BY may reference select-list aliases or positions.
 		resolved := ge
-		if lit, ok := ge.(*sql.Literal); ok && lit.Val.K == value.KindInt {
-			pos := int(lit.Val.I)
+		if lit, ok := ge.(*sql.Literal); ok && lit.Val.Kind() == value.KindInt {
+			pos := int(lit.Val.Int())
 			if pos < 1 || pos > len(core.Items) || core.Items[pos-1].Star {
 				return nil, nil, nil, nil, exprCtx{}, fmt.Errorf("GROUP BY position %d is not a valid select item", pos)
 			}

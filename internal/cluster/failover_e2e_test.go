@@ -383,7 +383,7 @@ func assertAckedPresent(t *testing.T, db *engine.DB, acked []int, who string) {
 	}
 	present := make(map[int64]bool, len(res.Rows))
 	for _, row := range res.Rows {
-		present[row[0].I] = true
+		present[row[0].Int()] = true
 	}
 	for _, k := range acked {
 		if !present[int64(k)] {

@@ -446,12 +446,12 @@ func TestShowReplicationStatusStaleness(t *testing.T) {
 	if role := row[col["role"]].SQLLiteral(); role != `'replica'` {
 		t.Fatalf("role = %s", role)
 	}
-	if lag := row[col["lag"]].I; lag != 0 {
+	if lag := row[col["lag"]].Int(); lag != 0 {
 		t.Fatalf("caught-up replica reports lag %d", lag)
 	}
 	// A caught-up replica's staleness is bounded by the heartbeat cadence; it
 	// must be a sane small number, not an uninitialized epoch-sized value.
-	if st := row[col["staleness_ms"]].I; st < 0 || st > 5000 {
+	if st := row[col["staleness_ms"]].Int(); st < 0 || st > 5000 {
 		t.Fatalf("staleness_ms = %d, want within a few heartbeats", st)
 	}
 }

@@ -328,7 +328,7 @@ func TestGroupByNullKeysJoinBack(t *testing.T) {
 	nullGroupWitnesses := 0
 	for _, r := range res.Rows {
 		if r[1].IsNull() {
-			if r[0].I != 2 {
+			if r[0].Int() != 2 {
 				t.Errorf("NULL group count = %v", r[0])
 			}
 			if !r[2].IsNull() {
@@ -350,7 +350,7 @@ func TestScalarAggProvenanceOverEmptyInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	// count(*) over empty input = one row (0) with NULL provenance.
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 0 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 0 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	for _, v := range res.Rows[0][1:] {
@@ -379,7 +379,7 @@ func TestExceptLeftOnlyProvenance(t *testing.T) {
 		t.Fatalf("right provenance columns missing: %v", sch.Names())
 	}
 	// messages mids: 1,4; approved mids: 2,4 → except = {1}.
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	for _, ci := range rightCols {
@@ -401,7 +401,7 @@ func TestIntersectBothSidesProvenance(t *testing.T) {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	for _, r := range res.Rows {
-		if r[0].I != 4 {
+		if r[0].Int() != 4 {
 			t.Errorf("row = %v", r)
 		}
 	}
@@ -532,7 +532,7 @@ func TestNegatedSubqueriesKeepFilter(t *testing.T) {
 	}
 	// messages mids {1,4}, approved {2,4} → NOT IN leaves {1}; provenance
 	// only from messages.
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 1 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 	for _, c := range res.Schema {

@@ -104,3 +104,45 @@ func TestBigIntKeysStayDistinct(t *testing.T) {
 		})
 	}
 }
+
+// TestBigIntEqualsFloatExactly: an INT compared with a FLOAT compares by
+// exact numeric value, the equality the hash key encodes. Through float64,
+// 9007199254740993 = 9007199254740992.0 was true for `=` — so for WHERE and
+// the nested loop — and false for the hash join's key, and the three
+// disagreed on the same pair. All three must say false, and still say true
+// for the pairs float64 holds exactly.
+func TestBigIntEqualsFloatExactly(t *testing.T) {
+	db := NewDB()
+	s := db.NewSession()
+	defer s.Close()
+	mustExecSpill(t, s, `CREATE TABLE bi (i int)`)
+	mustExecSpill(t, s, `CREATE TABLE bf (f float)`)
+	mustExecSpill(t, s, `INSERT INTO bi VALUES (9007199254740993), (9007199254740992), (5), (-9223372036854775808)`)
+	mustExecSpill(t, s, `INSERT INTO bf VALUES (9007199254740992.0), (5.0), (5.5), (-9223372036854775808.0)`)
+	const want = "9007199254740992 5 -9223372036854775808"
+	for name, q := range map[string]string{
+		"WHERE":       `SELECT i FROM bi, bf WHERE i = f`,
+		"hash join":   `SELECT i FROM bi JOIN bf ON i = f`,
+		"nested loop": `SELECT i FROM bi JOIN bf ON NOT (i <> f)`,
+		"IN":          `SELECT i FROM bi WHERE i IN (SELECT f FROM bf)`,
+		"range":       `SELECT i FROM bi JOIN bf ON i >= f AND i <= f`,
+		"literal":     `SELECT i FROM bi WHERE i = 9007199254740992.0 OR i = 5.0 OR i = -9223372036854775808.0`,
+	} {
+		for _, opt := range []string{"on", "off"} {
+			mustExecSpill(t, s, `SET optimizer = `+opt)
+			var got []string
+			for _, r := range mustExecSpill(t, s, q).Rows {
+				got = append(got, r[0].String())
+			}
+			if strings.Join(got, " ") != want {
+				t.Errorf("%s (optimizer %s): %v, want %s", name, opt, got, want)
+			}
+		}
+	}
+	mustExecSpill(t, s, `SET optimizer = on`)
+	// The order is exact too: 2^53+1 sorts strictly between 2^53 and 2^53+2.
+	res := mustExecSpill(t, s, `SELECT count(*) FROM bi WHERE i > 9007199254740992.0 AND i < 9007199254740994.0`)
+	if got := res.Rows[0][0].Int(); got != 1 {
+		t.Errorf("9007199254740993 between its float neighbours: count = %d, want 1", got)
+	}
+}

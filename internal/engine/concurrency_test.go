@@ -44,7 +44,7 @@ func TestConcurrentSessions(t *testing.T) {
 				errs <- err
 				return
 			}
-			if res.Rows[0][0].I != 20 {
+			if res.Rows[0][0].Int() != 20 {
 				errs <- fmt.Errorf("worker %d: count = %v", w, res.Rows[0][0])
 			}
 		}(w)

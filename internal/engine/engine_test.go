@@ -43,7 +43,7 @@ func TestInsertColumnList(t *testing.T) {
 	exec(t, s, `CREATE TABLE t (a int, b text, c int)`)
 	exec(t, s, `INSERT INTO t (c, a) VALUES (30, 1)`)
 	res := exec(t, s, `SELECT a, b, c FROM t`)
-	if res.Rows[0][0].I != 1 || !res.Rows[0][1].IsNull() || res.Rows[0][2].I != 30 {
+	if res.Rows[0][0].Int() != 1 || !res.Rows[0][1].IsNull() || res.Rows[0][2].Int() != 30 {
 		t.Errorf("row = %v", res.Rows[0])
 	}
 	if _, err := s.Execute(`INSERT INTO t (zz) VALUES (1)`); err == nil {
@@ -83,7 +83,7 @@ func TestDeleteUpdate(t *testing.T) {
 		t.Errorf("tag = %s", res.Tag)
 	}
 	res = exec(t, s, `SELECT sum(b) FROM t`)
-	if res.Rows[0][0].I != 41 {
+	if res.Rows[0][0].Int() != 41 {
 		t.Errorf("sum = %v", res.Rows[0])
 	}
 }
@@ -107,13 +107,13 @@ func TestViewLifecycle(t *testing.T) {
 	exec(t, s, `INSERT INTO t VALUES (1), (2)`)
 	exec(t, s, `CREATE VIEW doubled AS SELECT a * 2 AS d FROM t`)
 	res := exec(t, s, `SELECT d FROM doubled ORDER BY d`)
-	if len(res.Rows) != 2 || res.Rows[1][0].I != 4 {
+	if len(res.Rows) != 2 || res.Rows[1][0].Int() != 4 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 	// Views see later inserts (unfolded at use).
 	exec(t, s, `INSERT INTO t VALUES (5)`)
 	res = exec(t, s, `SELECT count(*) FROM doubled`)
-	if res.Rows[0][0].I != 3 {
+	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("count = %v", res.Rows[0])
 	}
 	if _, err := s.Execute(`CREATE VIEW bad AS SELECT zz FROM t`); err == nil {
@@ -190,12 +190,12 @@ func TestEagerProvenanceCTAS(t *testing.T) {
 	exec(t, s, `INSERT INTO t VALUES (1, 10), (1, 20), (2, 30)`)
 	exec(t, s, `CREATE TABLE p AS SELECT PROVENANCE sum(b), a FROM t GROUP BY a`)
 	res := exec(t, s, `SELECT count(*) FROM p`)
-	if res.Rows[0][0].I != 3 {
+	if res.Rows[0][0].Int() != 3 {
 		t.Errorf("materialized witness rows = %v", res.Rows[0])
 	}
 	// Stored provenance is a plain table with prov_ columns.
 	res = exec(t, s, `SELECT prov_public_t_b FROM p WHERE a = 1 ORDER BY 1`)
-	if len(res.Rows) != 2 || res.Rows[0][0].I != 10 || res.Rows[1][0].I != 20 {
+	if len(res.Rows) != 2 || res.Rows[0][0].Int() != 10 || res.Rows[1][0].Int() != 20 {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }
@@ -289,7 +289,7 @@ func TestScriptStopsOnError(t *testing.T) {
 		t.Errorf("partial results = %d, want 2", len(results))
 	}
 	res := exec(t, s, `SELECT count(*) FROM t`)
-	if res.Rows[0][0].I != 1 {
+	if res.Rows[0][0].Int() != 1 {
 		t.Error("statement after error must not run")
 	}
 }
@@ -326,8 +326,8 @@ func TestValuesKindInResult(t *testing.T) {
 	res := exec(t, s, `SELECT 1 AS a, 'x' AS b, 2.5 AS c, NULL AS d, TRUE AS e`)
 	kinds := []value.Kind{value.KindInt, value.KindString, value.KindFloat, value.KindNull, value.KindBool}
 	for i, k := range kinds {
-		if res.Rows[0][i].K != k {
-			t.Errorf("column %d kind = %v, want %v", i, res.Rows[0][i].K, k)
+		if res.Rows[0][i].Kind() != k {
+			t.Errorf("column %d kind = %v, want %v", i, res.Rows[0][i].Kind(), k)
 		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"perm/internal/value"
 )
 
 // TestWorkerErrorMidSpillNoAccountingDrift is the memory-accounting audit pin
@@ -20,12 +23,22 @@ func TestWorkerErrorMidSpillNoAccountingDrift(t *testing.T) {
 
 	// other.v covers [0,500) ∪ [1000,1500) ∪ ... — b.v = 1200 has an
 	// equi-match, so the residual condition is reached and errors there.
-	// The budget sits above the ~540 KB materialized build side (so the
-	// partition-wise join engages rather than falling back to serial) and
-	// below coordinator-build + one worker re-charge (so each worker's
-	// private join account overflows and spills through the grace path).
 	const q = `SELECT b.k, o.s FROM big b JOIN other o ON b.v = o.v AND b.v / (b.v - 1200) >= 0`
-	const budget = 700 << 10
+
+	// The budget follows what the executor charges for the build side, the
+	// 3000 rows of other, so it moves with the size of a value. A row costs
+	// rowBytes = slice header + three values + its ~10-byte string; the gather
+	// materializes the shared build side at rowBytes + a slice header per row,
+	// and a hash join charges rowBytes + 96 fixed + ~9 key bytes per row. The
+	// budget sits halfway between the two: above the shared build side (so
+	// the partition-wise join engages rather than falling back to serial),
+	// below one join's table (so the serial join spills), and so below shared
+	// side + one worker's re-charge (so each worker's private join account
+	// overflows and spills through the grace path).
+	const buildRows = 3000
+	rowBytes := 24 + 3*int(unsafe.Sizeof(value.Value{})) + 10
+	shared, table := buildRows*(rowBytes+24), buildRows*(rowBytes+96+9)
+	budget := (shared + table) / 2
 
 	for _, deg := range []int{1, 4} {
 		s := db.NewSession()
@@ -51,7 +64,7 @@ func TestWorkerErrorMidSpillNoAccountingDrift(t *testing.T) {
 		// The session must be fully usable afterwards, with the whole budget:
 		// the same join without the poisoned residual answers correctly.
 		res := mustExecSpill(t, s, `SELECT count(*) FROM big b JOIN other o ON b.v = o.v`)
-		if res.Rows[0][0].I == 0 {
+		if res.Rows[0][0].Int() == 0 {
 			t.Fatalf("parallelism=%d: follow-up join returned no rows", deg)
 		}
 		if ms := s.MemStatus(); ms.Tracked != 0 {

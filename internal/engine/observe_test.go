@@ -227,7 +227,7 @@ func TestExplainAnalyzeSpillCounters(t *testing.T) {
 	exec(t, s, `SET work_mem = 512`)
 
 	before := exec(t, s, `SHOW memory_status`)
-	bFiles, bBytes := before.Rows[0][3].I, before.Rows[0][4].I
+	bFiles, bBytes := before.Rows[0][3].Int(), before.Rows[0][4].Int()
 
 	q := `SELECT id, dept, salary FROM emp ORDER BY salary DESC, id`
 	ex, err := s.ExplainAnalyze(parseSelect(t, q))
@@ -235,7 +235,7 @@ func TestExplainAnalyzeSpillCounters(t *testing.T) {
 		t.Fatalf("ExplainAnalyze: %v", err)
 	}
 	after := exec(t, s, `SHOW memory_status`)
-	aFiles, aBytes := after.Rows[0][3].I, after.Rows[0][4].I
+	aFiles, aBytes := after.Rows[0][3].Int(), after.Rows[0][4].Int()
 
 	if aFiles == bFiles {
 		t.Fatalf("expected the sort to spill under work_mem=512 (files %d -> %d)", bFiles, aFiles)
@@ -273,12 +273,12 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Errorf("traced sql = %q, want %q", got, q)
 	}
 	rowsIdx := colIndex(t, res.Columns, "rows")
-	if row[rowsIdx].I != 3 {
-		t.Errorf("traced rows = %d, want 3", row[rowsIdx].I)
+	if row[rowsIdx].Int() != 3 {
+		t.Errorf("traced rows = %d, want 3", row[rowsIdx].Int())
 	}
 	totalIdx := colIndex(t, res.Columns, "total_us")
-	if row[totalIdx].I < 0 {
-		t.Errorf("total_us = %d", row[totalIdx].I)
+	if row[totalIdx].Int() < 0 {
+		t.Errorf("total_us = %d", row[totalIdx].Int())
 	}
 	// Column list, schema and row must agree in arity: generic table
 	// renderers size by the column list and index cells by position, so a
@@ -287,11 +287,11 @@ func TestTraceLifecycle(t *testing.T) {
 		t.Fatalf("last_trace arity mismatch: %d columns, %d schema fields, %d row cells",
 			len(res.Columns), len(res.Schema), len(row))
 	}
-	if i := colIndex(t, res.Columns, "parallel_ops"); row[i].I != 0 {
-		t.Errorf("serial statement parallel_ops = %d, want 0", row[i].I)
+	if i := colIndex(t, res.Columns, "parallel_ops"); row[i].Int() != 0 {
+		t.Errorf("serial statement parallel_ops = %d, want 0", row[i].Int())
 	}
-	if i := colIndex(t, res.Columns, "parallel_workers"); row[i].I != 0 {
-		t.Errorf("serial statement parallel_workers = %d, want 0", row[i].I)
+	if i := colIndex(t, res.Columns, "parallel_workers"); row[i].Int() != 0 {
+		t.Errorf("serial statement parallel_workers = %d, want 0", row[i].Int())
 	}
 
 	// The trace relates to the *traced* statement: SHOW itself is untraced

@@ -468,8 +468,8 @@ func TestParallelTraceCounters(t *testing.T) {
 		t.Fatalf("last_trace arity mismatch: %d columns, %d schema fields, %d row cells",
 			len(res.Columns), len(res.Schema), len(row))
 	}
-	ops := row[colIndex(t, res.Columns, "parallel_ops")].I
-	workers := row[colIndex(t, res.Columns, "parallel_workers")].I
+	ops := row[colIndex(t, res.Columns, "parallel_ops")].Int()
+	workers := row[colIndex(t, res.Columns, "parallel_workers")].Int()
 	if ops < 1 {
 		t.Errorf("parallel_ops = %d, want >= 1", ops)
 	}

@@ -202,7 +202,7 @@ func (s *Session) cacheKey(text string, args []value.Value) (key, fingerprint st
 	if len(args) > 0 {
 		b.WriteByte(0x1f)
 		for _, a := range args {
-			b.WriteByte(byte(a.K))
+			b.WriteByte(byte(a.Kind()))
 		}
 	}
 	return b.String(), fp

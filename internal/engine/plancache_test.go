@@ -58,7 +58,7 @@ func TestPlanCacheSeesNewData(t *testing.T) {
 	if !res.CacheHit {
 		t.Fatal("DML must not invalidate the plan cache")
 	}
-	if res.Rows[0][0].I != 4 {
+	if res.Rows[0][0].Int() != 4 {
 		t.Errorf("cached plan must read current data, count = %v", res.Rows[0][0])
 	}
 }
@@ -204,7 +204,7 @@ func TestPlanCacheStatsAndShow(t *testing.T) {
 		t.Errorf("stats = %d hits / %d misses / %d entries, want 2/1/1", hits, misses, size)
 	}
 	res := exec(t, s, `SHOW plan_cache_stats`)
-	if len(res.Rows) != 1 || res.Rows[0][0].I != 2 || res.Rows[0][1].I != 1 || res.Rows[0][2].I != 1 {
+	if len(res.Rows) != 1 || res.Rows[0][0].Int() != 2 || res.Rows[0][1].Int() != 1 || res.Rows[0][2].Int() != 1 {
 		t.Errorf("SHOW plan_cache_stats = %v", res.Rows)
 	}
 }
@@ -218,7 +218,7 @@ func TestPlanCacheOnlySelectsCached(t *testing.T) {
 		t.Error("DML must never be served from the plan cache")
 	}
 	count := exec(t, s, `SELECT count(*) FROM t`)
-	if count.Rows[0][0].I != 5 {
+	if count.Rows[0][0].Int() != 5 {
 		t.Errorf("count = %v, want 5 (both inserts applied)", count.Rows[0][0])
 	}
 }

@@ -388,7 +388,7 @@ func paramKinds(args []value.Value) []value.Kind {
 	}
 	kinds := make([]value.Kind, len(args))
 	for i, v := range args {
-		kinds[i] = v.K
+		kinds[i] = v.Kind()
 	}
 	return kinds
 }

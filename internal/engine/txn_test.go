@@ -42,16 +42,16 @@ func TestTransactionLifecycle(t *testing.T) {
 
 	// Read-your-writes inside the transaction — through the plain scan and
 	// through the provenance rewriter.
-	if got := mustExecSpill(t, s, `SELECT count(*) FROM acct`).Rows[0][0].I; got != 16 {
+	if got := mustExecSpill(t, s, `SELECT count(*) FROM acct`).Rows[0][0].Int(); got != 16 {
 		t.Fatalf("in-txn count = %d, want 16 (15 survivors + 1 insert)", got)
 	}
 	prov := mustExecSpill(t, s, `SELECT PROVENANCE id, bal FROM acct WHERE id = 99`)
-	if len(prov.Rows) != 1 || prov.Rows[0][1].I != 7 {
+	if len(prov.Rows) != 1 || prov.Rows[0][1].Int() != 7 {
 		t.Fatalf("provenance read of own insert: %v", prov.Rows)
 	}
 
 	// Invisible to every other session until COMMIT.
-	if got := mustExecSpill(t, other, `SELECT count(*) FROM acct`).Rows[0][0].I; got != 16 {
+	if got := mustExecSpill(t, other, `SELECT count(*) FROM acct`).Rows[0][0].Int(); got != 16 {
 		t.Fatalf("other session sees %d rows mid-txn, want the original 16", got)
 	}
 
@@ -62,10 +62,10 @@ func TestTransactionLifecycle(t *testing.T) {
 	if res := mustExecSpill(t, s, `COMMIT`); res.Tag != "COMMIT" {
 		t.Fatalf("tag = %q", res.Tag)
 	}
-	if got := mustExecSpill(t, other, `SELECT count(*) FROM acct`).Rows[0][0].I; got != 16 {
+	if got := mustExecSpill(t, other, `SELECT count(*) FROM acct`).Rows[0][0].Int(); got != 16 {
 		t.Fatalf("after commit other session sees %d rows, want 16", got)
 	}
-	if got := mustExecSpill(t, other, `SELECT bal FROM acct WHERE id = 0`).Rows[0][0].I; got != 0 {
+	if got := mustExecSpill(t, other, `SELECT bal FROM acct WHERE id = 0`).Rows[0][0].Int(); got != 0 {
 		t.Fatalf("committed update not visible")
 	}
 
@@ -75,7 +75,7 @@ func TestTransactionLifecycle(t *testing.T) {
 	if res := mustExecSpill(t, s, `ROLLBACK`); res.Tag != "ROLLBACK" {
 		t.Fatalf("tag = %q", res.Tag)
 	}
-	if got := mustExecSpill(t, s, `SELECT count(*) FROM acct`).Rows[0][0].I; got != 16 {
+	if got := mustExecSpill(t, s, `SELECT count(*) FROM acct`).Rows[0][0].Int(); got != 16 {
 		t.Fatalf("after rollback %d rows, want 16", got)
 	}
 
@@ -122,7 +122,7 @@ func TestSessionCloseRollsBack(t *testing.T) {
 	if st := db.Store().MVCCStatus(); st.Pins != 0 {
 		t.Fatalf("pins after session close = %d, want 0", st.Pins)
 	}
-	if got := mustExecSpill(t, s, `SELECT count(*) FROM acct`).Rows[0][0].I; got != 16 {
+	if got := mustExecSpill(t, s, `SELECT count(*) FROM acct`).Rows[0][0].Int(); got != 16 {
 		t.Fatalf("abandoned transaction leaked effects: %d rows", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestTransactionWriteConflict(t *testing.T) {
 	if _, err := s2.Execute(`COMMIT`); err == nil {
 		t.Fatal("COMMIT after a conflict-aborted transaction succeeded")
 	}
-	if got := mustExecSpill(t, s2, `SELECT bal FROM acct WHERE id = 3`).Rows[0][0].I; got != 101 {
+	if got := mustExecSpill(t, s2, `SELECT bal FROM acct WHERE id = 3`).Rows[0][0].Int(); got != 101 {
 		t.Fatalf("bal = %d, want first committer's 101", got)
 	}
 
@@ -206,7 +206,7 @@ func TestSnapshotReadMidStream(t *testing.T) {
 		if row == nil {
 			break
 		}
-		if row[1].I != 100 {
+		if row[1].Int() != 100 {
 			t.Fatalf("mid-stream row mutated: %v", row)
 		}
 		n++
@@ -214,7 +214,7 @@ func TestSnapshotReadMidStream(t *testing.T) {
 	if n != 16 {
 		t.Fatalf("snapshot stream delivered %d rows, want all 16 from its snapshot", n)
 	}
-	if got := mustExecSpill(t, s, `SELECT count(*) FROM acct`).Rows[0][0].I; got != 0 {
+	if got := mustExecSpill(t, s, `SELECT count(*) FROM acct`).Rows[0][0].Int(); got != 0 {
 		t.Fatalf("next statement sees %d rows, want the committed 0", got)
 	}
 	if st := db.Store().MVCCStatus(); st.Pins != 0 {
@@ -243,7 +243,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 	if removed != before.Versions-after.Versions {
 		t.Fatalf("vacuum reported %d removed, want %d", removed, before.Versions-after.Versions)
 	}
-	if got := mustExecSpill(t, s, `SELECT a FROM v`).Rows[0][0].I; got != 40 {
+	if got := mustExecSpill(t, s, `SELECT a FROM v`).Rows[0][0].Int(); got != 40 {
 		t.Fatalf("live value after vacuum = %d, want 40", got)
 	}
 
@@ -257,7 +257,7 @@ func TestVacuumReclaimsDeadVersions(t *testing.T) {
 		t.Fatal("vacuum reclaimed versions under a pinned snapshot")
 	}
 	row, err := rows.Next()
-	if err != nil || row == nil || row[0].I != 40 {
+	if err != nil || row == nil || row[0].Int() != 40 {
 		t.Fatalf("pinned read after vacuum attempt: %v %v", row, err)
 	}
 	rows.Close()
@@ -306,8 +306,8 @@ func TestConcurrentWriterDifferential(t *testing.T) {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
-				if res.Rows[0][0].I != accounts*100 || res.Rows[0][1].I != accounts {
-					t.Errorf("reader %d: torn snapshot sum=%d count=%d", r, res.Rows[0][0].I, res.Rows[0][1].I)
+				if res.Rows[0][0].Int() != accounts*100 || res.Rows[0][1].Int() != accounts {
+					t.Errorf("reader %d: torn snapshot sum=%d count=%d", r, res.Rows[0][0].Int(), res.Rows[0][1].Int())
 					return
 				}
 				// The provenance rewrite reads the same snapshot: each base
@@ -320,7 +320,7 @@ func TestConcurrentWriterDifferential(t *testing.T) {
 				}
 				total := int64(0)
 				for _, row := range prov.Rows {
-					total += row[1].I
+					total += row[1].Int()
 				}
 				if len(prov.Rows) != accounts || total != accounts*100 {
 					t.Errorf("reader %d: torn provenance snapshot sum=%d rows=%d", r, total, len(prov.Rows))
@@ -448,8 +448,8 @@ func BenchmarkSnapshotReadUnderWrites(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Rows[0][0].I < 16*100 {
-			b.Fatalf("snapshot sum shrank: %d", res.Rows[0][0].I)
+		if res.Rows[0][0].Int() < 16*100 {
+			b.Fatalf("snapshot sum shrank: %d", res.Rows[0][0].Int())
 		}
 	}
 	b.StopTimer()

@@ -39,14 +39,14 @@ func TestWALSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].S; got != "disabled" {
+	if got := res.Rows[0][0].Str(); got != "disabled" {
 		t.Fatalf("SHOW wal_sync without WAL = %q, want disabled", got)
 	}
 	res, err = s.Execute(`SHOW wal_status`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].S; got != "disabled" {
+	if got := res.Rows[0][0].Str(); got != "disabled" {
 		t.Fatalf("SHOW wal_status sync_mode without WAL = %q, want disabled", got)
 	}
 
@@ -63,7 +63,7 @@ func TestWALSettings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].S; got != "group(5)" {
+	if got := res.Rows[0][0].Str(); got != "group(5)" {
 		t.Fatalf("SHOW wal_sync = %q, want group(5)", got)
 	}
 	res, err = s.Execute(`SHOW wal_status`)
@@ -71,8 +71,8 @@ func TestWALSettings(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := res.Rows[0]
-	if row[1].I != 42 || row[2].I != 41 || row[3].I != 30 || row[4].I != 3 ||
-		row[5].I != 2 || row[6].I != 4096 || row[7].S != "boom" {
+	if row[1].Int() != 42 || row[2].Int() != 41 || row[3].Int() != 30 || row[4].Int() != 3 ||
+		row[5].Int() != 2 || row[6].Int() != 4096 || row[7].Str() != "boom" {
 		t.Fatalf("SHOW wal_status row = %v", row)
 	}
 

@@ -46,6 +46,8 @@ type aggIter struct {
 	// instead of emitting, leaves the groups in part.partial for the
 	// coordinator's mergePartials.
 	part *partition
+	// alloc makes the group-key rows and the output rows.
+	alloc value.RowAlloc
 }
 
 // aggState accumulates one aggregate within one group.
@@ -141,13 +143,13 @@ func appendAggPartial(dst []byte, g *aggGroup) []byte {
 // decodeAggPartial reverses appendAggPartial (rec excludes the discriminator
 // byte), returning the reconstructed group and its accountable byte footprint
 // (sans the map key, which the caller adds).
-func decodeAggPartial(rec []byte, nAggs int) (*aggGroup, int64, error) {
+func decodeAggPartial(a *value.RowAlloc, rec []byte, nAggs int) (*aggGroup, int64, error) {
 	corrupt := fmt.Errorf("executor: corrupt partial aggregate record")
 	firstSeq, n := binary.Uvarint(rec)
 	if n <= 0 {
 		return nil, 0, corrupt
 	}
-	keys, rest, err := spill.DecodeRow(rec[n:])
+	keys, rest, err := spill.DecodeRowIn(a, rec[n:])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -196,7 +198,7 @@ func decodeAggPartial(rec []byte, nAggs int) (*aggGroup, int64, error) {
 				return nil, 0, err
 			}
 			st.distinct[k] = v
-			st.fragBytes += int64(klen) + mapEntryBytes + valueFixedBytes + int64(len(v.S))
+			st.fragBytes += int64(klen) + mapEntryBytes + valueFixedBytes + int64(len(v.Str()))
 		}
 		bytes += st.fragBytes
 	}
@@ -279,8 +281,8 @@ func (a *aggIter) mergePartials(ctx *Context, parts []partition) error {
 // DISTINCT states that flushed runs first recompute their values from the
 // deduplicating merge.
 func (a *aggIter) groupRow(g *aggGroup) (value.Row, error) {
-	row := make(value.Row, 0, len(g.keys)+len(g.states))
-	row = append(row, g.keys...)
+	row := a.alloc.New(len(g.keys) + len(g.states))
+	copy(row, g.keys)
 	for i, ae := range a.op.Aggs {
 		st := &g.states[i]
 		if st.runs != nil {
@@ -292,7 +294,7 @@ func (a *aggIter) groupRow(g *aggGroup) (value.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row = append(row, v)
+		row[len(g.keys)+i] = v
 	}
 	return row, nil
 }
@@ -340,7 +342,7 @@ func (f *aggFold) add(rec []byte) error {
 	}
 	switch rec[0] {
 	case aggRecRaw:
-		seq, row, err := decodeSeqRow(rec[1:])
+		seq, row, err := decodeSeqRow(&f.a.d.alloc, rec[1:])
 		if err != nil {
 			return err
 		}
@@ -417,7 +419,9 @@ func (f *aggFold) addRow(seq uint64, row value.Row) error {
 			f.rec = appendSeqRow(append(f.rec[:0], aggRecRaw), seq, row)
 			return f.a.d.route(0, f.keyScratch, f.rec)
 		}
-		g = f.newGroup(f.keyVals.Clone(), seq)
+		keys := f.a.alloc.New(len(f.keyVals))
+		copy(keys, f.keyVals)
+		g = f.newGroup(keys, seq)
 		f.groups[string(f.keyScratch)] = g
 		f.order = append(f.order, g)
 		g.bytes = int64(len(f.keyScratch)) + groupBaseBytes(g.keys, len(g.states))
@@ -476,7 +480,7 @@ func (f *aggFold) routes() bool {
 // remaining raw rows always follow it in file order, because an eviction
 // precedes every routed row of its group.
 func (f *aggFold) addPartial(rec []byte) error {
-	g, bytes, err := decodeAggPartial(rec[1:], len(f.a.op.Aggs))
+	g, bytes, err := decodeAggPartial(&f.a.alloc, rec[1:], len(f.a.op.Aggs))
 	if err != nil {
 		return err
 	}
@@ -594,7 +598,7 @@ func (s *aggState) accumulate(ae algebra.AggExpr, arg value.Value, scratch *[]by
 			return 0, nil
 		}
 		s.distinct[string(*scratch)] = arg
-		grew = int64(len(*scratch)) + mapEntryBytes + valueFixedBytes + int64(len(arg.S))
+		grew = int64(len(*scratch)) + mapEntryBytes + valueFixedBytes + int64(len(arg.Str()))
 		s.fragBytes += grew
 		if s.runs != nil {
 			// An element absent from the fragment may still sit in a flushed
@@ -727,7 +731,7 @@ func appendElemRec(dst, key []byte, val value.Value) []byte {
 // surfaces does not matter. Keys copy out of the file's read buffer (Next
 // aliases it); values copy by construction (DecodeValue).
 var elemOrder = &mergeOrder{
-	decode: func(rec []byte, r *mergeRec) (err error) {
+	decode: func(_ *value.RowAlloc, rec []byte, r *mergeRec) (err error) {
 		klen, n := binary.Uvarint(rec)
 		if n <= 0 || uint64(len(rec)-n) < klen {
 			return fmt.Errorf("executor: corrupt DISTINCT run record")

@@ -63,9 +63,9 @@ var builtins = map[string]builtin{
 		return value.NewInt(int64(len([]rune(args[0].String())))), nil
 	}},
 	"abs": {fn: func(args []value.Value) (value.Value, error) {
-		switch args[0].K {
+		switch args[0].Kind() {
 		case value.KindInt:
-			n := args[0].I
+			n := args[0].Int()
 			if n < 0 {
 				n = -n
 			}
@@ -151,7 +151,7 @@ func substrFn(args []value.Value) (value.Value, error) {
 	if err != nil {
 		return value.Null, err
 	}
-	start := int(start64.I) - 1 // SQL is 1-based
+	start := int(start64.Int()) - 1 // SQL is 1-based
 	if start < 0 {
 		start = 0
 	}
@@ -161,7 +161,7 @@ func substrFn(args []value.Value) (value.Value, error) {
 		if err != nil {
 			return value.Null, err
 		}
-		end = start + int(ln64.I)
+		end = start + int(ln64.Int())
 	}
 	if start > len(s) {
 		start = len(s)

@@ -144,8 +144,8 @@ func compilePred(e algebra.Expr) compiledPred {
 		if v.IsNull() {
 			return false, nil
 		}
-		if v.K != value.KindBool {
-			return false, fmt.Errorf("executor: predicate evaluated to %s, want boolean", v.K)
+		if v.Kind() != value.KindBool {
+			return false, fmt.Errorf("executor: predicate evaluated to %s, want boolean", v.Kind())
 		}
 		return v.Bool(), nil
 	}

@@ -99,7 +99,7 @@ func TestCompileMatchesEval(t *testing.T) {
 				}
 				continue
 			}
-			if got.K != want.K || value.Distinct(got, want) {
+			if got.Kind() != want.Kind() || value.Distinct(got, want) {
 				t.Errorf("%v row %d: compiled = %v, eval = %v", e, ri, got, want)
 			}
 		}
@@ -149,7 +149,7 @@ func TestCompiledOuterRef(t *testing.T) {
 	}
 	ctx.pushOuter(value.Row{value.NewInt(42)})
 	v, err := ce(nil, ctx)
-	if err != nil || v.I != 42 {
+	if err != nil || v.Int() != 42 {
 		t.Fatalf("outer ref = %v, %v", v, err)
 	}
 }

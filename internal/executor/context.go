@@ -409,8 +409,8 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 			g.right = right
 		}
 		out := newJoinEmit(o, emit)
-		if keys := extractEquiKeys(o); len(keys) > 0 {
-			it = &hashJoinIter{op: o, left: left, right: right, keys: keys, out: out}
+		if keys, residual := extractEquiKeys(o); len(keys) > 0 {
+			it = &hashJoinIter{op: o, left: left, right: right, keys: keys, residual: residual, out: out}
 		} else {
 			it = &nlJoinIter{op: o, left: left, right: right, out: out}
 		}

@@ -67,7 +67,7 @@ func (s *dedupState) add(rec []byte) error {
 		_, err := s.see(rec[1:], true, 0, nil)
 		return err
 	}
-	seq, row, err := decodeSeqRow(rec[1:])
+	seq, row, err := decodeSeqRow(&s.d.alloc, rec[1:])
 	if err != nil {
 		return err
 	}

@@ -102,11 +102,11 @@ func TestCaseEvaluation(t *testing.T) {
 		Else: strConst("else"),
 		Typ:  value.KindString,
 	}
-	if got := evalOne(t, e, nil); got.S != "yes" {
+	if got := evalOne(t, e, nil); got.Str() != "yes" {
 		t.Errorf("CASE = %v", got)
 	}
 	e.Whens = e.Whens[:2]
-	if got := evalOne(t, e, nil); got.S != "else" {
+	if got := evalOne(t, e, nil); got.Str() != "else" {
 		t.Errorf("CASE else = %v", got)
 	}
 	e.Else = nil
@@ -172,61 +172,61 @@ func TestScalarFunctions(t *testing.T) {
 	i := func(n int64) algebra.Expr { return &algebra.Const{Val: value.NewInt(n)} }
 	f := func(x float64) algebra.Expr { return &algebra.Const{Val: value.NewFloat(x)} }
 
-	if got := call("upper", strConst("abc")); got.S != "ABC" {
+	if got := call("upper", strConst("abc")); got.Str() != "ABC" {
 		t.Errorf("upper = %v", got)
 	}
-	if got := call("lower", strConst("ABC")); got.S != "abc" {
+	if got := call("lower", strConst("ABC")); got.Str() != "abc" {
 		t.Errorf("lower = %v", got)
 	}
-	if got := call("length", strConst("héllo")); got.I != 5 {
+	if got := call("length", strConst("héllo")); got.Int() != 5 {
 		t.Errorf("length = %v", got)
 	}
-	if got := call("abs", i(-5)); got.I != 5 {
+	if got := call("abs", i(-5)); got.Int() != 5 {
 		t.Errorf("abs = %v", got)
 	}
-	if got := call("coalesce", nullConst(), nullConst(), i(3)); got.I != 3 {
+	if got := call("coalesce", nullConst(), nullConst(), i(3)); got.Int() != 3 {
 		t.Errorf("coalesce = %v", got)
 	}
 	if got := call("nullif", i(1), i(1)); !got.IsNull() {
 		t.Errorf("nullif equal = %v", got)
 	}
-	if got := call("nullif", i(1), i(2)); got.I != 1 {
+	if got := call("nullif", i(1), i(2)); got.Int() != 1 {
 		t.Errorf("nullif distinct = %v", got)
 	}
-	if got := call("substr", strConst("hello"), i(2), i(3)); got.S != "ell" {
+	if got := call("substr", strConst("hello"), i(2), i(3)); got.Str() != "ell" {
 		t.Errorf("substr = %v", got)
 	}
-	if got := call("substr", strConst("hello"), i(4)); got.S != "lo" {
+	if got := call("substr", strConst("hello"), i(4)); got.Str() != "lo" {
 		t.Errorf("substr open = %v", got)
 	}
-	if got := call("replace", strConst("aaa"), strConst("a"), strConst("b")); got.S != "bbb" {
+	if got := call("replace", strConst("aaa"), strConst("a"), strConst("b")); got.Str() != "bbb" {
 		t.Errorf("replace = %v", got)
 	}
-	if got := call("round", f(2.567), i(1)); got.F != 2.6 {
+	if got := call("round", f(2.567), i(1)); got.Float() != 2.6 {
 		t.Errorf("round = %v", got)
 	}
-	if got := call("floor", f(2.9)); got.F != 2 {
+	if got := call("floor", f(2.9)); got.Float() != 2 {
 		t.Errorf("floor = %v", got)
 	}
-	if got := call("sqrt", f(9)); got.F != 3 {
+	if got := call("sqrt", f(9)); got.Float() != 3 {
 		t.Errorf("sqrt = %v", got)
 	}
-	if got := call("power", f(2), f(10)); got.F != 1024 {
+	if got := call("power", f(2), f(10)); got.Float() != 1024 {
 		t.Errorf("power = %v", got)
 	}
-	if got := call("greatest", i(1), nullConst(), i(7), i(3)); got.I != 7 {
+	if got := call("greatest", i(1), nullConst(), i(7), i(3)); got.Int() != 7 {
 		t.Errorf("greatest = %v", got)
 	}
-	if got := call("least", i(1), i(7)); got.I != 1 {
+	if got := call("least", i(1), i(7)); got.Int() != 1 {
 		t.Errorf("least = %v", got)
 	}
-	if got := call("concat", strConst("a"), nullConst(), strConst("b")); got.S != "ab" {
+	if got := call("concat", strConst("a"), nullConst(), strConst("b")); got.Str() != "ab" {
 		t.Errorf("concat skips nulls = %v", got)
 	}
-	if got := call("strpos", strConst("hello"), strConst("ll")); got.I != 3 {
+	if got := call("strpos", strConst("hello"), strConst("ll")); got.Int() != 3 {
 		t.Errorf("strpos = %v", got)
 	}
-	if got := call("mod", i(7), i(3)); got.I != 1 {
+	if got := call("mod", i(7), i(3)); got.Int() != 1 {
 		t.Errorf("mod = %v", got)
 	}
 	// NULL propagation for plain functions.
@@ -237,7 +237,7 @@ func TestScalarFunctions(t *testing.T) {
 
 func TestCastEval(t *testing.T) {
 	got := evalOne(t, &algebra.Cast{E: strConst("12"), To: value.KindInt}, nil)
-	if got.I != 12 {
+	if got.Int() != 12 {
 		t.Errorf("cast = %v", got)
 	}
 	_, err := Eval(&algebra.Cast{E: strConst("x"), To: value.KindInt}, nil, NewContext(nil))
@@ -252,7 +252,7 @@ func TestConcatOperatorNull(t *testing.T) {
 		t.Errorf("'a' || NULL = %v, want NULL", got)
 	}
 	got = evalOne(t, &algebra.Bin{Op: sql.OpConcat, L: strConst("a"), R: &algebra.Const{Val: value.NewInt(1)}}, nil)
-	if got.S != "a1" {
+	if got.Str() != "a1" {
 		t.Errorf("'a' || 1 = %v", got)
 	}
 }

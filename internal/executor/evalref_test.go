@@ -118,8 +118,8 @@ func EvalBool(e algebra.Expr, row value.Row, ctx *Context) (bool, error) {
 	if v.IsNull() {
 		return false, nil
 	}
-	if v.K != value.KindBool {
-		return false, fmt.Errorf("executor: predicate evaluated to %s, want boolean", v.K)
+	if v.Kind() != value.KindBool {
+		return false, fmt.Errorf("executor: predicate evaluated to %s, want boolean", v.Kind())
 	}
 	return v.Bool(), nil
 }

@@ -125,7 +125,7 @@ func TestProjectExpressions(t *testing.T) {
 		&algebra.Bin{Op: sql.OpMul, L: intCol(0), R: intCol(1)},
 	}, []string{"prod"})
 	rows := runPlan(t, s, plan)
-	if rows[0][0].I != 10 || rows[3][0].I != 50 {
+	if rows[0][0].Int() != 10 || rows[3][0].Int() != 50 {
 		t.Errorf("rows = %v", rows)
 	}
 }
@@ -152,7 +152,7 @@ func TestHashJoinLeft(t *testing.T) {
 	// The a=1 row must be null-extended.
 	found := false
 	for _, r := range rows {
-		if r[0].I == 1 {
+		if r[0].Int() == 1 {
 			found = true
 			if !r[2].IsNull() || !r[3].IsNull() {
 				t.Errorf("unmatched left row not null-padded: %v", r)
@@ -198,7 +198,7 @@ func TestHashJoinRight(t *testing.T) {
 	}
 	foundUnmatched := false
 	for _, r := range rows {
-		if r[2].I == 5 {
+		if r[2].Int() == 5 {
 			foundUnmatched = true
 			if !r[0].IsNull() || !r[1].IsNull() {
 				t.Errorf("unmatched right row not null-padded: %v", r)
@@ -231,7 +231,7 @@ func TestSemiAntiJoin(t *testing.T) {
 	}
 	anti := algebra.NewJoin(algebra.JoinAnti, scanT(), scanU(), cond)
 	rows = runPlan(t, s, anti)
-	if len(rows) != 1 || rows[0][0].I != 1 {
+	if len(rows) != 1 || rows[0][0].Int() != 1 {
 		t.Errorf("anti rows = %v", rowsToInts(rows))
 	}
 }
@@ -280,7 +280,7 @@ func TestAggregation(t *testing.T) {
 	}
 	// group a=2: count=2 sum=45 min=20 max=25 avg=22.5
 	g2 := rows[1]
-	if g2[1].I != 2 || g2[2].I != 45 || g2[3].I != 20 || g2[4].I != 25 || g2[5].F != 22.5 {
+	if g2[1].Int() != 2 || g2[2].Int() != 45 || g2[3].Int() != 20 || g2[4].Int() != 25 || g2[5].Float() != 22.5 {
 		t.Errorf("group 2 = %v", g2)
 	}
 }
@@ -296,7 +296,7 @@ func TestScalarAggOverEmptyInput(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("scalar agg must emit one row, got %v", rows)
 	}
-	if rows[0][0].I != 0 || !rows[0][1].IsNull() {
+	if rows[0][0].Int() != 0 || !rows[0][1].IsNull() {
 		t.Errorf("count/sum over empty = %v, want (0, NULL)", rows[0])
 	}
 }
@@ -308,7 +308,7 @@ func TestAggDistinct(t *testing.T) {
 		{Func: algebra.AggSum, Arg: intCol(0), Distinct: true},
 	}, nil, nil)
 	rows := runPlan(t, s, agg)
-	if rows[0][0].I != 3 || rows[0][1].I != 6 { // distinct a: 1,2,3
+	if rows[0][0].Int() != 3 || rows[0][1].Int() != 6 { // distinct a: 1,2,3
 		t.Errorf("distinct agg = %v", rows[0])
 	}
 }
@@ -327,7 +327,7 @@ func TestAggNullsSkipped(t *testing.T) {
 		{Func: algebra.AggAvg, Arg: intCol(0)},   // avg = 5
 	}, nil, nil)
 	rows := runPlan(t, s, agg)
-	if rows[0][0].I != 2 || rows[0][1].I != 1 || rows[0][2].F != 5 {
+	if rows[0][0].Int() != 2 || rows[0][1].Int() != 1 || rows[0][2].Float() != 5 {
 		t.Errorf("agg = %v", rows[0])
 	}
 }
@@ -392,7 +392,7 @@ func TestSortNullsFirst(t *testing.T) {
 	tab.Insert(value.Row{value.NewInt(1)})
 	sc := &algebra.Scan{Table: "n", Sch: algebra.Schema{{Name: "x", Type: value.KindInt}}}
 	rows := runPlan(t, s, &algebra.Sort{Input: sc, Keys: []algebra.SortKey{{Expr: intCol(0)}}})
-	if !rows[0][0].IsNull() || rows[1][0].I != 1 || rows[2][0].I != 2 {
+	if !rows[0][0].IsNull() || rows[1][0].Int() != 1 || rows[2][0].Int() != 2 {
 		t.Errorf("rows = %v", rows)
 	}
 }
@@ -404,7 +404,7 @@ func TestValuesOp(t *testing.T) {
 		Sch:  algebra.Schema{{Name: "x", Type: value.KindInt}},
 	}
 	rows := runPlan(t, s, v)
-	if len(rows) != 2 || rows[1][0].I != 2 {
+	if len(rows) != 2 || rows[1][0].Int() != 2 {
 		t.Errorf("values = %v", rows)
 	}
 }
@@ -470,7 +470,7 @@ func TestSubplanExistsCorrelated(t *testing.T) {
 		Cond:  &algebra.Subplan{Mode: algebra.ExistsSubplan, Plan: inner, Correlated: true, Neg: true},
 	}
 	rows = runPlan(t, s, plan)
-	if len(rows) != 1 || rows[0][0].I != 1 {
+	if len(rows) != 1 || rows[0][0].Int() != 1 {
 		t.Errorf("not exists rows = %v", rowsToInts(rows))
 	}
 }

@@ -25,12 +25,12 @@ func runRecord(dst []byte, keys, row value.Row) []byte {
 }
 
 // decodeRunRecord reverses runRecord.
-func decodeRunRecord(rec []byte) (keys, row value.Row, err error) {
-	keys, rest, err := spill.DecodeRow(rec)
+func decodeRunRecord(a *value.RowAlloc, rec []byte) (keys, row value.Row, err error) {
+	keys, rest, err := spill.DecodeRowIn(a, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	row, _, err = spill.DecodeRow(rest)
+	row, _, err = spill.DecodeRowIn(a, rest)
 	return keys, row, err
 }
 
@@ -55,8 +55,8 @@ func sortKeyCompare(sortKeys []algebra.SortKey, a, b value.Row) int {
 // creation order.
 func runOrder(sortKeys []algebra.SortKey) *mergeOrder {
 	return &mergeOrder{
-		decode: func(rec []byte, r *mergeRec) (err error) {
-			r.keys, r.row, err = decodeRunRecord(rec)
+		decode: func(a *value.RowAlloc, rec []byte, r *mergeRec) (err error) {
+			r.keys, r.row, err = decodeRunRecord(a, rec)
 			return err
 		},
 		encode: func(dst []byte, r *mergeRec) []byte { return runRecord(dst, r.keys, r.row) },

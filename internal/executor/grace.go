@@ -113,20 +113,20 @@ func appendSeqRow(dst []byte, seq uint64, row value.Row) []byte {
 }
 
 // decodeSeqRow reverses appendSeqRow.
-func decodeSeqRow(rec []byte) (uint64, value.Row, error) {
+func decodeSeqRow(a *value.RowAlloc, rec []byte) (uint64, value.Row, error) {
 	seq, n := binary.Uvarint(rec)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("executor: corrupt spill record (sequence)")
 	}
-	row, _, err := spill.DecodeRow(rec[n:])
+	row, _, err := spill.DecodeRowIn(a, rec[n:])
 	return seq, row, err
 }
 
 // seqOrder is the merge order of sequence-tagged output files: ascending
 // sequence, i.e. the order the unspilled operator would have emitted in.
 var seqOrder = &mergeOrder{
-	decode: func(rec []byte, r *mergeRec) (err error) {
-		r.seq, r.row, err = decodeSeqRow(rec)
+	decode: func(a *value.RowAlloc, rec []byte, r *mergeRec) (err error) {
+		r.seq, r.row, err = decodeSeqRow(a, rec)
 		return err
 	},
 	encode: func(dst []byte, r *mergeRec) []byte { return appendSeqRow(dst, r.seq, r.row) },
@@ -196,6 +196,8 @@ type graceDriver struct {
 	outputs []*spill.File
 	rec     []byte
 	merger  *merger
+	// alloc makes the rows the folds decode from partition records.
+	alloc value.RowAlloc
 }
 
 // start readies the driver for an operator's Open: the level-0 pass.

@@ -59,7 +59,7 @@ func appendJoinRec(dst []byte, ord uint64, hashable bool, key []byte, row value.
 
 // decodeJoinRec reverses appendJoinRec. The returned key aliases rec and is
 // only valid until the next file read.
-func decodeJoinRec(rec []byte) (ord uint64, hashable bool, key []byte, row value.Row, err error) {
+func decodeJoinRec(a *value.RowAlloc, rec []byte) (ord uint64, hashable bool, key []byte, row value.Row, err error) {
 	ord, n := binary.Uvarint(rec)
 	if n <= 0 || len(rec) < n+1 {
 		return 0, false, nil, nil, fmt.Errorf("executor: corrupt join spill record (ordinal)")
@@ -71,7 +71,7 @@ func decodeJoinRec(rec []byte) (ord uint64, hashable bool, key []byte, row value
 		return 0, false, nil, nil, fmt.Errorf("executor: corrupt join spill record (key)")
 	}
 	key = rec[n : n+int(klen)]
-	row, _, err = spill.DecodeRow(rec[n+int(klen):])
+	row, _, err = spill.DecodeRowIn(a, rec[n+int(klen):])
 	return ord, hashable, key, row, err
 }
 
@@ -180,7 +180,7 @@ func (h *hashJoinIter) add(rec []byte) error {
 			return err
 		}
 	}
-	ord, hashable, key, row, err := decodeJoinRec(rec)
+	ord, hashable, key, row, err := decodeJoinRec(&h.d.alloc, rec)
 	if err != nil {
 		return err
 	}
@@ -204,7 +204,7 @@ func (h *hashJoinIter) finish() error {
 // routeKey re-keys one record of a pair being re-partitioned (the per-level
 // hash salt sends what this level hashed together to different sub-pairs).
 func (h *hashJoinIter) routeKey(_ int, rec []byte) ([]byte, error) {
-	_, hashable, key, _, err := decodeJoinRec(rec)
+	_, hashable, key, _, err := decodeJoinRec(&h.d.alloc, rec)
 	if !hashable {
 		key = nil
 	}
@@ -242,7 +242,7 @@ func (h *hashJoinIter) joinChunk(last bool) error {
 	var pos uint64
 	err := h.d.scan(h.probe, func(rec []byte) error {
 		pos++
-		seq, hashable, key, probe, err := decodeJoinRec(rec)
+		seq, hashable, key, probe, err := decodeJoinRec(&h.d.alloc, rec)
 		if err != nil {
 			return err
 		}

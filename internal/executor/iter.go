@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"perm/internal/algebra"
@@ -53,6 +54,7 @@ type valuesIter struct {
 	ctx      *Context
 	pos      int
 	compiled [][]compiledExpr
+	alloc    value.RowAlloc
 }
 
 func (v *valuesIter) Open(ctx *Context) error {
@@ -73,7 +75,7 @@ func (v *valuesIter) Next() (value.Row, error) {
 	}
 	exprs := v.compiled[v.pos]
 	v.pos++
-	row := make(value.Row, len(exprs))
+	row := v.alloc.New(len(exprs))
 	for i, ce := range exprs {
 		val, err := ce(nil, v.ctx)
 		if err != nil {
@@ -93,12 +95,24 @@ type projectIter struct {
 	input iterator
 	ctx   *Context
 	exprs []compiledExpr
+	// prefix: the expressions are columns 0..n-1 of the input, in order, so
+	// the output row is the input row re-sliced. Rows are immutable, which
+	// makes the alias as good as the copy.
+	prefix bool
+	alloc  value.RowAlloc
 }
 
 func (p *projectIter) Open(ctx *Context) error {
 	p.ctx = ctx
 	if p.exprs == nil {
 		p.exprs = compileAll(p.op.Exprs)
+		p.prefix = true
+		for i, e := range p.op.Exprs {
+			if c, ok := e.(*algebra.ColIdx); !ok || c.Idx != i {
+				p.prefix = false
+				break
+			}
+		}
 	}
 	return p.input.Open(ctx)
 }
@@ -108,7 +122,11 @@ func (p *projectIter) Next() (value.Row, error) {
 	if err != nil || in == nil {
 		return nil, err
 	}
-	out := make(value.Row, len(p.exprs))
+	if p.prefix {
+		n := len(p.exprs)
+		return in[:n:n], nil
+	}
+	out := p.alloc.New(len(p.exprs))
 	for i, ce := range p.exprs {
 		v, err := ce(in, p.ctx)
 		if err != nil {
@@ -207,6 +225,7 @@ func (s *sortIter) Open(ctx *Context) error {
 	}
 
 	var all []sortKeyed
+	var keyAlloc value.RowAlloc
 	var runs []*spill.File
 	var batchBytes int64
 	var rec []byte
@@ -231,7 +250,7 @@ func (s *sortIter) Open(ctx *Context) error {
 	}
 
 	err := drainRows(ctx, s.input, func(row value.Row) error {
-		keys := make(value.Row, len(keyExprs))
+		keys := keyAlloc.New(len(keyExprs))
 		for i, ke := range keyExprs {
 			v, err := ke(row, ctx)
 			if err != nil {
@@ -419,6 +438,18 @@ func (c *concatIter) Close() error {
 }
 
 // --- draining -------------------------------------------------------------------
+
+// roomFor returns s with capacity for n more elements, doubling a slice that
+// is full. The buffers a whole input drains into end up thousands of elements
+// long, where append's own growth has slowed to 1.25× and a slice that ends
+// at n elements has allocated some 4.5n on the way; doubling allocates 3n on
+// average.
+func roomFor[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
+}
 
 // drainRows pulls src to its end, handing each row to fn. Every operator that
 // consumes a whole input before it emits runs its input through here, so this

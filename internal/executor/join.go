@@ -23,42 +23,50 @@ type equiKey struct {
 	nullEq bool
 }
 
-// extractEquiKeys finds hashable equality conjuncts in the join condition.
-func extractEquiKeys(op *algebra.Join) []equiKey {
+// extractEquiKeys finds the hashable equality conjuncts of the join condition
+// and returns, beside them, what is left of the condition for the join to
+// evaluate on each candidate pair (nil: nothing). A conjunct that became a key
+// is not evaluated again: candidates are pairs whose framed keys are
+// byte-equal, and the key encoding is the equality of value.Compare — equal
+// keys are values of one kind that compare equal, NULL with NULL only under
+// IS NOT DISTINCT FROM (a strict key holding a NULL is never hashed) — so on
+// every candidate the conjunct is true.
+func extractEquiKeys(op *algebra.Join) (keys []equiKey, residual algebra.Expr) {
 	if op.Cond == nil {
-		return nil
+		return nil, nil
 	}
 	nLeft := len(op.Left.Schema())
-	var keys []equiKey
+	var rest []algebra.Expr
 	for _, conj := range algebra.SplitAnd(op.Cond) {
-		b, ok := conj.(*algebra.Bin)
-		if !ok || (b.Op != sql.OpEq && b.Op != sql.OpNotDistinct) {
-			continue
-		}
-		if algebra.HasSubplan(b.L) || algebra.HasSubplan(b.R) {
-			continue
-		}
-		lSide, lOK := sideOf(b.L, nLeft)
-		rSide, rOK := sideOf(b.R, nLeft)
-		if !lOK || !rOK {
-			continue
-		}
-		switch {
-		case lSide == 0 && rSide == 1:
-			keys = append(keys, equiKey{
-				left:   b.L,
-				right:  algebra.ShiftCols(b.R, -nLeft),
-				nullEq: b.Op == sql.OpNotDistinct,
-			})
-		case lSide == 1 && rSide == 0:
-			keys = append(keys, equiKey{
-				left:   b.R,
-				right:  algebra.ShiftCols(b.L, -nLeft),
-				nullEq: b.Op == sql.OpNotDistinct,
-			})
+		if key, ok := equiKeyOf(conj, nLeft); ok {
+			keys = append(keys, key)
+		} else {
+			rest = append(rest, conj)
 		}
 	}
-	return keys
+	return keys, algebra.AndAll(rest)
+}
+
+// equiKeyOf reads conj as an equality between an expression over the left
+// input and one over the right.
+func equiKeyOf(conj algebra.Expr, nLeft int) (equiKey, bool) {
+	b, ok := conj.(*algebra.Bin)
+	if !ok || (b.Op != sql.OpEq && b.Op != sql.OpNotDistinct) {
+		return equiKey{}, false
+	}
+	if algebra.HasSubplan(b.L) || algebra.HasSubplan(b.R) {
+		return equiKey{}, false
+	}
+	lSide, lOK := sideOf(b.L, nLeft)
+	rSide, rOK := sideOf(b.R, nLeft)
+	l, r := b.L, b.R
+	switch {
+	case !lOK || !rOK || lSide == rSide:
+		return equiKey{}, false
+	case lSide == 1:
+		l, r = r, l
+	}
+	return equiKey{left: l, right: algebra.ShiftCols(r, -nLeft), nullEq: b.Op == sql.OpNotDistinct}, true
 }
 
 // sideOf classifies which input an expression references: 0 = left only,
@@ -119,10 +127,10 @@ func (t *buildTable) add(row value.Row, key []byte, hashable bool) int64 {
 	charge := rowBytes(row) + buildRowFixedBytes
 	if hashable {
 		br.keyOff, br.keyLen = len(t.arena), int32(len(key))
-		t.arena = append(t.arena, key...)
+		t.arena = append(roomFor(t.arena, len(key)), key...)
 		charge += int64(len(key))
 	}
-	t.rows = append(t.rows, br)
+	t.rows = append(roomFor(t.rows, 1), br)
 	return charge
 }
 
@@ -188,6 +196,7 @@ type joinEmit struct {
 	cols   []int32
 	consts []value.Value
 	nLeft  int
+	alloc  value.RowAlloc
 }
 
 // newJoinEmit derives the emitter for a join and the pure column-and-constant
@@ -220,7 +229,7 @@ func newJoinEmit(j *algebra.Join, proj *algebra.Project) *joinEmit {
 // row allocates the output row for a probe/build pair; a nil side reads as
 // all NULLs (outer-join padding).
 func (e *joinEmit) row(l, r value.Row) value.Row {
-	return e.fill(make(value.Row, len(e.cols)), l, r)
+	return e.fill(e.alloc.New(len(e.cols)), l, r)
 }
 
 // fill is row into caller-owned storage: dst must be len(cols) long.
@@ -305,14 +314,16 @@ type hashJoinIter struct {
 	left  iterator
 	right iterator
 	keys  []equiKey
-	out   *joinEmit
-	ctx   *Context
+	// residual is the part of the condition the keys do not already decide.
+	residual algebra.Expr
+	out      *joinEmit
+	ctx      *Context
 
 	// compiled per-side key evaluators and residual condition
 	leftKey  []compiledExpr
 	rightKey []compiledExpr
 	nullEq   []bool
-	cond     compiledPred // nil when the join has no condition
+	cond     compiledPred // nil when the keys decide the whole condition
 
 	table buildTable
 	// keyScratch is the reusable key-encoding buffer (zero allocs per probe).
@@ -354,8 +365,8 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 			h.rightKey[i] = Compile(k.right)
 			h.nullEq[i] = k.nullEq
 		}
-		if h.op.Cond != nil {
-			h.cond = compilePred(h.op.Cond)
+		if h.residual != nil {
+			h.cond = compilePred(h.residual)
 		}
 	}
 	if err := h.right.Open(ctx); err != nil {
@@ -573,6 +584,8 @@ type nlBuild struct {
 	fileMatched []bool
 	// cursor: pos counts the candidates handed out since rewind
 	pos int
+	// alloc makes the rows read back from file
+	alloc value.RowAlloc
 }
 
 func (b *nlBuild) rewind() { b.pos = 0 }
@@ -603,7 +616,7 @@ func (b *nlBuild) next(ctx *Context) (value.Row, *bool, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	row, _, err := spill.DecodeRow(rec)
+	row, _, err := spill.DecodeRowIn(&b.alloc, rec)
 	return row, &b.fileMatched[i], err
 }
 
@@ -737,6 +750,7 @@ type lateralJoinIter struct {
 	curRows  []value.Row
 	curIdx   int
 	curMatch bool
+	alloc    value.RowAlloc
 }
 
 func (l *lateralJoinIter) Open(ctx *Context) error {
@@ -746,6 +760,14 @@ func (l *lateralJoinIter) Open(ctx *Context) error {
 		l.cond = compilePred(l.op.Cond)
 	}
 	return l.left.Open(ctx)
+}
+
+// concat makes the output row probe⧺rrow, nRight columns wide on the right;
+// a nil rrow leaves them NULL.
+func (l *lateralJoinIter) concat(probe, rrow value.Row, nRight int) value.Row {
+	out := l.alloc.New(len(probe) + nRight)
+	copy(out[copy(out, probe):], rrow)
+	return out
 }
 
 func (l *lateralJoinIter) Next() (value.Row, error) {
@@ -777,7 +799,7 @@ func (l *lateralJoinIter) Next() (value.Row, error) {
 		for l.curIdx < len(l.curRows) {
 			rrow := l.curRows[l.curIdx]
 			l.curIdx++
-			combined := value.Concat(l.curProbe, rrow)
+			combined := l.concat(l.curProbe, rrow, nRight)
 			ok := true
 			if l.cond != nil {
 				var err error
@@ -796,7 +818,7 @@ func (l *lateralJoinIter) Next() (value.Row, error) {
 		matched := l.curMatch
 		l.curProbe = nil
 		if l.op.Kind == algebra.JoinLeft && !matched {
-			return value.Concat(probe, value.NullRow(nRight)), nil
+			return l.concat(probe, nil, nRight), nil
 		}
 	}
 }

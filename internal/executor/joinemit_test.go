@@ -191,3 +191,51 @@ func TestBuildTableKeepsInsertionOrder(t *testing.T) {
 		t.Errorf("after reset: first = %d, next = %d", bi, tbl.next[0])
 	}
 }
+
+// TestHashedConjunctsLeaveTheResidual: a conjunct the hash key already
+// decides is not evaluated a second time on every candidate pair — equal
+// framed keys are values that compare equal — and everything else still is.
+func TestHashedConjunctsLeaveTheResidual(t *testing.T) {
+	s := emitStore(t)
+	str := func(i int) *algebra.ColIdx { return &algebra.ColIdx{Idx: i, Typ: value.KindString} }
+	bin := func(op sql.BinOp, l, r algebra.Expr) algebra.Expr { return &algebra.Bin{Op: op, L: l, R: r} }
+	and := func(l, r algebra.Expr) algebra.Expr { return bin(sql.OpAnd, l, r) }
+	keysEqual, longer := bin(sql.OpEq, intCol(0), intCol(2)), bin(sql.OpLt, str(1), str(3))
+	for _, tc := range []struct {
+		name     string
+		cond     algebra.Expr
+		keys     int
+		residual algebra.Expr
+	}{
+		{"one key", keysEqual, 1, nil},
+		{"not distinct", bin(sql.OpNotDistinct, intCol(0), intCol(2)), 1, nil},
+		{"two keys around a theta conjunct", and(and(bin(sql.OpEq, intCol(2), intCol(0)), longer), bin(sql.OpEq, str(1), str(3))), 2, longer},
+		{"a constant side is no key", and(keysEqual, bin(sql.OpEq, intCol(0), intConst(7))), 1, bin(sql.OpEq, intCol(0), intConst(7))},
+		{"no key", longer, 0, longer},
+	} {
+		join := algebra.NewJoin(algebra.JoinInner, emitScan("probe", "a"), emitScan("build", "b"), tc.cond)
+		keys, residual := extractEquiKeys(join)
+		got, want := "", ""
+		if residual != nil {
+			got = residual.String()
+		}
+		if tc.residual != nil {
+			want = tc.residual.String()
+		}
+		if len(keys) != tc.keys || got != want {
+			t.Errorf("%s: %d keys and residual %q, want %d and %q", tc.name, len(keys), got, tc.keys, want)
+		}
+	}
+	// Keys alone decide the join: its rows are those of the nested loop, which
+	// evaluates the condition itself.
+	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinFull} {
+		for _, cond := range []algebra.Expr{keysEqual, and(keysEqual, longer)} {
+			hashed := runPlan(t, s, algebra.NewJoin(kind, emitScan("probe", "a"), emitScan("build", "b"), cond))
+			looped := runPlan(t, s, algebra.NewJoin(kind, emitScan("probe", "a"), emitScan("build", "b"),
+				bin(sql.OpOr, cond, &algebra.Const{Val: value.NewBool(false)})))
+			if len(hashed) == 0 || renderExact(hashed) != renderExact(looped) {
+				t.Errorf("%s on %s: the hash join returned %d rows, the nested loop %d, or they differ", kind, cond, len(hashed), len(looped))
+			}
+		}
+	}
+}

@@ -96,7 +96,7 @@ const rowSliceBytes = int64(unsafe.Sizeof(value.Row{}))
 func rowBytes(row value.Row) int64 {
 	n := rowSliceBytes + valueFixedBytes*int64(len(row))
 	for i := range row {
-		n += int64(len(row[i].S))
+		n += int64(len(row[i].Str()))
 	}
 	return n
 }

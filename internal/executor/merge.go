@@ -29,7 +29,8 @@ type mergeRec struct {
 // keeps an external sort stable: its runs are contiguous input ranges written
 // in input order.
 type mergeOrder struct {
-	decode func(rec []byte, into *mergeRec) error
+	// decode fills into from rec, taking row memory from a.
+	decode func(a *value.RowAlloc, rec []byte, into *mergeRec) error
 	encode func(dst []byte, r *mergeRec) []byte // reverses decode, for reduction passes
 	cmp    func(a, b *mergeRec) int
 	// collapse makes records that compare equal surface once (one DISTINCT
@@ -73,6 +74,8 @@ type merger struct {
 	// last is the record a collapsing merge is stepping past; it trades
 	// buffers with the head cursor so neither allocates per record.
 	last mergeRec
+	// alloc makes the rows of the records it decodes.
+	alloc value.RowAlloc
 }
 
 // newMerger merges files, each fully written in ord's order. It never holds
@@ -139,7 +142,7 @@ func (m *merger) load(c *mergeCursor) (more bool, err error) {
 	if rec == nil {
 		return false, c.f.Close()
 	}
-	return true, m.h.ord.decode(rec, &c.rec)
+	return true, m.h.ord.decode(&m.alloc, rec, &c.rec)
 }
 
 // advance moves the head cursor to its next record and restores the heap.

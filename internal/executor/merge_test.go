@@ -77,7 +77,7 @@ func TestMerger(t *testing.T) {
 				}
 				return fs
 			},
-			render: func(r *mergeRec) string { return fmt.Sprint(r.keys[0].I, r.row[0].I, r.row[1].I) },
+			render: func(r *mergeRec) string { return fmt.Sprint(r.keys[0].Int(), r.row[0].Int(), r.row[1].Int()) },
 			want: func() (w []string) {
 				for f := 0; f < nFiles; f++ {
 					w = append(w, fmt.Sprint(0, f, 0), fmt.Sprint(0, f, 1))
@@ -101,7 +101,7 @@ func TestMerger(t *testing.T) {
 				}
 				return fs
 			},
-			render: func(r *mergeRec) string { return fmt.Sprint(r.seq, r.row[0].I) },
+			render: func(r *mergeRec) string { return fmt.Sprint(r.seq, r.row[0].Int()) },
 			want: func() (w []string) {
 				for s := 0; s < 3*nFiles; s++ {
 					w = append(w, fmt.Sprint(s, s))
@@ -125,7 +125,7 @@ func TestMerger(t *testing.T) {
 				}
 				return fs
 			},
-			render: func(r *mergeRec) string { return string(r.key) + "=" + r.val.S },
+			render: func(r *mergeRec) string { return string(r.key) + "=" + r.val.Str() },
 			want:   func() []string { return []string{"a=a", "m0=m0", "m1=m1", "m2=m2", "m3=m3", "m4=m4", "z=z"} },
 		},
 		{

@@ -121,7 +121,7 @@ func (s *setOpIter) begin(in [2]*spill.File) bool {
 
 // add counts one right-side record.
 func (s *setOpIter) add(rec []byte) error {
-	row, _, err := spill.DecodeRow(rec)
+	row, _, err := spill.DecodeRowIn(&s.d.alloc, rec)
 	if err != nil {
 		return err
 	}
@@ -158,7 +158,7 @@ func (s *setOpIter) charge(newKey bool, resident int) error {
 func (s *setOpIter) finish() error {
 	if s.probe != nil {
 		if err := s.d.scan(s.probe, func(rec []byte) error {
-			seq, row, err := decodeSeqRow(rec)
+			seq, row, err := decodeSeqRow(&s.d.alloc, rec)
 			if err != nil {
 				return err
 			}
@@ -207,9 +207,9 @@ func (s *setOpIter) routeKey(side int, rec []byte) ([]byte, error) {
 	var row value.Row
 	var err error
 	if side == 1 {
-		_, row, err = decodeSeqRow(rec)
+		_, row, err = decodeSeqRow(&s.d.alloc, rec)
 	} else {
-		row, _, err = spill.DecodeRow(rec)
+		row, _, err = spill.DecodeRowIn(&s.d.alloc, rec)
 	}
 	s.scratch = row.AppendKey(s.scratch[:0])
 	return s.scratch, err

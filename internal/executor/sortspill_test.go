@@ -73,8 +73,8 @@ func TestSortRunSizingTinyBudget(t *testing.T) {
 		t.Fatalf("sorted %d rows, want %d", len(res.Rows), n)
 	}
 	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i-1][0].I > res.Rows[i][0].I {
-			t.Fatalf("rows %d/%d out of order: %v > %v", i-1, i, res.Rows[i-1][0].I, res.Rows[i][0].I)
+		if res.Rows[i-1][0].Int() > res.Rows[i][0].Int() {
+			t.Fatalf("rows %d/%d out of order: %v > %v", i-1, i, res.Rows[i-1][0].Int(), res.Rows[i][0].Int())
 		}
 	}
 	if tracked := ctx.Mem.Tracked(); tracked != 0 {

@@ -132,7 +132,7 @@ func (s *Stream) Close() error {
 func (s *Stream) Drain() ([]value.Row, error) {
 	var rows []value.Row
 	if err := drainRows(s.ctx, s, func(row value.Row) error {
-		rows = append(rows, row)
+		rows = append(roomFor(rows, 1), row)
 		return nil
 	}); err != nil {
 		s.Close()

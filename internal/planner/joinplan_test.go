@@ -470,3 +470,146 @@ func TestEstimateJoinCondition(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnMapsMoveAboveJoins: a projection under a join that only repeats
+// and rearranges its input's columns — what the provenance rewrite puts over
+// every base relation — moves above the join, where the join emits through
+// it, so its rows are never built. One that drops a column, or computes one,
+// stays; so does any under a semi, anti or lateral join.
+func TestColumnMapsMoveAboveJoins(t *testing.T) {
+	// dup is the provenance rewrite of a base relation: its attributes, then
+	// the same attributes again.
+	dup := func(in algebra.Op) algebra.Op {
+		return algebra.NewProject(in, []algebra.Expr{col(0, "k"), col(1, "v"), col(0, "k"), col(1, "v")},
+			[]string{"k", "v", "prov_k", "prov_v"})
+	}
+	handBuilt := func(kind algebra.JoinKind, lateral bool, left, right func(algebra.Op) algebra.Op, cond algebra.Expr) func(*testing.T, *storage.Store) algebra.Op {
+		return func(t *testing.T, s *storage.Store) algebra.Op {
+			j := algebra.NewJoin(kind, left(scanOf(t, s, "a")), right(scanOf(t, s, "b")), cond)
+			j.Lateral = lateral
+			return j
+		}
+	}
+	same := func(in algebra.Op) algebra.Op { return in }
+	runPlanCases(t, []planCase{{
+		name: "provenance of an aggregate",
+		build: func(t *testing.T, s *storage.Store) algebra.Op {
+			st, err := sql.Parse(`SELECT PROVENANCE k, count(*) FROM a WHERE v > 2 GROUP BY k`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			an := analyzer.New(s.Catalog())
+			an.Rewrite = func(req analyzer.ProvRequest) (algebra.Op, error) {
+				return core.NewRewriter(core.DefaultOptions()).Rewrite(req.Input)
+			}
+			raw, err := an.AnalyzeSelect(st.(*sql.SelectStmt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		},
+		before: `
+ProvenanceGiven
+└── Project Π [k#0, count#1, prov_public_a_k#2, prov_public_a_v#3] → [k, count, prov_public_a_k*, prov_public_a_v*]
+    └── Project Π [k#0, count#1, prov_public_a_k#4, prov_public_a_v#5] → [k, count, prov_public_a_k*, prov_public_a_v*]
+        └── Join ⋈ Left on (k#0 IS NOT DISTINCT FROM k#2) → [k, count, k, v, prov_public_a_k*, prov_public_a_v*]
+            ├── Aggregate α group=[k#0] aggs=[count(*)]
+            │   └── Select σ [(v#1 > 2)]
+            │       └── Scan a [k, v]
+            └── Select σ [(v#1 > 2)]
+                └── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_public_a_k*, prov_public_a_v*]
+                    └── Scan a [k, v]`,
+		after: `
+ProvenanceGiven
+└── Project Π [k#0, count#1, prov_public_a_k#2, prov_public_a_v#3] → [k, count, prov_public_a_k*, prov_public_a_v*]
+    └── Join ⋈ Left on (k#0 IS NOT DISTINCT FROM k#2) → [k, count, k, v]
+        ├── Aggregate α group=[k#0] aggs=[count(*)]
+        │   └── Select σ [(v#1 > 2)]
+        │       └── Scan a [k, v]
+        └── Select σ [(v#1 > 2)]
+            └── Scan a [k, v]`,
+	}, {
+		name:  "left input",
+		build: handBuilt(algebra.JoinInner, false, dup, same, eq(col(2, "prov_k"), col(4, "k"))),
+		before: `
+Join ⋈ Inner on (prov_k#2 = k#4) → [k, v, prov_k, prov_v, k, v]
+├── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+		after: `
+Project Π [k#0, v#1, prov_k#0, prov_v#1, k#2, v#3] → [k, v, prov_k, prov_v, k, v]
+└── Join ⋈ Inner on (prov_k#0 = k#2) → [k, v, k, v]
+    ├── Scan a [k, v]
+    └── Scan b [k, v]`,
+	}, {
+		name:  "both inputs of an outer join",
+		build: handBuilt(algebra.JoinLeft, false, dup, dup, eq(col(3, "prov_v"), col(5, "v"))),
+		before: `
+Join ⋈ Left on (prov_v#3 = v#5) → [k, v, prov_k, prov_v, k, v, prov_k, prov_v]
+├── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
+│   └── Scan a [k, v]
+└── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
+    └── Scan b [k, v]`,
+		after: `
+Project Π [k#0, v#1, prov_k#0, prov_v#1, k#2, v#3, prov_k#2, prov_v#3] → [k, v, prov_k, prov_v, k, v, prov_k, prov_v]
+└── Join ⋈ Left on (prov_v#1 = v#3) → [k, v, k, v]
+    ├── Scan a [k, v]
+    └── Scan b [k, v]`,
+	}, {
+		name: "a map that drops a column stays",
+		build: handBuilt(algebra.JoinInner, false, func(in algebra.Op) algebra.Op {
+			return algebra.NewProject(in, []algebra.Expr{col(1, "v")}, []string{"v"})
+		}, same, eq(col(0, "v"), col(2, "v"))),
+		before: `
+Join ⋈ Inner on (v#0 = v#2) → [v, k, v]
+├── Project Π [v#1] → [v]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+		after: `
+Join ⋈ Inner on (v#0 = v#2) → [v, k, v]
+├── Project Π [v#1] → [v]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+	}, {
+		name: "a computed column stays",
+		build: handBuilt(algebra.JoinInner, false, func(in algebra.Op) algebra.Op {
+			return algebra.NewProject(in, []algebra.Expr{col(0, "k"), &algebra.Bin{Op: sql.OpAdd, L: col(1, "v"), R: col(0, "k")}}, []string{"k", "kv"})
+		}, same, eq(col(0, "k"), col(2, "k"))),
+		before: `
+Join ⋈ Inner on (k#0 = k#2) → [k, kv, k, v]
+├── Project Π [k#0, (v#1 + k#0)] → [k, kv]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+		after: `
+Join ⋈ Inner on (k#0 = k#2) → [k, kv, k, v]
+├── Project Π [k#0, (v#1 + k#0)] → [k, kv]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+	}, {
+		name:  "semi join",
+		build: handBuilt(algebra.JoinSemi, false, dup, same, eq(col(2, "prov_k"), col(4, "k"))),
+		before: `
+Join ⋈ Semi on (prov_k#2 = k#4) → [k, v, prov_k, prov_v]
+├── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+		after: `
+Join ⋈ Semi on (prov_k#2 = k#4) → [k, v, prov_k, prov_v]
+├── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+	}, {
+		name:  "lateral join",
+		build: handBuilt(algebra.JoinInner, true, dup, same, eq(col(2, "prov_k"), col(4, "k"))),
+		before: `
+Join ⋈ Inner on (prov_k#2 = k#4) → [k, v, prov_k, prov_v, k, v]
+├── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+		after: `
+Join ⋈ Inner on (prov_k#2 = k#4) → [k, v, prov_k, prov_v, k, v]
+├── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
+│   └── Scan a [k, v]
+└── Scan b [k, v]`,
+	}})
+}

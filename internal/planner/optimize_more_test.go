@@ -52,14 +52,14 @@ func TestFoldCast(t *testing.T) {
 	if !changed {
 		t.Fatal("cast of constant must fold")
 	}
-	if c, ok := folded.(*algebra.Const); !ok || c.Val.I != 5 {
+	if c, ok := folded.(*algebra.Const); !ok || c.Val.Int() != 5 {
 		t.Errorf("folded = %v", folded)
 	}
 }
 
 func TestFoldNegAndNot(t *testing.T) {
 	neg, _ := FoldConstants(&algebra.Neg{E: &algebra.Const{Val: value.NewInt(3)}})
-	if c, ok := neg.(*algebra.Const); !ok || c.Val.I != -3 {
+	if c, ok := neg.(*algebra.Const); !ok || c.Val.Int() != -3 {
 		t.Errorf("neg folded = %v", neg)
 	}
 	not, _ := FoldConstants(&algebra.Not{E: &algebra.Const{Val: value.NewBool(true)}})

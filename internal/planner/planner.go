@@ -99,7 +99,7 @@ func rewrite(op algebra.Op) (algebra.Op, bool) {
 	switch o := op.(type) {
 	case *algebra.Select:
 		// Drop trivially-true filters.
-		if c, ok := o.Cond.(*algebra.Const); ok && !c.Val.IsNull() && c.Val.K == value.KindBool && c.Val.Bool() {
+		if c, ok := o.Cond.(*algebra.Const); ok && !c.Val.IsNull() && c.Val.Kind() == value.KindBool && c.Val.Bool() {
 			return o.Input, true
 		}
 		// Merge stacked filters.
@@ -134,8 +134,78 @@ func rewrite(op algebra.Op) (algebra.Op, bool) {
 			return o.Input, true
 		}
 		return mergeProjects(o)
+	case *algebra.Join:
+		return pullColumnMaps(o)
 	}
 	return nil, false
+}
+
+// columnMap returns op when it is a projection that only copies columns of
+// its input and drops nothing: every expression is a plain column and the
+// output is at least as wide as the input. The provenance rewrite of a base
+// relation is the case in point — the relation's attributes, then the same
+// attributes again as its provenance.
+func columnMap(op algebra.Op) *algebra.Project {
+	p, ok := op.(*algebra.Project)
+	if !ok || len(p.Exprs) < len(p.Input.Schema()) {
+		return nil
+	}
+	for _, e := range p.Exprs {
+		if _, ok := e.(*algebra.ColIdx); !ok {
+			return nil
+		}
+	}
+	return p
+}
+
+// pullColumnMaps moves a column map under a join above it: the join reads
+// the rows the map would have copied (a join holds its inputs by reference
+// and writes only its output rows), and the map joins the projection above
+// the join, which the join emits through. Every row of such an input is a
+// rearrangement of a row that already exists, so it need not be born. A map
+// that drops columns stays where it is: under it the build side charges, and
+// spills, only what it keeps. Semi and anti joins hand on the probe row
+// itself, a lateral right side reads the left row by position, and a subplan
+// in the condition keeps its column space.
+func pullColumnMaps(j *algebra.Join) (algebra.Op, bool) {
+	if j.Lateral || j.Kind == algebra.JoinSemi || j.Kind == algebra.JoinAnti || (j.Cond != nil && algebra.HasSubplan(j.Cond)) {
+		return nil, false
+	}
+	lp, rp := columnMap(j.Left), columnMap(j.Right)
+	if lp == nil && rp == nil {
+		return nil, false
+	}
+	left, right := j.Left, j.Right
+	if lp != nil {
+		left = lp.Input
+	}
+	if rp != nil {
+		right = rp.Input
+	}
+	nLeft, newNLeft := len(j.Left.Schema()), len(left.Schema())
+	// Column i of the old join is column moved(i) of the new one.
+	moved := func(i int) int {
+		switch {
+		case i < nLeft && lp != nil:
+			return lp.Exprs[i].(*algebra.ColIdx).Idx
+		case i < nLeft:
+			return i
+		case rp != nil:
+			return newNLeft + rp.Exprs[i-nLeft].(*algebra.ColIdx).Idx
+		}
+		return newNLeft + i - nLeft
+	}
+	var cond algebra.Expr
+	if j.Cond != nil {
+		cond = algebra.MapCols(j.Cond, func(c *algebra.ColIdx) algebra.Expr {
+			return &algebra.ColIdx{Idx: moved(c.Idx), Typ: c.Typ, Name: c.Name}
+		})
+	}
+	exprs := make([]algebra.Expr, len(j.Sch))
+	for i, col := range j.Sch {
+		exprs[i] = &algebra.ColIdx{Idx: moved(i), Typ: col.Type, Name: col.Name}
+	}
+	return &algebra.Project{Input: algebra.NewJoin(j.Kind, left, right, cond), Exprs: exprs, Sch: j.Sch}, true
 }
 
 // mergeProjects folds Project(Project) into one when the outer references
@@ -408,7 +478,7 @@ func FoldConstants(e algebra.Expr) (algebra.Expr, bool) {
 			if c.Val.IsNull() {
 				return &algebra.Const{Val: value.Null}, true
 			}
-			if c.Val.K == value.KindBool {
+			if c.Val.Kind() == value.KindBool {
 				return &algebra.Const{Val: value.NewBool(!c.Val.Bool())}, true
 			}
 		}

@@ -148,7 +148,7 @@ func TestConstantFolding(t *testing.T) {
 		t.Fatal("no folding happened")
 	}
 	c, ok := folded.(*algebra.Const)
-	if !ok || c.Val.I != 7 {
+	if !ok || c.Val.Int() != 7 {
 		t.Errorf("folded = %v", folded)
 	}
 }

@@ -3,7 +3,6 @@ package repl
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"testing"
 
 	"perm/internal/catalog"
@@ -58,7 +57,7 @@ func FuzzWALRecord(f *testing.F) {
 			if err2 != nil {
 				t.Fatalf("re-decode of re-encoded record failed: %v", err2)
 			}
-			if !reflect.DeepEqual(rec, rec2) {
+			if !sameRecord(rec, rec2) {
 				t.Fatalf("round-trip mismatch:\n  first  %+v\n  second %+v", rec, rec2)
 			}
 			re2 := AppendRecord(nil, rec2)

@@ -97,7 +97,7 @@ func recordCost(rec Record) int {
 		for _, row := range rows {
 			c += 24 * (len(row) + 1)
 			for _, v := range row {
-				c += len(v.S)
+				c += len(v.Str())
 			}
 		}
 	}

@@ -76,14 +76,14 @@ func crashIns(k int64) func(*storage.Store) error {
 
 func crashUpdAll(s *storage.Store) error {
 	_, err := s.Table("kv").Update(nil, func(r value.Row) (value.Row, error) {
-		return value.Row{r[0], value.NewInt(r[1].I + 1)}, nil
+		return value.Row{r[0], value.NewInt(r[1].Int() + 1)}, nil
 	})
 	return err
 }
 
 func crashDel(k int64) func(*storage.Store) error {
 	return func(s *storage.Store) error {
-		_, err := s.Table("kv").Delete(func(r value.Row) (bool, error) { return r[0].I == k, nil })
+		_, err := s.Table("kv").Delete(func(r value.Row) (bool, error) { return r[0].Int() == k, nil })
 		return err
 	}
 }

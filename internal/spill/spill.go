@@ -41,22 +41,23 @@ var (
 // AppendValue appends the exact, reversible encoding of v: one kind byte,
 // then the kind's payload.
 func AppendValue(dst []byte, v value.Value) []byte {
-	dst = append(dst, byte(v.K))
-	switch v.K {
+	k := v.Kind()
+	dst = append(dst, byte(k))
+	switch k {
 	case value.KindNull:
 	case value.KindBool:
-		if v.B {
+		if v.Bool() {
 			dst = append(dst, 1)
 		} else {
 			dst = append(dst, 0)
 		}
 	case value.KindInt:
-		dst = binary.AppendVarint(dst, v.I)
+		dst = binary.AppendVarint(dst, v.Int())
 	case value.KindFloat:
-		dst = binary.AppendUvarint(dst, math.Float64bits(v.F))
+		dst = binary.AppendUvarint(dst, math.Float64bits(v.Float()))
 	case value.KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-		dst = append(dst, v.S...)
+		dst = binary.AppendUvarint(dst, uint64(len(v.Str())))
+		dst = append(dst, v.Str()...)
 	}
 	return dst
 }
@@ -110,7 +111,11 @@ func AppendRow(dst []byte, row value.Row) []byte {
 }
 
 // DecodeRow reverses AppendRow, returning the row and the remaining bytes.
-func DecodeRow(b []byte) (value.Row, []byte, error) {
+func DecodeRow(b []byte) (value.Row, []byte, error) { return DecodeRowIn(nil, b) }
+
+// DecodeRowIn is DecodeRow with the row's memory taken from a (nil: its own
+// allocation), for readers that decode a file's worth of rows.
+func DecodeRowIn(a *value.RowAlloc, b []byte) (value.Row, []byte, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 {
 		return nil, nil, fmt.Errorf("spill: bad row arity")
@@ -122,7 +127,7 @@ func DecodeRow(b []byte) (value.Row, []byte, error) {
 		return nil, nil, fmt.Errorf("spill: row arity %d exceeds input", n)
 	}
 	b = b[w:]
-	row := make(value.Row, n)
+	row := a.New(int(n))
 	var err error
 	for i := range row {
 		if row[i], b, err = DecodeValue(b); err != nil {

@@ -38,8 +38,8 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		}
 		for i := range row {
 			w, g := row[i], got[i]
-			if w.K != g.K || w.B != g.B || w.I != g.I || w.S != g.S ||
-				math.Float64bits(w.F) != math.Float64bits(g.F) {
+			if w.Kind() != g.Kind() || w.Bool() != g.Bool() || w.Int() != g.Int() || w.Str() != g.Str() ||
+				math.Float64bits(w.Float()) != math.Float64bits(g.Float()) {
 				t.Fatalf("value %d: %#v != %#v", i, g, w)
 			}
 		}
@@ -142,7 +142,7 @@ func FuzzSpillCodec(f *testing.F) {
 			t.Fatalf("arity changed: %d != %d", len(again), len(row))
 		}
 		for i := range row {
-			if row[i].K != again[i].K || row[i].Key() != again[i].Key() {
+			if row[i].Kind() != again[i].Kind() || row[i].Key() != again[i].Key() {
 				t.Fatalf("value %d changed: %#v != %#v", i, again[i], row[i])
 			}
 		}

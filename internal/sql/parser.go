@@ -1299,7 +1299,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := e.(*Literal); ok && (lit.Val.K == value.KindInt || lit.Val.K == value.KindFloat) {
+		if lit, ok := e.(*Literal); ok && (lit.Val.Kind() == value.KindInt || lit.Val.Kind() == value.KindFloat) {
 			nv, _ := value.Neg(lit.Val)
 			return &Literal{Val: nv}, nil
 		}

@@ -294,7 +294,7 @@ func TestParseLiterals(t *testing.T) {
 			t.Errorf("ParseExpr(%q) = %T", in, e)
 			continue
 		}
-		if lit.Val.K != want.K || (!want.IsNull() && value.Distinct(lit.Val, want)) {
+		if lit.Val.Kind() != want.Kind() || (!want.IsNull() && value.Distinct(lit.Val, want)) {
 			t.Errorf("ParseExpr(%q) = %v, want %v", in, lit.Val, want)
 		}
 	}

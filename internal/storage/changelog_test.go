@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"perm/internal/catalog"
@@ -276,4 +278,41 @@ func TestWideRowMutationSplitsByBytes(t *testing.T) {
 	if total != 6 {
 		t.Fatalf("split records carry %d rows, want 6", total)
 	}
+}
+
+// TestRestoreSnapshotOfOldValueLayout: a snapshot written while value.Value
+// was the five-field struct gob encoded field by field (the fixture was saved
+// by 9b1f94e) restores into the two-word value, every kind and NULL intact,
+// and saving it again yields a stream that restores to the same rows.
+func TestRestoreSnapshotOfOldValueLayout(t *testing.T) {
+	old, err := os.ReadFile("testdata/snapshot_v2_40byte_value.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "[1 2.5 true x] [null null null null] [9007199254740993 -1e+300 false ] [-7 3.0 true it's]"
+	check := func(stream []byte) *Store {
+		t.Helper()
+		s := NewStore()
+		if err := s.Restore(bytes.NewReader(stream)); err != nil {
+			t.Fatal(err)
+		}
+		rows := s.Table("mix").Snapshot()
+		if got := strings.Trim(fmt.Sprint(rows), "[]"); "["+got+"]" != want {
+			t.Fatalf("restored rows %s, want %s", "["+got+"]", want)
+		}
+		for i, k := range []value.Kind{value.KindInt, value.KindFloat, value.KindBool, value.KindString} {
+			if rows[2][i].Kind() != k || !rows[1][i].IsNull() {
+				t.Fatalf("column %d restored as %s (NULL row: %v), want %s", i, rows[2][i].Kind(), rows[1][i], k)
+			}
+		}
+		if s.Catalog().View("vmix") == nil {
+			t.Fatal("the view did not restore")
+		}
+		return s
+	}
+	var again bytes.Buffer
+	if err := check(old).Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	check(again.Bytes())
 }

@@ -51,11 +51,79 @@ type snapshotDTO struct {
 }
 
 type tableDTO struct {
-	Name     string
-	Columns  []catalog.Column
-	Rows     []value.Row
+	Name    string
+	Columns []catalog.Column
+	// Rows is filled from live by SaveLSN's encode phase, outside the locks
+	// collect holds.
+	Rows     [][]savedValue
+	live     []value.Row
 	RowCount int
 	Distinct map[string]float64
+}
+
+// savedValue is a value on disk: the kind and one payload field per kind,
+// which is what gob wrote for value.Value when its fields were exported, so
+// snapshots taken before the value layout changed still restore.
+type savedValue struct {
+	K value.Kind
+	B bool
+	I int64
+	F float64
+	S string
+}
+
+func saveRows(rows []value.Row) [][]savedValue {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	flat := make([]savedValue, n) // one allocation for the table, cut per row
+	out := make([][]savedValue, len(rows))
+	for i, row := range rows {
+		sr := flat[:len(row):len(row)]
+		flat = flat[len(row):]
+		for j, v := range row {
+			sv := savedValue{K: v.Kind()}
+			switch sv.K {
+			case value.KindBool:
+				sv.B = v.Bool()
+			case value.KindInt:
+				sv.I = v.Int()
+			case value.KindFloat:
+				sv.F = v.Float()
+			case value.KindString:
+				sv.S = v.Str()
+			}
+			sr[j] = sv
+		}
+		out[i] = sr
+	}
+	return out
+}
+
+func restoreRows(saved [][]savedValue) ([]value.Row, error) {
+	var alloc value.RowAlloc
+	rows := make([]value.Row, len(saved))
+	for i, sr := range saved {
+		row := alloc.New(len(sr))
+		for j, sv := range sr {
+			switch sv.K {
+			case value.KindNull:
+			case value.KindBool:
+				row[j] = value.NewBool(sv.B)
+			case value.KindInt:
+				row[j] = value.NewInt(sv.I)
+			case value.KindFloat:
+				row[j] = value.NewFloat(sv.F)
+			case value.KindString:
+				row[j] = value.NewString(sv.S)
+			default:
+				return nil, fmt.Errorf("row %d: unknown value kind %d", i+1, sv.K)
+			}
+		}
+		rows[i] = row
+	}
+	return rows, nil
 }
 
 type viewDTO struct {
@@ -83,6 +151,10 @@ func (s *Store) SaveLSN(w io.Writer) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	for i := range dto.Tables {
+		t := &dto.Tables[i]
+		t.Rows, t.live = saveRows(t.live), nil
+	}
 	return dto.LSN, gob.NewEncoder(w).Encode(dto)
 }
 
@@ -106,7 +178,7 @@ func (s *Store) collect() (*snapshotDTO, error) {
 		dto.Tables = append(dto.Tables, tableDTO{
 			Name:    t.Def().Name,
 			Columns: t.Def().Columns,
-			Rows:    rows,
+			live:    rows,
 			// RowCount derives from the captured rows, not the catalog: DML
 			// refreshes catalog stats after releasing the gate, so the two can
 			// briefly disagree. DistinctFrac stays advisory (as after any DML).
@@ -140,7 +212,11 @@ func (s *Store) Restore(r io.Reader) error {
 		if err != nil {
 			return err
 		}
-		if err := tab.load(t.Rows); err != nil {
+		rows, err := restoreRows(t.Rows)
+		if err != nil {
+			return fmt.Errorf("storage: corrupt snapshot: table %q: %v", t.Name, err)
+		}
+		if err := tab.load(rows); err != nil {
 			return err
 		}
 		s.catalog.SetRowCount(t.Name, t.RowCount)

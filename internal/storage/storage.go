@@ -121,7 +121,7 @@ const (
 func approxRowBytes(row value.Row) int {
 	n := 16 * len(row)
 	for _, v := range row {
-		n += len(v.S)
+		n += len(v.Str())
 	}
 	return n
 }

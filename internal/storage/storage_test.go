@@ -29,7 +29,7 @@ func TestInsertAndScan(t *testing.T) {
 		t.Fatalf("Insert: %d, %v", n, err)
 	}
 	rows := tab.Snapshot()
-	if len(rows) != 1 || rows[0][1].I != 2 {
+	if len(rows) != 1 || rows[0][1].Int() != 2 {
 		t.Errorf("rows = %v", rows)
 	}
 }
@@ -40,7 +40,7 @@ func TestInsertTypeCoercion(t *testing.T) {
 	if _, err := tab.Insert(value.Row{value.NewString("42")}); err != nil {
 		t.Fatalf("string->int coercion on insert: %v", err)
 	}
-	if got := tab.Snapshot()[0][0]; got.K != value.KindInt || got.I != 42 {
+	if got := tab.Snapshot()[0][0]; got.Kind() != value.KindInt || got.Int() != 42 {
 		t.Errorf("stored %v", got)
 	}
 	if _, err := tab.Insert(value.Row{value.NewString("nope")}); err == nil {
@@ -90,7 +90,7 @@ func TestDelete(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		tab.Insert(value.Row{value.NewInt(int64(i))})
 	}
-	n, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].I%2 == 0, nil })
+	n, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].Int()%2 == 0, nil })
 	if err != nil || n != 2 {
 		t.Fatalf("Delete: %d, %v", n, err)
 	}
@@ -110,15 +110,15 @@ func TestUpdate(t *testing.T) {
 		tab.Insert(value.Row{value.NewInt(int64(i))})
 	}
 	n, err := tab.Update(
-		func(r value.Row) (bool, error) { return r[0].I > 1, nil },
+		func(r value.Row) (bool, error) { return r[0].Int() > 1, nil },
 		func(r value.Row) (value.Row, error) {
-			return value.Row{value.NewInt(r[0].I * 10)}, nil
+			return value.Row{value.NewInt(r[0].Int() * 10)}, nil
 		})
 	if err != nil || n != 2 {
 		t.Fatalf("Update: %d, %v", n, err)
 	}
 	rows := tab.Snapshot()
-	if rows[0][0].I != 1 || rows[1][0].I != 20 || rows[2][0].I != 30 {
+	if rows[0][0].Int() != 1 || rows[1][0].Int() != 20 || rows[2][0].Int() != 30 {
 		t.Errorf("rows = %v", rows)
 	}
 }
@@ -220,11 +220,11 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	}
 	snap := tab.Snapshot()
 
-	if _, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].I == 2, nil }); err != nil {
+	if _, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].Int() == 2, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.Update(nil, func(r value.Row) (value.Row, error) {
-		return value.Row{value.NewInt(r[0].I * 10)}, nil
+		return value.Row{value.NewInt(r[0].Int() * 10)}, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 		t.Fatalf("snapshot length changed to %d", len(snap))
 	}
 	for i, want := range []int64{1, 2, 3} {
-		if snap[i][0].I != want {
+		if snap[i][0].Int() != want {
 			t.Errorf("snapshot row %d = %v, want %d (mutation leaked into snapshot)", i, snap[i][0], want)
 		}
 	}

@@ -65,8 +65,8 @@ func TestTxnFirstCommitterWins(t *testing.T) {
 	tab.Insert(ints(1))
 	tab.Insert(ints(2))
 
-	pred1 := func(r value.Row) (bool, error) { return r[0].I == 1, nil }
-	bump := func(r value.Row) (value.Row, error) { return ints(r[0].I + 10), nil }
+	pred1 := func(r value.Row) (bool, error) { return r[0].Int() == 1, nil }
+	bump := func(r value.Row) (value.Row, error) { return ints(r[0].Int() + 10), nil }
 
 	x, y := s.Begin(), s.Begin()
 	if n, err := x.Update(tab, pred1, bump); err != nil || n != 1 {
@@ -86,13 +86,13 @@ func TestTxnFirstCommitterWins(t *testing.T) {
 	}
 	// Exactly one increment landed; the loser left nothing behind.
 	rows := tab.Snapshot()
-	if len(rows) != 2 || rows[0][0].I != 11 || rows[1][0].I != 2 {
+	if len(rows) != 2 || rows[0][0].Int() != 11 || rows[1][0].Int() != 2 {
 		t.Fatalf("rows = %v, want [11 2]", rows)
 	}
 
 	// Delete vs update on the same slot conflicts in either order.
 	x, y = s.Begin(), s.Begin()
-	pred2 := func(r value.Row) (bool, error) { return r[0].I == 2, nil }
+	pred2 := func(r value.Row) (bool, error) { return r[0].Int() == 2, nil }
 	if _, err := x.Delete(tab, pred2); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestTxnRollbackLeavesNoTrace(t *testing.T) {
 	if !x.Done() {
 		t.Fatal("rolled-back txn not done")
 	}
-	if got := tab.Snapshot(); len(got) != 1 || got[0][0].I != 1 {
+	if got := tab.Snapshot(); len(got) != 1 || got[0][0].Int() != 1 {
 		t.Fatalf("rows after rollback = %v", got)
 	}
 	// Buffered writes never touched the heap: no versions to vacuum.
@@ -161,7 +161,7 @@ func TestTxnVacuumHorizon(t *testing.T) {
 	tab.Insert(ints(1))
 
 	x := s.Begin()
-	bump := func(r value.Row) (value.Row, error) { return ints(r[0].I + 1), nil }
+	bump := func(r value.Row) (value.Row, error) { return ints(r[0].Int() + 1), nil }
 	for i := 0; i < 5; i++ {
 		if _, err := tab.Update(nil, bump); err != nil {
 			t.Fatal(err)
@@ -170,7 +170,7 @@ func TestTxnVacuumHorizon(t *testing.T) {
 	if removed := s.Vacuum(); removed != 0 {
 		t.Fatalf("vacuum reclaimed %d versions under an open txn, want 0", removed)
 	}
-	if got := x.TableRows(tab); len(got) != 1 || got[0][0].I != 1 {
+	if got := x.TableRows(tab); len(got) != 1 || got[0][0].Int() != 1 {
 		t.Fatalf("txn snapshot after vacuum attempt = %v, want original 1", got)
 	}
 	x.Rollback()

@@ -2,16 +2,33 @@
 // SQL values with NULL, three-valued comparison, coercion between numeric
 // types, hashing for join/aggregation keys, and parsing of literals.
 //
-// A Value is a small immutable struct; rows are []Value. The zero Value is
-// NULL, which keeps freshly allocated rows well-formed.
+// A Value is two machine words (16 bytes on 64-bit hosts), the layout
+// log/slog.Value uses: a pointer word that carries the kind — nil for NULL,
+// the address of a per-kind sentinel for booleans, integers, floats and the
+// empty string, and otherwise the data pointer of a string — and a payload
+// word holding the integer, the float's bits, the boolean, or the string's
+// length. The fields are unexported; Kind, Bool, Int, Float and Str read
+// them, NewBool, NewInt, NewFloat and NewString build them, and the zero
+// Value is NULL, which keeps freshly allocated rows well-formed. A Value
+// cannot be compared with == (the compiler refuses): two equal strings need
+// not share a data pointer, so equality is Equal, Distinct or CompareTotal.
+// This file is the only one in the package that imports unsafe.
+//
+// Rows are []Value and immutable once an operator has handed them on: every
+// consumer may keep a row, or a sub-slice of it, for as long as it likes, and
+// nobody writes into a row it did not allocate. That contract is what lets a
+// projection of leading columns return its input row re-sliced, a scan alias
+// the table's rows, and RowAlloc cut many rows out of one allocation.
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the runtime types of the engine.
@@ -62,88 +79,134 @@ func KindFromTypeName(name string) (Kind, error) {
 	return KindNull, fmt.Errorf("unknown type name %q", name)
 }
 
-// Value is a single SQL value. Exactly one of the payload fields is
-// meaningful, selected by K. The zero Value is NULL.
+// Value is a single SQL value: a kind-carrying pointer word and a payload
+// word (see the package comment). The zero Value is NULL.
 type Value struct {
-	K Kind
-	B bool
-	I int64
-	F float64
-	S string
+	_ [0]func() // not comparable: == on values is a compile error
+
+	// ptr is nil for NULL, &kindTag[k] for a bool, int or float, &kindTag[0]
+	// for the empty string, and the string's data pointer otherwise.
+	ptr unsafe.Pointer
+	// num is the integer, the float's IEEE bits, 0/1 for a boolean, or the
+	// string's length in bytes.
+	num uint64
+}
+
+// kindTag holds the sentinels ptr points at for everything but NULL and
+// non-empty strings: kindTag[KindBool], [KindInt] and [KindFloat] mark their
+// kinds, kindTag[0] the empty string. No string's data can live here, so a
+// ptr outside the array is a string's.
+var kindTag [KindFloat + 1]byte
+
+func tagged(k Kind, num uint64) Value {
+	return Value{ptr: unsafe.Pointer(&kindTag[k]), num: num}
 }
 
 // Null is the NULL value.
-var Null = Value{K: KindNull}
+var Null = Value{}
 
 // NewBool returns a boolean value.
-func NewBool(b bool) Value { return Value{K: KindBool, B: b} }
+func NewBool(b bool) Value {
+	if b {
+		return tagged(KindBool, 1)
+	}
+	return tagged(KindBool, 0)
+}
 
 // NewInt returns an integer value.
-func NewInt(i int64) Value { return Value{K: KindInt, I: i} }
+func NewInt(i int64) Value { return tagged(KindInt, uint64(i)) }
 
 // NewFloat returns a float value.
-func NewFloat(f float64) Value { return Value{K: KindFloat, F: f} }
+func NewFloat(f float64) Value { return tagged(KindFloat, math.Float64bits(f)) }
 
-// NewString returns a text value.
-func NewString(s string) Value { return Value{K: KindString, S: s} }
+// NewString returns a text value. It shares s's bytes rather than copying
+// them, as assigning the string would.
+func NewString(s string) Value {
+	if len(s) == 0 {
+		return tagged(0, 0)
+	}
+	return Value{ptr: unsafe.Pointer(unsafe.StringData(s)), num: uint64(len(s))}
+}
+
+// Kind reports the value's runtime type.
+func (v Value) Kind() Kind {
+	if v.ptr == nil {
+		return KindNull
+	}
+	// One unsigned compare places ptr inside or outside the sentinel array.
+	if off := uintptr(v.ptr) - uintptr(unsafe.Pointer(&kindTag)); off-1 < uintptr(KindFloat) {
+		return Kind(off)
+	}
+	return KindString
+}
 
 // IsNull reports whether v is NULL.
-func (v Value) IsNull() bool { return v.K == KindNull }
+func (v Value) IsNull() bool { return v.ptr == nil }
 
-// Bool returns the boolean payload; it must only be called when K==KindBool.
-func (v Value) Bool() bool { return v.B }
+// Bool returns the boolean payload; false unless Kind is KindBool.
+func (v Value) Bool() bool { return v.Kind() == KindBool && v.num != 0 }
 
-// Int returns the integer payload, coercing floats by truncation.
+// Int returns the integer payload, coercing floats by truncation; 0 for
+// every other kind.
 func (v Value) Int() int64 {
-	if v.K == KindFloat {
-		return int64(v.F)
+	switch v.Kind() {
+	case KindInt:
+		return int64(v.num)
+	case KindFloat:
+		return int64(math.Float64frombits(v.num))
 	}
-	return v.I
+	return 0
 }
 
-// Float returns the numeric payload as float64.
+// Float returns the numeric payload as float64; 0 for non-numeric kinds.
 func (v Value) Float() float64 {
-	if v.K == KindInt {
-		return float64(v.I)
+	switch v.Kind() {
+	case KindInt:
+		return float64(int64(v.num))
+	case KindFloat:
+		return math.Float64frombits(v.num)
 	}
-	return v.F
+	return 0
 }
 
-// Str returns the string payload.
-func (v Value) Str() string { return v.S }
+// Str returns the string payload; "" unless Kind is KindString.
+func (v Value) Str() string {
+	if v.Kind() != KindString || v.num == 0 {
+		return ""
+	}
+	return unsafe.String((*byte)(v.ptr), int(v.num))
+}
 
 // String renders the value the way the engine prints result cells.
 func (v Value) String() string {
-	switch v.K {
+	switch v.Kind() {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.B {
+		if v.num != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(int64(v.num), 10)
 	case KindFloat:
-		return formatFloat(v.F)
-	case KindString:
-		return v.S
+		return formatFloat(math.Float64frombits(v.num))
 	}
-	return "?"
+	return v.Str()
 }
 
 // SQLLiteral renders the value as a SQL literal (strings quoted and escaped).
 func (v Value) SQLLiteral() string {
-	switch v.K {
+	switch v.Kind() {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.B {
+		if v.num != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindString:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
 	default:
 		return v.String()
 	}
@@ -167,78 +230,79 @@ func numericKinds(a, b Kind) bool {
 	return (a == KindInt || a == KindFloat) && (b == KindInt || b == KindFloat)
 }
 
+// cmpFloat orders two floats with NaN equal to itself and above every
+// number, so the order is total and agrees with the key encoding (every NaN
+// has one key, -0 and 0 share one). cmp.Compare is that order with NaN below
+// every number; negating both operands and the result turns it over.
+func cmpFloat(a, b float64) int { return -cmp.Compare(-a, -b) }
+
+// cmpIntFloat orders the integer i against the float f exactly — not through
+// float64(i), which rounds above 2^53 and would call 9007199254740993 equal
+// to 9007199254740992.0 while their keys differ.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f, f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	// f lies inside the int64 range, so its integral part converts exactly;
+	// when that ties with i the fraction (f - t is exact) decides.
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(0, f-t)
+}
+
 // Compare orders two non-NULL values. It returns -1, 0, or +1 and an error
-// when the kinds are incomparable. Numeric kinds compare after coercion to
-// float64 (with an exact path for int/int). NULL handling is the caller's
+// when the kinds are incomparable. Numeric kinds compare by exact numeric
+// value whichever mix of int and float they come in — the same equality
+// AppendKey encodes, so a hash join and its residual predicate agree — with
+// NaN equal to itself and above every number. NULL handling is the caller's
 // responsibility: comparison operators in SQL return NULL when an operand is
 // NULL, whereas ORDER BY and set operations use total ordering via
 // CompareTotal.
 func Compare(a, b Value) (int, error) {
-	if a.K == KindInt && b.K == KindInt {
-		switch {
-		case a.I < b.I:
-			return -1, nil
-		case a.I > b.I:
-			return 1, nil
-		}
-		return 0, nil
+	ka, kb := a.Kind(), b.Kind()
+	switch {
+	case ka == KindInt && kb == KindInt:
+		return cmp.Compare(int64(a.num), int64(b.num)), nil
+	case ka == KindInt && kb == KindFloat:
+		return cmpIntFloat(int64(a.num), math.Float64frombits(b.num)), nil
+	case ka == KindFloat && kb == KindInt:
+		return -cmpIntFloat(int64(b.num), math.Float64frombits(a.num)), nil
+	case ka != kb:
+		return 0, fmt.Errorf("cannot compare %s with %s", ka, kb)
 	}
-	if numericKinds(a.K, b.K) {
-		af, bf := a.Float(), b.Float()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		}
-		return 0, nil
-	}
-	if a.K != b.K {
-		return 0, fmt.Errorf("cannot compare %s with %s", a.K, b.K)
-	}
-	switch a.K {
+	switch ka {
+	case KindFloat:
+		return cmpFloat(math.Float64frombits(a.num), math.Float64frombits(b.num)), nil
 	case KindBool:
-		switch {
-		case !a.B && b.B:
-			return -1, nil
-		case a.B && !b.B:
-			return 1, nil
-		}
-		return 0, nil
+		return cmp.Compare(a.num, b.num), nil
 	case KindString:
-		return strings.Compare(a.S, b.S), nil
-	case KindNull:
-		return 0, nil
+		return strings.Compare(a.Str(), b.Str()), nil
 	}
-	return 0, fmt.Errorf("cannot compare %s values", a.K)
+	return 0, nil // NULL with NULL
 }
 
 // CompareTotal is a total ordering over all values, with NULL ordered first.
 // Values of incomparable kinds order by kind; this is used by ORDER BY,
 // DISTINCT and set operations, never by WHERE predicates.
 func CompareTotal(a, b Value) int {
-	if a.K == KindNull || b.K == KindNull {
-		switch {
-		case a.K == KindNull && b.K == KindNull:
-			return 0
-		case a.K == KindNull:
-			return -1
-		default:
-			return 1
-		}
+	switch an, bn := a.IsNull(), b.IsNull(); {
+	case an && bn:
+		return 0
+	case an:
+		return -1
+	case bn:
+		return 1
 	}
 	if c, err := Compare(a, b); err == nil {
 		return c
 	}
 	// Incomparable kinds: order by kind id for determinism.
-	ka, kb := normKind(a.K), normKind(b.K)
-	switch {
-	case ka < kb:
-		return -1
-	case ka > kb:
-		return 1
-	}
-	return 0
+	return cmp.Compare(normKind(a.Kind()), normKind(b.Kind()))
 }
 
 func normKind(k Kind) Kind {
@@ -252,7 +316,7 @@ func normKind(k Kind) Kind {
 // applies). If either side is NULL it returns false; use Distinct for
 // null-aware identity.
 func Equal(a, b Value) bool {
-	if a.K == KindNull || b.K == KindNull {
+	if a.IsNull() || b.IsNull() {
 		return false
 	}
 	c, err := Compare(a, b)
@@ -262,8 +326,8 @@ func Equal(a, b Value) bool {
 // Distinct implements IS DISTINCT FROM: NULL is identical to NULL and
 // distinct from everything else.
 func Distinct(a, b Value) bool {
-	if a.K == KindNull || b.K == KindNull {
-		return (a.K == KindNull) != (b.K == KindNull)
+	if a.IsNull() || b.IsNull() {
+		return a.IsNull() != b.IsNull()
 	}
 	return !Equal(a, b)
 }
@@ -285,24 +349,24 @@ type hashWriter interface {
 // HashInto feeds the value into h using a kind-tagged encoding.
 func (v Value) HashInto(h hashWriter) {
 	var tag [1]byte
-	switch v.K {
+	switch v.Kind() {
 	case KindNull:
 		tag[0] = 0
 		h.Write(tag[:])
 	case KindBool:
 		tag[0] = 1
 		h.Write(tag[:])
-		if v.B {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
+		h.Write([]byte{byte(v.num)})
 	case KindInt, KindFloat:
 		tag[0] = 2
 		h.Write(tag[:])
+		// Equal numbers share a float64 image (an integer above 2^53 merely
+		// collides with its neighbours); -0 and every NaN are normalized.
 		f := v.Float()
 		if f == 0 {
-			f = 0 // normalize -0
+			f = 0
+		} else if f != f {
+			f = math.NaN()
 		}
 		bits := math.Float64bits(f)
 		var buf [8]byte
@@ -313,7 +377,7 @@ func (v Value) HashInto(h hashWriter) {
 	case KindString:
 		tag[0] = 3
 		h.Write(tag[:])
-		h.Write([]byte(v.S))
+		h.Write([]byte(v.Str()))
 	}
 }
 
@@ -327,28 +391,27 @@ func (v Value) Key() string {
 // dst and returns the extended slice. Hot paths use it with a reusable scratch
 // buffer to build hash keys without per-row allocation.
 func (v Value) AppendKey(dst []byte) []byte {
-	switch v.K {
+	switch v.Kind() {
 	case KindNull:
 		return append(dst, 0x00)
 	case KindBool:
-		if v.B {
+		if v.num != 0 {
 			return append(dst, 0x01, 'T')
 		}
 		return append(dst, 0x01, 'F')
 	case KindInt:
-		return strconv.AppendInt(append(dst, 0x02), v.I, 10)
+		return strconv.AppendInt(append(dst, 0x02), int64(v.num), 10)
 	case KindFloat:
 		// An integral float that fits int64 takes its integer's key, so 5 and
 		// 5.0 share one; every integer keeps its exact digits (routing BIGINTs
 		// through float64 would collapse neighbours above 2^53).
-		if f := v.F; f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+		f := math.Float64frombits(v.num)
+		if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
 			return strconv.AppendInt(append(dst, 0x02), int64(f), 10)
 		}
-		return strconv.AppendFloat(append(dst, 0x02, 'f'), v.F, 'b', -1, 64)
-	case KindString:
-		return append(append(dst, 0x03), v.S...)
+		return strconv.AppendFloat(append(dst, 0x02, 'f'), f, 'b', -1, 64)
 	}
-	return append(dst, 0x7f)
+	return append(append(dst, 0x03), v.Str()...)
 }
 
 // AppendFramedKey appends v's key encoding prefixed with a fixed-width length,
@@ -369,58 +432,59 @@ func AppendFramedKey(dst []byte, v Value) []byte {
 // Coerce converts v to the target kind when a lossless or standard SQL cast
 // exists. NULL coerces to any kind (staying NULL).
 func Coerce(v Value, to Kind) (Value, error) {
-	if v.K == KindNull || v.K == to {
+	from := v.Kind()
+	if from == KindNull || from == to {
 		return v, nil
 	}
 	switch to {
 	case KindFloat:
-		if v.K == KindInt {
-			return NewFloat(float64(v.I)), nil
+		if from == KindInt {
+			return NewFloat(v.Float()), nil
 		}
-		if v.K == KindString {
-			f, err := strconv.ParseFloat(strings.TrimSpace(v.S), 64)
+		if from == KindString {
+			f, err := strconv.ParseFloat(strings.TrimSpace(v.Str()), 64)
 			if err != nil {
-				return Null, fmt.Errorf("cannot cast %q to float", v.S)
+				return Null, fmt.Errorf("cannot cast %q to float", v.Str())
 			}
 			return NewFloat(f), nil
 		}
 	case KindInt:
-		if v.K == KindFloat {
-			if v.F != math.Trunc(v.F) {
-				return NewInt(int64(v.F)), nil
+		if from == KindFloat {
+			// Truncation toward zero; NaN, the infinities and anything at or
+			// past ±2^63 have no int64 (the conversion would be undefined).
+			f := v.Float()
+			if !(f >= -(1<<63) && f < 1<<63) {
+				return Null, fmt.Errorf("cannot cast %s to integer: out of range", v)
 			}
-			return NewInt(int64(v.F)), nil
+			return NewInt(int64(f)), nil
 		}
-		if v.K == KindString {
-			i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
+		if from == KindString {
+			i, err := strconv.ParseInt(strings.TrimSpace(v.Str()), 10, 64)
 			if err != nil {
-				return Null, fmt.Errorf("cannot cast %q to integer", v.S)
+				return Null, fmt.Errorf("cannot cast %q to integer", v.Str())
 			}
 			return NewInt(i), nil
 		}
-		if v.K == KindBool {
-			if v.B {
-				return NewInt(1), nil
-			}
-			return NewInt(0), nil
+		if from == KindBool {
+			return NewInt(int64(v.num)), nil
 		}
 	case KindString:
 		return NewString(v.String()), nil
 	case KindBool:
-		if v.K == KindString {
-			switch strings.ToLower(strings.TrimSpace(v.S)) {
+		if from == KindString {
+			switch strings.ToLower(strings.TrimSpace(v.Str())) {
 			case "t", "true", "yes", "on", "1":
 				return NewBool(true), nil
 			case "f", "false", "no", "off", "0":
 				return NewBool(false), nil
 			}
-			return Null, fmt.Errorf("cannot cast %q to boolean", v.S)
+			return Null, fmt.Errorf("cannot cast %q to boolean", v.Str())
 		}
-		if v.K == KindInt {
-			return NewBool(v.I != 0), nil
+		if from == KindInt {
+			return NewBool(v.num != 0), nil
 		}
 	}
-	return Null, fmt.Errorf("cannot cast %s to %s", v.K, to)
+	return Null, fmt.Errorf("cannot cast %s to %s", from, to)
 }
 
 // CommonKind returns the kind a binary operation over a and b evaluates in.
@@ -447,14 +511,6 @@ type Row []Value
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	copy(out, r)
-	return out
-}
-
-// Concat returns a new row holding r followed by s.
-func Concat(r, s Row) Row {
-	out := make(Row, 0, len(r)+len(s))
-	out = append(out, r...)
-	out = append(out, s...)
 	return out
 }
 
@@ -518,33 +574,35 @@ func Div(a, b Value) (Value, error) { return arith(a, b, '/') }
 func Mod(a, b Value) (Value, error) { return arith(a, b, '%') }
 
 func arith(a, b Value, op byte) (Value, error) {
-	if a.K == KindNull || b.K == KindNull {
+	ka, kb := a.Kind(), b.Kind()
+	if ka == KindNull || kb == KindNull {
 		return Null, nil
 	}
-	if op == '+' && a.K == KindString && b.K == KindString {
-		return NewString(a.S + b.S), nil
+	if op == '+' && ka == KindString && kb == KindString {
+		return NewString(a.Str() + b.Str()), nil
 	}
-	if !numericKinds(a.K, b.K) {
-		return Null, fmt.Errorf("operator %c not defined for %s and %s", op, a.K, b.K)
+	if !numericKinds(ka, kb) {
+		return Null, fmt.Errorf("operator %c not defined for %s and %s", op, ka, kb)
 	}
-	if a.K == KindInt && b.K == KindInt {
+	if ka == KindInt && kb == KindInt {
+		ai, bi := int64(a.num), int64(b.num)
 		switch op {
 		case '+':
-			return NewInt(a.I + b.I), nil
+			return NewInt(ai + bi), nil
 		case '-':
-			return NewInt(a.I - b.I), nil
+			return NewInt(ai - bi), nil
 		case '*':
-			return NewInt(a.I * b.I), nil
+			return NewInt(ai * bi), nil
 		case '/':
-			if b.I == 0 {
+			if bi == 0 {
 				return Null, errDivZero
 			}
-			return NewInt(a.I / b.I), nil
+			return NewInt(ai / bi), nil
 		case '%':
-			if b.I == 0 {
+			if bi == 0 {
 				return Null, errDivZero
 			}
-			return NewInt(a.I % b.I), nil
+			return NewInt(ai % bi), nil
 		}
 	}
 	af, bf := a.Float(), b.Float()
@@ -571,13 +629,13 @@ func arith(a, b Value, op byte) (Value, error) {
 
 // Neg returns -a.
 func Neg(a Value) (Value, error) {
-	switch a.K {
+	switch a.Kind() {
 	case KindNull:
 		return Null, nil
 	case KindInt:
-		return NewInt(-a.I), nil
+		return NewInt(-int64(a.num)), nil
 	case KindFloat:
-		return NewFloat(-a.F), nil
+		return NewFloat(-a.Float()), nil
 	}
-	return Null, fmt.Errorf("unary minus not defined for %s", a.K)
+	return Null, fmt.Errorf("unary minus not defined for %s", a.Kind())
 }

@@ -54,7 +54,7 @@ func keys(t *testing.T, s *storage.Store) []int64 {
 	}
 	var out []int64
 	for _, r := range tab.Snapshot() {
-		out = append(out, r[0].I)
+		out = append(out, r[0].Int())
 	}
 	return out
 }
@@ -153,11 +153,11 @@ func TestRecoverAllRecordKinds(t *testing.T) {
 	s, m, _ := testOpen(t, dir, Options{})
 	seed(t, s, 0, 5)
 	tab := s.Table("kv")
-	if _, err := tab.Update(func(r value.Row) (bool, error) { return r[0].I == 2, nil },
+	if _, err := tab.Update(func(r value.Row) (bool, error) { return r[0].Int() == 2, nil },
 		func(r value.Row) (value.Row, error) { return value.Row{r[0], value.NewInt(99)}, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].I == 3, nil }); err != nil {
+	if _, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].Int() == 3, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CreateView(&catalog.ViewDef{Name: "vv", Text: "SELECT k FROM kv", Columns: []catalog.Column{{Name: "k", Type: value.KindInt}}}); err != nil {
@@ -173,7 +173,7 @@ func TestRecoverAllRecordKinds(t *testing.T) {
 	s2, m2, rec := testOpen(t, dir, Options{})
 	defer m2.Close()
 	wantKeys(t, s2, 0, 1, 2, 4)
-	if got := s2.Table("kv").Snapshot()[2][1].I; got != 99 {
+	if got := s2.Table("kv").Snapshot()[2][1].Int(); got != 99 {
 		t.Fatalf("updated row replayed v=%d, want 99", got)
 	}
 	if s2.Catalog().View("vv") == nil {

@@ -325,17 +325,18 @@ func AppendBool(dst []byte, b bool) []byte {
 
 // AppendValue appends one SQL value in its kind-tagged binary form.
 func AppendValue(dst []byte, v value.Value) []byte {
-	dst = append(dst, byte(v.K))
-	switch v.K {
+	k := v.Kind()
+	dst = append(dst, byte(k))
+	switch k {
 	case value.KindNull:
 	case value.KindBool:
-		dst = AppendBool(dst, v.B)
+		dst = AppendBool(dst, v.Bool())
 	case value.KindInt:
-		dst = binary.AppendVarint(dst, v.I)
+		dst = binary.AppendVarint(dst, v.Int())
 	case value.KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.F))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()))
 	case value.KindString:
-		dst = AppendString(dst, v.S)
+		dst = AppendString(dst, v.Str())
 	default:
 		// Unknown kinds travel as NULL rather than corrupting the stream.
 		dst[len(dst)-1] = byte(value.KindNull)
@@ -360,6 +361,8 @@ type Reader struct {
 	buf []byte
 	pos int
 	err error
+	// alloc makes the rows Row returns: one payload's rows share chunks.
+	alloc value.RowAlloc
 }
 
 // NewReader wraps a payload.
@@ -489,7 +492,7 @@ func (r *Reader) Row() value.Row {
 		r.fail("row arity")
 		return nil
 	}
-	row := make(value.Row, n)
+	row := r.alloc.New(int(n))
 	for i := range row {
 		row[i] = r.Value()
 	}

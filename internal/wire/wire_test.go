@@ -36,8 +36,8 @@ func TestValueRoundTrip(t *testing.T) {
 		t.Fatalf("arity %d, want %d", len(got), len(vals))
 	}
 	for i, v := range vals {
-		if got[i].K != v.K || got[i].String() != v.String() {
-			t.Errorf("value %d: got %v (%s), want %v (%s)", i, got[i], got[i].K, v, v.K)
+		if got[i].Kind() != v.Kind() || got[i].String() != v.String() {
+			t.Errorf("value %d: got %v (%s), want %v (%s)", i, got[i], got[i].Kind(), v, v.Kind())
 		}
 	}
 }

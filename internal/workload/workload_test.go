@@ -76,7 +76,7 @@ func TestDuplicateTextFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].I == 0 {
+	if res.Rows[0][0].Int() == 0 {
 		t.Error("duplicate fraction produced no shared texts")
 	}
 }
@@ -93,7 +93,7 @@ func TestLoadStar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].I != 300 {
+	if res.Rows[0][0].Int() != 300 {
 		t.Errorf("fact join count = %v, want 300 (FK integrity)", res.Rows[0])
 	}
 }
@@ -108,7 +108,7 @@ func TestLoadPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].I != 4 {
+	if res.Rows[0][0].Int() != 4 {
 		t.Errorf("v1 count = %v, want 4", res.Rows[0])
 	}
 }
