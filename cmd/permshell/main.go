@@ -180,7 +180,7 @@ func (s *shell) render(res *perm.Result) {
 	}
 }
 
-// runRemote executes one statement in the server-side session through a v3
+// runRemote executes one statement in the server-side session through a
 // cursor — the server streams the result in \fetch-sized batches instead of
 // materializing it — and renders it exactly like the embedded path.
 func (s *shell) runRemote(sqlText string) {

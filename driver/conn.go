@@ -197,7 +197,7 @@ func (c *conn) BeginTx(ctx context.Context, opts sqldriver.TxOptions) (sqldriver
 		return nil, fmt.Errorf("perm driver: isolation level %s is not supported (snapshot isolation is the strongest offered)",
 			sql.IsolationLevel(opts.Isolation))
 	}
-	if _, err := c.exec(ctx, "BEGIN", "", nil); err != nil {
+	if _, err := c.exec(ctx, "BEGIN", nil, nil); err != nil {
 		return nil, err
 	}
 	return &tx{c: c}, nil
@@ -208,12 +208,12 @@ func (c *conn) BeginTx(ctx context.Context, opts sqldriver.TxOptions) (sqldriver
 type tx struct{ c *conn }
 
 func (t *tx) Commit() error {
-	_, err := t.c.exec(context.Background(), "COMMIT", "", nil)
+	_, err := t.c.exec(context.Background(), "COMMIT", nil, nil)
 	return err
 }
 
 func (t *tx) Rollback() error {
-	_, err := t.c.exec(context.Background(), "ROLLBACK", "", nil)
+	_, err := t.c.exec(context.Background(), "ROLLBACK", nil, nil)
 	return err
 }
 
@@ -232,126 +232,100 @@ func (c *conn) Ping(ctx context.Context) error {
 	return rows.Close()
 }
 
-// QueryContext implements driver.QueryerContext: `?` arguments travel as
-// typed wire parameters (a one-shot server-side bind — parse + bind +
-// execute in one round trip), never as interpolated SQL text, and results
-// stream — a cursor with batched fetches remotely, the live executor
+// QueryContext implements driver.QueryerContext: the statement travels as
+// one Execute with its `?` arguments (if any) as typed parameters — parse +
+// bind + execute in one round trip, never interpolated SQL text — and
+// results stream: a cursor with batched fetches remotely, the live executor
 // iterator tree embedded.
 func (c *conn) QueryContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	return c.query(ctx, query, "", args)
-}
-
-// query runs a statement by text (name empty) or by prepared-statement name.
-func (c *conn) query(ctx context.Context, sqlText, name string, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	if name == "" {
-		if err := c.bindCheck(sqlText, args); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.checkReadOnly(sqlText); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if c.remote != nil {
-		stop := c.watchContext(ctx)
-		if name == "" && len(args) == 0 {
-			wr, err := c.remote.Query(sqlText)
-			if err != nil {
-				stop()
-				return nil, ctxOr(ctx, remoteErr(err))
-			}
-			// The watcher stays armed for the whole row stream;
-			// remoteRows.Close disarms it.
-			return &remoteRows{rows: wr, ctx: ctx, stop: stop}, nil
-		}
-		vals, err := toEngineValues(args)
-		if err != nil {
-			stop()
-			return nil, err
-		}
-		cur, err := c.remote.Execute(name, sqlText, vals, defaultFetchSize)
-		if err != nil {
-			stop()
-			return nil, ctxOr(ctx, remoteErr(err))
-		}
-		return &cursorRows{cur: cur, ctx: ctx, stop: stop}, nil
-	}
-	vals, err := toEngineValues(args)
-	if err != nil {
-		return nil, err
-	}
-	return c.queryLocal(ctx, func() (*engine.Rows, error) {
-		if len(vals) == 0 {
-			return c.local.Query(sqlText)
-		}
-		prep, err := c.local.Prepare(sqlText)
-		if err != nil {
-			return nil, err
-		}
-		return prep.Query(vals...)
-	})
+	return c.query(ctx, query, nil, args)
 }
 
 // ExecContext implements driver.ExecerContext; arguments bind server-side
 // exactly as in QueryContext.
 func (c *conn) ExecContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	return c.exec(ctx, query, "", args)
+	return c.exec(ctx, query, nil, args)
 }
 
-func (c *conn) exec(ctx context.Context, sqlText, name string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	if name == "" {
+// bind runs the checks every statement passes before it is sent and
+// converts its arguments. st is the prepared statement being run, nil for a
+// statement run by text.
+func (c *conn) bind(ctx context.Context, sqlText string, st *stmt, args []sqldriver.NamedValue) ([]value.Value, error) {
+	if st == nil {
 		if err := c.bindCheck(sqlText, args); err != nil {
 			return nil, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if err := c.checkReadOnly(sqlText); err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return toEngineValues(args)
+}
+
+// openLocal opens a statement on the embedded session.
+func (c *conn) openLocal(sqlText string, st *stmt, vals []value.Value) (*engine.Rows, error) {
+	if st != nil {
+		return st.prepared.Query(vals...)
+	}
+	return c.local.Query(sqlText, vals...)
+}
+
+// query opens a statement's result stream. Cancellation stays armed for the
+// whole stream; rows.Close disarms it (database/sql always calls it).
+func (c *conn) query(ctx context.Context, sqlText string, st *stmt, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
+	vals, err := c.bind(ctx, sqlText, st, args)
+	if err != nil {
+		return nil, err
+	}
+	r := &rows{ctx: ctx, disarm: c.watchContext(ctx)}
+	if c.remote != nil {
+		var cur *wire.Cursor
+		if cur, err = c.remote.Execute(st.wireName(), sqlText, vals, defaultFetchSize); err == nil {
+			r.src, r.names, r.kinds = cur, cur.Desc.Names, cur.Desc.Kinds
+		}
+	} else {
+		var er *engine.Rows
+		if er, err = c.openLocal(sqlText, st, vals); err == nil {
+			r.src, r.names, r.kinds = er, er.Columns, make([]value.Kind, len(er.Columns))
+			for i := 0; i < len(r.kinds) && i < len(er.Schema); i++ {
+				r.kinds[i] = er.Schema[i].Type
+			}
+		}
+	}
+	if err != nil {
+		r.disarm()
+		return nil, ctxOr(ctx, remoteErr(err))
+	}
+	return r, nil
+}
+
+// exec runs a statement to completion and reports its command tag.
+func (c *conn) exec(ctx context.Context, sqlText string, st *stmt, args []sqldriver.NamedValue) (sqldriver.Result, error) {
+	vals, err := c.bind(ctx, sqlText, st, args)
+	if err != nil {
+		return nil, err
+	}
+	disarm := c.watchContext(ctx)
+	defer disarm()
 	var tag string
 	if c.remote != nil {
-		stop := c.watchContext(ctx)
 		var done wire.Complete
-		var err error
-		if name == "" && len(args) == 0 {
-			done, err = c.remote.Exec(sqlText)
-		} else {
-			var vals []value.Value
-			vals, err = toEngineValues(args)
-			if err != nil {
-				stop()
-				return nil, err
-			}
-			done, err = c.remote.ExecuteDrain(name, sqlText, vals)
-		}
-		stop()
-		if err != nil {
-			return nil, ctxOr(ctx, remoteErr(err))
-		}
+		done, err = c.remote.ExecuteDrain(st.wireName(), sqlText, vals)
 		tag = done.Tag
 	} else {
-		vals, err := toEngineValues(args)
-		if err != nil {
-			return nil, err
-		}
-		res, err := c.execLocal(ctx, func() (*engine.Result, error) {
-			if len(vals) == 0 {
-				return c.local.Execute(sqlText)
+		var er *engine.Rows
+		if er, err = c.openLocal(sqlText, st, vals); err == nil {
+			var res *engine.Result
+			if res, err = er.DrainResult(); err == nil {
+				tag = res.Tag
 			}
-			prep, err := c.local.Prepare(sqlText)
-			if err != nil {
-				return nil, err
-			}
-			return prep.Exec(vals...)
-		})
-		if err != nil {
-			return nil, err
 		}
-		tag = res.Tag
+	}
+	if err != nil {
+		return nil, ctxOr(ctx, remoteErr(err))
 	}
 	return result{tag: tag}, nil
 }
@@ -367,18 +341,24 @@ func (c *conn) bindCheck(query string, args []sqldriver.NamedValue) error {
 	return nil
 }
 
-// watchContext arms context cancellation for a remote request: if ctx ends
-// while the wire client is blocked on the server, Abort unblocks it (the
-// connection is sacrificed — the wire protocol has no cancel message — and
-// the pool retires it through IsValid). The returned func disarms the
-// watcher and must be called exactly once; wire.WatchCancel joins the
-// watcher goroutine, after which the deadline is cleared so a fired (or
-// too-late) Abort cannot bleed into the connection's next request. An abort
-// that already broke this request keeps its effect — the failed read marked
-// the client Broken before the disarm runs.
+// watchContext arms context cancellation for one request and returns the
+// func that disarms it, to be called exactly once. Embedded, ctx's Done
+// channel becomes the engine interrupt. Remote, a watcher Aborts the wire
+// client if ctx ends while it is blocked on the server (the connection is
+// sacrificed — the wire protocol has no cancel message — and the pool
+// retires it through IsValid); wire.WatchCancel joins the watcher goroutine,
+// after which the deadline is cleared so a fired (or too-late) Abort cannot
+// bleed into the connection's next request. An abort that already broke this
+// request keeps its effect — the failed read marked the client Broken before
+// the disarm runs.
 func (c *conn) watchContext(ctx context.Context) func() {
-	if ctx.Done() == nil {
+	done := ctx.Done()
+	if done == nil {
 		return func() {}
+	}
+	if c.remote == nil {
+		c.local.SetInterrupt(done)
+		return func() { c.local.SetInterrupt(nil) }
 	}
 	stop := wire.WatchCancel(ctx, c.remote.Abort)
 	return func() {
@@ -440,41 +420,6 @@ func (c *conn) checkReadOnly(sqlText string) error {
 // scanner, and the two must never disagree on what counts as a read).
 func firstKeyword(s string) string { return cluster.FirstKeyword(s) }
 
-// execLocal runs one materialized statement on the embedded session with
-// the caller's context cancellation armed as the engine interrupt — the
-// single home of the arm/disarm/relabel sequence for every local Exec path.
-func (c *conn) execLocal(ctx context.Context, run func() (*engine.Result, error)) (*engine.Result, error) {
-	if done := ctx.Done(); done != nil {
-		c.local.SetInterrupt(done)
-		defer c.local.SetInterrupt(nil)
-	}
-	res, err := run()
-	if err != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	return res, err
-}
-
-// queryLocal opens a streaming statement on the embedded session. The
-// engine interrupt stays armed for the whole stream — a canceled context
-// unwinds a half-read result — and is disarmed when the rows close.
-func (c *conn) queryLocal(ctx context.Context, open func() (*engine.Rows, error)) (sqldriver.Rows, error) {
-	disarm := func() {}
-	if done := ctx.Done(); done != nil {
-		c.local.SetInterrupt(done)
-		disarm = func() { c.local.SetInterrupt(nil) }
-	}
-	rows, err := open()
-	if err != nil {
-		disarm()
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, err
-	}
-	return newLocalRows(rows, ctx, disarm), nil
-}
-
 // --- statements ----------------------------------------------------------------
 
 // stmt is a prepared statement: a server-side named statement on remote
@@ -520,49 +465,24 @@ func (s *stmt) Query(args []sqldriver.Value) (sqldriver.Rows, error) {
 	return s.QueryContext(context.Background(), s.namedValues(args))
 }
 
+// wireName is the name an Execute carries: empty (an inline statement) when
+// no statement was prepared.
+func (s *stmt) wireName() string {
+	if s == nil {
+		return ""
+	}
+	return s.name
+}
+
 // ExecContext implements driver.StmtExecContext, so prepared statements get
 // the same cancellation behavior as conn-level Exec.
 func (s *stmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	if s.prepared != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := s.c.checkReadOnly(s.query); err != nil {
-			return nil, err
-		}
-		vals, err := toEngineValues(args)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.c.execLocal(ctx, func() (*engine.Result, error) {
-			return s.prepared.Exec(vals...)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return result{tag: res.Tag}, nil
-	}
-	return s.c.exec(ctx, s.query, s.name, args)
+	return s.c.exec(ctx, s.query, s, args)
 }
 
 // QueryContext implements driver.StmtQueryContext.
 func (s *stmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	if s.prepared != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := s.c.checkReadOnly(s.query); err != nil {
-			return nil, err
-		}
-		vals, err := toEngineValues(args)
-		if err != nil {
-			return nil, err
-		}
-		return s.c.queryLocal(ctx, func() (*engine.Rows, error) {
-			return s.prepared.Query(vals...)
-		})
-	}
-	return s.c.query(ctx, s.query, s.name, args)
+	return s.c.query(ctx, s.query, s, args)
 }
 
 // --- results -------------------------------------------------------------------
@@ -588,36 +508,38 @@ func (r result) RowsAffected() (int64, error) {
 
 // --- rows ----------------------------------------------------------------------
 
-// remoteRows streams a wire result set. The connection's context watcher
-// stays armed until Close (database/sql always calls it), so cancellation
-// can unblock a stalled stream.
-type remoteRows struct {
-	rows *wire.Rows
-	ctx  context.Context
-	stop func()
+// rows streams a result one row per Next, so neither side materializes it:
+// src is a wire cursor (rows arrive in batches, fetched on demand) or the
+// embedded engine's live iterator tree. Cancellation stays armed until Close.
+type rows struct {
+	src interface {
+		Next() (value.Row, error)
+		Close() error
+	}
+	names  []string
+	kinds  []value.Kind
+	ctx    context.Context
+	disarm func()
 }
 
-func (r *remoteRows) Columns() []string { return r.rows.Desc.Names }
+func (r *rows) Columns() []string { return r.names }
 
-func (r *remoteRows) Close() error {
-	err := r.rows.Close()
-	if r.stop != nil {
-		r.stop()
-		r.stop = nil
+func (r *rows) Close() error {
+	err := r.src.Close()
+	if r.disarm != nil {
+		r.disarm()
+		r.disarm = nil
 	}
-	if err != nil && r.ctx != nil {
-		return ctxOr(r.ctx, err)
-	}
-	return err
-}
-
-func (r *remoteRows) Next(dest []sqldriver.Value) error {
-	row, err := r.rows.Next()
 	if err != nil {
-		if r.ctx != nil {
-			return ctxOr(r.ctx, err)
-		}
-		return err
+		return ctxOr(r.ctx, remoteErr(err))
+	}
+	return nil
+}
+
+func (r *rows) Next(dest []sqldriver.Value) error {
+	row, err := r.src.Next()
+	if err != nil {
+		return ctxOr(r.ctx, remoteErr(err))
 	}
 	if row == nil {
 		return io.EOF
@@ -634,116 +556,7 @@ func (r *remoteRows) Next(dest []sqldriver.Value) error {
 
 // ColumnTypeDatabaseTypeName reports the engine type name ("INTEGER",
 // "TEXT", …) for database/sql's ColumnTypes.
-func (r *remoteRows) ColumnTypeDatabaseTypeName(index int) string {
-	return typeNameOf(r.rows.Desc.Kinds[index])
-}
-
-// cursorRows streams a server-side portal: rows arrive in batches, fetched
-// on demand, so neither side materializes the result. The connection's
-// context watcher stays armed until Close (fetch round trips block on the
-// server too).
-type cursorRows struct {
-	cur  *wire.Cursor
-	ctx  context.Context
-	stop func()
-}
-
-func (r *cursorRows) Columns() []string { return r.cur.Desc.Names }
-
-func (r *cursorRows) Close() error {
-	err := r.cur.Close()
-	if r.stop != nil {
-		r.stop()
-		r.stop = nil
-	}
-	if err != nil && r.ctx != nil {
-		return ctxOr(r.ctx, remoteErr(err))
-	}
-	if err != nil {
-		return remoteErr(err)
-	}
-	return nil
-}
-
-func (r *cursorRows) Next(dest []sqldriver.Value) error {
-	row, err := r.cur.Next()
-	if err != nil {
-		if r.ctx != nil {
-			return ctxOr(r.ctx, remoteErr(err))
-		}
-		return remoteErr(err)
-	}
-	if row == nil {
-		return io.EOF
-	}
-	for i := range dest {
-		if i < len(row) {
-			dest[i] = toDriverValue(row[i])
-		} else {
-			dest[i] = nil
-		}
-	}
-	return nil
-}
-
-func (r *cursorRows) ColumnTypeDatabaseTypeName(index int) string {
-	return typeNameOf(r.cur.Desc.Kinds[index])
-}
-
-// localRows streams an embedded result: the engine's live iterator tree,
-// pulled one row per Next — embedded huge provenance results stay
-// un-materialized exactly like remote ones.
-type localRows struct {
-	rows   *engine.Rows
-	kinds  []value.Kind
-	ctx    context.Context
-	disarm func()
-}
-
-func newLocalRows(rows *engine.Rows, ctx context.Context, disarm func()) *localRows {
-	lr := &localRows{rows: rows, ctx: ctx, disarm: disarm}
-	lr.kinds = make([]value.Kind, len(rows.Columns))
-	for i := 0; i < len(lr.kinds) && i < len(rows.Schema); i++ {
-		lr.kinds[i] = rows.Schema[i].Type
-	}
-	return lr
-}
-
-func (r *localRows) Columns() []string { return r.rows.Columns }
-
-func (r *localRows) Close() error {
-	err := r.rows.Close()
-	if r.disarm != nil {
-		r.disarm()
-		r.disarm = nil
-	}
-	return err
-}
-
-func (r *localRows) Next(dest []sqldriver.Value) error {
-	row, err := r.rows.Next()
-	if err != nil {
-		if r.ctx != nil {
-			if cerr := r.ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		return err
-	}
-	if row == nil {
-		return io.EOF
-	}
-	for i := range dest {
-		if i < len(row) {
-			dest[i] = toDriverValue(row[i])
-		} else {
-			dest[i] = nil
-		}
-	}
-	return nil
-}
-
-func (r *localRows) ColumnTypeDatabaseTypeName(index int) string {
+func (r *rows) ColumnTypeDatabaseTypeName(index int) string {
 	return typeNameOf(r.kinds[index])
 }
 
@@ -824,7 +637,7 @@ func toDriverValue(v value.Value) sqldriver.Value {
 	return nil
 }
 
-// --- placeholder interpolation -------------------------------------------------
+// --- placeholders --------------------------------------------------------------
 
 // placeholderPositions returns the byte offsets of `?` markers that are
 // outside single-quoted string literals, double-quoted identifiers, and
@@ -891,61 +704,3 @@ func skipQuoted(s string, start int, q byte) int {
 // pinning this scanner to the engine lexer); the server's parser is the
 // authority at execution time.
 func countPlaceholders(query string) int { return len(placeholderPositions(query)) }
-
-// interpolate substitutes `?` placeholders with SQL literals. It is no
-// longer on any execution path — parameters travel as typed wire binds —
-// but remains as the reference for the literal forms binds must match
-// (interpolate_test pins them, the differential suite compares all three
-// paths).
-func interpolate(query string, args []sqldriver.NamedValue) (string, error) {
-	pos := placeholderPositions(query)
-	if len(pos) != len(args) {
-		return "", fmt.Errorf("perm driver: %d arguments for %d placeholders", len(args), len(pos))
-	}
-	if len(args) == 0 {
-		return query, nil
-	}
-	var b strings.Builder
-	b.Grow(len(query) + 16*len(args))
-	last := 0
-	for k, p := range pos {
-		b.WriteString(query[last:p])
-		lit, err := literal(args[k].Value)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(lit)
-		last = p + 1
-	}
-	b.WriteString(query[last:])
-	return b.String(), nil
-}
-
-// literal renders one bound argument as a SQL literal.
-func literal(v sqldriver.Value) (string, error) {
-	switch x := v.(type) {
-	case nil:
-		return "NULL", nil
-	case bool:
-		return value.NewBool(x).SQLLiteral(), nil
-	case int64:
-		return value.NewInt(x).SQLLiteral(), nil
-	case float64:
-		// The SQL dialect has no literal form for non-finite floats; reject
-		// them here rather than emitting tokens the parser misreads.
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return "", fmt.Errorf("perm driver: cannot bind non-finite float %v", x)
-		}
-		return value.NewFloat(x).SQLLiteral(), nil
-	case string:
-		return value.NewString(x).SQLLiteral(), nil
-	case []byte:
-		if x == nil {
-			return "NULL", nil // database/sql convention: nil []byte is NULL
-		}
-		return value.NewString(string(x)).SQLLiteral(), nil
-	case time.Time:
-		return value.NewString(x.Format(time.RFC3339Nano)).SQLLiteral(), nil
-	}
-	return "", fmt.Errorf("perm driver: unsupported argument type %T", v)
-}

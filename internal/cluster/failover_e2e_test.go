@@ -197,7 +197,7 @@ func TestKillPrimaryFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := setup.Exec(`CREATE TABLE kv (k int)`); err != nil {
+	if _, err := setup.ExecuteDrain("", `CREATE TABLE kv (k int)`, nil); err != nil {
 		t.Fatalf("create through router: %v", err)
 	}
 	setup.Close()
@@ -245,7 +245,7 @@ func TestKillPrimaryFailover(t *testing.T) {
 				return
 			default:
 			}
-			_, err := cli.Exec(fmt.Sprintf(`INSERT INTO kv VALUES (%d)`, i))
+			_, err := cli.ExecuteDrain("", fmt.Sprintf(`INSERT INTO kv VALUES (%d)`, i), nil)
 			if err == nil {
 				acked.add(i)
 				continue

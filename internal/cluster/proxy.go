@@ -167,6 +167,13 @@ type backend struct {
 	prepared map[string]bool
 }
 
+func (b *backend) markPrepared(name string) {
+	if b.prepared == nil {
+		b.prepared = make(map[string]bool)
+	}
+	b.prepared[name] = true
+}
+
 func (b *backend) close() {
 	if b != nil {
 		b.nc.Close()
@@ -189,21 +196,13 @@ func (b *backend) roundTrip(typ byte, payload []byte) (serr *wire.ServerError, e
 		if err != nil {
 			return nil, err
 		}
-		switch rtyp {
-		case wire.MsgError:
+		if rtyp == wire.MsgError {
 			return wire.DecodeServerError(body), nil
-		case wire.MsgComplete, wire.MsgParseOK, wire.MsgCloseOK, wire.MsgStatusOK, wire.MsgSuspended, wire.MsgBackupDone:
+		}
+		if isTerminal(rtyp) {
 			return nil, nil
 		}
 	}
-}
-
-// routedStmt is a prepared statement the session registered through the
-// router: the SQL travels with the session so the statement can be re-parsed
-// on whichever backend a later Execute routes to.
-type routedStmt struct {
-	sql   string
-	write bool
 }
 
 // routerSession serves one client connection.
@@ -213,10 +212,13 @@ type routerSession struct {
 	conn *wire.Conn
 
 	settings []string // successful SETs, replayed per backend
-	stmts    map[string]routedStmt
-	read     *backend
-	write    *backend
-	portal   *backend // backend holding the open portal, if any
+	// stmts holds the SQL of every prepared statement the session registered,
+	// by name: it decides where an Execute of the name routes, and lets the
+	// statement be re-parsed on whichever backend that is.
+	stmts  map[string]string
+	read   *backend
+	write  *backend
+	portal *backend // backend holding the open portal, if any
 }
 
 // clientError marks a failure on the client side of the relay: the session
@@ -289,47 +291,51 @@ func (s *routerSession) writeError(msg string, code uint64) error {
 
 func (s *routerSession) dispatch(typ byte, body []byte) error {
 	switch typ {
-	case wire.MsgQuery:
-		r := wire.NewReader(body)
-		sql := r.String()
-		if r.Err() != nil {
-			return s.writeError("malformed query frame", wire.ErrCodeGeneric)
-		}
-		switch Classify(sql) {
-		case ClassWrite:
-			return s.relayWrite(typ, body)
-		case ClassSession:
-			return s.relaySession(sql, body)
-		default:
-			return s.relayRead(typ, body, nil)
-		}
 	case wire.MsgExecute:
 		m, err := wire.DecodeExecute(body)
 		if err != nil {
 			return s.writeError("malformed execute frame", wire.ErrCodeGeneric)
 		}
+		sql := m.SQL
 		if m.Name != "" {
-			st, ok := s.stmts[m.Name]
-			if !ok {
+			var ok bool
+			if sql, ok = s.stmts[m.Name]; !ok {
 				return s.writeError(fmt.Sprintf("unknown prepared statement %q", m.Name), wire.ErrCodeGeneric)
 			}
-			if st.write {
-				return s.relayWrite(typ, body)
+		}
+		class := Classify(sql)
+		return s.route(class == ClassWrite, typ, body, m.Name, func(b *backend, rtyp byte) {
+			s.trackPortal(rtyp, b)
+			if class == ClassSession && rtyp == wire.MsgComplete {
+				// A SET that succeeded: replayed onto every backend the
+				// session touches later (b has it already).
+				s.settings = append(s.settings, sql)
+				b.applied = len(s.settings)
 			}
-			return s.relayRead(typ, body, &m.Name)
-		}
-		if Classify(m.SQL) == ClassWrite {
-			return s.relayWrite(typ, body)
-		}
-		return s.relayRead(typ, body, nil)
+		})
 	case wire.MsgParse:
-		return s.handleParse(body)
+		m, err := wire.DecodeParse(body)
+		if err != nil {
+			return s.writeError("malformed parse frame", wire.ErrCodeGeneric)
+		}
+		// The Parse goes to the backend the statement's class routes to, and
+		// the SQL is remembered so other backends can catch up on demand.
+		return s.route(Classify(m.SQL) == ClassWrite, typ, body, "", func(b *backend, rtyp byte) {
+			if rtyp != wire.MsgParseOK {
+				return
+			}
+			if s.stmts == nil {
+				s.stmts = make(map[string]string)
+			}
+			s.stmts[m.Name] = m.SQL
+			b.markPrepared(m.Name)
+		})
 	case wire.MsgFetch, wire.MsgClosePortal:
 		return s.relayPortal(typ, body)
 	case wire.MsgCloseStmt:
 		return s.handleCloseStmt(body)
 	case wire.MsgStatus:
-		return s.relayRead(typ, body, nil)
+		return s.relayRead(typ, body, "", nil)
 	case wire.MsgTerminate:
 		return nil
 	case wire.MsgBackup, wire.MsgSubscribe, wire.MsgPromote, wire.MsgDemote:
@@ -398,139 +404,94 @@ func (s *routerSession) trackPortal(rtyp byte, b *backend) {
 	}
 }
 
-// relayWrite routes one statement to the current-epoch primary. Writes are
+// route relays one statement-bearing request where its class says: a write
+// to the primary, anything else across the read order. stmt, when not empty,
+// names a prepared statement the chosen backend must have; done, when set,
+// sees the backend that answered and the frame its response ended with.
+func (s *routerSession) route(write bool, typ byte, body []byte, stmt string, done func(*backend, byte)) error {
+	if write {
+		return s.relayWrite(typ, body, stmt, done)
+	}
+	return s.relayRead(typ, body, stmt, done)
+}
+
+// exchange brings b up to date with the session and relays one request
+// there. A nil error means the client has its answer; a clientError ends the
+// session; any other error is the backend's transport failure — b is dropped,
+// and forwarded reports whether part of a response had already reached the
+// client.
+func (s *routerSession) exchange(b *backend, typ byte, body []byte, stmt string, checkEpoch bool, done func(*backend, byte)) (forwarded bool, err error) {
+	err = s.prepareBackend(b, stmt)
+	var se *wire.ServerError
+	if errors.As(err, &se) {
+		// The statement itself is bad; no other member will do better.
+		return true, s.send(wire.MsgError, wire.AppendError(nil, se.Message, se.Code))
+	}
+	var rtyp byte
+	if err == nil {
+		rtyp, forwarded, err = s.relay(b, typ, body, checkEpoch)
+	}
+	if err == nil {
+		if done != nil {
+			done(b, rtyp)
+		}
+		return true, nil
+	}
+	var ce clientError
+	if !errors.As(err, &ce) {
+		s.dropBackend(b)
+	}
+	return forwarded, err
+}
+
+// relayWrite routes one request to the current-epoch primary. Writes are
 // never retried: a transport failure mid-request has an unknown outcome and
 // is reported as such.
-func (s *routerSession) relayWrite(typ byte, body []byte) error {
+func (s *routerSession) relayWrite(typ byte, body []byte, stmt string, done func(*backend, byte)) error {
 	mRouteWrites.Inc()
 	b, err := s.writeBackend()
 	if err != nil {
 		return s.writeError("cluster has no writable primary: "+err.Error(), wire.ErrCodeGeneric)
 	}
-	if err := s.prepareBackend(b, typ, body); err != nil {
+	forwarded, err := s.exchange(b, typ, body, stmt, true, done)
+	var ce clientError
+	if err == nil || errors.As(err, &ce) {
 		return err
 	}
-	rtyp, forwarded, err := s.relay(b, typ, body, true)
-	if err != nil {
-		var ce clientError
-		if errors.As(err, &ce) {
-			return err
-		}
-		s.dropBackend(b)
-		if forwarded {
-			return s.writeError("primary connection failed mid-response: "+err.Error(), wire.ErrCodeGeneric)
-		}
-		return s.writeError("primary connection failed; write outcome unknown: "+err.Error(), wire.ErrCodeGeneric)
+	if forwarded {
+		return s.writeError("primary connection failed mid-response: "+err.Error(), wire.ErrCodeGeneric)
 	}
-	if typ == wire.MsgExecute || typ == wire.MsgFetch {
-		s.trackPortal(rtyp, b)
-	}
-	return nil
+	return s.writeError("primary connection failed; write outcome unknown: "+err.Error(), wire.ErrCodeGeneric)
 }
 
 // relayRead routes one idempotent request across the topology's read order,
 // transparently retrying on the next candidate while nothing has been
-// forwarded to the client yet. stmt, when set, names a prepared statement
-// that must exist on the chosen backend before the request is relayed.
-func (s *routerSession) relayRead(typ byte, body []byte, stmt *string) error {
+// forwarded to the client yet. It is the one failover loop: reads, SET and
+// the Parse of a read statement differ only in their done hook.
+func (s *routerSession) relayRead(typ byte, body []byte, stmt string, done func(*backend, byte)) error {
 	mRouteReads.Inc()
 	var lastErr error
-	tried := 0
-	for _, addr := range s.r.cfg.Topology.ReadOrder() {
-		if tried++; tried > 1 {
+	for i, addr := range s.r.cfg.Topology.ReadOrder() {
+		if i > 0 {
 			mReadRetries.Inc()
 		}
 		b, err := s.readBackend(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := s.prepareBackend(b, typ, body); err != nil {
+		if err == nil {
+			var forwarded bool
+			forwarded, err = s.exchange(b, typ, body, stmt, false, done)
 			var ce clientError
-			if errors.As(err, &ce) {
+			if err == nil || errors.As(err, &ce) {
 				return err
 			}
-			s.dropBackend(b)
-			lastErr = err
-			continue
-		}
-		if stmt != nil {
-			if err := s.ensurePrepared(b, *stmt); err != nil {
-				var se *wire.ServerError
-				if errors.As(err, &se) {
-					// The statement itself is bad; no other member will do
-					// better.
-					return s.send(wire.MsgError, wire.AppendError(nil, se.Message, se.Code))
-				}
-				s.dropBackend(b)
-				lastErr = err
-				continue
+			if forwarded {
+				// The client already saw part of this response; a retry would
+				// corrupt the stream. End the statement with an in-band error —
+				// the protocol allows a mid-stream error and the session
+				// survives.
+				return s.writeError("backend failed mid-response: "+err.Error(), wire.ErrCodeGeneric)
 			}
 		}
-		rtyp, forwarded, err := s.relay(b, typ, body, false)
-		if err == nil {
-			if typ == wire.MsgExecute || typ == wire.MsgFetch {
-				s.trackPortal(rtyp, b)
-			}
-			return nil
-		}
-		var ce clientError
-		if errors.As(err, &ce) {
-			return err
-		}
-		s.dropBackend(b)
 		lastErr = err
-		if forwarded {
-			// The client already saw part of this response; a retry would
-			// corrupt the stream. End the statement with an in-band error —
-			// the protocol allows a mid-stream error and the session
-			// survives.
-			return s.writeError("backend failed mid-response: "+err.Error(), wire.ErrCodeGeneric)
-		}
-	}
-	msg := "no healthy cluster member to serve the request"
-	if lastErr != nil {
-		msg += ": " + lastErr.Error()
-	}
-	return s.writeError(msg, wire.ErrCodeGeneric)
-}
-
-// relaySession runs a SET on the read path and, on success, records it for
-// replay on every backend the session touches later.
-func (s *routerSession) relaySession(sql string, body []byte) error {
-	var lastErr error
-	for _, addr := range s.r.cfg.Topology.ReadOrder() {
-		b, err := s.readBackend(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := s.prepareBackend(b, wire.MsgQuery, body); err != nil {
-			var ce clientError
-			if errors.As(err, &ce) {
-				return err
-			}
-			s.dropBackend(b)
-			lastErr = err
-			continue
-		}
-		rtyp, forwarded, err := s.relay(b, wire.MsgQuery, body, false)
-		if err == nil {
-			if rtyp == wire.MsgComplete {
-				s.settings = append(s.settings, sql)
-				b.applied = len(s.settings)
-			}
-			return nil
-		}
-		var ce clientError
-		if errors.As(err, &ce) {
-			return err
-		}
-		s.dropBackend(b)
-		lastErr = err
-		if forwarded {
-			return s.writeError("backend failed mid-response: "+err.Error(), wire.ErrCodeGeneric)
-		}
 	}
 	msg := "no healthy cluster member to serve the request"
 	if lastErr != nil {
@@ -564,91 +525,6 @@ func (s *routerSession) relayPortal(typ byte, body []byte) error {
 		s.trackPortal(rtyp, b)
 	}
 	return nil
-}
-
-// handleParse registers a prepared statement: the Parse is relayed to the
-// backend its class routes to, and the SQL is remembered so other backends
-// can be brought up to date on demand.
-func (s *routerSession) handleParse(body []byte) error {
-	m, err := wire.DecodeParse(body)
-	if err != nil {
-		return s.writeError("malformed parse frame", wire.ErrCodeGeneric)
-	}
-	write := Classify(m.SQL) == ClassWrite
-	record := func(b *backend) {
-		if s.stmts == nil {
-			s.stmts = make(map[string]routedStmt)
-		}
-		s.stmts[m.Name] = routedStmt{sql: m.SQL, write: write}
-		if b.prepared == nil {
-			b.prepared = make(map[string]bool)
-		}
-		b.prepared[m.Name] = true
-	}
-	if write {
-		b, err := s.writeBackend()
-		if err != nil {
-			return s.writeError("cluster has no writable primary: "+err.Error(), wire.ErrCodeGeneric)
-		}
-		if err := s.prepareBackend(b, wire.MsgParse, body); err != nil {
-			return err
-		}
-		rtyp, _, err := s.relay(b, wire.MsgParse, body, false)
-		if err != nil {
-			var ce clientError
-			if errors.As(err, &ce) {
-				return err
-			}
-			s.dropBackend(b)
-			return s.writeError("primary connection failed: "+err.Error(), wire.ErrCodeGeneric)
-		}
-		if rtyp == wire.MsgParseOK {
-			record(b)
-		}
-		return nil
-	}
-	return s.relayReadParse(body, m, record)
-}
-
-func (s *routerSession) relayReadParse(body []byte, m wire.Parse, record func(*backend)) error {
-	var lastErr error
-	for _, addr := range s.r.cfg.Topology.ReadOrder() {
-		b, err := s.readBackend(addr)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := s.prepareBackend(b, wire.MsgParse, body); err != nil {
-			var ce clientError
-			if errors.As(err, &ce) {
-				return err
-			}
-			s.dropBackend(b)
-			lastErr = err
-			continue
-		}
-		rtyp, forwarded, err := s.relay(b, wire.MsgParse, body, false)
-		if err == nil {
-			if rtyp == wire.MsgParseOK {
-				record(b)
-			}
-			return nil
-		}
-		var ce clientError
-		if errors.As(err, &ce) {
-			return err
-		}
-		s.dropBackend(b)
-		lastErr = err
-		if forwarded {
-			return s.writeError("backend failed mid-response: "+err.Error(), wire.ErrCodeGeneric)
-		}
-	}
-	msg := "no healthy cluster member to serve the request"
-	if lastErr != nil {
-		msg += ": " + lastErr.Error()
-	}
-	return s.writeError(msg, wire.ErrCodeGeneric)
 }
 
 // handleCloseStmt deallocates a routed prepared statement everywhere it was
@@ -733,12 +609,13 @@ func (s *routerSession) closeBackends() {
 }
 
 // prepareBackend brings b up to date with the session's recorded state
-// before a request is relayed there: pending SET statements are replayed
-// (the request itself, passed for context, is not run here).
-func (s *routerSession) prepareBackend(b *backend, typ byte, body []byte) error {
+// before a request is relayed there: pending SET statements are replayed,
+// and stmt, when not empty, is parsed there unless it already was. A
+// statement the server refuses to parse comes back as *wire.ServerError.
+func (s *routerSession) prepareBackend(b *backend, stmt string) error {
 	for b.applied < len(s.settings) {
 		sql := s.settings[b.applied]
-		serr, err := b.roundTrip(wire.MsgQuery, wire.AppendString(nil, sql))
+		serr, err := b.roundTrip(wire.MsgExecute, wire.Execute{SQL: sql}.Encode(nil))
 		if err != nil {
 			return err
 		}
@@ -750,30 +627,17 @@ func (s *routerSession) prepareBackend(b *backend, typ byte, body []byte) error 
 		}
 		b.applied++
 	}
-	return nil
-}
-
-// ensurePrepared re-parses the named statement on b when it is not there
-// yet. A server-reported parse failure comes back as *wire.ServerError.
-func (s *routerSession) ensurePrepared(b *backend, name string) error {
-	if b.prepared[name] {
+	if stmt == "" || b.prepared[stmt] {
 		return nil
 	}
-	st, ok := s.stmts[name]
-	if !ok {
-		return &wire.ServerError{Message: fmt.Sprintf("unknown prepared statement %q", name)}
-	}
-	serr, err := b.roundTrip(wire.MsgParse, wire.Parse{Name: name, SQL: st.sql}.Encode(nil))
+	serr, err := b.roundTrip(wire.MsgParse, wire.Parse{Name: stmt, SQL: s.stmts[stmt]}.Encode(nil))
 	if err != nil {
 		return err
 	}
 	if serr != nil {
 		return serr
 	}
-	if b.prepared == nil {
-		b.prepared = make(map[string]bool)
-	}
-	b.prepared[name] = true
+	b.markPrepared(stmt)
 	return nil
 }
 

@@ -80,7 +80,7 @@ func mustExec(t testing.TB, db *engine.DB, sql string) {
 // queryStrings collects the first column of a query through a wire client.
 func queryStrings(t testing.TB, cli *wire.Client, sql string) []string {
 	t.Helper()
-	rows, err := cli.Query(sql)
+	rows, err := cli.Execute("", sql, nil, 0)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -146,7 +146,7 @@ func TestRouterReadWriteSplit(t *testing.T) {
 	if got := queryStrings(t, cli, `SELECT v FROM t`); len(got) != 1 || got[0] != `'on-replica'` {
 		t.Fatalf("read routed to %v, want the replica's row", got)
 	}
-	if _, err := cli.Exec(`INSERT INTO t VALUES ('routed-write')`); err != nil {
+	if _, err := cli.ExecuteDrain("", `INSERT INTO t VALUES ('routed-write')`, nil); err != nil {
 		t.Fatalf("routed write: %v", err)
 	}
 	// The write landed on the primary and only there.
@@ -188,32 +188,64 @@ func TestRouterReadWriteSplit(t *testing.T) {
 }
 
 // TestRouterSessionSettingsFollow proves SET statements replay onto every
-// backend the session touches: a SET issued through the router must be in
-// force for a later write relayed to the primary.
+// backend the session touches. A SET is session state however it
+// arrives — as an inline Execute (what permshell -connect sends) or through a
+// prepared statement — so it must be in force on the write backend, which
+// never saw it run, and on a read backend chosen after the first one died.
+// Under 'copy' contribution a provenance attribute the query did not copy is
+// NULL, which makes the setting visible in what the primary stored.
 func TestRouterSessionSettingsFollow(t *testing.T) {
-	writeDB, readDB := engine.NewDB(), engine.NewDB()
-	mustExec(t, writeDB, `CREATE TABLE t (v string)`)
-	mustExec(t, readDB, `CREATE TABLE t (v string)`)
-	primary := startMember(t, writeDB, server.Config{})
-	replica := startMember(t, readDB, server.Config{})
+	const set = `SET provenance_contribution = 'copy'`
+	for name, send := range map[string]func(*wire.Client) error{
+		"inline": func(cli *wire.Client) error {
+			_, err := cli.ExecuteDrain("", set, nil)
+			return err
+		},
+		"prepared": func(cli *wire.Client) error {
+			if _, err := cli.Prepare("s1", set); err != nil {
+				return err
+			}
+			_, err := cli.ExecuteDrain("s1", "", nil)
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var members []*member
+			for range 3 {
+				db := engine.NewDB()
+				mustExec(t, db, `CREATE TABLE t (v string, w string)`)
+				mustExec(t, db, `INSERT INTO t VALUES ('copied', 'not copied')`)
+				members = append(members, startMember(t, db, server.Config{}))
+			}
+			primary, first, second := members[0], members[1], members[2]
+			addr := startRouter(t, staticTopology{primary: primary.addr, reads: []string{first.addr, second.addr}})
+			cli, err := wire.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
 
-	addr := startRouter(t, staticTopology{primary: primary.addr, epoch: 0, reads: []string{replica.addr}})
-	cli, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
+			if err := send(cli); err != nil {
+				t.Fatalf("SET through router: %v", err)
+			}
+			if _, err := cli.ExecuteDrain("", `CREATE TABLE p AS SELECT PROVENANCE v FROM t`, nil); err != nil {
+				t.Fatalf("write after SET: %v", err)
+			}
+			sess := primary.db.NewSession()
+			defer sess.Close()
+			res, err := sess.Execute(`SELECT prov_public_t_v, prov_public_t_w FROM p`)
+			if err != nil || len(res.Rows) != 1 {
+				t.Fatalf("reading p on the primary: %v, %v", res, err)
+			}
+			if row := res.Rows[0]; row[0].IsNull() || !row[1].IsNull() {
+				t.Fatalf("primary stored %v: the SET did not reach the write backend", row)
+			}
 
-	// The SET runs on the read backend first; the later provenance query on
-	// the replica and any primary-bound statement both see it replayed.
-	if _, err := cli.Exec(`SET provenance_contribution = 'copy'`); err != nil {
-		t.Fatalf("SET through router: %v", err)
-	}
-	if got := queryStrings(t, cli, `SELECT v FROM t`); len(got) != 0 {
-		t.Fatalf("unexpected rows: %v", got)
-	}
-	if _, err := cli.Exec(`INSERT INTO t VALUES ('x')`); err != nil {
-		t.Fatalf("write after SET: %v", err)
+			first.stop()
+			if got := queryStrings(t, cli, `SHOW provenance_contribution`); len(got) != 1 || got[0] != `'copy'` {
+				t.Fatalf("after read failover provenance_contribution = %v, want 'copy'", got)
+			}
+		})
 	}
 }
 
@@ -259,7 +291,7 @@ func TestRouterStaleEpochWriteAck(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	_, err = cli.Exec(`INSERT INTO t VALUES ('lost')`)
+	_, err = cli.ExecuteDrain("", `INSERT INTO t VALUES ('lost')`, nil)
 	var serr *wire.ServerError
 	if !errors.As(err, &serr) || serr.Code != wire.ErrCodeStaleEpoch {
 		t.Fatalf("write through a fenced primary returned %v, want stale-epoch code", err)
@@ -347,7 +379,7 @@ func TestCoordinatorFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.Exec(`INSERT INTO t VALUES (2)`); err != nil {
+	if _, err := cli.ExecuteDrain("", `INSERT INTO t VALUES (2)`, nil); err != nil {
 		t.Fatalf("write after failover: %v", err)
 	}
 	waitFor(t, "survivor re-pointed and caught up", 10*time.Second, func() bool {
@@ -477,7 +509,7 @@ func BenchmarkRouterOverhead(b *testing.B) {
 		defer cli.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rows, err := cli.Query(`SELECT v FROM t WHERE k = 42`)
+			rows, err := cli.Execute("", `SELECT v FROM t WHERE k = 42`, nil, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -197,13 +197,16 @@ func (r *Rows) DrainResult() (*Result, error) {
 // (including SELECT PROVENANCE) expose the live executor iterator tree —
 // server-side memory stays bounded however large the provenance result —
 // while other statements execute eagerly and replay their (small) output.
-// The session plan cache works exactly as under Execute.
-func (s *Session) Query(text string) (*Rows, error) {
-	return s.query(text, nil, nil)
+// The session plan cache works exactly as under Execute. args bind the
+// statement's `?` placeholders, as Prepare + Query would.
+func (s *Session) Query(text string, args ...value.Value) (*Rows, error) {
+	return s.query(text, nil, args)
 }
 
 // query is the single execution entry: optional pre-parsed statement
-// (prepared path) and optional bound parameter values.
+// (prepared path) and optional bound parameter values. Text is parsed, and
+// its placeholders counted against args, only when the plan cache misses: a
+// cached plan was keyed on this text with this many arguments.
 func (s *Session) query(text string, st sql.Statement, args []value.Value) (*Rows, error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("engine: session is closed")
@@ -237,8 +240,11 @@ func (s *Session) query(text string, st sql.Statement, args []value.Value) (*Row
 	}
 	t0 := time.Now()
 	if st == nil {
+		var n int
 		var err error
-		st, err = sql.Parse(text)
+		if st, n, err = sql.ParseWithParams(text); err == nil {
+			err = bindCheck(n, args)
+		}
 		if err != nil {
 			mQueryErrors.Inc()
 			return nil, err
@@ -421,10 +427,10 @@ func (s *Session) Prepare(text string) (*Prepared, error) {
 // NumParams reports how many `?` placeholders the statement binds.
 func (p *Prepared) NumParams() int { return p.n }
 
-// bindCheck validates the argument count.
-func (p *Prepared) bindCheck(args []value.Value) error {
-	if len(args) != p.n {
-		return fmt.Errorf("engine: statement binds %d parameters, got %d arguments", p.n, len(args))
+// bindCheck validates the argument count of a statement with n placeholders.
+func bindCheck(n int, args []value.Value) error {
+	if len(args) != n {
+		return fmt.Errorf("engine: statement binds %d parameters, got %d arguments", n, len(args))
 	}
 	return nil
 }
@@ -432,7 +438,7 @@ func (p *Prepared) bindCheck(args []value.Value) error {
 // Query executes the prepared statement with args bound, streaming the
 // result.
 func (p *Prepared) Query(args ...value.Value) (*Rows, error) {
-	if err := p.bindCheck(args); err != nil {
+	if err := bindCheck(p.n, args); err != nil {
 		return nil, err
 	}
 	return p.s.query(p.text, p.st, args)

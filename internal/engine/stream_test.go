@@ -147,10 +147,31 @@ func TestPreparedBindsAndPlanCache(t *testing.T) {
 		t.Fatalf("arity error = %v", err)
 	}
 
+	// Query with arguments is Prepare + Query without the handle: it shares
+	// the prepared statement's cache entry (same text, same kind vector), so
+	// it neither parses nor plans here, and a new kind vector does both.
+	rows, err := s.Query(`SELECT i, s FROM t WHERE i >= ? ORDER BY i`, value.NewInt(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = rows.DrainResult(); err != nil || res.Tag != "SELECT 2" || !res.CacheHit || res.Timings.Parse != 0 {
+		t.Fatalf("inline bind: %+v, %v; want a cache hit that did not parse", res, err)
+	}
+	if rows, err = s.Query(`SELECT i, s FROM t WHERE i >= ? ORDER BY i`, value.Null); err == nil {
+		res, err = rows.DrainResult()
+	}
+	if err != nil || res.CacheHit || res.Timings.Parse == 0 {
+		t.Fatalf("inline bind of a new kind: %+v, %v; want a parsed miss", res, err)
+	}
+	if _, err := s.Query(`SELECT i FROM t WHERE i = ?`, value.NewInt(1), value.NewInt(2)); err == nil ||
+		!strings.Contains(err.Error(), "binds 1 parameters, got 2") {
+		t.Fatalf("inline arity error = %v", err)
+	}
+
 	// An unbound placeholder in plain Execute is a statement error, not a
-	// crash.
+	// crash: the same arity check, made when the text is parsed.
 	if _, err := s.Execute(`SELECT i FROM t WHERE i = ?`); err == nil ||
-		!strings.Contains(err.Error(), "parameter $1") {
+		!strings.Contains(err.Error(), "binds 1 parameters, got 0") {
 		t.Fatalf("unbound placeholder error = %v", err)
 	}
 }

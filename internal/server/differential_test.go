@@ -15,17 +15,21 @@ import (
 )
 
 // The differential harness runs the provenance query suite through every
-// execution path the system now has and asserts byte-identical results:
+// execution path the system has and asserts byte-identical results:
 //
 //   - embedded:       engine Session.Execute (materialized drain wrapper)
 //   - embedded-prep:  engine Session.Prepare + streaming Rows (typed binds)
-//   - wire-query:     MsgQuery streaming (server forwards batched frames)
-//   - wire-cursor:    Parse-less one-shot cursor with a tiny fetch size, so
-//     every query crosses several Fetch round trips
-//   - wire-prepared:  real server-side prepared statement + bind execution
+//   - wire-inline:    a one-shot Execute (SQL in the frame), at every fetch
+//     size in differentialFetchSizes: 0 streams to Complete, 1 and 7 cross
+//     many Fetch round trips, 512 is the driver's
+//   - wire-prepared:  a server-side prepared statement executed by name, at
+//     the same fetch sizes
 //
 // It extends PR 3's assertIdentical: same rendered-result comparison, but
 // across execution paths of one database instead of across replicas.
+
+// differentialFetchSizes are the fetch sizes every wire path runs at.
+var differentialFetchSizes = []int{0, 1, 7, 512}
 
 // differentialSuite is the unparameterized battery (the replication suite's
 // provenance coverage, verbatim).
@@ -124,6 +128,37 @@ func drainCursor(t *testing.T, cur *wire.Cursor) (wire.RowDesc, []value.Row, str
 	return cur.Desc, rows, cur.Complete.Tag
 }
 
+// assertWirePaths runs sql over the wire both ways a statement travels — a
+// one-shot Execute with the SQL inline, and a server-side prepared statement
+// executed by name — at every fetch size, and requires each rendering to be
+// want. After the first run both hit the session plan cache, keyed on text +
+// parameter kinds.
+func assertWirePaths(t *testing.T, c *wire.Client, name, sql string, args []value.Value, want string) {
+	t.Helper()
+	if n, err := c.Prepare(name, sql); err != nil || n != len(args) {
+		t.Fatalf("wire prepare %q: n=%d err=%v", sql, n, err)
+	}
+	for _, fetch := range differentialFetchSizes {
+		for _, stmt := range []string{"", name} {
+			inline := sql
+			if stmt != "" {
+				inline = ""
+			}
+			cur, err := c.Execute(stmt, inline, args, fetch)
+			if err != nil {
+				t.Fatalf("wire %q as %q fetch %d: %v", sql, stmt, fetch, err)
+			}
+			desc, rows, tag := drainCursor(t, cur)
+			if got := renderWire(desc, rows, tag); got != want {
+				t.Fatalf("wire diverged on %q as %q fetch %d:\nwant:\n%s\ngot:\n%s", sql, stmt, fetch, want, got)
+			}
+		}
+	}
+	if err := c.CloseStmt(name); err != nil {
+		t.Fatalf("close stmt: %v", err)
+	}
+}
+
 func TestDifferentialSuite(t *testing.T) {
 	db := engine.NewDB()
 	if err := workload.LoadPaperExample(db); err != nil {
@@ -169,52 +204,7 @@ func TestDifferentialSuite(t *testing.T) {
 			t.Fatalf("embedded stream diverged on %q:\nwant:\n%s\ngot:\n%s", q, want, got)
 		}
 
-		// Wire streaming query (MsgQuery).
-		wr, err := c.Query(q)
-		if err != nil {
-			t.Fatalf("wire query %q: %v", q, err)
-		}
-		var wrows []value.Row
-		for {
-			row, err := wr.Next()
-			if err != nil {
-				t.Fatalf("wire next %q: %v", q, err)
-			}
-			if row == nil {
-				break
-			}
-			wrows = append(wrows, row)
-		}
-		if got := renderWire(wr.Desc, wrows, wr.Complete.Tag); got != want {
-			t.Fatalf("wire query diverged on %q:\nwant:\n%s\ngot:\n%s", q, want, got)
-		}
-
-		// Wire cursor with a tiny fetch, forcing several Fetch round trips.
-		cur, err := c.Execute("", q, nil, 2)
-		if err != nil {
-			t.Fatalf("wire cursor %q: %v", q, err)
-		}
-		desc, crows, tag := drainCursor(t, cur)
-		if got := renderWire(desc, crows, tag); got != want {
-			t.Fatalf("wire cursor diverged on %q:\nwant:\n%s\ngot:\n%s", q, want, got)
-		}
-
-		// Server-side prepared statement, executed by name.
-		name := fmt.Sprintf("dq%d", i)
-		if _, err := c.Prepare(name, q); err != nil {
-			t.Fatalf("prepare %q: %v", q, err)
-		}
-		pcur, err := c.Execute(name, "", nil, 3)
-		if err != nil {
-			t.Fatalf("execute prepared %q: %v", q, err)
-		}
-		desc, crows, tag = drainCursor(t, pcur)
-		if got := renderWire(desc, crows, tag); got != want {
-			t.Fatalf("wire prepared diverged on %q:\nwant:\n%s\ngot:\n%s", q, want, got)
-		}
-		if err := c.CloseStmt(name); err != nil {
-			t.Fatalf("close stmt: %v", err)
-		}
+		assertWirePaths(t, c, fmt.Sprintf("dq%d", i), q, nil, want)
 	}
 	if n := srv.ActivePortals(); n != 0 {
 		t.Fatalf("portals leaked: %d", n)
@@ -261,32 +251,104 @@ func TestDifferentialParams(t *testing.T) {
 			t.Fatalf("engine binds diverged on %q:\nwant:\n%s\ngot:\n%s", pc.sql, want, got)
 		}
 
-		// One-shot wire binds.
-		cur, err := c.Execute("", pc.sql, pc.args, 2)
-		if err != nil {
-			t.Fatalf("wire one-shot bind %q: %v", pc.sql, err)
-		}
-		desc, crows, tag := drainCursor(t, cur)
-		if got := renderWire(desc, crows, tag); got != want {
-			t.Fatalf("wire one-shot binds diverged on %q:\nwant:\n%s\ngot:\n%s", pc.sql, want, got)
-		}
+		assertWirePaths(t, c, fmt.Sprintf("pq%d", i), pc.sql, pc.args, want)
+	}
+}
 
-		// Named server-side prepared statement, executed twice (the second
-		// run hits the session plan cache keyed on text + param kinds).
-		name := fmt.Sprintf("pq%d", i)
-		if n, err := c.Prepare(name, pc.sql); err != nil || n != len(pc.args) {
-			t.Fatalf("wire prepare %q: n=%d err=%v", pc.sql, n, err)
-		}
-		for round := 0; round < 2; round++ {
-			pcur, err := c.Execute(name, "", pc.args, 3)
-			if err != nil {
-				t.Fatalf("wire prepared bind %q round %d: %v", pc.sql, round, err)
+// TestDifferentialErrors holds the failing half of the contract: a statement
+// that fails — before its first frame, mid-stream after rows were delivered,
+// or with a typed code — delivers the same row prefix and the same error,
+// message and code, inline and by name at every fetch size as the embedded
+// stream does.
+func TestDifferentialErrors(t *testing.T) {
+	db := engine.NewDB()
+	if err := workload.LoadPaperExample(db); err != nil {
+		t.Fatal(err)
+	}
+	addr, srv, shutdown := startServerSrv(t, db, Config{CursorBatchRows: 3})
+	defer shutdown()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	sess := db.NewSession()
+	defer sess.Close()
+
+	// collect drains next up to the error, returning the prefix and the error.
+	collect := func(next func() (value.Row, error)) ([]value.Row, error) {
+		var rows []value.Row
+		for {
+			row, err := next()
+			if err != nil || row == nil {
+				return rows, err
 			}
-			desc, crows, tag = drainCursor(t, pcur)
-			if got := renderWire(desc, crows, tag); got != want {
-				t.Fatalf("wire prepared binds diverged on %q round %d:\nwant:\n%s\ngot:\n%s", pc.sql, round, want, got)
+			rows = append(rows, row)
+		}
+	}
+	cases := []struct {
+		sql      string
+		args     []value.Value
+		code     uint64
+		readOnly bool
+	}{
+		{sql: `SELECT nope FROM missing`},
+		{sql: `SELECT mId, 10 / (mId - 4) FROM messages`},
+		{sql: `SELECT PROVENANCE mId, 10 / (mId - ?) FROM messages`, args: []value.Value{value.NewInt(4)}},
+		{sql: `SELECT mId FROM messages WHERE mId = ?`}, // one placeholder, no argument
+		{sql: `INSERT INTO messages VALUES (?, 'x', 1)`, args: []value.Value{value.NewInt(9)}, code: wire.ErrCodeReadOnly, readOnly: true},
+	}
+	for i, tc := range cases {
+		db.SetReadOnly(tc.readOnly)
+		var wantRows []value.Row
+		erows, wantErr := sess.Query(tc.sql, tc.args...)
+		if wantErr == nil {
+			wantRows, wantErr = collect(erows.Next)
+			erows.Close()
+		}
+		if wantErr == nil {
+			t.Fatalf("embedded %q: want an error", tc.sql)
+		}
+		want := renderWire(wire.RowDesc{}, wantRows, wantErr.Error())
+
+		name := fmt.Sprintf("eq%d", i)
+		if _, err := c.Prepare(name, tc.sql); err != nil {
+			t.Fatalf("prepare %q: %v", tc.sql, err)
+		}
+		for _, fetch := range differentialFetchSizes {
+			for _, named := range []bool{false, true} {
+				var cur *wire.Cursor
+				var err error
+				if named {
+					cur, err = c.Execute(name, "", tc.args, fetch)
+				} else {
+					cur, err = c.Execute("", tc.sql, tc.args, fetch)
+				}
+				var rows []value.Row
+				if err == nil {
+					rows, err = collect(cur.Next)
+					cur.Close()
+				}
+				se, ok := err.(*wire.ServerError)
+				if !ok {
+					t.Fatalf("%q fetch %d named %v: error %T %v, want *wire.ServerError", tc.sql, fetch, named, err, err)
+				}
+				if got := renderWire(wire.RowDesc{}, rows, se.Message); got != want || se.Code != tc.code {
+					t.Fatalf("%q fetch %d named %v diverged (code %d, want %d):\nwant:\n%s\ngot:\n%s",
+						tc.sql, fetch, named, se.Code, tc.code, want, got)
+				}
 			}
 		}
+		if i == 1 && len(wantRows) == 0 {
+			t.Fatalf("%q failed before its first row; the case is meant to fail mid-stream", tc.sql)
+		}
+		// The connection is still in sync after every failure.
+		if done, err := c.ExecuteDrain("", `SELECT 1`, nil); err != nil || done.Tag != "SELECT 1" {
+			t.Fatalf("after %q: %+v, %v", tc.sql, done, err)
+		}
+	}
+	if n := srv.ActivePortals(); n != 0 {
+		t.Fatalf("portals leaked: %d", n)
 	}
 }
 

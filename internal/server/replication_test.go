@@ -207,12 +207,12 @@ func TestReplicaRejectsWritesTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Exec(`INSERT INTO messages VALUES (9, 'x', 1)`)
+	_, err = c.ExecuteDrain("", `INSERT INTO messages VALUES (9, 'x', 1)`, nil)
 	var serr *wire.ServerError
 	if !errors.As(err, &serr) || serr.Code != wire.ErrCodeReadOnly {
 		t.Fatalf("remote write to replica: err = %v (code?)", err)
 	}
-	if rows, err := c.Query(`SELECT count(*) FROM messages`); err != nil {
+	if rows, err := c.Execute("", `SELECT count(*) FROM messages`, nil, 0); err != nil {
 		t.Fatalf("remote read from replica: %v", err)
 	} else if err := rows.Close(); err != nil {
 		t.Fatal(err)

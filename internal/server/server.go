@@ -654,15 +654,6 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 		}
 		var fatal error
 		switch typ {
-		case wire.MsgQuery:
-			r := wire.NewReader(body)
-			sqlText := r.String()
-			if r.Err() != nil {
-				s.writeError(conn, "malformed query frame")
-				return
-			}
-			s.armWriteDeadline(nc)
-			fatal = st.runQuery(conn, sess, sqlText)
 		case wire.MsgParse:
 			p, err := wire.DecodeParse(body)
 			if err != nil {
@@ -948,39 +939,6 @@ func timeoutCode(err error, deadline time.Time) bool {
 		!deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// runQuery executes one statement on the session and streams the result to
-// completion in bounded row batches — the server never materializes it.
-// Returned errors are connection-fatal I/O errors; statement errors travel
-// to the client as wire errors (typed, including mid-stream).
-func (st *connStreams) runQuery(conn *wire.Conn, sess *engine.Session, sqlText string) error {
-	s := st.s
-	s.queries.Add(1)
-	mServerQueries.Inc()
-	if st.port != nil {
-		// A suspended cursor owns the session's active statement (its
-		// executor tree is live); running another statement under it would
-		// break the engine's one-active-statement contract. Same refusal as
-		// runExecute — the portal stays usable.
-		return s.writeError(conn, "a cursor is already open on this connection")
-	}
-	rows, deadline, err := s.openRows(sess, func() (*engine.Rows, error) { return sess.Query(sqlText) })
-	if err != nil {
-		code := errCodeOf(err)
-		if timeoutCode(err, deadline) {
-			code = wire.ErrCodeTimeout
-		}
-		// Open consumed compute budget (a timed-out Open consumed all of
-		// it); the error frame gets its own delivery deadline.
-		s.armWriteDeadline(st.nc)
-		return s.writeErrorCode(conn, err.Error(), code)
-	}
-	defer rows.Close()
-	if _, fatal := st.streamBatches(conn, &portal{rows: rows, deadline: deadline}, 0); fatal != nil {
-		return fatal
-	}
-	return conn.Flush()
-}
-
 // runParse registers a server-side prepared statement on the session.
 func (st *connStreams) runParse(conn *wire.Conn, sess *engine.Session, p wire.Parse) error {
 	s := st.s
@@ -1001,34 +959,39 @@ func (st *connStreams) runParse(conn *wire.Conn, sess *engine.Session, p wire.Pa
 
 // runExecute binds arguments to a prepared (or inline one-shot) statement,
 // opens the connection's portal and streams the first batch. A FetchSize of
-// 0 streams the whole result without suspending.
+// 0 streams the whole result without suspending, in bounded row batches —
+// the server never materializes it. Returned errors are connection-fatal I/O
+// errors; statement errors travel to the client as wire errors (typed,
+// including mid-stream).
 func (st *connStreams) runExecute(conn *wire.Conn, sess *engine.Session, req wire.Execute) error {
 	s := st.s
 	s.queries.Add(1)
 	mServerQueries.Inc()
 	if st.port != nil {
-		// One portal per connection; the protocol is strictly
-		// request/response, so a second Execute is a client bug. The open
-		// portal stays usable.
+		// One portal per connection, and a suspended cursor owns the
+		// session's active statement (its executor tree is live): the
+		// protocol is strictly request/response, so a second Execute is a
+		// client bug. The open portal stays usable.
 		return s.writeError(conn, "a cursor is already open on this connection")
 	}
-	prep := st.stmts[req.Name]
+	var open func() (*engine.Rows, error)
 	if req.Name == "" {
-		var err error
-		prep, err = sess.Prepare(req.SQL)
-		if err != nil {
-			return s.writeErrorCode(conn, err.Error(), errCodeOf(err))
-		}
-	} else if prep == nil {
+		// An inline statement opens through the session's plan cache: a
+		// repeated one-shot statement parses only on a miss.
+		open = func() (*engine.Rows, error) { return sess.Query(req.SQL, req.Args...) }
+	} else if prep := st.stmts[req.Name]; prep != nil {
+		open = func() (*engine.Rows, error) { return prep.Query(req.Args...) }
+	} else {
 		return s.writeError(conn, fmt.Sprintf("unknown prepared statement %q", req.Name))
 	}
-	rows, deadline, err := s.openRows(sess, func() (*engine.Rows, error) { return prep.Query(req.Args...) })
+	rows, deadline, err := s.openRows(sess, open)
 	if err != nil {
 		code := errCodeOf(err)
 		if timeoutCode(err, deadline) {
 			code = wire.ErrCodeTimeout
 		}
-		// Same as runQuery: the error frame's delivery gets a fresh budget.
+		// Open consumed compute budget (a timed-out Open consumed all of
+		// it); the error frame gets its own delivery deadline.
 		s.armWriteDeadline(st.nc)
 		return s.writeErrorCode(conn, err.Error(), code)
 	}

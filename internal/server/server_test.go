@@ -76,7 +76,7 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	rows, err := c.Query(`SELECT PROVENANCE i FROM r ORDER BY i`)
+	rows, err := c.Execute("", `SELECT PROVENANCE i FROM r ORDER BY i`, nil, 0)
 	if err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -127,17 +127,53 @@ func TestStatementErrorKeepsConnectionUsable(t *testing.T) {
 	}
 	defer c.Close()
 
-	if _, err := c.Query(`SELECT nope FROM missing`); err == nil {
+	if _, err := c.Execute("", `SELECT nope FROM missing`, nil, 0); err == nil {
 		t.Fatal("want error for bad query")
 	} else if _, ok := err.(*wire.ServerError); !ok {
 		t.Fatalf("want *wire.ServerError, got %T: %v", err, err)
 	}
-	done, err := c.Exec(`SELECT i FROM r WHERE i = 1`)
+	done, err := c.ExecuteDrain("", `SELECT i FROM r WHERE i = 1`, nil)
 	if err != nil {
 		t.Fatalf("follow-up query: %v", err)
 	}
 	if done.Tag != "SELECT 1" {
 		t.Fatalf("tag = %q", done.Tag)
+	}
+}
+
+// TestInlineExecuteParsesOnlyOnAMiss: a one-shot statement opens through the
+// session plan cache, so repeating it — with or without arguments — is a
+// cache hit that did not parse.
+func TestInlineExecuteParsesOnlyOnAMiss(t *testing.T) {
+	addr, shutdown := startServer(t, seedDB(t), Config{})
+	defer shutdown()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+
+	for _, tc := range []struct {
+		sql  string
+		args []value.Value
+	}{
+		{sql: `SELECT PROVENANCE i FROM r WHERE i >= 2`},
+		{sql: `SELECT PROVENANCE i FROM r WHERE i >= ?`, args: []value.Value{value.NewInt(2)}},
+	} {
+		first, err := c.ExecuteDrain("", tc.sql, tc.args)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.sql, err)
+		}
+		if first.CacheHit || first.Parse == 0 {
+			t.Fatalf("first %q: %+v, want a parsed miss", tc.sql, first)
+		}
+		again, err := c.ExecuteDrain("", tc.sql, tc.args)
+		if err != nil {
+			t.Fatalf("%q again: %v", tc.sql, err)
+		}
+		if !again.CacheHit || again.Parse != 0 || again.Tag != first.Tag {
+			t.Fatalf("repeated %q: %+v, want a cache hit with no parse time and tag %q", tc.sql, again, first.Tag)
+		}
 	}
 }
 
@@ -155,11 +191,11 @@ func TestSessionIsolationAndSettings(t *testing.T) {
 	}
 	defer c2.Close()
 
-	if _, err := c1.Exec(`SET provenance_contribution = 'copy'`); err != nil {
+	if _, err := c1.ExecuteDrain("", `SET provenance_contribution = 'copy'`, nil); err != nil {
 		t.Fatalf("set: %v", err)
 	}
 	show := func(c *wire.Client) string {
-		rows, err := c.Query(`SHOW provenance_contribution`)
+		rows, err := c.Execute("", `SHOW provenance_contribution`, nil, 0)
 		if err != nil {
 			t.Fatalf("show: %v", err)
 		}
@@ -203,7 +239,7 @@ func TestPerQueryTimeout(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, err = c.Exec(`SELECT count(*) FROM big a, big b, big c WHERE a.n <= b.n`)
+	_, err = c.ExecuteDrain("", `SELECT count(*) FROM big a, big b, big c WHERE a.n <= b.n`, nil)
 	if err == nil {
 		t.Fatal("runaway query was not canceled")
 	}
@@ -211,7 +247,7 @@ func TestPerQueryTimeout(t *testing.T) {
 		t.Fatalf("error = %v, want per-query timeout", err)
 	}
 	// The session survives the cancellation.
-	done, err := c.Exec(`SELECT count(*) FROM big`)
+	done, err := c.ExecuteDrain("", `SELECT count(*) FROM big`, nil)
 	if err != nil {
 		t.Fatalf("query after timeout: %v", err)
 	}
@@ -222,7 +258,7 @@ func TestPerQueryTimeout(t *testing.T) {
 	// A join whose probe loop never emits a row (the condition can never
 	// match) must still observe the timeout: this exercises the row-free
 	// cancellation polls, which the materialization loops cannot cover.
-	_, err = c.Exec(`SELECT count(*) FROM big a JOIN big b ON a.n >= b.n JOIN big c ON a.n > c.n + 1000`)
+	_, err = c.ExecuteDrain("", `SELECT count(*) FROM big a JOIN big b ON a.n >= b.n JOIN big c ON a.n > c.n + 1000`, nil)
 	if err == nil || !strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("never-matching join not canceled: %v", err)
 	}
@@ -279,7 +315,7 @@ func TestSessionTeardownOnDisconnect(t *testing.T) {
 		clients = append(clients, c)
 	}
 	for _, c := range clients {
-		if _, err := c.Exec(`SELECT i FROM r`); err != nil {
+		if _, err := c.ExecuteDrain("", `SELECT i FROM r`, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +345,7 @@ func TestOnlineBackupRestores(t *testing.T) {
 	defer c.Close()
 
 	// Materialize provenance eagerly, then back up over the wire.
-	if _, err := c.Exec(`CREATE TABLE p AS SELECT PROVENANCE i, s FROM r`); err != nil {
+	if _, err := c.ExecuteDrain("", `CREATE TABLE p AS SELECT PROVENANCE i, s FROM r`, nil); err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
 	var snap bytes.Buffer
@@ -377,11 +413,11 @@ func TestBackupDoesNotBlockQueries(t *testing.T) {
 		}
 		defer c.Close()
 		for i := 0; i < 20; i++ {
-			if _, err := c.Exec(`SELECT PROVENANCE count(*) FROM r GROUP BY s`); err != nil {
+			if _, err := c.ExecuteDrain("", `SELECT PROVENANCE count(*) FROM r GROUP BY s`, nil); err != nil {
 				errCh <- err
 				return
 			}
-			if _, err := c.Exec(fmt.Sprintf(`INSERT INTO r VALUES (%d, 'c')`, 1000+i)); err != nil {
+			if _, err := c.ExecuteDrain("", fmt.Sprintf(`INSERT INTO r VALUES (%d, 'c')`, 1000+i), nil); err != nil {
 				errCh <- err
 				return
 			}
@@ -411,7 +447,7 @@ func TestGracefulShutdownClosesIdleConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Exec(`SELECT i FROM r`); err != nil {
+	if _, err := c.ExecuteDrain("", `SELECT i FROM r`, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -425,7 +461,7 @@ func TestGracefulShutdownClosesIdleConns(t *testing.T) {
 		t.Fatalf("shutdown waited %s on an idle connection", waited)
 	}
 	// The idle session was torn down and new dials fail.
-	if _, err := c.Exec(`SELECT 1`); err == nil {
+	if _, err := c.ExecuteDrain("", `SELECT 1`, nil); err == nil {
 		t.Fatal("idle connection survived shutdown")
 	}
 	if _, err := wire.Dial(l.Addr().String()); err == nil {

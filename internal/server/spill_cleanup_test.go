@@ -67,7 +67,7 @@ func TestSpillTimeoutMidQuery(t *testing.T) {
 	}
 	defer c.Close()
 
-	rows, err := c.Query(spillingSortQuery)
+	rows, err := c.Execute("", spillingSortQuery, nil, 0)
 	for err == nil {
 		// Drain until the (in-band or immediate) error surfaces.
 		row, rerr := rows.Next()
@@ -88,7 +88,7 @@ func TestSpillTimeoutMidQuery(t *testing.T) {
 		t.Fatalf("portals leaked: %d", n)
 	}
 	// The connection survives the statement error.
-	if _, err := c.Exec(`SELECT 1`); err != nil {
+	if _, err := c.ExecuteDrain("", `SELECT 1`, nil); err != nil {
 		t.Fatalf("connection unusable after spill timeout: %v", err)
 	}
 }

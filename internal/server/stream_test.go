@@ -166,7 +166,7 @@ func TestCursorTimeoutBetweenFetches(t *testing.T) {
 	}
 	waitZero(t, "portals", srv.ActivePortals)
 	// The connection survives the statement error.
-	rows, err := c.Query(`SELECT count(*) FROM big`)
+	rows, err := c.Execute("", `SELECT count(*) FROM big`, nil, 0)
 	if err != nil {
 		t.Fatalf("query after timeout: %v", err)
 	}
@@ -228,7 +228,7 @@ func TestCursorMidStreamError(t *testing.T) {
 	}
 	cur.Close()
 	waitZero(t, "portals", srv.ActivePortals)
-	if _, err := c.Exec(`SELECT 1`); err != nil {
+	if _, err := c.ExecuteDrain("", `SELECT 1`, nil); err != nil {
 		t.Fatalf("connection unusable after mid-stream error: %v", err)
 	}
 }

@@ -19,11 +19,8 @@ type Client struct {
 	nc     net.Conn
 	conn   *Conn
 	server HelloOK
-	// stream is the open row stream, if any; it must be exhausted or closed
+	// cursor is the open result, if any; it must be exhausted or closed
 	// before the next request.
-	stream *Rows
-	// cursor is the open server portal, if any; like stream, it must be
-	// exhausted or closed before the next request.
 	cursor *Cursor
 	broken error
 }
@@ -175,62 +172,10 @@ func (c *Client) ready() error {
 	if c.broken != nil {
 		return c.broken
 	}
-	if c.stream != nil {
-		return fmt.Errorf("wire: previous result set not closed")
-	}
 	if c.cursor != nil {
 		return fmt.Errorf("wire: previous cursor not closed")
 	}
 	return nil
-}
-
-// Query sends one SQL statement and returns its (possibly empty) row stream.
-// Statement errors come back as *ServerError; the connection stays usable.
-func (c *Client) Query(sqlText string) (*Rows, error) {
-	if err := c.ready(); err != nil {
-		return nil, err
-	}
-	if err := c.conn.WriteMessage(MsgQuery, AppendString(nil, sqlText)); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.conn.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	typ, body, err := c.conn.ReadMessage()
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	switch typ {
-	case MsgError:
-		return nil, DecodeServerError(body)
-	case MsgRowDesc:
-		desc, err := DecodeRowDesc(body)
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		rows := &Rows{c: c, Desc: desc}
-		c.stream = rows
-		return rows, nil
-	case MsgComplete:
-		done, err := DecodeComplete(body)
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		return &Rows{c: c, done: true, Complete: done}, nil
-	}
-	return nil, c.fail(fmt.Errorf("wire: unexpected response %q to query", typ))
-}
-
-// Exec runs a statement and drains any rows, returning the completion.
-func (c *Client) Exec(sqlText string) (Complete, error) {
-	rows, err := c.Query(sqlText)
-	if err != nil {
-		return Complete{}, err
-	}
-	if err := rows.Close(); err != nil {
-		return Complete{}, err
-	}
-	return rows.Complete, nil
 }
 
 // Backup streams a consistent snapshot of the server's database into w (the
@@ -334,83 +279,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// Rows is a streaming result set. Desc is empty for statements without a
-// result set; Complete is valid once the stream is exhausted or closed.
-type Rows struct {
-	c        *Client
-	Desc     RowDesc
-	Complete Complete
-	// batch holds the rows of the last RowBatch frame not yet handed out.
-	batch []value.Row
-	bpos  int
-	done  bool
-	err   error
-}
-
-// Next returns the next row, or (nil, nil) at end of stream.
-func (r *Rows) Next() (value.Row, error) {
-	for {
-		if r.bpos < len(r.batch) {
-			row := r.batch[r.bpos]
-			r.bpos++
-			return row, nil
-		}
-		if r.done || r.err != nil {
-			return nil, r.err
-		}
-		typ, body, err := r.c.conn.ReadMessage()
-		if err != nil {
-			r.finish(r.c.fail(err))
-			return nil, r.err
-		}
-		switch typ {
-		case MsgRowBatch:
-			rows, err := DecodeRowBatch(body)
-			if err != nil {
-				r.finish(r.c.fail(err))
-				return nil, r.err
-			}
-			r.batch, r.bpos = rows, 0
-			continue // an empty batch just loops to the next frame
-		case MsgComplete:
-			done, err := DecodeComplete(body)
-			if err != nil {
-				r.finish(r.c.fail(err))
-				return nil, r.err
-			}
-			r.Complete = done
-			r.finish(nil)
-			return nil, nil
-		case MsgError:
-			r.finish(DecodeServerError(body))
-			return nil, r.err
-		default:
-			r.finish(r.c.fail(fmt.Errorf("wire: unexpected frame %q in row stream", typ)))
-			return nil, r.err
-		}
-	}
-}
-
-func (r *Rows) finish(err error) {
-	r.done = true
-	r.err = err
-	if r.c.stream == r {
-		r.c.stream = nil
-	}
-}
-
-// Close drains the stream so the connection is ready for the next request.
-func (r *Rows) Close() error {
-	for !r.done {
-		if _, err := r.Next(); err != nil {
-			return err
-		}
-	}
-	return r.err
-}
-
-// --- prepared statements and cursors (protocol v3) -----------------------------
-
 // Prepare registers sqlText as a server-side prepared statement under name,
 // returning the number of `?` parameters it binds. Statements live for the
 // connection's lifetime (or until CloseStmt) and execute with true typed
@@ -478,11 +346,14 @@ func (c *Client) awaitCloseOK() error {
 }
 
 // Execute binds args to the named prepared statement (or, with name empty,
-// to the one-shot statement sqlText) and opens a cursor over its result.
-// fetchSize is the batch the server returns per round trip — the
-// backpressure knob: the executor produces at most that many rows ahead of
-// the client, whatever the result's total size. fetchSize <= 0 streams the
-// whole result without suspending.
+// to the one-shot statement sqlText) and opens a cursor over its result. It
+// returns once the first batch of rows (or the end of the result) has
+// arrived, so Desc is valid and a statement that failed before producing
+// anything is the call's error. fetchSize is the batch the server returns
+// per round trip — the executor produces at most that many rows ahead of
+// the client. fetchSize <= 0 streams the whole result without suspending:
+// the cursor still holds one batch at a time, and a client that stops
+// reading pushes back through TCP until the server's write deadline.
 func (c *Client) Execute(name, sqlText string, args []value.Value, fetchSize int) (*Cursor, error) {
 	if err := c.ready(); err != nil {
 		return nil, err
@@ -495,45 +366,25 @@ func (c *Client) Execute(name, sqlText string, args []value.Value, fetchSize int
 		return nil, err
 	}
 	cur := &Cursor{c: c, fetchSize: req.FetchSize}
-	if err := cur.readBatchResponse(); err != nil {
-		return nil, err
+	c.cursor = cur
+	for cur.state == cursorReading && len(cur.pending) == 0 {
+		cur.readFrame()
 	}
 	if cur.err != nil && len(cur.pending) == 0 {
-		// The statement failed before producing anything (parse error,
-		// unknown relation, immediate interrupt): surface it as the call's
-		// error, matching Query. Mid-stream failures after rows were
-		// delivered stay on the cursor so the caller can read the prefix.
+		// Mid-stream failures after rows were delivered stay on the cursor
+		// so the caller can read the prefix.
 		return nil, cur.err
-	}
-	if !cur.done {
-		c.cursor = cur
 	}
 	return cur, nil
 }
 
-// drainFetchSize bounds ExecuteDrain's client-side buffering: rows are
-// fetched (and discarded) a batch at a time, so even an Exec pointed at a
-// huge SELECT holds at most one batch.
-const drainFetchSize = 512
-
 // ExecuteDrain executes a named prepared statement (or, with name empty,
-// the one-shot sqlText) with args bound and drains its result, returning
-// the completion — the bind-path analog of Exec, used by the driver's
-// ExecContext.
+// the one-shot sqlText) with args bound and discards its rows a frame at a
+// time, returning the completion — what the driver's ExecContext runs.
 func (c *Client) ExecuteDrain(name, sqlText string, args []value.Value) (Complete, error) {
-	cur, err := c.Execute(name, sqlText, args, drainFetchSize)
+	cur, err := c.Execute(name, sqlText, args, 0)
 	if err != nil {
 		return Complete{}, err
-	}
-	for {
-		row, err := cur.Next()
-		if err != nil {
-			cur.Close()
-			return Complete{}, err
-		}
-		if row == nil {
-			break
-		}
 	}
 	if err := cur.Close(); err != nil {
 		return Complete{}, err
@@ -541,73 +392,61 @@ func (c *Client) ExecuteDrain(name, sqlText string, args []value.Value) (Complet
 	return cur.Complete, nil
 }
 
-// Cursor is a server-side portal: a result set fetched in client-driven
-// batches. Desc is valid after Execute; Complete once the cursor finishes.
+// Cursor is a statement's result, read one frame at a time. Desc is valid
+// after Execute; Complete once the cursor finishes.
 type Cursor struct {
 	c         *Client
 	Desc      RowDesc
 	Complete  Complete
 	fetchSize uint64
-	pending   []value.Row
-	pos       int
-	suspended bool
-	done      bool
-	err       error
+	// pending holds the rows of the last RowBatch frame not yet handed out.
+	pending []value.Row
+	pos     int
+	state   cursorState
+	err     error
 }
 
-// readBatchResponse consumes one Execute/Fetch response: an optional leading
-// RowDesc, RowBatch frames, then Suspended, Complete or Error.
-func (cur *Cursor) readBatchResponse() error {
-	cur.pending, cur.pos = cur.pending[:0], 0
-	for {
-		typ, body, err := cur.c.conn.ReadMessage()
-		if err != nil {
-			cur.finish(cur.c.fail(err))
-			return cur.err
-		}
+type cursorState uint8
+
+const (
+	cursorReading   cursorState = iota // the response in flight has frames left
+	cursorSuspended                    // the server holds the portal open for a Fetch
+	cursorDone                         // Complete or Error read, or the connection failed
+)
+
+// readFrame consumes one frame of the response in flight: an optional
+// leading RowDesc, RowBatch frames, then Suspended, Complete or Error.
+func (cur *Cursor) readFrame() {
+	typ, body, err := cur.c.conn.ReadMessage()
+	if err == nil {
 		switch typ {
 		case MsgRowDesc:
-			desc, err := DecodeRowDesc(body)
-			if err != nil {
-				cur.finish(cur.c.fail(err))
-				return cur.err
-			}
-			cur.Desc = desc
+			cur.Desc, err = DecodeRowDesc(body)
 		case MsgRowBatch:
-			rows, err := DecodeRowBatch(body)
-			if err != nil {
-				cur.finish(cur.c.fail(err))
-				return cur.err
-			}
-			cur.pending = append(cur.pending, rows...)
+			cur.pending, err = DecodeRowBatch(body)
+			cur.pos = 0
 		case MsgSuspended:
-			cur.suspended = true
-			return nil
+			cur.state = cursorSuspended
 		case MsgComplete:
-			done, err := DecodeComplete(body)
-			if err != nil {
-				cur.finish(cur.c.fail(err))
-				return cur.err
+			if cur.Complete, err = DecodeComplete(body); err == nil {
+				cur.finish(nil)
 			}
-			cur.Complete = done
-			cur.finish(nil)
-			return nil
 		case MsgError:
-			// A mid-stream statement error: the server closed the portal; rows
-			// already delivered in this response stay valid, then Next reports
-			// the error. The connection itself is still in sync.
+			// A statement error, possibly mid-stream: the server closed the
+			// portal, rows already handed out stay valid, and the connection
+			// itself is still in sync.
 			cur.finish(DecodeServerError(body))
-			return nil
 		default:
-			cur.finish(cur.c.fail(fmt.Errorf("wire: unexpected frame %q in cursor stream", typ)))
-			return cur.err
+			err = fmt.Errorf("wire: unexpected frame %q in cursor stream", typ)
 		}
+	}
+	if err != nil {
+		cur.finish(cur.c.fail(err))
 	}
 }
 
 func (cur *Cursor) finish(err error) {
-	cur.done = true
-	cur.suspended = false
+	cur.state = cursorDone
 	if cur.err == nil {
 		cur.err = err
 	}
@@ -616,8 +455,9 @@ func (cur *Cursor) finish(err error) {
 	}
 }
 
-// Next returns the next row, issuing Fetch round trips as batches drain;
-// (nil, nil) means end of result.
+// Next returns the next row, reading the next frame — and, once the server
+// suspended the portal, asking for the next batch — as the rows in hand run
+// out; (nil, nil) means end of result.
 func (cur *Cursor) Next() (value.Row, error) {
 	for {
 		if cur.pos < len(cur.pending) {
@@ -625,43 +465,36 @@ func (cur *Cursor) Next() (value.Row, error) {
 			cur.pos++
 			return row, nil
 		}
-		if cur.err != nil {
+		switch cur.state {
+		case cursorDone:
 			return nil, cur.err
+		case cursorSuspended:
+			if err := cur.c.request(MsgFetch, binary.AppendUvarint(nil, cur.fetchSize)); err != nil {
+				cur.finish(err)
+				return nil, err
+			}
+			cur.state = cursorReading
 		}
-		if cur.done {
-			return nil, nil
-		}
-		if !cur.suspended {
-			return nil, nil
-		}
-		cur.suspended = false
-		if err := cur.c.request(MsgFetch, binary.AppendUvarint(nil, cur.fetchSize)); err != nil {
-			cur.finish(err)
-			return nil, err
-		}
-		if err := cur.readBatchResponse(); err != nil {
-			return nil, err
-		}
+		cur.readFrame()
 	}
 }
 
-// Close releases the cursor: delivered-but-unread rows are dropped, and an
-// open server portal is closed with one round trip. After Close the
-// connection is ready for the next request.
+// Close releases the cursor: unread rows are dropped, a response still in
+// flight is read through to its last frame, and a portal the server holds
+// open is closed with one round trip. After Close the connection is ready
+// for the next request.
 func (cur *Cursor) Close() error {
+	for cur.state == cursorReading {
+		cur.readFrame()
+	}
 	cur.pending, cur.pos = nil, 0
-	suspended := !cur.done && cur.suspended
-	cur.finish(nil)
-	if suspended {
+	if cur.state == cursorSuspended {
+		cur.finish(nil)
 		if err := cur.c.request(MsgClosePortal, nil); err != nil {
 			cur.err = err
-			return err
-		}
-		if err := cur.c.awaitCloseOK(); err != nil {
+		} else if err := cur.c.awaitCloseOK(); err != nil {
 			cur.err = err
-			return err
 		}
-		return nil
 	}
 	return cur.err
 }

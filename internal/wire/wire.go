@@ -1,9 +1,9 @@
 // Package wire implements the Perm client/server wire protocol: a compact,
 // length-prefixed binary framing with typed messages for the handshake,
-// query dispatch, row streaming, command completion, errors and online
-// backup. Both sides of the connection — internal/server and the public
-// perm/driver — share the encode/decode routines in this package, so the
-// protocol has exactly one definition.
+// statement execution, row streaming, command completion, errors, online
+// backup, replication and cluster management. Both sides of the connection
+// — internal/server and the public perm/driver — share the encode/decode
+// routines in this package, so the protocol has exactly one definition.
 //
 // # Framing
 //
@@ -21,12 +21,19 @@
 // # Conversation
 //
 // The client opens with Hello and the server answers HelloOK (or Error, and
-// closes). After that the client drives a strict request/response loop: each
-// Query is answered by either Error, or RowDesc followed by zero or more Row
-// frames and a final Complete (statements without a result set skip straight
-// to Complete). Backup is answered by BackupChunk frames then BackupDone.
-// Terminate ends the conversation. The strict alternation means neither side
-// ever needs to demultiplex.
+// closes). After that the client drives a strict request/response loop, and
+// there is one way to run a statement in it: Execute, carrying either the
+// name of a statement registered by an earlier Parse or the SQL of a
+// one-shot statement, the typed bind arguments (none for a statement
+// without placeholders) and a fetch size. The answer is Error, or an
+// optional RowDesc and RowBatch frames ended by Complete, by Suspended (the
+// fetch size was reached; Fetch continues the portal, ClosePortal abandons
+// it) or by a typed Error mid-stream. A fetch size of 0 streams to
+// Complete: every batch is flushed on its own, the client holds one batch
+// at a time, and a client that stops reading blocks the server's write
+// until its write deadline. Backup is answered by BackupChunk frames then
+// BackupDone. Terminate ends the conversation. The strict alternation means
+// neither side ever needs to demultiplex.
 package wire
 
 import (
@@ -51,7 +58,10 @@ import (
 // Subscribe, the replication stream and Complete frames; node status probes
 // (Status/StatusOK); coordinator-driven Promote/Demote; and follower apply
 // acknowledgments (SubAck) for semi-synchronous replication.
-const ProtocolVersion = 4
+// Version 5 retired Query ('Q': SQL text in, a row stream out — now an
+// Execute with no name, no arguments and fetch size 0) and the reserved Row
+// ('r') type; the handshake refuses older peers.
+const ProtocolVersion = 5
 
 // MaxFrameSize bounds a single frame (64 MiB): a defense against corrupt or
 // malicious length prefixes allocating unbounded memory.
@@ -65,13 +75,11 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 // Message types. Client→server types are uppercase, server→client lowercase.
 const (
 	MsgHello       byte = 'H' // client: protocol version + client name
-	MsgQuery       byte = 'Q' // client: one SQL statement
 	MsgBackup      byte = 'B' // client: request a consistent snapshot stream
 	MsgSubscribe   byte = 'S' // client: become a replication follower from an LSN
 	MsgTerminate   byte = 'X' // client: goodbye
 	MsgHelloOK     byte = 'h' // server: handshake accepted
 	MsgRowDesc     byte = 'd' // server: result-set column descriptions
-	MsgRow         byte = 'r' // reserved: v2's one-row-per-frame type; v3 streams RowBatch frames
 	MsgComplete    byte = 'c' // server: statement finished (tag, timings)
 	MsgError       byte = 'e' // server: statement or protocol error
 	MsgBackupChunk byte = 'b' // server: snapshot bytes
@@ -89,15 +97,15 @@ const (
 	MsgChanges     byte = 'g' // server: a batch of change records (repl.DecodeBatch)
 	MsgHeartbeat   byte = 't' // server: liveness + the primary's current last LSN
 
-	// Cursors and server-side prepared statements (protocol v3). Parse
-	// registers a named statement on the connection's session; Execute binds
-	// typed arguments to a named (or inline one-shot) statement and opens
-	// the connection's portal, streaming the first batch of rows; Fetch
-	// continues the portal under client-driven backpressure — the executor
-	// produces nothing between fetches — and ClosePortal abandons it. Each
-	// Execute/Fetch is answered by RowBatch frames followed by Suspended
-	// (more rows remain; portal stays open) or Complete (done), or by a
-	// typed Error mid-stream, which also closes the portal.
+	// Statements. Parse registers a named statement on the connection's
+	// session; Execute binds typed arguments to a named (or inline one-shot)
+	// statement and opens the connection's portal, streaming the first batch
+	// of rows (fetch size 0: all of them); Fetch continues the portal under
+	// client-driven backpressure — the executor produces nothing between
+	// fetches — and ClosePortal abandons it. Each Execute/Fetch is answered
+	// by RowBatch frames followed by Suspended (more rows remain; portal
+	// stays open) or Complete (done), or by a typed Error mid-stream, which
+	// also closes the portal.
 	MsgParse       byte = 'P' // client: register a prepared statement (name + SQL)
 	MsgExecute     byte = 'E' // client: bind args + open the portal, fetch first batch
 	MsgFetch       byte = 'F' // client: next batch from the open portal

@@ -110,10 +110,10 @@ func binary_AppendUvarint(dst []byte, v uint64) []byte {
 func TestFrameRoundTripOverPipe(t *testing.T) {
 	a, b := net.Pipe()
 	ca, cb := NewConn(a), NewConn(b)
-	payload := AppendString(nil, "SELECT PROVENANCE i FROM r")
+	payload := Execute{SQL: "SELECT PROVENANCE i FROM r"}.Encode(nil)
 	errCh := make(chan error, 1)
 	go func() {
-		if err := ca.WriteMessage(MsgQuery, payload); err != nil {
+		if err := ca.WriteMessage(MsgExecute, payload); err != nil {
 			errCh <- err
 			return
 		}
@@ -126,8 +126,8 @@ func TestFrameRoundTripOverPipe(t *testing.T) {
 	if werr := <-errCh; werr != nil {
 		t.Fatalf("write: %v", werr)
 	}
-	if typ != MsgQuery {
-		t.Fatalf("type %q, want %q", typ, MsgQuery)
+	if typ != MsgExecute {
+		t.Fatalf("type %q, want %q", typ, MsgExecute)
 	}
 	if !bytes.Equal(body, payload) {
 		t.Fatalf("payload mismatch")
@@ -142,7 +142,7 @@ func TestFrameSizeLimit(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	conn := NewConn(a)
-	if err := conn.WriteMessage(MsgRow, make([]byte, MaxFrameSize+1)); err == nil {
+	if err := conn.WriteMessage(MsgRowBatch, make([]byte, MaxFrameSize+1)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }

@@ -79,7 +79,7 @@ func BenchmarkServerQuery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := c.Exec(query); err != nil {
+			if _, err := c.ExecuteDrain("", query, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

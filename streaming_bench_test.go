@@ -155,7 +155,7 @@ func BenchmarkStreamingQuery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			wr, err := c.Query(query)
+			wr, err := c.Execute("", query, nil, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
