@@ -26,18 +26,29 @@ func TestWorkerErrorMidSpillNoAccountingDrift(t *testing.T) {
 	const q = `SELECT b.k, o.s FROM big b JOIN other o ON b.v = o.v AND b.v / (b.v - 1200) >= 0`
 
 	// The budget follows what the executor charges for the build side, the
-	// 3000 rows of other, so it moves with the size of a value. A row costs
-	// rowBytes = slice header + three values + its ~10-byte string; the gather
-	// materializes the shared build side at rowBytes + a slice header per row,
-	// and a hash join charges rowBytes + 96 fixed + ~9 key bytes per row. The
-	// budget sits halfway between the two: above the shared build side (so
-	// the partition-wise join engages rather than falling back to serial),
-	// below one join's table (so the serial join spills), and so below shared
-	// side + one worker's re-charge (so each worker's private join account
-	// overflows and spills through the grace path).
+	// 3000 rows of other, so it moves with the executor's own accounting. A
+	// row costs rowBytes = slice header + three values + its ~10-byte string;
+	// the gather materializes the shared build side at rowBytes + a slice
+	// header per row. What a hash join charges for the same rows — row, slot,
+	// key bytes and table entry, the expressions of executor/mem.go — is read
+	// off the executor: the peak of the serial join under the default budget,
+	// which it is far below. The budget sits halfway between the two: above
+	// the shared build side (so the partition-wise join engages rather than
+	// falling back to serial), below one join's table (so the serial join
+	// spills), and so below shared side + one worker's re-charge (so each
+	// worker's private join account overflows and spills through the grace
+	// path).
 	const buildRows = 3000
-	rowBytes := 24 + 3*int(unsafe.Sizeof(value.Value{})) + 10
-	shared, table := buildRows*(rowBytes+24), buildRows*(rowBytes+96+9)
+	rowBytes := int(unsafe.Sizeof(value.Row{})) + 3*int(unsafe.Sizeof(value.Value{})) + 10
+	shared := buildRows * (rowBytes + int(unsafe.Sizeof(value.Row{})))
+	ref := db.NewSession()
+	mustExecSpill(t, ref, `SET parallelism = 1`)
+	mustExecSpill(t, ref, `SELECT b.k, o.s FROM big b JOIN other o ON b.v = o.v`)
+	table := int(ref.MemStatus().Peak)
+	ref.Close()
+	if table < shared+buildRows*int(unsafe.Sizeof(value.Row{})) {
+		t.Fatalf("a hash join charged %d bytes for a build side the gather holds in %d: no budget separates them", table, shared)
+	}
 	budget := (shared + table) / 2
 
 	for _, deg := range []int{1, 4} {

@@ -2,9 +2,10 @@ package executor
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"perm/internal/algebra"
 	"perm/internal/spill"
@@ -43,61 +44,62 @@ type aggIter struct {
 	fold aggFold
 	// part, set in a parallel worker's subtree, makes this a partial
 	// aggregation: Open folds the worker's partition without spilling and,
-	// instead of emitting, leaves the groups in part.partial for the
+	// instead of emitting, leaves its group table in part for the
 	// coordinator's mergePartials.
 	part *partition
 	// alloc makes the group-key rows and the output rows.
 	alloc value.RowAlloc
 }
 
-// aggState accumulates one aggregate within one group.
-//
-// DISTINCT states keep their seen-set as a resident fragment (canonical key →
-// value) plus zero or more sorted runs on disk. While no run exists the
-// aggregate folds eagerly, exactly the historical path. Once memory pressure
-// flushes the first fragment (flushFragment), the eager values stop being
-// meaningful — an element absent from the fragment may still be in a run — and
-// finalizeDistinct recomputes them from a deduplicating merge of all runs
-// before the group emits.
+// aggState accumulates one aggregate within one group: a flat record in the
+// fold's state slab, with nothing on the heap unless the aggregate is DISTINCT.
 type aggState struct {
-	count    int64
-	sum      value.Value
-	min      value.Value
-	max      value.Value
-	distinct map[string]value.Value // non-nil iff DISTINCT
-	// fragBytes is the accounted footprint of the resident fragment; runs are
-	// the flushed sorted element runs.
-	fragBytes int64
-	runs      []*spill.File
+	count int64
+	// acc is the running sum (SUM, AVG) or extremum (MIN, MAX) of the non-NULL
+	// inputs: NULL before the first, and for COUNT.
+	acc      value.Value
+	distinct *distinctSet // non-nil iff DISTINCT
 }
 
-// aggGroup is one group: its key values, its aggregate states, and the input
-// sequence of its first row (the output-order tag).
+// distinctSet is a DISTINCT state's seen-set: a resident fragment (canonical
+// key → value, the values under the keys' entry numbers) plus zero or more
+// sorted runs on disk. While no run exists the aggregate folds eagerly. Once
+// memory pressure flushes the first fragment (flushFragment), the eager values
+// stop being meaningful — an element absent from the fragment may still be in
+// a run — and finalizeDistinct recomputes them from a deduplicating merge of
+// all runs before the group emits.
+type distinctSet struct {
+	keys      keyTable
+	vals      []value.Value
+	fragBytes int64         // the fragment's accounted footprint
+	runs      []*spill.File // the flushed sorted element runs
+}
+
+// add records one element and reports the bytes the fragment grew by: zero
+// for an element it already holds.
+func (d *distinctSet) add(key []byte, v value.Value) int64 {
+	if _, isNew := d.keys.insert(key); !isNew {
+		return 0
+	}
+	d.vals = append(d.vals, v)
+	grew := int64(len(key)) + keyEntryBytes + valueFixedBytes + int64(len(v.Str()))
+	d.fragBytes += grew
+	return grew
+}
+
+// aggGroup is one group: its key values and the input sequence of its first
+// row (the output-order tag).
 type aggGroup struct {
 	keys     value.Row
-	states   []aggState
 	firstSeq uint64
 	// bytes is the group's accounted footprint (key, states, DISTINCT
 	// entries), released in one piece when the group is evicted.
 	bytes int64
 }
 
-// aggGroupFixedBytes approximates the per-group footprint beyond key bytes
-// and DISTINCT entries.
-const aggGroupFixedBytes = 96
-
-// groupBaseBytes is a group's accountable footprint before its map key and
-// any DISTINCT entries: the key row, the struct, and the aggregate states.
+// groupBaseBytes is a group's footprint before key bytes and DISTINCT entries.
 func groupBaseBytes(keys value.Row, nStates int) int64 {
-	return rowBytes(keys) + aggGroupFixedBytes + int64(nStates)*48
-}
-
-// appendGroupKey frames a group's key values into its group-table map key.
-func appendGroupKey(dst []byte, keys value.Row) []byte {
-	for _, v := range keys {
-		dst = value.AppendFramedKey(dst, v)
-	}
-	return dst
+	return rowBytes(keys) + aggGroupBytes + keyEntryBytes + int64(nStates)*aggStateBytes
 }
 
 // Aggregation partition files hold two record kinds, discriminated by their
@@ -110,99 +112,67 @@ const (
 )
 
 // appendAggPartial serializes a group's partial state behind the aggRecPartial
-// discriminator. DISTINCT fragments serialize as length-prefixed canonical
-// element keys, each followed by its source value; set order does not matter
-// because the reader folds them back into a set. Groups holding runs are never
-// serialized (evictOver only flushes them): a run is a file, and files cannot
-// ride inside a partition record.
-func appendAggPartial(dst []byte, g *aggGroup) []byte {
+// discriminator. A DISTINCT state's fragment follows its count and value as
+// length-prefixed canonical element keys, each followed by its source value.
+// Groups holding runs are never serialized (evictOver only flushes them): a
+// run is a file, and files cannot ride inside a partition record.
+func appendAggPartial(dst []byte, g *aggGroup, states []aggState) []byte {
 	dst = append(dst, aggRecPartial)
 	dst = binary.AppendUvarint(dst, g.firstSeq)
 	dst = spill.AppendRow(dst, g.keys)
-	for i := range g.states {
-		st := &g.states[i]
+	for i := range states {
+		st := &states[i]
 		dst = binary.AppendUvarint(dst, uint64(st.count))
-		dst = spill.AppendValue(dst, st.sum)
-		dst = spill.AppendValue(dst, st.min)
-		dst = spill.AppendValue(dst, st.max)
+		dst = spill.AppendValue(dst, st.acc)
 		if st.distinct == nil {
-			dst = append(dst, 0)
 			continue
 		}
-		dst = append(dst, 1)
-		dst = binary.AppendUvarint(dst, uint64(len(st.distinct)))
-		for k, v := range st.distinct {
-			dst = binary.AppendUvarint(dst, uint64(len(k)))
-			dst = append(dst, k...)
-			dst = spill.AppendValue(dst, v)
+		dst = binary.AppendUvarint(dst, uint64(len(st.distinct.vals)))
+		for e, v := range st.distinct.vals {
+			dst = appendElemRec(dst, st.distinct.keys.key(e), v)
 		}
 	}
 	return dst
 }
 
-// decodeAggPartial reverses appendAggPartial (rec excludes the discriminator
-// byte), returning the reconstructed group and its accountable byte footprint
-// (sans the map key, which the caller adds).
-func decodeAggPartial(a *value.RowAlloc, rec []byte, nAggs int) (*aggGroup, int64, error) {
-	corrupt := fmt.Errorf("executor: corrupt partial aggregate record")
-	firstSeq, n := binary.Uvarint(rec)
-	if n <= 0 {
-		return nil, 0, corrupt
-	}
-	keys, rest, err := spill.DecodeRowIn(a, rec[n:])
-	if err != nil {
-		return nil, 0, err
-	}
-	g := &aggGroup{keys: keys, states: make([]aggState, nAggs), firstSeq: firstSeq}
-	bytes := groupBaseBytes(keys, nAggs)
-	for i := 0; i < nAggs; i++ {
-		st := &g.states[i]
+var errCorruptPartial = fmt.Errorf("executor: corrupt partial aggregate record")
+
+// decodeAggStates reads what appendAggPartial wrote after the key row into the
+// group's fresh states, returning the bytes of the DISTINCT fragments rebuilt.
+func decodeAggStates(rest []byte, states []aggState) (fragBytes int64, err error) {
+	for i := range states {
+		st := &states[i]
 		count, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, 0, corrupt
+			return 0, errCorruptPartial
 		}
 		st.count = int64(count)
-		rest = rest[n:]
-		if st.sum, rest, err = spill.DecodeValue(rest); err != nil {
-			return nil, 0, err
+		if st.acc, rest, err = spill.DecodeValue(rest[n:]); err != nil {
+			return 0, err
 		}
-		if st.min, rest, err = spill.DecodeValue(rest); err != nil {
-			return nil, 0, err
-		}
-		if st.max, rest, err = spill.DecodeValue(rest); err != nil {
-			return nil, 0, err
-		}
-		if len(rest) == 0 {
-			return nil, 0, corrupt
-		}
-		hasDistinct := rest[0]
-		rest = rest[1:]
-		if hasDistinct == 0 {
+		if st.distinct == nil {
 			continue
 		}
 		nElems, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, 0, corrupt
+			return 0, errCorruptPartial
 		}
 		rest = rest[n:]
-		st.distinct = make(map[string]value.Value, nElems)
 		for j := uint64(0); j < nElems; j++ {
 			klen, n := binary.Uvarint(rest)
 			if n <= 0 || uint64(len(rest)-n) < klen {
-				return nil, 0, corrupt
+				return 0, errCorruptPartial
 			}
-			k := string(rest[n : n+int(klen)])
-			rest = rest[n+int(klen):]
+			key := rest[n : n+int(klen)]
 			var v value.Value
-			if v, rest, err = spill.DecodeValue(rest); err != nil {
-				return nil, 0, err
+			if v, rest, err = spill.DecodeValue(rest[n+int(klen):]); err != nil {
+				return 0, err
 			}
-			st.distinct[k] = v
-			st.fragBytes += int64(klen) + mapEntryBytes + valueFixedBytes + int64(len(v.Str()))
+			st.distinct.add(key, v)
 		}
-		bytes += st.fragBytes
+		fragBytes += st.distinct.fragBytes
 	}
-	return g, bytes, nil
+	return fragBytes, nil
 }
 
 func (a *aggIter) Open(ctx *Context) error {
@@ -233,7 +203,7 @@ func (a *aggIter) Open(ctx *Context) error {
 		return err
 	}
 	if a.part != nil {
-		a.part.partial = a.fold.order
+		a.part.groups, a.part.states = a.fold.groups, a.fold.states
 		a.fold.release()
 		return nil
 	}
@@ -253,22 +223,23 @@ func (a *aggIter) Open(ctx *Context) error {
 func (a *aggIter) mergePartials(ctx *Context, parts []partition) error {
 	a.release()
 	a.start(ctx)
-	fold := &a.fold
-	for i := range parts {
-		for _, g := range parts[i].partial {
-			fold.keyScratch = appendGroupKey(fold.keyScratch[:0], g.keys)
-			dst, ok := fold.groups[string(fold.keyScratch)]
-			if !ok {
-				fold.groups[string(fold.keyScratch)] = g
-				fold.order = append(fold.order, g)
+	fold, n := &a.fold, len(a.op.Aggs)
+	for _, p := range parts {
+		for gi, g := range p.groups {
+			src := p.states[gi*n : (gi+1)*n]
+			fold.keyScratch = g.keys.AppendKey(fold.keyScratch[:0])
+			di := fold.keys.find(fold.keyScratch)
+			if di < 0 {
+				copy(fold.statesOf(fold.newGroup(g)), src)
 				fold.acct.grow(g.bytes)
 				if fold.acct.spillable() && fold.acct.over() {
 					return errParallelOverflow
 				}
 				continue
 			}
-			for s := range dst.states {
-				if err := mergeAggState(&dst.states[s], &g.states[s]); err != nil {
+			dst := fold.statesOf(di)
+			for s, ae := range a.op.Aggs {
+				if err := dst[s].merge(ae, &src[s]); err != nil {
 					return err
 				}
 			}
@@ -280,12 +251,12 @@ func (a *aggIter) mergePartials(ctx *Context, parts []partition) error {
 // groupRow builds one output row: group keys then finalized aggregates.
 // DISTINCT states that flushed runs first recompute their values from the
 // deduplicating merge.
-func (a *aggIter) groupRow(g *aggGroup) (value.Row, error) {
-	row := a.alloc.New(len(g.keys) + len(g.states))
+func (a *aggIter) groupRow(g *aggGroup, states []aggState) (value.Row, error) {
+	row := a.alloc.New(len(g.keys) + len(states))
 	copy(row, g.keys)
 	for i, ae := range a.op.Aggs {
-		st := &g.states[i]
-		if st.runs != nil {
+		st := &states[i]
+		if st.distinct != nil && st.distinct.runs != nil {
 			if err := st.finalizeDistinct(a.ctx, &a.d.reg, ae); err != nil {
 				return nil, err
 			}
@@ -303,10 +274,15 @@ func (a *aggIter) groupRow(g *aggGroup) (value.Row, error) {
 // partition file below it: a group table, which once over budget routes the
 // rows of non-resident groups one level down through the driver.
 type aggFold struct {
-	a       *aggIter
-	acct    memAcct
-	groups  map[string]*aggGroup
-	order   []*aggGroup
+	a    *aggIter
+	acct memAcct
+	// The group table: keys in first-appearance order; under a key's entry
+	// number its group and, one per aggregate, its states, contiguous in their
+	// slabs. An evicted group's entry is dead; live counts the others.
+	keys    keyTable
+	groups  []aggGroup
+	states  []aggState
+	live    int
 	routing bool // rows of non-resident groups go to the partitions
 	// evictStuck records that the last evictOver scan released nothing;
 	// growSinceEvict accrues charged growth since that scan, so the next one
@@ -326,7 +302,6 @@ func (f *aggFold) begin([2]*spill.File) bool {
 	*f = aggFold{
 		a:       a,
 		acct:    memAcct{ctx: a.ctx},
-		groups:  make(map[string]*aggGroup),
 		keyVals: make(value.Row, len(a.groupBy)),
 		// the scratch buffers carry over
 		keyScratch: f.keyScratch, distinctScratch: f.distinctScratch, rec: f.rec,
@@ -360,15 +335,23 @@ func (f *aggFold) add(rec []byte) error {
 func (f *aggFold) finish() error {
 	a := f.a
 	// Scalar aggregation over empty input still produces one (empty) group.
-	if len(a.op.GroupBy) == 0 && len(f.order) == 0 && !a.d.spilled() {
-		f.order = append(f.order, f.newGroup(value.Row{}, 0))
+	if len(a.op.GroupBy) == 0 && len(f.groups) == 0 && !a.d.spilled() {
+		f.keyScratch = f.keyScratch[:0]
+		f.newGroup(aggGroup{keys: value.Row{}})
 	}
-	if a.d.level > 0 {
-		sort.Slice(f.order, func(i, j int) bool { return f.order[i].firstSeq < f.order[j].firstSeq })
+	var order []int // nil: every group, in the table's order
+	if a.d.level > 0 || f.live < len(f.groups) {
+		order = f.liveGroups()
+		slices.SortFunc(order, func(x, y int) int { return cmp.Compare(f.groups[x].firstSeq, f.groups[y].firstSeq) })
 	}
-	a.d.expect(len(f.order))
-	for _, g := range f.order {
-		row, err := a.groupRow(g)
+	a.d.expect(f.live)
+	for k := 0; k < f.live; k++ {
+		gi := k
+		if order != nil {
+			gi = order[k]
+		}
+		g := &f.groups[gi]
+		row, err := a.groupRow(g, f.statesOf(gi))
 		if err != nil {
 			return err
 		}
@@ -382,28 +365,50 @@ func (f *aggFold) finish() error {
 
 // release drops the group table and returns its bytes.
 func (f *aggFold) release() {
-	f.groups, f.order = nil, nil
+	f.keys, f.groups, f.states, f.live = keyTable{}, nil, nil, 0
 	f.acct.releaseAll()
 }
 
-func (f *aggFold) newGroup(keys value.Row, firstSeq uint64) *aggGroup {
-	aggs := f.a.op.Aggs
-	g := &aggGroup{keys: keys, states: make([]aggState, len(aggs)), firstSeq: firstSeq}
-	for i, ae := range aggs {
-		st := &g.states[i]
-		st.sum, st.min, st.max = value.Null, value.Null, value.Null
-		if ae.Distinct {
-			st.distinct = make(map[string]value.Value)
+func (f *aggFold) liveGroups() []int {
+	order := make([]int, 0, f.live)
+	for gi := range f.groups {
+		if !f.keys.dead(gi) {
+			order = append(order, gi)
 		}
 	}
-	return g
+	return order
+}
+
+func (f *aggFold) statesOf(gi int) []aggState {
+	n := len(f.a.op.Aggs)
+	return f.states[gi*n : (gi+1)*n : (gi+1)*n]
+}
+
+// newGroup makes g resident under the key in keyScratch and returns its number.
+func (f *aggFold) newGroup(g aggGroup) int {
+	gi, _ := f.keys.insert(f.keyScratch)
+	f.groups = append(roomFor(f.groups, 1), g)
+	f.live++
+	f.states = roomFor(f.states, len(f.a.op.Aggs))
+	for _, ae := range f.a.op.Aggs {
+		st := aggState{}
+		if ae.Distinct {
+			st.distinct = &distinctSet{}
+		}
+		f.states = append(f.states, st)
+	}
+	return gi
+}
+
+func (f *aggFold) grew(gi int, n int64) {
+	f.groups[gi].bytes += n
+	f.acct.grow(n)
+	f.growSinceEvict += n
 }
 
 // addRow folds one (sequence, row) pair: accumulate into a resident group,
 // create the group if there is room, or route the row to a partition.
 func (f *aggFold) addRow(seq uint64, row value.Row) error {
-	// The group key is built in the scratch buffer and looked up
-	// allocation-free; only new groups pay for a map-owned key string.
 	f.keyScratch = f.keyScratch[:0]
 	for i, ge := range f.a.groupBy {
 		v, err := ge(row, f.a.ctx)
@@ -411,23 +416,20 @@ func (f *aggFold) addRow(seq uint64, row value.Row) error {
 			return err
 		}
 		f.keyVals[i] = v
-		f.keyScratch = value.AppendFramedKey(f.keyScratch, v)
+		f.keyScratch = v.AppendKey(f.keyScratch)
 	}
-	g, ok := f.groups[string(f.keyScratch)]
-	if !ok {
+	gi := f.keys.find(f.keyScratch)
+	if gi < 0 {
 		if f.routes() {
 			f.rec = appendSeqRow(append(f.rec[:0], aggRecRaw), seq, row)
 			return f.a.d.route(0, f.keyScratch, f.rec)
 		}
 		keys := f.a.alloc.New(len(f.keyVals))
 		copy(keys, f.keyVals)
-		g = f.newGroup(keys, seq)
-		f.groups[string(f.keyScratch)] = g
-		f.order = append(f.order, g)
-		g.bytes = int64(len(f.keyScratch)) + groupBaseBytes(g.keys, len(g.states))
-		f.acct.grow(g.bytes)
-		f.growSinceEvict += g.bytes
+		gi = f.newGroup(aggGroup{keys: keys, firstSeq: seq})
+		f.grew(gi, int64(len(f.keyScratch))+groupBaseBytes(keys, len(f.a.op.Aggs)))
 	}
+	states := f.statesOf(gi)
 	for i, ae := range f.a.op.Aggs {
 		var arg value.Value
 		if f.a.argExprs[i] != nil {
@@ -437,29 +439,31 @@ func (f *aggFold) addRow(seq uint64, row value.Row) error {
 			}
 			arg = v
 		}
-		grew, err := g.states[i].accumulate(ae, arg, &f.distinctScratch)
+		grew, err := states[i].accumulate(ae, arg, &f.distinctScratch)
 		if err != nil {
 			return err
 		}
 		if grew > 0 {
-			g.bytes += grew
-			f.acct.grow(grew)
-			f.growSinceEvict += grew
+			f.grew(gi, grew)
 		}
 	}
-	// Resident state that outgrew the budget (DISTINCT seen-sets) sheds here
-	// — the one growth path the new-group gate above cannot bound. When a
-	// previous scan found nothing left to shed, rescan only once enough new
-	// growth accrued for a fragment to have crossed the run floor.
-	if f.acct.spillable() && f.acct.over() {
-		if f.a.part != nil {
-			// A worker's partial fold never spills: the statement falls back
-			// to the serial aggregation, which does.
-			return errParallelOverflow
-		}
-		if !f.evictStuck || f.growSinceEvict >= minDistinctRunBytes {
-			return f.evictOver()
-		}
+	return f.shed()
+}
+
+// shed evicts when resident state (DISTINCT seen-sets) outgrew the budget —
+// the one growth path the new-group gate cannot bound. After a scan that found
+// nothing to shed it rescans only once enough growth accrued for a fragment to
+// have crossed the run floor.
+func (f *aggFold) shed() error {
+	if !f.acct.spillable() || !f.acct.over() {
+		return nil
+	}
+	if f.a.part != nil {
+		// A worker's partial fold never spills; the serial aggregation does.
+		return errParallelOverflow
+	}
+	if !f.evictStuck || f.growSinceEvict >= minDistinctRunBytes {
+		return f.evictOver()
 	}
 	return nil
 }
@@ -469,7 +473,7 @@ func (f *aggFold) addRow(seq uint64, row value.Row) error {
 // spills; see addRow.)
 func (f *aggFold) routes() bool {
 	if !f.routing && f.a.part == nil {
-		f.routing = f.a.d.overflow(&f.acct, len(f.order), minFoldGroups)
+		f.routing = f.a.d.overflow(&f.acct, f.live, minFoldGroups)
 	}
 	return f.routing
 }
@@ -480,28 +484,28 @@ func (f *aggFold) routes() bool {
 // remaining raw rows always follow it in file order, because an eviction
 // precedes every routed row of its group.
 func (f *aggFold) addPartial(rec []byte) error {
-	g, bytes, err := decodeAggPartial(&f.a.alloc, rec[1:], len(f.a.op.Aggs))
+	firstSeq, n := binary.Uvarint(rec[1:])
+	if n <= 0 {
+		return errCorruptPartial
+	}
+	keys, rest, err := spill.DecodeRowIn(&f.a.alloc, rec[1+n:])
 	if err != nil {
 		return err
 	}
-	f.keyScratch = appendGroupKey(f.keyScratch[:0], g.keys)
-	if _, exists := f.groups[string(f.keyScratch)]; exists {
+	f.keyScratch = keys.AppendKey(f.keyScratch[:0])
+	if f.keys.find(f.keyScratch) >= 0 {
 		return fmt.Errorf("executor: internal: partial aggregate state after its group became resident")
 	}
 	if f.routes() {
 		return f.a.d.route(0, f.keyScratch, rec)
 	}
-	g.bytes = bytes + int64(len(f.keyScratch))
-	f.groups[string(f.keyScratch)] = g
-	f.order = append(f.order, g)
-	f.acct.grow(g.bytes)
-	f.growSinceEvict += g.bytes
-	if f.acct.spillable() && f.acct.over() {
-		if !f.evictStuck || f.growSinceEvict >= minDistinctRunBytes {
-			return f.evictOver()
-		}
+	gi := f.newGroup(aggGroup{keys: keys, firstSeq: firstSeq})
+	fragBytes, err := decodeAggStates(rest, f.statesOf(gi))
+	if err != nil {
+		return err
 	}
-	return nil
+	f.grew(gi, int64(len(f.keyScratch))+groupBaseBytes(keys, len(f.a.op.Aggs))+fragBytes)
+	return f.shed()
 }
 
 // evictOver sheds resident footprint — largest groups first — until tracked
@@ -519,33 +523,34 @@ func (f *aggFold) evictOver() error {
 	m := f.a.ctx.Mem
 	target := m.Budget() - m.Budget()/4
 	f.growSinceEvict = 0
-	if m.Tracked() <= target || len(f.order) == 0 {
+	if m.Tracked() <= target || f.live == 0 {
 		return nil
 	}
-	cands := append([]*aggGroup(nil), f.order...)
-	sort.Slice(cands, func(i, j int) bool { return cands[i].bytes > cands[j].bytes })
-	evicted := make(map[*aggGroup]bool)
+	cands := f.liveGroups()
+	slices.SortFunc(cands, func(x, y int) int {
+		return cmp.Or(cmp.Compare(f.groups[y].bytes, f.groups[x].bytes), cmp.Compare(x, y))
+	})
 	released := false
-	var key []byte
-	for _, g := range cands {
+	for _, gi := range cands {
 		if m.Tracked() <= target {
 			break
 		}
+		g, states := &f.groups[gi], f.statesOf(gi)
 		var flushed int64
 		hasRuns := false
-		for i := range g.states {
-			st := &g.states[i]
-			if st.runs != nil {
-				hasRuns = true
+		for i := range states {
+			d := states[i].distinct
+			if d == nil {
+				continue
 			}
-			if st.distinct != nil && st.fragBytes >= minDistinctRunBytes {
-				rel, err := st.flushFragment(f.a.ctx, &f.a.d.reg)
+			if d.fragBytes >= minDistinctRunBytes {
+				rel, err := d.flushFragment(f.a.ctx, &f.a.d.reg)
 				if err != nil {
 					return err
 				}
 				flushed += rel
-				hasRuns = true
 			}
+			hasRuns = hasRuns || d.runs != nil
 		}
 		if flushed > 0 {
 			g.bytes -= flushed
@@ -556,25 +561,16 @@ func (f *aggFold) evictOver() error {
 		if hasRuns || f.a.d.level >= maxSpillLevel {
 			continue
 		}
-		key = appendGroupKey(key[:0], g.keys)
-		f.rec = appendAggPartial(f.rec[:0], g)
-		if err := f.a.d.route(0, key, f.rec); err != nil {
+		f.rec = appendAggPartial(f.rec[:0], g, states)
+		if err := f.a.d.route(0, f.keys.key(gi), f.rec); err != nil {
 			return err
 		}
 		f.routing = true
-		delete(f.groups, string(key))
-		evicted[g] = true
+		f.keys.kill(gi)
+		clear(states) // the slots stay; what they point at goes
+		f.live--
 		released = true
 		f.acct.release(g.bytes)
-	}
-	if len(evicted) > 0 {
-		keep := f.order[:0]
-		for _, g := range f.order {
-			if !evicted[g] {
-				keep = append(keep, g)
-			}
-		}
-		f.order = keep
 	}
 	f.evictStuck = !released
 	return nil
@@ -592,15 +588,12 @@ func (s *aggState) accumulate(ae algebra.AggExpr, arg value.Value, scratch *[]by
 		return 0, nil // aggregates skip NULLs
 	}
 	var grew int64
-	if s.distinct != nil {
+	if d := s.distinct; d != nil {
 		*scratch = arg.AppendKey((*scratch)[:0])
-		if _, seen := s.distinct[string(*scratch)]; seen {
+		if grew = d.add(*scratch, arg); grew == 0 {
 			return 0, nil
 		}
-		s.distinct[string(*scratch)] = arg
-		grew = int64(len(*scratch)) + mapEntryBytes + valueFixedBytes + int64(len(arg.Str()))
-		s.fragBytes += grew
-		if s.runs != nil {
+		if d.runs != nil {
 			// An element absent from the fragment may still sit in a flushed
 			// run, so the eager values below would double-count; they are
 			// garbage from the first flush on, and finalizeDistinct recomputes
@@ -611,79 +604,37 @@ func (s *aggState) accumulate(ae algebra.AggExpr, arg value.Value, scratch *[]by
 	return grew, s.fold(ae, arg)
 }
 
-// fold applies one non-NULL value to the running aggregates (any DISTINCT
+// fold applies one non-NULL value to the running aggregate (any DISTINCT
 // bookkeeping already done by the caller).
-func (s *aggState) fold(ae algebra.AggExpr, arg value.Value) error {
+func (s *aggState) fold(ae algebra.AggExpr, arg value.Value) (err error) {
 	s.count++
-	switch ae.Func {
-	case algebra.AggCount:
-	case algebra.AggSum, algebra.AggAvg:
-		if s.sum.IsNull() {
-			s.sum = arg
-		} else {
-			v, err := value.Add(s.sum, arg)
-			if err != nil {
-				return err
-			}
-			s.sum = v
-		}
-	case algebra.AggMin:
-		if s.min.IsNull() {
-			s.min = arg
-		} else if c, err := value.Compare(arg, s.min); err != nil {
-			return err
-		} else if c < 0 {
-			s.min = arg
-		}
-	case algebra.AggMax:
-		if s.max.IsNull() {
-			s.max = arg
-		} else if c, err := value.Compare(arg, s.max); err != nil {
-			return err
-		} else if c > 0 {
-			s.max = arg
+	switch {
+	case ae.Func == algebra.AggCount:
+	case s.acc.IsNull():
+		s.acc = arg
+	case ae.Func == algebra.AggSum || ae.Func == algebra.AggAvg:
+		s.acc, err = value.Add(s.acc, arg)
+	case ae.Func == algebra.AggMin || ae.Func == algebra.AggMax:
+		var c int
+		if c, err = value.Compare(arg, s.acc); (c < 0) == (ae.Func == algebra.AggMin) && c != 0 {
+			s.acc = arg
 		}
 	default:
 		return fmt.Errorf("executor: unknown aggregate %q", ae.Func)
 	}
-	return nil
+	return err
 }
 
-// mergeAggState folds one partial state into another. Exact for count, min,
-// max and integer sums; float SUM/AVG and DISTINCT never reach here
-// (parAggEligible).
-func mergeAggState(dst, src *aggState) error {
-	dst.count += src.count
-	if !src.sum.IsNull() {
-		if dst.sum.IsNull() {
-			dst.sum = src.sum
-		} else {
-			v, err := value.Add(dst.sum, src.sum)
-			if err != nil {
-				return err
-			}
-			dst.sum = v
-		}
+// merge folds another partial state of the same aggregate into this one.
+// Exact for count, min, max and integer sums; float SUM/AVG and DISTINCT never
+// reach here (parAggEligible).
+func (s *aggState) merge(ae algebra.AggExpr, src *aggState) (err error) {
+	n := s.count + src.count
+	if !src.acc.IsNull() {
+		err = s.fold(ae, src.acc)
 	}
-	if !src.min.IsNull() {
-		if dst.min.IsNull() {
-			dst.min = src.min
-		} else if c, err := value.Compare(src.min, dst.min); err != nil {
-			return err
-		} else if c < 0 {
-			dst.min = src.min
-		}
-	}
-	if !src.max.IsNull() {
-		if dst.max.IsNull() {
-			dst.max = src.max
-		} else if c, err := value.Compare(src.max, dst.max); err != nil {
-			return err
-		} else if c > 0 {
-			dst.max = src.max
-		}
-	}
-	return nil
+	s.count = n
+	return err
 }
 
 // minDistinctRunBytes floors the fragment size worth flushing as a run, so a
@@ -694,27 +645,26 @@ const minDistinctRunBytes = 2048
 // and clears it, returning the released footprint. Canonical keys sort
 // bytewise, so every run is internally ascending and duplicate-free;
 // duplicates exist only across runs and fall to the merge's dedup.
-func (s *aggState) flushFragment(ctx *Context, reg *fileReg) (int64, error) {
-	keys := make([]string, 0, len(s.distinct))
-	for k := range s.distinct {
-		keys = append(keys, k)
+func (d *distinctSet) flushFragment(ctx *Context, reg *fileReg) (int64, error) {
+	order := make([]int, len(d.vals))
+	for e := range order {
+		order[e] = e
 	}
-	sort.Strings(keys)
+	slices.SortFunc(order, func(x, y int) int { return bytes.Compare(d.keys.key(x), d.keys.key(y)) })
 	f, err := reg.create(ctx)
 	if err != nil {
 		return 0, err
 	}
 	var rec []byte
-	for _, k := range keys {
-		rec = appendElemRec(rec[:0], []byte(k), s.distinct[k])
+	for _, e := range order {
+		rec = appendElemRec(rec[:0], d.keys.key(e), d.vals[e])
 		if err := f.Append(rec); err != nil {
 			return 0, err
 		}
 	}
-	s.runs = append(s.runs, f)
-	released := s.fragBytes
-	s.fragBytes = 0
-	s.distinct = make(map[string]value.Value)
+	d.runs = append(d.runs, f)
+	released := d.fragBytes
+	d.keys, d.vals, d.fragBytes = keyTable{}, nil, 0
 	return released, nil
 }
 
@@ -750,17 +700,18 @@ var elemOrder = &mergeOrder{
 // as one more run), then drops the runs. States that never flushed keep their
 // eager values and never reach here.
 func (s *aggState) finalizeDistinct(ctx *Context, reg *fileReg, ae algebra.AggExpr) error {
-	if len(s.distinct) > 0 {
-		if _, err := s.flushFragment(ctx, reg); err != nil {
+	d := s.distinct
+	if len(d.vals) > 0 {
+		if _, err := d.flushFragment(ctx, reg); err != nil {
 			return err
 		}
 	}
-	m, err := newMerger(ctx, reg, elemOrder, s.runs)
+	m, err := newMerger(ctx, reg, elemOrder, d.runs)
 	if err != nil {
 		return err
 	}
-	s.runs = nil
-	s.count, s.sum, s.min, s.max = 0, value.Null, value.Null, value.Null
+	d.runs = nil
+	s.count, s.acc = 0, value.Null
 	for r := m.head(); r != nil; r = m.head() {
 		if err := ctx.tick(); err != nil {
 			return err
@@ -780,17 +731,13 @@ func (s *aggState) result(ae algebra.AggExpr) (value.Value, error) {
 	switch ae.Func {
 	case algebra.AggCount:
 		return value.NewInt(s.count), nil
-	case algebra.AggSum:
-		return s.sum, nil
+	case algebra.AggSum, algebra.AggMin, algebra.AggMax:
+		return s.acc, nil
 	case algebra.AggAvg:
-		if s.count == 0 || s.sum.IsNull() {
+		if s.count == 0 || s.acc.IsNull() {
 			return value.Null, nil
 		}
-		return value.NewFloat(s.sum.Float() / float64(s.count)), nil
-	case algebra.AggMin:
-		return s.min, nil
-	case algebra.AggMax:
-		return s.max, nil
+		return value.NewFloat(s.acc.Float() / float64(s.count)), nil
 	}
 	return value.Null, fmt.Errorf("executor: unknown aggregate %q", ae.Func)
 }

@@ -423,6 +423,7 @@ func compileSubplan(sp *algebra.Subplan) compiledExpr {
 	// to reuse for the reason compileFunc's argument scratch is).
 	var cmp compiledExpr
 	pair := make(value.Row, 2)
+	var key []byte
 	if sp.Mode == algebra.AnySubplan || sp.Mode == algebra.AllSubplan {
 		cmp = compileBin(&algebra.Bin{Op: sp.CmpOp, L: &algebra.ColIdx{Idx: 0}, R: &algebra.ColIdx{Idx: 1}})
 	}
@@ -445,17 +446,15 @@ func compileSubplan(sp *algebra.Subplan) compiledExpr {
 				return value.Null, cached.err
 			}
 			// Fast path: uncorrelated IN membership via hash lookup. The probe key
-			// is built in the context's scratch buffer; map lookups through
-			// string(scratch) stay on the compiler's no-allocation path, so probing
-			// costs zero allocations per outer row.
+			// is built in the closure's scratch buffer: no allocation per outer row.
 			if sp.Mode == algebra.InSubplan {
 				n, err := needle(row, ctx)
 				if err != nil || n.IsNull() {
 					return value.Null, err
 				}
 				set, sawNull := cached.membership()
-				ctx.keyScratch = n.AppendKey(ctx.keyScratch[:0])
-				if _, ok := set[string(ctx.keyScratch)]; ok {
+				key = n.AppendKey(key[:0])
+				if set.find(key) >= 0 {
 					return value.NewBool(!sp.Neg), nil
 				}
 				if sawNull {

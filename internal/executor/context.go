@@ -69,9 +69,6 @@ type Context struct {
 	// Params are the statement's bound `?` arguments, indexed by placeholder
 	// ordinal; algebra.Param expressions read them at evaluation time.
 	Params []value.Value
-	// keyScratch is a reusable buffer for probe-side hash keys (uncorrelated
-	// IN-subquery membership tests), so probing does not allocate per row.
-	keyScratch []byte
 	// owner is the stats node of the operator currently executing, set and
 	// restored by statIter around every wrapped Open/Next/Close so memory
 	// accounts attribute their bytes to the right operator. Always nil on
@@ -180,16 +177,14 @@ type subplanResult struct {
 	err  error
 	// Membership index for uncorrelated IN subplans, built on first use:
 	// keys of the first column's values, plus whether a NULL occurred.
-	inSet     map[string]struct{}
+	inSet     *keyTable
 	inSawNull bool
 }
 
-// membership returns the IN-membership index, building it lazily. Keys are
-// built in a scratch buffer and only materialize into map-owned strings for
-// values not seen before, so duplicate-heavy inputs index allocation-free.
-func (r *subplanResult) membership() (map[string]struct{}, bool) {
+// membership returns the IN-membership index, building it lazily.
+func (r *subplanResult) membership() (*keyTable, bool) {
 	if r.inSet == nil {
-		r.inSet = make(map[string]struct{}, len(r.rows))
+		r.inSet = &keyTable{}
 		var scratch []byte
 		for _, row := range r.rows {
 			if row[0].IsNull() {
@@ -197,9 +192,7 @@ func (r *subplanResult) membership() (map[string]struct{}, bool) {
 				continue
 			}
 			scratch = row[0].AppendKey(scratch[:0])
-			if _, seen := r.inSet[string(scratch)]; !seen {
-				r.inSet[string(scratch)] = struct{}{}
-			}
+			r.inSet.insert(scratch)
 		}
 	}
 	return r.inSet, r.inSawNull
@@ -286,7 +279,9 @@ func Run(ctx *Context, plan algebra.Op) (*Result, error) {
 }
 
 // iterator is the Volcano operator interface. Next returns (nil, nil) at end
-// of stream.
+// of stream. A row it returns is immutable and stays valid for as long as the
+// caller holds it — unless the caller built this input with builder.reuse,
+// promising to drop each row before its next Next.
 type iterator interface {
 	Open(ctx *Context) error
 	Next() (value.Row, error)
@@ -310,6 +305,25 @@ type builder struct {
 	// is a projection of plain columns and constants: that join writes its
 	// output rows through it and no projectIter is built.
 	emit *algebra.Project
+	// reuse, set for one build call like emit, is the parent's word that it
+	// drops each row of this input before it asks for the next: an
+	// aggregation's input, the probe input of a join that makes its own rows,
+	// the input of a projection that computes. An operator that makes rows
+	// (projectIter, joinEmit) then fills one row over again; one that hands its
+	// input's rows on (filter, limit, UNION ALL, a projection of leading
+	// columns, a semi or anti join's probe) passes the word down.
+	reuse bool
+}
+
+// isPrefix reports whether the projection's expressions are columns 0..n-1 of
+// its input, in order: its output row is then the input row re-sliced.
+func isPrefix(p *algebra.Project) bool {
+	for i, e := range p.Exprs {
+		if c, ok := e.(*algebra.ColIdx); !ok || c.Idx != i {
+			return false
+		}
+	}
+	return true
 }
 
 // emitsThrough reports whether a projection can hand its column map to the
@@ -339,8 +353,8 @@ func emitsThrough(p *algebra.Project) bool {
 func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 	op = skipMarkers(op)
 	n := node(parent, op)
-	emit := b.emit
-	b.emit = nil
+	emit, reuse := b.emit, b.reuse
+	b.emit, b.reuse = nil, false
 	// A subtree that can run partition-wise is built as the ordinary serial
 	// iterator and handed to a gather, which fans out over it at Open when
 	// the statement's degree and the table's size warrant, and otherwise
@@ -353,19 +367,21 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		}
 	}
 	var err error
-	input := func(child algebra.Op) iterator {
+	input := func(child algebra.Op, reuse bool) iterator {
 		if err != nil {
 			return nil
 		}
 		var it iterator
+		b.reuse = reuse
 		it, err = b.build(child, n)
+		b.reuse = false
 		return it
 	}
 	var it iterator
 	switch o := op.(type) {
 	case *algebra.Scan:
 		if b.part != nil {
-			it = &sliceScanIter{rows: b.part.leaf}
+			it = &scanIter{rows: b.part.leaf}
 		} else {
 			it = &scanIter{op: o}
 		}
@@ -376,12 +392,14 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 			// The join below writes this projection's rows itself; the stats
 			// node above still counts them as the projection's.
 			b.emit = o
-			it = input(o.Input)
+			it = input(o.Input, reuse)
+		} else if isPrefix(o) {
+			it = &projectIter{op: o, input: input(o.Input, reuse), prefix: true}
 		} else {
-			it = &projectIter{op: o, input: input(o.Input)}
+			it = &projectIter{op: o, input: input(o.Input, true), rows: rowMaker{reuse: reuse}}
 		}
 	case *algebra.Select:
-		it = &filterIter{op: o, input: input(o.Input)}
+		it = &filterIter{op: o, input: input(o.Input, reuse)}
 	case *algebra.Join:
 		// Lateral joins always run nested-loop with per-left-row re-execution
 		// of the right side; equi-joins run as hash joins; everything else
@@ -395,31 +413,34 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 			// Both inputs stay serial: the right side re-runs once per outer
 			// row, and fanning that out would launch workers per row.
 			b.graft = false
-			it = &lateralJoinIter{op: o, left: input(o.Left), right: input(o.Right)}
+			it = &lateralJoinIter{op: o, left: input(o.Left, false), right: input(o.Right, false)}
 			break
 		}
-		left := input(o.Left)
+		out := newJoinEmit(o, emit)
+		out.rows.reuse = reuse
+		// The probe row is read into the output row, or (semi, anti) is it.
+		left := input(o.Left, out.cols != nil || reuse)
 		var right iterator
 		if b.part != nil {
-			right = &sliceScanIter{rows: b.part.right}
+			right = &scanIter{rows: b.part.right}
 		} else {
-			right = input(o.Right)
+			right = input(o.Right, false)
 		}
 		if g != nil {
 			g.right = right
 		}
-		out := newJoinEmit(o, emit)
 		if keys, residual := extractEquiKeys(o); len(keys) > 0 {
 			it = &hashJoinIter{op: o, left: left, right: right, keys: keys, residual: residual, out: out}
 		} else {
 			it = &nlJoinIter{op: o, left: left, right: right, out: out}
 		}
 	case *algebra.Agg:
-		it = &aggIter{op: o, input: input(o.Input), part: b.part}
+		it = &aggIter{op: o, input: input(o.Input, true), part: b.part}
 	case *algebra.Distinct:
-		it = &distinctIter{input: input(o.Input)}
+		it = &distinctIter{input: input(o.Input, false)}
 	case *algebra.SetOp:
-		left, right := input(o.Left), input(o.Right)
+		pass := reuse && o.Kind == algebra.UnionAll
+		left, right := input(o.Left, pass), input(o.Right, pass)
 		switch o.Kind {
 		case algebra.UnionAll:
 			it = &concatIter{left: left, right: right}
@@ -431,9 +452,9 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 			return nil, fmt.Errorf("executor: unknown set operation %v", o.Kind)
 		}
 	case *algebra.Sort:
-		it = &sortIter{op: o, input: input(o.Input)}
+		it = &sortIter{op: o, input: input(o.Input, false)}
 	case *algebra.Limit:
-		it = &limitIter{op: o, input: input(o.Input)}
+		it = &limitIter{op: o, input: input(o.Input, reuse)}
 	default:
 		return nil, fmt.Errorf("executor: no iterator for operator %T", op)
 	}

@@ -24,7 +24,7 @@ import (
 type dedupState struct {
 	d    graceDriver
 	acct memAcct
-	seen map[string]struct{}
+	seen keyTable
 	// frozen: the seen-set went to the partitions one level down as
 	// tombstones, and every record of this level follows it there.
 	frozen bool
@@ -44,7 +44,8 @@ func (s *dedupState) start(ctx *Context) {
 
 func (s *dedupState) begin([2]*spill.File) bool {
 	s.acct.releaseAll()
-	s.seen, s.frozen = make(map[string]struct{}), false
+	s.seen.reset()
+	s.frozen = false
 	return true
 }
 
@@ -84,18 +85,17 @@ func (s *dedupState) add(rec []byte) error {
 // resident set outgrows the budget it cascades, with everything after it, one
 // level deeper — tombstones first, preserving the per-key invariant.
 func (s *dedupState) see(key []byte, tomb bool, seq uint64, row value.Row) (first bool, err error) {
-	if _, dup := s.seen[string(key)]; dup {
+	if s.seen.find(key) >= 0 {
 		return false, nil // already emitted, routed, or tombstoned
 	}
-	if !s.frozen && s.d.overflow(&s.acct, len(s.seen), minFoldGroups) {
-		for k := range s.seen {
-			if err := s.routeTombstone([]byte(k)); err != nil {
+	if !s.frozen && s.d.overflow(&s.acct, len(s.seen.entries), minFoldGroups) {
+		for i := 0; i < len(s.seen.entries); i++ {
+			if err := s.routeTombstone(s.seen.key(i)); err != nil {
 				return false, err
 			}
 		}
-		// From here every record routes, so drop the set (nil-map reads are
-		// legal and always miss).
-		s.seen, s.frozen = nil, true
+		// From here every record routes: drop the set (empty, it always misses).
+		s.seen, s.frozen = keyTable{}, true
 		s.acct.releaseAll()
 	}
 	if s.frozen {
@@ -105,8 +105,8 @@ func (s *dedupState) see(key []byte, tomb bool, seq uint64, row value.Row) (firs
 		s.rec = appendSeqRow(append(s.rec[:0], 0x01), seq, row)
 		return false, s.d.route(0, key, s.rec)
 	}
-	s.seen[string(key)] = struct{}{}
-	s.acct.grow(int64(len(key)) + mapEntryBytes)
+	s.seen.insert(key)
+	s.acct.grow(int64(len(key)) + keyEntryBytes)
 	return !tomb, nil
 }
 
@@ -117,18 +117,14 @@ func (s *dedupState) routeTombstone(key []byte) error {
 
 // finish drops the level's seen-set: its first occurrences are already out.
 func (s *dedupState) finish() error {
-	s.seen = nil
+	s.seen = keyTable{}
 	s.acct.releaseAll()
 	return nil
 }
 
 // release drops all dedup state, accounting, and spill files.
 func (s *dedupState) release() {
-	s.seen = nil
+	s.seen = keyTable{}
 	s.acct.releaseAll()
 	s.d.release()
 }
-
-// mapEntryBytes is the charged per-entry overhead of a Go map entry beyond
-// its key bytes.
-const mapEntryBytes = 48

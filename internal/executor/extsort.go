@@ -7,42 +7,47 @@ import (
 )
 
 // External merge sort: when the sort buffer crosses the session budget, the
-// buffered rows are stable-sorted and written out as one sorted run (records
-// carry the precomputed key row, so the merge never re-evaluates key
-// expressions), and the k-way merge replays the runs on Next.
+// buffered rows are sorted and written out as one sorted run, and the k-way
+// merge replays the runs on Next. A sort key that is a plain column is read
+// from the row; the values of computed keys ride behind the row's own columns,
+// in the buffer and in the run records, so no key expression runs twice.
 //
-// Stability contract: the in-memory path is sort.SliceStable over input
-// order, and the external path must match it byte for byte. Runs are
-// contiguous input ranges created in input order, each internally stable, so
-// the merge breaks key ties by run index (the merger's input position) — rows
-// with equal keys surface in input order across run boundaries.
-// TestSpillSortStability pins this.
+// Stability contract: equal keys surface in input order, in memory and across
+// runs alike. In memory the sort is over the total order (keys, input
+// sequence), which has no ties and so needs no stable algorithm. Runs are
+// contiguous input ranges created in input order, each sorted that way, so the
+// merge breaks key ties by run index (the merger's input position).
+// TestSpillSortStability and TestSortMatchesStableReference pin this.
 
-// runRecord encodes one sort record: the key row, then the payload row.
-func runRecord(dst []byte, keys, row value.Row) []byte {
-	dst = spill.AppendRow(dst, keys)
-	return spill.AppendRow(dst, row)
+// sortOrder is an ORDER BY list as the sort reads it off its rows: an input row
+// of width columns, extended by the values of the computed keys.
+type sortOrder struct {
+	keys     []algebra.SortKey
+	src      []int // key k is column src[k] of the extended row
+	width    int
+	computed []compiledExpr // the keys that are not plain columns
 }
 
-// decodeRunRecord reverses runRecord.
-func decodeRunRecord(a *value.RowAlloc, rec []byte) (keys, row value.Row, err error) {
-	keys, rest, err := spill.DecodeRowIn(a, rec)
-	if err != nil {
-		return nil, nil, err
+func newSortOrder(keys []algebra.SortKey, width int) *sortOrder {
+	o := &sortOrder{keys: keys, src: make([]int, len(keys)), width: width}
+	for k, key := range keys {
+		if c, ok := key.Expr.(*algebra.ColIdx); ok {
+			o.src[k] = c.Idx
+			continue
+		}
+		o.src[k] = width + len(o.computed)
+		o.computed = append(o.computed, Compile(key.Expr))
 	}
-	row, _, err = spill.DecodeRowIn(a, rest)
-	return keys, row, err
+	return o
 }
 
-// sortKeyCompare compares two key rows under the ORDER BY direction flags,
-// returning -1/0/+1.
-func sortKeyCompare(sortKeys []algebra.SortKey, a, b value.Row) int {
-	for k := range sortKeys {
-		c := value.CompareTotal(a[k], b[k])
+func (o *sortOrder) compare(a, b value.Row) int {
+	for k, src := range o.src {
+		c := value.CompareTotal(a[src], b[src])
 		if c == 0 {
 			continue
 		}
-		if sortKeys[k].Desc {
+		if o.keys[k].Desc {
 			return -c
 		}
 		return c
@@ -50,16 +55,18 @@ func sortKeyCompare(sortKeys []algebra.SortKey, a, b value.Row) int {
 	return 0
 }
 
-// runOrder is the merge order of sorted runs: by key row under the ORDER BY
-// direction flags. Ties fall to the merger's input position, i.e. run
-// creation order.
-func runOrder(sortKeys []algebra.SortKey) *mergeOrder {
+// runOrder is the merge order of sorted runs, whose records are extended
+// rows. Ties fall to the merger's input position, i.e. run creation order.
+func (o *sortOrder) runOrder() *mergeOrder {
 	return &mergeOrder{
 		decode: func(a *value.RowAlloc, rec []byte, r *mergeRec) (err error) {
-			r.keys, r.row, err = decodeRunRecord(a, rec)
+			r.keys, _, err = spill.DecodeRowIn(a, rec)
+			if err == nil {
+				r.row = r.keys[:o.width:o.width]
+			}
 			return err
 		},
-		encode: func(dst []byte, r *mergeRec) []byte { return runRecord(dst, r.keys, r.row) },
-		cmp:    func(a, b *mergeRec) int { return sortKeyCompare(sortKeys, a.keys, b.keys) },
+		encode: func(dst []byte, r *mergeRec) []byte { return spill.AppendRow(dst, r.keys) },
+		cmp:    func(a, b *mergeRec) int { return o.compare(a.keys, b.keys) },
 	}
 }

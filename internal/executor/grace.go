@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -130,15 +131,7 @@ var seqOrder = &mergeOrder{
 		return err
 	},
 	encode: func(dst []byte, r *mergeRec) []byte { return appendSeqRow(dst, r.seq, r.row) },
-	cmp: func(a, b *mergeRec) int {
-		switch {
-		case a.seq < b.seq:
-			return -1
-		case a.seq > b.seq:
-			return 1
-		}
-		return 0
-	},
+	cmp:    func(a, b *mergeRec) int { return cmp.Compare(a.seq, b.seq) },
 }
 
 // --- the grace driver ------------------------------------------------------------

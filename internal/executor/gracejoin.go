@@ -44,7 +44,7 @@ const joinChunkMask = (1 << joinSeqShift) - 1
 
 // appendJoinRec encodes one partitioned join input record: the row's ordinal
 // on its side (build ordinal or probe sequence), whether it is hashable, its
-// framed key, then the exact row.
+// key, then the exact row.
 func appendJoinRec(dst []byte, ord uint64, hashable bool, key []byte, row value.Row) []byte {
 	dst = binary.AppendUvarint(dst, ord)
 	if hashable {
@@ -93,7 +93,6 @@ type graceJoin struct {
 	// which lives for the whole pair.
 	seen   []uint64
 	bmAcct memAcct
-	outRow value.Row
 	rec    []byte
 }
 
@@ -110,13 +109,13 @@ func (h *hashJoinIter) routeRow(side int, ord uint64, hashable bool, key []byte,
 // spillTable moves the buffered build prefix, keys already computed, to the
 // level-0 partitions.
 func (h *hashJoinIter) spillTable() error {
-	for i := range h.table.rows {
+	for i := range h.rows {
 		key := h.table.key(i)
-		if err := h.routeRow(0, uint64(i), key != nil, key, h.table.rows[i].row); err != nil {
+		if err := h.routeRow(0, uint64(i), key != nil, key, h.rows[i].row); err != nil {
 			return err
 		}
 	}
-	h.table = buildTable{}
+	h.rows, h.table = nil, keyTable{}
 	h.acct.releaseAll()
 	return nil
 }
@@ -139,8 +138,7 @@ func (h *hashJoinIter) openGrace() error {
 		if row == nil {
 			return h.d.finish()
 		}
-		key, hashable, err := h.appendKey(h.keyScratch[:0], row, h.leftKey)
-		h.keyScratch = key
+		key, hashable, err := h.keyOf(row, h.leftKey)
 		if err != nil {
 			return err
 		}
@@ -152,8 +150,7 @@ func (h *hashJoinIter) openGrace() error {
 }
 
 func (h *hashJoinIter) begin(in [2]*spill.File) bool {
-	h.table.reset()
-	h.acct.releaseAll()
+	h.resetTable()
 	h.bmAcct.ctx = h.ctx
 	h.bmAcct.releaseAll()
 	h.probe, h.ords, h.seen = in[1], h.ords[:0], h.seen[:0]
@@ -172,8 +169,7 @@ func (h *hashJoinIter) begin(in [2]*spill.File) bool {
 func (h *hashJoinIter) add(rec []byte) error {
 	if h.full {
 		if h.chunk == 0 && h.multiKey && h.d.level < maxSpillLevel {
-			h.table.reset()
-			h.acct.releaseAll()
+			h.resetTable()
 			return errRepartition
 		}
 		if err := h.joinChunk(false); err != nil {
@@ -184,20 +180,26 @@ func (h *hashJoinIter) add(rec []byte) error {
 	if err != nil {
 		return err
 	}
-	t := &h.table
-	h.acct.grow(t.add(row, key, hashable))
+	h.addBuild(row, key, hashable)
 	h.ords = append(h.ords, ord)
-	if n := len(t.rows); n > 1 && !h.multiKey && !bytes.Equal(t.key(n-1), t.key(0)) {
+	if n := len(h.rows); n > 1 && !h.multiKey && !bytes.Equal(h.table.key(n-1), h.table.key(0)) {
 		h.multiKey = true
 	}
-	h.full = h.acct.spillable() && h.acct.over() && len(t.rows) >= minBufferRows
+	h.full = h.acct.spillable() && h.acct.over() && len(h.rows) >= minBufferRows
 	return nil
+}
+
+// resetTable empties the build side, keeping its storage for the next chunk.
+func (h *hashJoinIter) resetTable() {
+	h.rows = h.rows[:0]
+	h.table.reset()
+	h.acct.releaseAll()
 }
 
 // finish joins the last (usually the only) chunk and drops the table.
 func (h *hashJoinIter) finish() error {
 	err := h.joinChunk(true)
-	h.table = buildTable{}
+	h.rows, h.table = nil, keyTable{}
 	return err
 }
 
@@ -229,16 +231,15 @@ func (h *hashJoinIter) joinChunk(last bool) error {
 	if tag > joinChunkMask {
 		tag = joinChunkMask
 	}
-	if h.outRow == nil {
-		h.outRow = make(value.Row, len(h.out.cols))
-	}
 	// emit appends one output row, already in its final shape: projecting
 	// before the record is encoded keeps the columns the projection above the
-	// join drops out of the spilled outputs too.
+	// join drops out of the spilled outputs too. The driver encodes it at once,
+	// so for the chunk the emitter fills one row, whatever the parent said.
+	defer func(reuse bool) { h.out.rows.reuse = reuse }(h.out.rows.reuse)
+	h.out.rows.reuse = true
 	emit := func(seq uint64, l, r value.Row) error {
-		return h.d.emit(seq, h.out.fill(h.outRow, l, r))
+		return h.d.emit(seq, h.out.row(l, r))
 	}
-	h.table.index()
 	var pos uint64
 	err := h.d.scan(h.probe, func(rec []byte) error {
 		pos++
@@ -271,17 +272,16 @@ func (h *hashJoinIter) joinChunk(last bool) error {
 		return err
 	}
 	if h.p.buildTail() {
-		for i := range h.table.rows {
-			if !h.table.rows[i].matched {
-				if err := emit((h.nProbe+h.ords[i])<<joinSeqShift, nil, h.table.rows[i].row); err != nil {
+		for i := range h.rows {
+			if !h.rows[i].matched {
+				if err := emit((h.nProbe+h.ords[i])<<joinSeqShift, nil, h.rows[i].row); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	h.table.reset()
+	h.resetTable()
 	h.ords = h.ords[:0]
-	h.acct.releaseAll()
 	h.chunk++
 	return nil
 }

@@ -1,9 +1,9 @@
 package executor
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"perm/internal/algebra"
 	"perm/internal/spill"
@@ -12,25 +12,26 @@ import (
 
 // --- Scan ----------------------------------------------------------------------
 
+// scanIter iterates a table's rows or, with no op, rows resolved beforehand:
+// a worker's contiguous partition of the coordinator's snapshot, the shared
+// materialized build side of a parallel join.
 type scanIter struct {
 	op   *algebra.Scan
 	rows []value.Row
 	pos  int
 }
 
-func (s *scanIter) Open(ctx *Context) error {
+func (s *scanIter) Open(ctx *Context) (err error) {
 	// The context resolves the rows visible to THIS statement: the versions
 	// at its pinned snapshot LSN (or its transaction's read-your-writes
 	// view). Steady-state reads alias the table's shared materialized view
 	// without copying; the rows themselves are immutable and downstream
 	// operators must never write into them.
-	rows, err := ctx.TableRows(s.op.Table)
-	if err != nil {
-		return err
+	if s.op != nil {
+		s.rows, err = ctx.TableRows(s.op.Table)
 	}
-	s.rows = rows
 	s.pos = 0
-	return nil
+	return err
 }
 
 func (s *scanIter) Next() (value.Row, error) {
@@ -43,7 +44,9 @@ func (s *scanIter) Next() (value.Row, error) {
 }
 
 func (s *scanIter) Close() error {
-	s.rows = nil
+	if s.op != nil {
+		s.rows = nil
+	}
 	return nil
 }
 
@@ -90,6 +93,42 @@ func (v *valuesIter) Close() error { return nil }
 
 // --- Project -------------------------------------------------------------------
 
+// rowMaker is where the operators that make rows in bulk — a projection, a
+// join's emitter — get the row they fill next: by default a new row cut from
+// the allocator, valid for as long as anyone holds it; with reuse (see
+// builder.reuse) the one row the maker owns, valid until the next Next.
+type rowMaker struct {
+	alloc value.RowAlloc
+	reuse bool
+	row   value.Row // the reused row, made on first use
+}
+
+// poisonStaleRows is a test hook: a reusing maker hands out a fresh row each
+// time and overwrites the one before with staleRow, so a consumer that kept a
+// row it promised to drop fails loudly instead of passing by luck. Tests of
+// this package set it; other packages' build with -tags stalerows.
+var (
+	poisonStaleRows bool
+	staleRow        = value.NewString("<stale row>")
+)
+
+// next returns the row to fill, n wide (every call of one maker asks the same).
+func (m *rowMaker) next(n int) value.Row {
+	if !m.reuse {
+		return m.alloc.New(n)
+	}
+	if poisonStaleRows {
+		for i := range m.row {
+			m.row[i] = staleRow
+		}
+		m.row = nil
+	}
+	if m.row == nil {
+		m.row = make(value.Row, n) // never nil: a nil row is end-of-stream
+	}
+	return m.row
+}
+
 type projectIter struct {
 	op    *algebra.Project
 	input iterator
@@ -99,20 +138,13 @@ type projectIter struct {
 	// the output row is the input row re-sliced. Rows are immutable, which
 	// makes the alias as good as the copy.
 	prefix bool
-	alloc  value.RowAlloc
+	rows   rowMaker
 }
 
 func (p *projectIter) Open(ctx *Context) error {
 	p.ctx = ctx
 	if p.exprs == nil {
 		p.exprs = compileAll(p.op.Exprs)
-		p.prefix = true
-		for i, e := range p.op.Exprs {
-			if c, ok := e.(*algebra.ColIdx); !ok || c.Idx != i {
-				p.prefix = false
-				break
-			}
-		}
 	}
 	return p.input.Open(ctx)
 }
@@ -126,7 +158,7 @@ func (p *projectIter) Next() (value.Row, error) {
 		n := len(p.exprs)
 		return in[:n:n], nil
 	}
-	out := p.alloc.New(len(p.exprs))
+	out := p.rows.next(len(p.exprs))
 	for i, ce := range p.exprs {
 		v, err := ce(in, p.ctx)
 		if err != nil {
@@ -179,25 +211,26 @@ func (f *filterIter) Close() error { return f.input.Close() }
 
 // --- Sort ----------------------------------------------------------------------
 
-// sortIter is ORDER BY. Under budget it is the classic buffer-and-
-// SliceStable; past the session's work_mem it becomes an external merge sort
-// (sorted runs spilled through the context's spill pool, k-way merged on
-// Next) with identical output, stability included — see extsort.go.
+// sortIter is ORDER BY. Under budget it buffers and sorts; past the session's
+// work_mem it becomes an external merge sort (sorted runs spilled through the
+// context's spill pool, k-way merged on Next) with identical output,
+// stability included — see extsort.go.
 type sortIter struct {
-	op       *algebra.Sort
-	input    iterator
-	rows     []value.Row
-	pos      int
-	keyExprs []compiledExpr
-	acct     memAcct
-	reg      fileReg
-	merger   *merger
+	op     *algebra.Sort
+	input  iterator
+	buf    []sortKeyed // the sorted rows, when everything fit
+	pos    int
+	order  *sortOrder
+	acct   memAcct
+	reg    fileReg
+	merger *merger
 }
 
+// sortKeyed is one buffered row, extended by its computed ORDER BY keys if the
+// order has any, and its place in the input.
 type sortKeyed struct {
-	row  value.Row
-	keys value.Row
-	seq  int
+	row value.Row
+	seq int
 }
 
 func (s *sortIter) Open(ctx *Context) error {
@@ -207,38 +240,37 @@ func (s *sortIter) Open(ctx *Context) error {
 		return err
 	}
 	defer s.input.Close()
-	if s.keyExprs == nil {
-		s.keyExprs = make([]compiledExpr, len(s.op.Keys))
-		for i, k := range s.op.Keys {
-			s.keyExprs[i] = Compile(k.Expr)
-		}
+	if s.order == nil {
+		s.order = newSortOrder(s.op.Keys, len(s.op.Input.Schema()))
 	}
-	keyExprs := s.keyExprs
-
-	sortBatch := func(all []sortKeyed) {
-		sort.SliceStable(all, func(i, j int) bool {
-			if c := sortKeyCompare(s.op.Keys, all[i].keys, all[j].keys); c != 0 {
-				return c < 0
-			}
-			return all[i].seq < all[j].seq
-		})
-	}
+	order := s.order
 
 	var all []sortKeyed
 	var keyAlloc value.RowAlloc
+	// The order (keys, input sequence) is total, so an unstable sort under it
+	// is the stable sort by keys.
+	sortBatch := func() {
+		slices.SortFunc(all, func(a, b sortKeyed) int {
+			if c := order.compare(a.row, b.row); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+	}
+
 	var runs []*spill.File
 	var batchBytes int64
 	var rec []byte
 	// flushRun sorts the buffered batch and writes it out as one run.
 	flushRun := func() error {
-		sortBatch(all)
+		sortBatch()
 		f, err := s.reg.create(ctx)
 		if err != nil {
 			return err
 		}
 		runs = append(runs, f)
 		for _, k := range all {
-			rec = runRecord(rec[:0], k.keys, k.row)
+			rec = spill.AppendRow(rec[:0], k.row)
 			if err := f.Append(rec); err != nil {
 				return err
 			}
@@ -250,16 +282,20 @@ func (s *sortIter) Open(ctx *Context) error {
 	}
 
 	err := drainRows(ctx, s.input, func(row value.Row) error {
-		keys := keyAlloc.New(len(keyExprs))
-		for i, ke := range keyExprs {
-			v, err := ke(row, ctx)
-			if err != nil {
-				return err
+		if len(order.computed) > 0 {
+			ext := keyAlloc.New(order.width + len(order.computed))
+			copy(ext, row)
+			for i, ke := range order.computed {
+				v, err := ke(row, ctx)
+				if err != nil {
+					return err
+				}
+				ext[order.width+i] = v
 			}
-			keys[i] = v
+			row = ext
 		}
-		all = append(all, sortKeyed{row: row, keys: keys, seq: len(all)})
-		n := rowBytes(row) + rowBytes(keys)
+		all = append(roomFor(all, 1), sortKeyed{row: row, seq: len(all)})
+		n := rowBytes(row)
 		s.acct.grow(n)
 		batchBytes += n
 		// Flush a run only once the local batch is budget-sized (and past the
@@ -278,14 +314,9 @@ func (s *sortIter) Open(ctx *Context) error {
 	}
 
 	if len(runs) == 0 {
-		// Everything fit: the classic in-memory path, output aliasing the
-		// buffered rows.
-		sortBatch(all)
-		s.rows = make([]value.Row, len(all))
-		for i, k := range all {
-			s.rows[i] = k.row
-		}
-		s.pos = 0
+		// Everything fit: the in-memory path, output aliasing the buffer.
+		sortBatch()
+		s.buf, s.pos = all, 0
 		return nil
 	}
 	if len(all) > 0 {
@@ -293,7 +324,7 @@ func (s *sortIter) Open(ctx *Context) error {
 			return err
 		}
 	}
-	s.merger, err = newMerger(ctx, &s.reg, runOrder(s.op.Keys), runs)
+	s.merger, err = newMerger(ctx, &s.reg, order.runOrder(), runs)
 	return err
 }
 
@@ -301,18 +332,17 @@ func (s *sortIter) Next() (value.Row, error) {
 	if s.merger != nil {
 		return s.merger.Next()
 	}
-	if s.pos >= len(s.rows) {
+	if s.pos >= len(s.buf) {
 		return nil, nil
 	}
-	row := s.rows[s.pos]
+	row := s.buf[s.pos].row
 	s.pos++
-	return row, nil
+	return row[:s.order.width:s.order.width], nil
 }
 
 // release drops all sort state: buffered rows, accounting, spill files.
 func (s *sortIter) release() {
-	s.rows = nil
-	s.pos = 0
+	s.buf, s.pos = nil, 0
 	s.merger.Close()
 	s.merger = nil
 	s.reg.closeAll()

@@ -1,18 +1,11 @@
 package executor
 
 import (
-	"bytes"
-	"hash/maphash"
-
 	"perm/internal/algebra"
 	"perm/internal/spill"
 	"perm/internal/sql"
 	"perm/internal/value"
 )
-
-// joinHashSeed seeds the maphash bucketing of hash joins. One process-wide
-// seed keeps build and probe sides consistent across iterators.
-var joinHashSeed = maphash.MakeSeed()
 
 // equiKey is one hashable join key pair: leftExpr over the left schema,
 // rightExpr over the right schema (already un-shifted). nullEq marks
@@ -26,10 +19,9 @@ type equiKey struct {
 // extractEquiKeys finds the hashable equality conjuncts of the join condition
 // and returns, beside them, what is left of the condition for the join to
 // evaluate on each candidate pair (nil: nothing). A conjunct that became a key
-// is not evaluated again: candidates are pairs whose framed keys are
-// byte-equal, and the key encoding is the equality of value.Compare — equal
-// keys are values of one kind that compare equal, NULL with NULL only under
-// IS NOT DISTINCT FROM (a strict key holding a NULL is never hashed) — so on
+// is not evaluated again: candidates are pairs whose keys are byte-equal, and
+// the key encoding is the equality of value.Compare (NULL with NULL only under
+// IS NOT DISTINCT FROM: a strict key holding a NULL is never hashed), so on
 // every candidate the conjunct is true.
 func extractEquiKeys(op *algebra.Join) (keys []equiKey, residual algebra.Expr) {
 	if op.Cond == nil {
@@ -93,94 +85,11 @@ func sideOf(e algebra.Expr, nLeft int) (int, bool) {
 	}
 }
 
-// buildRow is one materialized build-side row. Its hash key, if it has one,
-// lives in the owning table's arena; keyLen < 0 marks a row with a NULL in a
-// strict-equality key, which can never match.
+// buildRow is one materialized build-side row, and whether a probe has
+// matched it (what the FULL/RIGHT tail reads).
 type buildRow struct {
 	row     value.Row
-	keyOff  int
-	keyLen  int32
 	matched bool
-}
-
-// buildRowFixedBytes approximates the per-row footprint of a materialized
-// build side beyond the row and key payloads: the buildRow struct itself plus
-// its share of the hash-table buckets.
-const buildRowFixedBytes = 96
-
-// buildTable is the build side of a hash join: the rows in insertion order,
-// their framed key bytes back to back in one arena, and a chained bucket
-// index over them. A chain lists the rows of one bucket in insertion order,
-// so a probe meets its matches in the order the build input produced them.
-// Nothing in it is allocated per row.
-type buildTable struct {
-	rows  []buildRow
-	arena []byte
-	heads []int32 // bucket → first row of its chain, -1 when empty
-	next  []int32 // row → next row of the same bucket, -1 at the end
-}
-
-// add appends a build row with its key (ignored unless hashable) and returns
-// the bytes to charge for it.
-func (t *buildTable) add(row value.Row, key []byte, hashable bool) int64 {
-	br := buildRow{row: row, keyLen: -1}
-	charge := rowBytes(row) + buildRowFixedBytes
-	if hashable {
-		br.keyOff, br.keyLen = len(t.arena), int32(len(key))
-		t.arena = append(roomFor(t.arena, len(key)), key...)
-		charge += int64(len(key))
-	}
-	t.rows = append(roomFor(t.rows, 1), br)
-	return charge
-}
-
-// key returns row i's key bytes, nil for a row that can never match.
-func (t *buildTable) key(i int) []byte {
-	br := &t.rows[i]
-	if br.keyLen < 0 {
-		return nil
-	}
-	return t.arena[br.keyOff : br.keyOff+int(br.keyLen)]
-}
-
-// reset empties the table, keeping its storage for the next load.
-func (t *buildTable) reset() {
-	t.rows, t.arena = t.rows[:0], t.arena[:0]
-}
-
-// index builds the bucket chains over the rows added so far. Rows link in
-// from last to first, each at the head of its chain, which leaves every
-// chain in insertion order.
-func (t *buildTable) index() {
-	buckets := 1
-	for buckets < len(t.rows) {
-		buckets <<= 1
-	}
-	if cap(t.heads) < buckets || cap(t.next) < len(t.rows) {
-		t.heads, t.next = make([]int32, buckets), make([]int32, len(t.rows))
-	}
-	t.heads, t.next = t.heads[:buckets], t.next[:len(t.rows)]
-	for b := range t.heads {
-		t.heads[b] = -1
-	}
-	for i := len(t.rows) - 1; i >= 0; i-- {
-		if key := t.key(i); key != nil {
-			b := maphash.Bytes(joinHashSeed, key) & uint64(buckets-1)
-			t.next[i] = t.heads[b]
-			t.heads[b] = int32(i)
-		}
-	}
-}
-
-// first returns the head of the chain a probe key falls in (-1 when empty);
-// the caller walks it through next and confirms each candidate with matches,
-// so bucket collisions stay correct.
-func (t *buildTable) first(key []byte) int32 {
-	return t.heads[maphash.Bytes(joinHashSeed, key)&uint64(len(t.heads)-1)]
-}
-
-func (t *buildTable) matches(i int32, key []byte) bool {
-	return bytes.Equal(t.key(int(i)), key)
 }
 
 // joinEmit makes a join's output rows. Every row a join hands up is built
@@ -196,7 +105,7 @@ type joinEmit struct {
 	cols   []int32
 	consts []value.Value
 	nLeft  int
-	alloc  value.RowAlloc
+	rows   rowMaker
 }
 
 // newJoinEmit derives the emitter for a join and the pure column-and-constant
@@ -226,17 +135,13 @@ func newJoinEmit(j *algebra.Join, proj *algebra.Project) *joinEmit {
 	return e
 }
 
-// row allocates the output row for a probe/build pair; a nil side reads as
-// all NULLs (outer-join padding).
+// row makes the output row for a probe/build pair; a nil side reads as all
+// NULLs (outer-join padding).
 func (e *joinEmit) row(l, r value.Row) value.Row {
-	return e.fill(e.alloc.New(len(e.cols)), l, r)
-}
-
-// fill is row into caller-owned storage: dst must be len(cols) long.
-func (e *joinEmit) fill(dst, l, r value.Row) value.Row {
 	if e.cols == nil {
 		return l
 	}
+	dst := e.rows.next(len(e.cols))
 	for i, c := range e.cols {
 		switch {
 		case c < 0:
@@ -322,10 +227,12 @@ type hashJoinIter struct {
 	// compiled per-side key evaluators and residual condition
 	leftKey  []compiledExpr
 	rightKey []compiledExpr
-	nullEq   []bool
 	cond     compiledPred // nil when the keys decide the whole condition
 
-	table buildTable
+	// The build side: rows in insertion order and, under the same numbers,
+	// their keys in table (dead for a NULL in a strict-equality key).
+	rows  []buildRow
+	table keyTable
 	// keyScratch is the reusable key-encoding buffer (zero allocs per probe).
 	keyScratch []byte
 	// comb is the reusable probe⧺build scratch row the residual condition is
@@ -334,7 +241,7 @@ type hashJoinIter struct {
 	// current probe state: its key, and cur, the next candidate of its chain
 	p        probeState
 	probeKey []byte
-	cur      int32
+	cur      int
 	// full-join tail state
 	tailIdx int
 	inTail  bool
@@ -357,13 +264,9 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	h.acct.ctx = ctx
 	h.d.start(ctx, h)
 	if h.leftKey == nil {
-		h.leftKey = make([]compiledExpr, len(h.keys))
-		h.rightKey = make([]compiledExpr, len(h.keys))
-		h.nullEq = make([]bool, len(h.keys))
-		for i, k := range h.keys {
-			h.leftKey[i] = Compile(k.left)
-			h.rightKey[i] = Compile(k.right)
-			h.nullEq[i] = k.nullEq
+		for _, k := range h.keys {
+			h.leftKey = append(h.leftKey, Compile(k.left))
+			h.rightKey = append(h.rightKey, Compile(k.right))
 		}
 		if h.residual != nil {
 			h.cond = compilePred(h.residual)
@@ -378,8 +281,7 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	// of the build input follows it there row by row.
 	nBuild := uint64(0)
 	err := drainRows(ctx, h.right, func(row value.Row) error {
-		key, hashable, err := h.appendKey(h.keyScratch[:0], row, h.rightKey)
-		h.keyScratch = key
+		key, hashable, err := h.keyOf(row, h.rightKey)
 		if err != nil {
 			return err
 		}
@@ -387,8 +289,8 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 		if h.d.spilled() {
 			return h.routeRow(0, nBuild-1, hashable, key, row)
 		}
-		h.acct.grow(h.table.add(row, key, hashable))
-		if h.d.overflow(&h.acct, len(h.table.rows), minBufferRows) {
+		h.addBuild(row, key, hashable)
+		if h.d.overflow(&h.acct, len(h.rows), minBufferRows) {
 			return h.spillTable()
 		}
 		return nil
@@ -403,25 +305,32 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	if h.d.spilled() {
 		return h.openGrace()
 	}
-	h.table.index()
 	return h.left.Open(ctx)
 }
 
-// appendKey encodes the hash key for a row into dst using the given side's
-// compiled key expressions. hashable=false means the row contains a NULL in a
-// strict-equality key and can never match.
-func (h *hashJoinIter) appendKey(dst []byte, row value.Row, side []compiledExpr) ([]byte, bool, error) {
+// addBuild appends and charges one build row; key is read only if hashable.
+func (h *hashJoinIter) addBuild(row value.Row, key []byte, hashable bool) {
+	if !hashable {
+		key = nil
+	}
+	h.table.add(key, hashable)
+	h.rows = append(roomFor(h.rows, 1), buildRow{row: row})
+	h.acct.grow(rowBytes(row) + buildRowBytes + keyEntryBytes + int64(len(key)))
+}
+
+// keyOf encodes a row's hash key, by the given side's compiled key
+// expressions, into the scratch buffer: valid until the next call.
+// hashable=false: a NULL in a strict-equality key, the row can never match.
+func (h *hashJoinIter) keyOf(row value.Row, side []compiledExpr) (key []byte, hashable bool, err error) {
+	h.keyScratch = h.keyScratch[:0]
 	for i, ce := range side {
 		v, err := ce(row, h.ctx)
-		if err != nil {
-			return dst, false, err
+		if err != nil || (v.IsNull() && !h.keys[i].nullEq) {
+			return nil, false, err
 		}
-		if v.IsNull() && !h.nullEq[i] {
-			return dst, false, nil
-		}
-		dst = value.AppendFramedKey(dst, v)
+		h.keyScratch = v.AppendKey(h.keyScratch)
 	}
-	return dst, true, nil
+	return h.keyScratch, true, nil
 }
 
 // combineScratch copies l⧺r into the reusable scratch row pointed to by
@@ -444,25 +353,21 @@ func (h *hashJoinIter) startProbe(row value.Row, key []byte, hashable bool) {
 	h.p.start(row)
 	h.probeKey, h.cur = key, -1
 	if hashable {
-		h.cur = h.table.first(key)
+		h.cur = h.table.find(key)
 	}
 }
 
 // nextOutput advances the probe in flight to its next output row, l⧺r with a
 // nil r reading as NULLs; ok=false means the probe ended without another. It
-// walks the probe's bucket chain in the table, which holds the whole build
+// walks the entries of the probe's key in the table, which holds the whole build
 // side or — for a grace partition joined in chunks — one chunk of it. Only
 // when the table holds the last of the build rows this probe can meet may
 // resolve be set, so that a probe left without a match emits alone.
 func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err error) {
 	p := &h.p
 	for h.cur >= 0 && !p.done {
-		bi := h.cur
-		h.cur = h.table.next[bi]
-		if !h.table.matches(bi, h.probeKey) {
-			continue
-		}
-		br := &h.table.rows[bi]
+		br := &h.rows[h.cur]
+		h.cur = h.table.next(h.cur, h.probeKey)
 		if h.cond != nil {
 			ok, err := h.cond(combineScratch(&h.comb, p.row, br.row), h.ctx)
 			if err != nil {
@@ -498,8 +403,8 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 		}
 		if h.inTail {
 			// FULL/RIGHT JOIN: emit unmatched build-side rows null-padded.
-			for h.tailIdx < len(h.table.rows) {
-				br := &h.table.rows[h.tailIdx]
+			for h.tailIdx < len(h.rows) {
+				br := &h.rows[h.tailIdx]
 				h.tailIdx++
 				if !br.matched {
 					return h.out.row(nil, br.row), nil
@@ -521,8 +426,7 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 				h.done = true
 				return nil, nil
 			}
-			key, hashable, err := h.appendKey(h.keyScratch[:0], probe, h.leftKey)
-			h.keyScratch = key
+			key, hashable, err := h.keyOf(probe, h.leftKey)
 			if err != nil {
 				return nil, err
 			}
@@ -540,7 +444,7 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 
 // release drops the build table, grace state, spill files and accounted bytes.
 func (h *hashJoinIter) release() {
-	h.table = buildTable{}
+	h.rows, h.table = nil, keyTable{}
 	h.graceJoin = graceJoin{}
 	h.acct.releaseAll()
 	h.d.release()
@@ -642,7 +546,7 @@ func (n *nlJoinIter) Open(ctx *Context) error {
 		}
 		if b.file == nil {
 			b.rows = append(b.rows, buildRow{row: row})
-			n.acct.grow(rowBytes(row) + buildRowFixedBytes)
+			n.acct.grow(rowBytes(row) + buildRowBytes)
 			return nil
 		}
 		b.fileMatched = append(b.fileMatched, false)

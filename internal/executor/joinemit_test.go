@@ -141,57 +141,6 @@ func TestJoinEmitsThroughProjection(t *testing.T) {
 	}
 }
 
-// TestBuildTableKeepsInsertionOrder: a probe walks its chain in the order the
-// rows were added, whatever the bucket collisions, and rows without a key are
-// in no chain.
-func TestBuildTableKeepsInsertionOrder(t *testing.T) {
-	var tbl buildTable
-	var scratch []byte
-	key := func(k int64) []byte {
-		scratch = value.AppendFramedKey(scratch[:0], value.NewInt(k))
-		return scratch
-	}
-	const n = 1000
-	for i := 0; i < n; i++ {
-		tbl.add(value.Row{value.NewInt(int64(i))}, key(int64(i%13)), i%10 != 0)
-	}
-	tbl.index()
-	for k := int64(0); k < 13; k++ {
-		probe := append([]byte(nil), key(k)...)
-		last := int32(-1)
-		found := 0
-		for bi := tbl.first(probe); bi >= 0; bi = tbl.next[bi] {
-			if !tbl.matches(bi, probe) {
-				continue
-			}
-			if bi <= last {
-				t.Fatalf("key %d: chain visits row %d after row %d", k, bi, last)
-			}
-			if int64(bi)%13 != k || bi%10 == 0 {
-				t.Fatalf("key %d: chain holds row %d", k, bi)
-			}
-			last = bi
-			found++
-		}
-		want := 0
-		for i := 0; i < n; i++ {
-			if int64(i%13) == k && i%10 != 0 {
-				want++
-			}
-		}
-		if found != want {
-			t.Errorf("key %d: %d matches, want %d", k, found, want)
-		}
-	}
-	// A reloaded table indexes only what it holds now.
-	tbl.reset()
-	tbl.add(value.Row{value.NewInt(1)}, key(1), true)
-	tbl.index()
-	if bi := tbl.first(key(1)); bi != 0 || tbl.next[0] != -1 {
-		t.Errorf("after reset: first = %d, next = %d", bi, tbl.next[0])
-	}
-}
-
 // TestHashedConjunctsLeaveTheResidual: a conjunct the hash key already
 // decides is not evaluated a second time on every candidate pair — equal
 // framed keys are values that compare equal — and everything else still is.

@@ -89,6 +89,17 @@ const valueFixedBytes = int64(unsafe.Sizeof(value.Value{}))
 // rowSliceBytes is the slice-header overhead charged per retained row.
 const rowSliceBytes = int64(unsafe.Sizeof(value.Row{}))
 
+// The hash operators charge a key (a keyTable keeps up to two bucket heads per
+// entry) and a payload slot at their size times 11/8: a slab that grows by
+// doubling holds, averaged over the sizes it can end at, 2 ln 2 times its use.
+const (
+	keyEntryBytes = int64(unsafe.Sizeof(keyEntry{})+2*unsafe.Sizeof(int32(0))) * 11 / 8
+	buildRowBytes = int64(unsafe.Sizeof(buildRow{})) * 11 / 8
+	aggGroupBytes = int64(unsafe.Sizeof(aggGroup{})) * 11 / 8
+	aggStateBytes = int64(unsafe.Sizeof(aggState{})) * 11 / 8
+	setCountBytes = int64(unsafe.Sizeof(setCount{})) * 11 / 8
+)
+
 // rowBytes estimates the heap footprint of one retained row — the unit of
 // memory accounting for every blocking operator. It deliberately counts what
 // the row itself holds (headers, value structs, string payloads), not

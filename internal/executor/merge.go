@@ -18,7 +18,7 @@ import (
 // record format fills is its mergeOrder's business.
 type mergeRec struct {
 	seq  uint64      // sequence-tagged output: the row's place in the unspilled operator's output
-	keys value.Row   // sort run: the precomputed ORDER BY key row
+	keys value.Row   // sort run: the payload row extended by its computed ORDER BY keys
 	key  []byte      // DISTINCT run: the canonical element key, in a buffer the cursor reuses
 	val  value.Value // DISTINCT run: the element
 	row  value.Row   // sequence-tagged output and sort run: the payload row

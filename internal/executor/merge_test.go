@@ -7,6 +7,7 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/spill"
+	"perm/internal/sql"
 	"perm/internal/value"
 )
 
@@ -53,7 +54,10 @@ func ints(vs ...int64) value.Row {
 // holds through a fan-in reduction pass too.
 func TestMerger(t *testing.T) {
 	const nFiles = mergeFanIn + 6
-	byKey := runOrder([]algebra.SortKey{{Expr: &algebra.ColIdx{Idx: 0, Typ: value.KindInt}}})
+	// The sort key is computed, so it rides behind the row's two columns,
+	// which stay free to tell the files apart.
+	byKey := newSortOrder([]algebra.SortKey{{Expr: &algebra.Bin{Op: sql.OpAdd,
+		L: &algebra.ColIdx{Idx: 0, Typ: value.KindInt}, R: &algebra.Const{Val: value.NewInt(0)}}}}, 2).runOrder()
 
 	cases := []struct {
 		name   string
@@ -70,20 +74,22 @@ func TestMerger(t *testing.T) {
 			files: func() (fs [][]mergeRec) {
 				for f := int64(0); f < nFiles; f++ {
 					fs = append(fs, []mergeRec{
-						{keys: ints(0), row: ints(f, 0)},
-						{keys: ints(0), row: ints(f, 1)},
-						{keys: ints(1), row: ints(f, 2)},
+						{keys: ints(f, 0, 0)},
+						{keys: ints(f, 1, 0)},
+						{keys: ints(f, 2, 1)},
 					})
 				}
 				return fs
 			},
-			render: func(r *mergeRec) string { return fmt.Sprint(r.keys[0].Int(), r.row[0].Int(), r.row[1].Int()) },
+			render: func(r *mergeRec) string {
+				return fmt.Sprint(r.keys[2].Int(), r.row[0].Int(), r.row[1].Int(), len(r.row))
+			},
 			want: func() (w []string) {
 				for f := 0; f < nFiles; f++ {
-					w = append(w, fmt.Sprint(0, f, 0), fmt.Sprint(0, f, 1))
+					w = append(w, fmt.Sprint(0, f, 0, 2), fmt.Sprint(0, f, 1, 2))
 				}
 				for f := 0; f < nFiles; f++ {
-					w = append(w, fmt.Sprint(1, f, 2))
+					w = append(w, fmt.Sprint(1, f, 2, 2))
 				}
 				return w
 			},

@@ -172,46 +172,19 @@ type partition struct {
 	// right is a join's build side, materialized once by the coordinator and
 	// shared read-only by every worker.
 	right []value.Row
-	// partial receives an aggregation worker's groups, in the worker's
-	// first-appearance order. The coordinator reads it once the worker's
-	// end-of-stream has arrived.
-	partial []*aggGroup
+	// groups and states receive an aggregation worker's group table (see
+	// aggFold); the coordinator reads them after the worker's end-of-stream.
+	groups []aggGroup
+	states []aggState
 }
-
-// sliceScanIter iterates a pre-resolved row slice: a worker's contiguous
-// partition of the coordinator's snapshot, or the shared materialized build
-// side of a parallel join.
-type sliceScanIter struct {
-	rows []value.Row
-	pos  int
-}
-
-func (s *sliceScanIter) Open(*Context) error { s.pos = 0; return nil }
-func (s *sliceScanIter) Next() (value.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, nil
-}
-func (s *sliceScanIter) Close() error { return nil }
 
 // splitRows cuts rows into deg contiguous partitions (the last may be short;
 // trailing partitions may be empty when deg > len).
 func splitRows(rows []value.Row, deg int) [][]value.Row {
 	parts := make([][]value.Row, deg)
 	per := (len(rows) + deg - 1) / deg
-	for w := 0; w < deg; w++ {
-		lo := w * per
-		hi := lo + per
-		if lo > len(rows) {
-			lo = len(rows)
-		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		parts[w] = rows[lo:hi]
+	for w := range parts {
+		parts[w] = rows[min(w*per, len(rows)):min((w+1)*per, len(rows))]
 	}
 	return parts
 }
@@ -459,7 +432,7 @@ func (g *gatherIter) fanOut(ctx *Context, ranges [][]value.Row) error {
 			return err
 		}
 		for w := range parts {
-			g.ex.rows[w] = int64(len(parts[w].partial)) // a fold's output is its groups
+			g.ex.rows[w] = int64(len(parts[w].groups)) // a fold's output is its groups
 		}
 		g.release()
 		if err := agg.mergePartials(ctx, parts); err != nil {
@@ -482,26 +455,18 @@ func (g *gatherIter) materializeRight(ctx *Context) ([]value.Row, error) {
 	}
 	defer g.right.Close()
 	var rows []value.Row
-	for {
-		if err := ctx.tick(); err != nil {
-			return nil, err
-		}
-		row, err := g.right.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			if g.n != nil {
-				g.n.BuildRows = int64(len(rows))
-			}
-			return rows, nil
-		}
-		rows = append(rows, row)
+	err := drainRows(ctx, g.right, func(row value.Row) error {
+		rows = append(roomFor(rows, 1), row)
 		g.acct.grow(rowBytes(row) + rowSliceBytes)
 		if g.acct.spillable() && g.acct.over() {
-			return nil, errParallelOverflow
+			return errParallelOverflow
 		}
+		return nil
+	})
+	if g.n != nil {
+		g.n.BuildRows = int64(len(rows))
 	}
+	return rows, err
 }
 
 func (g *gatherIter) Next() (value.Row, error) {

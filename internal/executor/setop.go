@@ -25,10 +25,11 @@ type setOpIter struct {
 	// right file through add and the left file, probe, in finish.
 	lbuf, rbuf []value.Row
 	probe      *spill.File
-	algo       *setAlgo
-	// scratch is the reusable row-key buffer (map lookups via string(scratch)
-	// do not allocate), rec the reusable partition record.
-	scratch, rec []byte
+	// The fold's counts, under the entry numbers of the row keys: right-side
+	// occurrences left and (DISTINCT variants) whether the key is decided.
+	keys         keyTable
+	count        []setCount
+	scratch, rec []byte // reusable row key and partition record
 }
 
 func (s *setOpIter) Open(ctx *Context) error {
@@ -110,11 +111,7 @@ func (s *setOpIter) begin(in [2]*spill.File) bool {
 	if in[1] == nil {
 		return false
 	}
-	rrows := 0
-	if in[0] != nil {
-		rrows = int(in[0].Records())
-	}
-	s.algo = newSetAlgo(s.op.Kind, rrows)
+	s.dropCounts()
 	s.probe = in[1]
 	return true
 }
@@ -128,29 +125,51 @@ func (s *setOpIter) add(rec []byte) error {
 	return s.countRight(row)
 }
 
-func (s *setOpIter) countRight(row value.Row) error {
-	s.scratch = row.AppendKey(s.scratch[:0])
-	return s.charge(s.algo.countRight(s.scratch), len(s.algo.rcount))
+type setCount struct {
+	right   int
+	decided bool
 }
 
-// charge accounts a partition fold's map entry (if the key was new) and
-// restarts the partition one level deeper when its maps outgrow the budget.
+// slot returns the count of row's key, nil for a key the table does not hold;
+// with add such a key is entered first, and isNew reports that.
+func (s *setOpIter) slot(row value.Row, add bool) (c *setCount, isNew bool) {
+	s.scratch = row.AppendKey(s.scratch[:0])
+	i, isNew := s.keys.lookup(s.scratch, add)
+	if i < 0 {
+		return nil, false
+	}
+	if isNew {
+		s.count = append(roomFor(s.count, 1), setCount{})
+	}
+	return &s.count[i], isNew
+}
+
+func (s *setOpIter) countRight(row value.Row) error {
+	c, isNew := s.slot(row, true)
+	c.right++
+	return s.charge(isNew)
+}
+
+// charge accounts a partition fold's table entry (if the key was new) and
+// restarts the partition one level deeper when its table outgrows the budget.
 // Re-partitioning needs the input on disk, so the fold over the level-0
-// buffers — which fit the budget as rows — neither charges its maps nor
+// buffers — which fit the budget as rows — neither charges its table nor
 // overflows.
-func (s *setOpIter) charge(newKey bool, resident int) error {
-	if s.probe == nil {
+func (s *setOpIter) charge(newKey bool) error {
+	if s.probe == nil || !newKey {
 		return nil
 	}
-	if newKey {
-		s.acct.grow(int64(len(s.scratch)) + mapEntryBytes)
-	}
-	if s.d.overflow(&s.acct, resident, minFoldGroups) {
-		s.algo = nil
-		s.acct.releaseAll()
+	s.acct.grow(int64(len(s.scratch)) + keyEntryBytes + setCountBytes)
+	if s.d.overflow(&s.acct, len(s.count), minFoldGroups) {
+		s.dropCounts()
 		return errRepartition
 	}
 	return nil
+}
+
+func (s *setOpIter) dropCounts() {
+	s.keys, s.count = keyTable{}, nil
+	s.acct.releaseAll()
 }
 
 // finish streams the left side through the counts, emitting survivors in
@@ -167,7 +186,6 @@ func (s *setOpIter) finish() error {
 			return err
 		}
 	} else {
-		s.algo = newSetAlgo(s.op.Kind, len(s.rbuf))
 		for _, row := range s.rbuf {
 			if err := s.countRight(row); err != nil {
 				return err
@@ -180,21 +198,36 @@ func (s *setOpIter) finish() error {
 		}
 		s.lbuf, s.rbuf = nil, nil
 	}
-	s.algo = nil
-	s.acct.releaseAll()
+	s.dropCounts()
 	return nil
 }
 
+// offerLeft decides one left row, in input order.
 func (s *setOpIter) offerLeft(seq uint64, row value.Row) error {
-	s.scratch = row.AppendKey(s.scratch[:0])
-	emit, newEmitted := s.algo.offerLeft(s.scratch)
-	if newEmitted {
-		// The DISTINCT variants' emitted-set grows with distinct LEFT keys,
-		// which rcount (right keys) does not bound — EXCEPT DISTINCT over a
-		// distinct-heavy left side would otherwise grow without limit.
-		if err := s.charge(true, len(s.algo.emitted)); err != nil {
-			return err
+	kind := s.op.Kind
+	// EXCEPT DISTINCT enters every left key it decides, which the right side
+	// does not bound: new keys are charged, or the table grows without limit.
+	c, isNew := s.slot(row, kind == algebra.ExceptDistinct)
+	if err := s.charge(isNew); err != nil {
+		return err
+	}
+	emit := false
+	switch kind {
+	case algebra.IntersectAll, algebra.ExceptAll:
+		// Each left row consumes one matching right occurrence while there is
+		// one: INTERSECT emits those rows, EXCEPT the others.
+		matched := c != nil && c.right > 0
+		if matched {
+			c.right--
 		}
+		emit = matched == (kind == algebra.IntersectAll)
+	case algebra.IntersectDistinct:
+		if emit = c != nil && !c.decided && c.right > 0; emit {
+			c.decided = true
+		}
+	case algebra.ExceptDistinct:
+		emit = !c.decided && c.right == 0
+		c.decided = true
 	}
 	if !emit {
 		return nil
@@ -215,72 +248,12 @@ func (s *setOpIter) routeKey(side int, rec []byte) ([]byte, error) {
 	return s.scratch, err
 }
 
-// setAlgo is the kind-specific count-map arithmetic of INTERSECT/EXCEPT.
-type setAlgo struct {
-	kind    algebra.SetOpKind
-	rcount  map[string]int
-	emitted map[string]struct{} // DISTINCT variants only
-}
-
-func newSetAlgo(kind algebra.SetOpKind, rhint int) *setAlgo {
-	a := &setAlgo{kind: kind, rcount: make(map[string]int, rhint)}
-	if kind == algebra.IntersectDistinct || kind == algebra.ExceptDistinct {
-		a.emitted = make(map[string]struct{})
-	}
-	return a
-}
-
-// countRight adds one right-side occurrence; it reports whether the key is
-// new (for memory accounting).
-func (a *setAlgo) countRight(key []byte) bool {
-	n, ok := a.rcount[string(key)]
-	a.rcount[string(key)] = n + 1
-	return !ok
-}
-
-// offerLeft decides one left row in input order. newEmitted reports that the
-// key was added to the DISTINCT variants' emitted-set (for memory
-// accounting; the ALL variants never grow on the left side).
-func (a *setAlgo) offerLeft(key []byte) (emit, newEmitted bool) {
-	switch a.kind {
-	case algebra.IntersectAll:
-		// Emit each left row while the right still has a matching occurrence.
-		if a.rcount[string(key)] > 0 {
-			a.rcount[string(key)]--
-			return true, false
-		}
-		return false, false
-	case algebra.IntersectDistinct:
-		if _, done := a.emitted[string(key)]; done {
-			return false, false
-		}
-		if a.rcount[string(key)] > 0 {
-			a.emitted[string(key)] = struct{}{}
-			return true, true
-		}
-		return false, false
-	case algebra.ExceptAll:
-		if a.rcount[string(key)] > 0 {
-			a.rcount[string(key)]--
-			return false, false
-		}
-		return true, false
-	case algebra.ExceptDistinct:
-		if _, done := a.emitted[string(key)]; done {
-			return false, false
-		}
-		a.emitted[string(key)] = struct{}{}
-		return a.rcount[string(key)] == 0, true
-	}
-	return false, false
-}
-
 func (s *setOpIter) Next() (value.Row, error) { return s.d.Next() }
 
 // release drops all set-operation state: buffers, accounting, spill files.
 func (s *setOpIter) release() {
-	s.lbuf, s.rbuf, s.probe, s.algo = nil, nil, nil, nil
-	s.acct.releaseAll()
+	s.lbuf, s.rbuf, s.probe = nil, nil, nil
+	s.dropCounts()
 	s.d.release()
 }
 

@@ -79,7 +79,8 @@ func (s *Stream) Rows() int { return s.n }
 // Next returns the next row, or (nil, nil) at end of stream. The first error
 // (including an interrupt or deadline unwind) is sticky and closes the
 // underlying operators; rows alias executor-owned memory and must be treated
-// as immutable, but remain valid after further Next calls.
+// as immutable, but remain valid after further Next calls (builder.reuse is
+// never set for a statement's root).
 func (s *Stream) Next() (value.Row, error) {
 	if s.err != nil || s.closed {
 		return nil, s.err

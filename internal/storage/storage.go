@@ -703,14 +703,20 @@ func (s *Store) analyze(name string, lsn uint64) error {
 		}
 		rows := t.Snapshot()
 		s.catalog.SetRowCount(n, len(rows))
+		var key []byte
 		for ci, col := range t.Def().Columns {
 			if len(rows) == 0 {
 				s.catalog.SetDistinctFrac(n, col.Name, 1)
 				continue
 			}
-			seen := make(map[string]struct{}, len(rows))
+			// Keys are built in one scratch buffer: only a value not seen
+			// before allocates (its map key).
+			seen := make(map[string]struct{})
 			for _, r := range rows {
-				seen[r[ci].Key()] = struct{}{}
+				key = r[ci].AppendKey(key[:0])
+				if _, dup := seen[string(key)]; !dup {
+					seen[string(key)] = struct{}{}
+				}
 			}
 			s.catalog.SetDistinctFrac(n, col.Name, float64(len(seen))/float64(len(rows)))
 		}

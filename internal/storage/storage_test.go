@@ -173,6 +173,33 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAllocatesPerDistinctValue: counting a column's distinct values
+// costs an allocation per value seen for the first time, not one per row — a
+// loaded table of 4 000 rows and 8 values is counted in a few dozen.
+func TestAnalyzeAllocatesPerDistinctValue(t *testing.T) {
+	s := NewStore()
+	tab := intTable(t, s, "t", "a", "b")
+	const n = 4000
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{value.NewInt(int64(i % 8)), value.NewInt(int64(i % 3))}
+	}
+	if _, err := tab.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := s.Analyze("t"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > n/20 {
+		t.Errorf("ANALYZE of %d rows with 8 and 3 distinct values: %v allocations, want well under one per row", n, allocs)
+	}
+	if st := s.Catalog().TableStats("t"); st.DistinctFrac["a"] != 8.0/n || st.DistinctFrac["b"] != 3.0/n {
+		t.Errorf("distinct fractions %v", st.DistinctFrac)
+	}
+}
+
 func TestSnapshotIsolation(t *testing.T) {
 	s := NewStore()
 	tab := intTable(t, s, "t", "a")

@@ -100,6 +100,24 @@ func checkPair(t *testing.T, a, b Value) {
 	}
 }
 
+// checkRowKeys asserts that keys are self-delimiting: the keys of two values
+// back to back are equal exactly when the values are pairwise not distinct, so
+// no boundary between a key and its neighbour can be read two ways ("ab","c"
+// against "a","bc"; a string that spells another value's key), and AppendKey
+// appends to what it is given.
+func checkRowKeys(t *testing.T, a, x, b, y Value) {
+	t.Helper()
+	same := !Distinct(a, b) && !Distinct(x, y)
+	ka, kb := Row{a, x}.AppendKey([]byte("row:")), Row{b, y}.AppendKey([]byte("row:"))
+	if string(ka) != "row:"+a.Key()+x.Key() {
+		t.Fatalf("the key of the row (%v, %v) is not its values' keys appended to the buffer", a, x)
+	}
+	if sameKey := string(ka) == string(kb); same != sameKey {
+		t.Fatalf("(%s %v, %s %v) vs (%s %v, %s %v): Distinct says same=%v, row keys say same=%v",
+			a.Kind(), a, x.Kind(), x, b.Kind(), b, y.Kind(), y, same, sameKey)
+	}
+}
+
 // TestValueRoundTrip takes every kind through constructor → accessor and
 // through the pairwise agreement of Distinct, AppendKey, Hash and Compare.
 func TestValueRoundTrip(t *testing.T) {
@@ -121,8 +139,16 @@ func TestValueRoundTrip(t *testing.T) {
 	for _, a := range vals {
 		for _, b := range vals {
 			checkPair(t, a, b)
+			for _, x := range vals[:12] {
+				checkRowKeys(t, a, x, b, x)
+				checkRowKeys(t, a, x, x, b)
+			}
 		}
 	}
+	// Boundaries that a frameless encoding must still keep apart.
+	checkRowKeys(t, NewString("ab"), NewString("c"), NewString("a"), NewString("bc"))
+	checkRowKeys(t, NewString(""), NewString("\x04\x00"), NewString("\x04\x00"), NewString(""))
+	checkRowKeys(t, NewString(NewInt(7).Key()), Null, NewInt(7), Null)
 	// The cases the list exists for, spelled out.
 	if !Distinct(NewString(""), Null) || NewString("").IsNull() {
 		t.Error(`"" must be a string distinct from NULL`)
@@ -182,9 +208,18 @@ func FuzzValueRoundTrip(f *testing.F) {
 		checkValue(t, made[1], KindFloat, false, 0, fl, "")
 		checkValue(t, made[2], KindString, false, 0, 0, s)
 		checkValue(t, made[3], KindBool, i&1 == 1, 0, 0, "")
+		// AppendKey(a) == AppendKey(b) ⇔ !Distinct(a, b), alone and with a
+		// neighbour on either side, over NULL, -0.0, NaN, ±Inf, MinInt64,
+		// 2^53+1 and "" (roundTripValues) and whatever the fuzzer made.
+		all := append(roundTripValues(), made...)
 		for _, a := range made {
-			for _, b := range append(roundTripValues(), made...) {
+			for _, b := range all {
 				checkPair(t, a, b)
+				for _, x := range made[:3] {
+					checkRowKeys(t, a, x, b, x)
+					checkRowKeys(t, x, a, x, b)
+					checkRowKeys(t, a, x, x, b)
+				}
 			}
 		}
 	})

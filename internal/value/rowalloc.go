@@ -25,10 +25,11 @@ const (
 //
 // A row it returns is full-capacity (append never reaches a neighbour), is
 // all NULL, and stays valid for as long as anyone holds it — the allocator
-// never reuses memory. What it trades away is granularity: one retained row
-// keeps its whole chunk reachable, so a consumer that keeps one row in a
-// hundred pins more than it accounts for (at most maxChunkRows rows per row
-// kept).
+// never reuses memory; an operator whose consumer drops every row takes none
+// from it and refills one row of its own (the executor's rowMaker). What the
+// allocator trades away is granularity: one retained row keeps its whole chunk
+// reachable, so a consumer that keeps one row in a hundred pins more than it
+// accounts for (at most maxChunkRows rows per row kept).
 type RowAlloc struct {
 	free []Value // the unused tail of the current chunk
 	rows int     // rows in the current chunk, before the maxChunkValues cap

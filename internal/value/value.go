@@ -18,11 +18,16 @@
 // consumer may keep a row, or a sub-slice of it, for as long as it likes, and
 // nobody writes into a row it did not allocate. That contract is what lets a
 // projection of leading columns return its input row re-sliced, a scan alias
-// the table's rows, and RowAlloc cut many rows out of one allocation.
+// the table's rows, and RowAlloc cut many rows out of one allocation. The one
+// exception is agreed between two executor operators when the plan is built:
+// a consumer that drops each row before asking for the next (an aggregation,
+// a join's probe side) lets its producer fill one row over again
+// (executor's builder.reuse); such a row never reaches anyone else.
 package value
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -387,46 +392,45 @@ func (v Value) Key() string {
 	return string(v.AppendKey(nil))
 }
 
+// Tags of the key encoding. A key is its tag followed by a payload whose
+// length the tag (and, for text, a length prefix) fixes, so keys are
+// self-delimiting: the keys of a row's values, back to back, are a key of the
+// row, and ["ab","c"] never collides with ["a","bc"].
+const (
+	keyNull   = 0x00 // nothing
+	keyBool   = 0x01 // one byte, 0 or 1
+	keyInt    = 0x02 // the int64, 8 bytes: every INT, and every FLOAT that is exactly an int64
+	keyFloat  = 0x03 // the IEEE bits, 8 bytes: every other FLOAT, all NaNs as one
+	keyString = 0x04 // uvarint length, then the bytes
+)
+
 // AppendKey appends the canonical key encoding of v (the byte form of Key) to
-// dst and returns the extended slice. Hot paths use it with a reusable scratch
-// buffer to build hash keys without per-row allocation.
+// dst and returns the extended slice: equal keys are values that are not
+// distinct. Hot paths use it with a reusable scratch buffer to build hash
+// keys without per-row allocation.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.Kind() {
 	case KindNull:
-		return append(dst, 0x00)
+		return append(dst, keyNull)
 	case KindBool:
-		if v.num != 0 {
-			return append(dst, 0x01, 'T')
-		}
-		return append(dst, 0x01, 'F')
+		return append(dst, keyBool, byte(v.num))
 	case KindInt:
-		return strconv.AppendInt(append(dst, 0x02), int64(v.num), 10)
+		return binary.BigEndian.AppendUint64(append(dst, keyInt), v.num)
 	case KindFloat:
 		// An integral float that fits int64 takes its integer's key, so 5 and
-		// 5.0 share one; every integer keeps its exact digits (routing BIGINTs
-		// through float64 would collapse neighbours above 2^53).
+		// 5.0 (and 0 and -0.0) share one; an integer is never routed through
+		// float64, which would collapse neighbours above 2^53.
 		f := math.Float64frombits(v.num)
 		if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
-			return strconv.AppendInt(append(dst, 0x02), int64(f), 10)
+			return binary.BigEndian.AppendUint64(append(dst, keyInt), uint64(int64(f)))
 		}
-		return strconv.AppendFloat(append(dst, 0x02, 'f'), f, 'b', -1, 64)
+		if f != f {
+			f = math.NaN()
+		}
+		return binary.BigEndian.AppendUint64(append(dst, keyFloat), math.Float64bits(f))
 	}
-	return append(append(dst, 0x03), v.Str()...)
-}
-
-// AppendFramedKey appends v's key encoding prefixed with a fixed-width length,
-// so that concatenated framed keys are injective across value boundaries
-// (["ab","c"] never collides with ["a","bc"]).
-func AppendFramedKey(dst []byte, v Value) []byte {
-	lenPos := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = v.AppendKey(dst)
-	n := len(dst) - lenPos - 4
-	dst[lenPos] = byte(n)
-	dst[lenPos+1] = byte(n >> 8)
-	dst[lenPos+2] = byte(n >> 16)
-	dst[lenPos+3] = byte(n >> 24)
-	return dst
+	s := v.Str()
+	return append(binary.AppendUvarint(append(dst, keyString), uint64(len(s))), s...)
 }
 
 // Coerce converts v to the target kind when a lossless or standard SQL cast
@@ -524,12 +528,13 @@ func (r Row) Key() string {
 	return string(r.AppendKey(nil))
 }
 
-// AppendKey appends the canonical row key (the byte form of Key) to dst.
+// AppendKey appends the canonical row key (the byte form of Key) to dst: the
+// keys of its values back to back, which being self-delimiting need no frame.
 // Executor hot paths use it with a reusable scratch buffer so that group-by,
 // DISTINCT and set-operation lookups do not allocate per input row.
 func (r Row) AppendKey(dst []byte) []byte {
 	for _, v := range r {
-		dst = AppendFramedKey(dst, v)
+		dst = v.AppendKey(dst)
 	}
 	return dst
 }
