@@ -119,11 +119,11 @@ const (
 func appendAggPartial(dst []byte, g *aggGroup, states []aggState) []byte {
 	dst = append(dst, aggRecPartial)
 	dst = binary.AppendUvarint(dst, g.firstSeq)
-	dst = spill.AppendRow(dst, g.keys)
+	dst = value.AppendRow(dst, g.keys)
 	for i := range states {
 		st := &states[i]
 		dst = binary.AppendUvarint(dst, uint64(st.count))
-		dst = spill.AppendValue(dst, st.acc)
+		dst = value.AppendValue(dst, st.acc)
 		if st.distinct == nil {
 			continue
 		}
@@ -147,7 +147,7 @@ func decodeAggStates(rest []byte, states []aggState) (fragBytes int64, err error
 			return 0, errCorruptPartial
 		}
 		st.count = int64(count)
-		if st.acc, rest, err = spill.DecodeValue(rest[n:]); err != nil {
+		if st.acc, rest, err = value.DecodeValue(rest[n:]); err != nil {
 			return 0, err
 		}
 		if st.distinct == nil {
@@ -165,7 +165,7 @@ func decodeAggStates(rest []byte, states []aggState) (fragBytes int64, err error
 			}
 			key := rest[n : n+int(klen)]
 			var v value.Value
-			if v, rest, err = spill.DecodeValue(rest[n+int(klen):]); err != nil {
+			if v, rest, err = value.DecodeValue(rest[n+int(klen):]); err != nil {
 				return 0, err
 			}
 			st.distinct.add(key, v)
@@ -488,7 +488,7 @@ func (f *aggFold) addPartial(rec []byte) error {
 	if n <= 0 {
 		return errCorruptPartial
 	}
-	keys, rest, err := spill.DecodeRowIn(&f.a.alloc, rec[1+n:])
+	keys, rest, err := value.DecodeRow(&f.a.alloc, rec[1+n:])
 	if err != nil {
 		return err
 	}
@@ -673,7 +673,7 @@ func (d *distinctSet) flushFragment(ctx *Context, reg *fileReg) (int64, error) {
 func appendElemRec(dst, key []byte, val value.Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
-	return spill.AppendValue(dst, val)
+	return value.AppendValue(dst, val)
 }
 
 // elemOrder is the merge order of DISTINCT runs: by canonical element key,
@@ -687,7 +687,7 @@ var elemOrder = &mergeOrder{
 			return fmt.Errorf("executor: corrupt DISTINCT run record")
 		}
 		r.key = append(r.key[:0], rec[n:n+int(klen)]...)
-		r.val, _, err = spill.DecodeValue(rec[n+int(klen):])
+		r.val, _, err = value.DecodeValue(rec[n+int(klen):])
 		return err
 	},
 	encode:   func(dst []byte, r *mergeRec) []byte { return appendElemRec(dst, r.key, r.val) },

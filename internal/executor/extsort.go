@@ -2,7 +2,6 @@ package executor
 
 import (
 	"perm/internal/algebra"
-	"perm/internal/spill"
 	"perm/internal/value"
 )
 
@@ -60,13 +59,13 @@ func (o *sortOrder) compare(a, b value.Row) int {
 func (o *sortOrder) runOrder() *mergeOrder {
 	return &mergeOrder{
 		decode: func(a *value.RowAlloc, rec []byte, r *mergeRec) (err error) {
-			r.keys, _, err = spill.DecodeRowIn(a, rec)
+			r.keys, _, err = value.DecodeRow(a, rec)
 			if err == nil {
 				r.row = r.keys[:o.width:o.width]
 			}
 			return err
 		},
-		encode: func(dst []byte, r *mergeRec) []byte { return spill.AppendRow(dst, r.keys) },
+		encode: func(dst []byte, r *mergeRec) []byte { return value.AppendRow(dst, r.keys) },
 		cmp:    func(a, b *mergeRec) int { return o.compare(a.keys, b.keys) },
 	}
 }

@@ -110,7 +110,7 @@ type partitionSet [spillPartitions]*spill.File
 // number, then the exact row.
 func appendSeqRow(dst []byte, seq uint64, row value.Row) []byte {
 	dst = binary.AppendUvarint(dst, seq)
-	return spill.AppendRow(dst, row)
+	return value.AppendRow(dst, row)
 }
 
 // decodeSeqRow reverses appendSeqRow.
@@ -119,7 +119,7 @@ func decodeSeqRow(a *value.RowAlloc, rec []byte) (uint64, value.Row, error) {
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("executor: corrupt spill record (sequence)")
 	}
-	row, _, err := spill.DecodeRowIn(a, rec[n:])
+	row, _, err := value.DecodeRow(a, rec[n:])
 	return seq, row, err
 }
 

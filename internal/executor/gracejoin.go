@@ -54,7 +54,7 @@ func appendJoinRec(dst []byte, ord uint64, hashable bool, key []byte, row value.
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
-	return spill.AppendRow(dst, row)
+	return value.AppendRow(dst, row)
 }
 
 // decodeJoinRec reverses appendJoinRec. The returned key aliases rec and is
@@ -71,7 +71,7 @@ func decodeJoinRec(a *value.RowAlloc, rec []byte) (ord uint64, hashable bool, ke
 		return 0, false, nil, nil, fmt.Errorf("executor: corrupt join spill record (key)")
 	}
 	key = rec[n : n+int(klen)]
-	row, _, err = spill.DecodeRowIn(a, rec[n+int(klen):])
+	row, _, err = value.DecodeRow(a, rec[n+int(klen):])
 	return ord, hashable, key, row, err
 }
 

@@ -270,7 +270,7 @@ func (s *sortIter) Open(ctx *Context) error {
 		}
 		runs = append(runs, f)
 		for _, k := range all {
-			rec = spill.AppendRow(rec[:0], k.row)
+			rec = value.AppendRow(rec[:0], k.row)
 			if err := f.Append(rec); err != nil {
 				return err
 			}

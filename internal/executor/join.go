@@ -520,7 +520,7 @@ func (b *nlBuild) next(ctx *Context) (value.Row, *bool, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	row, _, err := spill.DecodeRowIn(&b.alloc, rec)
+	row, _, err := value.DecodeRow(&b.alloc, rec)
 	return row, &b.fileMatched[i], err
 }
 
@@ -551,7 +551,7 @@ func (n *nlJoinIter) Open(ctx *Context) error {
 		}
 		b.fileMatched = append(b.fileMatched, false)
 		n.acct.grow(1) // the matched flag stays resident per spilled row
-		rec = spill.AppendRow(rec[:0], row)
+		rec = value.AppendRow(rec[:0], row)
 		return b.file.Append(rec)
 	})
 	n.right.Close()

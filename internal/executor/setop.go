@@ -100,7 +100,7 @@ func (s *setOpIter) routeLeft(seq uint64, row value.Row) error {
 
 func (s *setOpIter) routeRight(row value.Row) error {
 	s.scratch = row.AppendKey(s.scratch[:0])
-	s.rec = spill.AppendRow(s.rec[:0], row)
+	s.rec = value.AppendRow(s.rec[:0], row)
 	return s.d.route(0, s.scratch, s.rec)
 }
 
@@ -118,7 +118,7 @@ func (s *setOpIter) begin(in [2]*spill.File) bool {
 
 // add counts one right-side record.
 func (s *setOpIter) add(rec []byte) error {
-	row, _, err := spill.DecodeRowIn(&s.d.alloc, rec)
+	row, _, err := value.DecodeRow(&s.d.alloc, rec)
 	if err != nil {
 		return err
 	}
@@ -242,7 +242,7 @@ func (s *setOpIter) routeKey(side int, rec []byte) ([]byte, error) {
 	if side == 1 {
 		_, row, err = decodeSeqRow(&s.d.alloc, rec)
 	} else {
-		row, _, err = spill.DecodeRowIn(&s.d.alloc, rec)
+		row, _, err = value.DecodeRow(&s.d.alloc, rec)
 	}
 	s.scratch = row.AppendKey(s.scratch[:0])
 	return s.scratch, err

@@ -111,9 +111,10 @@ type Record struct {
 
 // --- binary codec ---------------------------------------------------------------
 //
-// Records travel inside wire change-batch frames and reuse the wire payload
-// primitives (varints, length-prefixed strings, kind-tagged values), so the
-// value encoding has exactly one definition in the codebase.
+// Records travel inside wire change-batch frames, WAL segments and storage
+// snapshots, and reuse the wire payload primitives (varints, length-prefixed
+// strings); rows are internal/value's row codec (value.AppendRow, through
+// wire.AppendRow), the one encoding of a value the codebase has.
 
 // AppendRecord appends the binary encoding of r to dst.
 func AppendRecord(dst []byte, r Record) []byte {

@@ -434,10 +434,6 @@ func (f *Follower) bootstrap(conn *wire.Conn, nc net.Conn) (time.Duration, uint6
 		f.markResync()
 		return 0, 0, fmt.Errorf("restore bootstrap snapshot: %w", err)
 	}
-	if err := cs.finish(); err != nil {
-		f.markResync()
-		return 0, 0, err
-	}
 	if cs.liveLSN != fresh.Log().LastLSN() {
 		f.markResync()
 		return 0, 0, fmt.Errorf("snapshot stream live at LSN %d, snapshot payload at %d", cs.liveLSN, fresh.Log().LastLSN())
@@ -529,7 +525,8 @@ func (f *Follower) markResync() {
 // chunkStream adapts the MsgBackupChunk frame sequence of a bootstrap
 // snapshot into an io.Reader for storage.Restore. The stream ends at the
 // MsgSubLive frame, whose LSN is retained for the caller; transport errors
-// stick in err.
+// stick in err. Restore reads to the end, so a restored store has consumed
+// the stream through MsgSubLive, trailing bytes included.
 type chunkStream struct {
 	conn      *wire.Conn
 	nc        net.Conn
@@ -594,25 +591,4 @@ func (c *chunkStream) next() error {
 	}
 	c.err = fmt.Errorf("unexpected frame %q in snapshot stream", typ)
 	return c.err
-}
-
-// finish verifies the snapshot stream was fully consumed and positions the
-// reader past the MsgSubLive marker (reading it now if the gob decoder
-// stopped exactly at the last chunk's end).
-func (c *chunkStream) finish() error {
-	if c.err != nil {
-		return c.err
-	}
-	if len(c.buf) > 0 {
-		return fmt.Errorf("snapshot stream has %d undecoded trailing bytes", len(c.buf))
-	}
-	for !c.live {
-		if err := c.next(); err != nil {
-			return err
-		}
-		if len(c.buf) > 0 {
-			return fmt.Errorf("unexpected snapshot bytes after the decoded image")
-		}
-	}
-	return nil
 }

@@ -1186,8 +1186,8 @@ func rowDescOf(rows *engine.Rows) wire.RowDesc {
 }
 
 // runBackup streams a consistent snapshot without blocking queries: the
-// storage layer captures a point-in-time image in microseconds and the gob
-// encode happens against copy-on-write row snapshots.
+// storage layer captures a point-in-time image in microseconds and encodes
+// the captured rows, which no writer touches, as change records.
 func (s *Server) runBackup(conn *wire.Conn, nc net.Conn) error {
 	w := &chunkWriter{conn: conn, refresh: func() { s.armWriteDeadline(nc) }}
 	if err := s.db.Store().Save(w); err != nil {

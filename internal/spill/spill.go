@@ -1,16 +1,15 @@
 // Package spill gives blocking executor operators a disk surface: temp files
-// of length-framed records holding exactly-encoded rows, tracked by a Pool so
-// that every byte written is counted and every file is removed however the
-// query ends — normal completion, timeout, client disconnect, session close
-// or server shutdown.
+// of length-framed records, tracked by a Pool so that every byte written is
+// counted and every file is removed however the query ends — normal
+// completion, timeout, client disconnect, session close or server shutdown.
 //
-// The codec here is NOT the canonical key encoding of internal/value: key
-// encodings are Distinct-consistent on purpose (5 and 5.0 collide), which
-// makes them one-way. Spilled rows must round-trip bit-for-bit — an external
-// sort or a grace-partitioned aggregate re-reads its own input and must
-// produce byte-identical results to the in-memory path — so values are
-// framed with their kind and exact payload (varint integers, IEEE float
-// bits, raw string bytes).
+// What goes inside a record is the operator's business. Rows travel in
+// internal/value's exact row codec (value.AppendRow / value.DecodeRow, the
+// encoding the wire, the WAL and snapshots use too), never in the canonical
+// key encoding: keys are Distinct-consistent on purpose (5 and 5.0 collide),
+// which makes them one-way, and a spilled row must come back bit-for-bit so
+// an external sort or a grace-partitioned aggregate produces byte-identical
+// results to the in-memory path.
 package spill
 
 import (
@@ -18,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -36,106 +34,11 @@ var (
 		"Bytes ever written to spill files")
 )
 
-// --- exact row codec -------------------------------------------------------------
+// AppendRow appends a row's record encoding: value.AppendRow.
+func AppendRow(dst []byte, row value.Row) []byte { return value.AppendRow(dst, row) }
 
-// AppendValue appends the exact, reversible encoding of v: one kind byte,
-// then the kind's payload.
-func AppendValue(dst []byte, v value.Value) []byte {
-	k := v.Kind()
-	dst = append(dst, byte(k))
-	switch k {
-	case value.KindNull:
-	case value.KindBool:
-		if v.Bool() {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-	case value.KindInt:
-		dst = binary.AppendVarint(dst, v.Int())
-	case value.KindFloat:
-		dst = binary.AppendUvarint(dst, math.Float64bits(v.Float()))
-	case value.KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.Str())))
-		dst = append(dst, v.Str()...)
-	}
-	return dst
-}
-
-// DecodeValue reverses AppendValue, returning the value and the remaining
-// bytes.
-func DecodeValue(b []byte) (value.Value, []byte, error) {
-	if len(b) == 0 {
-		return value.Null, nil, fmt.Errorf("spill: truncated value")
-	}
-	k := value.Kind(b[0])
-	b = b[1:]
-	switch k {
-	case value.KindNull:
-		return value.Null, b, nil
-	case value.KindBool:
-		if len(b) < 1 {
-			return value.Null, nil, fmt.Errorf("spill: truncated bool")
-		}
-		return value.NewBool(b[0] != 0), b[1:], nil
-	case value.KindInt:
-		i, n := binary.Varint(b)
-		if n <= 0 {
-			return value.Null, nil, fmt.Errorf("spill: bad int encoding")
-		}
-		return value.NewInt(i), b[n:], nil
-	case value.KindFloat:
-		bits, n := binary.Uvarint(b)
-		if n <= 0 {
-			return value.Null, nil, fmt.Errorf("spill: bad float encoding")
-		}
-		return value.NewFloat(math.Float64frombits(bits)), b[n:], nil
-	case value.KindString:
-		l, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < l {
-			return value.Null, nil, fmt.Errorf("spill: bad string encoding")
-		}
-		return value.NewString(string(b[n : n+int(l)])), b[n+int(l):], nil
-	}
-	return value.Null, nil, fmt.Errorf("spill: unknown kind %d", k)
-}
-
-// AppendRow appends the exact encoding of a row: a uvarint arity then each
-// value.
-func AppendRow(dst []byte, row value.Row) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(row)))
-	for _, v := range row {
-		dst = AppendValue(dst, v)
-	}
-	return dst
-}
-
-// DecodeRow reverses AppendRow, returning the row and the remaining bytes.
-func DecodeRow(b []byte) (value.Row, []byte, error) { return DecodeRowIn(nil, b) }
-
-// DecodeRowIn is DecodeRow with the row's memory taken from a (nil: its own
-// allocation), for readers that decode a file's worth of rows.
-func DecodeRowIn(a *value.RowAlloc, b []byte) (value.Row, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, nil, fmt.Errorf("spill: bad row arity")
-	}
-	if n > uint64(len(b)) {
-		// Each value costs at least one byte; an arity larger than the
-		// remaining input is corrupt, and guarding here keeps a hostile
-		// length prefix from allocating gigabytes.
-		return nil, nil, fmt.Errorf("spill: row arity %d exceeds input", n)
-	}
-	b = b[w:]
-	row := a.New(int(n))
-	var err error
-	for i := range row {
-		if row[i], b, err = DecodeValue(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	return row, b, nil
-}
+// DecodeRow reverses AppendRow into a row of its own: value.DecodeRow.
+func DecodeRow(b []byte) (value.Row, []byte, error) { return value.DecodeRow(nil, b) }
 
 // --- tracked temp files ----------------------------------------------------------
 

@@ -1,18 +1,32 @@
 package storage
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 
 	"perm/internal/catalog"
+	"perm/internal/repl"
 	"perm/internal/value"
+	"perm/internal/wire"
 )
 
 // Snapshot persistence: the whole database (schema, rows, views, statistics)
-// serializes to a single gob stream. This keeps eagerly materialized
-// provenance tables available across process restarts — the "store
-// provenance for later investigation" part of the paper's story.
+// is written as the change records the WAL and the replication feed already
+// carry, so one decoder (repl.ReadRecord) reads all three. This keeps eagerly
+// materialized provenance tables available across process restarts — the
+// "store provenance for later investigation" part of the paper's story.
+//
+// The stream is the magic "PERMSNAP", a version byte (3), and the uvarint LSN
+// and history origin it was taken at; then per table a KindCreateTable
+// record, the table's DistinctFrac (a uvarint count, then each column name
+// and its 8-byte big-endian float, sorted by column) and its rows as
+// KindInsert records, cut as the change log cuts a large mutation; then a
+// KindCreateView record per view. Version 2 and older snapshots were gob
+// streams and are refused.
 //
 // Save is an online, consistent backup. It runs in two phases:
 //
@@ -22,10 +36,11 @@ import (
 //     materialization cache is warm contribute a slice header; only
 //     recently written tables pay a version walk. This is the only moment
 //     writers wait.
-//  2. encode — the gob stream is written outside all locks. The captured
-//     slices stay valid because materialized views and their rows are
-//     immutable (mutations create new versions, they never touch old ones);
-//     the encoder only reads.
+//  2. encode — the records are written outside all locks, straight from the
+//     captured rows through one reused buffer, a write per insert record.
+//     The captured slices stay valid because materialized views and their
+//     rows are immutable (mutations create new versions, they never touch
+//     old ones).
 //
 // The result is a point-in-time image across all tables at the captured
 // LSN: each apply holds the gate for its whole critical section — a
@@ -33,106 +48,25 @@ import (
 // transaction's) write is ever half-visible. Concurrent readers are never
 // blocked at all.
 
-// snapshotDTO is the on-disk representation.
-type snapshotDTO struct {
-	// Version guards the format for forward changes.
-	Version int
-	Tables  []tableDTO
-	Views   []viewDTO
-	// LSN is the change-log position the snapshot was taken at (version ≥ 2;
-	// gob decodes it as 0 from older streams). A store restored from this
-	// snapshot continues the same LSN space: its next local mutation — or
-	// the next record a replication follower applies — is LSN+1.
-	LSN uint64
-	// Origin is the history identifier the LSN belongs to (version ≥ 2); a
-	// restored store adopts it, so replication followers can tell a genuine
-	// resume from a coincidence of LSN numbers across unrelated histories.
-	Origin uint64
+const (
+	snapshotMagic   = "PERMSNAP"
+	snapshotVersion = 3
+)
+
+// snapTable is one table as collect captured it.
+type snapTable struct {
+	def      *catalog.TableDef
+	rows     []value.Row
+	distinct map[string]float64
 }
 
-type tableDTO struct {
-	Name    string
-	Columns []catalog.Column
-	// Rows is filled from live by SaveLSN's encode phase, outside the locks
-	// collect holds.
-	Rows     [][]savedValue
-	live     []value.Row
-	RowCount int
-	Distinct map[string]float64
+// snapshot is what collect captures under the locks and SaveLSN encodes
+// outside them.
+type snapshot struct {
+	lsn, origin uint64
+	tables      []snapTable
+	views       []*catalog.ViewDef
 }
-
-// savedValue is a value on disk: the kind and one payload field per kind,
-// which is what gob wrote for value.Value when its fields were exported, so
-// snapshots taken before the value layout changed still restore.
-type savedValue struct {
-	K value.Kind
-	B bool
-	I int64
-	F float64
-	S string
-}
-
-func saveRows(rows []value.Row) [][]savedValue {
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	flat := make([]savedValue, n) // one allocation for the table, cut per row
-	out := make([][]savedValue, len(rows))
-	for i, row := range rows {
-		sr := flat[:len(row):len(row)]
-		flat = flat[len(row):]
-		for j, v := range row {
-			sv := savedValue{K: v.Kind()}
-			switch sv.K {
-			case value.KindBool:
-				sv.B = v.Bool()
-			case value.KindInt:
-				sv.I = v.Int()
-			case value.KindFloat:
-				sv.F = v.Float()
-			case value.KindString:
-				sv.S = v.Str()
-			}
-			sr[j] = sv
-		}
-		out[i] = sr
-	}
-	return out
-}
-
-func restoreRows(saved [][]savedValue) ([]value.Row, error) {
-	var alloc value.RowAlloc
-	rows := make([]value.Row, len(saved))
-	for i, sr := range saved {
-		row := alloc.New(len(sr))
-		for j, sv := range sr {
-			switch sv.K {
-			case value.KindNull:
-			case value.KindBool:
-				row[j] = value.NewBool(sv.B)
-			case value.KindInt:
-				row[j] = value.NewInt(sv.I)
-			case value.KindFloat:
-				row[j] = value.NewFloat(sv.F)
-			case value.KindString:
-				row[j] = value.NewString(sv.S)
-			default:
-				return nil, fmt.Errorf("row %d: unknown value kind %d", i+1, sv.K)
-			}
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
-type viewDTO struct {
-	Name    string
-	Text    string
-	Columns []catalog.Column
-}
-
-const snapshotVersion = 2
 
 // Save writes the full store to w as a consistent point-in-time snapshot
 // without blocking concurrent readers (and blocking writers only for the
@@ -147,19 +81,42 @@ func (s *Store) Save(w io.Writer) error {
 // and subscribes to the change feed from there. The LSN also travels inside
 // the stream itself (Restore repositions the log from it).
 func (s *Store) SaveLSN(w io.Writer) (uint64, error) {
-	dto, err := s.collect()
+	snap, err := s.collect()
 	if err != nil {
 		return 0, err
 	}
-	for i := range dto.Tables {
-		t := &dto.Tables[i]
-		t.Rows, t.live = saveRows(t.live), nil
+	buf := append([]byte(snapshotMagic), snapshotVersion)
+	buf = binary.AppendUvarint(buf, snap.lsn)
+	buf = binary.AppendUvarint(buf, snap.origin)
+	for _, t := range snap.tables {
+		buf = repl.AppendRecord(buf, repl.Record{Kind: repl.KindCreateTable, Table: t.def.Name, Columns: t.def.Columns})
+		cols := make([]string, 0, len(t.distinct))
+		for c := range t.distinct {
+			cols = append(cols, c)
+		}
+		slices.Sort(cols)
+		buf = binary.AppendUvarint(buf, uint64(len(cols)))
+		for _, c := range cols {
+			buf = binary.BigEndian.AppendUint64(wire.AppendString(buf, c), math.Float64bits(t.distinct[c]))
+		}
+		for i := 0; i < len(t.rows); {
+			j := cutRecord(t.rows, nil, i)
+			buf = repl.AppendRecord(buf, repl.Record{Kind: repl.KindInsert, Table: t.def.Name, Rows: t.rows[i:j]})
+			if _, err := w.Write(buf); err != nil {
+				return 0, err
+			}
+			buf, i = buf[:0], j
+		}
 	}
-	return dto.LSN, gob.NewEncoder(w).Encode(dto)
+	for _, v := range snap.views {
+		buf = repl.AppendRecord(buf, repl.Record{Kind: repl.KindCreateView, Table: v.Name, ViewText: v.Text, Columns: v.Columns})
+	}
+	_, err = w.Write(buf)
+	return snap.lsn, err
 }
 
-// collect captures the snapshot DTO under the store lock and the write gate.
-func (s *Store) collect() (*snapshotDTO, error) {
+// collect captures the snapshot under the store lock and the write gate.
+func (s *Store) collect() (*snapshot, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.gate.Lock()
@@ -167,30 +124,20 @@ func (s *Store) collect() (*snapshotDTO, error) {
 	// Mutations append their change record inside the same critical sections
 	// the two locks above exclude (gate for DML, mu for DDL), so this LSN and
 	// the row slices collected below describe the same instant.
-	dto := snapshotDTO{Version: snapshotVersion, LSN: s.log.LastLSN(), Origin: s.Origin()}
+	snap := &snapshot{lsn: s.log.LastLSN(), origin: s.Origin()}
 	for _, name := range s.catalog.TableNames() {
 		t := s.tables[keyOf(name)]
 		if t == nil {
 			return nil, fmt.Errorf("storage: table %q in catalog but not in store", name)
 		}
-		rows := t.Snapshot()
-		st := s.catalog.TableStats(name)
-		dto.Tables = append(dto.Tables, tableDTO{
-			Name:    t.Def().Name,
-			Columns: t.Def().Columns,
-			live:    rows,
-			// RowCount derives from the captured rows, not the catalog: DML
-			// refreshes catalog stats after releasing the gate, so the two can
-			// briefly disagree. DistinctFrac stays advisory (as after any DML).
-			RowCount: len(rows),
-			Distinct: st.DistinctFrac,
-		})
+		// DistinctFrac stays advisory (DML refreshes catalog stats after
+		// releasing the gate); RowCount is restored from the rows themselves.
+		snap.tables = append(snap.tables, snapTable{def: t.Def(), rows: t.Snapshot(), distinct: s.catalog.TableStats(name).DistinctFrac})
 	}
 	for _, name := range s.catalog.ViewNames() {
-		v := s.catalog.View(name)
-		dto.Views = append(dto.Views, viewDTO{Name: v.Name, Text: v.Text, Columns: v.Columns})
+		snap.views = append(snap.views, s.catalog.View(name))
 	}
-	return &dto, nil
+	return snap, nil
 }
 
 // Restore loads a snapshot written by Save into an EMPTY store. It fails if
@@ -198,41 +145,71 @@ func (s *Store) collect() (*snapshotDTO, error) {
 // logical changes: nothing is appended to the change log; instead the log is
 // positioned at the snapshot's LSN, so the restored store continues the
 // saved store's LSN space (a follower restored from this snapshot resumes
-// the primary's feed right after it).
+// the primary's feed right after it). Every failure to decode the stream is
+// reported as "storage: corrupt snapshot: …".
 func (s *Store) Restore(r io.Reader) error {
-	var dto snapshotDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
-		return fmt.Errorf("storage: corrupt snapshot: %v", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("storage: read snapshot: %w", err)
 	}
-	if dto.Version < 1 || dto.Version > snapshotVersion {
-		return fmt.Errorf("storage: unsupported snapshot version %d (want 1..%d)", dto.Version, snapshotVersion)
+	if err := s.restore(b); err != nil {
+		return fmt.Errorf("storage: corrupt snapshot: %w", err)
 	}
-	for _, t := range dto.Tables {
-		tab, err := s.loadTable(&catalog.TableDef{Name: t.Name, Columns: t.Columns})
+	return nil
+}
+
+func (s *Store) restore(b []byte) error {
+	if !bytes.HasPrefix(b, []byte(snapshotMagic)) {
+		return fmt.Errorf("no %s header (snapshot version 2 and older were gob streams, which this build does not read)", snapshotMagic)
+	}
+	rd := wire.NewReader(b[len(snapshotMagic):])
+	if v := rd.Byte(); v != snapshotVersion {
+		return fmt.Errorf("unsupported snapshot version %d (want %d)", v, snapshotVersion)
+	}
+	lsn, origin := rd.Uvarint(), rd.Uvarint()
+	var tab *Table
+	rows := 0 // rows loaded into tab so far
+	for rd.Err() == nil && rd.Remaining() > 0 {
+		rec, err := repl.ReadRecord(rd)
 		if err != nil {
 			return err
 		}
-		rows, err := restoreRows(t.Rows)
-		if err != nil {
-			return fmt.Errorf("storage: corrupt snapshot: table %q: %v", t.Name, err)
-		}
-		if err := tab.load(rows); err != nil {
-			return err
-		}
-		s.catalog.SetRowCount(t.Name, t.RowCount)
-		for col, frac := range t.Distinct {
-			s.catalog.SetDistinctFrac(t.Name, col, frac)
+		switch rec.Kind {
+		case repl.KindCreateTable:
+			if tab, err = s.loadTable(&catalog.TableDef{Name: rec.Table, Columns: rec.Columns}); err != nil {
+				return err
+			}
+			rows = 0
+			for n := rd.Uvarint(); rd.Err() == nil && n > 0; n-- {
+				col, bits := rd.String(), rd.Bytes(8)
+				if rd.Err() == nil {
+					s.catalog.SetDistinctFrac(rec.Table, col, math.Float64frombits(binary.BigEndian.Uint64(bits)))
+				}
+			}
+		case repl.KindInsert:
+			if tab == nil || rec.Table != tab.def.Name {
+				return fmt.Errorf("rows for table %q outside its table", rec.Table)
+			}
+			if err := tab.load(rec.Rows); err != nil {
+				return fmt.Errorf("table %q: %v", rec.Table, err)
+			}
+			rows += len(rec.Rows)
+			s.catalog.SetRowCount(rec.Table, rows)
+		case repl.KindCreateView:
+			if err := s.catalog.CreateView(&catalog.ViewDef{Name: rec.Table, Text: rec.ViewText, Columns: rec.Columns}); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("unexpected %s record", rec.Kind)
 		}
 	}
-	for _, v := range dto.Views {
-		if err := s.catalog.CreateView(&catalog.ViewDef{Name: v.Name, Text: v.Text, Columns: v.Columns}); err != nil {
-			return err
-		}
+	if err := rd.Err(); err != nil {
+		return err
 	}
-	s.log.Reset(dto.LSN)
-	s.visible.Store(dto.LSN)
-	if dto.Origin != 0 {
-		s.origin.Store(dto.Origin)
+	s.log.Reset(lsn)
+	s.visible.Store(lsn)
+	if origin != 0 {
+		s.origin.Store(origin)
 	}
 	return nil
 }

@@ -147,20 +147,7 @@ func appendRecord(log *repl.ChangeLog, rec repl.Record) []lsnRange {
 	}
 	var ranges []lsnRange
 	for i := 0; i < len(rec.Rows); {
-		j, bytes := i, 0
-		for j < len(rec.Rows) && j-i < maxRecordRows {
-			b := approxRowBytes(rec.Rows[j])
-			if rec.OldRows != nil {
-				b += approxRowBytes(rec.OldRows[j])
-			}
-			// Always take at least one row; a single row beyond the byte
-			// bound still has to travel somehow.
-			if j > i && bytes+b > maxRecordBytes {
-				break
-			}
-			bytes += b
-			j++
-		}
+		j := cutRecord(rec.Rows, rec.OldRows, i)
 		if i == 0 && j == len(rec.Rows) {
 			log.Append(rec) // common case: no split
 			return []lsnRange{{lsn: log.LastLSN(), lo: 0, hi: len(rec.Rows)}}
@@ -174,6 +161,27 @@ func appendRecord(log *repl.ChangeLog, rec repl.Record) []lsnRange {
 		i = j
 	}
 	return ranges
+}
+
+// cutRecord returns the end of the record that starts at row i: rows (with
+// their old images, when oldRows is not nil) up to maxRecordRows and
+// maxRecordBytes. The change log and snapshots both cut records by it.
+func cutRecord(rows, oldRows []value.Row, i int) int {
+	j, bytes := i, 0
+	for j < len(rows) && j-i < maxRecordRows {
+		b := approxRowBytes(rows[j])
+		if oldRows != nil {
+			b += approxRowBytes(oldRows[j])
+		}
+		// Always take at least one row; a single row beyond the byte bound
+		// still has to travel somehow.
+		if j > i && bytes+b > maxRecordBytes {
+			break
+		}
+		bytes += b
+		j++
+	}
+	return j
 }
 
 // apply is the apply phase of a mutation: under the store gate it appends

@@ -13,7 +13,7 @@
 // A data directory holds one snapshot plus a wal/ subdirectory of segment
 // files:
 //
-//	<dir>/snapshot.perm          gob snapshot (storage.Store.SaveLSN format)
+//	<dir>/snapshot.perm          snapshot (storage.Store.SaveLSN format)
 //	<dir>/wal/wal-%016x.seg      segments, named by their first LSN
 //
 // Each segment starts with a 24-byte header (magic, first LSN, history

@@ -12,11 +12,9 @@
 //	[1 byte type][4 bytes big-endian payload length][payload]
 //
 // Payload integers use unsigned varints (encoding/binary), strings are
-// varint-length-prefixed UTF-8, and SQL values travel as a kind tag followed
-// by the kind's natural encoding (bool: 1 byte; int: zig-zag varint; float:
-// 8-byte IEEE 754 bits; text: varint-prefixed bytes; NULL: tag only) — the
-// same five runtime kinds as internal/value, so a provenance tuple streams
-// without loss.
+// varint-length-prefixed UTF-8, and SQL values and rows travel in
+// internal/value's exact row codec (value.AppendRow), so a provenance tuple
+// streams without loss and in the bytes the WAL and snapshots hold it in.
 //
 // # Conversation
 //
@@ -42,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 
 	"perm/internal/value"
@@ -331,35 +328,8 @@ func AppendBool(dst []byte, b bool) []byte {
 	return append(dst, 0)
 }
 
-// AppendValue appends one SQL value in its kind-tagged binary form.
-func AppendValue(dst []byte, v value.Value) []byte {
-	k := v.Kind()
-	dst = append(dst, byte(k))
-	switch k {
-	case value.KindNull:
-	case value.KindBool:
-		dst = AppendBool(dst, v.Bool())
-	case value.KindInt:
-		dst = binary.AppendVarint(dst, v.Int())
-	case value.KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()))
-	case value.KindString:
-		dst = AppendString(dst, v.Str())
-	default:
-		// Unknown kinds travel as NULL rather than corrupting the stream.
-		dst[len(dst)-1] = byte(value.KindNull)
-	}
-	return dst
-}
-
-// AppendRow appends a column-count-prefixed tuple.
-func AppendRow(dst []byte, row value.Row) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(row)))
-	for _, v := range row {
-		dst = AppendValue(dst, v)
-	}
-	return dst
-}
+// AppendRow appends a column-count-prefixed tuple: value.AppendRow.
+func AppendRow(dst []byte, row value.Row) []byte { return value.AppendRow(dst, row) }
 
 // Reader decodes a frame payload sequentially. Decoding errors stick: after
 // the first failure every subsequent read returns the zero value, and Err
@@ -468,42 +438,31 @@ func (r *Reader) Bytes(n int) []byte {
 	return b
 }
 
-// Value reads one kind-tagged SQL value.
+// Value reads one kind-tagged SQL value (value.DecodeValue).
 func (r *Reader) Value() value.Value {
-	k := value.Kind(r.Byte())
-	switch k {
-	case value.KindNull:
+	if r.err != nil {
 		return value.Null
-	case value.KindBool:
-		return value.NewBool(r.Bool())
-	case value.KindInt:
-		return value.NewInt(r.Varint())
-	case value.KindFloat:
-		b := r.Bytes(8)
-		if r.err != nil {
-			return value.Null
-		}
-		return value.NewFloat(math.Float64frombits(binary.BigEndian.Uint64(b)))
-	case value.KindString:
-		return value.NewString(r.String())
 	}
-	r.fail("value kind")
-	return value.Null
+	v, rest, err := value.DecodeValue(r.buf[r.pos:])
+	if err != nil {
+		r.fail("value")
+		return value.Null
+	}
+	r.pos = len(r.buf) - len(rest)
+	return v
 }
 
-// Row reads a column-count-prefixed tuple.
+// Row reads a column-count-prefixed tuple (value.DecodeRow).
 func (r *Reader) Row() value.Row {
-	n := r.Uvarint()
-	// Each value takes at least one byte, so an arity beyond the remaining
-	// payload is corrupt — reject it before allocating the row.
-	if r.err != nil || n > uint64(len(r.buf)-r.pos) {
-		r.fail("row arity")
+	if r.err != nil {
 		return nil
 	}
-	row := r.alloc.New(int(n))
-	for i := range row {
-		row[i] = r.Value()
+	row, rest, err := value.DecodeRow(&r.alloc, r.buf[r.pos:])
+	if err != nil {
+		r.fail("row")
+		return nil
 	}
+	r.pos = len(r.buf) - len(rest)
 	return row
 }
 
@@ -633,7 +592,7 @@ func (m Execute) Encode(dst []byte) []byte {
 	dst = AppendString(dst, m.SQL)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Args)))
 	for _, a := range m.Args {
-		dst = AppendValue(dst, a)
+		dst = value.AppendValue(dst, a)
 	}
 	return binary.AppendUvarint(dst, m.FetchSize)
 }
