@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"perm/internal/algebra"
+	"perm/internal/executor"
 	"perm/internal/value"
 )
 
@@ -47,6 +48,8 @@ type planCacheEntry struct {
 	decisions []string
 	// schemaVersion is the catalog version the plan was built against.
 	schemaVersion uint64
+	// hints size the slabs of the plan's next run from its last one.
+	hints executor.SizeHints
 }
 
 // planCache is a per-session statement-text → plan map with hit/miss counters.

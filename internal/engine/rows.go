@@ -315,7 +315,7 @@ func (s *Session) openSelect(sel *sql.SelectStmt, store *storage.Store, args []v
 
 	ctx := s.execContextOn(store)
 	ctx.Params = args
-	if err := s.openStream(rows, ctx, plan); err != nil {
+	if err := s.openStream(rows, ctx, plan, nil); err != nil {
 		ctx.Release()
 		return nil, nil, err
 	}
@@ -328,12 +328,13 @@ func (s *Session) openSelect(sel *sql.SelectStmt, store *storage.Store, args []v
 // build is instrumented; when either trace or a slow-query threshold is
 // armed, the deep-observation sidecar captures spill-pool baselines and the
 // open-stage timing. The default path — no trace, no threshold — does
-// exactly what it did before instrumentation existed.
-func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op) error {
+// exactly what it did before instrumentation existed. hints, a cached plan's,
+// size its slabs (an instrumented build takes none).
+func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op, hints *executor.SizeHints) error {
 	trace := s.traceOn()
 	if !trace && s.slowMs.Load() < 0 {
 		rows.opened = time.Now()
-		stream, err := executor.Open(ctx, plan)
+		stream, err := executor.OpenCached(ctx, plan, hints)
 		if err != nil {
 			return err
 		}
@@ -354,7 +355,7 @@ func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op)
 		stream, root, err = executor.OpenInstrumented(ctx, plan)
 		obs.stats, obs.ectx = root, ctx
 	} else {
-		stream, err = executor.Open(ctx, plan)
+		stream, err = executor.OpenCached(ctx, plan, hints)
 	}
 	if err != nil {
 		return err
@@ -376,7 +377,7 @@ func (s *Session) openCached(e *planCacheEntry, store *storage.Store, args []val
 	ctx := s.execContextOn(store)
 	ctx.Params = args
 	rows := &Rows{CacheHit: true, Rewrites: decisions}
-	if err := s.openStream(rows, ctx, e.plan); err != nil {
+	if err := s.openStream(rows, ctx, e.plan, &e.hints); err != nil {
 		ctx.Release()
 		return nil, err
 	}

@@ -39,9 +39,10 @@ type aggIter struct {
 	groupBy  []compiledExpr
 	argExprs []compiledExpr
 	// d resolves what the fold routes to disk and holds the output either
-	// way; fold is the group table of the level being folded.
+	// way; fold is the group table of the level being folded (sized from slot).
 	d    graceDriver
 	fold aggFold
+	slot *sizeSlot
 	// part, set in a parallel worker's subtree, makes this a partial
 	// aggregation: Open folds the worker's partition without spilling and,
 	// instead of emitting, leaves its group table in part for the
@@ -186,6 +187,7 @@ func (a *aggIter) Open(ctx *Context) error {
 	// input, instead of tree-walking them per row.
 	if a.groupBy == nil {
 		a.groupBy = compileAll(a.op.GroupBy)
+		a.fold.keyVals = make(value.Row, len(a.groupBy))
 		a.argExprs = make([]compiledExpr, len(a.op.Aggs))
 		for i, ae := range a.op.Aggs {
 			if ae.Arg != nil {
@@ -204,6 +206,7 @@ func (a *aggIter) Open(ctx *Context) error {
 	}
 	if a.part != nil {
 		a.part.groups, a.part.states = a.fold.groups, a.fold.states
+		a.fold.groups, a.fold.states = nil, nil
 		a.fold.release()
 		return nil
 	}
@@ -297,15 +300,9 @@ type aggFold struct {
 }
 
 func (f *aggFold) begin([2]*spill.File) bool {
-	f.acct.releaseAll()
-	a := f.a
-	*f = aggFold{
-		a:       a,
-		acct:    memAcct{ctx: a.ctx},
-		keyVals: make(value.Row, len(a.groupBy)),
-		// the scratch buffers carry over
-		keyScratch: f.keyScratch, distinctScratch: f.distinctScratch, rec: f.rec,
-	}
+	f.release()
+	f.acct.ctx = f.a.ctx
+	f.routing, f.evictStuck, f.growSinceEvict = false, false, 0
 	return true
 }
 
@@ -317,7 +314,7 @@ func (f *aggFold) add(rec []byte) error {
 	}
 	switch rec[0] {
 	case aggRecRaw:
-		seq, row, err := decodeSeqRow(&f.a.d.alloc, rec[1:])
+		seq, row, err := decodeSeqRow(f.a.d.recRow(), rec[1:])
 		if err != nil {
 			return err
 		}
@@ -338,6 +335,9 @@ func (f *aggFold) finish() error {
 	if len(a.op.GroupBy) == 0 && len(f.groups) == 0 && !a.d.spilled() {
 		f.keyScratch = f.keyScratch[:0]
 		f.newGroup(aggGroup{keys: value.Row{}})
+	}
+	if !a.d.spilled() {
+		a.slot.record(len(f.groups), len(f.keys.arena))
 	}
 	var order []int // nil: every group, in the table's order
 	if a.d.level > 0 || f.live < len(f.groups) {
@@ -363,9 +363,13 @@ func (f *aggFold) finish() error {
 	return nil
 }
 
-// release drops the group table and returns its bytes.
+// release empties the group table, keeping its storage for the next fold,
+// and returns its bytes.
 func (f *aggFold) release() {
-	f.keys, f.groups, f.states, f.live = keyTable{}, nil, nil, 0
+	f.keys.reset()
+	clear(f.groups)
+	clear(f.states)
+	f.groups, f.states, f.live = f.groups[:0], f.states[:0], 0
 	f.acct.releaseAll()
 }
 
@@ -681,7 +685,7 @@ func appendElemRec(dst, key []byte, val value.Value) []byte {
 // surfaces does not matter. Keys copy out of the file's read buffer (Next
 // aliases it); values copy by construction (DecodeValue).
 var elemOrder = &mergeOrder{
-	decode: func(_ *value.RowAlloc, rec []byte, r *mergeRec) (err error) {
+	decode: func(_ value.RowSource, rec []byte, r *mergeRec) (err error) {
 		klen, n := binary.Uvarint(rec)
 		if n <= 0 || uint64(len(rec)-n) < klen {
 			return fmt.Errorf("executor: corrupt DISTINCT run record")
@@ -706,7 +710,7 @@ func (s *aggState) finalizeDistinct(ctx *Context, reg *fileReg, ae algebra.AggEx
 			return err
 		}
 	}
-	m, err := newMerger(ctx, reg, elemOrder, d.runs)
+	m, err := newMerger(ctx, reg, elemOrder, d.runs, false)
 	if err != nil {
 		return err
 	}
@@ -751,11 +755,18 @@ func (a *aggIter) start(ctx *Context) {
 	a.d.start(ctx, &a.fold)
 	a.fold.a = a
 	a.fold.begin([2]*spill.File{})
+	if n, k := a.slot.size(ctx, aggGroupBytes+keyEntryBytes+int64(len(a.op.Aggs))*aggStateBytes); n > 0 {
+		a.fold.groups = make([]aggGroup, 0, n)
+		a.fold.states = make([]aggState, 0, n*len(a.op.Aggs))
+		a.fold.keys.presize(n, k)
+	}
 }
 
-// release drops all aggregation state: output, accounting, spill files.
+// release drops all aggregation state: the group table and its storage,
+// output, accounting, spill files.
 func (a *aggIter) release() {
 	a.fold.release()
+	a.fold.keys, a.fold.groups, a.fold.states = keyTable{}, nil, nil
 	a.d.release()
 }
 

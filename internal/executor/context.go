@@ -192,6 +192,9 @@ func (r *subplanResult) membership() (*keyTable, bool) {
 				continue
 			}
 			scratch = row[0].AppendKey(scratch[:0])
+			if r.inSet.entries == nil { // sized for keys as long as the first
+				r.inSet.presize(len(r.rows), len(r.rows)*len(scratch))
+			}
 			r.inSet.insert(scratch)
 		}
 	}
@@ -313,6 +316,9 @@ type builder struct {
 	// input's rows on (filter, limit, UNION ALL, a projection of leading
 	// columns, a semi or anti join's probe) passes the word down.
 	reuse bool
+	// slots hands the operators that drain a whole input their size hints,
+	// in build order; nil for an uncached plan and for a worker's subtree.
+	slots *slotCursor
 }
 
 // isPrefix reports whether the projection's expressions are columns 0..n-1 of
@@ -430,14 +436,14 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 			g.right = right
 		}
 		if keys, residual := extractEquiKeys(o); len(keys) > 0 {
-			it = &hashJoinIter{op: o, left: left, right: right, keys: keys, residual: residual, out: out}
+			it = &hashJoinIter{op: o, slot: b.slots.next(), left: left, right: right, keys: keys, residual: residual, out: out, d: graceDriver{reuse: reuse}}
 		} else {
 			it = &nlJoinIter{op: o, left: left, right: right, out: out}
 		}
 	case *algebra.Agg:
-		it = &aggIter{op: o, input: input(o.Input, true), part: b.part}
+		it = &aggIter{op: o, slot: b.slots.next(), input: input(o.Input, true), part: b.part, d: graceDriver{reuse: reuse}}
 	case *algebra.Distinct:
-		it = &distinctIter{input: input(o.Input, false)}
+		it = &distinctIter{input: input(o.Input, false), dedup: dedupState{slot: b.slots.next(), d: graceDriver{reuse: reuse}}}
 	case *algebra.SetOp:
 		pass := reuse && o.Kind == algebra.UnionAll
 		left, right := input(o.Left, pass), input(o.Right, pass)
@@ -445,14 +451,14 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		case algebra.UnionAll:
 			it = &concatIter{left: left, right: right}
 		case algebra.UnionDistinct:
-			it = &distinctIter{input: &concatIter{left: left, right: right}}
+			it = &distinctIter{input: &concatIter{left: left, right: right}, dedup: dedupState{slot: b.slots.next(), d: graceDriver{reuse: reuse}}}
 		case algebra.IntersectAll, algebra.IntersectDistinct, algebra.ExceptAll, algebra.ExceptDistinct:
-			it = &setOpIter{op: o, left: left, right: right}
+			it = &setOpIter{op: o, slot: b.slots.next(), left: left, right: right, d: graceDriver{reuse: reuse}}
 		default:
 			return nil, fmt.Errorf("executor: unknown set operation %v", o.Kind)
 		}
 	case *algebra.Sort:
-		it = &sortIter{op: o, input: input(o.Input, false)}
+		it = &sortIter{op: o, slot: b.slots.next(), input: input(o.Input, false), reuse: reuse}
 	case *algebra.Limit:
 		it = &limitIter{op: o, input: input(o.Input, reuse)}
 	default:

@@ -24,7 +24,8 @@ import (
 type dedupState struct {
 	d    graceDriver
 	acct memAcct
-	seen keyTable
+	seen keyTable // sized at level 0 from slot
+	slot *sizeSlot
 	// frozen: the seen-set went to the partitions one level down as
 	// tombstones, and every record of this level follows it there.
 	frozen bool
@@ -40,6 +41,9 @@ func (s *dedupState) start(ctx *Context) {
 	s.acct.ctx = ctx
 	s.seq = 0
 	s.begin([2]*spill.File{})
+	if n, k := s.slot.size(ctx, keyEntryBytes); n > 0 {
+		s.seen.presize(n, k)
+	}
 }
 
 func (s *dedupState) begin([2]*spill.File) bool {
@@ -68,7 +72,7 @@ func (s *dedupState) add(rec []byte) error {
 		_, err := s.see(rec[1:], true, 0, nil)
 		return err
 	}
-	seq, row, err := decodeSeqRow(&s.d.alloc, rec[1:])
+	seq, row, err := decodeSeqRow(s.d.recRow(), rec[1:])
 	if err != nil {
 		return err
 	}
@@ -94,8 +98,9 @@ func (s *dedupState) see(key []byte, tomb bool, seq uint64, row value.Row) (firs
 				return false, err
 			}
 		}
-		// From here every record routes: drop the set (empty, it always misses).
-		s.seen, s.frozen = keyTable{}, true
+		// From here every record routes: empty the set, which then always misses.
+		s.seen.reset()
+		s.frozen = true
 		s.acct.releaseAll()
 	}
 	if s.frozen {
@@ -115,9 +120,12 @@ func (s *dedupState) routeTombstone(key []byte) error {
 	return s.d.route(0, key, s.rec)
 }
 
-// finish drops the level's seen-set: its first occurrences are already out.
+// finish empties the level's seen-set (its first occurrences are out).
 func (s *dedupState) finish() error {
-	s.seen = keyTable{}
+	if !s.d.spilled() {
+		s.slot.record(len(s.seen.entries), len(s.seen.arena))
+	}
+	s.seen.reset()
 	s.acct.releaseAll()
 	return nil
 }

@@ -58,7 +58,7 @@ func (o *sortOrder) compare(a, b value.Row) int {
 // rows. Ties fall to the merger's input position, i.e. run creation order.
 func (o *sortOrder) runOrder() *mergeOrder {
 	return &mergeOrder{
-		decode: func(a *value.RowAlloc, rec []byte, r *mergeRec) (err error) {
+		decode: func(a value.RowSource, rec []byte, r *mergeRec) (err error) {
 			r.keys, _, err = value.DecodeRow(a, rec)
 			if err == nil {
 				r.row = r.keys[:o.width:o.width]

@@ -42,7 +42,7 @@ const (
 	minSortRunBytes = 128 << 10
 	// mergeFanIn caps how many spill files a merge holds open at once;
 	// larger sets merge in passes.
-	mergeFanIn = 64
+	mergeFanIn = spill.MergeFanIn
 	// minFoldGroups floors the resident group/key set of a hash fold: each
 	// fold makes at least this much progress before routing to partitions,
 	// which bounds recursion depth and file count under absurd budgets.
@@ -114,7 +114,7 @@ func appendSeqRow(dst []byte, seq uint64, row value.Row) []byte {
 }
 
 // decodeSeqRow reverses appendSeqRow.
-func decodeSeqRow(a *value.RowAlloc, rec []byte) (uint64, value.Row, error) {
+func decodeSeqRow(a value.RowSource, rec []byte) (uint64, value.Row, error) {
 	seq, n := binary.Uvarint(rec)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("executor: corrupt spill record (sequence)")
@@ -126,7 +126,7 @@ func decodeSeqRow(a *value.RowAlloc, rec []byte) (uint64, value.Row, error) {
 // seqOrder is the merge order of sequence-tagged output files: ascending
 // sequence, i.e. the order the unspilled operator would have emitted in.
 var seqOrder = &mergeOrder{
-	decode: func(a *value.RowAlloc, rec []byte, r *mergeRec) (err error) {
+	decode: func(a value.RowSource, rec []byte, r *mergeRec) (err error) {
 		r.seq, r.row, err = decodeSeqRow(a, rec)
 		return err
 	},
@@ -181,6 +181,8 @@ type graceDriver struct {
 	level  int
 	sub    [2]partitionSet
 	routed bool
+	// reuse: the operator's consumer drops each row before the next (builder.reuse).
+	reuse bool
 	// Output. While the level-0 fold has routed nothing, emitted rows stay
 	// resident; from then on they go to out, the current output file.
 	rows    []value.Row
@@ -189,7 +191,8 @@ type graceDriver struct {
 	outputs []*spill.File
 	rec     []byte
 	merger  *merger
-	// alloc makes the rows the folds decode from partition records.
+	// Rows decoded from partition records: dropped (recRow) and kept (alloc).
+	row   *rowMaker
 	alloc value.RowAlloc
 }
 
@@ -197,6 +200,15 @@ type graceDriver struct {
 func (d *graceDriver) start(ctx *Context, fold graceFold) {
 	d.release()
 	d.ctx, d.fold = ctx, fold
+}
+
+// recRow is the one row a fold decodes a partition record into: a fold keeps
+// values, not the row, or encodes what it emits at once.
+func (d *graceDriver) recRow() *rowMaker {
+	if d.row == nil {
+		d.row = &rowMaker{reuse: true}
+	}
+	return d.row
 }
 
 // overflow is the one spill decision: acct's operator holds resident entries,
@@ -295,7 +307,7 @@ func (d *graceDriver) finish() error {
 	if err := d.descend(); err != nil {
 		return err
 	}
-	m, err := newMerger(d.ctx, &d.reg, seqOrder, d.outputs)
+	m, err := newMerger(d.ctx, &d.reg, seqOrder, d.outputs, d.reuse)
 	d.merger, d.outputs = m, nil
 	return err
 }
@@ -384,5 +396,5 @@ func (d *graceDriver) Next() (value.Row, error) {
 func (d *graceDriver) release() {
 	d.merger.Close()
 	d.reg.closeAll()
-	*d = graceDriver{}
+	*d = graceDriver{reuse: d.reuse, row: d.row}
 }

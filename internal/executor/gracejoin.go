@@ -59,7 +59,7 @@ func appendJoinRec(dst []byte, ord uint64, hashable bool, key []byte, row value.
 
 // decodeJoinRec reverses appendJoinRec. The returned key aliases rec and is
 // only valid until the next file read.
-func decodeJoinRec(a *value.RowAlloc, rec []byte) (ord uint64, hashable bool, key []byte, row value.Row, err error) {
+func decodeJoinRec(a value.RowSource, rec []byte) (ord uint64, hashable bool, key []byte, row value.Row, err error) {
 	ord, n := binary.Uvarint(rec)
 	if n <= 0 || len(rec) < n+1 {
 		return 0, false, nil, nil, fmt.Errorf("executor: corrupt join spill record (ordinal)")
@@ -115,8 +115,7 @@ func (h *hashJoinIter) spillTable() error {
 			return err
 		}
 	}
-	h.rows, h.table = nil, keyTable{}
-	h.acct.releaseAll()
+	h.resetTable()
 	return nil
 }
 
@@ -189,24 +188,22 @@ func (h *hashJoinIter) add(rec []byte) error {
 	return nil
 }
 
-// resetTable empties the build side, keeping its storage for the next chunk.
+// resetTable empties the build side, keeping its storage for the next chunk
+// or partition.
 func (h *hashJoinIter) resetTable() {
+	clear(h.rows)
 	h.rows = h.rows[:0]
 	h.table.reset()
 	h.acct.releaseAll()
 }
 
-// finish joins the last (usually the only) chunk and drops the table.
-func (h *hashJoinIter) finish() error {
-	err := h.joinChunk(true)
-	h.rows, h.table = nil, keyTable{}
-	return err
-}
+// finish joins the last (usually the only) chunk, which empties the table.
+func (h *hashJoinIter) finish() error { return h.joinChunk(true) }
 
 // routeKey re-keys one record of a pair being re-partitioned (the per-level
 // hash salt sends what this level hashed together to different sub-pairs).
 func (h *hashJoinIter) routeKey(_ int, rec []byte) ([]byte, error) {
-	_, hashable, key, _, err := decodeJoinRec(&h.d.alloc, rec)
+	_, hashable, key, _, err := decodeJoinRec(h.d.recRow(), rec)
 	if !hashable {
 		key = nil
 	}
@@ -243,7 +240,7 @@ func (h *hashJoinIter) joinChunk(last bool) error {
 	var pos uint64
 	err := h.d.scan(h.probe, func(rec []byte) error {
 		pos++
-		seq, hashable, key, probe, err := decodeJoinRec(&h.d.alloc, rec)
+		seq, hashable, key, probe, err := decodeJoinRec(h.d.recRow(), rec)
 		if err != nil {
 			return err
 		}

@@ -112,8 +112,8 @@ var (
 	staleRow        = value.NewString("<stale row>")
 )
 
-// next returns the row to fill, n wide (every call of one maker asks the same).
-func (m *rowMaker) next(n int) value.Row {
+// New returns the row to fill, n wide.
+func (m *rowMaker) New(n int) value.Row {
 	if !m.reuse {
 		return m.alloc.New(n)
 	}
@@ -123,10 +123,10 @@ func (m *rowMaker) next(n int) value.Row {
 		}
 		m.row = nil
 	}
-	if m.row == nil {
+	if m.row == nil || cap(m.row) < n {
 		m.row = make(value.Row, n) // never nil: a nil row is end-of-stream
 	}
-	return m.row
+	return m.row[:n:n]
 }
 
 type projectIter struct {
@@ -158,7 +158,7 @@ func (p *projectIter) Next() (value.Row, error) {
 		n := len(p.exprs)
 		return in[:n:n], nil
 	}
-	out := p.rows.next(len(p.exprs))
+	out := p.rows.New(len(p.exprs))
 	for i, ce := range p.exprs {
 		v, err := ce(in, p.ctx)
 		if err != nil {
@@ -224,6 +224,8 @@ type sortIter struct {
 	acct   memAcct
 	reg    fileReg
 	merger *merger
+	slot   *sizeSlot // sizes the buffer
+	reuse  bool      // the consumer drops each row before the next (builder.reuse)
 }
 
 // sortKeyed is one buffered row, extended by its computed ORDER BY keys if the
@@ -246,6 +248,9 @@ func (s *sortIter) Open(ctx *Context) error {
 	order := s.order
 
 	var all []sortKeyed
+	if n, _ := s.slot.size(ctx, sortKeyedBytes); n > 0 {
+		all = make([]sortKeyed, 0, n)
+	}
 	var keyAlloc value.RowAlloc
 	// The order (keys, input sequence) is total, so an unstable sort under it
 	// is the stable sort by keys.
@@ -315,6 +320,7 @@ func (s *sortIter) Open(ctx *Context) error {
 
 	if len(runs) == 0 {
 		// Everything fit: the in-memory path, output aliasing the buffer.
+		s.slot.record(len(all), 0)
 		sortBatch()
 		s.buf, s.pos = all, 0
 		return nil
@@ -324,7 +330,7 @@ func (s *sortIter) Open(ctx *Context) error {
 			return err
 		}
 	}
-	s.merger, err = newMerger(ctx, &s.reg, order.runOrder(), runs)
+	s.merger, err = newMerger(ctx, &s.reg, order.runOrder(), runs, s.reuse)
 	return err
 }
 

@@ -141,7 +141,7 @@ func (e *joinEmit) row(l, r value.Row) value.Row {
 	if e.cols == nil {
 		return l
 	}
-	dst := e.rows.next(len(e.cols))
+	dst := e.rows.New(len(e.cols))
 	for i, c := range e.cols {
 		switch {
 		case c < 0:
@@ -230,9 +230,11 @@ type hashJoinIter struct {
 	cond     compiledPred // nil when the keys decide the whole condition
 
 	// The build side: rows in insertion order and, under the same numbers,
-	// their keys in table (dead for a NULL in a strict-equality key).
+	// their keys in table (dead for a NULL in a strict-equality key), sized
+	// from slot.
 	rows  []buildRow
 	table keyTable
+	slot  *sizeSlot
 	// keyScratch is the reusable key-encoding buffer (zero allocs per probe).
 	keyScratch []byte
 	// comb is the reusable probe⧺build scratch row the residual condition is
@@ -275,6 +277,10 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	if err := h.right.Open(ctx); err != nil {
 		return err
 	}
+	if n, k := h.slot.size(ctx, buildRowBytes+keyEntryBytes); n > 0 {
+		h.rows = make([]buildRow, 0, n)
+		h.table.presize(n, k)
+	}
 	// Stream the build side in, charging every retained row (its payload, its
 	// key bytes, and the struct/bucket overhead). The moment the budget is
 	// crossed the buffered prefix moves to the grace partitions, and the rest
@@ -305,6 +311,7 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	if h.d.spilled() {
 		return h.openGrace()
 	}
+	h.slot.record(len(h.rows), len(h.table.arena))
 	return h.left.Open(ctx)
 }
 

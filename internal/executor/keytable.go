@@ -3,6 +3,7 @@ package executor
 import (
 	"bytes"
 	"hash/maphash"
+	"math/bits"
 )
 
 // keyHashSeed seeds every keyTable, so stored hashes hold for any lookup.
@@ -50,6 +51,13 @@ func (t *keyTable) kill(i int) { t.entries[i].n = -1 }
 // reset empties the table, keeping its storage for the next load.
 func (t *keyTable) reset() {
 	t.entries, t.arena, t.heads, t.linked = t.entries[:0], t.arena[:0], t.heads[:0], 0
+}
+
+// presize gives an empty table room for n > 0 keys of keyBytes in all.
+func (t *keyTable) presize(n, keyBytes int) {
+	t.entries = make([]keyEntry, 0, n)
+	t.arena = make([]byte, 0, keyBytes)
+	t.heads = make([]int32, 0, max(8, 1<<bits.Len(uint(n))))
 }
 
 // add appends an entry for key, a duplicate or not, and returns its number;

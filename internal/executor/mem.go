@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -30,12 +31,16 @@ type MemTracker struct {
 // unlimited) spilling into dir ("" = the OS temp directory).
 func NewMemTracker(budget int64, dir string) *MemTracker {
 	m := &MemTracker{pool: spill.NewPool(dir)}
-	m.budget.Store(budget)
+	m.SetBudget(budget)
 	return m
 }
 
-// SetBudget changes the byte budget (SET work_mem); <= 0 means unlimited.
-func (m *MemTracker) SetBudget(n int64) { m.budget.Store(n) }
+// SetBudget changes the byte budget (SET work_mem), and with it the size of
+// the spill buffers; <= 0 means unlimited.
+func (m *MemTracker) SetBudget(n int64) {
+	m.budget.Store(n)
+	m.pool.SetBudget(n)
+}
 
 // Budget reports the byte budget.
 func (m *MemTracker) Budget() int64 { return m.budget.Load() }
@@ -99,6 +104,8 @@ const (
 	aggStateBytes = int64(unsafe.Sizeof(aggState{})) * 11 / 8
 	setCountBytes = int64(unsafe.Sizeof(setCount{})) * 11 / 8
 )
+
+const sortKeyedBytes = int64(unsafe.Sizeof(sortKeyed{})) // a sort buffer's element
 
 // rowBytes estimates the heap footprint of one retained row — the unit of
 // memory accounting for every blocking operator. It deliberately counts what
@@ -184,4 +191,59 @@ func (a *memAcct) releaseAll() {
 func (a *memAcct) spillable() bool {
 	m := a.mem()
 	return m != nil && m.Budget() > 0
+}
+
+// SizeHints is a cached plan's memory of its last run: per site that drains a
+// whole input (result drain, join build, groups, DISTINCT and set operation
+// keys, sort buffer) the rows and key bytes it last held without spilling, so
+// the next Open sizes its slabs once: capacity, never a result. Concurrent-safe.
+type SizeHints struct {
+	mu    sync.Mutex
+	slots []*sizeSlot // in build order
+}
+
+// sizeSlot is one site's hint.
+type sizeSlot struct{ rows, keyBytes atomic.Int64 }
+
+// slotCursor hands a build its slots in order; nil ones size and record nothing.
+type slotCursor struct {
+	h *SizeHints
+	n int
+}
+
+func (c *slotCursor) next() *sizeSlot {
+	if c == nil || c.h == nil {
+		return nil
+	}
+	c.h.mu.Lock()
+	defer c.h.mu.Unlock()
+	if c.n == len(c.h.slots) {
+		c.h.slots = append(c.h.slots, new(sizeSlot))
+	}
+	c.n++
+	return c.h.slots[c.n-1]
+}
+
+// record remembers the counts a site finished with in memory.
+func (s *sizeSlot) record(rows, keyBytes int) {
+	if s != nil {
+		s.rows.Store(int64(rows))
+		s.keyBytes.Store(int64(keyBytes))
+	}
+}
+
+// size returns the rows and key bytes to make room for: the last run's,
+// scaled down so that rows of perRow bytes and the key bytes fit in work_mem.
+func (s *sizeSlot) size(ctx *Context, perRow int64) (rows, keyBytes int) {
+	if s == nil {
+		return 0, 0
+	}
+	r, k := s.rows.Load(), s.keyBytes.Load()
+	if ctx.Mem != nil {
+		if b, need := ctx.Mem.Budget(), r*perRow+k; b > 0 && need > b {
+			f := float64(b) / float64(need)
+			r, k = int64(float64(r)*f), int64(float64(k)*f)
+		}
+	}
+	return int(r), int(k)
 }

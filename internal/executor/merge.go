@@ -30,7 +30,7 @@ type mergeRec struct {
 // in input order.
 type mergeOrder struct {
 	// decode fills into from rec, taking row memory from a.
-	decode func(a *value.RowAlloc, rec []byte, into *mergeRec) error
+	decode func(a value.RowSource, rec []byte, into *mergeRec) error
 	encode func(dst []byte, r *mergeRec) []byte // reverses decode, for reduction passes
 	cmp    func(a, b *mergeRec) int
 	// collapse makes records that compare equal surface once (one DISTINCT
@@ -43,6 +43,7 @@ type mergeCursor struct {
 	f   *spill.File
 	idx int // position among the inputs: the tie-break
 	rec mergeRec
+	row rowMaker // with reuse, the row the cursor's records decode into
 }
 
 // mergeHeap orders cursors by (record, input position).
@@ -74,22 +75,26 @@ type merger struct {
 	// last is the record a collapsing merge is stepping past; it trades
 	// buffers with the head cursor so neither allocates per record.
 	last mergeRec
-	// alloc makes the rows of the records it decodes.
-	alloc value.RowAlloc
+	// alloc makes the rows of the records it decodes, unless its consumer
+	// drops each row before it asks for the next: then each cursor decodes
+	// into its own one row, and Next steps past a row on the following call.
+	alloc   value.RowAlloc
+	stepped bool // Next returned the head and has not stepped past it
 }
 
 // newMerger merges files, each fully written in ord's order. It never holds
 // more than mergeFanIn files open: a larger set is first reduced in passes
 // that merge the leading mergeFanIn files into one replacement file, which
 // takes their place at the front — so the positional tie-break still means
-// input order after any number of passes.
-func newMerger(ctx *Context, reg *fileReg, ord *mergeOrder, files []*spill.File) (*merger, error) {
+// input order after any number of passes. reuse is the consumer's word that
+// it drops each row Next returns before it asks for the next.
+func newMerger(ctx *Context, reg *fileReg, ord *mergeOrder, files []*spill.File, reuse bool) (*merger, error) {
 	for len(files) > mergeFanIn {
 		out, err := reg.create(ctx)
 		if err != nil {
 			return nil, err
 		}
-		m, err := openMerger(ord, files[:mergeFanIn])
+		m, err := openMerger(ord, files[:mergeFanIn], true)
 		if err != nil {
 			return nil, err
 		}
@@ -109,17 +114,17 @@ func newMerger(ctx *Context, reg *fileReg, ord *mergeOrder, files []*spill.File)
 		}
 		files = append([]*spill.File{out}, files[mergeFanIn:]...)
 	}
-	return openMerger(ord, files)
+	return openMerger(ord, files, reuse)
 }
 
 // openMerger rewinds files for reading and primes the heap.
-func openMerger(ord *mergeOrder, files []*spill.File) (*merger, error) {
+func openMerger(ord *mergeOrder, files []*spill.File, reuse bool) (*merger, error) {
 	m := &merger{h: mergeHeap{ord: ord, cs: make([]*mergeCursor, 0, len(files))}}
 	for i, f := range files {
 		if err := f.StartRead(); err != nil {
 			return nil, err
 		}
-		c := &mergeCursor{f: f, idx: i}
+		c := &mergeCursor{f: f, idx: i, row: rowMaker{reuse: reuse}}
 		more, err := m.load(c)
 		if err != nil {
 			return nil, err
@@ -141,6 +146,9 @@ func (m *merger) load(c *mergeCursor) (more bool, err error) {
 	}
 	if rec == nil {
 		return false, c.f.Close()
+	}
+	if c.row.reuse {
+		return true, m.h.ord.decode(&c.row, rec, &c.rec)
 	}
 	return true, m.h.ord.decode(&m.alloc, rec, &c.rec)
 }
@@ -184,17 +192,21 @@ func (m *merger) step() error {
 	}
 }
 
-// Next returns the head record's row and steps past it; (nil, nil) at end.
+// Next steps past the row it returned last and returns the head record's
+// row; (nil, nil) at end.
 func (m *merger) Next() (value.Row, error) {
+	if m.stepped {
+		m.stepped = false
+		if err := m.step(); err != nil {
+			return nil, err
+		}
+	}
 	r := m.head()
 	if r == nil {
 		return nil, nil
 	}
-	row := r.row
-	if err := m.step(); err != nil {
-		return nil, err
-	}
-	return row, nil
+	m.stepped = true
+	return r.row, nil
 }
 
 // Close releases the files still held.
@@ -205,5 +217,5 @@ func (m *merger) Close() {
 	for _, c := range m.h.cs {
 		c.f.Close()
 	}
-	m.h.cs = nil
+	m.h.cs, m.stepped = nil, false
 }

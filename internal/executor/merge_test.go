@@ -3,6 +3,7 @@ package executor
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"perm/internal/algebra"
@@ -158,7 +159,7 @@ func TestMerger(t *testing.T) {
 			for _, recs := range tc.files() {
 				files = append(files, fx.file(tc.ord, recs))
 			}
-			m, err := newMerger(fx.ctx, &fx.reg, tc.ord, files)
+			m, err := newMerger(fx.ctx, &fx.reg, tc.ord, files, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -194,7 +195,7 @@ func TestMergerCloseMidMerge(t *testing.T) {
 			{seq: f, row: ints(1)}, {seq: f + 1000, row: ints(2)}, {seq: f + 2000, row: ints(3)},
 		}))
 	}
-	m, err := newMerger(fx.ctx, &fx.reg, seqOrder, files)
+	m, err := newMerger(fx.ctx, &fx.reg, seqOrder, files, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,4 +214,36 @@ func TestMergerCloseMidMerge(t *testing.T) {
 	if row, err := m.Next(); row != nil || err != nil {
 		t.Errorf("Next after Close = %v, %v", row, err)
 	}
+}
+
+// TestMergeBuffersFitWorkMem: a spill file's one buffer is a 1/mergeFanIn
+// share of work_mem, so a merge holding mergeFanIn files open under 1 MiB
+// holds about 1 MiB — not 8 MiB, a 64 KiB writer and reader per file, which
+// nothing accounted.
+func TestMergeBuffersFitWorkMem(t *testing.T) {
+	fx := newMergeFixture(t) // 1 MiB of work_mem
+	var before, during runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var files []*spill.File
+	for f := uint64(0); f < mergeFanIn; f++ {
+		files = append(files, fx.file(seqOrder, []mergeRec{{seq: f, row: ints(1)}, {seq: f + mergeFanIn, row: ints(2)}}))
+	}
+	m, err := newMerger(fx.ctx, &fx.reg, seqOrder, files, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&during)
+	// Beside the buffers, each open file keeps a few hundred bytes of
+	// bookkeeping (its os.File, name and cursor).
+	held, limit := int64(during.HeapAlloc)-int64(before.HeapAlloc), fx.ctx.Mem.Budget()+mergeFanIn<<10
+	t.Logf("a merge of %d files holds %d bytes", mergeFanIn, held)
+	if held > limit {
+		t.Errorf("a merge of %d files holds %d bytes under a %d-byte work_mem, want at most %d", mergeFanIn, held, fx.ctx.Mem.Budget(), limit)
+	}
+	if row, err := m.Next(); err != nil || row == nil {
+		t.Fatalf("Next = %v, %v", row, err)
+	}
+	m.Close()
 }

@@ -26,9 +26,11 @@ type setOpIter struct {
 	lbuf, rbuf []value.Row
 	probe      *spill.File
 	// The fold's counts, under the entry numbers of the row keys: right-side
-	// occurrences left and (DISTINCT variants) whether the key is decided.
+	// occurrences left and (DISTINCT variants) whether the key is decided;
+	// sized at level 0 from slot.
 	keys         keyTable
 	count        []setCount
+	slot         *sizeSlot
 	scratch, rec []byte // reusable row key and partition record
 }
 
@@ -36,6 +38,10 @@ func (s *setOpIter) Open(ctx *Context) error {
 	s.release()
 	s.d.start(ctx, s)
 	s.acct.ctx = ctx
+	if n, k := s.slot.size(ctx, keyEntryBytes+setCountBytes); n > 0 {
+		s.keys.presize(n, k)
+		s.count = make([]setCount, 0, n)
+	}
 	if err := s.left.Open(ctx); err != nil {
 		return err
 	}
@@ -118,7 +124,7 @@ func (s *setOpIter) begin(in [2]*spill.File) bool {
 
 // add counts one right-side record.
 func (s *setOpIter) add(rec []byte) error {
-	row, _, err := value.DecodeRow(&s.d.alloc, rec)
+	row, _, err := value.DecodeRow(s.d.recRow(), rec)
 	if err != nil {
 		return err
 	}
@@ -130,9 +136,9 @@ type setCount struct {
 	decided bool
 }
 
-// slot returns the count of row's key, nil for a key the table does not hold;
+// counted returns the count of row's key, nil for a key the table does not hold;
 // with add such a key is entered first, and isNew reports that.
-func (s *setOpIter) slot(row value.Row, add bool) (c *setCount, isNew bool) {
+func (s *setOpIter) counted(row value.Row, add bool) (c *setCount, isNew bool) {
 	s.scratch = row.AppendKey(s.scratch[:0])
 	i, isNew := s.keys.lookup(s.scratch, add)
 	if i < 0 {
@@ -145,7 +151,7 @@ func (s *setOpIter) slot(row value.Row, add bool) (c *setCount, isNew bool) {
 }
 
 func (s *setOpIter) countRight(row value.Row) error {
-	c, isNew := s.slot(row, true)
+	c, isNew := s.counted(row, true)
 	c.right++
 	return s.charge(isNew)
 }
@@ -167,8 +173,10 @@ func (s *setOpIter) charge(newKey bool) error {
 	return nil
 }
 
+// dropCounts empties the fold's counts, keeping their storage.
 func (s *setOpIter) dropCounts() {
-	s.keys, s.count = keyTable{}, nil
+	s.keys.reset()
+	s.count = s.count[:0]
 	s.acct.releaseAll()
 }
 
@@ -177,7 +185,7 @@ func (s *setOpIter) dropCounts() {
 func (s *setOpIter) finish() error {
 	if s.probe != nil {
 		if err := s.d.scan(s.probe, func(rec []byte) error {
-			seq, row, err := decodeSeqRow(&s.d.alloc, rec)
+			seq, row, err := decodeSeqRow(s.d.recRow(), rec)
 			if err != nil {
 				return err
 			}
@@ -197,6 +205,7 @@ func (s *setOpIter) finish() error {
 			}
 		}
 		s.lbuf, s.rbuf = nil, nil
+		s.slot.record(len(s.count), len(s.keys.arena))
 	}
 	s.dropCounts()
 	return nil
@@ -207,7 +216,7 @@ func (s *setOpIter) offerLeft(seq uint64, row value.Row) error {
 	kind := s.op.Kind
 	// EXCEPT DISTINCT enters every left key it decides, which the right side
 	// does not bound: new keys are charged, or the table grows without limit.
-	c, isNew := s.slot(row, kind == algebra.ExceptDistinct)
+	c, isNew := s.counted(row, kind == algebra.ExceptDistinct)
 	if err := s.charge(isNew); err != nil {
 		return err
 	}
@@ -240,9 +249,9 @@ func (s *setOpIter) routeKey(side int, rec []byte) ([]byte, error) {
 	var row value.Row
 	var err error
 	if side == 1 {
-		_, row, err = decodeSeqRow(&s.d.alloc, rec)
+		_, row, err = decodeSeqRow(s.d.recRow(), rec)
 	} else {
-		row, _, err = value.DecodeRow(&s.d.alloc, rec)
+		row, _, err = value.DecodeRow(s.d.recRow(), rec)
 	}
 	s.scratch = row.AppendKey(s.scratch[:0])
 	return s.scratch, err
@@ -254,6 +263,7 @@ func (s *setOpIter) Next() (value.Row, error) { return s.d.Next() }
 func (s *setOpIter) release() {
 	s.lbuf, s.rbuf, s.probe = nil, nil, nil
 	s.dropCounts()
+	s.keys, s.count = keyTable{}, nil
 	s.d.release()
 }
 

@@ -37,7 +37,7 @@ func TestStaleRowPoisonedSuites(t *testing.T) {
 // overwrites the one before, which is what a keeper then reads.
 func TestRowMaker(t *testing.T) {
 	fill := func(m *rowMaker, v int64) value.Row {
-		r := m.next(2)
+		r := m.New(2)
 		r[0], r[1] = value.NewInt(v), value.NewInt(-v)
 		return r
 	}
@@ -53,7 +53,7 @@ func TestRowMaker(t *testing.T) {
 			t.Errorf("a reusing maker handed out %v then %v in different memory", a, b)
 		}
 	}
-	if r := (&rowMaker{reuse: true}).next(0); r == nil {
+	if r := (&rowMaker{reuse: true}).New(0); r == nil {
 		t.Error("a zero-width row is nil: the iterators read that as end of stream")
 	}
 	poisonRows(t)

@@ -25,6 +25,7 @@ type Stream struct {
 	n      int
 	closed bool
 	err    error
+	slots  slotCursor // a cached plan's size hints: the tree's, then Drain's
 }
 
 // Context returns the executor context the stream runs under. Callers use it
@@ -36,7 +37,13 @@ func (s *Stream) Context() *Context { return s.ctx }
 // the live stream. The schema (and thus result columns) is available
 // immediately; rows follow on demand.
 func Open(ctx *Context, plan algebra.Op) (*Stream, error) {
-	return open(ctx, plan, nil)
+	return open(ctx, plan, nil, nil)
+}
+
+// OpenCached is Open for a cached plan: its operators size what they drain
+// their inputs into from h, and record this run in it (nil h: Open).
+func OpenCached(ctx *Context, plan algebra.Op, h *SizeHints) (*Stream, error) {
+	return open(ctx, plan, nil, h)
 }
 
 // OpenInstrumented is Open with per-operator counters: every concrete
@@ -46,7 +53,7 @@ func Open(ctx *Context, plan algebra.Op) (*Stream, error) {
 // SET trace; everything else takes the unwrapped Open path.
 func OpenInstrumented(ctx *Context, plan algebra.Op) (*Stream, *OpStats, error) {
 	sentinel := &OpStats{}
-	s, err := open(ctx, plan, sentinel)
+	s, err := open(ctx, plan, sentinel, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -56,16 +63,22 @@ func OpenInstrumented(ctx *Context, plan algebra.Op) (*Stream, *OpStats, error) 
 // open builds plan under the stats parent (nil = uninstrumented). A statement
 // with a parallelism degree lets the builder graft gathers wherever a subtree
 // is eligible; results are identical either way.
-func open(ctx *Context, plan algebra.Op, parent *OpStats) (*Stream, error) {
-	it, err := builder{graft: ctx.Parallel > 1}.build(plan, parent)
-	if err != nil {
+func open(ctx *Context, plan algebra.Op, parent *OpStats, h *SizeHints) (*Stream, error) {
+	s := &Stream{ctx: ctx, schema: plan.Schema()}
+	b := builder{graft: ctx.Parallel > 1}
+	if h != nil {
+		s.slots = slotCursor{h: h}
+		b.slots = &s.slots
+	}
+	var err error
+	if s.it, err = b.build(plan, parent); err != nil {
 		return nil, err
 	}
-	if err := it.Open(ctx); err != nil {
-		it.Close()
+	if err := s.it.Open(ctx); err != nil {
+		s.it.Close()
 		return nil, err
 	}
-	return &Stream{it: it, ctx: ctx, schema: plan.Schema()}, nil
+	return s, nil
 }
 
 // Schema describes the stream's columns.
@@ -132,6 +145,10 @@ func (s *Stream) Close() error {
 // surface.
 func (s *Stream) Drain() ([]value.Row, error) {
 	var rows []value.Row
+	slot := s.slots.next()
+	if n, _ := slot.size(s.ctx, rowSliceBytes); n > 0 {
+		rows = make([]value.Row, 0, n)
+	}
 	if err := drainRows(s.ctx, s, func(row value.Row) error {
 		rows = append(roomFor(rows, 1), row)
 		return nil
@@ -139,5 +156,6 @@ func (s *Stream) Drain() ([]value.Row, error) {
 		s.Close()
 		return nil, err
 	}
+	slot.record(len(rows), 0)
 	return rows, nil
 }

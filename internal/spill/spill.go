@@ -3,6 +3,10 @@
 // counted and every file is removed however the query ends — normal
 // completion, timeout, client disconnect, session close or server shutdown.
 //
+// A file's one buffer comes from its pool and goes back when the file
+// closes, so hundreds of files allocate a handful of buffers, each a
+// 1/MergeFanIn share of work_mem (SetBudget): a full merge fits the budget.
+//
 // What goes inside a record is the operator's business. Rows travel in
 // internal/value's exact row codec (value.AppendRow / value.DecodeRow, the
 // encoding the wire, the WAL and snapshots use too), never in the canonical
@@ -13,11 +17,11 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,6 +36,14 @@ var (
 		"Spill files ever created")
 	mSpillBytes = metrics.Default.Counter("perm_spill_bytes_total",
 		"Bytes ever written to spill files")
+)
+
+// MergeFanIn caps how many spill files a merge holds open at once (larger
+// sets merge in passes), and so how many buffers a pool keeps for reuse.
+// A buffer is a 1/MergeFanIn share of work_mem within [4 KiB, 64 KiB].
+const (
+	MergeFanIn                   = 64
+	minBufferSize, maxBufferSize = 4 << 10, 64 << 10
 )
 
 // AppendRow appends a row's record encoding: value.AppendRow.
@@ -49,9 +61,11 @@ func DecodeRow(b []byte) (value.Row, []byte, error) { return value.DecodeRow(nil
 // Counters are cumulative for the pool's lifetime — they feed
 // SHOW memory_status.
 type Pool struct {
-	mu   sync.Mutex
-	dir  string
-	live map[*File]struct{}
+	mu      sync.Mutex
+	dir     string
+	live    map[*File]struct{}
+	bufSize int
+	free    [][]byte // buffers of bufSize, at most MergeFanIn
 
 	files atomic.Int64 // files ever created
 	bytes atomic.Int64 // bytes ever written
@@ -59,13 +73,27 @@ type Pool struct {
 
 // NewPool returns a pool writing under dir ("" = the OS temp directory).
 func NewPool(dir string) *Pool {
-	return &Pool{dir: dir, live: make(map[*File]struct{})}
+	return &Pool{dir: dir, live: make(map[*File]struct{}), bufSize: maxBufferSize}
 }
 
 // SetDir changes the directory future files are created in.
 func (p *Pool) SetDir(dir string) {
 	p.mu.Lock()
 	p.dir = dir
+	p.mu.Unlock()
+}
+
+// SetBudget sizes the buffers of future files from the session's work_mem
+// (<= 0: unlimited), so MergeFanIn open files hold no more than the budget.
+func (p *Pool) SetBudget(workMem int64) {
+	size := maxBufferSize
+	if workMem > 0 {
+		size = int(min(max(workMem/MergeFanIn, minBufferSize), maxBufferSize))
+	}
+	p.mu.Lock()
+	if size != p.bufSize {
+		p.bufSize, p.free = size, nil
+	}
 	p.mu.Unlock()
 }
 
@@ -98,8 +126,13 @@ func (p *Pool) Create() (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: create temp file: %w", err)
 	}
-	sf := &File{pool: p, f: f, w: bufio.NewWriterSize(f, 64<<10)}
+	sf := &File{pool: p, f: f}
 	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		sf.buf, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		sf.buf = make([]byte, p.bufSize)
+	}
 	p.live[sf] = struct{}{}
 	p.mu.Unlock()
 	p.files.Add(1)
@@ -107,8 +140,9 @@ func (p *Pool) Create() (*File, error) {
 	return sf, nil
 }
 
-// Cleanup closes and removes every file still live. Idempotent; safe to call
-// concurrently with Close (a file is removed exactly once).
+// Cleanup closes and removes every file still live, then drops the free
+// buffers. Idempotent; safe to call concurrently with Close (a file is
+// removed exactly once).
 func (p *Pool) Cleanup() {
 	p.mu.Lock()
 	live := make([]*File, 0, len(p.live))
@@ -119,17 +153,23 @@ func (p *Pool) Cleanup() {
 	for _, f := range live {
 		f.Close()
 	}
+	p.mu.Lock()
+	p.free = nil
+	p.mu.Unlock()
 }
 
 // File is one spill file: append length-framed records, then StartRead to
-// rewind and stream them back. Close removes the file from disk. A File is
-// single-goroutine, like the operators above it.
+// rewind and stream them back, as often as needed. Close removes the file from
+// disk and returns its buffer to the pool. A File is single-goroutine, like
+// the operators above it.
 type File struct {
-	pool    *Pool
-	f       *os.File
-	w       *bufio.Writer
-	r       *bufio.Reader
-	buf     []byte // reusable record read buffer
+	pool *Pool
+	f    *os.File
+	// buf is the file's one buffer: buf[:w] are pending writes until the
+	// first StartRead, buf[r:w] the read-ahead after it.
+	buf     []byte
+	r, w    int
+	reading bool
 	written int64
 	records int64
 	closed  bool
@@ -139,10 +179,10 @@ type File struct {
 func (f *File) Append(rec []byte) error {
 	var hdr [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(rec)))
-	if _, err := f.w.Write(hdr[:n]); err != nil {
+	if err := f.write(hdr[:n]); err != nil {
 		return err
 	}
-	if _, err := f.w.Write(rec); err != nil {
+	if err := f.write(rec); err != nil {
 		return err
 	}
 	f.written += int64(n + len(rec))
@@ -150,50 +190,88 @@ func (f *File) Append(rec []byte) error {
 	return nil
 }
 
+func (f *File) write(p []byte) error {
+	for len(p) > 0 {
+		if f.w == len(f.buf) {
+			if err := f.flush(); err != nil {
+				return err
+			}
+		}
+		n := copy(f.buf[f.w:], p)
+		f.w, p = f.w+n, p[n:]
+	}
+	return nil
+}
+
+func (f *File) flush() error {
+	_, err := f.f.Write(f.buf[:f.w])
+	f.w = 0
+	return err
+}
+
 // Records reports how many records were appended.
 func (f *File) Records() int64 { return f.records }
 
 // StartRead flushes pending writes, accounts the file's bytes in the pool,
-// and rewinds for reading. A file is either being written or being read.
+// and rewinds for reading. A file is written first and read after; it can be
+// read again from the start any number of times.
 func (f *File) StartRead() error {
-	if err := f.w.Flush(); err != nil {
-		return err
+	if !f.reading {
+		if err := f.flush(); err != nil {
+			return err
+		}
+		f.reading = true
 	}
 	f.pool.bytes.Add(f.written)
 	mSpillBytes.Add(uint64(f.written))
 	f.written = 0
-	if _, err := f.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if f.r == nil {
-		f.r = bufio.NewReaderSize(f.f, 64<<10)
-	} else {
-		f.r.Reset(f.f)
-	}
-	return nil
+	f.r, f.w = 0, 0
+	_, err := f.f.Seek(0, io.SeekStart)
+	return err
+}
+
+// fill moves the read-ahead to the front of the buffer and reads behind it
+// until it holds want bytes (io.ErrUnexpectedEOF or io.EOF if the file ends).
+func (f *File) fill(want int) error {
+	f.w = copy(f.buf, f.buf[f.r:f.w])
+	f.r = 0
+	n, err := io.ReadAtLeast(f.f, f.buf[f.w:], want-f.w)
+	f.w += n
+	return err
 }
 
 // Next returns the next record, or (nil, nil) at end of file. The returned
 // slice is only valid until the next call.
 func (f *File) Next() ([]byte, error) {
-	n, err := binary.ReadUvarint(f.r)
-	if err == io.EOF {
-		return nil, nil
+	n, hn := binary.Uvarint(f.buf[f.r:f.w])
+	if hn == 0 { // the length is not all read ahead
+		if err := f.fill(binary.MaxVarintLen64); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return nil, err
+		}
+		if f.r == f.w {
+			return nil, nil
+		}
+		n, hn = binary.Uvarint(f.buf[f.r:f.w])
 	}
-	if err != nil {
-		return nil, err
+	if hn <= 0 {
+		return nil, fmt.Errorf("spill: corrupt record length")
 	}
-	if cap(f.buf) < int(n) {
-		f.buf = make([]byte, n)
+	f.r += hn
+	if f.w-f.r < int(n) {
+		if int(n) > len(f.buf) { // a record longer than the buffer: a buffer of its own
+			f.buf = slices.Grow(f.buf, int(n)-len(f.buf))[:n]
+		}
+		if err := f.fill(int(n)); err != nil {
+			return nil, err
+		}
 	}
-	f.buf = f.buf[:n]
-	if _, err := io.ReadFull(f.r, f.buf); err != nil {
-		return nil, err
-	}
-	return f.buf, nil
+	rec := f.buf[f.r : f.r+int(n)]
+	f.r += int(n)
+	return rec, nil
 }
 
-// Close closes and deletes the file. Idempotent.
+// Close closes and deletes the file and returns its buffer to the pool.
+// Idempotent.
 func (f *File) Close() error {
 	f.pool.mu.Lock()
 	if f.closed {
@@ -202,6 +280,10 @@ func (f *File) Close() error {
 	}
 	f.closed = true
 	delete(f.pool.live, f)
+	if len(f.buf) == f.pool.bufSize && len(f.pool.free) < MergeFanIn {
+		f.pool.free = append(f.pool.free, f.buf)
+	}
+	f.buf = nil
 	f.pool.mu.Unlock()
 	// Bytes written but never read back (an interrupted run) still count as
 	// spilled traffic.
@@ -212,9 +294,5 @@ func (f *File) Close() error {
 	if rerr := os.Remove(name); err == nil {
 		err = rerr
 	}
-	// Drop the buffered I/O state now: owners keep closed files registered
-	// for idempotent teardown, and a big spill creates hundreds of files —
-	// their 64 KiB buffers must not stay pinned until the query ends.
-	f.w, f.r, f.buf = nil, nil, nil
 	return err
 }

@@ -72,9 +72,14 @@ func AppendRow(dst []byte, row Row) []byte {
 	return dst
 }
 
+// RowSource gives DecodeRow a row's memory: a *RowAlloc, or a maker whose
+// consumer drops each row before it asks for the next, which hands one row
+// out over again.
+type RowSource interface{ New(n int) Row }
+
 // DecodeRow reverses AppendRow, returning the row and the bytes after it.
 // The row's memory comes from a (nil: an allocation of its own).
-func DecodeRow(a *RowAlloc, b []byte) (Row, []byte, error) {
+func DecodeRow(a RowSource, b []byte) (Row, []byte, error) {
 	n, w := binary.Uvarint(b)
 	// Each value takes at least one byte, so an arity beyond the remaining
 	// input is corrupt: rejecting it before allocating keeps a hostile length
@@ -83,6 +88,9 @@ func DecodeRow(a *RowAlloc, b []byte) (Row, []byte, error) {
 		return nil, nil, fmt.Errorf("value: truncated or corrupt row arity")
 	}
 	b = b[w:]
+	if a == nil {
+		a = (*RowAlloc)(nil)
+	}
 	row := a.New(int(n))
 	var err error
 	for i := range row {
