@@ -310,30 +310,23 @@ func (f *Follower) streamOnce() error {
 			f.noteProgress()
 			f.logf("bootstrapped from snapshot at LSN %d", f.db.Store().Log().LastLSN())
 		case wire.MsgSubLive:
-			r := wire.NewReader(body)
-			from := r.Uvarint()
-			if r.Remaining() > 0 {
-				adoptHeartbeat(time.Duration(r.Uvarint()))
+			live, err := readSubLive(body)
+			if err != nil {
+				return err
 			}
-			epoch, haveEpoch := uint64(0), false
-			if r.Remaining() > 0 {
-				epoch, haveEpoch = r.Uvarint(), true
-			}
-			if r.Err() != nil {
-				return r.Err()
-			}
-			if haveEpoch {
-				if err := f.adoptStreamEpoch(epoch); err != nil {
+			adoptHeartbeat(live.hb)
+			if live.haveEpoch {
+				if err := f.adoptStreamEpoch(live.epoch); err != nil {
 					return err
 				}
 			}
-			if from != f.db.Store().Log().LastLSN() {
+			if live.lsn != f.db.Store().Log().LastLSN() {
 				f.markResync()
-				return fmt.Errorf("primary resumed stream at LSN %d, local log is at %d", from, f.db.Store().Log().LastLSN())
+				return fmt.Errorf("primary resumed stream at LSN %d, local log is at %d", live.lsn, f.db.Store().Log().LastLSN())
 			}
 			f.setConnected()
 			f.noteProgress()
-			f.logf("live at LSN %d (primary %s)", from, f.cfg.PrimaryAddr)
+			f.logf("live at LSN %d (primary %s)", live.lsn, f.cfg.PrimaryAddr)
 		case wire.MsgChanges:
 			recs, err := repl.DecodeBatch(body)
 			if err != nil {
@@ -434,9 +427,9 @@ func (f *Follower) bootstrap(conn *wire.Conn, nc net.Conn) (time.Duration, uint6
 		f.markResync()
 		return 0, 0, fmt.Errorf("restore bootstrap snapshot: %w", err)
 	}
-	if cs.liveLSN != fresh.Log().LastLSN() {
+	if cs.live.lsn != fresh.Log().LastLSN() {
 		f.markResync()
-		return 0, 0, fmt.Errorf("snapshot stream live at LSN %d, snapshot payload at %d", cs.liveLSN, fresh.Log().LastLSN())
+		return 0, 0, fmt.Errorf("snapshot stream live at LSN %d, snapshot payload at %d", cs.live.lsn, fresh.Log().LastLSN())
 	}
 	if f.cfg.PrepareStore != nil {
 		if err := f.cfg.PrepareStore(fresh); err != nil {
@@ -452,7 +445,7 @@ func (f *Follower) bootstrap(conn *wire.Conn, nc net.Conn) (time.Duration, uint6
 	// report a lag that never reaches zero again.
 	f.primaryLSN = fresh.Log().LastLSN()
 	f.mu.Unlock()
-	return cs.liveHB, cs.liveEpoch, nil
+	return cs.live.hb, cs.live.epoch, nil
 }
 
 func (f *Follower) setConnected() {
@@ -522,21 +515,42 @@ func (f *Follower) markResync() {
 	f.mu.Unlock()
 }
 
+// subLive is a MsgSubLive payload: the LSN the stream goes live at, then —
+// from newer primaries — the primary's heartbeat interval and cluster epoch.
+type subLive struct {
+	lsn       uint64
+	hb        time.Duration
+	epoch     uint64
+	haveEpoch bool
+}
+
+func readSubLive(body []byte) (*subLive, error) {
+	r := wire.NewReader(body)
+	l := &subLive{lsn: r.Uvarint()}
+	if r.Remaining() > 0 {
+		l.hb = time.Duration(r.Uvarint())
+	}
+	if r.Remaining() > 0 {
+		l.epoch, l.haveEpoch = r.Uvarint(), true
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
 // chunkStream adapts the MsgBackupChunk frame sequence of a bootstrap
 // snapshot into an io.Reader for storage.Restore. The stream ends at the
-// MsgSubLive frame, whose LSN is retained for the caller; transport errors
-// stick in err. Restore reads to the end, so a restored store has consumed
-// the stream through MsgSubLive, trailing bytes included.
+// MsgSubLive frame, kept in live for the caller; transport errors stick in
+// err. Restore reads to the end — bytes after the snapshot's end mark are
+// damage — so a restored store has consumed the stream through MsgSubLive.
 type chunkStream struct {
-	conn      *wire.Conn
-	nc        net.Conn
-	timeout   time.Duration
-	buf       []byte
-	live      bool
-	liveLSN   uint64
-	liveHB    time.Duration // primary's heartbeat interval, from MsgSubLive
-	liveEpoch uint64        // primary's cluster epoch, from MsgSubLive
-	err       error
+	conn    *wire.Conn
+	nc      net.Conn
+	timeout time.Duration
+	buf     []byte
+	live    *subLive
+	err     error
 }
 
 func (c *chunkStream) Read(p []byte) (int, error) {
@@ -544,7 +558,7 @@ func (c *chunkStream) Read(p []byte) (int, error) {
 		if c.err != nil {
 			return 0, c.err
 		}
-		if c.live {
+		if c.live != nil {
 			return 0, io.EOF
 		}
 		if err := c.next(); err != nil {
@@ -571,20 +585,8 @@ func (c *chunkStream) next() error {
 		c.buf = body
 		return nil
 	case wire.MsgSubLive:
-		r := wire.NewReader(body)
-		c.liveLSN = r.Uvarint()
-		if r.Remaining() > 0 {
-			c.liveHB = time.Duration(r.Uvarint())
-		}
-		if r.Remaining() > 0 {
-			c.liveEpoch = r.Uvarint()
-		}
-		if rerr := r.Err(); rerr != nil {
-			c.err = rerr
-			return rerr
-		}
-		c.live = true
-		return nil
+		c.live, c.err = readSubLive(body)
+		return c.err
 	case wire.MsgError:
 		c.err = wire.DecodeServerError(body)
 		return c.err

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -296,5 +298,135 @@ func TestRestoreSnapshotOfOldValueLayout(t *testing.T) {
 	}
 	if names := s.Catalog().TableNames(); len(names) != 0 {
 		t.Fatalf("a refused snapshot left tables %v", names)
+	}
+}
+
+// TestApplyChangeRefusesBadImages: a change record's inserted and new row
+// images come from outside the program (a replication peer, a WAL segment, a
+// snapshot), so the apply path checks them against the table as they are —
+// arity, each value's type, NOT NULL — and installs and logs nothing on a
+// refusal.
+func TestApplyChangeRefusesBadImages(t *testing.T) {
+	s := NewStore()
+	tab := mustCreate(t, s, "t", catalog.Column{Name: "a", Type: value.KindInt, NotNull: true}, intCol("b"))
+	if _, err := tab.Insert(value.Row{value.NewInt(1), value.NewInt(2)}); err != nil {
+		t.Fatal(err)
+	}
+	good := value.Row{value.NewInt(1), value.NewInt(2)}
+	for name, rec := range map[string]repl.Record{
+		"short insert":       {Kind: repl.KindInsert, Rows: []value.Row{{value.NewString("x")}}},
+		"NULL into NOT NULL": {Kind: repl.KindInsert, Rows: []value.Row{{value.Null, value.NewInt(3)}}},
+		"text into INT":      {Kind: repl.KindInsert, Rows: []value.Row{{value.NewInt(4), value.NewString("5")}}},
+		"wide new image":     {Kind: repl.KindUpdate, OldRows: []value.Row{good}, Rows: []value.Row{{value.NewInt(1), value.NewInt(2), value.NewInt(3)}}},
+	} {
+		lsn := s.Log().LastLSN()
+		rec.LSN, rec.Table = lsn+1, "t"
+		if err := s.ApplyChange(rec); !errors.Is(err, ErrBadRowImage) {
+			t.Errorf("%s: ApplyChange returned %v, want ErrBadRowImage", name, err)
+		}
+		if got := s.Log().LastLSN(); got != lsn {
+			t.Errorf("%s: refused record moved the log from %d to %d", name, lsn, got)
+		}
+		if rows := tab.Snapshot(); len(rows) != 1 || rows[0].Key() != good.Key() {
+			t.Errorf("%s: table holds %v after the refusal", name, rows)
+		}
+	}
+}
+
+// TestReplicaStatisticsMatchPrimary: an ANALYZE record carries the
+// fractions the primary counted, so a replica installs them instead of
+// rescanning rows a concurrent writer has changed since, and ends with the
+// primary's statistics bit for bit. The writer refreshes the row count after
+// each insert as the engine does.
+func TestReplicaStatisticsMatchPrimary(t *testing.T) {
+	s := NewStore()
+	tab := mustCreate(t, s, "t", intCol("a"), textCol("b"))
+	batch := func(from int) []value.Row {
+		rows := make([]value.Row, 100)
+		for i := range rows {
+			rows[i] = value.Row{value.NewInt(int64((from + i) % 1000)), value.NewString(fmt.Sprint((from + i) % 77))}
+		}
+		return rows
+	}
+	for i := 0; i < 20_000; i += 100 {
+		if _, err := tab.InsertBatch(batch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 20_000; ; i += 100 {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := tab.InsertBatch(batch(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			s.Catalog().SetRowCount("t", tab.RowCount())
+		}
+	}()
+	var want []map[string]float64 // the primary's fractions after each ANALYZE
+	for i := 0; i < 20; i++ {
+		if err := s.Analyze("t"); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, s.Catalog().TableStats("t").DistinctFrac)
+	}
+	close(stop)
+	<-done
+
+	r := NewStore()
+	recs, ok := s.Log().Since(0, 0)
+	if !ok {
+		t.Fatal("primary log trimmed")
+	}
+	for _, rec := range recs {
+		if err := r.ApplyChange(rec); err != nil {
+			t.Fatalf("apply LSN %d: %v", rec.LSN, err)
+		}
+		if rec.Kind != repl.KindAnalyze {
+			continue
+		}
+		got := r.Catalog().TableStats("t").DistinctFrac
+		for col, f := range want[0] {
+			if math.Float64bits(got[col]) != math.Float64bits(f) {
+				t.Fatalf("ANALYZE at LSN %d: replica %s fraction %v, primary %v", rec.LSN, col, got[col], f)
+			}
+		}
+		want = want[1:]
+	}
+	ps, rs := s.Catalog().TableStats("t"), r.Catalog().TableStats("t")
+	if ps.RowCount != rs.RowCount || len(ps.DistinctFrac) != len(rs.DistinctFrac) {
+		t.Fatalf("replica statistics %+v, primary %+v", rs, ps)
+	}
+	for col, f := range ps.DistinctFrac {
+		if math.Float64bits(rs.DistinctFrac[col]) != math.Float64bits(f) {
+			t.Fatalf("replica %s fraction %v, primary %v", col, rs.DistinctFrac[col], f)
+		}
+	}
+}
+
+// TestAnalyzeRecordWithoutFractions: an ANALYZE record written before the
+// record carried its fractions (a data directory of an older build) replays
+// as a logged no-op: it installs no statistics and rescans nothing.
+func TestAnalyzeRecordWithoutFractions(t *testing.T) {
+	s := NewStore()
+	tab := mustCreate(t, s, "t", intCol("i"))
+	if _, err := tab.Insert(value.Row{value.NewInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	lsn := s.Log().LastLSN()
+	if err := s.ApplyChange(repl.Record{LSN: lsn + 1, Kind: repl.KindAnalyze, Table: "t"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Log().LastLSN(); got != lsn+1 {
+		t.Fatalf("the record left the log at %d, want %d", got, lsn+1)
+	}
+	if st := s.Catalog().TableStats("t"); len(st.DistinctFrac) != 0 {
+		t.Fatalf("an ANALYZE record without fractions installed %v", st.DistinctFrac)
 	}
 }

@@ -101,9 +101,24 @@ func (t *Table) Snapshot() []value.Row {
 	return t.SnapshotAt(0)
 }
 
-// RowCount returns the number of rows currently visible.
+// RowCount returns the number of rows currently visible, materializing
+// them (the reads after an engine write find them cached).
 func (t *Table) RowCount() int {
 	return len(t.SnapshotAt(0))
+}
+
+// countVisible is RowCount without the copy, for the apply path: a replay
+// or a restore would otherwise copy the table once per record.
+func (t *Table) countVisible() (n int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	snap := t.visibleLSN()
+	for _, v := range t.slots {
+		if v.visibleAt(snap) != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // VersionCount reports live slots and total resident versions (diagnostics:

@@ -1,11 +1,12 @@
 package storage
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"perm/internal/catalog"
@@ -14,43 +15,45 @@ import (
 	"perm/internal/wire"
 )
 
-// Snapshot persistence: the whole database (schema, rows, views, statistics)
-// is written as the change records the WAL and the replication feed already
-// carry, so one decoder (repl.ReadRecord) reads all three. This keeps eagerly
-// materialized provenance tables available across process restarts — the
-// "store provenance for later investigation" part of the paper's story.
+// Snapshot persistence: a snapshot is a log segment. The whole database is
+// written as the change records the WAL and the replication feed carry,
+// framed and checksummed as a WAL segment frames them, and restored through
+// the apply path those records take (Store.ApplyChange). Eagerly
+// materialized provenance so survives restarts — the paper's "store
+// provenance for later investigation" — and a damaged copy is refused
+// instead of restoring different witnesses.
 //
-// The stream is the magic "PERMSNAP", a version byte (3), and the uvarint LSN
-// and history origin it was taken at; then per table a KindCreateTable
-// record, the table's DistinctFrac (a uvarint count, then each column name
-// and its 8-byte big-endian float, sorted by column) and its rows as
-// KindInsert records, cut as the change log cuts a large mutation; then a
-// KindCreateView record per view. Version 2 and older snapshots were gob
-// streams and are refused.
+// The stream is the magic "PERMSNAP" and a version byte (4), then frames:
 //
-// Save is an online, consistent backup. It runs in two phases:
+//   - the uvarint LSN and history origin the snapshot was taken at;
+//   - per table a KindCreateTable record, its rows as KindInsert records cut
+//     as the change log cuts a large mutation, and, when it has statistics,
+//     a KindAnalyze record of (table, column, fraction) rows by column;
+//   - a KindCreateView record per view;
+//   - the end mark: "END" and repl.FrameSum over every frame before it, so
+//     a stream cut at a frame boundary, or with a frame dropped, repeated
+//     or moved, is refused. Nothing may follow it.
 //
-//  1. collect — under the store lock (shared, so queries keep running) and
-//     the apply gate (so no mutation's apply can interleave), it captures
-//     the visible rows of every table plus the catalog state. Tables whose
-//     materialization cache is warm contribute a slice header; only
-//     recently written tables pay a version walk. This is the only moment
-//     writers wait.
-//  2. encode — the records are written outside all locks, straight from the
-//     captured rows through one reused buffer, a write per insert record.
-//     The captured slices stay valid because materialized views and their
-//     rows are immutable (mutations create new versions, they never touch
-//     old ones).
+// Version 3 (the same records, unframed) and version 2 and older (gob
+// streams) are refused by name, with no converter.
 //
-// The result is a point-in-time image across all tables at the captured
-// LSN: each apply holds the gate for its whole critical section — a
-// transaction commit for all its tables at once — so no statement's (or
-// transaction's) write is ever half-visible. Concurrent readers are never
-// blocked at all.
+// Save is an online, consistent backup in two phases. collect runs under
+// the store lock (shared: queries keep running) and the apply gate (no
+// mutation's apply interleaves) and captures every table's visible rows and
+// the catalog — a slice header where the materialization cache is warm.
+// This is the only moment writers wait. Encoding then runs outside all
+// locks, straight from the captured rows (immutable: mutations create new
+// versions) through one reused buffer, a write per insert record. Each apply
+// holds the gate for its whole critical section, a transaction commit for
+// all its tables at once, so the image is one point in time at the captured
+// LSN. Readers are never blocked.
 
 const (
 	snapshotMagic   = "PERMSNAP"
-	snapshotVersion = 3
+	snapshotVersion = 4
+	// snapshotEnd opens the end mark's payload. No record encoding starts
+	// with it: its second byte is no record kind.
+	snapshotEnd = "END"
 )
 
 // snapTable is one table as collect captured it.
@@ -86,33 +89,48 @@ func (s *Store) SaveLSN(w io.Writer) (uint64, error) {
 		return 0, err
 	}
 	buf := append([]byte(snapshotMagic), snapshotVersion)
-	buf = binary.AppendUvarint(buf, snap.lsn)
-	buf = binary.AppendUvarint(buf, snap.origin)
+	buf = repl.AppendFrame(buf, binary.AppendUvarint(binary.AppendUvarint(nil, snap.lsn), snap.origin))
+	sum := repl.FrameSum(0, buf[len(snapshotMagic)+1:])
+	put := func(rec repl.Record) {
+		start := len(buf)
+		buf = repl.AppendRecordFrame(buf, rec)
+		sum = repl.FrameSum(sum, buf[start:])
+	}
 	for _, t := range snap.tables {
-		buf = repl.AppendRecord(buf, repl.Record{Kind: repl.KindCreateTable, Table: t.def.Name, Columns: t.def.Columns})
-		cols := make([]string, 0, len(t.distinct))
-		for c := range t.distinct {
-			cols = append(cols, c)
-		}
-		slices.Sort(cols)
-		buf = binary.AppendUvarint(buf, uint64(len(cols)))
-		for _, c := range cols {
-			buf = binary.BigEndian.AppendUint64(wire.AppendString(buf, c), math.Float64bits(t.distinct[c]))
-		}
+		put(repl.Record{Kind: repl.KindCreateTable, Table: t.def.Name, Columns: t.def.Columns})
 		for i := 0; i < len(t.rows); {
 			j := cutRecord(t.rows, nil, i)
-			buf = repl.AppendRecord(buf, repl.Record{Kind: repl.KindInsert, Table: t.def.Name, Rows: t.rows[i:j]})
+			put(repl.Record{Kind: repl.KindInsert, Table: t.def.Name, Rows: t.rows[i:j]})
 			if _, err := w.Write(buf); err != nil {
 				return 0, err
 			}
 			buf, i = buf[:0], j
 		}
+		if len(t.distinct) > 0 {
+			put(repl.Record{Kind: repl.KindAnalyze, Table: t.def.Name, Rows: statRows(t.def.Name, t.distinct)})
+		}
 	}
 	for _, v := range snap.views {
-		buf = repl.AppendRecord(buf, repl.Record{Kind: repl.KindCreateView, Table: v.Name, ViewText: v.Text, Columns: v.Columns})
+		put(repl.Record{Kind: repl.KindCreateView, Table: v.Name, ViewText: v.Text, Columns: v.Columns})
 	}
+	buf = repl.AppendFrame(buf, binary.LittleEndian.AppendUint32([]byte(snapshotEnd), sum))
 	_, err = w.Write(buf)
 	return snap.lsn, err
+}
+
+// statRows is a table's distinct fractions as ANALYZE record rows, sorted by
+// column.
+func statRows(table string, distinct map[string]float64) []value.Row {
+	cols := make([]string, 0, len(distinct))
+	for c := range distinct {
+		cols = append(cols, c)
+	}
+	slices.Sort(cols)
+	rows := make([]value.Row, len(cols))
+	for i, col := range cols {
+		rows[i] = value.Row{value.NewString(table), value.NewString(col), value.NewFloat(distinct[col])}
+	}
+	return rows
 }
 
 // collect captures the snapshot under the store lock and the write gate.
@@ -122,16 +140,16 @@ func (s *Store) collect() (*snapshot, error) {
 	s.gate.Lock()
 	defer s.gate.Unlock()
 	// Mutations append their change record inside the same critical sections
-	// the two locks above exclude (gate for DML, mu for DDL), so this LSN and
-	// the row slices collected below describe the same instant.
+	// the two locks above exclude (gate for DML and ANALYZE, mu for DDL), so
+	// this LSN, the row slices and the statistics collected below describe
+	// the same instant.
 	snap := &snapshot{lsn: s.log.LastLSN(), origin: s.Origin()}
 	for _, name := range s.catalog.TableNames() {
 		t := s.tables[keyOf(name)]
 		if t == nil {
 			return nil, fmt.Errorf("storage: table %q in catalog but not in store", name)
 		}
-		// DistinctFrac stays advisory (DML refreshes catalog stats after
-		// releasing the gate); RowCount is restored from the rows themselves.
+		// RowCount is restored from the rows themselves.
 		snap.tables = append(snap.tables, snapTable{def: t.Def(), rows: t.Snapshot(), distinct: s.catalog.TableStats(name).DistinctFrac})
 	}
 	for _, name := range s.catalog.ViewNames() {
@@ -140,108 +158,76 @@ func (s *Store) collect() (*snapshot, error) {
 	return snap, nil
 }
 
-// Restore loads a snapshot written by Save into an EMPTY store. It fails if
-// any relation already exists. Restoring is a bulk load, not a sequence of
-// logical changes: nothing is appended to the change log; instead the log is
-// positioned at the snapshot's LSN, so the restored store continues the
-// saved store's LSN space (a follower restored from this snapshot resumes
-// the primary's feed right after it). Every failure to decode the stream is
-// reported as "storage: corrupt snapshot: …".
+// Restore loads a snapshot written by Save into an EMPTY store (it fails if
+// any relation exists), a frame at a time as the stream arrives, and reads
+// the stream to its end: bytes after the end mark are damage. Each record
+// goes through ApplyChange under the bulk-load stamp (bulkLSN); then the
+// log is positioned at the snapshot's LSN, so the store continues the saved
+// store's LSN space (a follower restored from it resumes the primary's feed
+// right after it). Every failure — a damaged stream, one the reader could
+// not deliver whole, a record that does not apply — is reported as
+// "storage: corrupt snapshot: …".
 func (s *Store) Restore(r io.Reader) error {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("storage: read snapshot: %w", err)
-	}
-	if err := s.restore(b); err != nil {
+	if err := s.restore(bufio.NewReaderSize(r, 64<<10)); err != nil {
 		return fmt.Errorf("storage: corrupt snapshot: %w", err)
 	}
 	return nil
 }
 
-func (s *Store) restore(b []byte) error {
-	if !bytes.HasPrefix(b, []byte(snapshotMagic)) {
+func (s *Store) restore(r io.Reader) error {
+	head := make([]byte, len(snapshotMagic)+1)
+	if _, err := io.ReadFull(r, head); err != nil || !bytes.HasPrefix(head, []byte(snapshotMagic)) {
 		return fmt.Errorf("no %s header (snapshot version 2 and older were gob streams, which this build does not read)", snapshotMagic)
 	}
-	rd := wire.NewReader(b[len(snapshotMagic):])
-	if v := rd.Byte(); v != snapshotVersion {
-		return fmt.Errorf("unsupported snapshot version %d (want %d)", v, snapshotVersion)
+	if v := head[len(snapshotMagic)]; v != snapshotVersion {
+		return fmt.Errorf("unsupported snapshot version %d (want %d; version 3 was unframed records, which this build does not read)", v, snapshotVersion)
 	}
-	lsn, origin := rd.Uvarint(), rd.Uvarint()
-	var tab *Table
-	rows := 0 // rows loaded into tab so far
-	for rd.Err() == nil && rd.Remaining() > 0 {
-		rec, err := repl.ReadRecord(rd)
+	fr := repl.NewFrameReader(r)
+	p, err := fr.Next()
+	if err != nil {
+		return fmt.Errorf("no header frame: %w", err)
+	}
+	hd := wire.NewReader(p)
+	lsn, origin := hd.Uvarint(), hd.Uvarint()
+	if hd.Err() != nil || hd.Remaining() != 0 {
+		return errors.New("malformed header frame")
+	}
+	for {
+		sum := fr.Sum()
+		p, err := fr.Next()
+		if err == io.EOF {
+			return errors.New("the stream ends before its end mark")
+		}
 		if err != nil {
 			return err
 		}
-		switch rec.Kind {
-		case repl.KindCreateTable:
-			if tab, err = s.loadTable(&catalog.TableDef{Name: rec.Table, Columns: rec.Columns}); err != nil {
-				return err
+		if bytes.HasPrefix(p, []byte(snapshotEnd)) {
+			if !bytes.Equal(p, binary.LittleEndian.AppendUint32([]byte(snapshotEnd), sum)) {
+				return errors.New("the end mark does not match the frames before it")
 			}
-			rows = 0
-			for n := rd.Uvarint(); rd.Err() == nil && n > 0; n-- {
-				col, bits := rd.String(), rd.Bytes(8)
-				if rd.Err() == nil {
-					s.catalog.SetDistinctFrac(rec.Table, col, math.Float64frombits(binary.BigEndian.Uint64(bits)))
-				}
-			}
-		case repl.KindInsert:
-			if tab == nil || rec.Table != tab.def.Name {
-				return fmt.Errorf("rows for table %q outside its table", rec.Table)
-			}
-			if err := tab.load(rec.Rows); err != nil {
-				return fmt.Errorf("table %q: %v", rec.Table, err)
-			}
-			rows += len(rec.Rows)
-			s.catalog.SetRowCount(rec.Table, rows)
-		case repl.KindCreateView:
-			if err := s.catalog.CreateView(&catalog.ViewDef{Name: rec.Table, Text: rec.ViewText, Columns: rec.Columns}); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unexpected %s record", rec.Kind)
+			break
+		}
+		rec, err := repl.ReadRecord(wire.NewReader(p))
+		if err != nil {
+			return err
+		}
+		// The bulk stamp is only sound for records that create: a deleted
+		// or superseded version stamped 0 would still look live.
+		if k := rec.Kind; k != repl.KindCreateTable && k != repl.KindInsert && k != repl.KindAnalyze && k != repl.KindCreateView {
+			return fmt.Errorf("a snapshot holds no %s record", k)
+		}
+		rec.LSN = bulkLSN
+		if err := s.ApplyChange(rec); err != nil {
+			return err
 		}
 	}
-	if err := rd.Err(); err != nil {
-		return err
+	if _, err := fr.Next(); err != io.EOF {
+		return errors.New("bytes follow the end mark")
 	}
 	s.log.Reset(lsn)
 	s.visible.Store(lsn)
 	if origin != 0 {
 		s.origin.Store(origin)
 	}
-	return nil
-}
-
-// loadTable registers and attaches a table without logging a change record.
-func (s *Store) loadTable(def *catalog.TableDef) (*Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.catalog.CreateTable(def); err != nil {
-		return nil, err
-	}
-	return s.attach(def), nil
-}
-
-// load type-checks and installs rows without logging a change record. The
-// versions are stamped created=0 — a bulk-loaded row predates every
-// pinnable snapshot, exactly as the snapshot's LSN says it does.
-func (t *Table) load(rows []value.Row) error {
-	checked := make([]value.Row, len(rows))
-	for i, r := range rows {
-		c, err := t.checkRow(r)
-		if err != nil {
-			return fmt.Errorf("row %d: %v", i+1, err)
-		}
-		checked[i] = c
-	}
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	t.apply(nil, func([]lsnRange) {
-		for _, r := range checked {
-			t.slots = append(t.slots, &rowVersion{row: r})
-		}
-	})
 	return nil
 }

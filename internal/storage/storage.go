@@ -8,7 +8,10 @@ package storage
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -94,6 +97,30 @@ func (t *Table) checkRow(row value.Row) (value.Row, error) {
 	return out, nil
 }
 
+// ErrBadRowImage is wrapped by every refusal of a change record's row image
+// (from a replication peer, a WAL segment or a snapshot) that does not fit
+// its table; nothing of the record is installed.
+var ErrBadRowImage = errors.New("storage: row image does not fit its table")
+
+// fits checks a row image the way stored rows already are: arity, each value
+// of its column's type or NULL, no NULL in a NOT NULL column. Unlike
+// checkRow it coerces, and so copies, nothing.
+func (t *Table) fits(row value.Row) error {
+	if len(row) != len(t.def.Columns) {
+		return fmt.Errorf("%w: %d values for %d columns", ErrBadRowImage, len(row), len(t.def.Columns))
+	}
+	for i, v := range row {
+		col := t.def.Columns[i]
+		if v.IsNull() && col.NotNull {
+			return fmt.Errorf("%w: NULL in NOT NULL column %q", ErrBadRowImage, col.Name)
+		}
+		if !v.IsNull() && v.Kind() != col.Type {
+			return fmt.Errorf("%w: %s value in %s column %q", ErrBadRowImage, v.Kind(), col.Type, col.Name)
+		}
+	}
+	return nil
+}
+
 // lsnRange says which rows of a (possibly split) change record landed at
 // which LSN: record rows [lo:hi) carry lsn. Version stamps come from these,
 // so a split mutation's versions match the log records a replica will replay
@@ -126,15 +153,25 @@ func approxRowBytes(row value.Row) int {
 	return n
 }
 
+// bulkLSN is the bulk-load stamp Restore applies a snapshot's records with:
+// nothing is logged, so no WAL hook fires and no durability wait follows,
+// and what it installs is created at 0, before every pinnable snapshot. A
+// feed or WAL record never carries it: both take only the log's next LSN.
+const bulkLSN = math.MaxUint64
+
 // appendRecord routes a record to the log and reports which LSNs its rows
 // landed at: records without an LSN (primary mutations) are assigned the
 // next ones, splitting oversized row sets; records carrying an LSN (a
 // replica replaying the primary's feed — already split by the primary) must
-// land at exactly that position. The replica's apply loop verifies
-// continuity before mutating, so a failed AppendAt here means that check was
-// bypassed — a programming error — and the record is dropped (nil return,
-// the caller skips its apply) rather than corrupting the LSN space.
+// land at exactly that position; records at bulkLSN land at 0, unlogged.
+// The replica's apply loop verifies continuity before mutating, so a failed
+// AppendAt here means that check was bypassed — a programming error — and
+// the record is dropped (nil return, the caller skips its apply) rather than
+// corrupting the LSN space.
 func appendRecord(log *repl.ChangeLog, rec repl.Record) []lsnRange {
+	if rec.LSN == bulkLSN {
+		return []lsnRange{{lsn: 0, lo: 0, hi: len(rec.Rows)}}
+	}
 	if rec.LSN != 0 {
 		if err := log.AppendAt(rec); err != nil {
 			return nil
@@ -186,35 +223,45 @@ func cutRecord(rows, oldRows []value.Row, i int) int {
 
 // apply is the apply phase of a mutation: under the store gate it appends
 // the change record (assigning LSNs), lets stamp install/stamp versions
-// under mu with those LSNs, and publishes the new visible position. A nil
-// rec applies silently with no LSN (bulk load). Callers hold writeMu. The
-// return value is false only when a replica-positioned record was refused by
-// the log, in which case nothing was applied.
+// under mu with those LSNs, and publishes the new visible position. Callers
+// hold writeMu. The return value is false only when a replica-positioned
+// record was refused by the log, in which case nothing was applied.
 func (t *Table) apply(rec *repl.Record, stamp func(ranges []lsnRange)) bool {
 	if t.gate != nil {
 		t.gate.Lock()
 		defer t.gate.Unlock()
 	}
-	var ranges []lsnRange
-	if rec != nil {
-		if t.log != nil {
-			if ranges = appendRecord(t.log, *rec); ranges == nil {
-				return false
-			}
-		} else {
-			ranges = []lsnRange{{lsn: t.localSeq.Load() + 1, lo: 0, hi: len(rec.Rows)}}
-		}
+	if !t.applyGateHeld(rec, stamp) {
+		return false
 	}
-	t.mu.Lock()
-	stamp(ranges)
-	if len(ranges) > 0 {
-		t.lastMod = ranges[len(ranges)-1].lsn
-	}
-	t.mu.Unlock()
 	if t.store != nil {
 		t.store.visible.Store(t.log.LastLSN())
-	} else if len(ranges) > 0 {
-		t.localSeq.Store(ranges[len(ranges)-1].lsn)
+	}
+	return true
+}
+
+// applyGateHeld is apply for callers that already hold the store gate and
+// publish the visible LSN themselves (transaction commit, which spans
+// several records and tables under one gate hold).
+func (t *Table) applyGateHeld(rec *repl.Record, stamp func(ranges []lsnRange)) bool {
+	var ranges []lsnRange
+	if t.log != nil {
+		if ranges = appendRecord(t.log, *rec); ranges == nil {
+			return false
+		}
+	} else {
+		ranges = []lsnRange{{lsn: t.localSeq.Load() + 1, lo: 0, hi: len(rec.Rows)}}
+	}
+	last := ranges[len(ranges)-1].lsn
+	t.mu.Lock()
+	stamp(ranges)
+	t.lastMod = last
+	// A new lastMod outdates the cached read view; the bulk stamp leaves
+	// lastMod at 0, so the view is dropped outright.
+	t.cache.Store(nil)
+	t.mu.Unlock()
+	if t.log == nil {
+		t.localSeq.Store(last)
 	}
 	return true
 }
@@ -225,6 +272,20 @@ func (t *Table) insertLocked(rows []value.Row, ranges []lsnRange) {
 	for _, rg := range ranges {
 		for i := rg.lo; i < rg.hi; i++ {
 			t.slots = append(t.slots, &rowVersion{row: rows[i], created: rg.lsn})
+		}
+	}
+}
+
+// supersedeLocked stamps target i deleted at its LSN range and, for an
+// update (news not nil), installs news[i] in slot slots[i] as its successor.
+// Callers are inside an apply's stamp callback (mu held).
+func (t *Table) supersedeLocked(targets []*rowVersion, slots []int, news []value.Row, ranges []lsnRange) {
+	for _, rg := range ranges {
+		for i := rg.lo; i < rg.hi; i++ {
+			targets[i].deleted = rg.lsn
+			if news != nil {
+				t.slots[slots[i]] = &rowVersion{row: news[i], created: rg.lsn, next: targets[i]}
+			}
 		}
 	}
 }
@@ -341,13 +402,7 @@ func (t *Table) delete(pred func(value.Row) (bool, error)) (int, error) {
 		images[i] = v.row
 	}
 	rec := &repl.Record{Kind: repl.KindDelete, Table: t.def.Name, Rows: images}
-	t.apply(rec, func(ranges []lsnRange) {
-		for _, rg := range ranges {
-			for i := rg.lo; i < rg.hi; i++ {
-				targets[i].deleted = rg.lsn
-			}
-		}
-	})
+	t.apply(rec, func(ranges []lsnRange) { t.supersedeLocked(targets, nil, nil, ranges) })
 	return len(targets), nil
 }
 
@@ -407,15 +462,7 @@ func (t *Table) update(pred func(value.Row) (bool, error), fn func(value.Row) (v
 		return 0, nil
 	}
 	rec := &repl.Record{Kind: repl.KindUpdate, Table: t.def.Name, Rows: newImages, OldRows: oldImages}
-	t.apply(rec, func(ranges []lsnRange) {
-		for _, rg := range ranges {
-			for i := rg.lo; i < rg.hi; i++ {
-				old := targets[i]
-				old.deleted = rg.lsn
-				t.slots[tidx[i]] = &rowVersion{row: newImages[i], created: rg.lsn, next: old}
-			}
-		}
-	})
+	t.apply(rec, func(ranges []lsnRange) { t.supersedeLocked(targets, tidx, newImages, ranges) })
 	return len(newImages), nil
 }
 
@@ -611,68 +658,28 @@ func (s *Store) attach(def *catalog.TableDef) *Table {
 
 // DropTable removes definition and data atomically.
 func (s *Store) DropTable(name string) error {
-	if err := s.writeAllowed(); err != nil {
-		return err
-	}
-	if err := s.dropTable(name, 0); err != nil {
-		return err
-	}
-	return s.WaitDurable()
-}
-
-func (s *Store) dropTable(name string, lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.catalog.DropTable(name); err != nil {
-		return err
-	}
-	delete(s.tables, keyOf(name))
-	s.logDDL(repl.Record{LSN: lsn, Kind: repl.KindDropTable, Table: name})
-	return nil
+	return s.change(repl.Record{Kind: repl.KindDropTable, Table: name})
 }
 
 // CreateView registers a view in the catalog and logs the change. View DDL
 // must go through the store (not the catalog directly) on any database that
 // may have replication followers.
 func (s *Store) CreateView(def *catalog.ViewDef) error {
-	if err := s.writeAllowed(); err != nil {
-		return err
-	}
-	if err := s.createView(def, 0); err != nil {
-		return err
-	}
-	return s.WaitDurable()
-}
-
-func (s *Store) createView(def *catalog.ViewDef, lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.catalog.CreateView(def); err != nil {
-		return err
-	}
-	s.logDDL(repl.Record{LSN: lsn, Kind: repl.KindCreateView, Table: def.Name, ViewText: def.Text, Columns: def.Columns})
-	return nil
+	return s.change(repl.Record{Kind: repl.KindCreateView, Table: def.Name, ViewText: def.Text, Columns: def.Columns})
 }
 
 // DropView removes a view and logs the change.
 func (s *Store) DropView(name string) error {
-	if err := s.writeAllowed(); err != nil {
-		return err
-	}
-	if err := s.dropView(name, 0); err != nil {
+	return s.change(repl.Record{Kind: repl.KindDropView, Table: name})
+}
+
+// change makes one of this store's own changes through the apply path, at
+// the next LSN, and waits until it is durable.
+func (s *Store) change(rec repl.Record) error {
+	if err := s.ApplyChange(rec); err != nil {
 		return err
 	}
 	return s.WaitDurable()
-}
-
-func (s *Store) dropView(name string, lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.catalog.DropView(name); err != nil {
-		return err
-	}
-	s.logDDL(repl.Record{LSN: lsn, Kind: repl.KindDropView, Table: name})
-	return nil
 }
 
 // Table returns the heap for the named table, or nil.
@@ -683,207 +690,189 @@ func (s *Store) Table(name string) *Table {
 }
 
 // Analyze refreshes the catalog statistics (row count and per-column distinct
-// fraction) for the named table, or for all tables when name is empty.
+// fraction) for the named table, or for all tables when name is empty. It
+// counts the distinct values of every column over the visible rows, and the
+// ANALYZE record — one row (table, column, fraction) per column — installs
+// them here as it does on a replica.
 func (s *Store) Analyze(name string) error {
-	if err := s.writeAllowed(); err != nil {
-		return err
-	}
-	if err := s.analyze(name, 0); err != nil {
-		return err
-	}
-	return s.WaitDurable()
-}
-
-// analyze does the statistics refresh and logs it. The scan runs over the
-// currently visible rows (statistics are advisory and influence plan
-// choice, never results), so a replica's ANALYZE may interleave slightly
-// differently with concurrent DML than the primary's did — its statistics
-// can differ transiently, its data cannot.
-func (s *Store) analyze(name string, lsn uint64) error {
+	rec := repl.Record{Kind: repl.KindAnalyze, Table: name}
 	names := []string{name}
 	if name == "" {
 		names = s.catalog.TableNames()
 	}
+	var key []byte
 	for _, n := range names {
 		t := s.Table(n)
 		if t == nil {
 			return fmt.Errorf("table %q does not exist", n)
 		}
 		rows := t.Snapshot()
-		s.catalog.SetRowCount(n, len(rows))
-		var key []byte
-		for ci, col := range t.Def().Columns {
-			if len(rows) == 0 {
-				s.catalog.SetDistinctFrac(n, col.Name, 1)
-				continue
-			}
-			// Keys are built in one scratch buffer: only a value not seen
-			// before allocates (its map key).
-			seen := make(map[string]struct{})
-			for _, r := range rows {
-				key = r[ci].AppendKey(key[:0])
-				if _, dup := seen[string(key)]; !dup {
-					seen[string(key)] = struct{}{}
+		for ci, col := range t.def.Columns {
+			frac := 1.0
+			if len(rows) > 0 {
+				// Keys are built in one scratch buffer: only a value not
+				// seen before allocates (its map key).
+				seen := make(map[string]struct{})
+				for _, r := range rows {
+					key = r[ci].AppendKey(key[:0])
+					if _, dup := seen[string(key)]; !dup {
+						seen[string(key)] = struct{}{}
+					}
 				}
+				frac = float64(len(seen)) / float64(len(rows))
 			}
-			s.catalog.SetDistinctFrac(n, col.Name, float64(len(seen))/float64(len(rows)))
+			rec.Rows = append(rec.Rows, value.Row{value.NewString(t.def.Name), value.NewString(col.Name), value.NewFloat(frac)})
 		}
 	}
+	return s.change(rec)
+}
+
+// installStats applies an ANALYZE record: it installs the fractions it
+// carries and refreshes the named tables' row counts at the record's LSN,
+// under the store lock and the gate, so a primary and its replicas take
+// statistics in LSN order and hold the same bits. Nothing is rescanned: an
+// older record without fractions installs nothing. A table dropped since
+// the scan is skipped, as DML on a dropped table is.
+func (s *Store) installStats(rec repl.Record) error {
+	for i, r := range rec.Rows {
+		if len(r) != 3 || r[0].Kind() != value.KindString || r[1].Kind() != value.KindString || r[2].Kind() != value.KindFloat {
+			return fmt.Errorf("%w: ANALYZE row %d is not (table, column, fraction)", ErrBadRowImage, i+1)
+		}
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	s.gate.Lock()
-	appendRecord(s.log, repl.Record{LSN: lsn, Kind: repl.KindAnalyze, Table: name})
+	defer s.gate.Unlock()
+	appendRecord(s.log, rec)
+	for i, r := range rec.Rows {
+		t := s.tables[keyOf(r[0].Str())]
+		if t == nil {
+			continue
+		}
+		s.catalog.SetDistinctFrac(t.def.Name, r[1].Str(), r[2].Float())
+		if i == 0 || r[0].Str() != rec.Rows[i-1][0].Str() {
+			s.catalog.SetRowCount(t.def.Name, t.countVisible())
+		}
+	}
 	s.visible.Store(s.log.LastLSN())
-	s.gate.Unlock()
 	return nil
 }
 
-// --- replication apply ----------------------------------------------------------
+// --- the apply path ---------------------------------------------------------
 
-// ApplyChange replays one change record from a primary's feed: it performs
-// the mutation and appends the record to this store's own log at the
-// primary's LSN, atomically with respect to snapshot collection and
-// concurrent readers. Records must arrive in LSN order (the caller —
-// internal/server's follower — verifies continuity against Log().LastLSN()
-// before applying).
+// ApplyChange is the one path a change record takes into the store: from a
+// primary's feed, WAL replay, a snapshot (Restore, at bulkLSN), and this
+// store's own DROP TABLE, view DDL and ANALYZE (Store.change). It validates
+// and performs the change and logs the record at its LSN, atomically with
+// respect to snapshot collection and readers. Records arrive in LSN order
+// (the follower and WAL replay check continuity against Log().LastLSN()).
 //
 // DML against a relation this store does not have is skipped silently: the
 // primary logs mutations decided against a table heap that a concurrent DROP
 // already detached, and the visible state on both sides is identical — no
-// table. A row-image mismatch, by contrast, means the replica has diverged
-// and is returned as an error so the caller can re-bootstrap from a
-// snapshot.
+// table. A row image that does not fit its table (ErrBadRowImage) or match
+// the live rows is an error, with nothing applied, so the caller can
+// re-bootstrap from a snapshot.
 func (s *Store) ApplyChange(rec repl.Record) error {
 	if err := s.writeAllowed(); err != nil {
 		return err
 	}
 	switch rec.Kind {
 	case repl.KindCreateTable:
-		cols := append([]catalog.Column(nil), rec.Columns...)
-		_, err := s.createTable(&catalog.TableDef{Name: rec.Table, Columns: cols}, rec.LSN)
+		_, err := s.createTable(&catalog.TableDef{Name: rec.Table, Columns: slices.Clone(rec.Columns)}, rec.LSN)
 		return err
 	case repl.KindDropTable:
-		return s.dropTable(rec.Table, rec.LSN)
-	case repl.KindCreateView:
-		cols := append([]catalog.Column(nil), rec.Columns...)
-		return s.createView(&catalog.ViewDef{Name: rec.Table, Text: rec.ViewText, Columns: cols}, rec.LSN)
-	case repl.KindDropView:
-		return s.dropView(rec.Table, rec.LSN)
-	case repl.KindAnalyze:
-		// The primary logs ANALYZE outside the DDL lock (statistics are
-		// advisory), so its record can land after a concurrent DROP of its
-		// target. Like DML on a dropped table, that replays as a logged
-		// no-op rather than a divergence.
-		if rec.Table != "" && s.Table(rec.Table) == nil {
-			s.logSkipped(rec)
+		return s.ddl(rec, func() error {
+			if err := s.catalog.DropTable(rec.Table); err != nil {
+				return err
+			}
+			delete(s.tables, keyOf(rec.Table))
 			return nil
-		}
-		return s.analyze(rec.Table, rec.LSN)
+		})
+	case repl.KindCreateView:
+		return s.ddl(rec, func() error {
+			return s.catalog.CreateView(&catalog.ViewDef{Name: rec.Table, Text: rec.ViewText, Columns: slices.Clone(rec.Columns)})
+		})
+	case repl.KindDropView:
+		return s.ddl(rec, func() error { return s.catalog.DropView(rec.Table) })
+	case repl.KindAnalyze:
+		return s.installStats(rec)
 	case repl.KindInsert, repl.KindDelete, repl.KindUpdate:
 		t := s.Table(rec.Table)
 		if t == nil {
 			// Mutation against a dropped table: a no-op on the primary's
 			// visible state too. Keep the LSN space dense by logging the
 			// skip.
-			s.logSkipped(rec)
-			return nil
+			return s.ddl(rec, nil)
 		}
 		if err := t.applyChange(rec); err != nil {
-			return err
+			return fmt.Errorf("table %q: %w", t.def.Name, err)
 		}
 		// Mirror the engine's post-DML statistics refresh (runInsert and
 		// runDelete call SetRowCount): cost-based plan choices — and with
 		// them un-ORDERed result order — must not drift between primary and
 		// replica on cardinality alone.
 		if rec.Kind != repl.KindUpdate {
-			s.catalog.SetRowCount(rec.Table, t.RowCount())
+			s.catalog.SetRowCount(rec.Table, t.countVisible())
 		}
 		return nil
 	}
 	return fmt.Errorf("storage: unknown change record kind %d", rec.Kind)
 }
 
-// logSkipped records a replayed change whose target relation is gone,
-// keeping the LSN space dense.
-func (s *Store) logSkipped(rec repl.Record) {
+// ddl makes a catalog change (none, for a change whose relation is gone)
+// and logs its record, under the store lock so that the catalog and the
+// heap map never disagree.
+func (s *Store) ddl(rec repl.Record, change func() error) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if change != nil {
+		if err := change(); err != nil {
+			return err
+		}
+	}
 	s.logDDL(rec)
-	s.mu.Unlock()
+	return nil
 }
 
-// applyChange replays one DML record on the table: it matches the record's
-// row images against the live versions exactly as the primary's scan
-// decided them, then stamps versions at the record's LSN.
+// applyChange performs one DML record on the table: inserted and new images
+// must fit it as they are, deleted and old images must match live versions.
 func (t *Table) applyChange(rec repl.Record) error {
+	if rec.Kind != repl.KindDelete {
+		for i, row := range rec.Rows {
+			if err := t.fits(row); err != nil {
+				return fmt.Errorf("row %d: %w", i+1, err)
+			}
+		}
+	}
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	switch rec.Kind {
-	case repl.KindInsert:
+	if rec.Kind == repl.KindInsert {
 		t.apply(&rec, func(ranges []lsnRange) { t.insertLocked(rec.Rows, ranges) })
 		return nil
-	case repl.KindDelete:
-		targets, err := t.matchImages(rec.Rows)
-		if err != nil {
-			return fmt.Errorf("table %q: %v", t.def.Name, err)
-		}
-		t.apply(&rec, func(ranges []lsnRange) {
-			for _, rg := range ranges {
-				for i := rg.lo; i < rg.hi; i++ {
-					targets[i].deleted = rg.lsn
-				}
-			}
-		})
-		return nil
-	case repl.KindUpdate:
-		targets, tidx, news, err := t.matchReplacements(rec.OldRows, rec.Rows)
-		if err != nil {
-			return fmt.Errorf("table %q: %v", t.def.Name, err)
-		}
-		t.apply(&rec, func(ranges []lsnRange) {
-			for _, rg := range ranges {
-				for i := rg.lo; i < rg.hi; i++ {
-					old := targets[i]
-					old.deleted = rg.lsn
-					t.slots[tidx[i]] = &rowVersion{row: news[i], created: rg.lsn, next: old}
-				}
-			}
-		})
-		return nil
 	}
-	return fmt.Errorf("storage: unexpected DML record kind %d", rec.Kind)
+	olds, news := rec.Rows, []value.Row(nil)
+	if rec.Kind == repl.KindUpdate {
+		if len(rec.OldRows) != len(rec.Rows) {
+			return fmt.Errorf("replica diverged: update record with %d old and %d new images", len(rec.OldRows), len(rec.Rows))
+		}
+		olds, news = rec.OldRows, rec.Rows
+	}
+	targets, tidx, news, err := t.matchImages(olds, news)
+	if err != nil {
+		return err
+	}
+	t.apply(&rec, func(ranges []lsnRange) { t.supersedeLocked(targets, tidx, news, ranges) })
+	return nil
 }
 
-// matchImages resolves deleted row images to live versions by multiset match
-// in slot order — the order the primary's scan removed them in, so the
-// surviving rows come out byte-identical to the primary's.
-func (t *Table) matchImages(images []value.Row) ([]*rowVersion, error) {
-	pending := make(map[string]int, len(images))
-	var keyBuf []byte
-	for _, img := range images {
-		keyBuf = img.AppendKey(keyBuf[:0])
-		pending[string(keyBuf)]++
-	}
-	live, _ := t.liveVersions()
-	targets := make([]*rowVersion, 0, len(images))
-	for _, v := range live {
-		keyBuf = v.row.AppendKey(keyBuf[:0])
-		if n := pending[string(keyBuf)]; n > 0 {
-			pending[string(keyBuf)] = n - 1
-			targets = append(targets, v)
-		}
-	}
-	if len(targets) != len(images) {
-		return nil, fmt.Errorf("replica diverged: %d of %d deleted row images not found", len(images)-len(targets), len(images))
-	}
-	return targets, nil
-}
-
-// matchReplacements resolves updated old-row images to live versions,
-// matching in slot order like matchImages. Duplicate old images consume
-// their new images in order, reproducing the primary's scan exactly. The
-// returned news are reordered into slot order alongside their targets.
-func (t *Table) matchReplacements(olds, news []value.Row) ([]*rowVersion, []int, []value.Row, error) {
-	if len(olds) != len(news) {
-		return nil, nil, nil, fmt.Errorf("replica diverged: update record with %d old and %d new images", len(olds), len(news))
-	}
+// matchImages resolves deleted or updated row images to live versions by
+// multiset match in slot order — the order the primary's scan met them in,
+// so the surviving rows come out byte-identical to the primary's. For an
+// update, news are the new images parallel to olds: duplicate old images
+// consume them in order, reproducing the primary's scan exactly, and they
+// come back reordered into slot order beside their targets.
+func (t *Table) matchImages(olds, news []value.Row) ([]*rowVersion, []int, []value.Row, error) {
 	queue := make(map[string][]int, len(olds))
 	var keyBuf []byte
 	for i, img := range olds {
@@ -897,14 +886,16 @@ func (t *Table) matchReplacements(olds, news []value.Row) ([]*rowVersion, []int,
 	for i, v := range live {
 		keyBuf = v.row.AppendKey(keyBuf[:0])
 		if q := queue[string(keyBuf)]; len(q) > 0 {
-			ordered = append(ordered, news[q[0]])
+			if news != nil {
+				ordered = append(ordered, news[q[0]])
+			}
 			queue[string(keyBuf)] = q[1:]
 			targets = append(targets, v)
 			tidx = append(tidx, idxs[i])
 		}
 	}
 	if len(targets) != len(olds) {
-		return nil, nil, nil, fmt.Errorf("replica diverged: %d of %d updated row images not found", len(olds)-len(targets), len(olds))
+		return nil, nil, nil, fmt.Errorf("replica diverged: %d of %d row images not found", len(olds)-len(targets), len(olds))
 	}
 	return targets, tidx, ordered, nil
 }

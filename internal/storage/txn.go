@@ -167,42 +167,7 @@ func (x *Txn) Insert(t *Table, rows []value.Row) (int, error) {
 // when pred is nil), including rows this transaction itself inserted or
 // updated. pred runs outside all storage locks and may query any table.
 func (x *Txn) Delete(t *Table, pred func(value.Row) (bool, error)) (int, error) {
-	if x.done {
-		return 0, errTxnDone
-	}
-	pairs := x.visiblePairs(t)
-	tt := x.table(t)
-	n := 0
-	for _, p := range pairs {
-		if pred != nil {
-			ok, err := pred(p.row)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		tt.mods[p.v] = &txnMod{del: true}
-		n++
-	}
-	for i, r := range tt.ins {
-		if r == nil {
-			continue
-		}
-		if pred != nil {
-			ok, err := pred(r)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		tt.ins[i] = nil
-		n++
-	}
-	return n, nil
+	return x.rewrite(t, pred, nil)
 }
 
 // Update buffers the replacement of every visible row matching pred with
@@ -210,56 +175,58 @@ func (x *Txn) Delete(t *Table, pred func(value.Row) (bool, error)) (int, error) 
 // rewritten in place. Like Delete's, both callbacks run outside all storage
 // locks.
 func (x *Txn) Update(t *Table, pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
+	return x.rewrite(t, pred, fn)
+}
+
+// rewrite buffers, for every row of t the transaction sees that pred
+// matches, fn's type-checked result as its replacement — or, when fn is
+// nil, its deletion — and reports how many rows matched.
+func (x *Txn) rewrite(t *Table, pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
 	if x.done {
 		return 0, errTxnDone
+	}
+	// next reports whether row matches and, for an update, its replacement.
+	next := func(row value.Row) (bool, value.Row, error) {
+		if pred != nil {
+			if ok, err := pred(row); err != nil || !ok {
+				return false, nil, err
+			}
+		}
+		if fn == nil {
+			return true, nil, nil
+		}
+		nr, err := fn(row)
+		if err != nil {
+			return false, nil, err
+		}
+		nr, err = t.checkRow(nr)
+		return err == nil, nr, err
 	}
 	pairs := x.visiblePairs(t)
 	tt := x.table(t)
 	n := 0
 	for _, p := range pairs {
-		if pred != nil {
-			ok, err := pred(p.row)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		nr, err := fn(p.row)
+		ok, nr, err := next(p.row)
 		if err != nil {
 			return 0, err
 		}
-		checked, err := t.checkRow(nr)
-		if err != nil {
-			return 0, err
+		if ok {
+			tt.mods[p.v] = &txnMod{del: fn == nil, row: nr}
+			n++
 		}
-		tt.mods[p.v] = &txnMod{row: checked}
-		n++
 	}
 	for i, r := range tt.ins {
 		if r == nil {
 			continue
 		}
-		if pred != nil {
-			ok, err := pred(r)
-			if err != nil {
-				return 0, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		nr, err := fn(r)
+		ok, nr, err := next(r)
 		if err != nil {
 			return 0, err
 		}
-		checked, err := t.checkRow(nr)
-		if err != nil {
-			return 0, err
+		if ok {
+			tt.ins[i] = nr
+			n++
 		}
-		tt.ins[i] = checked
-		n++
 	}
 	return n, nil
 }
@@ -444,43 +411,16 @@ func (p *commitTable) apply() {
 	t := p.t
 	if len(p.delVs) > 0 {
 		rec := &repl.Record{Kind: repl.KindDelete, Table: t.def.Name, Rows: p.delImgs}
-		t.applyGateHeld(rec, func(ranges []lsnRange) {
-			for _, rg := range ranges {
-				for i := rg.lo; i < rg.hi; i++ {
-					p.delVs[i].deleted = rg.lsn
-				}
-			}
-		})
+		t.applyGateHeld(rec, func(ranges []lsnRange) { t.supersedeLocked(p.delVs, nil, nil, ranges) })
 	}
 	if len(p.updVs) > 0 {
 		rec := &repl.Record{Kind: repl.KindUpdate, Table: t.def.Name, Rows: p.newImgs, OldRows: p.oldImgs}
-		t.applyGateHeld(rec, func(ranges []lsnRange) {
-			for _, rg := range ranges {
-				for i := rg.lo; i < rg.hi; i++ {
-					old := p.updVs[i]
-					old.deleted = rg.lsn
-					t.slots[p.updIdx[i]] = &rowVersion{row: p.newImgs[i], created: rg.lsn, next: old}
-				}
-			}
-		})
+		t.applyGateHeld(rec, func(ranges []lsnRange) { t.supersedeLocked(p.updVs, p.updIdx, p.newImgs, ranges) })
 	}
 	if len(p.ins) > 0 {
 		rec := &repl.Record{Kind: repl.KindInsert, Table: t.def.Name, Rows: p.ins}
 		t.applyGateHeld(rec, func(ranges []lsnRange) { t.insertLocked(p.ins, ranges) })
 	}
-}
-
-// applyGateHeld is Table.apply for callers that already hold the store gate
-// and publish the visible LSN themselves (transaction commit, which spans
-// several records and tables under one gate hold).
-func (t *Table) applyGateHeld(rec *repl.Record, stamp func(ranges []lsnRange)) {
-	ranges := appendRecord(t.log, *rec)
-	t.mu.Lock()
-	stamp(ranges)
-	if len(ranges) > 0 {
-		t.lastMod = ranges[len(ranges)-1].lsn
-	}
-	t.mu.Unlock()
 }
 
 // Rollback discards all buffered effects and releases the snapshot pin. It

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -202,13 +201,13 @@ func replayDir(waldir string, store *storage.Store, snapLSN uint64, rec *Recover
 		if err != nil {
 			return nil, fmt.Errorf("wal: open segment: %w", err)
 		}
-		segRes, err := replaySegment(f, seg, snapLSN, &prevLSN, &origin, store, rec)
+		good, torn, err := replaySegment(f, seg, snapLSN, &prevLSN, &origin, store, rec)
 		f.Close()
 		if err != nil {
 			return nil, err
 		}
-		if segRes.torn {
-			return truncateAt(i, segRes.goodOffset, segRes.why)
+		if torn != "" {
+			return truncateAt(i, good, torn)
 		}
 		// A trailing header-only segment is the footprint of a crash right
 		// after rotation (or first boot) created it: it holds no records, and
@@ -216,7 +215,7 @@ func replayDir(waldir string, store *storage.Store, snapLSN uint64, rec *Recover
 		// must NOT survive as a sealed segment — tracking the same file both
 		// as sealed and as the live tail would let a later checkpoint GC
 		// unlink the segment being appended to, losing acknowledged writes.
-		if i == len(segs)-1 && segRes.goodOffset == segHeaderSize {
+		if i == len(segs)-1 && good == segHeaderSize {
 			logf("wal: dropping empty trailing segment %s", seg.path)
 			if err := os.Remove(seg.path); err != nil {
 				return nil, fmt.Errorf("wal: remove empty segment: %w", err)
@@ -229,88 +228,68 @@ func replayDir(waldir string, store *storage.Store, snapLSN uint64, rec *Recover
 	return survived, nil
 }
 
-type segResult struct {
-	torn       bool
-	goodOffset int64 // bytes of the segment verified good (header included)
-	why        string
-}
-
-// replaySegment applies one segment's records. Continuity is strict: the
-// first record seen across all segments establishes the sequence, every
-// later one must be exactly prev+1, and the first record applied on top of
-// the snapshot must be snapLSN+1 — a gap means segments were lost, which
-// is corruption, not a torn tail.
-func replaySegment(f *os.File, seg segment, snapLSN uint64, prevLSN, origin *uint64, store *storage.Store, rec *Recovery) (segResult, error) {
-	br := bufio.NewReaderSize(f, 1<<20)
+// replaySegment applies one segment's records, read through repl's frame
+// reader, and returns how many bytes of it (header included) are good and,
+// when the rest is torn or corrupt, why. Continuity is strict: the first
+// record seen across all segments establishes the sequence, every later one
+// must be exactly prev+1, and the first record applied on top of the
+// snapshot must be snapLSN+1 — a gap means segments were lost, which is
+// corruption, not a torn tail.
+func replaySegment(src io.Reader, seg segment, snapLSN uint64, prevLSN, origin *uint64, store *storage.Store, rec *Recovery) (good int64, torn string, err error) {
+	br := bufio.NewReaderSize(src, 1<<20)
 	var hdr [segHeaderSize]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		// A header-less file can only be a segment created but never
 		// synced: torn, empty.
-		return segResult{torn: true, goodOffset: 0, why: "truncated segment header"}, nil
+		return 0, "truncated segment header", nil
 	}
 	if [8]byte(hdr[:8]) != segMagic {
-		return segResult{torn: true, goodOffset: 0, why: "bad segment magic"}, nil
+		return 0, "bad segment magic", nil
 	}
 	hdrFirst := binary.LittleEndian.Uint64(hdr[8:16])
 	hdrOrigin := binary.LittleEndian.Uint64(hdr[16:24])
 	if hdrFirst != seg.first {
-		return segResult{torn: true, goodOffset: 0, why: "segment name disagrees with header"}, nil
+		return 0, "segment name disagrees with header", nil
 	}
 	if *origin == 0 {
 		*origin = hdrOrigin
 	} else if hdrOrigin != *origin {
-		return segResult{}, fmt.Errorf("wal: segment %s carries history origin %x, earlier segments %x — mixed data directories", seg.path, hdrOrigin, *origin)
+		return 0, "", fmt.Errorf("wal: segment %s carries history origin %x, earlier segments %x — mixed data directories", seg.path, hdrOrigin, *origin)
 	}
 	if snapLSN > 0 && store.Origin() != 0 && hdrOrigin != store.Origin() {
-		return segResult{}, fmt.Errorf("wal: segment %s carries history origin %x, snapshot %x — mixed data directories", seg.path, hdrOrigin, store.Origin())
+		return 0, "", fmt.Errorf("wal: segment %s carries history origin %x, snapshot %x — mixed data directories", seg.path, hdrOrigin, store.Origin())
 	}
 
-	offset := int64(segHeaderSize)
-	var frameHdr [frameHeaderSize]byte
-	payload := make([]byte, 0, 4096)
+	fr := repl.NewFrameReader(br)
 	for {
-		if _, err := io.ReadFull(br, frameHdr[:]); err != nil {
-			if err == io.EOF {
-				return segResult{goodOffset: offset}, nil // clean end
-			}
-			return segResult{torn: true, goodOffset: offset, why: "torn frame header"}, nil
+		good = segHeaderSize + fr.Offset()
+		payload, err := fr.Next()
+		if err == io.EOF {
+			return good, "", nil // clean end
 		}
-		plen := binary.LittleEndian.Uint32(frameHdr[0:4])
-		want := binary.LittleEndian.Uint32(frameHdr[4:8])
-		if plen == 0 || plen > maxFramePayload {
-			return segResult{torn: true, goodOffset: offset, why: "impossible frame length"}, nil
-		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return segResult{torn: true, goodOffset: offset, why: "torn record payload"}, nil
-		}
-		if crc32.Checksum(payload, castagnoli) != want {
-			return segResult{torn: true, goodOffset: offset, why: "record checksum mismatch"}, nil
+		if err != nil {
+			return good, err.Error(), nil
 		}
 		r, err := repl.ReadRecord(wire.NewReader(payload))
 		if err != nil {
-			return segResult{torn: true, goodOffset: offset, why: "undecodable record"}, nil
+			return good, "undecodable record", nil
 		}
 		if *prevLSN != 0 && r.LSN != *prevLSN+1 {
 			// CRC-valid records on both sides of a hole: records were lost,
 			// which is corruption, not a torn tail. Truncating here would
 			// silently discard the later (potentially acknowledged) records,
 			// so refuse to recover instead.
-			return segResult{}, fmt.Errorf("wal: segment %s has an LSN gap (record %d follows %d) — records are missing, refusing to recover", seg.path, r.LSN, *prevLSN)
+			return 0, "", fmt.Errorf("wal: segment %s has an LSN gap (record %d follows %d) — records are missing, refusing to recover", seg.path, r.LSN, *prevLSN)
 		}
 		*prevLSN = r.LSN
 		if r.LSN > snapLSN {
 			if want := store.Log().LastLSN() + 1; r.LSN != want {
-				return segResult{}, fmt.Errorf("wal: record LSN %d cannot apply to store at %d — WAL and snapshot disagree", r.LSN, want-1)
+				return 0, "", fmt.Errorf("wal: record LSN %d cannot apply to store at %d — WAL and snapshot disagree", r.LSN, want-1)
 			}
 			if err := store.ApplyChange(r); err != nil {
-				return segResult{}, fmt.Errorf("wal: replay LSN %d: %w", r.LSN, err)
+				return 0, "", fmt.Errorf("wal: replay LSN %d: %w", r.LSN, err)
 			}
 			rec.Replayed++
 		}
-		offset += frameHeaderSize + int64(plen)
 	}
 }

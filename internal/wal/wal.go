@@ -17,22 +17,21 @@
 //	<dir>/wal/wal-%016x.seg      segments, named by their first LSN
 //
 // Each segment starts with a 24-byte header (magic, first LSN, history
-// origin) followed by length-framed records:
+// origin) followed by a frame per record, in internal/repl's frame codec:
 //
 //	[u32le payload length][u32le CRC32C(payload)][payload]
 //
 // where the payload is repl.AppendRecord's encoding — the exact bytes a
-// replication follower would receive. A torn or corrupt frame ends replay:
-// the tail is truncated, never fatal, because everything past the first bad
-// byte was by construction never acknowledged (or is re-fetchable from the
-// replication primary).
+// replication follower would receive; a snapshot is framed the same way. A
+// torn or corrupt frame ends replay: the tail is truncated, never fatal,
+// because everything past the first bad byte was by construction never
+// acknowledged (or is re-fetchable from the replication primary).
 package wal
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -124,19 +123,11 @@ const (
 	segPrefix            = "wal-"
 	segSuffix            = ".seg"
 	segHeaderSize        = 24
-	frameHeaderSize      = 8
 	defaultSegmentBytes  = 16 << 20
 	defaultGroupInterval = 2 * time.Millisecond
-	// maxFramePayload rejects impossible length prefixes during replay
-	// before allocating: storage splits oversized mutations at ~8 MiB per
-	// record (maxRecordBytes), so 32 MiB leaves a 4x margin over any frame
-	// the engine can actually write.
-	maxFramePayload = 32 << 20
 )
 
 var segMagic = [8]byte{'P', 'E', 'R', 'M', 'W', 'A', 'L', 1}
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // segment describes one sealed (no longer appended-to) segment file.
 type segment struct {
@@ -309,12 +300,7 @@ func (l *seglog) append(rec repl.Record) {
 	if h := l.hooks; h != nil && h.BeforeAppend != nil {
 		h.BeforeAppend(rec.LSN)
 	}
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	l.buf = repl.AppendRecord(l.buf, rec)
-	payload := l.buf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(l.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.buf[4:8], crc32.Checksum(payload, castagnoli))
+	l.buf = repl.AppendRecordFrame(l.buf[:0], rec)
 	frame := l.buf
 	if h := l.hooks; h != nil && h.TransformWrite != nil {
 		frame = h.TransformWrite(frame)

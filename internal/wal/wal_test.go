@@ -657,3 +657,33 @@ func TestMixedOriginRejected(t *testing.T) {
 		t.Fatal("Open spliced a foreign-origin WAL into a snapshot, want error")
 	}
 }
+
+// TestRecoverAnalyzeWithoutFractions: a data directory written before
+// ANALYZE records carried their fractions — a kv table, five inserts, an
+// ANALYZE, two more inserts — still recovers: its rows replay, and its
+// ANALYZE record installs no statistics instead of rescanning.
+func TestRecoverAnalyzeWithoutFractions(t *testing.T) {
+	dir := t.TempDir()
+	seg := filepath.Join("wal", "wal-0000000000000001.seg")
+	b, err := os.ReadFile(filepath.Join("testdata", "analyze_without_fractions", seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, seg), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, m, rec := testOpen(t, dir, Options{})
+	defer m.Close()
+	if rec.Replayed != 9 || rec.Truncated {
+		t.Fatalf("recovery %+v, want 9 records replayed and nothing truncated", rec)
+	}
+	if got := keys(t, s); len(got) != 7 || got[6] != 6 {
+		t.Fatalf("recovered keys %v, want 0..6", got)
+	}
+	if st := s.Catalog().TableStats("kv"); st.RowCount != 7 || len(st.DistinctFrac) != 0 {
+		t.Fatalf("recovered statistics %+v, want 7 rows and no fractions", st)
+	}
+}
