@@ -13,8 +13,8 @@ import (
 	"strings"
 	"time"
 
-	"perm/internal/cluster"
 	"perm/internal/engine"
+	permsql "perm/internal/sql"
 	"perm/internal/value"
 	"perm/internal/wire"
 )
@@ -248,14 +248,9 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []sqldriver.N
 }
 
 // bind runs the checks every statement passes before it is sent and
-// converts its arguments. st is the prepared statement being run, nil for a
-// statement run by text.
-func (c *conn) bind(ctx context.Context, sqlText string, st *stmt, args []sqldriver.NamedValue) ([]value.Value, error) {
-	if st == nil {
-		if err := c.bindCheck(sqlText, args); err != nil {
-			return nil, err
-		}
-	}
+// converts its arguments. Their count is checked where the statement is
+// parsed: by the engine embedded, by the server remotely.
+func (c *conn) bind(ctx context.Context, sqlText string, args []sqldriver.NamedValue) ([]value.Value, error) {
 	if err := c.checkReadOnly(sqlText); err != nil {
 		return nil, err
 	}
@@ -276,7 +271,7 @@ func (c *conn) openLocal(sqlText string, st *stmt, vals []value.Value) (*engine.
 // query opens a statement's result stream. Cancellation stays armed for the
 // whole stream; rows.Close disarms it (database/sql always calls it).
 func (c *conn) query(ctx context.Context, sqlText string, st *stmt, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	vals, err := c.bind(ctx, sqlText, st, args)
+	vals, err := c.bind(ctx, sqlText, args)
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +299,7 @@ func (c *conn) query(ctx context.Context, sqlText string, st *stmt, args []sqldr
 
 // exec runs a statement to completion and reports its command tag.
 func (c *conn) exec(ctx context.Context, sqlText string, st *stmt, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	vals, err := c.bind(ctx, sqlText, st, args)
+	vals, err := c.bind(ctx, sqlText, args)
 	if err != nil {
 		return nil, err
 	}
@@ -328,17 +323,6 @@ func (c *conn) exec(ctx context.Context, sqlText string, st *stmt, args []sqldri
 		return nil, ctxOr(ctx, remoteErr(err))
 	}
 	return result{tag: tag}, nil
-}
-
-// bindCheck verifies the argument count against the driver's placeholder
-// scanner before anything hits the wire — the server re-checks
-// authoritatively with its parser; the differential and fuzz suites pin the
-// two scanners to agree.
-func (c *conn) bindCheck(query string, args []sqldriver.NamedValue) error {
-	if n := countPlaceholders(query); n != len(args) {
-		return fmt.Errorf("perm driver: %d arguments for %d placeholders", len(args), n)
-	}
-	return nil
 }
 
 // watchContext arms context cancellation for one request and returns the
@@ -399,26 +383,19 @@ func (c *conn) checkReadOnly(sqlText string) error {
 	if !c.readOnly {
 		return nil
 	}
-	switch firstKeyword(sqlText) {
-	case "select", "values", "explain", "show", "set", "(", "":
-		// Reads and session-local statements. SET stays allowed: session
-		// settings (contribution semantics, rewrite strategies) shape how
-		// reads are answered and mutate nothing.
-		return nil
-	case "begin", "start", "commit", "end", "rollback", "abort":
-		// Transaction control is allowed: a read-only snapshot transaction is
-		// perfectly useful on a replica, and any write inside it is rejected
-		// statement by statement anyway.
+	// Reads and session-local statements pass. SET stays allowed: session
+	// settings (contribution semantics, rewrite strategies) shape how reads
+	// are answered and mutate nothing. Transaction control passes too: a
+	// read-only snapshot transaction is perfectly useful on a replica, and
+	// any write inside it is rejected statement by statement anyway. The
+	// router classifies statements by the same leading word.
+	kw := permsql.FirstKeyword(sqlText)
+	if kw == "" || kw == "(" || permsql.KeywordIs(kw, "select", "values", "explain", "show", "set",
+		"begin", "start", "commit", "end", "rollback", "abort") {
 		return nil
 	}
 	return fmt.Errorf("%w (readonly connection)", ErrReadOnly)
 }
-
-// firstKeyword returns the statement's leading keyword, lowercased, skipping
-// whitespace, comments and empty statements. The implementation lives in
-// internal/cluster (the routing proxy classifies statements with the same
-// scanner, and the two must never disagree on what counts as a read).
-func firstKeyword(s string) string { return cluster.FirstKeyword(s) }
 
 // --- statements ----------------------------------------------------------------
 
@@ -636,71 +613,3 @@ func toDriverValue(v value.Value) sqldriver.Value {
 	}
 	return nil
 }
-
-// --- placeholders --------------------------------------------------------------
-
-// placeholderPositions returns the byte offsets of `?` markers that are
-// outside single-quoted string literals, double-quoted identifiers, and
-// `--` / `/* */` comments — the lexical contexts of the SQL dialect in
-// which a ? is not a placeholder.
-func placeholderPositions(query string) []int {
-	var pos []int
-	for i := 0; i < len(query); i++ {
-		switch query[i] {
-		case '\'':
-			i = skipQuoted(query, i, '\'')
-		case '"':
-			i = skipQuoted(query, i, '"')
-		case '-':
-			if i+1 < len(query) && query[i+1] == '-' {
-				for i < len(query) && query[i] != '\n' {
-					i++
-				}
-			}
-		case '/':
-			if i+1 < len(query) && query[i+1] == '*' {
-				// Block comments nest, matching the SQL lexer.
-				depth := 1
-				i += 2
-				for i < len(query) && depth > 0 {
-					switch {
-					case i+1 < len(query) && query[i] == '/' && query[i+1] == '*':
-						depth++
-						i += 2
-					case i+1 < len(query) && query[i] == '*' && query[i+1] == '/':
-						depth--
-						i += 2
-					default:
-						i++
-					}
-				}
-				i-- // outer loop increments past the comment's last byte
-			}
-		case '?':
-			pos = append(pos, i)
-		}
-	}
-	return pos
-}
-
-// skipQuoted returns the index of the closing quote of the quoted region
-// starting at start (a doubled quote escapes itself), or the end of the
-// string when unterminated.
-func skipQuoted(s string, start int, q byte) int {
-	for i := start + 1; i < len(s); i++ {
-		if s[i] == q {
-			if i+1 < len(s) && s[i+1] == q {
-				i++ // escaped quote, stay inside
-				continue
-			}
-			return i
-		}
-	}
-	return len(s)
-}
-
-// countPlaceholders reports how many `?` placeholders a statement binds.
-// The count is the driver's fast pre-flight check (and the fuzz target
-// pinning this scanner to the engine lexer); the server's parser is the
-// authority at execution time.
-func countPlaceholders(query string) int { return len(placeholderPositions(query)) }

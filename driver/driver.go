@@ -51,8 +51,10 @@
 // registers a real prepared statement on the connection's session (parsed
 // once, planned per distinct argument-type vector through the session plan
 // cache), and ad-hoc queries with arguments parse + bind + execute in one
-// round trip. Argument values never travel as interpolated SQL text.
-// Supported argument types are the driver.Value set: nil, bool, int64,
+// round trip. Argument values never travel as interpolated SQL text. The
+// argument count is checked where the statement is parsed (the engine
+// embedded, the server remotely): a mismatch fails with the engine's
+// bind-count error before anything runs. Supported argument types are the driver.Value set: nil, bool, int64,
 // float64, string, []byte (bound as text) and time.Time (RFC 3339 text).
 //
 // # Streaming results

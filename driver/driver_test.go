@@ -396,7 +396,8 @@ func TestPlaceholderInterpolation(t *testing.T) {
 		t.Fatalf("null rows = %d", nulls)
 	}
 
-	// Arity mismatches are driver errors, not engine errors.
+	// Arity mismatches fail where the statement is parsed: the engine's
+	// bind-count error (TestArityCheckedByParse pins the message).
 	if _, err := db.Exec(`INSERT INTO t VALUES (?, ?, ?, ?)`, 1); err == nil {
 		t.Fatal("too few args accepted")
 	}
@@ -413,6 +414,43 @@ func TestPlaceholderInterpolation(t *testing.T) {
 	}
 	if got != 42 {
 		t.Fatalf("commented query returned %d", got)
+	}
+}
+
+// TestArityCheckedByParse runs statements with too few and too many
+// arguments, embedded and over the wire: each fails with the engine's
+// bind-count error from the parse, and a mismatched INSERT writes no row.
+func TestArityCheckedByParse(t *testing.T) {
+	addr := startServer(t, engine.NewDB(), server.Config{})
+	for _, dsn := range []string{"mem://", "tcp://" + addr} {
+		db, err := sql.Open("perm", dsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		if _, err := db.Exec(`CREATE TABLE t (i int, s text)`); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			args []any
+			want string
+		}{
+			{[]any{1}, "engine: statement binds 2 parameters, got 1 arguments"},
+			{[]any{1, "a", 3}, "engine: statement binds 2 parameters, got 3 arguments"},
+			{nil, "engine: statement binds 2 parameters, got 0 arguments"},
+		} {
+			_, err := db.Exec(`INSERT INTO t VALUES (?, /* ? */ ?)`, c.args...)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: INSERT with %d arguments: err = %v, want %q", dsn, len(c.args), err, c.want)
+			}
+			if _, err := db.Query(`SELECT i FROM t WHERE i = ? AND s = ?`, c.args...); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: SELECT with %d arguments: err = %v, want %q", dsn, len(c.args), err, c.want)
+			}
+		}
+		var n int
+		if err := db.QueryRow(`SELECT count(*) FROM t`).Scan(&n); err != nil || n != 0 {
+			t.Errorf("%s: mismatched INSERTs wrote %d rows (%v)", dsn, n, err)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	permsql "perm/internal/sql"
 	"perm/internal/value"
 )
 
@@ -16,7 +17,16 @@ import (
 // (interpolate_test pins them, the differential suite compares all three
 // paths).
 func interpolate(query string, args []sqldriver.NamedValue) (string, error) {
-	pos := placeholderPositions(query)
+	toks, err := permsql.Tokens(query)
+	if err != nil {
+		return "", err
+	}
+	var pos []int // the offsets of the lexer's placeholders
+	for _, t := range toks {
+		if t.Type == permsql.QMARK {
+			pos = append(pos, t.Off)
+		}
+	}
 	if len(pos) != len(args) {
 		return "", fmt.Errorf("perm driver: %d arguments for %d placeholders", len(args), len(pos))
 	}

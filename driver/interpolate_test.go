@@ -5,42 +5,9 @@ import (
 	"testing"
 )
 
-// TestPlaceholderPositionsUnit is the unit-level regression net under the
-// end-to-end interpolation tests: every lexical context in which a `?` is
-// NOT a parameter, exercised directly against the position scanner.
-func TestPlaceholderPositionsUnit(t *testing.T) {
-	cases := []struct {
-		query string
-		want  int // number of real placeholders
-	}{
-		{`SELECT ?`, 1},
-		{`SELECT ?, ?, ?`, 3},
-		{`SELECT '?'`, 0},
-		{`SELECT 'a?b', ?`, 1},
-		{`SELECT 'it''s a ?', ?`, 1},                    // doubled-quote escape stays inside the literal
-		{`SELECT "a?b", ?`, 1},                          // quoted identifier
-		{`SELECT "it""s?", ?`, 1},                       // doubled double-quote
-		{`SELECT 1 -- a ? comment`, 0},                  // line comment
-		{"SELECT ? -- tail ?", 1},                       // line comment without trailing newline
-		{"SELECT 1 -- c ?\n, ?", 1},                     // placeholder after the comment ends
-		{`SELECT /* ? */ ?`, 1},                         // block comment
-		{`SELECT /* a /* nested ? */ still ? */ ?`, 1},  // nested block comment
-		{`SELECT /* unterminated ?`, 0},                 // unterminated block comment
-		{`SELECT 'unterminated ?`, 0},                   // unterminated string literal
-		{`SELECT '?' || ? || '?'`, 1},                   // literals on both sides
-		{`INSERT INTO t VALUES (?, '--?', ?)`, 2},       // comment-start inside a literal
-		{`SELECT * FROM t WHERE s = '/*' AND i = ?`, 1}, // block-start inside a literal
-		{`SELECT -?-1`, 1},                              // lone minus is not a comment
-		{`SELECT 1/?`, 1},                               // lone slash is not a comment
-		{``, 0},
-	}
-	for _, tc := range cases {
-		if got := countPlaceholders(tc.query); got != tc.want {
-			t.Errorf("countPlaceholders(%q) = %d, want %d", tc.query, got, tc.want)
-		}
-	}
-
-	// Interpolation substitutes at exactly the scanned positions.
+// TestInterpolateAtLexerPlaceholders substitutes at exactly the offsets of
+// the lexer's placeholders: a `?` in a literal or a comment stays.
+func TestInterpolateAtLexerPlaceholders(t *testing.T) {
 	got, err := interpolate(`SELECT 'a?', ? /* ? */, ?`, []sqldriver.NamedValue{
 		{Ordinal: 1, Value: int64(7)},
 		{Ordinal: 2, Value: "x"},
@@ -50,28 +17,5 @@ func TestPlaceholderPositionsUnit(t *testing.T) {
 	}
 	if want := `SELECT 'a?', 7 /* ? */, 'x'`; got != want {
 		t.Errorf("interpolate = %q, want %q", got, want)
-	}
-}
-
-func TestFirstKeyword(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{`SELECT 1`, "select"},
-		{`  select provenance x FROM t`, "select"},
-		{"-- lead comment\nINSERT INTO t VALUES (1)", "insert"},
-		{`/* c */ UPDATE t SET i = 1`, "update"},
-		{`/* a /* nested */ b */ delete FROM t`, "delete"},
-		{`(SELECT 1)`, "("},
-		{`  `, ""},
-		{`;INSERT INTO t VALUES (1)`, "insert"}, // the parser skips empty statements too
-		{`; ; update t set i = 1`, "update"},
-		{`;;`, ""},
-		{`EXPLAIN SELECT 1`, "explain"},
-		{`SET optimizer = 'off'`, "set"},
-		{`analyze`, "analyze"},
-	}
-	for _, tc := range cases {
-		if got := firstKeyword(tc.in); got != tc.want {
-			t.Errorf("firstKeyword(%q) = %q, want %q", tc.in, got, tc.want)
-		}
 	}
 }

@@ -1,6 +1,6 @@
 package cluster
 
-import "strings"
+import "perm/internal/sql"
 
 // StatementClass is the router's three-way routing decision for one SQL
 // statement.
@@ -21,60 +21,17 @@ const (
 	ClassSession
 )
 
-// Classify routes one SQL statement. The keyword set mirrors the driver's
-// read-only enforcement: SELECT, VALUES, EXPLAIN, SHOW, parenthesized
-// queries and empty statements read; SET is session-local; everything else
-// writes.
-func Classify(sql string) StatementClass {
-	switch FirstKeyword(sql) {
-	case "select", "values", "explain", "show", "(", "":
+// Classify routes one SQL statement by its first token, the word the
+// driver's read-only enforcement reads too: SELECT, VALUES, EXPLAIN, SHOW,
+// parenthesized queries and empty statements read; SET is session-local;
+// everything else writes.
+func Classify(text string) StatementClass {
+	kw := sql.FirstKeyword(text)
+	switch {
+	case kw == "" || kw == "(" || sql.KeywordIs(kw, "select", "values", "explain", "show"):
 		return ClassRead
-	case "set":
+	case sql.KeywordIs(kw, "set"):
 		return ClassSession
 	}
 	return ClassWrite
-}
-
-// FirstKeyword returns the statement's leading keyword, lowercased, skipping
-// whitespace, comments and empty statements — the engine's parser skips
-// leading semicolons too, so ";INSERT …" must classify as "insert", not as
-// empty ("(" for a parenthesized query, "" for a genuinely empty statement).
-// The perm driver shares this implementation for its client-side read-only
-// enforcement.
-func FirstKeyword(s string) string {
-	i := 0
-	for i < len(s) {
-		switch {
-		case s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r' || s[i] == ';':
-			i++
-		case s[i] == '-' && i+1 < len(s) && s[i+1] == '-':
-			for i < len(s) && s[i] != '\n' {
-				i++
-			}
-		case s[i] == '/' && i+1 < len(s) && s[i+1] == '*':
-			depth := 1
-			i += 2
-			for i < len(s) && depth > 0 {
-				switch {
-				case i+1 < len(s) && s[i] == '/' && s[i+1] == '*':
-					depth++
-					i += 2
-				case i+1 < len(s) && s[i] == '*' && s[i+1] == '/':
-					depth--
-					i += 2
-				default:
-					i++
-				}
-			}
-		case s[i] == '(':
-			return "("
-		default:
-			j := i
-			for j < len(s) && (s[j] == '_' || 'a' <= s[j]|0x20 && s[j]|0x20 <= 'z') {
-				j++
-			}
-			return strings.ToLower(s[i:j])
-		}
-	}
-	return ""
 }

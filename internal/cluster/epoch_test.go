@@ -70,18 +70,3 @@ func TestClassify(t *testing.T) {
 		}
 	}
 }
-
-func TestFirstKeyword(t *testing.T) {
-	cases := []struct{ sql, want string }{
-		{"SELECT 1", "select"},
-		{"-- c\n  /* c2 */ Insert into t", "insert"},
-		{"; ;\nupdate t set v=1", "update"},
-		{"", ""},
-		{"/* unterminated", ""},
-	}
-	for _, c := range cases {
-		if got := FirstKeyword(c.sql); got != c.want {
-			t.Errorf("FirstKeyword(%q) = %q, want %q", c.sql, got, c.want)
-		}
-	}
-}

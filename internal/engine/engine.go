@@ -1147,220 +1147,131 @@ func (s *Session) set(rawName, rawValue string) error {
 	return nil
 }
 
+// showView is one SHOW name that reports engine state rather than a
+// setting: the schema of its result and the rows it reports for a session.
+type showView struct {
+	schema algebra.Schema
+	rows   func(s *Session) ([]value.Row, error)
+}
+
+// showCols types every named column of a SHOW result k.
+func showCols(k value.Kind, names ...string) algebra.Schema {
+	out := make(algebra.Schema, len(names))
+	for i, n := range names {
+		out[i] = algebra.Column{Name: n, Type: k}
+	}
+	return out
+}
+
+// showViews maps each SHOW name that is not a setting to its view.
+var showViews = map[string]showView{
+	"replication_status": {
+		slices.Concat(showCols(value.KindString, "role"), showCols(value.KindBool, "connected"),
+			showCols(value.KindInt, "epoch", "applied_lsn", "primary_lsn", "lag", "staleness_ms"), showCols(value.KindString, "last_error")),
+		func(s *Session) ([]value.Row, error) {
+			rs := s.db.ReplicationStatus()
+			return []value.Row{{value.NewString(rs.Role), value.NewBool(rs.Connected), value.NewInt(int64(rs.Epoch)),
+				value.NewInt(int64(rs.AppliedLSN)), value.NewInt(int64(rs.PrimaryLSN)), value.NewInt(int64(rs.Lag())),
+				value.NewInt(rs.Staleness.Milliseconds()), value.NewString(rs.LastError)}}, nil
+		},
+	},
+	"wal_status": {
+		slices.Concat(showCols(value.KindString, "sync_mode"),
+			showCols(value.KindInt, "last_lsn", "durable_lsn", "checkpoint_lsn", "checkpoints", "segments", "wal_bytes"), showCols(value.KindString, "last_error")),
+		func(s *Session) ([]value.Row, error) {
+			ws := s.db.WALStatus()
+			return []value.Row{{value.NewString(ws.Mode), value.NewInt(int64(ws.LastLSN)), value.NewInt(int64(ws.DurableLSN)),
+				value.NewInt(int64(ws.CheckpointLSN)), value.NewInt(int64(ws.Checkpoints)), value.NewInt(int64(ws.Segments)),
+				value.NewInt(ws.WALBytes), value.NewString(ws.Err)}}, nil
+		},
+	},
+	"wal_sync": {
+		showCols(value.KindString, "wal_sync"),
+		func(s *Session) ([]value.Row, error) {
+			return []value.Row{{value.NewString(s.db.WALStatus().Mode)}}, nil
+		},
+	},
+	"memory_status": {
+		slices.Concat(showCols(value.KindInt, "work_mem", "tracked", "peak", "spill_files", "spill_bytes"), showCols(value.KindString, "temp_dir")),
+		func(s *Session) ([]value.Row, error) {
+			ms := s.MemStatus()
+			tempDir := ms.TempDir
+			if tempDir == "" {
+				tempDir = "(os default)"
+			}
+			return []value.Row{{value.NewInt(ms.WorkMem), value.NewInt(ms.Tracked), value.NewInt(ms.Peak),
+				value.NewInt(ms.SpillFiles), value.NewInt(ms.SpillBytes), value.NewString(tempDir)}}, nil
+		},
+	},
+	"last_trace": {
+		slices.Concat(showCols(value.KindString, "sql"), showCols(value.KindBool, "cache_hit"),
+			showCols(value.KindInt, "parse_us", "analyze_us", "rewrite_us", "plan_us", "open_us", "drain_us", "total_us", "rows",
+				"mem_peak", "spill_files", "spill_bytes", "subplan_hits", "subplan_misses", "parallel_ops", "parallel_workers")),
+		func(s *Session) ([]value.Row, error) {
+			tr := s.LastTrace()
+			if tr == nil {
+				return nil, fmt.Errorf("no trace recorded: SET trace = on, then run a query")
+			}
+			t := tr.Timings
+			drain := max(t.Execute-tr.Open, 0)
+			return []value.Row{{value.NewString(tr.SQL), value.NewBool(tr.CacheHit),
+				value.NewInt(t.Parse.Microseconds()), value.NewInt(t.Analyze.Microseconds()),
+				value.NewInt(t.Rewrite.Microseconds()), value.NewInt(t.Plan.Microseconds()),
+				value.NewInt(tr.Open.Microseconds()), value.NewInt(drain.Microseconds()),
+				value.NewInt(t.Total().Microseconds()), value.NewInt(tr.Rows), value.NewInt(tr.MemPeak),
+				value.NewInt(tr.SpillFiles), value.NewInt(tr.SpillBytes), value.NewInt(tr.SubplanHits),
+				value.NewInt(tr.SubplanMisses), value.NewInt(tr.ParallelOps), value.NewInt(tr.ParallelWorkers)}}, nil
+		},
+	},
+	"mvcc_status": {
+		showCols(value.KindInt, "visible_lsn", "horizon_lsn", "pins", "slots", "versions", "vacuum_runs", "versions_removed", "write_conflicts"),
+		func(s *Session) ([]value.Row, error) {
+			ms := s.db.Store().MVCCStatus()
+			return []value.Row{{value.NewInt(int64(ms.VisibleLSN)), value.NewInt(int64(ms.HorizonLSN)),
+				value.NewInt(int64(ms.Pins)), value.NewInt(int64(ms.Slots)), value.NewInt(int64(ms.Versions)),
+				value.NewInt(int64(ms.VacuumRuns)), value.NewInt(int64(ms.VacuumRemoved)), value.NewInt(int64(ms.WriteConflicts))}}, nil
+		},
+	},
+	"engine_stats": {
+		showCols(value.KindString, "metric", "value"),
+		func(*Session) ([]value.Row, error) {
+			stats := metrics.Default.Snapshot()
+			rows := make([]value.Row, len(stats))
+			for i, st := range stats {
+				rows[i] = value.Row{value.NewString(st.Name), value.NewString(st.Value)}
+			}
+			return rows, nil
+		},
+	},
+	"plan_cache_stats": {
+		showCols(value.KindInt, "hits", "misses", "entries"),
+		func(s *Session) ([]value.Row, error) {
+			hits, misses, size := s.cache.stats()
+			return []value.Row{{value.NewInt(int64(hits)), value.NewInt(int64(misses)), value.NewInt(int64(size))}}, nil
+		},
+	},
+}
+
+// runShow reports one of showViews, or else the session setting of that
+// name as a one-column text row.
 func (s *Session) runShow(st *sql.ShowStmt) (*Result, error) {
 	name := strings.ToLower(st.Name)
-	if name == "replication_status" {
-		rs := s.db.ReplicationStatus()
-		return &Result{
-			Columns: []string{"role", "connected", "epoch", "applied_lsn", "primary_lsn", "lag", "staleness_ms", "last_error"},
-			Schema: algebra.Schema{
-				{Name: "role", Type: value.KindString},
-				{Name: "connected", Type: value.KindBool},
-				{Name: "epoch", Type: value.KindInt},
-				{Name: "applied_lsn", Type: value.KindInt},
-				{Name: "primary_lsn", Type: value.KindInt},
-				{Name: "lag", Type: value.KindInt},
-				{Name: "staleness_ms", Type: value.KindInt},
-				{Name: "last_error", Type: value.KindString},
-			},
-			Rows: []value.Row{{
-				value.NewString(rs.Role),
-				value.NewBool(rs.Connected),
-				value.NewInt(int64(rs.Epoch)),
-				value.NewInt(int64(rs.AppliedLSN)),
-				value.NewInt(int64(rs.PrimaryLSN)),
-				value.NewInt(int64(rs.Lag())),
-				value.NewInt(rs.Staleness.Milliseconds()),
-				value.NewString(rs.LastError),
-			}},
-			Tag: "SHOW",
-		}, nil
-	}
-	if name == "wal_status" {
-		ws := s.db.WALStatus()
-		return &Result{
-			Columns: []string{"sync_mode", "last_lsn", "durable_lsn", "checkpoint_lsn", "checkpoints", "segments", "wal_bytes", "last_error"},
-			Schema: algebra.Schema{
-				{Name: "sync_mode", Type: value.KindString},
-				{Name: "last_lsn", Type: value.KindInt},
-				{Name: "durable_lsn", Type: value.KindInt},
-				{Name: "checkpoint_lsn", Type: value.KindInt},
-				{Name: "checkpoints", Type: value.KindInt},
-				{Name: "segments", Type: value.KindInt},
-				{Name: "wal_bytes", Type: value.KindInt},
-				{Name: "last_error", Type: value.KindString},
-			},
-			Rows: []value.Row{{
-				value.NewString(ws.Mode),
-				value.NewInt(int64(ws.LastLSN)),
-				value.NewInt(int64(ws.DurableLSN)),
-				value.NewInt(int64(ws.CheckpointLSN)),
-				value.NewInt(int64(ws.Checkpoints)),
-				value.NewInt(int64(ws.Segments)),
-				value.NewInt(ws.WALBytes),
-				value.NewString(ws.Err),
-			}},
-			Tag: "SHOW",
-		}, nil
-	}
-	if name == "wal_sync" {
-		return &Result{
-			Columns: []string{"wal_sync"},
-			Schema:  algebra.Schema{{Name: "wal_sync", Type: value.KindString}},
-			Rows:    []value.Row{{value.NewString(s.db.WALStatus().Mode)}},
-			Tag:     "SHOW",
-		}, nil
-	}
-	if name == "memory_status" {
-		ms := s.MemStatus()
-		tempDir := ms.TempDir
-		if tempDir == "" {
-			tempDir = "(os default)"
-		}
-		return &Result{
-			Columns: []string{"work_mem", "tracked", "peak", "spill_files", "spill_bytes", "temp_dir"},
-			Schema: algebra.Schema{
-				{Name: "work_mem", Type: value.KindInt},
-				{Name: "tracked", Type: value.KindInt},
-				{Name: "peak", Type: value.KindInt},
-				{Name: "spill_files", Type: value.KindInt},
-				{Name: "spill_bytes", Type: value.KindInt},
-				{Name: "temp_dir", Type: value.KindString},
-			},
-			Rows: []value.Row{{
-				value.NewInt(ms.WorkMem),
-				value.NewInt(ms.Tracked),
-				value.NewInt(ms.Peak),
-				value.NewInt(ms.SpillFiles),
-				value.NewInt(ms.SpillBytes),
-				value.NewString(tempDir),
-			}},
-			Tag: "SHOW",
-		}, nil
-	}
-	if name == "last_trace" {
-		tr := s.LastTrace()
-		if tr == nil {
-			return nil, fmt.Errorf("no trace recorded: SET trace = on, then run a query")
-		}
-		t := tr.Timings
-		drain := t.Execute - tr.Open
-		if drain < 0 {
-			drain = 0
-		}
-		return &Result{
-			Columns: []string{"sql", "cache_hit", "parse_us", "analyze_us", "rewrite_us", "plan_us", "open_us", "drain_us", "total_us", "rows", "mem_peak", "spill_files", "spill_bytes", "subplan_hits", "subplan_misses", "parallel_ops", "parallel_workers"},
-			Schema: algebra.Schema{
-				{Name: "sql", Type: value.KindString},
-				{Name: "cache_hit", Type: value.KindBool},
-				{Name: "parse_us", Type: value.KindInt},
-				{Name: "analyze_us", Type: value.KindInt},
-				{Name: "rewrite_us", Type: value.KindInt},
-				{Name: "plan_us", Type: value.KindInt},
-				{Name: "open_us", Type: value.KindInt},
-				{Name: "drain_us", Type: value.KindInt},
-				{Name: "total_us", Type: value.KindInt},
-				{Name: "rows", Type: value.KindInt},
-				{Name: "mem_peak", Type: value.KindInt},
-				{Name: "spill_files", Type: value.KindInt},
-				{Name: "spill_bytes", Type: value.KindInt},
-				{Name: "subplan_hits", Type: value.KindInt},
-				{Name: "subplan_misses", Type: value.KindInt},
-				{Name: "parallel_ops", Type: value.KindInt},
-				{Name: "parallel_workers", Type: value.KindInt},
-			},
-			Rows: []value.Row{{
-				value.NewString(tr.SQL),
-				value.NewBool(tr.CacheHit),
-				value.NewInt(t.Parse.Microseconds()),
-				value.NewInt(t.Analyze.Microseconds()),
-				value.NewInt(t.Rewrite.Microseconds()),
-				value.NewInt(t.Plan.Microseconds()),
-				value.NewInt(tr.Open.Microseconds()),
-				value.NewInt(drain.Microseconds()),
-				value.NewInt(t.Total().Microseconds()),
-				value.NewInt(tr.Rows),
-				value.NewInt(tr.MemPeak),
-				value.NewInt(tr.SpillFiles),
-				value.NewInt(tr.SpillBytes),
-				value.NewInt(tr.SubplanHits),
-				value.NewInt(tr.SubplanMisses),
-				value.NewInt(tr.ParallelOps),
-				value.NewInt(tr.ParallelWorkers),
-			}},
-			Tag: "SHOW",
-		}, nil
-	}
-	if name == "mvcc_status" {
-		ms := s.db.Store().MVCCStatus()
-		return &Result{
-			Columns: []string{"visible_lsn", "horizon_lsn", "pins", "slots", "versions", "vacuum_runs", "versions_removed", "write_conflicts"},
-			Schema: algebra.Schema{
-				{Name: "visible_lsn", Type: value.KindInt},
-				{Name: "horizon_lsn", Type: value.KindInt},
-				{Name: "pins", Type: value.KindInt},
-				{Name: "slots", Type: value.KindInt},
-				{Name: "versions", Type: value.KindInt},
-				{Name: "vacuum_runs", Type: value.KindInt},
-				{Name: "versions_removed", Type: value.KindInt},
-				{Name: "write_conflicts", Type: value.KindInt},
-			},
-			Rows: []value.Row{{
-				value.NewInt(int64(ms.VisibleLSN)),
-				value.NewInt(int64(ms.HorizonLSN)),
-				value.NewInt(int64(ms.Pins)),
-				value.NewInt(int64(ms.Slots)),
-				value.NewInt(int64(ms.Versions)),
-				value.NewInt(int64(ms.VacuumRuns)),
-				value.NewInt(int64(ms.VacuumRemoved)),
-				value.NewInt(int64(ms.WriteConflicts)),
-			}},
-			Tag: "SHOW",
-		}, nil
-	}
-	if name == "engine_stats" {
-		stats := metrics.Default.Snapshot()
-		rows := make([]value.Row, len(stats))
-		for i, st := range stats {
-			rows[i] = value.Row{value.NewString(st.Name), value.NewString(st.Value)}
-		}
-		return &Result{
-			Columns: []string{"metric", "value"},
-			Schema: algebra.Schema{
-				{Name: "metric", Type: value.KindString},
-				{Name: "value", Type: value.KindString},
-			},
-			Rows: rows,
-			Tag:  "SHOW",
-		}, nil
-	}
-	if name == "plan_cache_stats" {
-		hits, misses, size := s.cache.stats()
-		return &Result{
-			Columns: []string{"hits", "misses", "entries"},
-			Schema: algebra.Schema{
-				{Name: "hits", Type: value.KindInt},
-				{Name: "misses", Type: value.KindInt},
-				{Name: "entries", Type: value.KindInt},
-			},
-			Rows: []value.Row{{
-				value.NewInt(int64(hits)),
-				value.NewInt(int64(misses)),
-				value.NewInt(int64(size)),
-			}},
-			Tag: "SHOW",
-		}, nil
-	}
-	val, ok := s.setting(name)
+	v, ok := showViews[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown setting %q", st.Name)
+		val, ok := s.setting(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown setting %q", st.Name)
+		}
+		v = showView{showCols(value.KindString, name), func(*Session) ([]value.Row, error) {
+			return []value.Row{{value.NewString(val)}}, nil
+		}}
 	}
-	return &Result{
-		Columns: []string{name},
-		Schema:  algebra.Schema{{Name: name, Type: value.KindString}},
-		Rows:    []value.Row{{value.NewString(val)}},
-		Tag:     "SHOW",
-	}, nil
+	rows, err := v.rows(s)
+	if err != nil {
+		return nil, err
+	}
+	schema := v.schema.Clone()
+	return &Result{Columns: schema.Names(), Schema: schema, Rows: rows, Tag: "SHOW"}, nil
 }
 
 // Setting reads a session variable (tools).

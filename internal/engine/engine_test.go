@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"perm/internal/sql"
+	"perm/internal/storage"
 	"perm/internal/value"
 )
 
@@ -209,6 +211,38 @@ func TestCTASDuplicateColumnNames(t *testing.T) {
 	def := s.db.Catalog().Table("dup")
 	if def.Columns[0].Name == def.Columns[1].Name {
 		t.Errorf("CTAS must deduplicate column names: %+v", def.Columns)
+	}
+}
+
+// TestViewAndExplainKeepTextAsWritten checks that a view stores its query as
+// written, through a snapshot too, and that EXPLAIN's original query is the
+// text it was given.
+func TestViewAndExplainKeepTextAsWritten(t *testing.T) {
+	s := session(t)
+	exec(t, s, `CREATE TABLE t (a int)`)
+	exec(t, s, `INSERT INTO t VALUES (1), (2)`)
+	exec(t, s, "CREATE VIEW v AS\n  SELECT a -- the key\n  FROM t WHERE a > 1;")
+	const want = "SELECT a -- the key\n  FROM t WHERE a > 1"
+	if got := s.db.Store().Catalog().View("v").Text; got != want {
+		t.Errorf("view text = %q, want %q", got, want)
+	}
+	var snap bytes.Buffer
+	if err := s.db.Store().Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := storage.NewStore()
+	if err := restored.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Catalog().View("v").Text; got != want {
+		t.Errorf("restored view text = %q, want %q", got, want)
+	}
+	if res := exec(t, NewDBFrom(restored).NewSession(), `SELECT * FROM v`); len(res.Rows) != 1 {
+		t.Errorf("restored view returned %v", res.Rows)
+	}
+	res := exec(t, s, "EXPLAIN /* c */ SELECT a  FROM v")
+	if got := res.Rows[0][0].Str(); got != "Original query: SELECT a  FROM v" {
+		t.Errorf("EXPLAIN first line = %q", got)
 	}
 }
 

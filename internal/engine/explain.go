@@ -49,7 +49,7 @@ func (s *Session) ExplainAnalyze(sel *sql.SelectStmt) (*Explanation, error) {
 }
 
 func (s *Session) explain(sel *sql.SelectStmt, analyze bool) (*Explanation, error) {
-	ex := &Explanation{OriginalSQL: sql.FormatStatement(sel), Analyzed: analyze}
+	ex := &Explanation{OriginalSQL: sel.Text, Analyzed: analyze}
 
 	// One store pins resolution, costing and execution (see analyzeOn).
 	store := s.db.Store()

@@ -7,6 +7,7 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/executor"
+	"perm/internal/sql"
 	"perm/internal/value"
 )
 
@@ -119,22 +120,12 @@ func (c *planCache) stats() (hits, misses uint64, size int) {
 // cacheableStatement is a cheap pre-screen run before any key building: only
 // statements that can possibly parse as SELECTs (the only statements ever
 // stored) pay for a cache key and a locked lookup. DML/DDL/SET/SHOW skip the
-// cache path entirely. False positives are harmless (a miss), false
-// negatives impossible for this dialect: every query starts with SELECT,
-// VALUES or a parenthesized query.
+// cache path entirely. It reads the first token as the parser does, past
+// comments and empty statements, and allocates nothing: every query starts
+// with SELECT, VALUES or a parenthesis.
 func cacheableStatement(text string) bool {
-	t := strings.TrimSpace(text)
-	switch {
-	case len(t) == 0:
-		return false
-	case t[0] == '(':
-		return true
-	case len(t) >= 6 && strings.EqualFold(t[:6], "select"):
-		return true
-	case len(t) >= 6 && strings.EqualFold(t[:6], "values"):
-		return true
-	}
-	return false
+	kw := sql.FirstKeyword(text)
+	return kw == "(" || sql.KeywordIs(kw, "select", "values")
 }
 
 // normalizeSQL trims insignificant leading/trailing bytes from a statement.

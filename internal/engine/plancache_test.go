@@ -49,6 +49,22 @@ func TestPlanCacheHitSkipsStages(t *testing.T) {
 	}
 }
 
+// TestPlanCacheLeadingCommentOrSemicolon runs statements whose first token
+// comes after a comment or an empty statement: the pre-screen reads past
+// them as the parser does, so the second run hits.
+func TestPlanCacheLeadingCommentOrSemicolon(t *testing.T) {
+	s := cacheSession(t)
+	for _, q := range []string{"-- note\nSELECT 1", "/* x */ SELECT 1", ";SELECT 1", "  SELECT 2", "/* (VALUES */ (VALUES (3))"} {
+		exec(t, s, q)
+		if !exec(t, s, q).CacheHit {
+			t.Errorf("second run of %q missed the plan cache", q)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { cacheableStatement("-- note\nSELECT a FROM t") }); n != 0 {
+		t.Errorf("cacheableStatement allocates %v times, want 0", n)
+	}
+}
+
 func TestPlanCacheSeesNewData(t *testing.T) {
 	s := cacheSession(t)
 	q := `SELECT count(*) FROM t`

@@ -1,6 +1,12 @@
-// Package sql implements the SQL front-end of Perm: lexer, parser, abstract
-// syntax tree, and SQL printer. The grammar is the SQL subset Perm supports
-// plus the SQL-PLE provenance language extension of the paper:
+// Package sql implements the SQL front-end of Perm: lexer, parser and
+// abstract syntax tree. It is the one reader of SQL text. Every token records
+// the byte span it was read from, and a parsed query keeps its text as
+// written (SelectStmt.Text), which is what a view stores and EXPLAIN shows
+// as the original query; there is no printer back from the tree. Other
+// packages that look at statement text — the router, the driver's read-only
+// check, the plan cache — ask FirstKeyword, which reads by the lexer's rules.
+// The grammar is the SQL subset Perm supports plus the SQL-PLE provenance
+// language extension of the paper:
 //
 //	SELECT PROVENANCE [ON CONTRIBUTION (INFLUENCE | COPY)] ...
 //	<from item> BASERELATION
@@ -24,8 +30,9 @@ type Expr interface{ expr() }
 type SelectStmt struct {
 	Body    QueryBody
 	OrderBy []OrderItem
-	Limit   Expr // nil when absent
-	Offset  Expr // nil when absent
+	Limit   Expr   // nil when absent
+	Offset  Expr   // nil when absent
+	Text    string // the query as written: its span of the parsed source
 }
 
 func (*SelectStmt) stmt() {}
@@ -217,8 +224,8 @@ type CreateTableStmt struct {
 
 func (*CreateTableStmt) stmt() {}
 
-// CreateViewStmt is CREATE VIEW name AS select. Text preserves the SQL of the
-// defining query for later re-analysis (view unfolding).
+// CreateViewStmt is CREATE VIEW name AS select. Text is the defining query
+// as written, kept for later re-analysis (view unfolding).
 type CreateViewStmt struct {
 	Name   string
 	Select *SelectStmt

@@ -4,21 +4,20 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer turns SQL text into tokens. It handles single-quoted strings with ”
 // escapes, double-quoted identifiers, line comments (--) and block comments
 // (/* ... */, nested), and the SQL operator set used by the grammar.
 type Lexer struct {
-	src  []rune
-	pos  int
-	line int
-	col  int
+	src string
+	pos int // byte offset of the next unread rune
 }
 
 // NewLexer returns a lexer over the input.
 func NewLexer(input string) *Lexer {
-	return &Lexer{src: []rune(input), line: 1, col: 1}
+	return &Lexer{src: input}
 }
 
 // Tokens lexes the whole input.
@@ -37,77 +36,98 @@ func Tokens(input string) ([]Token, error) {
 	}
 }
 
-func (l *Lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return 0
+// FirstKeyword returns the source text of a statement's first token,
+// skipping whitespace, comments and the empty statements leading semicolons
+// make, as the parser does: the leading keyword, "(" for a parenthesized
+// query, "" for an empty statement or text the lexer rejects. It does not
+// allocate, and the word keeps its case: compare it with KeywordIs.
+func FirstKeyword(s string) string {
+	l := Lexer{src: s}
+	for {
+		tt, off, err := l.scan()
+		if err != nil {
+			return ""
+		}
+		if tt != SEMI {
+			return s[off:l.pos]
+		}
 	}
-	return l.src[l.pos]
 }
 
+// KeywordIs reports whether word is one of the keywords kws, compared
+// without regard to case.
+func KeywordIs(word string, kws ...string) bool {
+	for _, kw := range kws {
+		if strings.EqualFold(word, kw) {
+			return true
+		}
+	}
+	return false
+}
+
+// peekAt returns the rune n runes ahead, or 0 past the end.
 func (l *Lexer) peekAt(n int) rune {
-	if l.pos+n >= len(l.src) {
+	i := l.pos
+	for ; n > 0 && i < len(l.src); n-- {
+		_, w := utf8.DecodeRuneInString(l.src[i:])
+		i += w
+	}
+	if i >= len(l.src) {
 		return 0
 	}
-	return l.src[l.pos+n]
+	r, _ := utf8.DecodeRuneInString(l.src[i:])
+	return r
 }
+
+func (l *Lexer) peek() rune { return l.peekAt(0) }
 
 func (l *Lexer) advance() rune {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
+	r, w := utf8.DecodeRuneInString(l.src[l.pos:])
+	l.pos += w
+	return r
+}
+
+func (l *Lexer) errAt(off int, format string, args ...interface{}) error {
+	return fmt.Errorf("%s: %s", position(l.src, off), fmt.Sprintf(format, args...))
 }
 
 func (l *Lexer) skipSpaceAndComments() error {
-	for {
-		c := l.peek()
+	for l.pos < len(l.src) {
+		rest := l.src[l.pos:]
 		switch {
-		case l.pos >= len(l.src):
-			return nil
-		case unicode.IsSpace(c):
+		case unicode.IsSpace(l.peek()):
 			l.advance()
-		case c == '-' && l.peekAt(1) == '-':
-			// Skip to end of line by position, not the 0 rune: comment text —
-			// like quoted-literal text, and like block comments below — may
-			// contain any rune including NUL.
-			for l.pos < len(l.src) && l.peek() != '\n' {
-				l.advance()
+		case strings.HasPrefix(rest, "--"):
+			// Comment text, like quoted-literal text, may hold any byte,
+			// NUL included: only a newline ends it.
+			if i := strings.IndexByte(rest, '\n'); i >= 0 {
+				l.pos += i
+			} else {
+				l.pos = len(l.src)
 			}
-		case c == '/' && l.peekAt(1) == '*':
-			startLine, startCol := l.line, l.col
-			l.advance()
-			l.advance()
-			depth := 1
-			for depth > 0 {
-				if l.pos >= len(l.src) {
-					return fmt.Errorf("line %d col %d: unterminated block comment", startLine, startCol)
-				}
-				if l.peek() == '/' && l.peekAt(1) == '*' {
-					l.advance()
-					l.advance()
+		case strings.HasPrefix(rest, "/*"):
+			start := l.pos
+			l.pos += 2
+			for depth := 1; depth > 0; {
+				rest := l.src[l.pos:]
+				switch {
+				case rest == "":
+					return l.errAt(start, "unterminated block comment")
+				case strings.HasPrefix(rest, "/*"):
+					l.pos += 2
 					depth++
-					continue
-				}
-				if l.peek() == '*' && l.peekAt(1) == '/' {
-					l.advance()
-					l.advance()
+				case strings.HasPrefix(rest, "*/"):
+					l.pos += 2
 					depth--
-					continue
+				default:
+					l.pos++
 				}
-				l.advance()
 			}
 		default:
 			return nil
 		}
 	}
+	return nil
 }
 
 func isIdentStart(c rune) bool {
@@ -120,148 +140,152 @@ func isIdentPart(c rune) bool {
 
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
-	if err := l.skipSpaceAndComments(); err != nil {
+	tt, off, err := l.scan()
+	if err != nil {
 		return Token{}, err
 	}
-	line, col := l.line, l.col
-	mk := func(tt TokenType, text string) Token {
-		return Token{Type: tt, Text: text, Line: line, Col: col}
+	text := l.src[off:l.pos]
+	switch tt {
+	case IDENT:
+		text = strings.ToLower(text)
+	case STRING:
+		text = unquote(text, "''")
+	case QIDENT:
+		text = unquote(text, `""`)
 	}
-	c := l.peek()
+	return Token{Type: tt, Text: text, Off: off, End: l.pos}, nil
+}
+
+// unquote returns the value of a quoted token: the text between the quotes
+// with each doubled quote made single and each invalid UTF-8 byte read as
+// U+FFFD.
+func unquote(raw, doubled string) string {
+	s := strings.ReplaceAll(raw[1:len(raw)-1], doubled, doubled[:1])
+	if !utf8.ValidString(s) {
+		s = string([]rune(s))
+	}
+	return s
+}
+
+// scan reads the next token, returning its type and start offset; it ends
+// at l.pos. Only the error path allocates.
+func (l *Lexer) scan() (TokenType, int, error) {
+	if err := l.skipSpaceAndComments(); err != nil {
+		return EOF, 0, err
+	}
+	off := l.pos
+	if off >= len(l.src) {
+		// True end of input only: a literal NUL in the source is not EOF —
+		// treating it as one would silently truncate the statement — so it
+		// falls through to the unexpected-character error below.
+		return EOF, off, nil
+	}
+	c := l.advance()
 	switch {
-	case l.pos >= len(l.src):
-		// True end of input only: a literal NUL rune in the source is NOT
-		// EOF — treating it as one would silently truncate the statement
-		// (found by FuzzPlaceholders) — so it falls through to the
-		// unexpected-character error below.
-		return mk(EOF, ""), nil
 	case isIdentStart(c):
-		var b strings.Builder
 		for isIdentPart(l.peek()) {
-			b.WriteRune(l.advance())
+			l.advance()
 		}
-		return mk(IDENT, strings.ToLower(b.String())), nil
-	case unicode.IsDigit(c) || (c == '.' && unicode.IsDigit(l.peekAt(1))):
-		var b strings.Builder
-		seenDot, seenExp := false, false
+		return IDENT, off, nil
+	case unicode.IsDigit(c) || (c == '.' && unicode.IsDigit(l.peek())):
+		seenDot, seenExp := c == '.', false
 		for {
 			c := l.peek()
 			switch {
 			case unicode.IsDigit(c):
-				b.WriteRune(l.advance())
+				l.advance()
 			case c == '.' && !seenDot && !seenExp:
 				seenDot = true
-				b.WriteRune(l.advance())
+				l.advance()
 			case (c == 'e' || c == 'E') && !seenExp && unicode.IsDigit(runeOrZero(l.peekAt(1), l.peekAt(2))):
 				seenExp = true
-				b.WriteRune(l.advance())
+				l.advance()
 				if l.peek() == '+' || l.peek() == '-' {
-					b.WriteRune(l.advance())
+					l.advance()
 				}
 			default:
-				return mk(NUMBER, b.String()), nil
+				return NUMBER, off, nil
 			}
 		}
-	case c == '\'':
-		l.advance()
-		var b strings.Builder
+	case c == '\'' || c == '"':
 		for {
-			c := l.peek()
 			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("line %d col %d: unterminated string literal", line, col)
+				if c == '"' {
+					return EOF, off, l.errAt(off, "unterminated quoted identifier")
+				}
+				return EOF, off, l.errAt(off, "unterminated string literal")
+			}
+			if l.advance() != c {
+				continue
+			}
+			if l.peek() == c { // a doubled quote escapes itself
+				l.advance()
+				continue
 			}
 			if c == '\'' {
-				if l.peekAt(1) == '\'' { // escaped quote
-					l.advance()
-					l.advance()
-					b.WriteRune('\'')
-					continue
-				}
-				l.advance()
-				return mk(STRING, b.String()), nil
+				return STRING, off, nil
 			}
-			b.WriteRune(l.advance())
-		}
-	case c == '"':
-		l.advance()
-		var b strings.Builder
-		for {
-			c := l.peek()
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("line %d col %d: unterminated quoted identifier", line, col)
+			if l.pos-off == 2 {
+				return EOF, off, l.errAt(off, "empty quoted identifier")
 			}
-			if c == '"' {
-				if l.peekAt(1) == '"' {
-					l.advance()
-					l.advance()
-					b.WriteRune('"')
-					continue
-				}
-				l.advance()
-				if b.Len() == 0 {
-					return Token{}, fmt.Errorf("line %d col %d: empty quoted identifier", line, col)
-				}
-				return mk(QIDENT, b.String()), nil
-			}
-			b.WriteRune(l.advance())
+			return QIDENT, off, nil
 		}
 	}
-	l.advance()
 	switch c {
 	case '(':
-		return mk(LPAREN, "("), nil
+		return LPAREN, off, nil
 	case ')':
-		return mk(RPAREN, ")"), nil
+		return RPAREN, off, nil
 	case ',':
-		return mk(COMMA, ","), nil
+		return COMMA, off, nil
 	case ';':
-		return mk(SEMI, ";"), nil
+		return SEMI, off, nil
 	case '*':
-		return mk(STAR, "*"), nil
+		return STAR, off, nil
 	case '.':
-		return mk(DOT, "."), nil
+		return DOT, off, nil
 	case '+':
-		return mk(PLUS, "+"), nil
+		return PLUS, off, nil
 	case '-':
-		return mk(MINUS, "-"), nil
+		return MINUS, off, nil
 	case '/':
-		return mk(SLASH, "/"), nil
+		return SLASH, off, nil
 	case '%':
-		return mk(PERCENT, "%"), nil
+		return PERCENT, off, nil
 	case '=':
-		return mk(EQ, "="), nil
+		return EQ, off, nil
 	case '<':
-		if l.peek() == '=' {
+		switch l.peek() {
+		case '=':
 			l.advance()
-			return mk(LTE, "<="), nil
-		}
-		if l.peek() == '>' {
+			return LTE, off, nil
+		case '>':
 			l.advance()
-			return mk(NEQ, "<>"), nil
+			return NEQ, off, nil
 		}
-		return mk(LT, "<"), nil
+		return LT, off, nil
 	case '>':
 		if l.peek() == '=' {
 			l.advance()
-			return mk(GTE, ">="), nil
+			return GTE, off, nil
 		}
-		return mk(GT, ">"), nil
+		return GT, off, nil
 	case '!':
 		if l.peek() == '=' {
 			l.advance()
-			return mk(NEQ, "!="), nil
+			return NEQ, off, nil
 		}
-		return Token{}, fmt.Errorf("line %d col %d: unexpected character '!'", line, col)
+		return EOF, off, l.errAt(off, "unexpected character '!'")
 	case '|':
 		if l.peek() == '|' {
 			l.advance()
-			return mk(CONCAT, "||"), nil
+			return CONCAT, off, nil
 		}
-		return Token{}, fmt.Errorf("line %d col %d: unexpected character '|'", line, col)
+		return EOF, off, l.errAt(off, "unexpected character '|'")
 	case '?':
-		return mk(QMARK, "?"), nil
+		return QMARK, off, nil
 	}
-	return Token{}, fmt.Errorf("line %d col %d: unexpected character %q", line, col, string(c))
+	return EOF, off, l.errAt(off, "unexpected character %q", string(c))
 }
 
 // runeOrZero helps lex exponents: returns the first rune unless it is a sign,

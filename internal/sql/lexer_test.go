@@ -1,8 +1,8 @@
 package sql
 
 import (
-	"strings"
 	"testing"
+	"unsafe"
 )
 
 func lex(t *testing.T, input string) []Token {
@@ -103,15 +103,106 @@ func TestLexErrors(t *testing.T) {
 }
 
 func TestLexPositions(t *testing.T) {
-	toks := lex(t, "a\n  bb")
-	if toks[0].Line != 1 || toks[0].Col != 1 {
-		t.Errorf("first token at %d:%d", toks[0].Line, toks[0].Col)
+	src := "a\n  bb 'it''s'"
+	toks := lex(t, src)
+	for i, want := range []string{"a", "bb", "'it''s'", ""} {
+		if got := src[toks[i].Off:toks[i].End]; got != want {
+			t.Errorf("token %d spans %q, want %q", i, got, want)
+		}
 	}
-	if toks[1].Line != 2 || toks[1].Col != 3 {
-		t.Errorf("second token at %d:%d, want 2:3", toks[1].Line, toks[1].Col)
+	if got := position(src, toks[1].Off); got != "line 2 col 3" {
+		t.Errorf("position = %q, want line 2 col 3", got)
 	}
-	if !strings.Contains(toks[1].Pos(), "line 2") {
-		t.Errorf("Pos() = %q", toks[1].Pos())
+	if n := unsafe.Sizeof(Token{}); n > 40 {
+		t.Errorf("Token is %d bytes, want at most 40", n)
+	}
+}
+
+// TestErrorMessages pins lexer and parser errors byte for byte: line and
+// column are derived from the token's offset, and a column counts runes.
+func TestErrorMessages(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"SELECT\n  a FROM", "line 2 col 9: expected identifier, found end of input"},
+		{"SELECT a,\n\tb FROM t WHERE ü = 'x' AND\n  ! b", "line 3 col 3: unexpected character '!'"},
+		{"über, 'ok'\n || x |", "line 2 col 7: unexpected character '|'"},
+		{"SELECT 'a''b\n", "line 1 col 8: unterminated string literal"},
+		{"SELECT \"x\" FROM \"\"", "line 1 col 17: empty quoted identifier"},
+		{"SELECT 1 /* a /* b */", "line 1 col 10: unterminated block comment"},
+		{"SELECT a FROM t\n  WHERE a = ü@", "line 2 col 14: unexpected character \"@\""},
+		{"SELECT 1 2 3", "line 1 col 10: unexpected \"2\" after statement"},
+		{"FOO BAR", "line 1 col 1: unsupported statement starting with \"foo\""},
+		{"\n\n   SELECT a FROM t GROUP", "line 3 col 25: expected BY, found end of input"},
+		{"SELECT \xff", "line 1 col 8: unexpected character \"\uFFFD\""},
+		{"SELECT 'é\xff' e\x00", "line 1 col 14: unexpected character \"\\x00\""},
+		{"SELECT \"a\"\"\n", "line 1 col 8: unterminated quoted identifier"},
+	} {
+		if _, err := Parse(c.in); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.in, err, c.want)
+		}
+	}
+}
+
+func TestFirstKeyword(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"SELECT 1", "SELECT"},
+		{"  select provenance x FROM t", "select"},
+		{"-- c\n  /* c2 */ Insert into t", "Insert"},
+		{"/* a /* nested */ b */ delete FROM t", "delete"},
+		{"; ;\nupdate t set v=1", "update"},
+		{"(SELECT 1)", "("},
+		{"select1 FROM t", "select1"},
+		{"'x'", "'x'"},
+		{"", ""},
+		{";;", ""},
+		{"/* unterminated", ""},
+	} {
+		if got := FirstKeyword(c.in); got != c.want {
+			t.Errorf("FirstKeyword(%q) = %q, want %q", c.in, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { FirstKeyword("/* c */ ; SELECT a FROM t") }); n != 0 {
+		t.Errorf("FirstKeyword allocates %v times, want 0", n)
+	}
+}
+
+func TestLexPlaceholders(t *testing.T) {
+	for _, c := range []struct {
+		query string
+		want  int // number of QMARK tokens
+	}{
+		{`SELECT ?`, 1},
+		{`SELECT ?, ?, ?`, 3},
+		{`SELECT '?'`, 0},
+		{`SELECT 'a?b', ?`, 1},
+		{`SELECT 'it''s a ?', ?`, 1},                    // doubled-quote escape stays inside the literal
+		{`SELECT "a?b", ?`, 1},                          // quoted identifier
+		{`SELECT "it""s?", ?`, 1},                       // doubled double-quote
+		{`SELECT 1 -- a ? comment`, 0},                  // line comment
+		{"SELECT ? -- tail ?", 1},                       // line comment without trailing newline
+		{"SELECT 1 -- c ?\n, ?", 1},                     // placeholder after the comment ends
+		{`SELECT /* ? */ ?`, 1},                         // block comment
+		{`SELECT /* a /* nested ? */ still ? */ ?`, 1},  // nested block comment
+		{`SELECT '?' || ? || '?'`, 1},                   // literals on both sides
+		{`INSERT INTO t VALUES (?, '--?', ?)`, 2},       // comment-start inside a literal
+		{`SELECT * FROM t WHERE s = '/*' AND i = ?`, 1}, // block-start inside a literal
+		{`SELECT -?-1`, 1},                              // lone minus is not a comment
+		{`SELECT 1/?`, 1},                               // lone slash is not a comment
+		{``, 0},
+	} {
+		n := 0
+		for _, tok := range lex(t, c.query) {
+			if tok.Type == QMARK {
+				n++
+			}
+		}
+		if n != c.want {
+			t.Errorf("%q lexes %d placeholders, want %d", c.query, n, c.want)
+		}
+	}
+	for _, bad := range []string{`SELECT /* unterminated ?`, `SELECT 'unterminated ?`} {
+		if _, err := Tokens(bad); err == nil {
+			t.Errorf("Tokens(%q) should fail", bad)
+		}
 	}
 }
 

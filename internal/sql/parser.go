@@ -12,6 +12,7 @@ import (
 // matched case-insensitively against IDENT tokens so that non-reserved words
 // remain valid identifiers.
 type Parser struct {
+	src  string
 	toks []Token
 	pos  int
 	// params counts `?` placeholders seen so far; each one is numbered in
@@ -53,7 +54,7 @@ func ParseWithParams(input string) (Statement, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{src: input, toks: toks}
 	for p.peek().Type == SEMI {
 		p.next()
 	}
@@ -79,7 +80,7 @@ func ParseScript(input string) ([]Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{src: input, toks: toks}
 	var out []Statement
 	for {
 		for p.peek().Type == SEMI {
@@ -108,7 +109,7 @@ func ParseExpr(input string) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := &Parser{src: input, toks: toks}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -145,7 +146,7 @@ func (p *Parser) describe() string {
 }
 
 func (p *Parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("%s: %s", p.peek().Pos(), fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: %s", position(p.src, p.peek().Off), fmt.Sprintf(format, args...))
 }
 
 // isKeyword reports whether the current token is the given keyword.
@@ -340,7 +341,8 @@ func (p *Parser) parseCreate() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CreateViewStmt{Name: name, Select: sel, Text: FormatStatement(sel)}, nil
+		// A copy: the catalog keeps the view, not the script it came in.
+		return &CreateViewStmt{Name: name, Select: sel, Text: strings.Clone(sel.Text)}, nil
 	}
 	return nil, p.errf("expected TABLE or VIEW after CREATE, found %s", p.describe())
 }
@@ -556,6 +558,7 @@ func (p *Parser) parseSet() (Statement, error) {
 // --- SELECT -----------------------------------------------------------------
 
 func (p *Parser) parseSelectStmt() (*SelectStmt, error) {
+	off := p.peek().Off
 	body, err := p.parseQueryBody()
 	if err != nil {
 		return nil, err
@@ -597,6 +600,7 @@ func (p *Parser) parseSelectStmt() (*SelectStmt, error) {
 		}
 		st.Offset = e
 	}
+	st.Text = p.src[off:p.toks[p.pos-1].End]
 	return st, nil
 }
 

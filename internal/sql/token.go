@@ -1,6 +1,10 @@
 package sql
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+	"unicode/utf8"
+)
 
 // TokenType classifies lexer output.
 type TokenType int
@@ -86,13 +90,19 @@ func (t TokenType) String() string {
 	return fmt.Sprintf("token(%d)", int(t))
 }
 
-// Token is one lexical element with its source position (1-based).
+// Token is one lexical element. Off and End delimit the bytes it was read
+// from, src[Off:End]; line and column are derived from Off only when an
+// error is reported.
 type Token struct {
-	Type TokenType
-	Text string // raw text; for STRING the unescaped value, for IDENT folded lower
-	Line int
-	Col  int
+	Type     TokenType
+	Text     string // for IDENT folded lower, for STRING and QIDENT the unquoted value, else the source text
+	Off, End int
 }
 
-// Pos renders the position for error messages.
-func (t Token) Pos() string { return fmt.Sprintf("line %d col %d", t.Line, t.Col) }
+// position renders byte offset off of src as the 1-based line and column
+// that error messages carry; a column counts runes.
+func position(src string, off int) string {
+	line := 1 + strings.Count(src[:off], "\n")
+	col := 1 + utf8.RuneCountInString(src[strings.LastIndexByte(src[:off], '\n')+1:off])
+	return fmt.Sprintf("line %d col %d", line, col)
+}
