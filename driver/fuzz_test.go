@@ -1,37 +1,20 @@
 package driver
 
 import (
+	"database/sql"
+	"fmt"
+	"strings"
 	"testing"
 
-	"perm/internal/sql"
+	permsql "perm/internal/sql"
 )
 
-// referencePlaceholderCount counts `?` bind markers the way the engine's
-// own lexer does: one QMARK token per placeholder. It is the oracle the
-// driver's lightweight scanner is fuzzed against — the two must agree on
-// every input the lexer accepts, or a statement's client-side arity check
-// would diverge from the server's parse.
-func referencePlaceholderCount(query string) (int, bool) {
-	toks, err := sql.Tokens(query)
-	if err != nil {
-		// The lexer rejects the input (unterminated literal/comment, stray
-		// byte); the server would reject it too, so the scanner's answer is
-		// not load-bearing.
-		return 0, false
-	}
-	n := 0
-	for _, t := range toks {
-		if t.Type == sql.QMARK {
-			n++
-		}
-	}
-	return n, true
-}
-
-// FuzzPlaceholders pins the driver's placeholder scanner to the engine
-// lexer across arbitrary inputs: `?` inside string literals, quoted
-// identifiers, and line/block comments must never count; every other `?`
-// must.
+// FuzzPlaceholders pins the driver's argument count to the engine lexer
+// across arbitrary inputs: `?` inside string literals, quoted identifiers,
+// and line/block comments never counts; every other `?` does. A statement
+// run with one argument more than the lexer finds placeholders never runs,
+// and when it parses it fails with the engine's bind-count error for
+// exactly that many.
 func FuzzPlaceholders(f *testing.F) {
 	for _, seed := range []string{
 		``,
@@ -52,11 +35,32 @@ func FuzzPlaceholders(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	db, err := sql.Open("perm", "mem://")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { db.Close() })
 	f.Fuzz(func(t *testing.T, query string) {
-		got := countPlaceholders(query) // must never panic, whatever the input
-		want, ok := referencePlaceholderCount(query)
-		if ok && got != want {
-			t.Fatalf("scanner counted %d placeholders, lexer %d, in %q", got, want, query)
+		toks, lexErr := permsql.Tokens(query)
+		n := 0
+		for _, tok := range toks {
+			if tok.Type == permsql.QMARK {
+				n++
+			}
+		}
+		args := make([]any, n+1)
+		for i := range args {
+			args[i] = int64(i)
+		}
+		_, err := db.Exec(query, args...)
+		if err == nil {
+			t.Fatalf("%q ran with %d arguments; the lexer finds %d placeholders", query, n+1, n)
+		}
+		if _, _, perr := permsql.ParseWithParams(query); lexErr == nil && perr == nil {
+			want := fmt.Sprintf("engine: statement binds %d parameters, got %d arguments", n, n+1)
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%q with %d arguments: err = %v, want %q", query, n+1, err, want)
+			}
 		}
 	})
 }

@@ -70,3 +70,24 @@ func TestClassify(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstKeyword checks that Classify reads the first keyword past
+// comments and empty statements, whatever its case.
+func TestFirstKeyword(t *testing.T) {
+	cases := []struct {
+		sql  string
+		want StatementClass
+	}{
+		{"SELECT 1", ClassRead},
+		{"-- c\n  /* c2 */ Insert into t", ClassWrite},
+		{"; ;\nupdate t set v=1", ClassWrite},
+		{"/* x */ ; Set optimizer = 'off'", ClassSession},
+		{"", ClassRead},
+		{"/* unterminated", ClassRead},
+	}
+	for _, c := range cases {
+		if got := Classify(c.sql); got != c.want {
+			t.Errorf("Classify(%q) = %v, want %v", c.sql, got, c.want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"strings"
 	"testing"
 
 	"perm/internal/value"
@@ -445,10 +446,10 @@ func TestParseSchemaQualified(t *testing.T) {
 	}
 }
 
-// TestSelectTextAsWritten checks that a parsed query keeps its source span:
-// the text as written, comments and spelling included, which parses back to
-// the same statement.
-func TestSelectTextAsWritten(t *testing.T) {
+// TestFormatRoundTrip checks the text a parsed query keeps, the text views
+// store and EXPLAIN shows: its source span as written, comments and
+// spelling included, which parses back to the same statement.
+func TestFormatRoundTrip(t *testing.T) {
 	queries := []string{
 		`SELECT a, b AS bee FROM t WHERE (a > 1) AND (b LIKE 'x%')`,
 		`SELECT PROVENANCE mid, text FROM messages UNION SELECT mid, text FROM imports`,
@@ -458,7 +459,10 @@ func TestSelectTextAsWritten(t *testing.T) {
 		`SELECT a FROM (SELECT a FROM t) AS s PROVENANCE (a)`,
 		`SELECT CASE WHEN a IS NULL THEN 0 ELSE a END FROM t`,
 		`SELECT a FROM t WHERE a IN (SELECT b FROM u) AND EXISTS (SELECT 1 FROM w)`,
+		`SELECT a FROM t WHERE a BETWEEN 1 AND 2 OR a IS NOT NULL`,
 		`SELECT a FROM t INTERSECT ALL SELECT a FROM u`,
+		`SELECT DISTINCT a, sum(b) FROM t GROUP BY a`,
+		`SELECT CAST(a AS float) FROM t WHERE x IS NOT DISTINCT FROM y`,
 		`SELECT "select", "Mixed" FROM "order" -- the key` + "\n" + `WHERE x = 'it''s'`,
 		`(SELECT a FROM t) UNION (SELECT a FROM u UNION SELECT a FROM v)`,
 		`VALUES (1, 'x'), (2, 'y')`,
@@ -483,5 +487,122 @@ func TestSelectTextAsWritten(t *testing.T) {
 	sub := coreOf(t, parseSelect(t, `SELECT a FROM t WHERE a IN ( SELECT b FROM u )`)).Where.(*InExpr).Subquery
 	if sub.Text != "SELECT b FROM u" {
 		t.Errorf("subquery text = %q", sub.Text)
+	}
+}
+
+// viewText defines a view as q and returns the text it stores, which must
+// parse to the same statement as q alone.
+func viewText(t *testing.T, q string) string {
+	t.Helper()
+	st, err := Parse("CREATE VIEW v AS " + q)
+	if err != nil {
+		t.Fatalf("CREATE VIEW v AS %q: %v", q, err)
+	}
+	text := st.(*CreateViewStmt).Text
+	want, err := Parse(q)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", q, err)
+	}
+	if again, err := Parse(text); err != nil || !sameStatement(again, want) {
+		t.Errorf("view text %q of %q parses to a different statement (%v)", text, q, err)
+	}
+	return text
+}
+
+// TestFormatExprForms checks that a query's text ends after the last token
+// of each expression form: a view over any of them stores it whole.
+func TestFormatExprForms(t *testing.T) {
+	for _, e := range []string{
+		`a + b * 2`, `NOT x`, `-x`, `t.c`, `x IS NULL`, `x IS NOT NULL`,
+		`count(*)`, `sum(DISTINCT x)`, `coalesce(a, b, 0)`,
+		`CASE x WHEN 1 THEN 'a' ELSE 'b' END`,
+		`x IN (1, 2)`, `x NOT IN (1)`, `x BETWEEN 1 AND 2`, `x NOT BETWEEN 1 AND 2`,
+		`x LIKE 'a%'`, `x NOT LIKE 'a%'`, `CAST(x AS int)`, `x IS NOT DISTINCT FROM y`,
+		`a || b`, `x = ANY (SELECT a FROM t)`, `x < ALL (SELECT a FROM t)`,
+		`EXISTS (SELECT 1 FROM t)`, `NOT EXISTS (SELECT 1 FROM t)`, `x IN (SELECT a FROM t)`,
+	} {
+		q := "SELECT " + e
+		if got := viewText(t, q); got != q {
+			t.Errorf("view text = %q, want %q", got, q)
+		}
+	}
+}
+
+// TestFormatStatementForms checks the text kept for the query inside each
+// statement that holds one: exactly the query as written.
+func TestFormatStatementForms(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{`EXPLAIN SELECT 1`, `SELECT 1`},
+		{`EXPLAIN ANALYZE SELECT 1`, `SELECT 1`},
+		{`INSERT INTO t SELECT a FROM u`, `SELECT a FROM u`},
+		{`CREATE TABLE t AS SELECT 1 AS x`, `SELECT 1 AS x`},
+		{`CREATE VIEW v AS SELECT a FROM t ORDER BY a DESC LIMIT 1 OFFSET 2;`,
+			`SELECT a FROM t ORDER BY a DESC LIMIT 1 OFFSET 2`},
+		{`SELECT * FROM t CROSS JOIN u`, `SELECT * FROM t CROSS JOIN u`},
+		{`SELECT t.* FROM t`, `SELECT t.* FROM t`},
+	} {
+		st, err := Parse(c.in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.in, err)
+			continue
+		}
+		var sel *SelectStmt
+		switch st := st.(type) {
+		case *ExplainStmt:
+			sel = st.Target
+		case *InsertStmt:
+			sel = st.Select
+		case *CreateTableStmt:
+			sel = st.AsSelect
+		case *CreateViewStmt:
+			sel = st.Select
+		case *SelectStmt:
+			sel = st
+		}
+		if sel == nil || sel.Text != c.want {
+			t.Errorf("query text of %q = %+v, want %q", c.in, sel, c.want)
+		}
+	}
+}
+
+// TestFormatSetOpParenthesization checks that a view over a parenthesized
+// set operation keeps its grouping: the right-hand UNION stays one operand.
+func TestFormatSetOpParenthesization(t *testing.T) {
+	viewText(t, `SELECT a FROM t UNION (SELECT a FROM u UNION SELECT a FROM v)`)
+}
+
+func TestFormatProvenanceAnnotations(t *testing.T) {
+	text := viewText(t, `SELECT PROVENANCE a FROM t BASERELATION PROVENANCE (x, y)`)
+	for _, want := range []string{"PROVENANCE a", "BASERELATION", "PROVENANCE (x, y)"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("view text %q missing %q", text, want)
+		}
+	}
+}
+
+func TestFormatContributionVariants(t *testing.T) {
+	for _, sem := range []string{"INFLUENCE", "COPY PARTIAL", "COPY COMPLETE"} {
+		text := viewText(t, `SELECT PROVENANCE ON CONTRIBUTION (`+sem+`) a FROM t`)
+		if !strings.Contains(text, sem) {
+			t.Errorf("view text %q missing %q", text, sem)
+		}
+	}
+}
+
+func TestFormatLiteralValues(t *testing.T) {
+	text := viewText(t, `VALUES (NULL, TRUE, FALSE, 1.5, 'x')`)
+	for _, want := range []string{"NULL", "TRUE", "FALSE", "1.5", "'x'"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("view text %q missing %q", text, want)
+		}
+	}
+}
+
+func TestFormatQuotesReservedIdents(t *testing.T) {
+	text := viewText(t, `SELECT "select", "Mixed" FROM "order"`)
+	for _, want := range []string{`"select"`, `"Mixed"`, `"order"`} {
+		if !strings.Contains(text, want) {
+			t.Errorf("view text %q missing %q", text, want)
+		}
 	}
 }
