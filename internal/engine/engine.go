@@ -799,7 +799,6 @@ func (s *Session) runCreateTable(ct *sql.CreateTableStmt, args []value.Value) (*
 			_ = s.db.Store().DropTable(ct.Name)
 			return nil, err
 		}
-		s.db.Catalog().SetRowCount(ct.Name, len(sub.Rows))
 		return &Result{Tag: fmt.Sprintf("SELECT %d", len(sub.Rows)), Timings: sub.Timings}, nil
 	}
 	def := &catalog.TableDef{Name: ct.Name}
@@ -927,20 +926,10 @@ func (s *Session) runInsert(ins *sql.InsertStmt, args []value.Value) (*Result, e
 		}
 		full[i] = fr
 	}
-	if txn != nil {
-		// Buffered until COMMIT: no row-count refresh here — the commit
-		// mirrors it once the rows are actually visible.
-		n, err := txn.Insert(table, full)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Tag: fmt.Sprintf("INSERT %d", n)}, nil
-	}
-	n, err := table.InsertBatch(full)
+	n, err := table.Write(txn, func(x *storage.Txn) (int, error) { return x.Insert(table, full) })
 	if err != nil {
 		return nil, err
 	}
-	store.Catalog().SetRowCount(ins.Table, table.RowCount())
 	return &Result{Tag: fmt.Sprintf("INSERT %d", n)}, nil
 }
 
@@ -986,18 +975,10 @@ func (s *Session) runDelete(del *sql.DeleteStmt, args []value.Value) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	if txn != nil {
-		n, err := txn.Delete(table, pred)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Tag: fmt.Sprintf("DELETE %d", n)}, nil
-	}
-	n, err := table.Delete(pred)
+	n, err := table.Write(txn, func(x *storage.Txn) (int, error) { return x.Delete(table, pred) })
 	if err != nil {
 		return nil, err
 	}
-	store.Catalog().SetRowCount(del.Table, table.RowCount())
 	return &Result{Tag: fmt.Sprintf("DELETE %d", n)}, nil
 }
 
@@ -1057,12 +1038,7 @@ func (s *Session) runUpdate(up *sql.UpdateStmt, args []value.Value) (*Result, er
 		}
 		return out, nil
 	}
-	var n int
-	if txn != nil {
-		n, err = txn.Update(table, pred, apply)
-	} else {
-		n, err = table.Update(pred, apply)
-	}
+	n, err := table.Write(txn, func(x *storage.Txn) (int, error) { return x.Update(table, pred, apply) })
 	if err != nil {
 		return nil, err
 	}

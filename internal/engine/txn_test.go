@@ -177,6 +177,91 @@ func TestTransactionWriteConflict(t *testing.T) {
 	}
 }
 
+// TestTransactionFailedStatementLeavesNothing: an UPDATE or DELETE that
+// fails on some row inside BEGIN leaves none of its rows changed, neither
+// the pre-existing rows it decided before the failure nor the
+// transaction's own inserts, so COMMIT makes only what succeeded durable.
+func TestTransactionFailedStatementLeavesNothing(t *testing.T) {
+	db := NewDB()
+	s := db.NewSession()
+	defer s.Close()
+	mustExecSpill(t, s, `CREATE TABLE t (id int, v int NOT NULL)`)
+	mustExecSpill(t, s, `INSERT INTO t VALUES (1, 10), (2, 0), (3, 30)`)
+	mustExecSpill(t, s, `BEGIN`)
+	mustExecSpill(t, s, `INSERT INTO t VALUES (4, 40), (5, 0)`)
+	for _, q := range []string{
+		`UPDATE t SET v = 100 / v`,
+		`UPDATE t SET v = CASE WHEN id = 1 THEN 7 ELSE NULL END`,
+		`UPDATE t SET v = 100 / v WHERE id >= 4`,
+		`DELETE FROM t WHERE 100 / v > 1`,
+	} {
+		if _, err := s.Execute(q); err == nil {
+			t.Fatalf("%s succeeded", q)
+		}
+	}
+	mustExecSpill(t, s, `COMMIT`)
+	var got []string
+	for _, r := range mustExecSpill(t, s, `SELECT id, v FROM t ORDER BY id`).Rows {
+		got = append(got, fmt.Sprintf("(%d,%d)", r[0].Int(), r[1].Int()))
+	}
+	if want := "(1,10) (2,0) (3,30) (4,40) (5,0)"; strings.Join(got, " ") != want {
+		t.Fatalf("after COMMIT t = %s, want %s", strings.Join(got, " "), want)
+	}
+}
+
+// TestAutocommitWritersNeverConflict: statements outside BEGIN are
+// one-statement transactions that hold the table's writer lock from their
+// snapshot to their commit, so concurrent autocommit writers never fail
+// with a write conflict and never lose an update, however they interleave
+// with inserts and deletes of other rows of the same table.
+func TestAutocommitWritersNeverConflict(t *testing.T) {
+	const bumpers, bumps, churners, churns = 4, 50, 2, 50
+	db := NewDB()
+	s := db.NewSession()
+	defer s.Close()
+	mustExecSpill(t, s, `CREATE TABLE t (id int, v int)`)
+	mustExecSpill(t, s, `INSERT INTO t VALUES (1, 0)`)
+	var wg sync.WaitGroup
+	errs := make(chan error, bumpers*bumps+churners*churns*2)
+	run := func(stmts func(i int) []string, n int) {
+		defer wg.Done()
+		w := db.NewSession()
+		defer w.Close()
+		for i := 0; i < n; i++ {
+			for _, q := range stmts(i) {
+				if _, err := w.Execute(q); err != nil {
+					errs <- fmt.Errorf("%s: %w", q, err)
+				}
+			}
+		}
+	}
+	for g := 0; g < bumpers; g++ {
+		wg.Add(1)
+		go run(func(int) []string { return []string{`UPDATE t SET v = v + 1 WHERE id = 1`} }, bumps)
+	}
+	for g := 0; g < churners; g++ {
+		wg.Add(1)
+		go run(func(i int) []string {
+			id := 1000*(g+1) + i
+			return []string{fmt.Sprintf(`INSERT INTO t VALUES (%d, 0)`, id), fmt.Sprintf(`DELETE FROM t WHERE id = %d`, id)}
+		}, churns)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := mustExecSpill(t, s, `SELECT v FROM t WHERE id = 1`).Rows[0][0].Int(); got != bumpers*bumps {
+		t.Fatalf("v = %d, want %d", got, bumpers*bumps)
+	}
+	if got := mustExecSpill(t, s, `SELECT count(*) FROM t`).Rows[0][0].Int(); got != 1 {
+		t.Fatalf("%d rows left, want 1", got)
+	}
+	if st := db.Store().MVCCStatus(); st.WriteConflicts != 0 {
+		t.Fatalf("write_conflicts = %d, want 0", st.WriteConflicts)
+	}
+}
+
 // TestSnapshotReadMidStream pins the tentpole's reader guarantee: a statement
 // streams exactly the rows visible at its own start, however many writers
 // commit while it drains — and without blocking them.

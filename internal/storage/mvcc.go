@@ -5,10 +5,13 @@ import (
 )
 
 // This file is the multi-version half of the storage engine: row versions,
-// snapshot visibility, snapshot pinning, and the version vacuum. The write
-// paths that create versions live in storage.go (primary DML, replica
-// replay) and txn.go (transaction commit); everything here is about reading
-// them consistently and reclaiming them safely.
+// snapshot visibility, snapshot pinning, and the version vacuum. Versions
+// are created on two write paths: a primary's DML, every statement of which
+// is a transaction decided and committed in txn.go, and the apply path
+// (Store.ApplyChange in storage.go), which replays change records from a
+// primary's feed, the WAL or a snapshot. Both stamp through Table.apply;
+// everything here is about reading versions consistently and reclaiming
+// them safely.
 
 // rowVersion is one version of one row. A table slot points at the newest
 // version; older versions hang off next, newest first. created is the LSN of
@@ -50,16 +53,6 @@ type matRows struct {
 	rows []value.Row
 }
 
-// visibleLSN is the newest snapshot LSN readers of this table may pin:
-// the owning store's published visible position, or the table-local
-// sequence for a detached table.
-func (t *Table) visibleLSN() uint64 {
-	if t.store != nil {
-		return t.store.visible.Load()
-	}
-	return t.localSeq.Load()
-}
-
 // SnapshotAt materializes the rows visible at snapshot LSN snap, in slot
 // (insertion) order — updated rows keep their position, exactly as the
 // pre-MVCC in-place heap ordered them. snap == 0 means "now": the store's
@@ -70,7 +63,7 @@ func (t *Table) visibleLSN() uint64 {
 func (t *Table) SnapshotAt(snap uint64) []value.Row {
 	t.mu.RLock()
 	if snap == 0 {
-		snap = t.visibleLSN()
+		snap = t.store.visible.Load()
 	}
 	current := t.lastMod <= snap
 	if current {
@@ -105,20 +98,6 @@ func (t *Table) Snapshot() []value.Row {
 // them (the reads after an engine write find them cached).
 func (t *Table) RowCount() int {
 	return len(t.SnapshotAt(0))
-}
-
-// countVisible is RowCount without the copy, for the apply path: a replay
-// or a restore would otherwise copy the table once per record.
-func (t *Table) countVisible() (n int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	snap := t.visibleLSN()
-	for _, v := range t.slots {
-		if v.visibleAt(snap) != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // VersionCount reports live slots and total resident versions (diagnostics:
@@ -202,7 +181,9 @@ func (s *Store) PinnedSnapshots() int {
 //
 // Version structs themselves are never copied or reused — an open
 // transaction holds pointers to the versions it read, and commit-time
-// conflict validation depends on those identities staying meaningful.
+// conflict validation depends on those identities staying meaningful. The
+// kept slots keep their order, so a slot only ever moves down: validation
+// looks for a version from the slot it was read in downwards.
 func (s *Store) Vacuum() int {
 	h := s.snapshotHorizon()
 	s.mu.RLock()

@@ -3,6 +3,13 @@
 // visibility, type-checked inserts, full-scan cursors, snapshot-isolation
 // transactions, and a store that ties table data to the catalog the way
 // PostgreSQL's heap ties to its system catalogs.
+//
+// Every table belongs to a store, and every write is a transaction: a DML
+// statement outside BEGIN commits as a one-statement Txn (Table.Write), so
+// a primary decides and stamps its rows in one place (txn.go). Change
+// records from a primary's feed, the WAL or a snapshot take the apply path
+// (Store.ApplyChange). Both stamp versions through Table.apply, which also
+// keeps the table's live-row count and sets the catalog's row count from it.
 package storage
 
 import (
@@ -22,23 +29,30 @@ import (
 
 // Table holds the rows of one base relation as a slice of version slots:
 // each slot is the newest version of one row, with superseded versions
-// chained behind it (see mvcc.go). It is safe for concurrent use; readers
-// materialize the versions visible at their snapshot LSN and never block on
-// writers.
+// chained behind it (see mvcc.go). Every table belongs to a store. It is safe
+// for concurrent use; readers materialize the versions visible at their
+// snapshot LSN and never block on writers.
 //
-// Mutations run in two phases under writeMu (which serializes writers per
-// table): first the decision phase evaluates predicates and update
-// expressions against the live versions WITHOUT holding mu — so a WHERE
-// subquery may scan any table, including this one, without deadlocking —
-// then the apply phase takes the store gate, appends the change record (which
-// assigns the mutation's LSNs), stamps and installs versions under mu, and
-// publishes the new visible LSN. Readers pinned at earlier LSNs keep seeing
-// exactly the versions their snapshot could see.
+// Every write is a transaction (txn.go) and runs in two phases under writeMu
+// (which serializes writers per table): first the decision phase evaluates
+// predicates and update expressions WITHOUT holding mu — so a WHERE subquery
+// may scan any table, including this one, without deadlocking — then the
+// apply phase takes the store gate, appends the change record (which assigns
+// the change's LSNs), stamps and installs versions under mu, and publishes
+// the new visible LSN. Readers pinned at earlier LSNs keep seeing exactly the
+// versions their snapshot could see.
 type Table struct {
 	writeMu sync.Mutex
 	mu      sync.RWMutex
 	def     *catalog.TableDef
-	slots   []*rowVersion
+	// store is the owning store: its gate serializes apply phases, its log
+	// assigns LSNs, and its durability gate is consulted before a write
+	// decides and waited on before it is acknowledged.
+	store *Store
+	slots []*rowVersion
+	// live counts the slots whose newest version is live (under mu). The
+	// stamps keep it: an insert adds its rows, a delete takes its rows away.
+	live int
 	// lastMod is the LSN of the last change applied to THIS table (under
 	// mu). Any snapshot at or past it sees the table's current contents,
 	// which is what lets the materialization cache serve steady-state reads
@@ -46,26 +60,6 @@ type Table struct {
 	lastMod uint64
 	// cache is the table's materialized read view (mvcc.go).
 	cache atomic.Pointer[matRows]
-	// gate, when non-nil, is the owning store's apply gate: every apply
-	// phase holds it exclusively, so record append, version stamping and the
-	// visible-LSN publication happen atomically with respect to every other
-	// applier and to snapshot collection (Store.collect).
-	gate *sync.Mutex
-	// log, when non-nil, is the owning store's change log. Mutations append
-	// their record inside the gate-held apply, so a persistence snapshot
-	// always captures a row state and a log position that agree exactly.
-	log *repl.ChangeLog
-	// store, when non-nil, is the owning store — mutations consult its
-	// durability gate before deciding and wait on it before acknowledging.
-	store *Store
-	// localSeq is the LSN space of a detached table (no owning store):
-	// version stamps come from it and it doubles as the visible position.
-	localSeq atomic.Uint64
-}
-
-// NewTable creates an empty table for the definition.
-func NewTable(def *catalog.TableDef) *Table {
-	return &Table{def: def}
 }
 
 // Def returns the table definition.
@@ -221,48 +215,27 @@ func cutRecord(rows, oldRows []value.Row, i int) int {
 	return j
 }
 
-// apply is the apply phase of a mutation: under the store gate it appends
-// the change record (assigning LSNs), lets stamp install/stamp versions
-// under mu with those LSNs, and publishes the new visible position. Callers
-// hold writeMu. The return value is false only when a replica-positioned
-// record was refused by the log, in which case nothing was applied.
+// apply is the apply phase of one change record: it appends the record
+// (assigning LSNs), lets stamp install and stamp versions under mu with
+// those LSNs, and sets the catalog's row count from the live count — the one
+// place it is set. Callers hold writeMu and the store gate (Store.gated),
+// which publishes the visible LSN once every record of the change is in.
+// The return value is false only when a replica-positioned record was
+// refused by the log, in which case nothing was applied.
 func (t *Table) apply(rec *repl.Record, stamp func(ranges []lsnRange)) bool {
-	if t.gate != nil {
-		t.gate.Lock()
-		defer t.gate.Unlock()
-	}
-	if !t.applyGateHeld(rec, stamp) {
+	ranges := appendRecord(t.store.log, *rec)
+	if ranges == nil {
 		return false
 	}
-	if t.store != nil {
-		t.store.visible.Store(t.log.LastLSN())
-	}
-	return true
-}
-
-// applyGateHeld is apply for callers that already hold the store gate and
-// publish the visible LSN themselves (transaction commit, which spans
-// several records and tables under one gate hold).
-func (t *Table) applyGateHeld(rec *repl.Record, stamp func(ranges []lsnRange)) bool {
-	var ranges []lsnRange
-	if t.log != nil {
-		if ranges = appendRecord(t.log, *rec); ranges == nil {
-			return false
-		}
-	} else {
-		ranges = []lsnRange{{lsn: t.localSeq.Load() + 1, lo: 0, hi: len(rec.Rows)}}
-	}
-	last := ranges[len(ranges)-1].lsn
 	t.mu.Lock()
 	stamp(ranges)
-	t.lastMod = last
+	t.lastMod = ranges[len(ranges)-1].lsn
 	// A new lastMod outdates the cached read view; the bulk stamp leaves
 	// lastMod at 0, so the view is dropped outright.
 	t.cache.Store(nil)
+	live := t.live
 	t.mu.Unlock()
-	if t.log == nil {
-		t.localSeq.Store(last)
-	}
+	t.store.catalog.SetRowCount(t.def.Name, live)
 	return true
 }
 
@@ -270,61 +243,72 @@ func (t *Table) applyGateHeld(rec *repl.Record, stamp func(ranges []lsnRange)) b
 // Callers are inside an apply's stamp callback (mu held).
 func (t *Table) insertLocked(rows []value.Row, ranges []lsnRange) {
 	for _, rg := range ranges {
-		for i := rg.lo; i < rg.hi; i++ {
-			t.slots = append(t.slots, &rowVersion{row: rows[i], created: rg.lsn})
+		for _, row := range rows[rg.lo:rg.hi] {
+			t.slots = append(t.slots, &rowVersion{row: row, created: rg.lsn})
+			t.live++
 		}
 	}
 }
 
-// supersedeLocked stamps target i deleted at its LSN range and, for an
-// update (news not nil), installs news[i] in slot slots[i] as its successor.
-// Callers are inside an apply's stamp callback (mu held).
-func (t *Table) supersedeLocked(targets []*rowVersion, slots []int, news []value.Row, ranges []lsnRange) {
+// target is one row a change supersedes: the version, the slot it heads,
+// and for an update the row that replaces it (nil for a delete).
+type target struct {
+	v    *rowVersion
+	slot int
+	row  value.Row
+}
+
+// supersedeLocked stamps each target deleted at its LSN range and, for an
+// update, installs its replacement in its slot as the slot's newest
+// version. Callers are inside an apply's stamp callback (mu held).
+func (t *Table) supersedeLocked(targets []target, update bool, ranges []lsnRange) {
 	for _, rg := range ranges {
-		for i := rg.lo; i < rg.hi; i++ {
-			targets[i].deleted = rg.lsn
-			if news != nil {
-				t.slots[slots[i]] = &rowVersion{row: news[i], created: rg.lsn, next: targets[i]}
+		for _, tg := range targets[rg.lo:rg.hi] {
+			tg.v.deleted = rg.lsn
+			if update {
+				t.slots[tg.slot] = &rowVersion{row: tg.row, created: rg.lsn, next: tg.v}
+			} else {
+				t.live--
 			}
 		}
 	}
 }
 
-// liveVersions returns the table's live row versions (newest per slot, not
-// deleted) and their slot indices, in slot order. Callers hold writeMu, so
-// the result is stable until they apply: only writers stamp versions, and
-// writeMu excludes them.
-func (t *Table) liveVersions() ([]*rowVersion, []int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	live := make([]*rowVersion, 0, len(t.slots))
-	idxs := make([]int, 0, len(t.slots))
-	for i, v := range t.slots {
-		if v.deleted == 0 {
-			live = append(live, v)
-			idxs = append(idxs, i)
-		}
+// Write runs op, one DML statement on t. Inside a transaction (x not nil)
+// op buffers its effects until x commits. Outside one, op runs in a
+// one-statement transaction: Write takes t's writeMu before it pins the
+// snapshot and holds it through the commit, so op decides against the
+// newest versions, no other writer can change them first, and the
+// statement never fails with ErrWriteConflict. op writes to t only.
+func (t *Table) Write(x *Txn, op func(x *Txn) (int, error)) (int, error) {
+	if x != nil {
+		return op(x)
 	}
-	return live, idxs
+	if err := t.store.writeAllowed(); err != nil {
+		return 0, err
+	}
+	n, err := t.autocommit(op)
+	if err == nil && n > 0 {
+		err = t.store.WaitDurable()
+	}
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
-// writeAllowed reports the owning store's sticky durability failure, if
-// any; a detached table (no owning store) is always writable.
-func (t *Table) writeAllowed() error {
-	if t.store == nil {
-		return nil
+// autocommit runs op in a one-statement transaction and commits it, all
+// under t's writeMu.
+func (t *Table) autocommit(op func(x *Txn) (int, error)) (int, error) {
+	t.writeMu.Lock()
+	defer t.writeMu.Unlock()
+	x := t.store.Begin()
+	defer x.finish()
+	n, err := op(x)
+	if err != nil {
+		return 0, err
 	}
-	return t.store.writeAllowed()
-}
-
-// waitDurable blocks until the mutation this call follows is durable under
-// the owning store's policy. Called after the gate-held apply, so an fsync
-// wait never blocks snapshot collection, readers, or other tables' writers.
-func (t *Table) waitDurable() error {
-	if t.store == nil {
-		return nil
-	}
-	return t.store.WaitDurable()
+	return n, x.commitLocked(x.plans())
 }
 
 // Insert appends a row after type checking. It returns the number of rows
@@ -335,28 +319,7 @@ func (t *Table) Insert(row value.Row) (int, error) {
 
 // InsertBatch appends many rows, failing atomically on the first bad row.
 func (t *Table) InsertBatch(rows []value.Row) (int, error) {
-	checked := make([]value.Row, len(rows))
-	for i, r := range rows {
-		c, err := t.checkRow(r)
-		if err != nil {
-			return 0, fmt.Errorf("row %d: %v", i+1, err)
-		}
-		checked[i] = c
-	}
-	if len(checked) == 0 {
-		return 0, nil
-	}
-	if err := t.writeAllowed(); err != nil {
-		return 0, err
-	}
-	t.writeMu.Lock()
-	rec := &repl.Record{Kind: repl.KindInsert, Table: t.def.Name, Rows: checked}
-	t.apply(rec, func(ranges []lsnRange) { t.insertLocked(checked, ranges) })
-	t.writeMu.Unlock()
-	if err := t.waitDurable(); err != nil {
-		return 0, err
-	}
-	return len(checked), nil
+	return t.Write(nil, func(x *Txn) (int, error) { return x.Insert(t, rows) })
 }
 
 // Delete removes all rows for which pred returns true and reports how many
@@ -364,46 +327,7 @@ func (t *Table) InsertBatch(rows []value.Row) (int, error) {
 // phase — outside the table's locks — so it may itself query this table
 // (DELETE ... WHERE x IN (SELECT ... FROM same_table)).
 func (t *Table) Delete(pred func(value.Row) (bool, error)) (int, error) {
-	if err := t.writeAllowed(); err != nil {
-		return 0, err
-	}
-	n, err := t.delete(pred)
-	if err != nil || n == 0 {
-		return n, err
-	}
-	if err := t.waitDurable(); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-func (t *Table) delete(pred func(value.Row) (bool, error)) (int, error) {
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	live, _ := t.liveVersions()
-	targets := live
-	if pred != nil {
-		targets = targets[:0:0]
-		for _, v := range live {
-			ok, err := pred(v.row)
-			if err != nil {
-				return 0, err
-			}
-			if ok {
-				targets = append(targets, v)
-			}
-		}
-	}
-	if len(targets) == 0 {
-		return 0, nil
-	}
-	images := make([]value.Row, len(targets))
-	for i, v := range targets {
-		images[i] = v.row
-	}
-	rec := &repl.Record{Kind: repl.KindDelete, Table: t.def.Name, Rows: images}
-	t.apply(rec, func(ranges []lsnRange) { t.supersedeLocked(targets, nil, nil, ranges) })
-	return len(targets), nil
+	return t.Write(nil, func(x *Txn) (int, error) { return x.Delete(t, pred) })
 }
 
 // Update applies fn to every row matching pred, replacing the row with fn's
@@ -411,59 +335,7 @@ func (t *Table) delete(pred func(value.Row) (bool, error)) (int, error) {
 // Delete's pred, both callbacks run outside the table locks and may query
 // any table, including this one.
 func (t *Table) Update(pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
-	if err := t.writeAllowed(); err != nil {
-		return 0, err
-	}
-	n, err := t.update(pred, fn)
-	if err != nil || n == 0 {
-		return n, err
-	}
-	if err := t.waitDurable(); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-func (t *Table) update(pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
-	t.writeMu.Lock()
-	defer t.writeMu.Unlock()
-	live, idxs := t.liveVersions()
-	var targets []*rowVersion
-	var tidx []int
-	// The change record carries old/new image pairs in table-scan order, the
-	// order a replica re-scans in when it replays the record.
-	var oldImages, newImages []value.Row
-	for i, v := range live {
-		match := true
-		if pred != nil {
-			ok, err := pred(v.row)
-			if err != nil {
-				return 0, err
-			}
-			match = ok
-		}
-		if !match {
-			continue
-		}
-		nr, err := fn(v.row)
-		if err != nil {
-			return 0, err
-		}
-		checked, err := t.checkRow(nr)
-		if err != nil {
-			return 0, err
-		}
-		targets = append(targets, v)
-		tidx = append(tidx, idxs[i])
-		oldImages = append(oldImages, v.row)
-		newImages = append(newImages, checked)
-	}
-	if len(newImages) == 0 {
-		return 0, nil
-	}
-	rec := &repl.Record{Kind: repl.KindUpdate, Table: t.def.Name, Rows: newImages, OldRows: oldImages}
-	t.apply(rec, func(ranges []lsnRange) { t.supersedeLocked(targets, tidx, newImages, ranges) })
-	return len(newImages), nil
+	return t.Write(nil, func(x *Txn) (int, error) { return x.Update(t, pred, fn) })
 }
 
 // Store couples a catalog with the physical tables.
@@ -610,13 +482,20 @@ func (s *Store) Catalog() *catalog.Catalog { return s.catalog }
 // Log exposes the store's change log (replication, tests).
 func (s *Store) Log() *repl.ChangeLog { return s.log }
 
+// gated runs apply under the gate and then publishes the log's end as the
+// visible position, so readers and snapshot collection see all of a change
+// or none of it.
+func (s *Store) gated(apply func()) {
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	apply()
+	s.visible.Store(s.log.LastLSN())
+}
+
 // logDDL appends a catalog-change record under the gate and publishes the
 // new visible position. Callers hold s.mu.
 func (s *Store) logDDL(rec repl.Record) {
-	s.gate.Lock()
-	appendRecord(s.log, rec)
-	s.visible.Store(s.log.LastLSN())
-	s.gate.Unlock()
+	s.gated(func() { appendRecord(s.log, rec) })
 }
 
 // CreateTable registers the definition and allocates the heap. Catalog entry
@@ -648,10 +527,7 @@ func (s *Store) createTable(def *catalog.TableDef, lsn uint64) (*Table, error) {
 
 // attach allocates the heap for a registered definition. Callers hold s.mu.
 func (s *Store) attach(def *catalog.TableDef) *Table {
-	t := NewTable(def)
-	t.gate = &s.gate
-	t.log = s.log
-	t.store = s
+	t := &Table{def: def, store: s}
 	s.tables[keyOf(def.Name)] = t
 	return t
 }
@@ -728,11 +604,11 @@ func (s *Store) Analyze(name string) error {
 }
 
 // installStats applies an ANALYZE record: it installs the fractions it
-// carries and refreshes the named tables' row counts at the record's LSN,
-// under the store lock and the gate, so a primary and its replicas take
-// statistics in LSN order and hold the same bits. Nothing is rescanned: an
-// older record without fractions installs nothing. A table dropped since
-// the scan is skipped, as DML on a dropped table is.
+// carries at the record's LSN, under the store lock and the gate, so a
+// primary and its replicas take statistics in LSN order and hold the same
+// bits. Row counts need no refresh: every apply keeps them. Nothing is
+// rescanned: an older record without fractions installs nothing. A table
+// dropped since the scan is skipped, as DML on a dropped table is.
 func (s *Store) installStats(rec repl.Record) error {
 	for i, r := range rec.Rows {
 		if len(r) != 3 || r[0].Kind() != value.KindString || r[1].Kind() != value.KindString || r[2].Kind() != value.KindFloat {
@@ -741,20 +617,14 @@ func (s *Store) installStats(rec repl.Record) error {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.gate.Lock()
-	defer s.gate.Unlock()
-	appendRecord(s.log, rec)
-	for i, r := range rec.Rows {
-		t := s.tables[keyOf(r[0].Str())]
-		if t == nil {
-			continue
+	s.gated(func() {
+		appendRecord(s.log, rec)
+		for _, r := range rec.Rows {
+			if t := s.tables[keyOf(r[0].Str())]; t != nil {
+				s.catalog.SetDistinctFrac(t.def.Name, r[1].Str(), r[2].Float())
+			}
 		}
-		s.catalog.SetDistinctFrac(t.def.Name, r[1].Str(), r[2].Float())
-		if i == 0 || r[0].Str() != rec.Rows[i-1][0].Str() {
-			s.catalog.SetRowCount(t.def.Name, t.countVisible())
-		}
-	}
-	s.visible.Store(s.log.LastLSN())
+	})
 	return nil
 }
 
@@ -767,9 +637,10 @@ func (s *Store) installStats(rec repl.Record) error {
 // respect to snapshot collection and readers. Records arrive in LSN order
 // (the follower and WAL replay check continuity against Log().LastLSN()).
 //
-// DML against a relation this store does not have is skipped silently: the
-// primary logs mutations decided against a table heap that a concurrent DROP
-// already detached, and the visible state on both sides is identical — no
+// DML against a relation this store does not have is skipped silently and
+// logged: a primary's commit into a table a concurrent DROP detached fails
+// with ErrWriteConflict, but WAL segments written by older builds may carry
+// such records, and the visible state on both sides is identical — no
 // table. A row image that does not fit its table (ErrBadRowImage) or match
 // the live rows is an error, with nothing applied, so the caller can
 // re-bootstrap from a snapshot.
@@ -808,13 +679,6 @@ func (s *Store) ApplyChange(rec repl.Record) error {
 		if err := t.applyChange(rec); err != nil {
 			return fmt.Errorf("table %q: %w", t.def.Name, err)
 		}
-		// Mirror the engine's post-DML statistics refresh (runInsert and
-		// runDelete call SetRowCount): cost-based plan choices — and with
-		// them un-ORDERed result order — must not drift between primary and
-		// replica on cardinality alone.
-		if rec.Kind != repl.KindUpdate {
-			s.catalog.SetRowCount(rec.Table, t.countVisible())
-		}
 		return nil
 	}
 	return fmt.Errorf("storage: unknown change record kind %d", rec.Kind)
@@ -847,22 +711,22 @@ func (t *Table) applyChange(rec repl.Record) error {
 	}
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	if rec.Kind == repl.KindInsert {
-		t.apply(&rec, func(ranges []lsnRange) { t.insertLocked(rec.Rows, ranges) })
-		return nil
-	}
-	olds, news := rec.Rows, []value.Row(nil)
-	if rec.Kind == repl.KindUpdate {
-		if len(rec.OldRows) != len(rec.Rows) {
-			return fmt.Errorf("replica diverged: update record with %d old and %d new images", len(rec.OldRows), len(rec.Rows))
+	stamp := func(ranges []lsnRange) { t.insertLocked(rec.Rows, ranges) }
+	if rec.Kind != repl.KindInsert {
+		olds, news := rec.Rows, []value.Row(nil)
+		if rec.Kind == repl.KindUpdate {
+			if len(rec.OldRows) != len(rec.Rows) {
+				return fmt.Errorf("replica diverged: update record with %d old and %d new images", len(rec.OldRows), len(rec.Rows))
+			}
+			olds, news = rec.OldRows, rec.Rows
 		}
-		olds, news = rec.OldRows, rec.Rows
+		targets, err := t.matchImages(olds, news)
+		if err != nil {
+			return err
+		}
+		stamp = func(ranges []lsnRange) { t.supersedeLocked(targets, news != nil, ranges) }
 	}
-	targets, tidx, news, err := t.matchImages(olds, news)
-	if err != nil {
-		return err
-	}
-	t.apply(&rec, func(ranges []lsnRange) { t.supersedeLocked(targets, tidx, news, ranges) })
+	t.store.gated(func() { t.apply(&rec, stamp) })
 	return nil
 }
 
@@ -870,34 +734,37 @@ func (t *Table) applyChange(rec repl.Record) error {
 // multiset match in slot order — the order the primary's scan met them in,
 // so the surviving rows come out byte-identical to the primary's. For an
 // update, news are the new images parallel to olds: duplicate old images
-// consume them in order, reproducing the primary's scan exactly, and they
-// come back reordered into slot order beside their targets.
-func (t *Table) matchImages(olds, news []value.Row) ([]*rowVersion, []int, []value.Row, error) {
+// consume them in order, reproducing the primary's scan exactly, and each
+// lands beside its target, in slot order. Callers hold writeMu, so the
+// live versions stay put until they apply.
+func (t *Table) matchImages(olds, news []value.Row) ([]target, error) {
 	queue := make(map[string][]int, len(olds))
 	var keyBuf []byte
 	for i, img := range olds {
 		keyBuf = img.AppendKey(keyBuf[:0])
 		queue[string(keyBuf)] = append(queue[string(keyBuf)], i)
 	}
-	live, idxs := t.liveVersions()
-	var targets []*rowVersion
-	var tidx []int
-	var ordered []value.Row
-	for i, v := range live {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	targets := make([]target, 0, len(olds))
+	for i, v := range t.slots {
+		if v.deleted != 0 {
+			continue
+		}
 		keyBuf = v.row.AppendKey(keyBuf[:0])
 		if q := queue[string(keyBuf)]; len(q) > 0 {
+			tg := target{v: v, slot: i}
 			if news != nil {
-				ordered = append(ordered, news[q[0]])
+				tg.row = news[q[0]]
 			}
 			queue[string(keyBuf)] = q[1:]
-			targets = append(targets, v)
-			tidx = append(tidx, idxs[i])
+			targets = append(targets, tg)
 		}
 	}
 	if len(targets) != len(olds) {
-		return nil, nil, nil, fmt.Errorf("replica diverged: %d of %d row images not found", len(olds)-len(targets), len(olds))
+		return nil, fmt.Errorf("replica diverged: %d of %d row images not found", len(olds)-len(targets), len(olds))
 	}
-	return targets, tidx, ordered, nil
+	return targets, nil
 }
 
 func keyOf(name string) string {

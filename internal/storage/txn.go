@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"perm/internal/repl"
 	"perm/internal/value"
@@ -25,7 +27,9 @@ var errTxnDone = errors.New("storage: transaction is already committed or rolled
 // transaction's own buffered writes), and writes are buffered until Commit,
 // which validates first-committer-wins — if any row this transaction
 // deleted or updated was meanwhile changed by another committed writer, the
-// commit fails with ErrWriteConflict and nothing is applied.
+// commit fails with ErrWriteConflict and nothing is applied. Every DML
+// statement of a primary runs in one: outside BEGIN, Table.Write runs the
+// statement in a Txn of its own.
 //
 // A Txn is single-goroutine on its write side (the owning session executes
 // one statement at a time); concurrent readers of the same Txn (parallel
@@ -40,20 +44,15 @@ type Txn struct {
 // txnTable is one table's buffered effects.
 type txnTable struct {
 	// mods maps a row version this transaction read (the version visible at
-	// its snapshot) to what the transaction did to it. The version pointer
-	// is the conflict-detection token: at commit it must still be its
-	// slot's newest, live version, or someone else changed the row first.
-	mods map[*rowVersion]*txnMod
+	// its snapshot) to what the transaction did to it: the replacement row
+	// of an update, or a nil row for a delete, and the slot the version was
+	// in when read. The version pointer is the conflict-detection token: at
+	// commit it must still be live, or someone else changed the row first.
+	// It is nil until the transaction first deletes or updates a row.
+	mods map[*rowVersion]target
 	// ins are rows this transaction inserted; entries deleted again by the
 	// same transaction are nil.
 	ins []value.Row
-}
-
-// txnMod is a buffered delete (del) or update (replacement row) of one
-// pre-existing row.
-type txnMod struct {
-	del bool
-	row value.Row
 }
 
 // Begin opens a snapshot-isolation transaction pinned at the store's
@@ -78,45 +77,41 @@ func (x *Txn) Done() bool { return x.done }
 func (x *Txn) table(t *Table) *txnTable {
 	tt := x.tabs[t]
 	if tt == nil {
-		tt = &txnTable{mods: make(map[*rowVersion]*txnMod)}
+		tt = &txnTable{}
 		x.tabs[t] = tt
 	}
 	return tt
 }
 
-// versionRow pairs a version the transaction can see with the row image the
-// transaction sees for it (the buffered replacement, when it updated it).
-type versionRow struct {
-	v   *rowVersion
-	row value.Row
+// seen is a version visible at a transaction's snapshot and the slot it was
+// in when read.
+type seen struct {
+	v    *rowVersion
+	slot int
 }
 
-// visiblePairs materializes the versions visible at the transaction's
-// snapshot with its own modifications applied, in slot order. Own inserts
-// are NOT included — callers overlay tt.ins themselves, because inserts are
-// addressed by index, not by version.
-func (x *Txn) visiblePairs(t *Table) []versionRow {
-	tt := x.tabs[t]
+// visible returns the versions visible at the transaction's snapshot, in
+// slot order. The transaction's own effects are not applied: callers
+// overlay tt.mods (row) and tt.ins themselves.
+func (x *Txn) visible(t *Table) []seen {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]versionRow, 0, len(t.slots))
-	for _, v := range t.slots {
-		w := v.visibleAt(x.snap)
-		if w == nil {
-			continue
+	out := make([]seen, 0, len(t.slots))
+	for i, v := range t.slots {
+		if w := v.visibleAt(x.snap); w != nil {
+			out = append(out, seen{v: w, slot: i})
 		}
-		if tt != nil {
-			if m, ok := tt.mods[w]; ok {
-				if m.del {
-					continue
-				}
-				out = append(out, versionRow{v: w, row: m.row})
-				continue
-			}
-		}
-		out = append(out, versionRow{v: w, row: w.row})
 	}
 	return out
+}
+
+// row is the image of v the transaction sees: its buffered replacement when
+// it updated v, nil when it deleted v.
+func (tt *txnTable) row(v *rowVersion) value.Row {
+	if m, ok := tt.mods[v]; ok {
+		return m.row
+	}
+	return v.row
 }
 
 // TableRows returns the rows of t as this transaction sees them: the
@@ -129,10 +124,12 @@ func (x *Txn) TableRows(t *Table) []value.Row {
 		// table's materialization cache with every other reader.
 		return t.SnapshotAt(x.snap)
 	}
-	pairs := x.visiblePairs(t)
-	out := make([]value.Row, 0, len(pairs)+len(tt.ins))
-	for _, p := range pairs {
-		out = append(out, p.row)
+	vs := x.visible(t)
+	out := make([]value.Row, 0, len(vs)+len(tt.ins))
+	for _, p := range vs {
+		if row := tt.row(p.v); row != nil {
+			out = append(out, row)
+		}
 	}
 	for _, r := range tt.ins {
 		if r != nil {
@@ -158,8 +155,11 @@ func (x *Txn) Insert(t *Table, rows []value.Row) (int, error) {
 	if len(checked) == 0 {
 		return 0, nil
 	}
-	tt := x.table(t)
-	tt.ins = append(tt.ins, checked...)
+	if tt := x.table(t); tt.ins == nil {
+		tt.ins = checked
+	} else {
+		tt.ins = append(tt.ins, checked...)
+	}
 	return len(checked), nil
 }
 
@@ -180,7 +180,9 @@ func (x *Txn) Update(t *Table, pred func(value.Row) (bool, error), fn func(value
 
 // rewrite buffers, for every row of t the transaction sees that pred
 // matches, fn's type-checked result as its replacement — or, when fn is
-// nil, its deletion — and reports how many rows matched.
+// nil, its deletion — and reports how many rows matched. It decides every
+// row before it buffers any, so a statement that fails on some row leaves
+// the transaction as it was.
 func (x *Txn) rewrite(t *Table, pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
 	if x.done {
 		return 0, errTxnDone
@@ -202,17 +204,21 @@ func (x *Txn) rewrite(t *Table, pred func(value.Row) (bool, error), fn func(valu
 		nr, err = t.checkRow(nr)
 		return err == nil, nr, err
 	}
-	pairs := x.visiblePairs(t)
 	tt := x.table(t)
-	n := 0
-	for _, p := range pairs {
-		ok, nr, err := next(p.row)
+	// Decisions on own inserts carry the insert's index as their slot and
+	// no version.
+	var decided []target
+	for _, p := range x.visible(t) {
+		row := tt.row(p.v)
+		if row == nil {
+			continue
+		}
+		ok, nr, err := next(row)
 		if err != nil {
 			return 0, err
 		}
 		if ok {
-			tt.mods[p.v] = &txnMod{del: fn == nil, row: nr}
-			n++
+			decided = append(decided, target{v: p.v, slot: p.slot, row: nr})
 		}
 	}
 	for i, r := range tt.ins {
@@ -224,203 +230,177 @@ func (x *Txn) rewrite(t *Table, pred func(value.Row) (bool, error), fn func(valu
 			return 0, err
 		}
 		if ok {
-			tt.ins[i] = nr
-			n++
+			decided = append(decided, target{slot: i, row: nr})
 		}
 	}
-	return n, nil
+	for _, d := range decided {
+		switch {
+		case d.v == nil:
+			tt.ins[d.slot] = d.row
+		case tt.mods == nil:
+			tt.mods = map[*rowVersion]target{d.v: d}
+		default:
+			tt.mods[d.v] = d
+		}
+	}
+	return len(decided), nil
 }
 
-// commitTable is one table's validated, slot-ordered commit plan.
+// commitTable is one table's commit plan: the versions it deletes and
+// updates, in slot order once validated, and the rows it inserts.
 type commitTable struct {
-	t *Table
-	// deletes
-	delVs   []*rowVersion
-	delImgs []value.Row
-	// updates (slot index, target version, old and new image, slot-ordered)
-	updIdx  []int
-	updVs   []*rowVersion
-	oldImgs []value.Row
-	newImgs []value.Row
-	// inserts (in buffered order, nil entries already dropped)
-	ins []value.Row
+	t          *Table
+	dels, upds []target
+	ins        []value.Row
 }
 
 // Commit validates and applies the transaction. Validation is
 // first-committer-wins: every version this transaction deleted or updated
 // must still be its slot's newest, live version — if a concurrent committed
 // writer superseded, deleted, or (via vacuum after deletion) removed it,
-// Commit aborts everything with ErrWriteConflict. On success all buffered
+// Commit aborts everything with ErrWriteConflict. So does a table that a
+// concurrent DROP TABLE detached from the store. On success all buffered
 // effects across all tables become visible atomically at one gate-held
-// apply, and Commit then waits for durability like any autocommit mutation.
-// Whatever the outcome, the transaction is finished afterwards.
+// apply, and Commit then waits for durability. Whatever the outcome, the
+// transaction is finished afterwards.
 func (x *Txn) Commit() error {
 	if x.done {
 		return errTxnDone
 	}
-	s := x.store
-	plans := x.commitPlansLocked()
-	if plans == nil {
-		// Nothing to write: a read-only transaction just releases its pin.
-		x.finish()
-		return nil
-	}
-	if err := s.writeAllowed(); err != nil {
-		x.unlockAll(plans)
-		x.finish()
-		return err
-	}
-	// Validate under the tables' writer locks: no other writer can stamp
-	// anything while we check, and the locks are ordered (by table name), so
+	plans := x.plans()
+	// The writer locks are taken in table-name order (plans are sorted), so
 	// concurrent commits cannot deadlock.
-	conflict := false
-	for i := range plans {
-		if !plans[i].validate() {
-			conflict = true
-			break
-		}
-	}
-	if conflict {
-		x.unlockAll(plans)
-		x.finish()
-		s.conflicts.Add(1)
-		return ErrWriteConflict
-	}
-	// Apply everything under one gate hold: the whole transaction becomes
-	// visible at once, and snapshot collection can never see half of it.
-	s.gate.Lock()
-	for i := range plans {
-		plans[i].apply()
-	}
-	s.visible.Store(s.log.LastLSN())
-	s.gate.Unlock()
-	// Mirror the engine's post-DML statistics refresh for row-count-changing
-	// effects, exactly as replica replay does — cost-based plan choices must
-	// not drift between a primary that committed a transaction and a replica
-	// that replayed its records.
-	for i := range plans {
-		p := &plans[i]
-		if len(p.ins) > 0 || len(p.delVs) > 0 {
-			s.catalog.SetRowCount(p.t.def.Name, p.t.RowCount())
-		}
-	}
-	x.unlockAll(plans)
-	x.finish()
-	return s.WaitDurable()
-}
-
-// commitPlansLocked collects the transaction's effects per table, sorted by
-// table name, and takes each table's writer lock in that order. It returns
-// nil (taking no locks) when the transaction wrote nothing.
-func (x *Txn) commitPlansLocked() []commitTable {
-	var plans []commitTable
-	for t, tt := range x.tabs {
-		p := commitTable{t: t}
-		for _, r := range tt.ins {
-			if r != nil {
-				p.ins = append(p.ins, r)
-			}
-		}
-		for v, m := range tt.mods {
-			if m.del {
-				p.delVs = append(p.delVs, v)
-			} else {
-				p.updVs = append(p.updVs, v)
-				p.newImgs = append(p.newImgs, m.row)
-			}
-		}
-		if len(p.ins) == 0 && len(p.delVs) == 0 && len(p.updVs) == 0 {
-			continue
-		}
-		plans = append(plans, p)
-	}
-	if len(plans) == 0 {
-		return nil
-	}
-	sort.Slice(plans, func(i, j int) bool {
-		return keyOf(plans[i].t.def.Name) < keyOf(plans[j].t.def.Name)
-	})
 	for i := range plans {
 		plans[i].t.writeMu.Lock()
 	}
-	return plans
-}
-
-func (x *Txn) unlockAll(plans []commitTable) {
+	err := x.commitLocked(plans)
 	for i := range plans {
 		plans[i].t.writeMu.Unlock()
 	}
+	x.finish()
+	if err != nil || plans == nil {
+		return err
+	}
+	return x.store.WaitDurable()
 }
 
-// validate checks first-committer-wins for one table and orders the plan's
-// targets by slot position (the order replica replay re-matches images in).
-// Caller holds the table's writeMu.
+// plans collects the transaction's effects per table, sorted by table name;
+// nil when it wrote nothing.
+func (x *Txn) plans() []commitTable {
+	var plans []commitTable
+	for t, tt := range x.tabs {
+		// The transaction is finishing: its inserts are compacted in place.
+		p := commitTable{t: t, ins: slices.DeleteFunc(tt.ins, func(r value.Row) bool { return r == nil })}
+		for _, m := range tt.mods {
+			if m.row == nil {
+				p.dels = append(p.dels, m)
+			} else {
+				p.upds = append(p.upds, m)
+			}
+		}
+		if len(p.ins) > 0 || len(p.dels) > 0 || len(p.upds) > 0 {
+			plans = append(plans, p)
+		}
+	}
+	slices.SortFunc(plans, func(a, b commitTable) int {
+		return strings.Compare(keyOf(a.t.def.Name), keyOf(b.t.def.Name))
+	})
+	return plans
+}
+
+// commitLocked validates the plans and applies them under one gate hold:
+// the whole transaction becomes visible at once, and snapshot collection
+// can never see half of it. The caller holds every plan's writer lock, so
+// no other writer can stamp anything while it checks.
+func (x *Txn) commitLocked(plans []commitTable) error {
+	if len(plans) == 0 {
+		// Nothing to write: a read-only transaction just commits.
+		return nil
+	}
+	s := x.store
+	if err := s.writeAllowed(); err != nil {
+		return err
+	}
+	for i := range plans {
+		if !plans[i].validate() {
+			s.conflicts.Add(1)
+			return ErrWriteConflict
+		}
+	}
+	// The store lock keeps DROP TABLE out until the apply is done, so the
+	// tables checked here are the ones written.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, p := range plans {
+		if s.tables[keyOf(p.t.def.Name)] != p.t {
+			s.conflicts.Add(1)
+			return fmt.Errorf("%w (table %q was dropped)", ErrWriteConflict, p.t.def.Name)
+		}
+	}
+	s.gated(func() {
+		for i := range plans {
+			plans[i].apply()
+		}
+	})
+	return nil
+}
+
+// validate checks first-committer-wins for one table: every target must
+// still be live, so still the newest version of its slot. It finds each
+// target's slot from the one it was read in: slots only move down, and only
+// under writeMu (vacuum drops the dead slots before them). It leaves the
+// targets in slot order, the order replay re-matches images in. Caller
+// holds the table's writeMu, which also keeps the slots still.
 func (p *commitTable) validate() bool {
-	t := p.t
-	// Slot index of every newest version. A target missing from this map was
-	// superseded by another writer's update (its slot has a newer head) or
-	// vacuumed after another writer's delete — both conflicts.
-	newest := make(map[*rowVersion]int, len(t.slots))
-	t.mu.RLock()
-	for i, v := range t.slots {
-		newest[v] = i
-	}
-	t.mu.RUnlock()
-	type tagged struct {
-		idx int
-		v   *rowVersion
-		img value.Row
-	}
-	dels := make([]tagged, 0, len(p.delVs))
-	for _, v := range p.delVs {
-		idx, ok := newest[v]
-		if !ok || v.deleted != 0 {
-			return false
+	slots := p.t.slots
+	for _, tgs := range [][]target{p.dels, p.upds} {
+		for i := range tgs {
+			tg := &tgs[i]
+			if tg.v.deleted != 0 {
+				return false
+			}
+			tg.slot = min(tg.slot, len(slots)-1)
+			for tg.slot >= 0 && slots[tg.slot] != tg.v {
+				tg.slot--
+			}
+			if tg.slot < 0 {
+				return false
+			}
 		}
-		dels = append(dels, tagged{idx: idx, v: v})
-	}
-	upds := make([]tagged, 0, len(p.updVs))
-	for i, v := range p.updVs {
-		idx, ok := newest[v]
-		if !ok || v.deleted != 0 {
-			return false
-		}
-		upds = append(upds, tagged{idx: idx, v: v, img: p.newImgs[i]})
-	}
-	sort.Slice(dels, func(i, j int) bool { return dels[i].idx < dels[j].idx })
-	sort.Slice(upds, func(i, j int) bool { return upds[i].idx < upds[j].idx })
-	p.delVs, p.delImgs = p.delVs[:0], p.delImgs[:0]
-	for _, d := range dels {
-		p.delVs = append(p.delVs, d.v)
-		p.delImgs = append(p.delImgs, d.v.row)
-	}
-	p.updIdx, p.updVs, p.oldImgs, p.newImgs = p.updIdx[:0], p.updVs[:0], p.oldImgs[:0], p.newImgs[:0]
-	for _, u := range upds {
-		p.updIdx = append(p.updIdx, u.idx)
-		p.updVs = append(p.updVs, u.v)
-		p.oldImgs = append(p.oldImgs, u.v.row)
-		p.newImgs = append(p.newImgs, u.img)
+		slices.SortFunc(tgs, func(a, b target) int { return cmp.Compare(a.slot, b.slot) })
 	}
 	return true
 }
 
-// apply stamps one table's validated plan. Caller holds the table's writeMu
-// and the store gate; the visible LSN is published once by Commit after
-// every table applied.
+// apply stamps one table's validated plan: its deletes, its updates and its
+// inserts, a change record each. Caller holds the table's writeMu and the
+// store gate.
 func (p *commitTable) apply() {
 	t := p.t
-	if len(p.delVs) > 0 {
-		rec := &repl.Record{Kind: repl.KindDelete, Table: t.def.Name, Rows: p.delImgs}
-		t.applyGateHeld(rec, func(ranges []lsnRange) { t.supersedeLocked(p.delVs, nil, nil, ranges) })
+	if len(p.dels) > 0 {
+		rec := &repl.Record{Kind: repl.KindDelete, Table: t.def.Name, Rows: images(p.dels, true)}
+		t.apply(rec, func(ranges []lsnRange) { t.supersedeLocked(p.dels, false, ranges) })
 	}
-	if len(p.updVs) > 0 {
-		rec := &repl.Record{Kind: repl.KindUpdate, Table: t.def.Name, Rows: p.newImgs, OldRows: p.oldImgs}
-		t.applyGateHeld(rec, func(ranges []lsnRange) { t.supersedeLocked(p.updVs, p.updIdx, p.newImgs, ranges) })
+	if len(p.upds) > 0 {
+		rec := &repl.Record{Kind: repl.KindUpdate, Table: t.def.Name, Rows: images(p.upds, false), OldRows: images(p.upds, true)}
+		t.apply(rec, func(ranges []lsnRange) { t.supersedeLocked(p.upds, true, ranges) })
 	}
 	if len(p.ins) > 0 {
 		rec := &repl.Record{Kind: repl.KindInsert, Table: t.def.Name, Rows: p.ins}
-		t.applyGateHeld(rec, func(ranges []lsnRange) { t.insertLocked(p.ins, ranges) })
+		t.apply(rec, func(ranges []lsnRange) { t.insertLocked(p.ins, ranges) })
 	}
+}
+
+// images returns the targets' old rows (their versions') or new rows.
+func images(tgs []target, old bool) []value.Row {
+	out := make([]value.Row, len(tgs))
+	for i, tg := range tgs {
+		out[i] = tg.row
+		if old {
+			out[i] = tg.v.row
+		}
+	}
+	return out
 }
 
 // Rollback discards all buffered effects and releases the snapshot pin. It

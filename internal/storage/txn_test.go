@@ -2,6 +2,7 @@ package storage
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"perm/internal/value"
@@ -179,5 +180,97 @@ func TestTxnVacuumHorizon(t *testing.T) {
 	}
 	if slots, versions := tab.VersionCount(); slots != 1 || versions != 1 {
 		t.Fatalf("slots/versions = %d/%d, want 1/1", slots, versions)
+	}
+}
+
+// TestTxnCommitAfterDropConflicts: a commit into a table that a concurrent
+// DROP TABLE detached — here re-created under the same name — fails with
+// ErrWriteConflict and writes nothing, in a transaction and in autocommit
+// alike, so the primary stays exactly what a replay of its log rebuilds.
+func TestTxnCommitAfterDropConflicts(t *testing.T) {
+	s := NewStore()
+	old := intTable(t, s, "t", "id")
+	x := s.Begin()
+	if _, err := x.Insert(old, []value.Row{ints(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	intTable(t, s, "t", "id")
+	if err := x.Commit(); !errors.Is(err, ErrWriteConflict) {
+		t.Errorf("commit into a dropped table: %v, want ErrWriteConflict", err)
+	}
+	if _, err := old.Insert(ints(2)); !errors.Is(err, ErrWriteConflict) {
+		t.Errorf("autocommit into a dropped table: %v, want ErrWriteConflict", err)
+	}
+
+	r := NewStore()
+	recs, ok := s.Log().Since(0, 0)
+	if !ok {
+		t.Fatal("log trimmed")
+	}
+	for _, rec := range recs {
+		if err := r.ApplyChange(rec); err != nil {
+			t.Fatalf("replay LSN %d: %v", rec.LSN, err)
+		}
+	}
+	primary, replay := s.Table("t").Snapshot(), r.Table("t").Snapshot()
+	if len(primary) != 0 || len(replay) != 0 {
+		t.Fatalf("t holds %v on the primary and %v after replay, want both empty", primary, replay)
+	}
+	if pc, rc := s.Catalog().TableStats("t").RowCount, r.Catalog().TableStats("t").RowCount; pc != 0 || rc != 0 {
+		t.Fatalf("row count %d on the primary, %d after replay, want 0", pc, rc)
+	}
+}
+
+// TestTxnCommitAfterVacuumMovedSlots: a vacuum between a transaction's
+// reads and its commit drops dead slots before the rows it wrote, so those
+// rows sit lower than where they were read. The commit still finds them,
+// writes them in slot order, and a replay of the log agrees.
+func TestTxnCommitAfterVacuumMovedSlots(t *testing.T) {
+	s := NewStore()
+	tab := intTable(t, s, "t", "a")
+	for i := int64(1); i <= 5; i++ {
+		tab.Insert(ints(i))
+	}
+	is := func(vs ...int64) func(value.Row) (bool, error) {
+		return func(r value.Row) (bool, error) { return slices.Contains(vs, r[0].Int()), nil }
+	}
+	if n, err := tab.Delete(is(1, 2)); err != nil || n != 2 {
+		t.Fatalf("delete: %d, %v", n, err)
+	}
+	x := s.Begin()
+	bump := func(r value.Row) (value.Row, error) { return ints(r[0].Int() + 10), nil }
+	if _, err := x.Update(tab, is(5), bump); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Update(tab, is(3), bump); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Delete(tab, is(4)); err != nil {
+		t.Fatal(err)
+	}
+	if removed := s.Vacuum(); removed != 2 {
+		t.Fatalf("vacuum removed %d versions, want the 2 deleted rows", removed)
+	}
+	if err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewStore()
+	recs, _ := s.Log().Since(0, 0)
+	for _, rec := range recs {
+		if err := r.ApplyChange(rec); err != nil {
+			t.Fatalf("replay LSN %d: %v", rec.LSN, err)
+		}
+	}
+	want := []value.Row{ints(13), ints(15)}
+	for name, got := range map[string][]value.Row{"primary": tab.Snapshot(), "replay": r.Table("t").Snapshot()} {
+		if !slices.EqualFunc(got, want, func(a, b value.Row) bool { return a.Key() == b.Key() }) {
+			t.Fatalf("%s holds %v, want %v", name, got, want)
+		}
+	}
+	if n := s.Catalog().TableStats("t").RowCount; n != 2 {
+		t.Fatalf("row count %d, want 2", n)
 	}
 }
