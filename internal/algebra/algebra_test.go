@@ -116,10 +116,6 @@ func TestNewJoinSchema(t *testing.T) {
 	if len(j.Sch) != 3 {
 		t.Errorf("inner join schema = %v", j.Sch)
 	}
-	semi := NewJoin(JoinSemi, l, r, nil)
-	if len(semi.Sch) != 2 {
-		t.Errorf("semi join schema = %v", semi.Sch)
-	}
 }
 
 func TestNewSetOpWidensTypes(t *testing.T) {

@@ -225,15 +225,13 @@ func (s *Select) Name() string { return "Select σ" }
 // JoinKind enumerates logical join types.
 type JoinKind int
 
-// Join kinds. Semi and anti joins are produced by subquery de-correlation.
+// Join kinds.
 const (
 	JoinInner JoinKind = iota
 	JoinLeft
 	JoinRight
 	JoinFull
 	JoinCross
-	JoinSemi
-	JoinAnti
 )
 
 func (k JoinKind) String() string {
@@ -248,17 +246,12 @@ func (k JoinKind) String() string {
 		return "Full"
 	case JoinCross:
 		return "Cross"
-	case JoinSemi:
-		return "Semi"
-	case JoinAnti:
-		return "Anti"
 	}
 	return "?"
 }
 
 // Join combines two inputs (⋈). Cond is evaluated over the concatenated
-// schema left++right; for semi/anti joins the output schema is just the left
-// schema. When Lateral is set, the right input may contain OuterRef
+// schema left++right, which is also the output schema. When Lateral is set, the right input may contain OuterRef
 // expressions that bind to the current left row (a correlated / LATERAL
 // join); the provenance rewriter produces these when de-correlating nested
 // subqueries per the EDBT '09 strategy.
@@ -291,13 +284,7 @@ func (j *Join) Name() string { return fmt.Sprintf("Join ⋈ %s", j.Kind) }
 // make the null-extendable side's columns nullable, which the type system
 // models implicitly (kinds are unchanged).
 func NewJoin(kind JoinKind, left, right Op, cond Expr) *Join {
-	var sch Schema
-	switch kind {
-	case JoinSemi, JoinAnti:
-		sch = left.Schema().Clone()
-	default:
-		sch = append(left.Schema().Clone(), right.Schema()...)
-	}
+	sch := append(left.Schema().Clone(), right.Schema()...)
 	return &Join{Kind: kind, Left: left, Right: right, Cond: cond, Sch: sch}
 }
 

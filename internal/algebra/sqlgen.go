@@ -103,19 +103,6 @@ func (g *sqlGen) gen(op Op, outerCols []string) (string, []string) {
 		rsql, rcols := g.gen(o.Right, outerCols)
 		la, ra := g.fresh(), g.fresh()
 		refs := append(qualify(la, lcols), qualify(ra, rcols)...)
-		switch o.Kind {
-		case JoinSemi, JoinAnti:
-			not := ""
-			if o.Kind == JoinAnti {
-				not = "NOT "
-			}
-			cond := "TRUE"
-			if o.Cond != nil {
-				cond = g.expr(o.Cond, refs, outerCols)
-			}
-			return fmt.Sprintf("SELECT %s FROM (%s) AS %s WHERE %sEXISTS (SELECT 1 FROM (%s) AS %s WHERE %s)",
-				selectAll(qualify(la, lcols), lcols, outNames), lsql, la, not, rsql, ra, cond), outNames
-		}
 		kw := map[JoinKind]string{
 			JoinInner: "JOIN", JoinLeft: "LEFT JOIN", JoinRight: "RIGHT JOIN",
 			JoinFull: "FULL JOIN", JoinCross: "CROSS JOIN",

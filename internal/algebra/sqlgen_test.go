@@ -41,16 +41,6 @@ func TestToSQLJoins(t *testing.T) {
 	if !strings.Contains(mk(JoinCross), "CROSS JOIN") {
 		t.Error("cross join keyword missing")
 	}
-	semi := ToSQL(NewJoin(JoinSemi, scan("a", "x"), scan("b", "y"),
-		&Bin{Op: sql.OpEq, L: col(0), R: col(1)}))
-	if !strings.Contains(semi, "EXISTS") {
-		t.Errorf("semi join must render as EXISTS: %s", semi)
-	}
-	anti := ToSQL(NewJoin(JoinAnti, scan("a", "x"), scan("b", "y"),
-		&Bin{Op: sql.OpEq, L: col(0), R: col(1)}))
-	if !strings.Contains(anti, "NOT EXISTS") {
-		t.Errorf("anti join must render as NOT EXISTS: %s", anti)
-	}
 }
 
 func TestToSQLAgg(t *testing.T) {

@@ -1436,10 +1436,3 @@ var scalarFuncs = map[string]funcSig{
 	"least":     {1, -1, commonOfAll},
 	"strpos":    {2, 2, fixed(value.KindInt)},
 }
-
-// IsScalarFunc reports whether name is a known scalar function (used by the
-// executor to validate plans built directly).
-func IsScalarFunc(name string) bool {
-	_, ok := scalarFuncs[name]
-	return ok
-}

@@ -730,12 +730,8 @@ func (s *Session) analyzeOn(store *storage.Store, sel *sql.SelectStmt, params []
 	return plan, decisions, rewriteDur, nil
 }
 
-// AnalyzeOriginal resolves a query ignoring SELECT PROVENANCE markers (the
-// browser's "original algebra tree" pane).
-func (s *Session) AnalyzeOriginal(sel *sql.SelectStmt) (algebra.Op, error) {
-	return s.analyzeOriginalOn(s.db.Store(), sel)
-}
-
+// analyzeOriginalOn resolves a query ignoring SELECT PROVENANCE markers (the
+// original algebra tree EXPLAIN shows).
 func (s *Session) analyzeOriginalOn(store *storage.Store, sel *sql.SelectStmt) (algebra.Op, error) {
 	an := analyzer.New(store.Catalog())
 	an.StripProvenance = true

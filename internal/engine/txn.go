@@ -24,10 +24,6 @@ func (s *Session) currentTxn() *storage.Txn {
 	return s.txn
 }
 
-// InTransaction reports whether an explicit transaction is open (tools and
-// the driver's connection-state checks).
-func (s *Session) InTransaction() bool { return s.currentTxn() != nil }
-
 // txnFor returns the open transaction when it began on store, nil in
 // autocommit. A transaction pinned on a store that has since been swapped out
 // (replica re-bootstrap mid-transaction) errors rather than silently reading

@@ -314,7 +314,7 @@ type builder struct {
 	// the input of a projection that computes. An operator that makes rows
 	// (projectIter, joinEmit) then fills one row over again; one that hands its
 	// input's rows on (filter, limit, UNION ALL, a projection of leading
-	// columns, a semi or anti join's probe) passes the word down.
+	// columns) passes the word down.
 	reuse bool
 	// slots hands the operators that drain a whole input their size hints,
 	// in build order; nil for an uncached plan and for a worker's subtree.
@@ -334,11 +334,10 @@ func isPrefix(p *algebra.Project) bool {
 
 // emitsThrough reports whether a projection can hand its column map to the
 // operator under it: every expression is a plain column or a constant, and
-// the input is a non-lateral join that makes its output rows itself (semi and
-// anti joins pass probe rows through).
+// the input is a non-lateral join, which makes its output rows itself.
 func emitsThrough(p *algebra.Project) bool {
 	j, ok := skipMarkers(p.Input).(*algebra.Join)
-	if !ok || j.Lateral || j.Kind == algebra.JoinSemi || j.Kind == algebra.JoinAnti {
+	if !ok || j.Lateral {
 		return false
 	}
 	for _, e := range p.Exprs {
@@ -424,8 +423,8 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		}
 		out := newJoinEmit(o, emit)
 		out.rows.reuse = reuse
-		// The probe row is read into the output row, or (semi, anti) is it.
-		left := input(o.Left, out.cols != nil || reuse)
+		// The probe row is read into the output row, never handed up itself.
+		left := input(o.Left, true)
 		var right iterator
 		if b.part != nil {
 			right = &scanIter{rows: b.part.right}

@@ -221,21 +221,6 @@ func TestHashJoinFull(t *testing.T) {
 	}
 }
 
-func TestSemiAntiJoin(t *testing.T) {
-	s := testStore(t)
-	cond := &algebra.Bin{Op: sql.OpEq, L: intCol(0), R: intCol(2)}
-	semi := algebra.NewJoin(algebra.JoinSemi, scanT(), scanU(), cond)
-	rows := runPlan(t, s, semi)
-	if len(rows) != 3 { // rows a=2,3,2 have matches; each left row emitted once
-		t.Errorf("semi rows = %v", rowsToInts(rows))
-	}
-	anti := algebra.NewJoin(algebra.JoinAnti, scanT(), scanU(), cond)
-	rows = runPlan(t, s, anti)
-	if len(rows) != 1 || rows[0][0].Int() != 1 {
-		t.Errorf("anti rows = %v", rowsToInts(rows))
-	}
-}
-
 func TestNullSafeJoinKeys(t *testing.T) {
 	s := storage.NewStore()
 	tab, _ := s.CreateTable(&catalog.TableDef{Name: "n", Columns: []catalog.Column{

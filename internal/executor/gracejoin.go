@@ -32,7 +32,7 @@ import (
 //
 // Rows whose strict-equality key evaluates to NULL can never match; they
 // route by their empty key (one fixed partition per level) purely so
-// LEFT/ANTI probes still emit and FULL/RIGHT build rows still reach the tail.
+// LEFT probes still emit and FULL/RIGHT build rows still reach the tail.
 
 // joinSeqShift widens the output sequence space so every (probe row, build
 // chunk) pair gets a unique tag: chunk joins of the same probe row land in
@@ -245,9 +245,6 @@ func (h *hashJoinIter) joinChunk(last bool) error {
 			return err
 		}
 		before := multiChunk && h.getSeen(pos-1) // matched in an earlier chunk
-		if before && h.p.firstMatchEnds() {
-			return nil // already resolved there
-		}
 		h.startProbe(probe, key, hashable)
 		for h.p.row != nil {
 			l, r, ok, err := h.nextOutput(last && !before)

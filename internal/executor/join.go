@@ -100,8 +100,7 @@ type buildRow struct {
 // projectIter above it.
 type joinEmit struct {
 	// cols maps output column → source: c >= 0 reads column c of left⧺right,
-	// c < 0 reads consts[^c]. Nil for semi and anti joins, whose output is
-	// the probe row itself.
+	// c < 0 reads consts[^c].
 	cols   []int32
 	consts []value.Value
 	nLeft  int
@@ -111,9 +110,6 @@ type joinEmit struct {
 // newJoinEmit derives the emitter for a join and the pure column-and-constant
 // projection above it (nil: emit left⧺right).
 func newJoinEmit(j *algebra.Join, proj *algebra.Project) *joinEmit {
-	if j.Kind == algebra.JoinSemi || j.Kind == algebra.JoinAnti {
-		return &joinEmit{}
-	}
 	e := &joinEmit{nLeft: len(j.Left.Schema())}
 	if proj == nil {
 		e.cols = make([]int32, e.nLeft+len(j.Right.Schema()))
@@ -138,9 +134,6 @@ func newJoinEmit(j *algebra.Join, proj *algebra.Project) *joinEmit {
 // row makes the output row for a probe/build pair; a nil side reads as all
 // NULLs (outer-join padding).
 func (e *joinEmit) row(l, r value.Row) value.Row {
-	if e.cols == nil {
-		return l
-	}
 	dst := e.rows.New(len(e.cols))
 	for i, c := range e.cols {
 		switch {
@@ -171,39 +164,18 @@ type probeState struct {
 	kind    algebra.JoinKind
 	row     value.Row // the probe row in flight; nil between probes
 	matched bool      // a candidate qualified
-	done    bool      // no further candidate can change the outcome
 }
 
-func (p *probeState) start(row value.Row) { p.row, p.matched, p.done = row, false, false }
-
-// match records a qualifying candidate and reports whether probe⧺candidate is
-// an output row. (A semi join's output row is the probe alone, which is what
-// its joinEmit makes of any pair.)
-func (p *probeState) match() (emit bool) {
-	p.matched = true
-	switch p.kind {
-	case algebra.JoinSemi:
-		p.done = true // emit the probe once, skip the rest
-	case algebra.JoinAnti:
-		p.done = true // a match disqualifies the probe row
-		return false
-	}
-	return true
-}
+func (p *probeState) start(row value.Row) { p.row, p.matched = row, false }
 
 // alone reports whether the probe row, having met every candidate, is an
 // output row by itself.
 func (p *probeState) alone() bool { return !p.matched && p.keepsUnmatched() }
 
-// keepsUnmatched: the join emits a probe row that matched nothing —
-// null-padded by LEFT/FULL, passed through by ANTI.
+// keepsUnmatched: the join emits a probe row that matched nothing,
+// null-padded (LEFT, FULL).
 func (p *probeState) keepsUnmatched() bool {
-	return p.kind == algebra.JoinLeft || p.kind == algebra.JoinFull || p.kind == algebra.JoinAnti
-}
-
-// firstMatchEnds: one match settles the probe row (SEMI, ANTI).
-func (p *probeState) firstMatchEnds() bool {
-	return p.kind == algebra.JoinSemi || p.kind == algebra.JoinAnti
+	return p.kind == algebra.JoinLeft || p.kind == algebra.JoinFull
 }
 
 // buildTail: once the probes are through, the join emits the build rows that
@@ -372,7 +344,7 @@ func (h *hashJoinIter) startProbe(row value.Row, key []byte, hashable bool) {
 // resolve be set, so that a probe left without a match emits alone.
 func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err error) {
 	p := &h.p
-	for h.cur >= 0 && !p.done {
+	for h.cur >= 0 {
 		br := &h.rows[h.cur]
 		h.cur = h.table.next(h.cur, h.probeKey)
 		if h.cond != nil {
@@ -384,10 +356,8 @@ func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err er
 				continue
 			}
 		}
-		br.matched = true
-		if p.match() {
-			return p.row, br.row, true, nil
-		}
+		br.matched, p.matched = true, true
+		return p.row, br.row, true, nil
 	}
 	l, p.row = p.row, nil
 	return l, nil, resolve && p.alone(), nil
@@ -599,7 +569,7 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 			}
 			n.p.start(probe)
 		}
-		for !n.p.done {
+		for {
 			row, matched, err := n.build.next(n.ctx)
 			if err != nil {
 				return nil, err
@@ -616,10 +586,8 @@ func (n *nlJoinIter) Next() (value.Row, error) {
 					continue
 				}
 			}
-			*matched = true
-			if n.p.match() {
-				return n.out.row(n.p.row, row), nil
-			}
+			*matched, n.p.matched = true, true
+			return n.out.row(n.p.row, row), nil
 		}
 		probe := n.p.row
 		n.p.row = nil

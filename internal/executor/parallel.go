@@ -25,7 +25,7 @@ import (
 //     probe range against the shared read-only rows with a private join
 //     iterator (its own compiled expressions, hash table, and memory account
 //     against the one shared budget). Probe-side-local kinds only
-//     (INNER/LEFT/SEMI/ANTI/CROSS): their output factors by probe row, so
+//     (INNER/LEFT/CROSS): their output factors by probe row, so
 //     worker-order concatenation again reproduces the serial order byte for
 //     byte.
 //   - Hash aggregation over such a chain. Workers fold partial group states
@@ -124,7 +124,7 @@ func parJoinEligible(o *algebra.Join) bool {
 		return false
 	}
 	switch o.Kind {
-	case algebra.JoinInner, algebra.JoinLeft, algebra.JoinSemi, algebra.JoinAnti, algebra.JoinCross:
+	case algebra.JoinInner, algebra.JoinLeft, algebra.JoinCross:
 	default:
 		// FULL/RIGHT emit unmatched build rows — shared mutable matched state
 		// across workers; stays serial.

@@ -138,22 +138,12 @@ func TestBuilderRowLifetime(t *testing.T) {
 		t.Error("UNION ALL under an aggregation did not pass the word to both inputs")
 	}
 	// A join that makes rows reuses them if told to, tells its probe input it
-	// may, and never its build input; a semi join hands the word on.
+	// may, and never its build input.
 	j := build(agg(join(algebra.JoinInner, computed(scanT()), computed(scanU())))).(*aggIter).input.(*hashJoinIter)
 	if !reuses(j) || !reuses(j.left) || reuses(j.right) {
 		t.Errorf("inner join under an aggregation: emitter %v, probe %v, build %v; want true, true, false", reuses(j), reuses(j.left), reuses(j.right))
 	}
 	if j := build(join(algebra.JoinLeft, computed(scanT()), computed(scanU()))).(*hashJoinIter); reuses(j) || !reuses(j.left) {
 		t.Error("a root join must keep its rows and still let its probe input reuse")
-	}
-	for _, told := range []bool{false, true} {
-		var plan algebra.Op = join(algebra.JoinSemi, computed(scanT()), computed(scanU()))
-		semi := build(plan)
-		if told {
-			semi = build(agg(plan)).(*aggIter).input
-		}
-		if j := semi.(*hashJoinIter); reuses(j.left) != told || reuses(j.right) {
-			t.Errorf("semi join told %v: probe %v, build %v", told, reuses(j.left), reuses(j.right))
-		}
 	}
 }

@@ -349,28 +349,6 @@ Project Π [v#1, v#3] → [v, v]
     ├── Scan a [k, v]
     └── Scan small AS s [k, v]`,
 	}, {
-		name:  "semi",
-		build: handBuilt(algebra.JoinSemi, false),
-		before: `
-Join ⋈ Semi on (k#0 = k#2) → [k, v]
-├── Scan small [k, v]
-└── Scan big [k, v]`,
-		after: `
-Join ⋈ Semi on (k#0 = k#2) → [k, v]
-├── Scan small [k, v]
-└── Scan big [k, v]`,
-	}, {
-		name:  "anti",
-		build: handBuilt(algebra.JoinAnti, false),
-		before: `
-Join ⋈ Anti on (k#0 = k#2) → [k, v]
-├── Scan small [k, v]
-└── Scan big [k, v]`,
-		after: `
-Join ⋈ Anti on (k#0 = k#2) → [k, v]
-├── Scan small [k, v]
-└── Scan big [k, v]`,
-	}, {
 		name:  "lateral",
 		build: handBuilt(algebra.JoinInner, true),
 		before: `
@@ -475,7 +453,7 @@ func TestEstimateJoinCondition(t *testing.T) {
 // and rearranges its input's columns — what the provenance rewrite puts over
 // every base relation — moves above the join, where the join emits through
 // it, so its rows are never built. One that drops a column, or computes one,
-// stays; so does any under a semi, anti or lateral join.
+// stays; so does any under a lateral join.
 func TestColumnMapsMoveAboveJoins(t *testing.T) {
 	// dup is the provenance rewrite of a base relation: its attributes, then
 	// the same attributes again.
@@ -583,19 +561,6 @@ Join ⋈ Inner on (k#0 = k#2) → [k, kv, k, v]
 		after: `
 Join ⋈ Inner on (k#0 = k#2) → [k, kv, k, v]
 ├── Project Π [k#0, (v#1 + k#0)] → [k, kv]
-│   └── Scan a [k, v]
-└── Scan b [k, v]`,
-	}, {
-		name:  "semi join",
-		build: handBuilt(algebra.JoinSemi, false, dup, same, eq(col(2, "prov_k"), col(4, "k"))),
-		before: `
-Join ⋈ Semi on (prov_k#2 = k#4) → [k, v, prov_k, prov_v]
-├── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
-│   └── Scan a [k, v]
-└── Scan b [k, v]`,
-		after: `
-Join ⋈ Semi on (prov_k#2 = k#4) → [k, v, prov_k, prov_v]
-├── Project Π [k#0, v#1, k#0, v#1] → [k, v, prov_k, prov_v]
 │   └── Scan a [k, v]
 └── Scan b [k, v]`,
 	}, {

@@ -98,10 +98,6 @@ func TestEstimateSetOpsAndSemi(t *testing.T) {
 	if est := p.EstimateRows(algebra.NewSetOp(algebra.ExceptAll, tScan, uScan)); est != 10 {
 		t.Errorf("except estimate = %v, want 10", est)
 	}
-	semi := algebra.NewJoin(algebra.JoinSemi, tScan, uScan, nil)
-	if est := p.EstimateRows(semi); est != 10 {
-		t.Errorf("semi estimate = %v, want 10", est)
-	}
 	if est := p.EstimateRows(&algebra.Values{Rows: make([][]algebra.Expr, 3)}); est != 3 {
 		t.Errorf("values estimate = %v", est)
 	}

@@ -164,11 +164,10 @@ func columnMap(op algebra.Op) *algebra.Project {
 // the join, which the join emits through. Every row of such an input is a
 // rearrangement of a row that already exists, so it need not be born. A map
 // that drops columns stays where it is: under it the build side charges, and
-// spills, only what it keeps. Semi and anti joins hand on the probe row
-// itself, a lateral right side reads the left row by position, and a subplan
-// in the condition keeps its column space.
+// spills, only what it keeps. A lateral right side reads the left row by
+// position, and a subplan in the condition keeps its column space.
 func pullColumnMaps(j *algebra.Join) (algebra.Op, bool) {
-	if j.Lateral || j.Kind == algebra.JoinSemi || j.Kind == algebra.JoinAnti || (j.Cond != nil && algebra.HasSubplan(j.Cond)) {
+	if j.Lateral || (j.Cond != nil && algebra.HasSubplan(j.Cond)) {
 		return nil, false
 	}
 	lp, rp := columnMap(j.Left), columnMap(j.Right)
@@ -296,8 +295,8 @@ func sides(e algebra.Expr, nLeft int) (left, right bool) {
 // reads both becomes part of the join condition (a cross join turns inner),
 // so that a comma list with its WHERE plans exactly like JOIN ... ON — its
 // equalities reach the hash join's key extraction, the rest the nested
-// loop's condition. Outer, semi and anti joins are left alone: a filter above
-// them sees the NULL-extended rows, a condition inside them does not.
+// loop's condition. Outer joins are left alone: a filter above them sees the
+// NULL-extended rows, a condition inside them does not.
 func pushIntoJoin(sel *algebra.Select, join *algebra.Join) (algebra.Op, bool) {
 	if join.Kind != algebra.JoinInner && join.Kind != algebra.JoinCross {
 		return nil, false
@@ -404,9 +403,8 @@ func buildSides(op algebra.Op, est *estimator) (algebra.Op, bool) {
 }
 
 // commute swaps the inputs of a hash join whose right (build) input is more
-// than buildSideRatio times the size of its left. Semi and anti joins have
-// no mirror image in the algebra, lateral joins have a fixed direction, and
-// a subplan in the condition keeps its column space.
+// than buildSideRatio times the size of its left. Lateral joins have a fixed
+// direction, and a subplan in the condition keeps its column space.
 func commute(j *algebra.Join, est *estimator) (algebra.Op, bool) {
 	if j.Lateral || j.Cond == nil || algebra.HasSubplan(j.Cond) {
 		return nil, false
@@ -592,11 +590,8 @@ func (e *estimator) estimate(op algebra.Op) float64 {
 	case *algebra.Join:
 		l := e.rows(o.Left)
 		r := e.rows(o.Right)
-		switch o.Kind {
-		case algebra.JoinCross:
+		if o.Kind == algebra.JoinCross {
 			return l * r
-		case algebra.JoinSemi, algebra.JoinAnti:
-			return l / 2
 		}
 		est := l * r
 		if o.Cond != nil {

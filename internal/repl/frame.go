@@ -1,16 +1,20 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"perm/internal/wire"
 )
 
 // Frames are how payloads sit in a byte stream that may come back damaged:
-// WAL segments (internal/wal) and snapshots (internal/storage) are frames,
-// made and checked here alone. A record's payload is AppendRecord's
-// encoding, byte for byte what a follower receives in MsgChanges.
+// WAL segments (internal/wal), snapshots (internal/storage) and the
+// replication feed (a wire.MsgChanges payload) are frames, made and checked
+// here alone. A record frame is byte for byte the same in a WAL segment and
+// on the feed.
 //
 //	[u32le payload length][u32le CRC32C(payload)][payload]
 
@@ -96,3 +100,31 @@ func (f *FrameReader) Offset() int64 { return f.off }
 
 // Sum is FrameSum over the frames read so far.
 func (f *FrameReader) Sum() uint32 { return f.sum }
+
+// ReadRecordFrames decodes b, a run of record frames — a MsgChanges payload —
+// and hands each record to apply in order. A damaged frame or record fails
+// the walk with ErrCorrupt before it reaches apply; an error from apply ends
+// the walk as it is.
+func ReadRecordFrames(b []byte, apply func(Record) error) error {
+	fr := NewFrameReader(bytes.NewReader(b))
+	for {
+		p, err := fr.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		r := wire.NewReader(p)
+		rec, err := ReadRecord(r)
+		if err != nil {
+			return err
+		}
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		if err := apply(rec); err != nil {
+			return err
+		}
+	}
+}

@@ -11,15 +11,15 @@ import (
 )
 
 // FuzzWALRecord feeds arbitrary bytes through the record decoder — the
-// exact payload bytes a WAL segment frame or a replication change frame
-// carries. The decoder's contract on untrusted input: never panic, never
-// allocate past the input's size class, fail only with ErrCorrupt, and
-// round-trip every accepted record (re-encode, re-decode, identical —
-// non-canonical varints may differ in bytes, never in meaning).
+// payload of one WAL record frame — and through ReadRecordFrames, the
+// follower's decode of a MsgChanges payload (a run of the same frames). The
+// decoders' contract on untrusted input: never panic, never allocate past
+// the input's size class, fail only with ErrCorrupt, and round-trip every
+// accepted record (re-encode, re-decode, identical — non-canonical varints
+// may differ in bytes, never in meaning).
 func FuzzWALRecord(f *testing.F) {
-	// Seeds are real segment payloads: AppendRecord's encoding is, byte for
-	// byte, what internal/wal frames on disk and the follower receives in
-	// MsgChanges.
+	// Seeds are real frame payloads: AppendRecord's encoding is, byte for
+	// byte, what internal/wal and the replication feed frame.
 	row := value.Row{value.NewInt(42), value.NewString("x"), value.Null, value.NewFloat(2.5), value.NewBool(true)}
 	seeds := []Record{
 		{LSN: 1, Kind: KindCreateTable, Table: "kv", Columns: []catalog.Column{
@@ -37,7 +37,12 @@ func FuzzWALRecord(f *testing.F) {
 	for _, rec := range seeds {
 		f.Add(AppendRecord(nil, rec))
 	}
-	f.Add(AppendBatch(nil, seeds))
+	// A real feed payload: the frames a MsgChanges carries for the seeds.
+	var feed []byte
+	for _, rec := range seeds {
+		feed = AppendRecordFrame(feed, rec)
+	}
+	f.Add(feed)
 	// Corruption seeds: truncated tails, hostile counts, garbage.
 	enc := AppendRecord(nil, seeds[1])
 	f.Add(enc[:len(enc)/2])
@@ -65,19 +70,17 @@ func FuzzWALRecord(f *testing.F) {
 				t.Fatalf("re-encoding unstable")
 			}
 		}
-		// The batch decoder shares the record decoder; it must hold the same
-		// contract on the same bytes.
-		if recs, berr := DecodeBatch(data); berr != nil {
-			if !errors.Is(berr, ErrCorrupt) {
-				t.Fatalf("batch decode error not wrapping ErrCorrupt: %v", berr)
+		// The feed decoder frames the record decoder; it must hold the same
+		// contract on the same bytes, and hand over only records that
+		// re-decode.
+		ferr := ReadRecordFrames(data, func(r Record) error {
+			if _, err := ReadRecord(wire.NewReader(AppendRecord(nil, r))); err != nil {
+				t.Fatalf("feed record does not re-decode: %v", err)
 			}
-		} else {
-			for _, r := range recs {
-				enc := AppendRecord(nil, r)
-				if _, err := ReadRecord(wire.NewReader(enc)); err != nil {
-					t.Fatalf("batch record does not re-decode: %v", err)
-				}
-			}
+			return nil
+		})
+		if ferr != nil && !errors.Is(ferr, ErrCorrupt) {
+			t.Fatalf("feed decode error not wrapping ErrCorrupt: %v", ferr)
 		}
 	})
 }

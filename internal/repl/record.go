@@ -33,7 +33,7 @@ import (
 )
 
 // ErrCorrupt is wrapped by every decode error in this package: a record or
-// batch that cannot be decoded from untrusted bytes (a replication peer, a
+// frame that cannot be decoded from untrusted bytes (a replication peer, a
 // WAL segment off disk). The decoder's contract is to return this — never
 // to panic and never to over-allocate — whatever the input; the WAL's
 // recovery turns it into a truncation point, the follower into a resync.
@@ -111,8 +111,8 @@ type Record struct {
 
 // --- binary codec ---------------------------------------------------------------
 //
-// Records travel inside wire change-batch frames, WAL segments and storage
-// snapshots, and reuse the wire payload primitives (varints, length-prefixed
+// Records travel in frames (frame.go) — WAL segments, storage snapshots and
+// the replication feed — and reuse the wire payload primitives (varints, length-prefixed
 // strings); rows are internal/value's row codec (value.AppendRow, through
 // wire.AppendRow), the one encoding of a value the codebase has.
 
@@ -212,38 +212,4 @@ func RecordHash(rec Record) uint64 {
 	h := fnv.New64a()
 	h.Write(AppendRecord(nil, rec))
 	return h.Sum64()
-}
-
-// AppendBatch appends a change-batch payload: a record count followed by the
-// records. This is the payload of a wire.MsgChanges frame.
-func AppendBatch(dst []byte, recs []Record) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	for _, r := range recs {
-		dst = AppendRecord(dst, r)
-	}
-	return dst
-}
-
-// DecodeBatch parses a change-batch payload. Every failure wraps
-// ErrCorrupt.
-func DecodeBatch(payload []byte) ([]Record, error) {
-	r := wire.NewReader(payload)
-	n := r.Uvarint()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	// Each record costs several payload bytes; this bound only guards the
-	// allocation below against corrupt counts.
-	if n > uint64(len(payload)) {
-		return nil, fmt.Errorf("%w: impossible record count %d", ErrCorrupt, n)
-	}
-	recs := make([]Record, 0, n)
-	for i := uint64(0); i < n; i++ {
-		rec, err := ReadRecord(r)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
 }

@@ -1,13 +1,14 @@
 package repl
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"perm/internal/catalog"
 	"perm/internal/value"
-	"perm/internal/wire"
 )
 
 func TestLogAppendSince(t *testing.T) {
@@ -193,9 +194,15 @@ func TestRecordRoundTrip(t *testing.T) {
 		{LSN: 7, Kind: KindAnalyze, Table: ""},
 		{LSN: 8, Kind: KindDropTable, Table: "t"},
 	}
-	payload := AppendBatch(nil, recs)
-	got, err := DecodeBatch(payload)
-	if err != nil {
+	var payload []byte
+	for _, rec := range recs {
+		payload = AppendRecordFrame(payload, rec)
+	}
+	var got []Record
+	if err := ReadRecordFrames(payload, func(rec Record) error {
+		got = append(got, rec)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	same := len(recs) == len(got)
@@ -207,19 +214,33 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeBatchCorrupt(t *testing.T) {
-	payload := AppendBatch(nil, []Record{{LSN: 1, Kind: KindInsert, Table: "t",
-		Rows: []value.Row{{value.NewInt(7)}}}})
-	for cut := 1; cut < len(payload); cut++ {
-		if _, err := DecodeBatch(payload[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d decoded without error", cut, len(payload))
+// TestRecordFramesRefuseDamage: a feed payload cut short or with any single
+// bit flipped fails with ErrCorrupt, and its record never reaches apply.
+func TestRecordFramesRefuseDamage(t *testing.T) {
+	payload := AppendRecordFrame(nil, Record{LSN: 1, Kind: KindInsert, Table: "t",
+		Rows: []value.Row{{value.NewInt(7), value.NewString("seven")}}})
+	applied := 0
+	apply := func(Record) error { applied++; return nil }
+	check := func(what string, damaged []byte) {
+		t.Helper()
+		if err := ReadRecordFrames(damaged, apply); !errors.Is(err, ErrCorrupt) || applied != 0 {
+			t.Fatalf("%s: err %v, %d records applied", what, err, applied)
 		}
 	}
-	// A single record decodes through ReadRecord too.
-	r := wire.NewReader(payload[1:]) // skip the batch count
-	rec, err := ReadRecord(r)
-	if err != nil || rec.LSN != 1 || rec.Kind != KindInsert {
-		t.Fatalf("ReadRecord = %+v, %v", rec, err)
+	for cut := 1; cut < len(payload); cut++ {
+		check(fmt.Sprintf("cut at %d/%d", cut, len(payload)), payload[:cut])
+	}
+	for bit := 0; bit < 8*len(payload); bit++ {
+		damaged := append([]byte(nil), payload...)
+		damaged[bit/8] ^= 1 << (bit % 8)
+		check(fmt.Sprintf("bit %d flipped", bit), damaged)
+	}
+	// A frame whose payload holds more than one record is damage too.
+	extra := AppendFrame(nil, append(AppendRecord(nil, Record{LSN: 1, Kind: KindAnalyze}), 0))
+	check("trailing byte in the frame", extra)
+	// The undamaged payload decodes to its one record.
+	if err := ReadRecordFrames(payload, apply); err != nil || applied != 1 {
+		t.Fatalf("undamaged payload: err %v, %d records applied", err, applied)
 	}
 }
 

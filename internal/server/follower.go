@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -262,16 +261,11 @@ func (f *Follower) streamOnce() error {
 			resumeHash = repl.RecordHash(recs[0])
 		}
 	}
-	payload := make([]byte, 0, 32)
-	payload = binary.AppendUvarint(payload, after)
-	payload = wire.AppendBool(payload, force)
-	payload = binary.AppendUvarint(payload, f.db.Store().Origin())
-	payload = binary.AppendUvarint(payload, resumeHash)
 	// The cluster epoch this replica last saw: a deposed primary (serving a
 	// lower epoch) must reject this subscription instead of feeding us its
 	// fenced timeline.
-	payload = binary.AppendUvarint(payload, f.db.Epoch())
-	if err := conn.WriteMessage(wire.MsgSubscribe, payload); err != nil {
+	sub := wire.Subscribe{After: after, Force: force, Origin: f.db.Store().Origin(), ResumeHash: resumeHash, Epoch: f.db.Epoch()}
+	if err := conn.WriteMessage(wire.MsgSubscribe, sub.Encode(nil)); err != nil {
 		return err
 	}
 	if err := conn.Flush(); err != nil {
@@ -282,11 +276,6 @@ func (f *Follower) streamOnce() error {
 	// once MsgSubLive reports the primary's heartbeat cadence — a primary
 	// heartbeating every 20s must not trip a 15s default failure detector.
 	readTimeout := f.cfg.ReadTimeout
-	adoptHeartbeat := func(hb time.Duration) {
-		if min := 3 * hb; hb > 0 && min > readTimeout {
-			readTimeout = min
-		}
-	}
 	ackBuf := make([]byte, 0, binary.MaxVarintLen64)
 	for {
 		nc.SetReadDeadline(time.Now().Add(readTimeout))
@@ -295,45 +284,34 @@ func (f *Follower) streamOnce() error {
 			return err
 		}
 		switch typ {
-		case wire.MsgSubSnapshot:
-			hb, epoch, err := f.bootstrap(conn, nc)
+		case wire.MsgSubSnapshot, wire.MsgSubLive:
+			var live wire.SubLive
+			if typ == wire.MsgSubSnapshot {
+				live, err = f.bootstrap(conn, nc)
+			} else {
+				live, err = wire.DecodeSubLive(body)
+			}
 			if err != nil {
 				return err
 			}
-			adoptHeartbeat(hb)
-			if epoch > 0 {
-				if err := f.adoptStreamEpoch(epoch); err != nil {
-					return err
-				}
-			}
-			f.setConnected()
-			f.noteProgress()
-			f.logf("bootstrapped from snapshot at LSN %d", f.db.Store().Log().LastLSN())
-		case wire.MsgSubLive:
-			live, err := readSubLive(body)
-			if err != nil {
+			readTimeout = max(readTimeout, 3*live.Heartbeat)
+			if err := f.adoptStreamEpoch(live.Epoch); err != nil {
 				return err
 			}
-			adoptHeartbeat(live.hb)
-			if live.haveEpoch {
-				if err := f.adoptStreamEpoch(live.epoch); err != nil {
-					return err
-				}
-			}
-			if live.lsn != f.db.Store().Log().LastLSN() {
+			if applied := f.db.Store().Log().LastLSN(); live.LSN != applied {
 				f.markResync()
-				return fmt.Errorf("primary resumed stream at LSN %d, local log is at %d", live.lsn, f.db.Store().Log().LastLSN())
+				return fmt.Errorf("primary went live at LSN %d, local log is at %d", live.LSN, applied)
 			}
 			f.setConnected()
 			f.noteProgress()
-			f.logf("live at LSN %d (primary %s)", live.lsn, f.cfg.PrimaryAddr)
+			f.logf("live at LSN %d (primary %s, snapshot %v)", live.LSN, f.cfg.PrimaryAddr, typ == wire.MsgSubSnapshot)
 		case wire.MsgChanges:
-			recs, err := repl.DecodeBatch(body)
-			if err != nil {
-				return err
-			}
+			// The payload is WAL frames: a damaged one fails the stream
+			// before its record is applied, and the next subscription
+			// resumes from the last record that was.
 			store := f.db.Store()
-			for _, rec := range recs {
+			last := uint64(0)
+			err := repl.ReadRecordFrames(body, func(rec repl.Record) error {
 				if want := store.Log().LastLSN() + 1; rec.LSN != want {
 					f.markResync()
 					return fmt.Errorf("change feed gap: got LSN %d, want %d", rec.LSN, want)
@@ -342,8 +320,13 @@ func (f *Follower) streamOnce() error {
 					f.markResync()
 					return fmt.Errorf("apply LSN %d: %w", rec.LSN, err)
 				}
+				last = rec.LSN
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-			if n := len(recs); n > 0 {
+			if last > 0 {
 				// One durability wait per batch, not per record: the applied
 				// records are journaled by the store's WAL hook (when one is
 				// attached), and group-committing the batch keeps replica
@@ -352,11 +335,11 @@ func (f *Follower) streamOnce() error {
 				if err := store.WaitDurable(); err != nil {
 					return fmt.Errorf("replica WAL: %w", err)
 				}
-				f.observePrimary(recs[n-1].LSN)
+				f.observePrimary(last)
 				f.noteProgress()
 				// Acknowledge the durably applied position so a semi-sync
 				// primary can release writes waiting on this replica.
-				ackBuf = binary.AppendUvarint(ackBuf[:0], recs[n-1].LSN)
+				ackBuf = binary.AppendUvarint(ackBuf[:0], last)
 				nc.SetWriteDeadline(time.Now().Add(readTimeout))
 				if err := conn.WriteMessage(wire.MsgSubAck, ackBuf); err != nil {
 					return fmt.Errorf("send replication ack: %w", err)
@@ -367,24 +350,17 @@ func (f *Follower) streamOnce() error {
 				nc.SetWriteDeadline(time.Time{})
 			}
 		case wire.MsgHeartbeat:
-			r := wire.NewReader(body)
-			lsn := r.Uvarint()
-			epoch, haveEpoch := uint64(0), false
-			if r.Remaining() > 0 {
-				epoch, haveEpoch = r.Uvarint(), true
+			hb, err := wire.DecodeHeartbeat(body)
+			if err != nil {
+				return err
 			}
-			if r.Err() != nil {
-				return r.Err()
+			if err := f.adoptStreamEpoch(hb.Epoch); err != nil {
+				return err
 			}
-			if haveEpoch {
-				if err := f.adoptStreamEpoch(epoch); err != nil {
-					return err
-				}
-			}
-			f.observePrimary(lsn)
+			f.observePrimary(hb.LSN)
 			// A heartbeat that reports nothing left to apply is progress: the
 			// replica is caught up, so staleness restarts from now.
-			if lsn <= f.db.Store().Log().LastLSN() {
+			if hb.LSN <= f.db.Store().Log().LastLSN() {
 				f.noteProgress()
 			}
 		case wire.MsgError:
@@ -401,12 +377,11 @@ func (f *Follower) streamOnce() error {
 	}
 }
 
-// bootstrap wipes local storage and rebuilds it from the snapshot chunk
-// stream, leaving the local change log positioned at the snapshot's LSN (and
-// the store carrying the primary's history origin, via Restore). It returns
-// the primary's heartbeat interval and cluster epoch as reported by the
-// closing MsgSubLive (epoch 0 when the primary predates clustering).
-func (f *Follower) bootstrap(conn *wire.Conn, nc net.Conn) (time.Duration, uint64, error) {
+// bootstrap rebuilds local storage from the snapshot stream and swaps it in,
+// leaving the local change log at the snapshot's LSN (and the store carrying
+// the primary's history origin, via Restore). It returns the SubLive frame
+// that closes the stream.
+func (f *Follower) bootstrap(conn *wire.Conn, nc net.Conn) (wire.SubLive, error) {
 	f.mu.Lock()
 	f.snapshots++
 	mReplBootstraps.Inc()
@@ -419,22 +394,30 @@ func (f *Follower) bootstrap(conn *wire.Conn, nc net.Conn) (time.Duration, uint6
 	recs, bytes := f.db.Store().Log().Retention()
 	fresh.Log().SetRetention(recs)
 	fresh.Log().SetRetentionBytes(bytes)
-	cs := &chunkStream{conn: conn, nc: nc, timeout: f.cfg.ReadTimeout}
-	if err := fresh.Restore(cs); err != nil {
-		if cs.err != nil {
-			return 0, 0, cs.err // transport error wins over the decode error it caused
-		}
-		f.markResync()
-		return 0, 0, fmt.Errorf("restore bootstrap snapshot: %w", err)
+	snap := wire.NewSnapshotReader(conn, wire.MsgSubLive, func() {
+		nc.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
+	})
+	err := fresh.Restore(snap)
+	end, serr := snap.End()
+	if serr != nil {
+		return wire.SubLive{}, serr // a transport error wins over the decode error it caused
 	}
-	if cs.live.lsn != fresh.Log().LastLSN() {
+	if err != nil {
 		f.markResync()
-		return 0, 0, fmt.Errorf("snapshot stream live at LSN %d, snapshot payload at %d", cs.live.lsn, fresh.Log().LastLSN())
+		return wire.SubLive{}, fmt.Errorf("restore bootstrap snapshot: %w", err)
+	}
+	live, err := wire.DecodeSubLive(end)
+	if err != nil {
+		return wire.SubLive{}, err
+	}
+	if live.LSN != fresh.Log().LastLSN() {
+		f.markResync()
+		return wire.SubLive{}, fmt.Errorf("snapshot stream live at LSN %d, snapshot payload at %d", live.LSN, fresh.Log().LastLSN())
 	}
 	if f.cfg.PrepareStore != nil {
 		if err := f.cfg.PrepareStore(fresh); err != nil {
 			f.markResync()
-			return 0, 0, fmt.Errorf("prepare bootstrap store: %w", err)
+			return wire.SubLive{}, fmt.Errorf("prepare bootstrap store: %w", err)
 		}
 	}
 	f.db.SwapStore(fresh)
@@ -445,7 +428,7 @@ func (f *Follower) bootstrap(conn *wire.Conn, nc net.Conn) (time.Duration, uint6
 	// report a lag that never reaches zero again.
 	f.primaryLSN = fresh.Log().LastLSN()
 	f.mu.Unlock()
-	return cs.live.hb, cs.live.epoch, nil
+	return live, nil
 }
 
 func (f *Follower) setConnected() {
@@ -513,84 +496,4 @@ func (f *Follower) markResync() {
 	f.mu.Lock()
 	f.resync = true
 	f.mu.Unlock()
-}
-
-// subLive is a MsgSubLive payload: the LSN the stream goes live at, then —
-// from newer primaries — the primary's heartbeat interval and cluster epoch.
-type subLive struct {
-	lsn       uint64
-	hb        time.Duration
-	epoch     uint64
-	haveEpoch bool
-}
-
-func readSubLive(body []byte) (*subLive, error) {
-	r := wire.NewReader(body)
-	l := &subLive{lsn: r.Uvarint()}
-	if r.Remaining() > 0 {
-		l.hb = time.Duration(r.Uvarint())
-	}
-	if r.Remaining() > 0 {
-		l.epoch, l.haveEpoch = r.Uvarint(), true
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// chunkStream adapts the MsgBackupChunk frame sequence of a bootstrap
-// snapshot into an io.Reader for storage.Restore. The stream ends at the
-// MsgSubLive frame, kept in live for the caller; transport errors stick in
-// err. Restore reads to the end — bytes after the snapshot's end mark are
-// damage — so a restored store has consumed the stream through MsgSubLive.
-type chunkStream struct {
-	conn    *wire.Conn
-	nc      net.Conn
-	timeout time.Duration
-	buf     []byte
-	live    *subLive
-	err     error
-}
-
-func (c *chunkStream) Read(p []byte) (int, error) {
-	for len(c.buf) == 0 {
-		if c.err != nil {
-			return 0, c.err
-		}
-		if c.live != nil {
-			return 0, io.EOF
-		}
-		if err := c.next(); err != nil {
-			return 0, err
-		}
-	}
-	n := copy(p, c.buf)
-	c.buf = c.buf[n:]
-	return n, nil
-}
-
-// next reads one frame. Chunk payloads alias the connection's read buffer,
-// which is valid until the next ReadMessage — and the only path to another
-// ReadMessage is this method, after the buffered bytes were consumed.
-func (c *chunkStream) next() error {
-	c.nc.SetReadDeadline(time.Now().Add(c.timeout))
-	typ, body, err := c.conn.ReadMessage()
-	if err != nil {
-		c.err = err
-		return err
-	}
-	switch typ {
-	case wire.MsgBackupChunk:
-		c.buf = body
-		return nil
-	case wire.MsgSubLive:
-		c.live, c.err = readSubLive(body)
-		return c.err
-	case wire.MsgError:
-		c.err = wire.DecodeServerError(body)
-		return c.err
-	}
-	c.err = fmt.Errorf("unexpected frame %q in snapshot stream", typ)
-	return c.err
 }

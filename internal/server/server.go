@@ -20,6 +20,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -34,6 +35,7 @@ import (
 	"perm/internal/executor"
 	"perm/internal/logx"
 	"perm/internal/repl"
+	"perm/internal/storage"
 	"perm/internal/value"
 	"perm/internal/wire"
 )
@@ -54,10 +56,6 @@ type Config struct {
 	// CursorBatchRows caps the rows packed into one RowBatch frame (and is
 	// the fetch size used when a client asks for 0); 0 means 256.
 	CursorBatchRows int
-	// CursorBatchBytes is the target encoded size of one RowBatch frame;
-	// wide provenance rows flush early so a frame never dwarfs it. 0 means
-	// 256 KiB.
-	CursorBatchBytes int
 	// HeartbeatInterval is how often a replication subscription sends a
 	// heartbeat (carrying the primary's last LSN) while the change log is
 	// idle; 0 means one second. Followers size their read timeouts to it.
@@ -136,12 +134,10 @@ func (c Config) batchRows() int {
 	return c.CursorBatchRows
 }
 
-func (c Config) batchBytes() int {
-	if c.CursorBatchBytes <= 0 {
-		return 256 << 10
-	}
-	return c.CursorBatchBytes
-}
+// frameBytes is the target size of one streamed frame — a RowBatch, a
+// BackupChunk, a Changes batch — so a frame stays far below MaxFrameSize
+// and a peer takes a stream in steps of about the same size.
+const frameBytes = 256 << 10
 
 // ErrServerClosed is returned by Serve after Shutdown or Close.
 var ErrServerClosed = errors.New("server: closed")
@@ -178,9 +174,8 @@ type Server struct {
 	done     chan struct{}
 	doneOnce sync.Once
 
-	queries       atomic.Uint64
-	subscriptions atomic.Int64
-	portals       atomic.Int64
+	queries atomic.Uint64
+	portals atomic.Int64
 
 	// acks tracks each replication subscriber's durably-applied LSN (from
 	// MsgSubAck frames); the semi-synchronous write gate waits on it.
@@ -212,9 +207,6 @@ func (s *Server) logf(format string, args ...any) {
 
 // QueriesServed reports the total number of statements executed.
 func (s *Server) QueriesServed() uint64 { return s.queries.Load() }
-
-// ActiveSubscriptions reports how many replication followers are streaming.
-func (s *Server) ActiveSubscriptions() int { return int(s.subscriptions.Load()) }
 
 // ActivePortals reports how many cursors are currently open across all
 // connections — a live portal pins an executor iterator tree, so this is
@@ -609,23 +601,12 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 			// graceful shutdown (a follower reconnects on its own), and the
 			// streaming loop watches s.done so shutdown wakes it even while
 			// it waits on the change log.
-			r := wire.NewReader(body)
-			sub := subscribeRequest{after: r.Uvarint()}
-			sub.force = r.Remaining() > 0 && r.Bool()
-			if r.Remaining() > 0 {
-				sub.origin = r.Uvarint()
-			}
-			if r.Remaining() > 0 {
-				sub.resumeHash = r.Uvarint()
-			}
-			if r.Remaining() > 0 {
-				sub.epoch = r.Uvarint()
-			}
-			if r.Err() != nil {
+			sub, err := wire.DecodeSubscribe(body)
+			if err != nil {
 				s.writeError(conn, "malformed subscribe frame")
 				return
 			}
-			if sub.epoch > s.db.Epoch() {
+			if sub.Epoch > s.db.Epoch() {
 				// The subscriber has seen a newer fencing epoch than this
 				// node serves under: this node is a deposed primary (or a
 				// lagging member) and must not feed anyone its stale
@@ -633,13 +614,11 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 				// the real primary rather than re-bootstrap from us.
 				s.writeErrorCode(conn, fmt.Sprintf(
 					"subscriber is at cluster epoch %d but this node serves epoch %d: node is fenced",
-					sub.epoch, s.db.Epoch()), wire.ErrCodeStaleEpoch)
+					sub.Epoch, s.db.Epoch()), wire.ErrCodeStaleEpoch)
 				return
 			}
 			s.logf("replication subscription from %s (after LSN %d, origin %x, force-snapshot %v)",
-				nc.RemoteAddr(), sub.after, sub.origin, sub.force)
-			s.subscriptions.Add(1)
-			defer s.subscriptions.Add(-1)
+				nc.RemoteAddr(), sub.After, sub.Origin, sub.Force)
 			if err := s.serveSubscription(conn, nc, sub, kill); err != nil {
 				s.logf("replication stream to %s: %v", nc.RemoteAddr(), err)
 			}
@@ -673,7 +652,7 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 		case wire.MsgFetch:
 			r := wire.NewReader(body)
 			fetch := r.Uvarint()
-			if r.Err() != nil {
+			if r.Done() != nil {
 				s.writeError(conn, "malformed fetch frame")
 				return
 			}
@@ -686,7 +665,7 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 		case wire.MsgCloseStmt:
 			r := wire.NewReader(body)
 			name := r.String()
-			if r.Err() != nil {
+			if r.Done() != nil {
 				s.writeError(conn, "malformed close frame")
 				return
 			}
@@ -1064,12 +1043,12 @@ func (st *connStreams) streamBatches(conn *wire.Conn, p *portal, limit uint64) (
 			}
 		}
 	}
-	maxRows, maxBytes := s.cfg.batchRows(), s.cfg.batchBytes()
+	maxRows := s.cfg.batchRows()
 	var sent uint64
 	for {
 		n := 0
 		st.beginBatch()
-		for n < maxRows && len(st.seg) < maxBytes && (limit == 0 || sent < limit) {
+		for n < maxRows && len(st.seg) < frameBytes && (limit == 0 || sent < limit) {
 			row, err := p.rows.Next()
 			if err != nil {
 				// A mid-stream statement error (interrupt, timeout, runtime
@@ -1185,127 +1164,66 @@ func rowDescOf(rows *engine.Rows) wire.RowDesc {
 	return desc
 }
 
-// runBackup streams a consistent snapshot without blocking queries: the
-// storage layer captures a point-in-time image in microseconds and encodes
-// the captured rows, which no writer touches, as change records.
+// runBackup answers Backup with a snapshot stream closed by BackupDone.
 func (s *Server) runBackup(conn *wire.Conn, nc net.Conn) error {
-	w := &chunkWriter{conn: conn, refresh: func() { s.armWriteDeadline(nc) }}
-	if err := s.db.Store().Save(w); err != nil {
-		if w.writeErr != nil {
-			return w.writeErr // connection gone
-		}
-		return s.writeError(conn, fmt.Sprintf("backup failed: %v", err))
+	if _, ok, err := s.sendSnapshot(conn, nc, s.db.Store()); !ok {
+		return err // a failed snapshot was reported; the connection stays usable
 	}
-	if err := w.flushChunk(); err != nil {
-		return err
-	}
-	if err := conn.WriteMessage(wire.MsgBackupDone, nil); err != nil {
-		return err
-	}
-	return conn.Flush()
+	return s.writeMessageFlush(conn, wire.MsgBackupDone, nil)
 }
 
-// chunkWriter frames an io.Writer stream into BackupChunk messages. refresh
-// re-arms the write deadline before each chunk, so a backup is bounded by
-// per-chunk progress rather than total duration — a large database streams
-// for as long as the client keeps reading, while a stalled client still
-// times out within one QueryTimeout.
+// sendSnapshot streams a consistent snapshot of store as BackupChunk frames
+// and returns the LSN it captures; the caller writes the frame that closes
+// the stream. It does not block queries: the storage layer captures a
+// point-in-time image in microseconds and encodes the captured rows, which
+// no writer touches. A snapshot that fails is reported with an Error frame,
+// which ends the stream, and ok is false; err is the connection's.
+func (s *Server) sendSnapshot(conn *wire.Conn, nc net.Conn, store *storage.Store) (lsn uint64, ok bool, err error) {
+	cw := &chunkWriter{conn: conn, refresh: func() { s.armWriteDeadline(nc) }}
+	w := bufio.NewWriterSize(cw, frameBytes)
+	if lsn, err = store.SaveLSN(w); err == nil {
+		err = w.Flush()
+	}
+	if err == nil || cw.err != nil {
+		return lsn, err == nil, cw.err
+	}
+	return 0, false, s.writeError(conn, fmt.Sprintf("snapshot failed: %v", err))
+}
+
+// chunkWriter sends what is written to it as BackupChunk frames of at most
+// frameBytes. refresh re-arms the write deadline before each chunk, so a
+// snapshot stream is bounded by per-chunk progress rather than total
+// duration — a large database streams for as long as the client keeps
+// reading, while a stalled client still times out within one QueryTimeout.
 type chunkWriter struct {
-	conn     *wire.Conn
-	refresh  func()
-	buf      []byte
-	writeErr error
+	conn    *wire.Conn
+	refresh func()
+	err     error
 }
 
-const backupChunkSize = 256 << 10
-
-// Write streams full chunks straight out of p (WriteMessage copies into the
-// connection's buffer, so aliasing is safe) and only retains the sub-chunk
-// remainder — constant extra memory and linear work however large the
-// encoder's writes are.
 func (w *chunkWriter) Write(p []byte) (int, error) {
-	if w.writeErr != nil {
-		return 0, w.writeErr
-	}
-	total := len(p)
-	// Top up a buffered partial chunk first.
-	if len(w.buf) > 0 {
-		need := backupChunkSize - len(w.buf)
-		if need > len(p) {
-			need = len(p)
+	for n := 0; n < len(p); {
+		chunk := p[n:min(n+frameBytes, len(p))]
+		w.refresh()
+		// Flush per chunk so the deadline measures delivery progress, not
+		// just filling the 32 KiB write buffer.
+		if w.err = w.conn.WriteMessage(wire.MsgBackupChunk, chunk); w.err == nil {
+			w.err = w.conn.Flush()
 		}
-		w.buf = append(w.buf, p[:need]...)
-		p = p[need:]
-		if len(w.buf) == backupChunkSize {
-			if err := w.send(w.buf); err != nil {
-				return 0, err
-			}
-			w.buf = w.buf[:0]
+		if w.err != nil {
+			return n, w.err
 		}
+		n += len(chunk)
 	}
-	for len(p) >= backupChunkSize {
-		if err := w.send(p[:backupChunkSize]); err != nil {
-			return 0, err
-		}
-		p = p[backupChunkSize:]
-	}
-	w.buf = append(w.buf, p...)
-	return total, nil
-}
-
-func (w *chunkWriter) flushChunk() error {
-	if w.writeErr != nil {
-		return w.writeErr
-	}
-	if len(w.buf) == 0 {
-		return nil
-	}
-	err := w.send(w.buf)
-	w.buf = w.buf[:0]
-	return err
-}
-
-func (w *chunkWriter) send(chunk []byte) error {
-	w.refresh()
-	if err := w.conn.WriteMessage(wire.MsgBackupChunk, chunk); err != nil {
-		w.writeErr = err
-		return err
-	}
-	// Flush per chunk so the deadline measures delivery progress, not just
-	// filling the 32 KiB write buffer.
-	if err := w.conn.Flush(); err != nil {
-		w.writeErr = err
-		return err
-	}
-	return nil
+	return len(p), nil
 }
 
 // --- replication subscriptions --------------------------------------------------
 
-// Change batches stop accumulating past either bound, so one frame stays far
-// below the wire size limit and a follower applies (and acknowledges via its
-// next read) in small steps.
-const (
-	changeBatchMaxRecords  = 512
-	changeBatchTargetBytes = 256 << 10
-)
-
-// subscribeRequest is a parsed MsgSubscribe payload.
-type subscribeRequest struct {
-	// after is the follower's applied LSN; the stream resumes past it.
-	after uint64
-	// force requests a bootstrap snapshot regardless of resumability.
-	force bool
-	// origin is the follower's history id (0 from followers predating it).
-	origin uint64
-	// resumeHash fingerprints the follower's record at `after` (0 when
-	// unavailable — empty log, or restored from a snapshot file).
-	resumeHash uint64
-	// epoch is the newest cluster fencing epoch the follower has seen; a
-	// node serving under an older epoch refuses the subscription (it is a
-	// deposed primary).
-	epoch uint64
-}
+// A Changes payload stops growing past changeBatchMaxRecords records or
+// frameBytes bytes, so a follower applies (and acknowledges via its next
+// read) in small steps.
+const changeBatchMaxRecords = 512
 
 // serveSubscription streams this database's change feed: an optional
 // bootstrap snapshot (when the follower's position precedes the retained log
@@ -1314,7 +1232,7 @@ type subscribeRequest struct {
 // log is idle. The loop runs until the connection dies, the kill channel
 // fires (forced shutdown) or the server begins shutting down — followers are
 // expected to reconnect and resume from their applied LSN.
-func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub subscribeRequest, kill <-chan struct{}) error {
+func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub wire.Subscribe, kill <-chan struct{}) error {
 	// The store (and its log) are pinned for the stream's lifetime — the
 	// snapshot, the origin check and the change stream must all describe one
 	// store. If this server is itself a replica and re-bootstraps, the
@@ -1323,21 +1241,19 @@ func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub subscribeRe
 	// of idling forever.
 	store := s.db.Store()
 	log := store.Log()
-	after, force := sub.after, sub.force
+	after := sub.After
 	// A follower from a different history (it never restored one of OUR
 	// snapshots — a rebuilt primary, a repointed -replica-of) must not
 	// resume by LSN coincidence: its numbers count someone else's past.
 	// Bootstrap it instead; Restore adopts this store's origin.
-	if sub.origin != 0 && sub.origin != store.Origin() {
-		force = true
-	}
-	needSnapshot := force || after > log.LastLSN()
+	foreign := sub.Origin != 0 && sub.Origin != store.Origin()
+	needSnapshot := sub.Force || foreign || after > log.LastLSN()
 	if !needSnapshot {
 		if _, ok := log.Since(after, 1); !ok {
 			needSnapshot = true // trimmed past the follower's position
 		}
 	}
-	if !needSnapshot && sub.resumeHash != 0 && after > 0 {
+	if !needSnapshot && sub.ResumeHash != 0 && after > 0 {
 		// Same-origin fork check: the follower's last applied record must BE
 		// our record at that LSN. A primary restarted from an older snapshot
 		// shares the origin but may have re-assigned these LSNs to different
@@ -1345,7 +1261,7 @@ func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub subscribeRe
 		// trip the row-image match). Unverifiable positions (our record at
 		// `after` already trimmed) resume on the LSN/origin checks alone.
 		if recs, ok := log.Since(after-1, 1); ok && len(recs) == 1 && recs[0].LSN == after {
-			if repl.RecordHash(recs[0]) != sub.resumeHash {
+			if repl.RecordHash(recs[0]) != sub.ResumeHash {
 				s.logf("subscription resume hash mismatch at LSN %d: follower is on a forked timeline, re-seeding", after)
 				needSnapshot = true
 			}
@@ -1356,31 +1272,15 @@ func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub subscribeRe
 		if err := conn.WriteMessage(wire.MsgSubSnapshot, nil); err != nil {
 			return err
 		}
-		w := &chunkWriter{conn: conn, refresh: func() { s.armWriteDeadline(nc) }}
-		lsn, err := store.SaveLSN(w)
-		if err != nil {
-			if w.writeErr != nil {
-				return w.writeErr
-			}
-			return s.writeError(conn, fmt.Sprintf("bootstrap snapshot failed: %v", err))
-		}
-		if err := w.flushChunk(); err != nil {
+		lsn, ok, err := s.sendSnapshot(conn, nc, store)
+		if !ok {
 			return err
 		}
 		after = lsn
 	}
 	s.armWriteDeadline(nc)
-	// SubLive carries the stream's start LSN, this server's heartbeat
-	// interval (so the follower can size its liveness read deadline to the
-	// cadence it will actually observe instead of guessing), and the fencing
-	// epoch the stream is served under.
-	live := binary.AppendUvarint(nil, after)
-	live = binary.AppendUvarint(live, uint64(s.cfg.heartbeat()))
-	live = binary.AppendUvarint(live, s.db.Epoch())
-	if err := conn.WriteMessage(wire.MsgSubLive, live); err != nil {
-		return err
-	}
-	if err := conn.Flush(); err != nil {
+	live := wire.SubLive{LSN: after, Heartbeat: s.cfg.heartbeat(), Epoch: s.db.Epoch()}
+	if err := s.writeMessageFlush(conn, wire.MsgSubLive, live.Encode(nil)); err != nil {
 		return err
 	}
 	nc.SetWriteDeadline(time.Time{})
@@ -1401,25 +1301,21 @@ func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub subscribeRe
 			if err != nil {
 				return
 			}
-			switch typ {
-			case wire.MsgSubAck:
-				r := wire.NewReader(body)
-				lsn := r.Uvarint()
-				if r.Err() != nil {
-					return
-				}
-				s.acks.update(ackID, lsn)
-			case wire.MsgTerminate:
-				return
-			default:
-				return // protocol violation; the write loop will notice the close
+			if typ != wire.MsgSubAck {
+				return // Terminate, or a protocol violation the write loop will notice
 			}
+			r := wire.NewReader(body)
+			lsn := r.Uvarint()
+			if r.Done() != nil {
+				return
+			}
+			s.acks.update(ackID, lsn)
 		}
 	}()
 
 	hb := time.NewTicker(s.cfg.heartbeat())
 	defer hb.Stop()
-	var frame, seg []byte
+	var frame []byte
 	for {
 		if s.db.Store() != store {
 			// The database re-bootstrapped under this stream (it is a
@@ -1449,12 +1345,8 @@ func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub subscribeRe
 			case <-grown:
 			case <-hb.C:
 				s.armWriteDeadline(nc)
-				frame = binary.AppendUvarint(frame[:0], log.LastLSN())
-				frame = binary.AppendUvarint(frame, s.db.Epoch())
-				if err := conn.WriteMessage(wire.MsgHeartbeat, frame); err != nil {
-					return err
-				}
-				if err := conn.Flush(); err != nil {
+				frame = wire.Heartbeat{LSN: log.LastLSN(), Epoch: s.db.Epoch()}.Encode(frame[:0])
+				if err := s.writeMessageFlush(conn, wire.MsgHeartbeat, frame); err != nil {
 					return err
 				}
 				nc.SetWriteDeadline(time.Time{})
@@ -1467,20 +1359,17 @@ func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub subscribeRe
 			}
 			continue
 		}
+		// A Changes payload is the bytes the WAL writes for the same
+		// records: one checksummed frame each.
 		for i := 0; i < len(recs); {
-			n := 0
-			seg = seg[:0]
-			for i+n < len(recs) && n < changeBatchMaxRecords && len(seg) < changeBatchTargetBytes {
-				seg = repl.AppendRecord(seg, recs[i+n])
-				n++
+			frame = frame[:0]
+			for ; i < len(recs) && len(frame) < frameBytes; i++ {
+				frame = repl.AppendRecordFrame(frame, recs[i])
 			}
-			frame = binary.AppendUvarint(frame[:0], uint64(n))
-			frame = append(frame, seg...)
 			s.armWriteDeadline(nc)
 			if err := conn.WriteMessage(wire.MsgChanges, frame); err != nil {
 				return err
 			}
-			i += n
 		}
 		if err := conn.Flush(); err != nil {
 			return err
@@ -1488,8 +1377,8 @@ func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub subscribeRe
 		nc.SetWriteDeadline(time.Time{})
 		after = recs[len(recs)-1].LSN
 		// One outlier batch must not pin megabytes for the stream's lifetime.
-		if cap(seg) > 1<<20 {
-			seg, frame = nil, nil
+		if cap(frame) > 1<<20 {
+			frame = nil
 		}
 	}
 }

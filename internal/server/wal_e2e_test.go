@@ -1,11 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"perm/internal/engine"
+	"perm/internal/repl"
 	"perm/internal/wal"
+	"perm/internal/wire"
 	"perm/internal/workload"
 )
 
@@ -23,7 +30,9 @@ func openWALDB(t *testing.T, dir, sync string) (*engine.DB, *wal.Manager, wal.Re
 // TestWALReplayEqualsReplicationFeed is the cross-subsystem differential:
 // the WAL and the replication stream journal the same logical change feed,
 // so a crash-recovered primary and a live replica that consumed the feed
-// over the wire must answer the whole query battery byte-identically.
+// over the wire must answer the whole query battery byte-identically. The
+// feed is the log itself: the change batches the follower receives are,
+// byte for byte, the primary's WAL segment frames for the same LSNs.
 func TestWALReplayEqualsReplicationFeed(t *testing.T) {
 	dir := t.TempDir()
 	primary, mgr, _ := openWALDB(t, dir, "group(1)")
@@ -33,8 +42,20 @@ func TestWALReplayEqualsReplicationFeed(t *testing.T) {
 	addr, shutdown := startServer(t, primary, replCfg())
 	defer shutdown()
 
+	var (
+		mu   sync.Mutex
+		feed []byte
+	)
+	relay := startRelay(t, addr, func(typ byte, payload []byte) []byte {
+		if typ == wire.MsgChanges {
+			mu.Lock()
+			feed = append(feed, payload...)
+			mu.Unlock()
+		}
+		return payload
+	})
 	replica := engine.NewDB()
-	f := StartFollower(replica, fastFollower(addr))
+	f := StartFollower(replica, fastFollower(relay))
 	defer f.Stop()
 	waitCaughtUp(t, primary, f)
 
@@ -62,6 +83,64 @@ func TestWALReplayEqualsReplicationFeed(t *testing.T) {
 	queries := append([]string{}, replicationSuite...)
 	queries = append(queries, `SELECT * FROM walv ORDER BY mId`)
 	assertIdentical(t, recovered, replica, queries)
+
+	mu.Lock()
+	defer mu.Unlock()
+	first, last := frameLSNs(t, feed)
+	if first == 0 || last == first {
+		t.Fatalf("feed carried LSNs %d..%d, want a run of records", first, last)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments (%v)", err)
+	}
+	var log []byte
+	for _, seg := range segs { // named by first LSN in fixed-width hex: sorted
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, b[walSegHeader:]...)
+	}
+	if got := framesBetween(t, log, first, last); !bytes.Equal(got, feed) {
+		t.Fatalf("feed LSNs %d..%d: %d bytes on the wire, %d different bytes in the WAL", first, last, len(feed), len(got))
+	}
+}
+
+// walSegHeader is the length of a WAL segment's header (magic, first LSN,
+// history origin); record frames follow it.
+const walSegHeader = 24
+
+// frameLSNs returns the LSNs of the first and last record frames in b.
+func frameLSNs(t *testing.T, b []byte) (first, last uint64) {
+	t.Helper()
+	err := repl.ReadRecordFrames(b, func(rec repl.Record) error {
+		if first == 0 {
+			first = rec.LSN
+		}
+		last = rec.LSN
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return first, last
+}
+
+// framesBetween returns the bytes of the record frames in b with LSNs in
+// [first, last].
+func framesBetween(t *testing.T, b []byte, first, last uint64) []byte {
+	t.Helper()
+	var out []byte
+	for len(b) > 0 {
+		n := repl.FrameHeaderSize + int(binary.LittleEndian.Uint32(b))
+		lsn, _ := frameLSNs(t, b[:n])
+		if lsn >= first && lsn <= last {
+			out = append(out, b[:n]...)
+		}
+		b = b[n:]
+	}
+	return out
 }
 
 // TestReplicaWALRestartResumesLocally proves replica durability: a replica

@@ -184,46 +184,87 @@ func (c *Client) Backup(w io.Writer) error {
 	if err := c.ready(); err != nil {
 		return err
 	}
-	if err := c.conn.WriteMessage(MsgBackup, nil); err != nil {
-		return c.fail(err)
+	if err := c.request(MsgBackup, nil); err != nil {
+		return err
 	}
-	if err := c.conn.Flush(); err != nil {
-		return c.fail(err)
+	snap := NewSnapshotReader(c.conn, MsgBackupDone, nil)
+	_, err := io.Copy(w, snap)
+	// When w failed, the rest of the stream is read to keep the protocol in
+	// sync; the caller's error wins.
+	io.Copy(io.Discard, snap)
+	if _, serr := snap.End(); serr != nil {
+		if _, ok := serr.(*ServerError); !ok {
+			c.fail(serr)
+		}
 	}
-	for {
-		typ, body, err := c.conn.ReadMessage()
-		if err != nil {
-			return c.fail(err)
+	return err
+}
+
+// SnapshotReader reads a snapshot stream — the BackupChunk frames that answer
+// Backup, or follow SubSnapshot on a subscription — as one byte stream, up to
+// the frame that closes it. An Error frame in its place ends the stream with
+// that ServerError.
+type SnapshotReader struct {
+	conn   *Conn
+	end    byte
+	before func()
+	buf    []byte
+	last   []byte
+	err    error // io.EOF once the closing frame is read
+}
+
+// NewSnapshotReader reads the snapshot stream on conn that a frame of type
+// end closes (BackupDone, SubLive). before, when set, runs before each frame
+// read: the follower arms its per-chunk read deadline there.
+func NewSnapshotReader(conn *Conn, end byte, before func()) *SnapshotReader {
+	return &SnapshotReader{conn: conn, end: end, before: before}
+}
+
+func (s *SnapshotReader) Read(p []byte) (int, error) {
+	for len(s.buf) == 0 {
+		if s.err != nil {
+			return 0, s.err
 		}
-		switch typ {
-		case MsgBackupChunk:
-			if _, err := w.Write(body); err != nil {
-				// The stream must still be drained to keep the protocol in
-				// sync, but the caller's error wins.
-				c.drainBackup()
-				return err
-			}
-		case MsgBackupDone:
-			return nil
-		case MsgError:
-			return DecodeServerError(body)
-		default:
-			return c.fail(fmt.Errorf("wire: unexpected response %q to backup", typ))
-		}
+		s.next()
+	}
+	n := copy(p, s.buf)
+	s.buf = s.buf[n:]
+	return n, nil
+}
+
+// next reads one frame. A chunk aliases the connection's read buffer, valid
+// until the next ReadMessage — and only next calls that, once the chunk is
+// consumed.
+func (s *SnapshotReader) next() {
+	if s.before != nil {
+		s.before()
+	}
+	typ, body, err := s.conn.ReadMessage()
+	if err != nil {
+		s.err = err
+		return
+	}
+	switch typ {
+	case MsgBackupChunk:
+		s.buf = body
+	case s.end:
+		s.last, s.err = body, io.EOF
+	case MsgError:
+		s.err = DecodeServerError(body)
+	default:
+		s.err = fmt.Errorf("wire: unexpected frame %q in snapshot stream", typ)
 	}
 }
 
-func (c *Client) drainBackup() {
-	for {
-		typ, _, err := c.conn.ReadMessage()
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		if typ == MsgBackupDone || typ == MsgError {
-			return
-		}
+// End reports how the stream ended: with the payload of the frame that
+// closed it, valid until the connection's next read, or with the error that
+// cut it short — a read error, a ServerError or an unexpected frame. Both
+// are nil while the stream runs.
+func (s *SnapshotReader) End() ([]byte, error) {
+	if s.err == io.EOF {
+		return s.last, nil
 	}
+	return nil, s.err
 }
 
 // Status probes the server's cluster status: role, fencing epoch, timeline
@@ -298,8 +339,8 @@ func (c *Client) Prepare(name, sqlText string) (int, error) {
 	case MsgParseOK:
 		r := NewReader(body)
 		n := r.Uvarint()
-		if r.Err() != nil {
-			return 0, c.fail(r.Err())
+		if err := r.Done(); err != nil {
+			return 0, c.fail(err)
 		}
 		return int(n), nil
 	case MsgError:

@@ -66,7 +66,7 @@ func DecodeNodeStatus(payload []byte) (NodeStatus, error) {
 	}
 	m.StalenessMs = r.Varint()
 	m.LastError = r.String()
-	return m, r.Err()
+	return m, r.Done()
 }
 
 // Promote orders a member to fence itself at Epoch (which must be higher
@@ -84,7 +84,7 @@ func (m Promote) Encode(dst []byte) []byte {
 func DecodePromote(payload []byte) (Promote, error) {
 	r := NewReader(payload)
 	m := Promote{Epoch: r.Uvarint()}
-	return m, r.Err()
+	return m, r.Done()
 }
 
 // Demote orders a member to fence itself at Epoch (at least as high as the
@@ -104,5 +104,5 @@ func (m Demote) Encode(dst []byte) []byte {
 func DecodeDemote(payload []byte) (Demote, error) {
 	r := NewReader(payload)
 	m := Demote{Epoch: r.Uvarint(), PrimaryAddr: r.String()}
-	return m, r.Err()
+	return m, r.Done()
 }

@@ -61,6 +61,10 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{'Q', 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{'w', 0, 0, 0, 3, 0xff, 0xff, 0xff})
 	f.Add(bytes.Repeat([]byte{0x80}, 64))
+	// Replication stream frames.
+	f.Add(frame(MsgSubscribe, Subscribe{After: 9, Force: true, Origin: 7, ResumeHash: 1 << 40, Epoch: 2}.Encode(nil)))
+	f.Add(frame(MsgSubLive, SubLive{LSN: 9, Heartbeat: time.Second, Epoch: 2}.Encode(nil)))
+	f.Add(frame(MsgHeartbeat, Heartbeat{LSN: 10, Epoch: 2}.Encode(nil)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn := NewConn(fakeNetConn{r: bytes.NewReader(data), w: io.Discard})
@@ -126,6 +130,24 @@ func fuzzDecoders(t *testing.T, payload []byte) {
 		}
 		if err != nil || !same {
 			t.Fatalf("RowBatch round trip: %v vs %v (%v)", rows, rows2, err)
+		}
+	}
+	if m, err := DecodeSubscribe(payload); err == nil {
+		m2, err := DecodeSubscribe(m.Encode(nil))
+		if err != nil || m2 != m {
+			t.Fatalf("Subscribe round trip: %+v vs %+v (%v)", m, m2, err)
+		}
+	}
+	if m, err := DecodeSubLive(payload); err == nil {
+		m2, err := DecodeSubLive(m.Encode(nil))
+		if err != nil || m2 != m {
+			t.Fatalf("SubLive round trip: %+v vs %+v (%v)", m, m2, err)
+		}
+	}
+	if m, err := DecodeHeartbeat(payload); err == nil {
+		m2, err := DecodeHeartbeat(m.Encode(nil))
+		if err != nil || m2 != m {
+			t.Fatalf("Heartbeat round trip: %+v vs %+v (%v)", m, m2, err)
 		}
 	}
 	// The error decoder accepts anything by design (legacy bare-string

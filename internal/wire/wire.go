@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 
 	"perm/internal/value"
 )
@@ -58,7 +59,12 @@ import (
 // Version 5 retired Query ('Q': SQL text in, a row stream out — now an
 // Execute with no name, no arguments and fetch size 0) and the reserved Row
 // ('r') type; the handshake refuses older peers.
-const ProtocolVersion = 5
+// Version 6 made the change feed the log: a Changes payload is a run of WAL
+// record frames (internal/repl), checksummed like a WAL segment. Since the
+// handshake refuses any other version, no field is optional any more: every
+// decoder reads every field and refuses a payload with bytes missing or left
+// over.
+const ProtocolVersion = 6
 
 // MaxFrameSize bounds a single frame (64 MiB): a defense against corrupt or
 // malicious length prefixes allocating unbounded memory.
@@ -85,13 +91,14 @@ const (
 	// Replication stream (server→client, after MsgSubscribe). The follower
 	// asks to resume after an LSN; the primary answers either MsgSubLive
 	// (the log still holds everything past that LSN) or MsgSubSnapshot +
-	// BackupChunk frames + MsgSubLive (bootstrap), then pushes MsgChanges
-	// batches as mutations commit and MsgHeartbeat while idle. Subscribe
-	// turns the connection into a one-way stream: the client sends nothing
-	// further and the strict request/response alternation no longer applies.
+	// BackupChunk frames + MsgSubLive (bootstrap: the stream Backup gets,
+	// read by SnapshotReader), then pushes MsgChanges batches — the WAL's
+	// checksummed record frames — as mutations commit and MsgHeartbeat while
+	// idle. Subscribe turns the connection into a one-way stream: the client
+	// sends nothing further and the request/response alternation ends.
 	MsgSubSnapshot byte = 'n' // server: bootstrap snapshot stream follows
-	MsgSubLive     byte = 'l' // server: snapshot done / resume accepted; payload = stream start LSN
-	MsgChanges     byte = 'g' // server: a batch of change records (repl.DecodeBatch)
+	MsgSubLive     byte = 'l' // server: snapshot done / resume accepted (SubLive)
+	MsgChanges     byte = 'g' // server: change records as WAL frames (repl.ReadRecordFrames)
 	MsgHeartbeat   byte = 't' // server: liveness + the primary's current last LSN
 
 	// Statements. Parse registers a named statement on the connection's
@@ -352,6 +359,15 @@ func (r *Reader) Err() error { return r.err }
 // Remaining reports how many payload bytes are left to decode.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
 
+// Done is a message decoder's last call: Err, or an error when payload bytes
+// are left over, so a frame with bytes missing or added is refused whole.
+func (r *Reader) Done() error {
+	if r.err == nil && r.pos != len(r.buf) {
+		r.fail("payload: trailing bytes")
+	}
+	return r.err
+}
+
 func (r *Reader) fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("wire: truncated or corrupt %s at offset %d", what, r.pos)
@@ -424,20 +440,6 @@ func (r *Reader) String() string {
 	return s
 }
 
-// Bytes reads n raw bytes, aliasing the payload.
-func (r *Reader) Bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.buf)-r.pos {
-		r.fail("bytes")
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
 // Value reads one kind-tagged SQL value (value.DecodeValue).
 func (r *Reader) Value() value.Value {
 	if r.err != nil {
@@ -474,7 +476,9 @@ func (m Hello) Encode(dst []byte) []byte {
 	return AppendString(dst, m.Client)
 }
 
-// DecodeHello parses a Hello payload.
+// DecodeHello parses a Hello payload. It alone lets bytes follow its
+// fields: a peer of any version must get as far as the refusal that names
+// its version.
 func DecodeHello(payload []byte) (Hello, error) {
 	r := NewReader(payload)
 	m := Hello{Version: uint32(r.Uvarint()), Client: r.String()}
@@ -492,12 +496,8 @@ func (m HelloOK) Encode(dst []byte) []byte {
 // DecodeHelloOK parses a HelloOK payload.
 func DecodeHelloOK(payload []byte) (HelloOK, error) {
 	r := NewReader(payload)
-	m := HelloOK{Version: uint32(r.Uvarint()), Server: r.String()}
-	if r.Remaining() > 0 {
-		m.Epoch = r.Uvarint()
-		m.Role = r.String()
-	}
-	return m, r.Err()
+	m := HelloOK{Version: uint32(r.Uvarint()), Server: r.String(), Epoch: r.Uvarint(), Role: r.String()}
+	return m, r.Done()
 }
 
 // Encode appends the RowDesc payload.
@@ -530,7 +530,7 @@ func DecodeRowDesc(payload []byte) (RowDesc, error) {
 		m.Kinds[i] = value.Kind(r.Byte())
 		m.IsProv[i] = r.Bool()
 	}
-	return m, r.Err()
+	return m, r.Done()
 }
 
 // Encode appends the Complete payload.
@@ -549,10 +549,8 @@ func DecodeComplete(payload []byte) (Complete, error) {
 	m := Complete{Tag: r.String(), CacheHit: r.Bool()}
 	m.Parse, m.Analyze, m.Rewrite, m.Plan, m.Execute =
 		r.Varint(), r.Varint(), r.Varint(), r.Varint(), r.Varint()
-	if r.Remaining() > 0 {
-		m.Epoch = r.Uvarint()
-	}
-	return m, r.Err()
+	m.Epoch = r.Uvarint()
+	return m, r.Done()
 }
 
 // Parse registers a prepared statement under Name on the server session.
@@ -571,7 +569,7 @@ func (m Parse) Encode(dst []byte) []byte {
 func DecodeParse(payload []byte) (Parse, error) {
 	r := NewReader(payload)
 	m := Parse{Name: r.String(), SQL: r.String()}
-	return m, r.Err()
+	return m, r.Done()
 }
 
 // Execute binds Args to a statement and opens the connection's portal. With
@@ -617,7 +615,7 @@ func DecodeExecute(payload []byte) (Execute, error) {
 		}
 	}
 	m.FetchSize = r.Uvarint()
-	return m, r.Err()
+	return m, r.Done()
 }
 
 // AppendRowBatch encodes a RowBatch payload: a row count followed by the
@@ -650,5 +648,79 @@ func DecodeRowBatch(payload []byte) ([]value.Row, error) {
 			return nil, r.Err()
 		}
 	}
-	return rows, nil
+	return rows, r.Done()
+}
+
+// Subscribe turns the connection into a replication stream of the server's
+// change feed past After, the follower's applied LSN. Force asks for a
+// bootstrap snapshot regardless; Origin is the follower's history id and
+// ResumeHash fingerprints its record at After (0 when its log does not
+// reach back that far); Epoch is the newest fencing epoch it has seen, so a
+// deposed primary refuses it.
+type Subscribe struct {
+	After      uint64
+	Force      bool
+	Origin     uint64
+	ResumeHash uint64
+	Epoch      uint64
+}
+
+// Encode appends the Subscribe payload.
+func (m Subscribe) Encode(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, m.After)
+	dst = AppendBool(dst, m.Force)
+	dst = binary.AppendUvarint(dst, m.Origin)
+	dst = binary.AppendUvarint(dst, m.ResumeHash)
+	return binary.AppendUvarint(dst, m.Epoch)
+}
+
+// DecodeSubscribe parses a Subscribe payload.
+func DecodeSubscribe(payload []byte) (Subscribe, error) {
+	r := NewReader(payload)
+	m := Subscribe{After: r.Uvarint(), Force: r.Bool(), Origin: r.Uvarint(), ResumeHash: r.Uvarint(), Epoch: r.Uvarint()}
+	return m, r.Done()
+}
+
+// SubLive starts the live change feed at LSN, after a bootstrap snapshot or
+// on resume. Heartbeat is the primary's heartbeat interval, so the follower
+// can size its liveness deadline to it; Epoch is the fencing epoch the
+// stream is served under.
+type SubLive struct {
+	LSN       uint64
+	Heartbeat time.Duration
+	Epoch     uint64
+}
+
+// Encode appends the SubLive payload.
+func (m SubLive) Encode(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, m.LSN)
+	dst = binary.AppendUvarint(dst, uint64(m.Heartbeat))
+	return binary.AppendUvarint(dst, m.Epoch)
+}
+
+// DecodeSubLive parses a SubLive payload.
+func DecodeSubLive(payload []byte) (SubLive, error) {
+	r := NewReader(payload)
+	m := SubLive{LSN: r.Uvarint(), Heartbeat: time.Duration(r.Uvarint()), Epoch: r.Uvarint()}
+	return m, r.Done()
+}
+
+// Heartbeat is sent while the change log is idle: the primary's last LSN
+// and the fencing epoch it serves under.
+type Heartbeat struct {
+	LSN   uint64
+	Epoch uint64
+}
+
+// Encode appends the Heartbeat payload.
+func (m Heartbeat) Encode(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, m.LSN)
+	return binary.AppendUvarint(dst, m.Epoch)
+}
+
+// DecodeHeartbeat parses a Heartbeat payload.
+func DecodeHeartbeat(payload []byte) (Heartbeat, error) {
+	r := NewReader(payload)
+	m := Heartbeat{LSN: r.Uvarint(), Epoch: r.Uvarint()}
+	return m, r.Done()
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"reflect"
 	"testing"
+	"time"
 
 	"perm/internal/value"
 )
@@ -47,8 +48,9 @@ func TestMessageRoundTrips(t *testing.T) {
 	if err != nil || h.Version != 7 || h.Client != "c" {
 		t.Fatalf("hello round trip: %+v, %v", h, err)
 	}
-	ok, err := DecodeHelloOK(HelloOK{Version: 1, Server: "perm/1"}.Encode(nil))
-	if err != nil || ok.Server != "perm/1" {
+	helloOK := HelloOK{Version: 1, Server: "perm/1", Epoch: 3, Role: "replica"}
+	ok, err := DecodeHelloOK(helloOK.Encode(nil))
+	if err != nil || ok != helloOK {
 		t.Fatalf("helloOK round trip: %+v, %v", ok, err)
 	}
 	desc := RowDesc{
@@ -64,6 +66,41 @@ func TestMessageRoundTrips(t *testing.T) {
 	gotC, err := DecodeComplete(done.Encode(nil))
 	if err != nil || gotC != done {
 		t.Fatalf("complete round trip: %+v, %v", gotC, err)
+	}
+	sub := Subscribe{After: 300, Force: true, Origin: 0xfeed, ResumeHash: 1 << 63, Epoch: 2}
+	if got, err := DecodeSubscribe(sub.Encode(nil)); err != nil || got != sub {
+		t.Fatalf("subscribe round trip: %+v, %v", got, err)
+	}
+	live := SubLive{LSN: 300, Heartbeat: time.Second, Epoch: 2}
+	if got, err := DecodeSubLive(live.Encode(nil)); err != nil || got != live {
+		t.Fatalf("sublive round trip: %+v, %v", got, err)
+	}
+	hb := Heartbeat{LSN: 301, Epoch: 2}
+	if got, err := DecodeHeartbeat(hb.Encode(nil)); err != nil || got != hb {
+		t.Fatalf("heartbeat round trip: %+v, %v", got, err)
+	}
+
+	// One protocol version means no optional field: a payload cut short
+	// anywhere, or followed by one byte more, is refused.
+	for _, m := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"HelloOK", helloOK.Encode(nil), func(b []byte) error { _, err := DecodeHelloOK(b); return err }},
+		{"Complete", done.Encode(nil), func(b []byte) error { _, err := DecodeComplete(b); return err }},
+		{"Subscribe", sub.Encode(nil), func(b []byte) error { _, err := DecodeSubscribe(b); return err }},
+		{"SubLive", live.Encode(nil), func(b []byte) error { _, err := DecodeSubLive(b); return err }},
+		{"Heartbeat", hb.Encode(nil), func(b []byte) error { _, err := DecodeHeartbeat(b); return err }},
+	} {
+		for cut := 0; cut < len(m.payload); cut++ {
+			if m.decode(m.payload[:cut]) == nil {
+				t.Errorf("%s cut to %d of %d bytes decoded", m.name, cut, len(m.payload))
+			}
+		}
+		if m.decode(append(m.payload, 0)) == nil {
+			t.Errorf("%s with a trailing byte decoded", m.name)
+		}
 	}
 }
 
