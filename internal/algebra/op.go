@@ -98,11 +98,14 @@ type Op interface {
 // --- Scan --------------------------------------------------------------------
 
 // Scan reads a base relation. Alias is the FROM-clause correlation name used
-// for column qualification.
+// for column qualification. With RowID, each row ends with one more column,
+// its row id: its position among the rows the statement's transaction sees
+// (how UPDATE and DELETE read the table they write).
 type Scan struct {
 	Table string
 	Alias string
 	Sch   Schema
+	RowID bool
 }
 
 // Schema implements Op.
@@ -587,6 +590,48 @@ func (l *Limit) Name() string {
 	}
 	return fmt.Sprintf("Limit %d offset %d", l.Count, l.Offset)
 }
+
+// --- Modify ------------------------------------------------------------------
+
+// ModifyKind is the write a Modify makes, named by its SQL verb (the
+// statement's command tag).
+type ModifyKind string
+
+// Modify kinds.
+const (
+	Insert ModifyKind = "INSERT"
+	Update ModifyKind = "UPDATE"
+	Delete ModifyKind = "DELETE"
+)
+
+// Modify writes its input into Table: the root of an INSERT, UPDATE or
+// DELETE plan. An INSERT's input rows are full rows of the table; an
+// UPDATE's are the new row image followed by the row id of the row it
+// replaces (a RowID Scan of Table is under it), a DELETE's end with the row
+// id of the row to delete. Its output is one row: how many rows it wrote.
+type Modify struct {
+	Table string
+	Kind  ModifyKind
+	Input Op
+}
+
+var modifySchema = Schema{{Name: "count", Type: value.KindInt}}
+
+// Schema implements Op.
+func (m *Modify) Schema() Schema { return modifySchema }
+
+// Children implements Op.
+func (m *Modify) Children() []Op { return []Op{m.Input} }
+
+// WithChildren implements Op.
+func (m *Modify) WithChildren(children []Op) Op {
+	cp := *m
+	cp.Input = children[0]
+	return &cp
+}
+
+// Name implements Op.
+func (m *Modify) Name() string { return fmt.Sprintf("Modify %s %s", m.Kind, m.Table) }
 
 // --- tree utilities -------------------------------------------------------------
 

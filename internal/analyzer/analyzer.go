@@ -13,6 +13,7 @@ package analyzer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"perm/internal/algebra"
@@ -64,8 +65,24 @@ func (a *Analyzer) AnalyzeSelect(st *sql.SelectStmt) (algebra.Op, error) {
 	return a.analyzeSelect(st, nil)
 }
 
-// AnalyzeExpr resolves a scalar expression over the given schema (used by
-// DELETE/UPDATE predicates and tests). The row layout is the schema itself.
+// Analyze resolves a query, or an INSERT, UPDATE or DELETE to the Modify
+// that writes its rows.
+func (a *Analyzer) Analyze(st sql.Statement) (algebra.Op, error) {
+	switch x := st.(type) {
+	case *sql.SelectStmt:
+		return a.analyzeSelect(x, nil)
+	case *sql.InsertStmt:
+		return a.analyzeInsert(x)
+	case *sql.UpdateStmt:
+		return a.analyzeRewrite(algebra.Update, x.Table, x.Sets, x.Where)
+	case *sql.DeleteStmt:
+		return a.analyzeRewrite(algebra.Delete, x.Table, nil, x.Where)
+	}
+	return nil, fmt.Errorf("analyzer: %T is not a query or a write", st)
+}
+
+// AnalyzeExpr resolves a scalar expression over the given schema (tests and
+// tools). The row layout is the schema itself.
 func (a *Analyzer) AnalyzeExpr(e sql.Expr, sch algebra.Schema) (algebra.Expr, error) {
 	sc := &scope{cols: sch}
 	return a.analyzeExpr(e, sc, exprCtx{})
@@ -343,16 +360,9 @@ func (a *Analyzer) analyzeCore(core *sql.SelectCore, outer *scope, orderBy []sql
 	}
 	sc := &scope{cols: op.Schema(), outer: outer}
 
-	// WHERE.
-	if core.Where != nil {
-		cond, err := a.analyzeExpr(core.Where, sc, exprCtx{})
-		if err != nil {
-			return nil, fmt.Errorf("WHERE: %v", err)
-		}
-		if err := wantBool(cond, "WHERE"); err != nil {
-			return nil, err
-		}
-		op = &algebra.Select{Input: op, Cond: cond}
+	op, err := a.where(op, core.Where, sc)
+	if err != nil {
+		return nil, err
 	}
 
 	// Detect aggregation.
@@ -795,6 +805,132 @@ func containsAggExpr(e algebra.Expr) bool {
 	// expression can only contain them if analysis placed them — which it
 	// refuses; this remains as a defense for direct construction.
 	return false
+}
+
+// --- INSERT, UPDATE, DELETE ---------------------------------------------------------
+
+// writeTable resolves the table a write names, and its columns.
+func (a *Analyzer) writeTable(name string) (*catalog.TableDef, algebra.Schema, error) {
+	def := a.Catalog.Table(name)
+	if def == nil {
+		return nil, nil, fmt.Errorf("table %q does not exist", name)
+	}
+	sch := make(algebra.Schema, len(def.Columns), len(def.Columns)+1)
+	for i, c := range def.Columns {
+		sch[i] = algebra.Column{Name: c.Name, Table: def.Name, Type: c.Type}
+	}
+	return def, sch, nil
+}
+
+// analyzeInsert resolves an INSERT: its VALUES rows or its query, under a
+// projection that spreads their columns over the table's full width, with
+// NULL for the columns the statement does not name.
+func (a *Analyzer) analyzeInsert(ins *sql.InsertStmt) (algebra.Op, error) {
+	def, sch, err := a.writeTable(ins.Table)
+	if err != nil {
+		return nil, err
+	}
+	var target []int // target[j] is the table column input column j fills
+	if len(ins.Columns) == 0 {
+		for i := range sch {
+			target = append(target, i)
+		}
+	}
+	for _, name := range ins.Columns {
+		idx := def.ColumnIndex(name)
+		if idx < 0 {
+			return nil, fmt.Errorf("column %q of table %q does not exist", name, ins.Table)
+		}
+		if slices.Contains(target, idx) {
+			return nil, fmt.Errorf("column %q specified more than once", name)
+		}
+		target = append(target, idx)
+	}
+	var input algebra.Op
+	if ins.Select != nil {
+		if input, err = a.analyzeSelect(ins.Select, nil); err != nil {
+			return nil, err
+		}
+		if n := len(input.Schema()); n != len(target) {
+			return nil, fmt.Errorf("INSERT expects %d columns, query returns %d", len(target), n)
+		}
+	} else {
+		vals := &algebra.Values{}
+		for _, idx := range target {
+			vals.Sch = append(vals.Sch, algebra.Column{Name: sch[idx].Name, Type: sch[idx].Type})
+		}
+		for i, row := range ins.Rows {
+			if len(row) != len(target) {
+				return nil, fmt.Errorf("row %d has %d values, expected %d", i+1, len(row), len(target))
+			}
+			exprs := make([]algebra.Expr, len(row))
+			for j, e := range row {
+				if exprs[j], err = a.analyzeExpr(e, &scope{}, exprCtx{}); err != nil {
+					return nil, err
+				}
+			}
+			vals.Rows = append(vals.Rows, exprs)
+		}
+		input = vals
+	}
+	in := input.Schema()
+	exprs := make([]algebra.Expr, len(sch))
+	for i := range exprs {
+		exprs[i] = algebra.NewNull()
+	}
+	for j, idx := range target {
+		exprs[idx] = &algebra.ColIdx{Idx: j, Typ: in[j].Type, Name: in[j].Name}
+	}
+	return &algebra.Modify{Table: def.Name, Kind: algebra.Insert, Input: algebra.NewProject(input, exprs, sch.Names())}, nil
+}
+
+// analyzeRewrite resolves an UPDATE or a DELETE: a RowID scan of the table,
+// filtered by WHERE and, for an UPDATE, projected to the new row image and
+// the row id.
+func (a *Analyzer) analyzeRewrite(kind algebra.ModifyKind, table string, sets []sql.UpdateSet, where sql.Expr) (algebra.Op, error) {
+	def, sch, err := a.writeTable(table)
+	if err != nil {
+		return nil, err
+	}
+	sc := &scope{cols: sch} // the row id is not a column to name
+	sch = append(sch, algebra.Column{Name: "rowid", Type: value.KindInt})
+	op, err := a.where(&algebra.Scan{Table: def.Name, Alias: def.Name, Sch: sch, RowID: true}, where, sc)
+	if err != nil {
+		return nil, err
+	}
+	if kind == algebra.Update {
+		exprs := algebra.IdentityExprs(sch)
+		for k, set := range sets {
+			idx := def.ColumnIndex(set.Column)
+			if idx < 0 {
+				return nil, fmt.Errorf("column %q of table %q does not exist", set.Column, table)
+			}
+			if slices.ContainsFunc(sets[:k], func(o sql.UpdateSet) bool { return def.ColumnIndex(o.Column) == idx }) {
+				return nil, fmt.Errorf("multiple assignments to same column %q", set.Column)
+			}
+			if exprs[idx], err = a.analyzeExpr(set.Expr, sc, exprCtx{}); err != nil {
+				return nil, err
+			}
+		}
+		op = algebra.NewProject(op, exprs, sch.Names())
+	}
+	return &algebra.Modify{Table: def.Name, Kind: kind, Input: op}, nil
+}
+
+// where filters op by a WHERE condition resolved in sc and checked to be a
+// boolean; with no condition it returns op.
+func (a *Analyzer) where(op algebra.Op, e sql.Expr, sc *scope) (algebra.Op, error) {
+	if e == nil {
+		return op, nil
+	}
+	cond, err := a.analyzeExpr(e, sc, exprCtx{})
+	if err != nil {
+		return nil, fmt.Errorf("WHERE: %v", err)
+	}
+	if err := wantBool(cond, "WHERE"); err != nil {
+		return nil, err
+	}
+	return &algebra.Select{Input: op, Cond: cond}, nil
 }
 
 // --- FROM items -----------------------------------------------------------------

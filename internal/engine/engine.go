@@ -431,18 +431,13 @@ func (s *Session) SetDeadline(t time.Time) {
 	s.deadline.Store(t.UnixNano())
 }
 
-// execContext builds the executor context for one statement, carrying the
-// session's current interrupt channel and deadline.
-func (s *Session) execContext() *executor.Context {
-	return s.execContextOn(s.db.Store())
-}
-
-// execContextOn is execContext against a pinned store (see analyzeOn). Every
-// context carries a read position: inside an explicit transaction the
-// transaction's snapshot (plus its own buffered writes), otherwise a
-// freshly pinned statement snapshot the caller must release with
-// Context.Release once the statement's last read is done — the pin holds
-// the version vacuum's horizon.
+// execContextOn builds the executor context for one statement against a
+// pinned store (see analyzeOn), carrying the session's current interrupt
+// channel and deadline. Every context carries a read position: inside an
+// explicit transaction the transaction's snapshot (plus its own buffered
+// writes), otherwise a freshly pinned statement snapshot the caller must
+// release with Context.Release once the statement's last read is done — the
+// pin holds the version vacuum's horizon.
 func (s *Session) execContextOn(store *storage.Store) *executor.Context {
 	ctx := executor.NewContext(store)
 	ctx.Mem = s.mem
@@ -564,17 +559,12 @@ func (s *Session) ExecuteScript(text string) ([]*Result, error) {
 	return out, nil
 }
 
-// writeVerb names the command when st mutates data, schema or statistics;
-// it returns "" for read statements (SELECT including provenance blocks,
-// EXPLAIN, SHOW) and for session-local ones (SET).
-func writeVerb(st sql.Statement) string {
+// ddlVerb names the command when st changes schema or statistics, and
+// returns "" for every other statement. Such a command applies at once: it
+// is refused on a read-only node, and inside a transaction, whose ROLLBACK
+// could not undo it. (A write of rows is refused where it runs: see start.)
+func ddlVerb(st sql.Statement) string {
 	switch x := st.(type) {
-	case *sql.InsertStmt:
-		return "INSERT"
-	case *sql.DeleteStmt:
-		return "DELETE"
-	case *sql.UpdateStmt:
-		return "UPDATE"
 	case *sql.CreateTableStmt:
 		return "CREATE TABLE"
 	case *sql.CreateViewStmt:
@@ -601,13 +591,13 @@ func (s *Session) executeStatement(st sql.Statement, args []value.Value) (*Resul
 	if s.closed.Load() {
 		return nil, fmt.Errorf("engine: session is closed")
 	}
-	if s.db.ReadOnly() {
-		if verb := writeVerb(st); verb != "" {
+	if verb := ddlVerb(st); verb != "" {
+		if s.db.ReadOnly() {
 			return nil, fmt.Errorf("%s rejected: %w", verb, ErrReadOnly)
 		}
-	}
-	if err := s.noDDLInTxn(st); err != nil {
-		return nil, err
+		if s.currentTxn() != nil {
+			return nil, fmt.Errorf("engine: %s cannot run inside a transaction", verb)
+		}
 	}
 	switch x := st.(type) {
 	case *sql.BeginStmt:
@@ -616,20 +606,14 @@ func (s *Session) executeStatement(st sql.Statement, args []value.Value) (*Resul
 		return s.runCommit()
 	case *sql.RollbackStmt:
 		return s.runRollback()
-	case *sql.SelectStmt:
-		return s.runSelect(x, args)
+	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		return s.runQuery(st, args)
 	case *sql.CreateTableStmt:
 		return s.runCreateTable(x, args)
 	case *sql.CreateViewStmt:
 		return s.runCreateView(x)
 	case *sql.DropStmt:
 		return s.runDrop(x)
-	case *sql.InsertStmt:
-		return s.runInsert(x, args)
-	case *sql.DeleteStmt:
-		return s.runDelete(x, args)
-	case *sql.UpdateStmt:
-		return s.runUpdate(x, args)
 	case *sql.ExplainStmt:
 		return s.runExplain(x)
 	case *sql.SetStmt:
@@ -705,12 +689,12 @@ func (s *Session) Analyze(sel *sql.SelectStmt) (algebra.Op, []string, time.Durat
 	return s.analyzeOn(s.db.Store(), sel, nil)
 }
 
-// analyzeOn is Analyze pinned to one store: every statement resolves names,
-// plans and executes against a single store snapshot, so a replica
-// re-bootstrap (DB.SwapStore) landing mid-statement cannot pair an
-// old-catalog plan with a new store's heaps. params carries the kinds of
-// the statement's bound `?` arguments.
-func (s *Session) analyzeOn(store *storage.Store, sel *sql.SelectStmt, params []value.Kind) (algebra.Op, []string, time.Duration, error) {
+// analyzeOn is Analyze pinned to one store, for a query or a write: every
+// statement resolves names, plans and executes against a single store
+// snapshot, so a replica re-bootstrap (DB.SwapStore) landing mid-statement
+// cannot pair an old-catalog plan with a new store's heaps. params carries
+// the kinds of the statement's bound `?` arguments.
+func (s *Session) analyzeOn(store *storage.Store, st sql.Statement, params []value.Kind) (algebra.Op, []string, time.Duration, error) {
 	an := analyzer.New(store.Catalog())
 	an.Params = params
 	var decisions []string
@@ -723,26 +707,22 @@ func (s *Session) analyzeOn(store *storage.Store, sel *sql.SelectStmt, params []
 		decisions = append(decisions, rw.Decisions...)
 		return out, err
 	}
-	plan, err := an.AnalyzeSelect(sel)
+	plan, err := an.Analyze(st)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return plan, decisions, rewriteDur, nil
 }
 
-// analyzeOriginalOn resolves a query ignoring SELECT PROVENANCE markers (the
-// original algebra tree EXPLAIN shows).
-func (s *Session) analyzeOriginalOn(store *storage.Store, sel *sql.SelectStmt) (algebra.Op, error) {
+// analyzeOriginalOn resolves a statement ignoring SELECT PROVENANCE markers
+// (the original algebra tree EXPLAIN shows).
+func (s *Session) analyzeOriginalOn(store *storage.Store, st sql.Statement) (algebra.Op, error) {
 	an := analyzer.New(store.Catalog())
 	an.StripProvenance = true
-	return an.AnalyzeSelect(sel)
+	return an.Analyze(st)
 }
 
-// Plan optimizes a resolved plan per the session's optimizer setting.
-func (s *Session) Plan(op algebra.Op) algebra.Op {
-	return s.planOn(s.db.Store(), op)
-}
-
+// planOn optimizes a resolved plan per the session's optimizer setting.
 func (s *Session) planOn(store *storage.Store, op algebra.Op) algebra.Op {
 	if opt, _ := s.setting("optimizer"); opt == "off" {
 		return op
@@ -750,9 +730,10 @@ func (s *Session) planOn(store *storage.Store, op algebra.Op) algebra.Op {
 	return planner.New(store.Catalog()).Optimize(op)
 }
 
-func (s *Session) runSelect(sel *sql.SelectStmt, args []value.Value) (*Result, error) {
-	rows, _, err := s.openSelect(sel, s.db.Store(), args)
-	if err != nil {
+// runQuery runs a query or a write to completion.
+func (s *Session) runQuery(st sql.Statement, args []value.Value) (*Result, error) {
+	rows := &Rows{}
+	if _, err := s.openPlan(rows, st, s.db.Store(), args, ""); err != nil {
 		return nil, err
 	}
 	return rows.DrainResult()
@@ -764,7 +745,7 @@ func (s *Session) runCreateTable(ct *sql.CreateTableStmt, args []value.Value) (*
 	if ct.AsSelect != nil {
 		// Eager provenance: CREATE TABLE p AS SELECT PROVENANCE ... stores
 		// the provenance relation for later querying.
-		sub, err := s.runSelect(ct.AsSelect, args)
+		sub, err := s.runQuery(ct.AsSelect, args)
 		if err != nil {
 			return nil, err
 		}
@@ -848,197 +829,6 @@ func (s *Session) runDrop(d *sql.DropStmt) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Tag: "DROP"}, nil
-}
-
-func (s *Session) runInsert(ins *sql.InsertStmt, args []value.Value) (*Result, error) {
-	store := s.db.Store()
-	table := store.Table(ins.Table)
-	if table == nil {
-		return nil, fmt.Errorf("table %q does not exist", ins.Table)
-	}
-	txn, err := s.txnFor(store)
-	if err != nil {
-		return nil, err
-	}
-	def := table.Def()
-	// Map the column list.
-	target := make([]int, 0, len(def.Columns))
-	if len(ins.Columns) == 0 {
-		for i := range def.Columns {
-			target = append(target, i)
-		}
-	} else {
-		for _, name := range ins.Columns {
-			idx := def.ColumnIndex(name)
-			if idx < 0 {
-				return nil, fmt.Errorf("column %q of table %q does not exist", name, ins.Table)
-			}
-			target = append(target, idx)
-		}
-	}
-
-	var rows []value.Row
-	if ins.Select != nil {
-		sub, err := s.runSelect(ins.Select, args)
-		if err != nil {
-			return nil, err
-		}
-		if len(sub.Schema) != len(target) {
-			return nil, fmt.Errorf("INSERT expects %d columns, query returns %d", len(target), len(sub.Schema))
-		}
-		rows = sub.Rows
-	} else {
-		an := analyzer.New(store.Catalog())
-		an.Params = paramKinds(args)
-		ctx := s.execContextOn(store)
-		defer ctx.Release()
-		ctx.Params = args
-		for i, exprRow := range ins.Rows {
-			if len(exprRow) != len(target) {
-				return nil, fmt.Errorf("row %d has %d values, expected %d", i+1, len(exprRow), len(target))
-			}
-			row := make(value.Row, len(exprRow))
-			for j, e := range exprRow {
-				re, err := an.AnalyzeExpr(e, algebra.Schema{})
-				if err != nil {
-					return nil, err
-				}
-				v, err := executor.CompileExpr(re)(nil, ctx)
-				if err != nil {
-					return nil, err
-				}
-				row[j] = v
-			}
-			rows = append(rows, row)
-		}
-	}
-
-	// Scatter into full-width rows.
-	full := make([]value.Row, len(rows))
-	for i, r := range rows {
-		fr := value.NullRow(len(def.Columns))
-		for j, t := range target {
-			fr[t] = r[j]
-		}
-		full[i] = fr
-	}
-	n, err := table.Write(txn, func(x *storage.Txn) (int, error) { return x.Insert(table, full) })
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Tag: fmt.Sprintf("INSERT %d", n)}, nil
-}
-
-// compilePredicate resolves a WHERE clause against a table for DELETE/UPDATE
-// and lowers it to a compiled evaluator, so full-heap scans pay the
-// expression-tree dispatch once instead of per row. The evaluator closes over
-// ctx (the statement's context, so subqueries in the WHERE clause read at the
-// statement's snapshot — and through its transaction, when one is open).
-func (s *Session) compilePredicate(ctx *executor.Context, where sql.Expr, def *catalog.TableDef, args []value.Value) (func(value.Row) (bool, error), error) {
-	if where == nil {
-		return nil, nil
-	}
-	sch := make(algebra.Schema, len(def.Columns))
-	for i, c := range def.Columns {
-		sch[i] = algebra.Column{Name: c.Name, Table: def.Name, Type: c.Type}
-	}
-	an := analyzer.New(ctx.Store.Catalog())
-	an.Params = paramKinds(args)
-	cond, err := an.AnalyzeExpr(where, sch)
-	if err != nil {
-		return nil, err
-	}
-	pred := executor.CompilePredicate(cond)
-	return func(row value.Row) (bool, error) {
-		return pred(row, ctx)
-	}, nil
-}
-
-func (s *Session) runDelete(del *sql.DeleteStmt, args []value.Value) (*Result, error) {
-	store := s.db.Store()
-	table := store.Table(del.Table)
-	if table == nil {
-		return nil, fmt.Errorf("table %q does not exist", del.Table)
-	}
-	txn, err := s.txnFor(store)
-	if err != nil {
-		return nil, err
-	}
-	ctx := s.execContextOn(store)
-	defer ctx.Release()
-	ctx.Params = args
-	pred, err := s.compilePredicate(ctx, del.Where, table.Def(), args)
-	if err != nil {
-		return nil, err
-	}
-	n, err := table.Write(txn, func(x *storage.Txn) (int, error) { return x.Delete(table, pred) })
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Tag: fmt.Sprintf("DELETE %d", n)}, nil
-}
-
-func (s *Session) runUpdate(up *sql.UpdateStmt, args []value.Value) (*Result, error) {
-	store := s.db.Store()
-	table := store.Table(up.Table)
-	if table == nil {
-		return nil, fmt.Errorf("table %q does not exist", up.Table)
-	}
-	txn, err := s.txnFor(store)
-	if err != nil {
-		return nil, err
-	}
-	def := table.Def()
-	ctx := s.execContextOn(store)
-	defer ctx.Release()
-	ctx.Params = args
-	pred, err := s.compilePredicate(ctx, up.Where, def, args)
-	if err != nil {
-		return nil, err
-	}
-	sch := make(algebra.Schema, len(def.Columns))
-	for i, c := range def.Columns {
-		sch[i] = algebra.Column{Name: c.Name, Table: def.Name, Type: c.Type}
-	}
-	an := analyzer.New(store.Catalog())
-	an.Params = paramKinds(args)
-	type setter struct {
-		idx  int
-		expr func(value.Row, *executor.Context) (value.Value, error)
-	}
-	var setters []setter
-	for _, set := range up.Sets {
-		idx := def.ColumnIndex(set.Column)
-		if idx < 0 {
-			return nil, fmt.Errorf("column %q of table %q does not exist", set.Column, up.Table)
-		}
-		e, err := an.AnalyzeExpr(set.Expr, sch)
-		if err != nil {
-			return nil, err
-		}
-		setters = append(setters, setter{idx: idx, expr: executor.CompileExpr(e)})
-	}
-	apply := func(row value.Row) (value.Row, error) {
-		// Poll for cancellation here too: with no WHERE clause there is no
-		// ticking predicate, and this loop visits every row.
-		if err := ctx.Tick(); err != nil {
-			return nil, err
-		}
-		out := row.Clone()
-		for _, st := range setters {
-			v, err := st.expr(row, ctx)
-			if err != nil {
-				return nil, err
-			}
-			out[st.idx] = v
-		}
-		return out, nil
-	}
-	n, err := table.Write(txn, func(x *storage.Txn) (int, error) { return x.Update(table, pred, apply) })
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Tag: fmt.Sprintf("UPDATE %d", n)}, nil
 }
 
 func (s *Session) runSet(st *sql.SetStmt) (*Result, error) {

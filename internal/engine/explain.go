@@ -40,27 +40,29 @@ type Explanation struct {
 
 // Explain produces the browser artifacts for a query without running it.
 func (s *Session) Explain(sel *sql.SelectStmt) (*Explanation, error) {
-	return s.explain(sel, false)
+	return s.explain(sel, sel.Text, false)
 }
 
 // ExplainAnalyze additionally executes the query and reports stage timings.
 func (s *Session) ExplainAnalyze(sel *sql.SelectStmt) (*Explanation, error) {
-	return s.explain(sel, true)
+	return s.explain(sel, sel.Text, true)
 }
 
-func (s *Session) explain(sel *sql.SelectStmt, analyze bool) (*Explanation, error) {
-	ex := &Explanation{OriginalSQL: sel.Text, Analyzed: analyze}
+// explain explains a query, or a write (never analyzed: the parser refuses
+// EXPLAIN ANALYZE of one), written as text.
+func (s *Session) explain(st sql.Statement, text string, analyze bool) (*Explanation, error) {
+	ex := &Explanation{OriginalSQL: text, Analyzed: analyze}
 
 	// One store pins resolution, costing and execution (see analyzeOn).
 	store := s.db.Store()
-	orig, err := s.analyzeOriginalOn(store, sel)
+	orig, err := s.analyzeOriginalOn(store, st)
 	if err != nil {
 		return nil, err
 	}
 	ex.OriginalTree = algebra.Tree(orig)
 
 	t0 := time.Now()
-	plan, decisions, rewriteDur, err := s.analyzeOn(store, sel, nil)
+	plan, decisions, rewriteDur, err := s.analyzeOn(store, st, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -68,14 +70,16 @@ func (s *Session) explain(sel *sql.SelectStmt, analyze bool) (*Explanation, erro
 	ex.Timings.Rewrite = rewriteDur
 	ex.Decisions = decisions
 	ex.RewrittenTree = algebra.Tree(plan)
-	ex.RewrittenSQL = algebra.ToSQL(plan)
+	if _, write := plan.(*algebra.Modify); !write {
+		ex.RewrittenSQL = algebra.ToSQL(plan)
+	}
 
 	t1 := time.Now()
 	opt := s.planOn(store, plan)
 	ex.Timings.Plan = time.Since(t1)
 	pl := planner.New(store.Catalog())
 	ex.OptimizedTree = algebra.AnnotatedTree(opt, func(op algebra.Op) string {
-		return fmt.Sprintf("(rows≈%.0f)", pl.EstimateRows(op))
+		return fmt.Sprintf("(est≈%.0f)", pl.EstimateRows(op))
 	})
 
 	if analyze {
@@ -170,7 +174,7 @@ func fmtBytes(n int64) string {
 // runExplain renders an Explanation as a one-column result, the way EXPLAIN
 // output comes back from a SQL interface.
 func (s *Session) runExplain(st *sql.ExplainStmt) (*Result, error) {
-	ex, err := s.explain(st.Target, st.Analyze)
+	ex, err := s.explain(st.Target, st.Text, st.Analyze)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +193,9 @@ func (s *Session) runExplain(st *sql.ExplainStmt) (*Result, error) {
 	}
 	add("Rewritten algebra tree:")
 	lines = append(lines, strings.Split(strings.TrimRight(ex.RewrittenTree, "\n"), "\n")...)
-	add("Rewritten SQL: %s", ex.RewrittenSQL)
+	if ex.RewrittenSQL != "" {
+		add("Rewritten SQL: %s", ex.RewrittenSQL)
+	}
 	add("Optimized plan:")
 	lines = append(lines, strings.Split(strings.TrimRight(ex.OptimizedTree, "\n"), "\n")...)
 	if ex.Analyzed {

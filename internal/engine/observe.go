@@ -157,13 +157,8 @@ func (s *Session) noteStreamDone(r *Rows) {
 		return
 	}
 	o := r.obs
-	spillBytes := int64(0)
-	spillFiles := int64(0)
-	if s.mem != nil {
-		p := s.mem.Pool()
-		spillFiles = p.Files() - o.poolFiles0
-		spillBytes = p.Bytes() - o.poolBytes0
-	}
+	p := s.mem.Pool()
+	spillFiles, spillBytes := p.Files()-o.poolFiles0, p.Bytes()-o.poolBytes0
 	rows := int64(0)
 	if r.stream != nil {
 		rows = int64(r.stream.Rows())

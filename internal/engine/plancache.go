@@ -14,6 +14,9 @@ import (
 // The session-level plan cache skips the front half of the Figure 3 pipeline
 // (parse → analyze → provenance rewrite → plan) for repeated statements — the
 // dominant pattern in benchmark loops and figure-regenerating experiments.
+// A query and a write (INSERT, UPDATE, DELETE: a Modify plan) are cached
+// alike; a cached write still runs, and passes the read-only gate, on every
+// hit.
 //
 // Keying: normalized statement text plus a fingerprint of every session
 // setting. Normalization is deliberately conservative (whitespace trim and
@@ -26,10 +29,9 @@ import (
 // Invalidation: entries are tagged with the catalog schema version captured
 // BEFORE planning. DDL (CREATE/DROP TABLE, CREATE/DROP VIEW) and ANALYZE bump
 // the version, so a stale entry is detected and dropped on its next lookup,
-// even when the DDL ran in a different session. Data changes (INSERT, DELETE,
-// UPDATE) do not invalidate: plans read table heaps by name at Open time, so
-// a cached plan always sees current data. DML does refresh row-count
-// statistics, which cost-based rewrite strategies consult at plan time — a
+// even when the DDL ran in a different session. Writes of rows do not
+// invalidate: plans read table heaps by name at Open time, so a cached plan
+// always sees current data. A write does refresh row-count statistics, which cost-based rewrite strategies consult at plan time — a
 // deliberate tradeoff: bumping the version on every INSERT would defeat the
 // cache for exactly the repeated-statement workloads it targets, so a cached
 // plan keeps its original cost decision (always correct, possibly stale)
@@ -118,14 +120,14 @@ func (c *planCache) stats() (hits, misses uint64, size int) {
 }
 
 // cacheableStatement is a cheap pre-screen run before any key building: only
-// statements that can possibly parse as SELECTs (the only statements ever
-// stored) pay for a cache key and a locked lookup. DML/DDL/SET/SHOW skip the
-// cache path entirely. It reads the first token as the parser does, past
-// comments and empty statements, and allocates nothing: every query starts
-// with SELECT, VALUES or a parenthesis.
+// statements that can possibly parse as a query or a write (the only
+// statements ever stored) pay for a cache key and a locked lookup.
+// DDL/SET/SHOW skip the cache path entirely. It reads the first token as
+// the parser does, past comments and empty statements, and allocates
+// nothing: every query starts with SELECT, VALUES or a parenthesis.
 func cacheableStatement(text string) bool {
 	kw := sql.FirstKeyword(text)
-	return kw == "(" || sql.KeywordIs(kw, "select", "values")
+	return kw == "(" || sql.KeywordIs(kw, "select", "values", "insert", "update", "delete")
 }
 
 // normalizeSQL trims insignificant leading/trailing bytes from a statement.

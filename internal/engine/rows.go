@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"perm/internal/algebra"
@@ -207,10 +209,15 @@ func (s *Session) Query(text string, args ...value.Value) (*Rows, error) {
 // (prepared path) and optional bound parameter values. Text is parsed, and
 // its placeholders counted against args, only when the plan cache misses: a
 // cached plan was keyed on this text with this many arguments.
-func (s *Session) query(text string, st sql.Statement, args []value.Value) (*Rows, error) {
+func (s *Session) query(text string, st sql.Statement, args []value.Value) (_ *Rows, err error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("engine: session is closed")
 	}
+	defer func() {
+		if err != nil {
+			mQueryErrors.Inc()
+		}
+	}()
 	caching := s.planCacheOn() && cacheableStatement(text)
 	// One store pins the whole statement: version check, cache hit
 	// execution, and the full plan pipeline all see the same store even if
@@ -225,85 +232,56 @@ func (s *Session) query(text string, st sql.Statement, args []value.Value) (*Row
 		schemaVersion = store.Catalog().Version()
 		if e := s.cache.get(key, schemaVersion); e != nil {
 			mPlanCacheHits.Inc()
-			rows, err := s.openCached(e, store, args)
-			if err != nil {
-				mQueryErrors.Inc()
-				return nil, err
-			}
-			rows.sess = s
-			if rows.obs != nil {
-				rows.obs.sqlText, rows.obs.nparams = text, len(args)
-			}
-			return rows, nil
+			return s.openCached(e, store, args, text)
 		}
 		mPlanCacheMisses.Inc()
 	}
 	t0 := time.Now()
 	if st == nil {
 		var n int
-		var err error
 		if st, n, err = sql.ParseWithParams(text); err == nil {
 			err = bindCheck(n, args)
 		}
 		if err != nil {
-			mQueryErrors.Inc()
 			return nil, err
 		}
 	}
-	parseDur := time.Since(t0)
-	if sel, ok := st.(*sql.SelectStmt); ok {
-		rows, plan, err := s.openSelect(sel, store, args)
+	rows := &Rows{timings: Timings{Parse: time.Since(t0)}}
+	switch st.(type) {
+	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+	default:
+		spill0 := s.mem.Pool().Bytes()
+		res, err := s.executeStatement(st, args)
 		if err != nil {
-			mQueryErrors.Inc()
 			return nil, err
 		}
-		rows.sess = s
-		if rows.obs != nil {
-			rows.obs.sqlText, rows.obs.nparams = text, len(args)
-		}
-		rows.timings.Parse = parseDur
-		// Guard against a concurrent SET landing mid-plan on the shared
-		// implicit session: the plan was built from the settings as they were
-		// DURING planning, so store it only if the fingerprint still matches
-		// the one embedded in the key (the settings analog of the
-		// schema-version check in get).
-		if caching && s.currentFingerprint() == keyFingerprint {
-			s.cache.put(key, &planCacheEntry{
-				plan:          plan,
-				columns:       rows.Columns,
-				decisions:     rows.Rewrites,
-				schemaVersion: schemaVersion,
-			})
-		}
-		return rows, nil
+		res.Timings.Parse = rows.timings.Parse
+		s.noteStatement(text, res.Timings, int64(len(res.Rows)), res.CacheHit, len(args), s.mem.Pool().Bytes()-spill0)
+		return materializedRows(res), nil
 	}
-	var spill0 int64
-	if s.mem != nil {
-		spill0 = s.mem.Pool().Bytes()
-	}
-	res, err := s.executeStatement(st, args)
+	plan, err := s.openPlan(rows, st, store, args, text)
 	if err != nil {
-		mQueryErrors.Inc()
 		return nil, err
 	}
-	res.Timings.Parse = parseDur
-	var spillBytes int64
-	if s.mem != nil {
-		spillBytes = s.mem.Pool().Bytes() - spill0
+	// Guard against a concurrent SET landing mid-plan on the shared
+	// implicit session: the plan was built from the settings as they were
+	// DURING planning, so store it only if the fingerprint still matches
+	// the one embedded in the key (the settings analog of the
+	// schema-version check in get).
+	if caching && s.currentFingerprint() == keyFingerprint {
+		s.cache.put(key, &planCacheEntry{plan: plan, columns: rows.Columns, decisions: rows.Rewrites, schemaVersion: schemaVersion})
 	}
-	s.noteStatement(text, res.Timings, int64(len(res.Rows)), res.CacheHit, len(args), spillBytes)
-	return materializedRows(res), nil
+	return rows, nil
 }
 
-// openSelect runs the front half of the Figure 3 pipeline against the one
-// pinned store and opens the executor stream, returning the live rows and
-// the optimized plan for caching.
-func (s *Session) openSelect(sel *sql.SelectStmt, store *storage.Store, args []value.Value) (*Rows, algebra.Op, error) {
-	rows := &Rows{}
+// openPlan runs the front half of the Figure 3 pipeline for a query or a
+// write against the one pinned store and starts the plan in rows,
+// returning the optimized plan for caching.
+func (s *Session) openPlan(rows *Rows, st sql.Statement, store *storage.Store, args []value.Value, text string) (algebra.Op, error) {
 	t0 := time.Now()
-	plan, decisions, rewriteDur, err := s.analyzeOn(store, sel, paramKinds(args))
+	plan, decisions, rewriteDur, err := s.analyzeOn(store, st, paramKinds(args))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rows.timings.Analyze = time.Since(t0)
 	rows.timings.Rewrite = rewriteDur
@@ -313,24 +291,58 @@ func (s *Session) openSelect(sel *sql.SelectStmt, store *storage.Store, args []v
 	plan = s.planOn(store, plan)
 	rows.timings.Plan = time.Since(t1)
 
+	if err := s.start(rows, store, plan, nil, args, text); err != nil {
+		return nil, err
+	}
+	rows.Columns = rows.Schema.Names()
+	return plan, nil
+}
+
+// start runs the execute stage of a planned statement: it opens the
+// executor stream behind rows under a fresh context. A write runs to its
+// end here and leaves its command tag and no columns. It is refused on a
+// read-only node, and in a transaction pinned on a store that has since
+// been swapped out (a replica re-bootstrap): it must not write the wrong
+// store's heaps.
+func (s *Session) start(rows *Rows, store *storage.Store, plan algebra.Op, hints *executor.SizeHints, args []value.Value, text string) error {
+	m, write := plan.(*algebra.Modify)
+	if write {
+		if s.db.ReadOnly() {
+			return fmt.Errorf("%s rejected: %w", m.Kind, ErrReadOnly)
+		}
+		if txn := s.currentTxn(); txn != nil && txn.Store() != store {
+			return fmt.Errorf("engine: the store was replaced while the transaction was open; ROLLBACK and retry")
+		}
+	}
 	ctx := s.execContextOn(store)
 	ctx.Params = args
-	if err := s.openStream(rows, ctx, plan, nil); err != nil {
+	if err := s.openStream(rows, ctx, plan, hints, text); err != nil {
 		ctx.Release()
-		return nil, nil, err
+		return err
 	}
+	rows.sess = s
 	rows.Schema = rows.stream.Schema()
-	rows.Columns = rows.Schema.Names()
-	return rows, plan, nil
+	if write {
+		count, err := rows.Next()
+		if err != nil {
+			return err
+		}
+		rows.Close()
+		rows.tag = string(m.Kind) + " " + strconv.FormatInt(count[0].Int(), 10)
+		rows.res = &Result{Tag: rows.tag, Timings: rows.timings, CacheHit: rows.CacheHit, Rewrites: rows.Rewrites}
+		rows.stream, rows.Schema = nil, nil
+	}
+	return nil
 }
 
 // openStream opens the executor stream behind rows. When SET trace is on the
 // build is instrumented; when either trace or a slow-query threshold is
-// armed, the deep-observation sidecar captures spill-pool baselines and the
-// open-stage timing. The default path — no trace, no threshold — does
-// exactly what it did before instrumentation existed. hints, a cached plan's,
-// size its slabs (an instrumented build takes none).
-func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op, hints *executor.SizeHints) error {
+// armed, the deep-observation sidecar captures the statement's text,
+// spill-pool baselines and the open-stage timing. The default path — no
+// trace, no threshold — does exactly what it did before instrumentation
+// existed. hints, a cached plan's, size its slabs (an instrumented build
+// takes none).
+func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op, hints *executor.SizeHints, text string) error {
 	trace := s.traceOn()
 	if !trace && s.slowMs.Load() < 0 {
 		rows.opened = time.Now()
@@ -341,11 +353,8 @@ func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op,
 		rows.stream = stream
 		return nil
 	}
-	obs := &rowsObs{}
-	if s.mem != nil {
-		p := s.mem.Pool()
-		obs.poolFiles0, obs.poolBytes0 = p.Files(), p.Bytes()
-	}
+	p := s.mem.Pool()
+	obs := &rowsObs{sqlText: text, nparams: len(ctx.Params), poolFiles0: p.Files(), poolBytes0: p.Bytes()}
 	rows.obs = obs
 	rows.opened = time.Now()
 	var stream *executor.Stream
@@ -367,21 +376,13 @@ func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op,
 
 // openCached opens a stream over a previously planned statement: only the
 // execute stage of the Figure 3 pipeline is paid, the rest reports zero.
-func (s *Session) openCached(e *planCacheEntry, store *storage.Store, args []value.Value) (*Rows, error) {
+func (s *Session) openCached(e *planCacheEntry, store *storage.Store, args []value.Value, text string) (*Rows, error) {
 	// Copy the decisions so callers appending to Rewrites cannot write into
 	// the shared cache entry (hits may be served concurrently).
-	var decisions []string
-	if len(e.decisions) > 0 {
-		decisions = append(make([]string, 0, len(e.decisions)), e.decisions...)
-	}
-	ctx := s.execContextOn(store)
-	ctx.Params = args
-	rows := &Rows{CacheHit: true, Rewrites: decisions}
-	if err := s.openStream(rows, ctx, e.plan, &e.hints); err != nil {
-		ctx.Release()
+	rows := &Rows{CacheHit: true, Rewrites: slices.Clone(e.decisions)}
+	if err := s.start(rows, store, e.plan, &e.hints, args, text); err != nil {
 		return nil, err
 	}
-	rows.Schema = rows.stream.Schema()
 	rows.Columns = e.columns
 	return rows, nil
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"perm/internal/sql"
 	"perm/internal/storage"
 )
 
@@ -22,21 +21,6 @@ func (s *Session) currentTxn() *storage.Txn {
 	s.txnMu.Lock()
 	defer s.txnMu.Unlock()
 	return s.txn
-}
-
-// txnFor returns the open transaction when it began on store, nil in
-// autocommit. A transaction pinned on a store that has since been swapped out
-// (replica re-bootstrap mid-transaction) errors rather than silently reading
-// or writing the wrong store's heaps.
-func (s *Session) txnFor(store *storage.Store) (*storage.Txn, error) {
-	txn := s.currentTxn()
-	if txn == nil {
-		return nil, nil
-	}
-	if txn.Store() != store {
-		return nil, fmt.Errorf("engine: the store was replaced while the transaction was open; ROLLBACK and retry")
-	}
-	return txn, nil
 }
 
 // runBegin opens an explicit transaction: reads pin the store's current
@@ -93,21 +77,6 @@ func (s *Session) rollbackOpenTxn() {
 	if txn != nil {
 		txn.Rollback()
 	}
-}
-
-// noDDLInTxn rejects statements that bypass the transaction's write buffer.
-// Schema changes and statistics refreshes apply immediately and are not
-// rolled back by ROLLBACK, so allowing them inside BEGIN would silently break
-// the transaction's atomicity contract.
-func (s *Session) noDDLInTxn(st sql.Statement) error {
-	if s.currentTxn() == nil {
-		return nil
-	}
-	switch st.(type) {
-	case *sql.CreateTableStmt, *sql.CreateViewStmt, *sql.DropStmt, *sql.AnalyzeStmt:
-		return fmt.Errorf("engine: %s cannot run inside a transaction", writeVerb(st))
-	}
-	return nil
 }
 
 // StartVacuum runs the version vacuum every interval until the returned stop

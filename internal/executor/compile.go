@@ -151,26 +151,6 @@ func compilePred(e algebra.Expr) compiledPred {
 	}
 }
 
-// CompilePredicate exposes predicate compilation to the engine (UPDATE/DELETE
-// WHERE clauses run once-compiled over every heap row). The wrapper also
-// polls for cancellation: DML decision loops run in the storage layer, which
-// has no iterator machinery to poll for it.
-func CompilePredicate(e algebra.Expr) func(row value.Row, ctx *Context) (bool, error) {
-	pred := compilePred(e)
-	return func(row value.Row, ctx *Context) (bool, error) {
-		if err := ctx.tick(); err != nil {
-			return false, err
-		}
-		return pred(row, ctx)
-	}
-}
-
-// CompileExpr exposes expression compilation to the engine (UPDATE SET
-// expressions).
-func CompileExpr(e algebra.Expr) func(row value.Row, ctx *Context) (value.Value, error) {
-	return Compile(e)
-}
-
 func compileBin(x *algebra.Bin) compiledExpr {
 	l, r := Compile(x.L), Compile(x.R)
 	switch x.Op {

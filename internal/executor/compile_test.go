@@ -107,7 +107,7 @@ func TestCompileMatchesEval(t *testing.T) {
 }
 
 // TestCompilePredicateTruth checks WHERE truth semantics of the compiled
-// predicate wrapper: NULL and FALSE reject, non-boolean errors.
+// predicate: NULL and FALSE reject, non-boolean errors.
 func TestCompilePredicateTruth(t *testing.T) {
 	cases := []struct {
 		e       algebra.Expr
@@ -120,7 +120,7 @@ func TestCompilePredicateTruth(t *testing.T) {
 		{intConst(1), false, true},
 	}
 	for _, c := range cases {
-		got, err := CompilePredicate(c.e)(nil, NewContext(nil))
+		got, err := compilePred(c.e)(nil, NewContext(nil))
 		if (err != nil) != c.wantErr {
 			t.Errorf("%v: err = %v, wantErr = %v", c.e, err, c.wantErr)
 			continue

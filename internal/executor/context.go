@@ -94,10 +94,6 @@ type Context struct {
 	ticks uint32
 }
 
-// Tick exposes the cancellation poll to engine-level DML loops (UPDATE
-// setters, and any other per-row work that bypasses the iterator machinery).
-func (c *Context) Tick() error { return c.tick() }
-
 // SetUnpin installs the statement's snapshot-release hook (the engine pins
 // a snapshot LSN per statement and must unpin it when the statement's last
 // reader is done, or the version vacuum could never advance).
@@ -389,7 +385,14 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 			it = &scanIter{rows: b.part.leaf}
 		} else {
 			it = &scanIter{op: o}
+			if o.RowID {
+				it.(*scanIter).maker = &rowMaker{reuse: reuse}
+			}
 		}
+	case *algebra.Modify:
+		// A DELETE reads only the row id; INSERT and UPDATE keep their rows
+		// until they buffer them.
+		it = &modifyIter{op: o, input: input(o.Input, o.Kind == algebra.Delete)}
 	case *algebra.Values:
 		it = &valuesIter{op: o}
 	case *algebra.Project:

@@ -7,6 +7,7 @@ import (
 
 	"perm/internal/algebra"
 	"perm/internal/spill"
+	"perm/internal/storage"
 	"perm/internal/value"
 )
 
@@ -14,11 +15,13 @@ import (
 
 // scanIter iterates a table's rows or, with no op, rows resolved beforehand:
 // a worker's contiguous partition of the coordinator's snapshot, the shared
-// materialized build side of a parallel join.
+// materialized build side of a parallel join. A RowID scan extends each
+// row by its position, its storage.Pick ID, into a row from maker.
 type scanIter struct {
-	op   *algebra.Scan
-	rows []value.Row
-	pos  int
+	op    *algebra.Scan
+	rows  []value.Row
+	pos   int
+	maker *rowMaker // RowID scans only: a scan stays in its 48-byte size class
 }
 
 func (s *scanIter) Open(ctx *Context) (err error) {
@@ -39,6 +42,10 @@ func (s *scanIter) Next() (value.Row, error) {
 		return nil, nil
 	}
 	row := s.rows[s.pos]
+	if s.op != nil && s.op.RowID {
+		row = s.maker.New(len(row) + 1)
+		row[copy(row, s.rows[s.pos])] = value.NewInt(int64(s.pos))
+	}
 	s.pos++
 	return row, nil
 }
@@ -49,6 +56,70 @@ func (s *scanIter) Close() error {
 	}
 	return nil
 }
+
+// --- Modify --------------------------------------------------------------------
+
+// modifyIter is the sink of an INSERT, UPDATE or DELETE plan. At Open it
+// runs its input to the end inside one write of the table — the statement's
+// transaction, or in autocommit one of its own, decided and committed under
+// the table's writer lock — and buffers what the input says. Its one row is
+// the count of rows written.
+type modifyIter struct {
+	op    *algebra.Modify
+	input iterator
+	n     int // rows written; -1 once the count is out
+	count [1]value.Value
+}
+
+func (m *modifyIter) Open(ctx *Context) error {
+	t := ctx.Store.Table(m.op.Table)
+	if t == nil {
+		return fmt.Errorf("executor: table %q does not exist", m.op.Table)
+	}
+	txn, snap := ctx.Txn, ctx.SnapLSN
+	defer func() { ctx.Txn, ctx.SnapLSN = txn, snap }()
+	var err error
+	m.n, err = t.Write(txn, func(x *storage.Txn) (int, error) {
+		// The input, subqueries too, reads through the write's transaction.
+		ctx.Txn, ctx.SnapLSN = x, x.Snap()
+		if err := m.input.Open(ctx); err != nil {
+			return 0, err
+		}
+		defer m.input.Close()
+		var rows []value.Row
+		var picks []storage.Pick
+		if err := drainRows(ctx, m.input, func(row value.Row) error {
+			last := len(row) - 1
+			switch m.op.Kind {
+			case algebra.Insert:
+				rows = append(rows, row)
+			case algebra.Update:
+				picks = append(picks, storage.Pick{ID: int(row[last].Int()), Row: row[:last:last]})
+			default:
+				picks = append(picks, storage.Pick{ID: int(row[last].Int())})
+			}
+			return nil
+		}); err != nil {
+			return 0, err
+		}
+		if m.op.Kind == algebra.Insert {
+			return x.Insert(t, rows)
+		}
+		return x.Rewrite(t, picks)
+	})
+	return err
+}
+
+func (m *modifyIter) Next() (value.Row, error) {
+	if m.n < 0 {
+		return nil, nil
+	}
+	m.count[0] = value.NewInt(int64(m.n))
+	m.n = -1
+	return m.count[:], nil
+}
+
+func (m *modifyIter) Close() error { return nil }
 
 // --- Values --------------------------------------------------------------------
 

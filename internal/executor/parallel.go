@@ -100,6 +100,9 @@ func exprParSafe(e algebra.Expr) bool {
 func gatherLeaf(op algebra.Op) *algebra.Scan {
 	switch o := skipMarkers(op).(type) {
 	case *algebra.Scan:
+		if o.RowID { // its row ids are positions in one transaction's view
+			return nil
+		}
 		return o
 	case *algebra.Select:
 		if !exprParSafe(o.Cond) {

@@ -463,7 +463,7 @@ func FoldConstants(e algebra.Expr) (algebra.Expr, bool) {
 		lc, lok := l.(*algebra.Const)
 		rc, rok := r.(*algebra.Const)
 		if lok && rok && foldableOp(x.Op) {
-			if v, err := executor.CompileExpr(&algebra.Bin{Op: x.Op, L: lc, R: rc})(nil, nil); err == nil {
+			if v, err := executor.Compile(&algebra.Bin{Op: x.Op, L: lc, R: rc})(nil, nil); err == nil {
 				return &algebra.Const{Val: v}, true
 			}
 		}
@@ -580,6 +580,8 @@ func (e *estimator) estimate(op algebra.Op) float64 {
 	case *algebra.Values:
 		return float64(len(o.Rows))
 	case *algebra.Project:
+		return e.rows(o.Input)
+	case *algebra.Modify: // the rows it writes; its one row counts them
 		return e.rows(o.Input)
 	case *algebra.BaseRel:
 		return e.rows(o.Input)

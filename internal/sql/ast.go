@@ -276,11 +276,14 @@ type UpdateSet struct {
 
 func (*UpdateStmt) stmt() {}
 
-// ExplainStmt asks for the plan of a query. With Analyze true the query also
-// runs and per-stage timings are reported (the Figure 3 pipeline).
+// ExplainStmt asks for the plan of a query, an INSERT, an UPDATE or a
+// DELETE; Text is the target as written. With Analyze true the query also
+// runs and per-stage timings are reported (the Figure 3 pipeline); a write
+// is never analyzed.
 type ExplainStmt struct {
 	Analyze bool
-	Target  *SelectStmt
+	Target  Statement
+	Text    string
 }
 
 func (*ExplainStmt) stmt() {}

@@ -427,31 +427,8 @@ func (p *Parser) parseInsert() (Statement, error) {
 		}
 	}
 	if p.isKeyword("values") {
-		p.next()
-		for {
-			if _, err := p.expect(LPAREN); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if p.accept(COMMA) {
-					continue
-				}
-				break
-			}
-			if _, err := p.expect(RPAREN); err != nil {
-				return nil, err
-			}
-			st.Rows = append(st.Rows, row)
-			if p.accept(COMMA) {
-				continue
-			}
-			break
+		if st.Rows, err = p.parseValuesRows(); err != nil {
+			return nil, err
 		}
 		return st, nil
 	}
@@ -527,11 +504,21 @@ func (p *Parser) parseExplain() (Statement, error) {
 	if p.acceptKeyword("analyze") || p.acceptKeyword("analyse") {
 		st.Analyze = true
 	}
-	sel, err := p.parseSelectStmt()
+	off := p.peek().Off
+	var err error
+	if t := p.peek().Text; p.isKeyword("insert") || p.isKeyword("update") || p.isKeyword("delete") {
+		// Routing reads EXPLAIN as a read, so it must not write.
+		if st.Analyze {
+			return nil, p.errf("EXPLAIN ANALYZE would run the %s: EXPLAIN a write without ANALYZE", strings.ToUpper(t))
+		}
+		st.Target, err = p.parseStatement()
+	} else {
+		st.Target, err = p.parseSelectStmt()
+	}
 	if err != nil {
 		return nil, err
 	}
-	st.Target = sel
+	st.Text = p.src[off:p.toks[p.pos-1].End]
 	return st, nil
 }
 
@@ -674,45 +661,55 @@ func (p *Parser) parseQueryPrimary() (QueryBody, error) {
 	return p.parseSelectCore()
 }
 
-// parseValuesBody parses VALUES (..),(..) as a SelectCore-less body. It is
-// modeled as a SelectCore with no FROM and a special VALUES item carried via
-// InsertStmt normally; standalone VALUES appears rarely, so it desugars to
+// parseValuesBody parses a standalone VALUES (..),(..): it desugars to a
 // UNION ALL of FROM-less selects.
 func (p *Parser) parseValuesBody() (QueryBody, error) {
+	rows, err := p.parseValuesRows()
+	if err != nil {
+		return nil, err
+	}
+	var out QueryBody
+	for _, row := range rows {
+		core := &SelectCore{}
+		for i, e := range row {
+			core.Items = append(core.Items, SelectItem{Expr: e, Alias: fmt.Sprintf("column%d", i+1)})
+		}
+		if out == nil {
+			out = core
+		} else {
+			out = &SetOpBody{Op: Union, All: true, Left: out, Right: core}
+		}
+	}
+	return out, nil
+}
+
+// parseValuesRows parses VALUES and its row lists: (e, ...), (e, ...).
+func (p *Parser) parseValuesRows() ([][]Expr, error) {
 	p.next() // values
-	var bodies []QueryBody
+	var rows [][]Expr
 	for {
 		if _, err := p.expect(LPAREN); err != nil {
 			return nil, err
 		}
-		core := &SelectCore{}
-		col := 1
+		var row []Expr
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			core.Items = append(core.Items, SelectItem{Expr: e, Alias: fmt.Sprintf("column%d", col)})
-			col++
-			if p.accept(COMMA) {
-				continue
+			row = append(row, e)
+			if !p.accept(COMMA) {
+				break
 			}
-			break
 		}
 		if _, err := p.expect(RPAREN); err != nil {
 			return nil, err
 		}
-		bodies = append(bodies, core)
-		if p.accept(COMMA) {
-			continue
+		rows = append(rows, row)
+		if !p.accept(COMMA) {
+			return rows, nil
 		}
-		break
 	}
-	out := bodies[0]
-	for _, b := range bodies[1:] {
-		out = &SetOpBody{Op: Union, All: true, Left: out, Right: b}
-	}
-	return out, nil
 }
 
 func (p *Parser) parseSelectCore() (*SelectCore, error) {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -394,6 +395,36 @@ func TestParseSetShowExplain(t *testing.T) {
 	}
 }
 
+// TestParseExplainWrites: EXPLAIN takes an INSERT, UPDATE or DELETE and
+// keeps it as written; EXPLAIN ANALYZE of one is refused, since it would
+// run the write (and routing reads every EXPLAIN as a read).
+func TestParseExplainWrites(t *testing.T) {
+	for _, c := range []struct {
+		target string
+		want   Statement
+	}{
+		{`INSERT INTO t (a) VALUES (?)`, &InsertStmt{}},
+		{`UPDATE t SET a = a + 1 WHERE b = 'x'`, &UpdateStmt{}},
+		{`DELETE FROM t  WHERE a IN (SELECT a FROM u)`, &DeleteStmt{}},
+		{`SELECT PROVENANCE a FROM t`, &SelectStmt{}},
+	} {
+		st, err := Parse("EXPLAIN /* c */ " + c.target + ";")
+		if err != nil {
+			t.Fatalf("EXPLAIN %s: %v", c.target, err)
+		}
+		ex := st.(*ExplainStmt)
+		if fmt.Sprintf("%T", ex.Target) != fmt.Sprintf("%T", c.want) || ex.Text != c.target || ex.Analyze {
+			t.Errorf("EXPLAIN %s: target %T, text %q, analyze %v", c.target, ex.Target, ex.Text, ex.Analyze)
+		}
+		if !strings.HasPrefix(c.target, "SELECT") {
+			_, err := Parse("EXPLAIN ANALYZE " + c.target)
+			if err == nil || !strings.Contains(err.Error(), "EXPLAIN ANALYZE would run the "+strings.Fields(c.target)[0]) {
+				t.Errorf("EXPLAIN ANALYZE %s: %v", c.target, err)
+			}
+		}
+	}
+}
+
 func TestParseScript(t *testing.T) {
 	stmts, err := ParseScript("SELECT 1; SELECT 2;; SELECT 3")
 	if err != nil {
@@ -549,7 +580,7 @@ func TestFormatStatementForms(t *testing.T) {
 		var sel *SelectStmt
 		switch st := st.(type) {
 		case *ExplainStmt:
-			sel = st.Target
+			sel, _ = st.Target.(*SelectStmt)
 		case *InsertStmt:
 			sel = st.Select
 		case *CreateTableStmt:

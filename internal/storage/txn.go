@@ -83,40 +83,37 @@ func (x *Txn) table(t *Table) *txnTable {
 	return tt
 }
 
-// seen is a version visible at a transaction's snapshot and the slot it was
-// in when read.
-type seen struct {
-	v    *rowVersion
-	slot int
-}
-
-// visible returns the versions visible at the transaction's snapshot, in
-// slot order. The transaction's own effects are not applied: callers
-// overlay tt.mods (row) and tt.ins themselves.
-func (x *Txn) visible(t *Table) []seen {
+// each calls fn with every row of t this transaction sees, in the order
+// TableRows lists them: the versions visible at its snapshot in slot order,
+// its own updates applied and its own deletes left out, each with the slot
+// it was read in; then the rows it inserted itself, with no version and
+// their index in tt.ins as the slot. It stops once fn returns false.
+func (x *Txn) each(t *Table, tt *txnTable, fn func(tg target) bool) {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]seen, 0, len(t.slots))
 	for i, v := range t.slots {
 		if w := v.visibleAt(x.snap); w != nil {
-			out = append(out, seen{v: w, slot: i})
+			tg := target{v: w, slot: i, row: w.row}
+			if m, ok := tt.mods[w]; ok {
+				tg.row = m.row
+			}
+			if tg.row != nil && !fn(tg) {
+				t.mu.RUnlock()
+				return
+			}
 		}
 	}
-	return out
-}
-
-// row is the image of v the transaction sees: its buffered replacement when
-// it updated v, nil when it deleted v.
-func (tt *txnTable) row(v *rowVersion) value.Row {
-	if m, ok := tt.mods[v]; ok {
-		return m.row
+	t.mu.RUnlock()
+	for i, r := range tt.ins {
+		if r != nil && !fn(target{slot: i, row: r}) {
+			return
+		}
 	}
-	return v.row
 }
 
 // TableRows returns the rows of t as this transaction sees them: the
 // snapshot image with buffered updates and deletes applied and buffered
-// inserts appended. The executor's scans read transactions through this.
+// inserts appended. The executor's scans read transactions through this,
+// and a Pick names a row by its position here.
 func (x *Txn) TableRows(t *Table) []value.Row {
 	tt := x.tabs[t]
 	if tt == nil || (len(tt.mods) == 0 && len(tt.ins) == 0) {
@@ -124,18 +121,11 @@ func (x *Txn) TableRows(t *Table) []value.Row {
 		// table's materialization cache with every other reader.
 		return t.SnapshotAt(x.snap)
 	}
-	vs := x.visible(t)
-	out := make([]value.Row, 0, len(vs)+len(tt.ins))
-	for _, p := range vs {
-		if row := tt.row(p.v); row != nil {
-			out = append(out, row)
-		}
-	}
-	for _, r := range tt.ins {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
+	var out []value.Row
+	x.each(t, tt, func(tg target) bool {
+		out = append(out, tg.row)
+		return true
+	})
 	return out
 }
 
@@ -167,71 +157,78 @@ func (x *Txn) Insert(t *Table, rows []value.Row) (int, error) {
 // when pred is nil), including rows this transaction itself inserted or
 // updated. pred runs outside all storage locks and may query any table.
 func (x *Txn) Delete(t *Table, pred func(value.Row) (bool, error)) (int, error) {
-	return x.rewrite(t, pred, nil)
+	return x.Update(t, pred, nil)
 }
 
 // Update buffers the replacement of every visible row matching pred with
-// fn's result, after type checking. Rows this transaction inserted are
-// rewritten in place. Like Delete's, both callbacks run outside all storage
-// locks.
+// fn's result, after type checking (with a nil fn, Delete): it picks them
+// from TableRows and hands the picks to Rewrite. Rows this transaction
+// inserted are rewritten in place. Like Delete's, both callbacks run
+// outside all storage locks.
 func (x *Txn) Update(t *Table, pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
-	return x.rewrite(t, pred, fn)
-}
-
-// rewrite buffers, for every row of t the transaction sees that pred
-// matches, fn's type-checked result as its replacement — or, when fn is
-// nil, its deletion — and reports how many rows matched. It decides every
-// row before it buffers any, so a statement that fails on some row leaves
-// the transaction as it was.
-func (x *Txn) rewrite(t *Table, pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
 	if x.done {
 		return 0, errTxnDone
 	}
-	// next reports whether row matches and, for an update, its replacement.
-	next := func(row value.Row) (bool, value.Row, error) {
+	var picks []Pick
+	for id, row := range x.TableRows(t) {
 		if pred != nil {
 			if ok, err := pred(row); err != nil || !ok {
-				return false, nil, err
+				if err != nil {
+					return 0, err
+				}
+				continue
 			}
 		}
-		if fn == nil {
-			return true, nil, nil
+		p := Pick{ID: id}
+		if fn != nil {
+			var err error
+			if p.Row, err = fn(row); err != nil {
+				return 0, err
+			}
 		}
-		nr, err := fn(row)
-		if err != nil {
-			return false, nil, err
+		picks = append(picks, p)
+	}
+	return x.Rewrite(t, picks)
+}
+
+// Pick is a statement's decision on one row of t the transaction sees,
+// named by its position in TableRows: replace it with Row, or delete it
+// when Row is nil.
+type Pick struct {
+	ID  int
+	Row value.Row
+}
+
+// Rewrite buffers picks, in ascending ID order, and reports how many rows
+// it rewrote. It type-checks every replacement before it buffers any pick,
+// so a statement that fails on some row leaves the transaction as it was;
+// the checked images replace the picks' rows.
+func (x *Txn) Rewrite(t *Table, picks []Pick) (int, error) {
+	if x.done {
+		return 0, errTxnDone
+	}
+	for i := range picks {
+		if picks[i].Row != nil {
+			row, err := t.checkRow(picks[i].Row)
+			if err != nil {
+				return 0, err
+			}
+			picks[i].Row = row
 		}
-		nr, err = t.checkRow(nr)
-		return err == nil, nr, err
 	}
 	tt := x.table(t)
-	// Decisions on own inserts carry the insert's index as their slot and
-	// no version.
-	var decided []target
-	for _, p := range x.visible(t) {
-		row := tt.row(p.v)
-		if row == nil {
-			continue
+	decided := make([]target, 0, len(picks))
+	id := 0
+	x.each(t, tt, func(tg target) bool {
+		if len(decided) < len(picks) && picks[len(decided)].ID == id {
+			tg.row = picks[len(decided)].Row
+			decided = append(decided, tg)
 		}
-		ok, nr, err := next(row)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			decided = append(decided, target{v: p.v, slot: p.slot, row: nr})
-		}
-	}
-	for i, r := range tt.ins {
-		if r == nil {
-			continue
-		}
-		ok, nr, err := next(r)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			decided = append(decided, target{slot: i, row: nr})
-		}
+		id++
+		return len(decided) < len(picks)
+	})
+	if len(decided) < len(picks) {
+		return 0, fmt.Errorf("storage: picks out of order or past the %d rows of %q the transaction sees", id, t.def.Name)
 	}
 	for _, d := range decided {
 		switch {
