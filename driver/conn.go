@@ -260,16 +260,24 @@ func (c *conn) bind(ctx context.Context, sqlText string, args []sqldriver.NamedV
 	return toEngineValues(args)
 }
 
-// openLocal opens a statement on the embedded session.
-func (c *conn) openLocal(sqlText string, st *stmt, vals []value.Value) (*engine.Rows, error) {
-	if st != nil {
+// openLocal opens a statement on the embedded session; a borrowed result's
+// rows are valid until the next Next.
+func (c *conn) openLocal(sqlText string, st *stmt, vals []value.Value, borrowed bool) (*engine.Rows, error) {
+	switch {
+	case st != nil && borrowed:
+		return st.prepared.QueryBorrowed(vals...)
+	case st != nil:
 		return st.prepared.Query(vals...)
+	case borrowed:
+		return c.local.QueryBorrowed(sqlText, vals...)
 	}
 	return c.local.Query(sqlText, vals...)
 }
 
 // query opens a statement's result stream. Cancellation stays armed for the
-// whole stream; rows.Close disarms it (database/sql always calls it).
+// whole stream; rows.Close disarms it (database/sql always calls it). rows
+// copies each row into database/sql's dest before it asks for the next, so
+// the stream is borrowed on both paths.
 func (c *conn) query(ctx context.Context, sqlText string, st *stmt, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
 	vals, err := c.bind(ctx, sqlText, args)
 	if err != nil {
@@ -278,12 +286,12 @@ func (c *conn) query(ctx context.Context, sqlText string, st *stmt, args []sqldr
 	r := &rows{ctx: ctx, disarm: c.watchContext(ctx)}
 	if c.remote != nil {
 		var cur *wire.Cursor
-		if cur, err = c.remote.Execute(st.wireName(), sqlText, vals, defaultFetchSize); err == nil {
+		if cur, err = c.remote.ExecuteBorrowed(st.wireName(), sqlText, vals, defaultFetchSize); err == nil {
 			r.src, r.names, r.kinds = cur, cur.Desc.Names, cur.Desc.Kinds
 		}
 	} else {
 		var er *engine.Rows
-		if er, err = c.openLocal(sqlText, st, vals); err == nil {
+		if er, err = c.openLocal(sqlText, st, vals, true); err == nil {
 			r.src, r.names, r.kinds = er, er.Columns, make([]value.Kind, len(er.Columns))
 			for i := 0; i < len(r.kinds) && i < len(er.Schema); i++ {
 				r.kinds[i] = er.Schema[i].Type
@@ -312,7 +320,7 @@ func (c *conn) exec(ctx context.Context, sqlText string, st *stmt, args []sqldri
 		tag = done.Tag
 	} else {
 		var er *engine.Rows
-		if er, err = c.openLocal(sqlText, st, vals); err == nil {
+		if er, err = c.openLocal(sqlText, st, vals, false); err == nil {
 			var res *engine.Result
 			if res, err = er.DrainResult(); err == nil {
 				tag = res.Tag
@@ -486,8 +494,11 @@ func (r result) RowsAffected() (int64, error) {
 // --- rows ----------------------------------------------------------------------
 
 // rows streams a result one row per Next, so neither side materializes it:
-// src is a wire cursor (rows arrive in batches, fetched on demand) or the
-// embedded engine's live iterator tree. Cancellation stays armed until Close.
+// src is a borrowed wire cursor (rows arrive in batches, fetched on demand)
+// or the embedded engine's live iterator tree, opened borrowed. Next copies
+// the row into dest — a string value is an immutable Go string, never the
+// source's memory — so dest outlives the row. Cancellation stays armed
+// until Close.
 type rows struct {
 	src interface {
 		Next() (value.Row, error)

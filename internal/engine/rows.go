@@ -32,6 +32,10 @@ import (
 // statement from the same goroutine context (the executor tree holds
 // operator state until then). Next/Close are single-goroutine, like the
 // iterators beneath them.
+//
+// A row Next returns is immutable. From Query, Prepared.Query, Execute and
+// DrainResult it stays valid for as long as the caller holds it; from
+// QueryBorrowed it is valid only until the next Next, which may refill it.
 type Rows struct {
 	// Columns are the output column names (empty for DDL/DML).
 	Columns []string
@@ -43,7 +47,10 @@ type Rows struct {
 	CacheHit bool
 
 	done bool
-	pos  int32 // cursor into res.Rows for materialized results
+	// borrowed: the caller drops each streamed row before its next Next, so
+	// the plan's root refills one row (executor.OpenCached's reuse).
+	borrowed bool
+	pos      int32 // cursor into res.Rows for materialized results
 
 	stream  *executor.Stream // streaming SELECT plan; nil for materialized results
 	res     *Result          // complete result backing non-streamed statements
@@ -202,14 +209,24 @@ func (r *Rows) DrainResult() (*Result, error) {
 // The session plan cache works exactly as under Execute. args bind the
 // statement's `?` placeholders, as Prepare + Query would.
 func (s *Session) Query(text string, args ...value.Value) (*Rows, error) {
-	return s.query(text, nil, args)
+	return s.query(text, nil, args, false)
+}
+
+// QueryBorrowed is Query for a caller that drops each row before it asks for
+// the next — the server encoding rows onto the wire, the driver copying them
+// into database/sql's dest: a streamed row is valid until the next Next. The
+// word reaches only the stream handed back; a statement the session drains
+// itself (CREATE TABLE AS, INSERT … SELECT, EXPLAIN ANALYZE) keeps its rows.
+func (s *Session) QueryBorrowed(text string, args ...value.Value) (*Rows, error) {
+	return s.query(text, nil, args, true)
 }
 
 // query is the single execution entry: optional pre-parsed statement
-// (prepared path) and optional bound parameter values. Text is parsed, and
-// its placeholders counted against args, only when the plan cache misses: a
+// (prepared path), optional bound parameter values, and whether the caller
+// borrows each streamed row (QueryBorrowed). Text is parsed, and its
+// placeholders counted against args, only when the plan cache misses: a
 // cached plan was keyed on this text with this many arguments.
-func (s *Session) query(text string, st sql.Statement, args []value.Value) (_ *Rows, err error) {
+func (s *Session) query(text string, st sql.Statement, args []value.Value, borrowed bool) (_ *Rows, err error) {
 	if s.closed.Load() {
 		return nil, fmt.Errorf("engine: session is closed")
 	}
@@ -232,7 +249,7 @@ func (s *Session) query(text string, st sql.Statement, args []value.Value) (_ *R
 		schemaVersion = store.Catalog().Version()
 		if e := s.cache.get(key, schemaVersion); e != nil {
 			mPlanCacheHits.Inc()
-			return s.openCached(e, store, args, text)
+			return s.openCached(e, store, args, text, borrowed)
 		}
 		mPlanCacheMisses.Inc()
 	}
@@ -246,7 +263,7 @@ func (s *Session) query(text string, st sql.Statement, args []value.Value) (_ *R
 			return nil, err
 		}
 	}
-	rows := &Rows{timings: Timings{Parse: time.Since(t0)}}
+	rows := &Rows{timings: Timings{Parse: time.Since(t0)}, borrowed: borrowed}
 	switch st.(type) {
 	case *sql.SelectStmt, *sql.InsertStmt, *sql.UpdateStmt, *sql.DeleteStmt:
 	default:
@@ -341,12 +358,13 @@ func (s *Session) start(rows *Rows, store *storage.Store, plan algebra.Op, hints
 // spill-pool baselines and the open-stage timing. The default path — no
 // trace, no threshold — does exactly what it did before instrumentation
 // existed. hints, a cached plan's, size its slabs (an instrumented build
-// takes none).
+// takes none); a borrowed Rows opens the root with reuse (an instrumented
+// build keeps its rows: the word is a permission, never an obligation).
 func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op, hints *executor.SizeHints, text string) error {
 	trace := s.traceOn()
 	if !trace && s.slowMs.Load() < 0 {
 		rows.opened = time.Now()
-		stream, err := executor.OpenCached(ctx, plan, hints)
+		stream, err := executor.OpenCached(ctx, plan, hints, rows.borrowed)
 		if err != nil {
 			return err
 		}
@@ -364,7 +382,7 @@ func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op,
 		stream, root, err = executor.OpenInstrumented(ctx, plan)
 		obs.stats, obs.ectx = root, ctx
 	} else {
-		stream, err = executor.OpenCached(ctx, plan, hints)
+		stream, err = executor.OpenCached(ctx, plan, hints, rows.borrowed)
 	}
 	if err != nil {
 		return err
@@ -376,10 +394,10 @@ func (s *Session) openStream(rows *Rows, ctx *executor.Context, plan algebra.Op,
 
 // openCached opens a stream over a previously planned statement: only the
 // execute stage of the Figure 3 pipeline is paid, the rest reports zero.
-func (s *Session) openCached(e *planCacheEntry, store *storage.Store, args []value.Value, text string) (*Rows, error) {
+func (s *Session) openCached(e *planCacheEntry, store *storage.Store, args []value.Value, text string, borrowed bool) (*Rows, error) {
 	// Copy the decisions so callers appending to Rewrites cannot write into
 	// the shared cache entry (hits may be served concurrently).
-	rows := &Rows{CacheHit: true, Rewrites: slices.Clone(e.decisions)}
+	rows := &Rows{CacheHit: true, Rewrites: slices.Clone(e.decisions), borrowed: borrowed}
 	if err := s.start(rows, store, e.plan, &e.hints, args, text); err != nil {
 		return nil, err
 	}
@@ -443,7 +461,16 @@ func (p *Prepared) Query(args ...value.Value) (*Rows, error) {
 	if err := bindCheck(p.n, args); err != nil {
 		return nil, err
 	}
-	return p.s.query(p.text, p.st, args)
+	return p.s.query(p.text, p.st, args, false)
+}
+
+// QueryBorrowed is Query for a caller that drops each row before the next,
+// as Session.QueryBorrowed.
+func (p *Prepared) QueryBorrowed(args ...value.Value) (*Rows, error) {
+	if err := bindCheck(p.n, args); err != nil {
+		return nil, err
+	}
+	return p.s.query(p.text, p.st, args, true)
 }
 
 // Exec executes the prepared statement with args bound and drains the

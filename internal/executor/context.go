@@ -280,7 +280,8 @@ func Run(ctx *Context, plan algebra.Op) (*Result, error) {
 // iterator is the Volcano operator interface. Next returns (nil, nil) at end
 // of stream. A row it returns is immutable and stays valid for as long as the
 // caller holds it — unless the caller built this input with builder.reuse,
-// promising to drop each row before its next Next.
+// promising to drop each row before its next Next. A statement's root gets
+// the word from the stream's caller (OpenCached).
 type iterator interface {
 	Open(ctx *Context) error
 	Next() (value.Row, error)
@@ -307,10 +308,12 @@ type builder struct {
 	// reuse, set for one build call like emit, is the parent's word that it
 	// drops each row of this input before it asks for the next: an
 	// aggregation's input, the probe input of a join that makes its own rows,
-	// the input of a projection that computes. An operator that makes rows
-	// (projectIter, joinEmit) then fills one row over again; one that hands its
-	// input's rows on (filter, limit, UNION ALL, a projection of leading
-	// columns) passes the word down.
+	// the input of a projection that computes — or, for a statement's root,
+	// the word of the stream's caller: a server encoding each row onto the
+	// wire, a driver copying it into database/sql's dest. An operator that
+	// makes rows (projectIter, joinEmit) then fills one row over again; one
+	// that hands its input's rows on (filter, limit, UNION ALL, a projection
+	// of leading columns) passes the word down.
 	reuse bool
 	// slots hands the operators that drain a whole input their size hints,
 	// in build order; nil for an uncached plan and for a worker's subtree.

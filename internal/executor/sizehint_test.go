@@ -48,7 +48,7 @@ func TestSizeHintCappedByWorkMem(t *testing.T) {
 	open := func(s *storage.Store, workMem int64) *hashJoinIter {
 		ctx := NewContext(s)
 		ctx.Mem = NewMemTracker(workMem, t.TempDir())
-		stream, err := OpenCached(ctx, plan, &hints)
+		stream, err := OpenCached(ctx, plan, &hints, false)
 		if err != nil {
 			t.Fatal(err)
 		}

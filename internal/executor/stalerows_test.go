@@ -146,4 +146,17 @@ func TestBuilderRowLifetime(t *testing.T) {
 	if j := build(join(algebra.JoinLeft, computed(scanT()), computed(scanU()))).(*hashJoinIter); reuses(j) || !reuses(j.left) {
 		t.Error("a root join must keep its rows and still let its probe input reuse")
 	}
+	// A statement's root takes the word of the stream's caller, and only the
+	// root: a sort under it keeps its input whatever the caller says.
+	for _, reuse := range []bool{false, true} {
+		s, err := OpenCached(NewContext(testStore(t)), computed(&algebra.Sort{Input: computed(scanT()), Keys: []algebra.SortKey{{Expr: intCol(0)}}}), nil, reuse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := s.it.(*projectIter)
+		if reuses(root) != reuse || reuses(root.input.(*sortIter).input) {
+			t.Errorf("opened with reuse %v: root reuses %v, sort input reuses %v", reuse, reuses(root), reuses(root.input.(*sortIter).input))
+		}
+		s.Close()
+	}
 }

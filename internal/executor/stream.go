@@ -35,15 +35,18 @@ func (s *Stream) Context() *Context { return s.ctx }
 
 // Open builds the iterator tree for plan and opens it under ctx, returning
 // the live stream. The schema (and thus result columns) is available
-// immediately; rows follow on demand.
+// immediately; rows follow on demand, and the caller may keep every one.
 func Open(ctx *Context, plan algebra.Op) (*Stream, error) {
-	return open(ctx, plan, nil, nil)
+	return open(ctx, plan, nil, nil, false)
 }
 
 // OpenCached is Open for a cached plan: its operators size what they drain
-// their inputs into from h, and record this run in it (nil h: Open).
-func OpenCached(ctx *Context, plan algebra.Op, h *SizeHints) (*Stream, error) {
-	return open(ctx, plan, nil, h)
+// their inputs into from h, and record this run in it (nil h: Open). reuse
+// is the caller's word that it drops each row before its next Next, as
+// builder.reuse is a parent's: the root then refills one row instead of
+// making one per Next. A stream opened with reuse must not be drained.
+func OpenCached(ctx *Context, plan algebra.Op, h *SizeHints, reuse bool) (*Stream, error) {
+	return open(ctx, plan, nil, h, reuse)
 }
 
 // OpenInstrumented is Open with per-operator counters: every concrete
@@ -53,19 +56,21 @@ func OpenCached(ctx *Context, plan algebra.Op, h *SizeHints) (*Stream, error) {
 // SET trace; everything else takes the unwrapped Open path.
 func OpenInstrumented(ctx *Context, plan algebra.Op) (*Stream, *OpStats, error) {
 	sentinel := &OpStats{}
-	s, err := open(ctx, plan, sentinel, nil)
+	s, err := open(ctx, plan, sentinel, nil, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	return s, sentinel.Children[0], nil
 }
 
-// open builds plan under the stats parent (nil = uninstrumented). A statement
-// with a parallelism degree lets the builder graft gathers wherever a subtree
-// is eligible; results are identical either way.
-func open(ctx *Context, plan algebra.Op, parent *OpStats, h *SizeHints) (*Stream, error) {
+// open builds plan under the stats parent (nil = uninstrumented), with the
+// caller's reuse word on the root. A statement with a parallelism degree lets
+// the builder graft gathers wherever a subtree is eligible; results are
+// identical either way. The word is an argument, not a Context field: the
+// Context stays in its size class.
+func open(ctx *Context, plan algebra.Op, parent *OpStats, h *SizeHints, reuse bool) (*Stream, error) {
 	s := &Stream{ctx: ctx, schema: plan.Schema()}
-	b := builder{graft: ctx.Parallel > 1}
+	b := builder{graft: ctx.Parallel > 1, reuse: reuse}
 	if h != nil {
 		s.slots = slotCursor{h: h}
 		b.slots = &s.slots
@@ -92,8 +97,9 @@ func (s *Stream) Rows() int { return s.n }
 // Next returns the next row, or (nil, nil) at end of stream. The first error
 // (including an interrupt or deadline unwind) is sticky and closes the
 // underlying operators; rows alias executor-owned memory and must be treated
-// as immutable, but remain valid after further Next calls (builder.reuse is
-// never set for a statement's root).
+// as immutable. They remain valid after further Next calls unless the stream
+// was opened with reuse: a row is then valid until the next Next, which may
+// refill it.
 func (s *Stream) Next() (value.Row, error) {
 	if s.err != nil || s.closed {
 		return nil, s.err
@@ -142,7 +148,8 @@ func (s *Stream) Close() error {
 // Drain materializes the rest of the stream, enforcing the context's row
 // budget exactly as the materializing Run always has. Execute-style callers
 // use it to keep their fully-buffered semantics on top of the streaming
-// surface.
+// surface; it keeps every row, so the stream must not have been opened with
+// reuse.
 func (s *Stream) Drain() ([]value.Row, error) {
 	var rows []value.Row
 	slot := s.slots.next()

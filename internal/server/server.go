@@ -953,13 +953,15 @@ func (st *connStreams) runExecute(conn *wire.Conn, sess *engine.Session, req wir
 		// client bug. The open portal stays usable.
 		return s.writeError(conn, "a cursor is already open on this connection")
 	}
+	// The portal encodes each row into its batch and drops it, so rows are
+	// borrowed: the plan's root refills one row.
 	var open func() (*engine.Rows, error)
 	if req.Name == "" {
 		// An inline statement opens through the session's plan cache: a
 		// repeated one-shot statement parses only on a miss.
-		open = func() (*engine.Rows, error) { return sess.Query(req.SQL, req.Args...) }
+		open = func() (*engine.Rows, error) { return sess.QueryBorrowed(req.SQL, req.Args...) }
 	} else if prep := st.stmts[req.Name]; prep != nil {
-		open = func() (*engine.Rows, error) { return prep.Query(req.Args...) }
+		open = func() (*engine.Rows, error) { return prep.QueryBorrowed(req.Args...) }
 	} else {
 		return s.writeError(conn, fmt.Sprintf("unknown prepared statement %q", req.Name))
 	}

@@ -23,6 +23,72 @@ type Client struct {
 	// before the next request.
 	cursor *Cursor
 	broken error
+	// batch holds the rows of the last batch a borrowed or closing cursor
+	// read: one value buffer and one row-header slice, refilled per frame.
+	batch batchBuf
+}
+
+// batchBuf is the value.RowSource of the batches a borrowed cursor reads and
+// a closing cursor discards: rows are cut from one value buffer, rewound for
+// every frame, so a connection that drops each row allocates no row memory
+// once the buffer has grown to its largest batch.
+type batchBuf struct {
+	vals []value.Value
+	used int
+	rows []value.Row // the row headers of the last batch
+}
+
+// New implements value.RowSource. A batch outgrowing the buffer moves on to
+// one twice the size; the rows cut before stay where they are.
+func (b *batchBuf) New(n int) value.Row {
+	if b.used+n > len(b.vals) {
+		b.vals = make([]value.Value, max(2*len(b.vals), n, 256))
+		b.used = 0
+	}
+	row := b.vals[b.used : b.used+n : b.used+n]
+	b.used += n
+	return row
+}
+
+// decode reads a RowBatch payload into the buffer, overwriting the batch
+// before it: its rows are valid until the next decode.
+func (b *batchBuf) decode(payload []byte) ([]value.Row, error) {
+	if poisonStaleRows {
+		// Every row of the batch before is overwritten and none of its memory
+		// is used again, so a row kept past its batch reads as stale.
+		for _, row := range b.rows {
+			poison(row)
+		}
+		*b = batchBuf{}
+	}
+	// As the connection's read buffer: once the kept capacity dwarfs what the
+	// last batch used, one outlier batch stops pinning it.
+	const shrinkValues = 4096
+	if len(b.vals) > shrinkValues && b.used < len(b.vals)/8 {
+		b.vals, b.rows = nil, nil
+	}
+	b.used = 0
+	rows, err := decodeRowBatch(payload, b, b.rows[:0])
+	if err != nil {
+		return nil, err
+	}
+	b.rows = rows
+	return rows, nil
+}
+
+// poisonStaleRows is a test hook, as the executor's: a borrowed cursor
+// overwrites each row it handed out with staleRow once the next is asked for,
+// so a caller that keeps a borrowed row fails loudly instead of passing by
+// luck. Builds with -tags stalerows set it.
+var (
+	poisonStaleRows bool
+	staleRow        = value.NewString("<stale row>")
+)
+
+func poison(row value.Row) {
+	for i := range row {
+		row[i] = staleRow
+	}
 }
 
 // Dial connects, performs the handshake, and returns a ready client.
@@ -395,7 +461,22 @@ func (c *Client) awaitCloseOK() error {
 // the client. fetchSize <= 0 streams the whole result without suspending:
 // the cursor still holds one batch at a time, and a client that stops
 // reading pushes back through TCP until the server's write deadline.
+//
+// The cursor's rows are kept: each stays valid for as long as the caller
+// holds it. ExecuteBorrowed is the cursor for a caller that drops them.
 func (c *Client) Execute(name, sqlText string, args []value.Value, fetchSize int) (*Cursor, error) {
+	return c.execute(name, sqlText, args, fetchSize, false)
+}
+
+// ExecuteBorrowed is Execute for a caller that drops each row before it asks
+// for the next, as the driver does once it has copied the row into
+// database/sql's dest: a row is valid until the next Next or Close, and
+// batches decode into a buffer the connection reuses.
+func (c *Client) ExecuteBorrowed(name, sqlText string, args []value.Value, fetchSize int) (*Cursor, error) {
+	return c.execute(name, sqlText, args, fetchSize, true)
+}
+
+func (c *Client) execute(name, sqlText string, args []value.Value, fetchSize int, borrowed bool) (*Cursor, error) {
 	if err := c.ready(); err != nil {
 		return nil, err
 	}
@@ -406,7 +487,7 @@ func (c *Client) Execute(name, sqlText string, args []value.Value, fetchSize int
 	if err := c.request(MsgExecute, req.Encode(nil)); err != nil {
 		return nil, err
 	}
-	cur := &Cursor{c: c, fetchSize: req.FetchSize}
+	cur := &Cursor{c: c, fetchSize: req.FetchSize, borrowed: borrowed}
 	c.cursor = cur
 	for cur.state == cursorReading && len(cur.pending) == 0 {
 		cur.readFrame()
@@ -421,9 +502,10 @@ func (c *Client) Execute(name, sqlText string, args []value.Value, fetchSize int
 
 // ExecuteDrain executes a named prepared statement (or, with name empty,
 // the one-shot sqlText) with args bound and discards its rows a frame at a
-// time, returning the completion — what the driver's ExecContext runs.
+// time, returning the completion — what the driver's ExecContext runs. The
+// discarded batches are still checked, into the connection's reused buffer.
 func (c *Client) ExecuteDrain(name, sqlText string, args []value.Value) (Complete, error) {
-	cur, err := c.Execute(name, sqlText, args, 0)
+	cur, err := c.execute(name, sqlText, args, 0, true)
 	if err != nil {
 		return Complete{}, err
 	}
@@ -435,6 +517,12 @@ func (c *Client) ExecuteDrain(name, sqlText string, args []value.Value) (Complet
 
 // Cursor is a statement's result, read one frame at a time. Desc is valid
 // after Execute; Complete once the cursor finishes.
+//
+// A kept cursor (Execute) hands out rows of their own, valid for as long as
+// the caller holds them, the prefix before a mid-stream error included. A
+// borrowed cursor (ExecuteBorrowed) hands out rows of the connection's batch
+// buffer, valid until the next Next or Close. Either way a batch is checked
+// whole before its first row is handed out.
 type Cursor struct {
 	c         *Client
 	Desc      RowDesc
@@ -444,7 +532,10 @@ type Cursor struct {
 	pending []value.Row
 	pos     int
 	state   cursorState
-	err     error
+	// borrowed: batches decode into c.batch (ExecuteBorrowed, and any cursor
+	// once it is closing and only drops what is left).
+	borrowed bool
+	err      error
 }
 
 type cursorState uint8
@@ -464,7 +555,11 @@ func (cur *Cursor) readFrame() {
 		case MsgRowDesc:
 			cur.Desc, err = DecodeRowDesc(body)
 		case MsgRowBatch:
-			cur.pending, err = DecodeRowBatch(body)
+			if cur.borrowed {
+				cur.pending, err = cur.c.batch.decode(body)
+			} else {
+				cur.pending, err = DecodeRowBatch(body)
+			}
 			cur.pos = 0
 		case MsgSuspended:
 			cur.state = cursorSuspended
@@ -500,6 +595,9 @@ func (cur *Cursor) finish(err error) {
 // suspended the portal, asking for the next batch — as the rows in hand run
 // out; (nil, nil) means end of result.
 func (cur *Cursor) Next() (value.Row, error) {
+	if poisonStaleRows && cur.borrowed && cur.pos > 0 {
+		poison(cur.pending[cur.pos-1])
+	}
 	for {
 		if cur.pos < len(cur.pending) {
 			row := cur.pending[cur.pos]
@@ -525,6 +623,9 @@ func (cur *Cursor) Next() (value.Row, error) {
 // open is closed with one round trip. After Close the connection is ready
 // for the next request.
 func (cur *Cursor) Close() error {
+	// What is left is read only to be dropped: rows already handed out by
+	// a kept cursor are not in the buffer, so any cursor may borrow now.
+	cur.borrowed = true
 	for cur.state == cursorReading {
 		cur.readFrame()
 	}

@@ -140,3 +140,111 @@ func TestCursorReadsOneFrameAtATime(t *testing.T) {
 		t.Fatalf("peer: %v", err)
 	}
 }
+
+// TestBorrowedAndDiscardedBatchesReuseOneBuffer: a borrowed cursor and a
+// closing one decode every batch into the connection's one buffer, a kept
+// cursor's rows survive its Close, and a damaged batch is refused even when
+// it is only being discarded.
+func TestBorrowedAndDiscardedBatchesReuseOneBuffer(t *testing.T) {
+	const batches, perBatch = 6, 5
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	c := &Client{nc: a, conn: NewConn(a)}
+	srv := NewConn(b)
+	batch := func(i int) []byte {
+		rows := make([]value.Row, perBatch)
+		for j := range rows {
+			n := int64(i*perBatch + j)
+			rows[j] = value.Row{value.NewInt(n), value.NewString(fmt.Sprint("v", n))}
+		}
+		return AppendRowBatch(nil, rows)
+	}
+	// respond answers one Execute with every batch, the one at damaged (if
+	// any) cut short.
+	respond := func(damaged int) error {
+		if typ, _, err := srv.ReadMessage(); err != nil || typ != MsgExecute {
+			return fmt.Errorf("peer got %q, %v; want Execute", typ, err)
+		}
+		for i := 0; i < batches; i++ {
+			p := batch(i)
+			if i == damaged {
+				p = p[:len(p)-1]
+			}
+			if err := srv.WriteMessage(MsgRowBatch, p); err != nil {
+				return err
+			}
+		}
+		if err := srv.WriteMessage(MsgComplete, Complete{Tag: "SELECT"}.Encode(nil)); err != nil {
+			return err
+		}
+		return srv.Flush()
+	}
+	srvErr := make(chan error, 1)
+	go func() {
+		var err error
+		for _, damaged := range []int{-1, -1, 3} {
+			if err == nil {
+				err = respond(damaged)
+			}
+		}
+		srvErr <- err
+	}()
+
+	// Borrowed: every row is right while it is in hand, and every batch after
+	// the first lands in the buffer the first one grew.
+	cur, err := c.ExecuteBorrowed("", "SELECT", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := &c.batch.vals[0]
+	for want := int64(0); ; want++ {
+		row, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row == nil {
+			if want != batches*perBatch {
+				t.Fatalf("%d rows, want %d", want, batches*perBatch)
+			}
+			break
+		}
+		if row[0].Int() != want || row[1].Str() != fmt.Sprint("v", want) {
+			t.Fatalf("row %d = %v", want, row)
+		}
+		if !poisonStaleRows && &c.batch.vals[0] != buf {
+			t.Fatalf("row %d: the batch buffer moved", want)
+		}
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Kept, closed after one row: the rest is discarded into the buffer, and
+	// the row in hand is untouched.
+	cur, err = c.Execute("", "SELECT", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := cur.Next()
+	if err != nil || first == nil {
+		t.Fatalf("first row: %v, %v", first, err)
+	}
+	if err := cur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if first[0].Int() != 0 || first[1].Str() != "v0" {
+		t.Fatalf("kept row after Close = %v", first)
+	}
+	if !poisonStaleRows && &c.batch.vals[0] != buf {
+		t.Fatal("Close decoded the discarded batches outside the buffer")
+	}
+
+	// Discarded, with a damaged batch: refused, and the connection is lost.
+	if _, err := c.ExecuteDrain("", "SELECT", nil); err == nil || c.Broken() == nil {
+		t.Fatalf("ExecuteDrain over a damaged batch: %v, broken %v", err, c.Broken())
+	}
+	if err := <-srvErr; err != nil {
+		t.Fatalf("peer: %v", err)
+	}
+}

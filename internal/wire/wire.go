@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"perm/internal/value"
@@ -454,12 +455,15 @@ func (r *Reader) Value() value.Value {
 	return v
 }
 
-// Row reads a column-count-prefixed tuple (value.DecodeRow).
-func (r *Reader) Row() value.Row {
+// Row reads a column-count-prefixed tuple (value.DecodeRow) into a fresh row.
+func (r *Reader) Row() value.Row { return r.RowFrom(&r.alloc) }
+
+// RowFrom is Row with the row's memory from src.
+func (r *Reader) RowFrom(src value.RowSource) value.Row {
 	if r.err != nil {
 		return nil
 	}
-	row, rest, err := value.DecodeRow(&r.alloc, r.buf[r.pos:])
+	row, rest, err := value.DecodeRow(src, r.buf[r.pos:])
 	if err != nil {
 		r.fail("row")
 		return nil
@@ -632,7 +636,18 @@ func AppendRowBatch(dst []byte, rows []value.Row) []byte {
 // DecodeRowBatch parses a RowBatch payload. Row memory is freshly allocated
 // (strings copy out of the frame buffer), so the rows outlive the next read.
 func DecodeRowBatch(payload []byte) ([]value.Row, error) {
+	return decodeRowBatch(payload, nil, nil)
+}
+
+// decodeRowBatch is the one row-batch decode loop: it appends the payload's
+// rows to rows, their memory from src (nil: fresh rows, as DecodeRowBatch
+// returns). Nothing is returned until the whole payload has decoded: a
+// damaged batch yields an error and no rows.
+func decodeRowBatch(payload []byte, src value.RowSource, rows []value.Row) ([]value.Row, error) {
 	r := NewReader(payload)
+	if src == nil {
+		src = &r.alloc
+	}
 	n := r.Uvarint()
 	// Each row costs at least one payload byte (its arity prefix).
 	if r.Err() == nil && n > uint64(r.Remaining()) {
@@ -641,14 +656,17 @@ func DecodeRowBatch(payload []byte) ([]value.Row, error) {
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	rows := make([]value.Row, 0, n)
+	rows = slices.Grow(rows, int(n))
 	for i := uint64(0); i < n; i++ {
-		rows = append(rows, r.Row())
+		rows = append(rows, r.RowFrom(src))
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
 	}
-	return rows, r.Done()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // Subscribe turns the connection into a replication stream of the server's
