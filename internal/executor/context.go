@@ -23,7 +23,7 @@ var ErrInterrupted = errors.New("executor: query interrupted")
 // rows for correlated evaluation, and the cache for uncorrelated subplans.
 type Context struct {
 	Store *storage.Store
-	// SnapLSN is the statement's pinned snapshot position: scans materialize
+	// SnapLSN is the statement's pinned snapshot position: scans read
 	// exactly the row versions visible at it, however many writers commit
 	// while the statement runs. Zero means "the store's current visible
 	// LSN" (detached/test contexts that never pinned).
@@ -108,20 +108,20 @@ func (c *Context) Release() {
 	}
 }
 
-// TableRows resolves the named table and returns the rows this statement
-// sees: the open transaction's read-your-writes view when one is active,
-// otherwise the versions visible at the pinned snapshot LSN. Every scan
-// must come through here — a scan that read the live table directly would
-// observe concurrent writers mid-statement.
-func (c *Context) TableRows(name string) ([]value.Row, error) {
+// Scan resolves the named table and opens a cursor over the rows this
+// statement sees: the open transaction's read-your-writes view when one is
+// active, otherwise the versions visible at the pinned snapshot LSN. Every
+// scan must come through here — a scan that read the live table directly
+// would observe concurrent writers mid-statement.
+func (c *Context) Scan(name string) (storage.Cursor, error) {
 	t := c.Store.Table(name)
 	if t == nil {
-		return nil, fmt.Errorf("executor: table %q does not exist", name)
+		return storage.Cursor{}, fmt.Errorf("executor: table %q does not exist", name)
 	}
 	if c.Txn != nil {
-		return c.Txn.TableRows(t), nil
+		return c.Txn.Scan(t), nil
 	}
-	return t.SnapshotAt(c.SnapLSN), nil
+	return t.Scan(c.SnapLSN), nil
 }
 
 // tick is the cancellation poll for loops that can spin without producing a
@@ -385,11 +385,11 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 	switch o := op.(type) {
 	case *algebra.Scan:
 		if b.part != nil {
-			it = &scanIter{rows: b.part.leaf}
+			it = &scanIter{cur: b.part.leaf}
 		} else {
 			it = &scanIter{op: o}
 			if o.RowID {
-				it.(*scanIter).maker = &rowMaker{reuse: reuse}
+				it.(*scanIter).rowid = &rowIDs{maker: rowMaker{reuse: reuse}}
 			}
 		}
 	case *algebra.Modify:
@@ -433,7 +433,7 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		left := input(o.Left, true)
 		var right iterator
 		if b.part != nil {
-			right = &scanIter{rows: b.part.right}
+			right = &rowsIter{rows: b.part.right}
 		} else {
 			right = input(o.Right, false)
 		}

@@ -13,46 +13,52 @@ import (
 
 // --- Scan ----------------------------------------------------------------------
 
-// scanIter iterates a table's rows or, with no op, rows resolved beforehand:
-// a worker's contiguous partition of the coordinator's snapshot, the shared
-// materialized build side of a parallel join. A RowID scan extends each
-// row by its position, its storage.Pick ID, into a row from maker.
+// scanIter walks a table's rows in place with a storage cursor: the row
+// versions visible at the statement's pinned snapshot (or its transaction's
+// view), straight from the table's heap, with no lock and no copy. With no
+// op it reads a worker's slot range of the coordinator's cursor, once. A
+// RowID scan extends each row by its position, its storage.Pick ID.
 type scanIter struct {
 	op    *algebra.Scan
-	rows  []value.Row
-	pos   int
-	maker *rowMaker // RowID scans only: a scan stays in its 48-byte size class
+	cur   storage.Cursor
+	rowid *rowIDs // RowID scans only: a scan stays in its 64-byte size class
+}
+
+// rowIDs numbers a RowID scan's rows into rows from maker.
+type rowIDs struct {
+	maker rowMaker
+	n     int64
 }
 
 func (s *scanIter) Open(ctx *Context) (err error) {
-	// The context resolves the rows visible to THIS statement: the versions
-	// at its pinned snapshot LSN (or its transaction's read-your-writes
-	// view). Steady-state reads alias the table's shared materialized view
-	// without copying; the rows themselves are immutable and downstream
+	// The rows are immutable and shared with every other reader: downstream
 	// operators must never write into them.
 	if s.op != nil {
-		s.rows, err = ctx.TableRows(s.op.Table)
+		s.cur, err = ctx.Scan(s.op.Table)
 	}
-	s.pos = 0
+	if s.rowid != nil {
+		s.rowid.n = 0
+	}
 	return err
 }
 
 func (s *scanIter) Next() (value.Row, error) {
-	if s.pos >= len(s.rows) {
-		return nil, nil
+	row := s.cur.Head()
+	if row == nil {
+		row = s.cur.Next()
 	}
-	row := s.rows[s.pos]
-	if s.op != nil && s.op.RowID {
-		row = s.maker.New(len(row) + 1)
-		row[copy(row, s.rows[s.pos])] = value.NewInt(int64(s.pos))
+	if row == nil || s.rowid == nil {
+		return row, nil
 	}
-	s.pos++
-	return row, nil
+	out := s.rowid.maker.New(len(row) + 1)
+	out[copy(out, row)] = value.NewInt(s.rowid.n)
+	s.rowid.n++
+	return out, nil
 }
 
 func (s *scanIter) Close() error {
 	if s.op != nil {
-		s.rows = nil
+		s.cur = storage.Cursor{}
 	}
 	return nil
 }

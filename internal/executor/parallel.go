@@ -6,15 +6,17 @@ import (
 	"time"
 
 	"perm/internal/algebra"
+	"perm/internal/storage"
 	"perm/internal/value"
 )
 
 // Intra-query parallelism is a property of the one executor, not a second set
 // of operators. The builder (context.go) wraps every subtree that can run
 // partition-wise — together with its ordinary serial iterator — in a
-// gatherIter. At Open the gather cuts the base scan's rows, as this statement
-// sees them, into ctx.Parallel contiguous ranges and runs the same subtree,
-// built by the same builder, once per range on a worker goroutine:
+// gatherIter. At Open the gather opens one cursor over the base table as this
+// statement sees it, cuts it into ctx.Parallel contiguous slot ranges of the
+// one heap it pinned, and runs the same subtree, built by the same builder,
+// once per range on a worker goroutine:
 //
 //   - A Scan/Select/Project chain. Workers stream their range through the
 //     chain; the coordinator concatenates worker outputs in worker order,
@@ -54,8 +56,9 @@ const (
 	parallelBatchRows = 128
 	// parallelQueueLen bounds each worker's exchange queue, in batches.
 	parallelQueueLen = 8
-	// minParallelRows is the smallest scan worth fanning out; below it the
-	// goroutine and channel overhead outweighs any per-row work.
+	// minParallelRows is the smallest scan worth fanning out, in cursor
+	// positions (slots, dead ones included, and a transaction's inserts);
+	// below it the goroutine and channel overhead outweighs any per-row work.
 	minParallelRows = 2048
 )
 
@@ -68,7 +71,7 @@ var errParallelOverflow = errors.New("executor: parallel operator over memory bu
 
 // fanOutLeaf returns the base scan to partition when op's subtree can run
 // partition-wise, or nil. A bare scan partitions fine but gains nothing:
-// moving rows through the exchange costs more than the slice iteration it
+// moving rows through the exchange costs more than the heap walk it
 // replaces.
 func fanOutLeaf(op algebra.Op) *algebra.Scan {
 	switch o := op.(type) {
@@ -170,8 +173,8 @@ func parAggEligible(o *algebra.Agg) bool {
 // partition is what one worker's subtree runs over in place of the plan's
 // own inputs, and where a partial aggregation leaves its result.
 type partition struct {
-	// leaf is the worker's contiguous range of the base scan's rows.
-	leaf []value.Row
+	// leaf is the worker's contiguous slot range of the base scan's cursor.
+	leaf storage.Cursor
 	// right is a join's build side, materialized once by the coordinator and
 	// shared read-only by every worker.
 	right []value.Row
@@ -181,16 +184,23 @@ type partition struct {
 	states []aggState
 }
 
-// splitRows cuts rows into deg contiguous partitions (the last may be short;
-// trailing partitions may be empty when deg > len).
-func splitRows(rows []value.Row, deg int) [][]value.Row {
-	parts := make([][]value.Row, deg)
-	per := (len(rows) + deg - 1) / deg
-	for w := range parts {
-		parts[w] = rows[min(w*per, len(rows)):min((w+1)*per, len(rows))]
-	}
-	return parts
+// rowsIter replays a worker's shared build side.
+type rowsIter struct {
+	rows []value.Row
+	pos  int
 }
+
+func (r *rowsIter) Open(*Context) error { r.pos = 0; return nil }
+
+func (r *rowsIter) Next() (value.Row, error) {
+	if r.pos >= len(r.rows) {
+		return nil, nil
+	}
+	r.pos++
+	return r.rows[r.pos-1], nil
+}
+
+func (r *rowsIter) Close() error { return nil }
 
 // parBatch is one exchange message: a batch of rows, a terminal error, or the
 // worker's end-of-stream marker.
@@ -387,18 +397,18 @@ func (g *gatherIter) Open(ctx *Context) error {
 
 // partitions makes the degree decision for one Open and cuts the base scan
 // accordingly; nil means run serial.
-func (g *gatherIter) partitions(ctx *Context) ([][]value.Row, error) {
+func (g *gatherIter) partitions(ctx *Context) ([]storage.Cursor, error) {
 	if ctx.Parallel < 2 || ctx.RowBudget != 0 {
 		return nil, nil
 	}
-	// The rows THIS statement sees — its pinned snapshot, or its
-	// transaction's read-your-writes view — resolved once: workers never look
-	// at the table themselves, so every partition is cut from the same rows.
-	rows, err := ctx.TableRows(g.leaf.Table)
-	if err != nil || len(rows) < minParallelRows {
+	// One cursor over the rows THIS statement sees — its pinned snapshot, or
+	// its transaction's read-your-writes view — cut into slot ranges of the
+	// one heap it pinned: workers never look at the table themselves.
+	cur, err := ctx.Scan(g.leaf.Table)
+	if err != nil || cur.Len() < minParallelRows {
 		return nil, err
 	}
-	return splitRows(rows, int(ctx.Parallel)), nil
+	return cur.Split(int(ctx.Parallel)), nil
 }
 
 // fanOut launches one worker per range, each running op's subtree from the
@@ -406,7 +416,7 @@ func (g *gatherIter) partitions(ctx *Context) ([][]value.Row, error) {
 // compiles its own expressions: compiled closures carry scratch state and are
 // not goroutine-safe to share. errParallelOverflow means state that must stay
 // resident does not fit work_mem and the serial iterator should run instead.
-func (g *gatherIter) fanOut(ctx *Context, ranges [][]value.Row) error {
+func (g *gatherIter) fanOut(ctx *Context, ranges []storage.Cursor) error {
 	var shared []value.Row
 	if g.right != nil {
 		var err error

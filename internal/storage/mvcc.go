@@ -1,30 +1,27 @@
 package storage
 
 import (
+	"sync/atomic"
+
 	"perm/internal/value"
 )
 
 // This file is the multi-version half of the storage engine: row versions,
-// snapshot visibility, snapshot pinning, and the version vacuum. Versions
-// are created on two write paths: a primary's DML, every statement of which
-// is a transaction decided and committed in txn.go, and the apply path
-// (Store.ApplyChange in storage.go), which replays change records from a
-// primary's feed, the WAL or a snapshot. Both stamp through Table.apply;
-// everything here is about reading versions consistently and reclaiming
-// them safely.
+// the heap that holds them, the cursor that reads them at a snapshot,
+// snapshot pinning, and the version vacuum. Versions are stamped through
+// Table.apply (storage.go) by transactions (txn.go) and the apply path.
 
-// rowVersion is one version of one row. A table slot points at the newest
-// version; older versions hang off next, newest first. created is the LSN of
-// the change that produced the version (0 = loaded from a snapshot, visible
-// to everyone); deleted is the LSN of the change that superseded or removed
-// it (0 = live). Fields are stamped under the owning table's mu (exclusive)
-// and read either under mu (readers) or under the table's writeMu (writers,
-// which excludes all stamping), so none of them need atomics.
+// rowVersion is one version of one row. A heap slot points at the newest
+// version; older ones hang off next, newest first. created is the LSN of the
+// change that produced the version (0 = loaded from a snapshot) and row its
+// image: both are immutable once published. deleted is the LSN of the change
+// that superseded or removed it (0 = live). Writers stamp deleted and vacuum
+// cuts next under writeMu while readers load them with no lock: atomics.
 type rowVersion struct {
 	row     value.Row
 	created uint64
-	deleted uint64
-	next    *rowVersion
+	deleted atomic.Uint64
+	next    atomic.Pointer[rowVersion]
 }
 
 // visibleAt returns the version of this slot's row visible at snapshot LSN
@@ -32,11 +29,11 @@ type rowVersion struct {
 // newest-first and created LSNs decrease along it, so the first version old
 // enough decides: it is visible unless a change at or before snap deleted it.
 func (v *rowVersion) visibleAt(snap uint64) *rowVersion {
-	for w := v; w != nil; w = w.next {
+	for w := v; w != nil; w = w.next.Load() {
 		if w.created > snap {
 			continue
 		}
-		if w.deleted != 0 && w.deleted <= snap {
+		if d := w.deleted.Load(); d != 0 && d <= snap {
 			return nil
 		}
 		return w
@@ -44,74 +41,178 @@ func (v *rowVersion) visibleAt(snap uint64) *rowVersion {
 	return nil
 }
 
-// matRows is one materialized read view of a table, cached on the table and
-// shared zero-copy by every reader whose snapshot it matches. mod is the
-// table's lastMod LSN at materialization time: any snapshot at or past it
-// sees exactly these rows, because nothing in the table changed after mod.
-type matRows struct {
-	mod  uint64
-	rows []value.Row
+// chunkSlots is the number of slots in one heap chunk.
+const chunkSlots = 512
+
+// chunk is a fixed run of heap slots.
+type chunk [chunkSlots]atomic.Pointer[rowVersion]
+
+// heap is one published list of a table's slots: slot i is
+// chunks[i/chunkSlots][i%chunkSlots], and slots [0, n) are in use. Writers,
+// under writeMu, fill the tail chunk and then advance n; a full tail, or a
+// vacuum that drops slots, publishes a new heap, and a reader that loaded
+// this one finishes on it. Chunks are never compacted in place.
+type heap struct {
+	chunks []*chunk
+	n      atomic.Int64
 }
 
-// SnapshotAt materializes the rows visible at snapshot LSN snap, in slot
-// (insertion) order — updated rows keep their position, exactly as the
-// pre-MVCC in-place heap ordered them. snap == 0 means "now": the store's
-// current visible LSN. The returned slice and its rows are immutable and may
-// be shared between callers; a steady-state read (no write to this table
-// since the snapshot) is served from the table's materialization cache
-// without copying anything.
-func (t *Table) SnapshotAt(snap uint64) []value.Row {
-	t.mu.RLock()
+func (h *heap) slot(i int) *atomic.Pointer[rowVersion] {
+	return &h.chunks[uint(i)/chunkSlots][uint(i)%chunkSlots]
+}
+
+// push installs v in the next free slot and returns the heap that holds it:
+// h, or when h is full a new heap with one more chunk, for the caller to
+// publish. Callers hold writeMu.
+func (h *heap) push(v *rowVersion) *heap {
+	n := int(h.n.Load())
+	if n == len(h.chunks)*chunkSlots {
+		grown := &heap{chunks: append(h.chunks[:len(h.chunks):len(h.chunks)], new(chunk))}
+		grown.n.Store(int64(n))
+		h = grown
+	}
+	h.slot(n).Store(v)
+	h.n.Store(int64(n + 1))
+	return h
+}
+
+// Cursor yields the rows one reader sees, in slot order, from the heap it
+// loaded when it opened: the versions visible at its snapshot LSN in its
+// range of positions, with no lock and no copy. A transaction's cursor
+// overlays its buffered updates and deletes, and its positions from n on are
+// its buffered inserts. Split cuts a cursor into contiguous ranges.
+type Cursor struct {
+	h        *heap
+	snap     uint64
+	pos, end int
+	n        int       // slots of h covered; later positions index tt.ins
+	tt       *txnTable // the transaction's buffered writes; nil when none
+}
+
+// Scan opens a cursor over the rows visible at snapshot LSN snap (0 = the
+// store's visible position now). The caller keeps snap pinned while it reads,
+// so vacuum leaves the versions it can see in place.
+func (t *Table) Scan(snap uint64) Cursor {
 	if snap == 0 {
 		snap = t.store.visible.Load()
 	}
-	current := t.lastMod <= snap
-	if current {
-		if c := t.cache.Load(); c != nil && c.mod == t.lastMod {
-			t.mu.RUnlock()
-			return c.rows
+	h := t.heap.Load()
+	n := int(h.n.Load())
+	return Cursor{h: h, snap: snap, end: n, n: n}
+}
+
+// Next returns the next row, or nil at the end of the range. Rows are
+// immutable and may be shared.
+func (c *Cursor) Next() value.Row {
+	if row := c.Head(); row != nil {
+		return row
+	}
+	tg, _ := c.next()
+	return tg.row
+}
+
+// Head returns the next row when it is its slot's newest version, visible
+// and live, and the cursor has no overlay — nearly every row of a scan — and
+// nil otherwise, leaving the rest to Next. It is small enough to inline into
+// a scan's loop, which a call per row measurably slows.
+func (c *Cursor) Head() value.Row {
+	if c.pos < c.end && c.tt == nil {
+		if w := c.h.slot(c.pos).Load(); w.created <= c.snap && w.deleted.Load() == 0 {
+			c.pos++
+			return w.row
 		}
 	}
-	out := make([]value.Row, 0, len(t.slots))
-	for _, v := range t.slots {
-		if w := v.visibleAt(snap); w != nil {
-			out = append(out, w.row)
+	return nil
+}
+
+// next returns the next row with the version it was read from and its slot
+// (for a buffered insert: no version, and its index in tt.ins).
+func (c *Cursor) next() (target, bool) {
+	for c.pos < c.end {
+		i := c.pos
+		c.pos++
+		if i >= c.n {
+			if r := c.tt.ins[i-c.n]; r != nil {
+				return target{slot: i - c.n, row: r}, true
+			}
+			continue
+		}
+		w := c.h.slot(i).Load().visibleAt(c.snap)
+		if w == nil {
+			continue
+		}
+		tg := target{v: w, slot: i, row: w.row}
+		if c.tt != nil {
+			if m, ok := c.tt.mods[w]; ok {
+				tg.row = m.row
+			}
+		}
+		if tg.row != nil {
+			return tg, true
 		}
 	}
-	mod := t.lastMod
-	t.mu.RUnlock()
-	if current {
-		t.cache.Store(&matRows{mod: mod, rows: out})
+	return target{}, false
+}
+
+// Len is the number of positions left in the cursor's range: an upper bound
+// on the rows it yields.
+func (c *Cursor) Len() int { return c.end - c.pos }
+
+// Split cuts the cursor's range into deg contiguous cursors in order (the
+// last may be short; trailing ones may be empty when deg > Len).
+func (c Cursor) Split(deg int) []Cursor {
+	parts := make([]Cursor, deg)
+	per := (c.Len() + deg - 1) / deg
+	for w := range parts {
+		parts[w] = c
+		parts[w].pos = min(c.pos+w*per, c.end)
+		parts[w].end = min(c.pos+(w+1)*per, c.end)
+	}
+	return parts
+}
+
+// Snapshot returns a copy of the rows currently visible, in slot order. The
+// engine never calls it: its readers walk a Cursor.
+func (t *Table) Snapshot() []value.Row {
+	snap := t.store.PinSnapshot()
+	defer t.store.UnpinSnapshot(snap)
+	c := t.Scan(snap)
+	out := make([]value.Row, 0, c.Len())
+	for r := c.Next(); r != nil; r = c.Next() {
+		out = append(out, r)
 	}
 	return out
 }
 
-// Snapshot returns the rows currently visible — SnapshotAt at the store's
-// visible position. Kept as the zero-argument form the executor, ANALYZE and
-// persistence always used; the aliasing contract is unchanged (callers must
-// treat the slice and its rows as read-only).
-func (t *Table) Snapshot() []value.Row {
-	return t.SnapshotAt(0)
-}
-
-// RowCount returns the number of rows currently visible, materializing
-// them (the reads after an engine write find them cached).
+// RowCount returns the number of rows currently visible.
 func (t *Table) RowCount() int {
-	return len(t.SnapshotAt(0))
+	snap := t.store.PinSnapshot()
+	defer t.store.UnpinSnapshot(snap)
+	n, c := 0, t.Scan(snap)
+	for c.Next() != nil {
+		n++
+	}
+	return n
 }
 
-// VersionCount reports live slots and total resident versions (diagnostics:
-// SHOW mvcc_status sums it across tables).
+// VersionCount reports the slots in use and the versions resident in them
+// (diagnostics: SHOW mvcc_status sums it across tables).
 func (t *Table) VersionCount() (slots, versions int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	slots = len(t.slots)
-	for _, v := range t.slots {
-		for w := v; w != nil; w = w.next {
-			versions++
-		}
+	h := t.heap.Load()
+	slots = int(h.n.Load())
+	for i := 0; i < slots; i++ {
+		versions += chainLen(h.slot(i).Load())
 	}
 	return slots, versions
+}
+
+// chainLen counts the versions from v down its chain.
+func chainLen(v *rowVersion) int {
+	n := 0
+	for ; v != nil; v = v.next.Load() {
+		n++
+	}
+	return n
 }
 
 // --- snapshot pinning -----------------------------------------------------------
@@ -124,9 +225,6 @@ func (t *Table) VersionCount() (slots, versions int) {
 func (s *Store) PinSnapshot() uint64 {
 	s.pinMu.Lock()
 	lsn := s.visible.Load()
-	if s.pins == nil {
-		s.pins = make(map[uint64]int)
-	}
 	s.pins[lsn]++
 	s.pinMu.Unlock()
 	return lsn
@@ -144,9 +242,7 @@ func (s *Store) UnpinSnapshot(lsn uint64) {
 }
 
 // snapshotHorizon is the oldest snapshot any reader may still be using: the
-// minimum pinned LSN, or the current visible position when nothing is
-// pinned. Versions dead at or before the horizon are unreachable by every
-// present and future reader and may be vacuumed.
+// minimum pinned LSN, or the visible position when nothing is pinned.
 func (s *Store) snapshotHorizon() uint64 {
 	s.pinMu.Lock()
 	defer s.pinMu.Unlock()
@@ -174,26 +270,17 @@ func (s *Store) PinnedSnapshots() int {
 
 // Vacuum reclaims row versions no reader can see anymore: for every table it
 // drops slots whose newest version was deleted at or before the snapshot
-// horizon, and trims version chains below the newest version the horizon can
-// still reach. It returns the number of versions removed. Vacuum never
-// blocks readers for longer than one table's slot walk and takes each
-// table's writer lock in turn, so it interleaves with normal DML.
-//
-// Version structs themselves are never copied or reused — an open
-// transaction holds pointers to the versions it read, and commit-time
-// conflict validation depends on those identities staying meaningful. The
-// kept slots keep their order, so a slot only ever moves down: validation
-// looks for a version from the slot it was read in downwards.
+// horizon, and trims chains below the newest version the horizon can reach.
+// It returns the number of versions removed. It takes each table's writer
+// lock in turn and never blocks a reader: dropping slots publishes a
+// compacted heap of fresh chunks, and a reader on the old one finishes on it.
+// Versions are never copied (an open transaction's conflict validation
+// holds their identities), and kept slots keep their order, so a slot only
+// ever moves down.
 func (s *Store) Vacuum() int {
 	h := s.snapshotHorizon()
-	s.mu.RLock()
-	tables := make([]*Table, 0, len(s.tables))
-	for _, t := range s.tables {
-		tables = append(tables, t)
-	}
-	s.mu.RUnlock()
 	removed := 0
-	for _, t := range tables {
+	for _, t := range s.tableList() {
 		removed += t.vacuum(h)
 	}
 	s.vacuumRuns.Add(1)
@@ -204,38 +291,41 @@ func (s *Store) Vacuum() int {
 func (t *Table) vacuum(h uint64) int {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	old := t.heap.Load()
 	removed := 0
-	kept := t.slots[:0]
-	for _, v := range t.slots {
-		if v.deleted != 0 && v.deleted <= h {
+	var compacted *heap // built from fresh chunks once the first slot drops
+	for i := range int(old.n.Load()) {
+		v := old.slot(i).Load()
+		if d := v.deleted.Load(); d != 0 && d <= h {
 			// The newest version is dead at the horizon, so every older one
 			// is too (they were superseded even earlier): no reader at or
 			// past the horizon can see any of them. Drop the whole slot.
-			for w := v; w != nil; w = w.next {
-				removed++
+			if compacted == nil {
+				compacted = &heap{}
+				for j := range i {
+					compacted = compacted.push(old.slot(j).Load())
+				}
 			}
+			removed += chainLen(v)
 			continue
 		}
-		kept = append(kept, v)
+		if compacted != nil {
+			compacted = compacted.push(v)
+		}
 		// Find the newest version the horizon can reach; everything below it
 		// is unreachable by any pinnable snapshot and is cut loose.
 		w := v
 		for w != nil && w.created > h {
-			w = w.next
+			w = w.next.Load()
 		}
-		if w != nil && w.next != nil {
-			for x := w.next; x != nil; x = x.next {
-				removed++
-			}
-			w.next = nil
+		if w != nil && w.next.Load() != nil {
+			removed += chainLen(w.next.Load())
+			w.next.Store(nil)
 		}
 	}
-	for i := len(kept); i < len(t.slots); i++ {
-		t.slots[i] = nil
+	if compacted != nil {
+		t.heap.Store(compacted)
 	}
-	t.slots = kept
 	return removed
 }
 
@@ -265,16 +355,21 @@ func (s *Store) MVCCStatus() MVCCStatus {
 		VacuumRemoved:  s.vacuumRemoved.Load(),
 		WriteConflicts: s.conflicts.Load(),
 	}
-	s.mu.RLock()
-	tables := make([]*Table, 0, len(s.tables))
-	for _, t := range s.tables {
-		tables = append(tables, t)
-	}
-	s.mu.RUnlock()
-	for _, t := range tables {
+	for _, t := range s.tableList() {
 		sl, vs := t.VersionCount()
 		st.Slots += sl
 		st.Versions += vs
 	}
 	return st
+}
+
+// tableList returns the store's tables.
+func (s *Store) tableList() []*Table {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	tables := make([]*Table, 0, len(s.tables))
+	for _, t := range s.tables {
+		tables = append(tables, t)
+	}
+	return tables
 }

@@ -38,15 +38,13 @@ import (
 // streams) are refused by name, with no converter.
 //
 // Save is an online, consistent backup in two phases. collect runs under
-// the store lock (shared: queries keep running) and the apply gate (no
-// mutation's apply interleaves) and captures every table's visible rows and
-// the catalog — a slice header where the materialization cache is warm.
-// This is the only moment writers wait. Encoding then runs outside all
-// locks, straight from the captured rows (immutable: mutations create new
-// versions) through one reused buffer, a write per insert record. Each apply
-// holds the gate for its whole critical section, a transaction commit for
-// all its tables at once, so the image is one point in time at the captured
-// LSN. Readers are never blocked.
+// the store lock (shared) and the apply gate, the only moment writers wait:
+// it pins the log's position as a snapshot, opens a cursor on every table's
+// heap and captures the catalog. Encoding then runs outside all locks: it
+// walks each pinned heap (the pin keeps vacuum from trimming its versions)
+// into one reused buffer of at most maxRecordRows row headers, a write per
+// insert record, and releases the pin at the end. An apply holds the gate
+// for its whole critical section, so the image is one point in time.
 
 const (
 	snapshotMagic   = "PERMSNAP"
@@ -59,12 +57,12 @@ const (
 // snapTable is one table as collect captured it.
 type snapTable struct {
 	def      *catalog.TableDef
-	rows     []value.Row
+	rows     Cursor
 	distinct map[string]float64
 }
 
 // snapshot is what collect captures under the locks and SaveLSN encodes
-// outside them.
+// outside them; lsn stays pinned until SaveLSN is done.
 type snapshot struct {
 	lsn, origin uint64
 	tables      []snapTable
@@ -88,6 +86,7 @@ func (s *Store) SaveLSN(w io.Writer) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer s.UnpinSnapshot(snap.lsn)
 	buf := append([]byte(snapshotMagic), snapshotVersion)
 	buf = repl.AppendFrame(buf, binary.AppendUvarint(binary.AppendUvarint(nil, snap.lsn), snap.origin))
 	sum := repl.FrameSum(0, buf[len(snapshotMagic)+1:])
@@ -96,15 +95,26 @@ func (s *Store) SaveLSN(w io.Writer) (uint64, error) {
 		buf = repl.AppendRecordFrame(buf, rec)
 		sum = repl.FrameSum(sum, buf[start:])
 	}
+	var rows []value.Row // the next insert record's rows, and what follows them
 	for _, t := range snap.tables {
 		put(repl.Record{Kind: repl.KindCreateTable, Table: t.def.Name, Columns: t.def.Columns})
-		for i := 0; i < len(t.rows); {
-			j := cutRecord(t.rows, nil, i)
-			put(repl.Record{Kind: repl.KindInsert, Table: t.def.Name, Rows: t.rows[i:j]})
+		for {
+			for len(rows) < maxRecordRows {
+				r := t.rows.Next()
+				if r == nil {
+					break
+				}
+				rows = append(rows, r)
+			}
+			if len(rows) == 0 {
+				break
+			}
+			j := cutRecord(rows, nil, 0)
+			put(repl.Record{Kind: repl.KindInsert, Table: t.def.Name, Rows: rows[:j]})
 			if _, err := w.Write(buf); err != nil {
 				return 0, err
 			}
-			buf, i = buf[:0], j
+			buf, rows = buf[:0], rows[:copy(rows, rows[j:])]
 		}
 		if len(t.distinct) > 0 {
 			put(repl.Record{Kind: repl.KindAnalyze, Table: t.def.Name, Rows: statRows(t.def.Name, t.distinct)})
@@ -141,16 +151,18 @@ func (s *Store) collect() (*snapshot, error) {
 	defer s.gate.Unlock()
 	// Mutations append their change record inside the same critical sections
 	// the two locks above exclude (gate for DML and ANALYZE, mu for DDL), so
-	// this LSN, the row slices and the statistics collected below describe
-	// the same instant.
-	snap := &snapshot{lsn: s.log.LastLSN(), origin: s.Origin()}
+	// the pinned LSN (the visible position: the log's end while the gate is
+	// held), the cursors and the statistics collected below describe the same
+	// instant.
+	snap := &snapshot{lsn: s.PinSnapshot(), origin: s.Origin()}
 	for _, name := range s.catalog.TableNames() {
 		t := s.tables[keyOf(name)]
 		if t == nil {
+			s.UnpinSnapshot(snap.lsn)
 			return nil, fmt.Errorf("storage: table %q in catalog but not in store", name)
 		}
 		// RowCount is restored from the rows themselves.
-		snap.tables = append(snap.tables, snapTable{def: t.Def(), rows: t.Snapshot(), distinct: s.catalog.TableStats(name).DistinctFrac})
+		snap.tables = append(snap.tables, snapTable{def: t.def, rows: t.Scan(snap.lsn), distinct: s.catalog.TableStats(name).DistinctFrac})
 	}
 	for _, name := range s.catalog.ViewNames() {
 		snap.views = append(snap.views, s.catalog.View(name))
@@ -226,8 +238,6 @@ func (s *Store) restore(r io.Reader) error {
 	}
 	s.log.Reset(lsn)
 	s.visible.Store(lsn)
-	if origin != 0 {
-		s.origin.Store(origin)
-	}
+	s.AdoptOrigin(origin)
 	return nil
 }

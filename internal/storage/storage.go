@@ -1,15 +1,12 @@
 // Package storage implements the in-memory heap storage engine under the
 // Perm catalog: multi-versioned row slots per table with snapshot-LSN
-// visibility, type-checked inserts, full-scan cursors, snapshot-isolation
-// transactions, and a store that ties table data to the catalog the way
-// PostgreSQL's heap ties to its system catalogs.
+// visibility, cursors that read them in place, snapshot-isolation
+// transactions, and a store that ties table data to the catalog.
 //
-// Every table belongs to a store, and every write is a transaction: a DML
-// statement outside BEGIN commits as a one-statement Txn (Table.Write), so
-// a primary decides and stamps its rows in one place (txn.go). Change
-// records from a primary's feed, the WAL or a snapshot take the apply path
-// (Store.ApplyChange). Both stamp versions through Table.apply, which also
-// keeps the table's live-row count and sets the catalog's row count from it.
+// Every write is a transaction (txn.go; outside BEGIN, Table.Write commits a
+// one-statement Txn), and change records from a feed, the WAL or a snapshot
+// take the apply path (Store.ApplyChange). Both stamp versions through
+// Table.apply, which also sets the catalog's row count from the live count.
 package storage
 
 import (
@@ -27,43 +24,23 @@ import (
 	"perm/internal/value"
 )
 
-// Table holds the rows of one base relation as a slice of version slots:
-// each slot is the newest version of one row, with superseded versions
-// chained behind it (see mvcc.go). Every table belongs to a store. It is safe
-// for concurrent use; readers materialize the versions visible at their
-// snapshot LSN and never block on writers.
-//
-// Every write is a transaction (txn.go) and runs in two phases under writeMu
-// (which serializes writers per table): first the decision phase evaluates
-// predicates and update expressions WITHOUT holding mu — so a WHERE subquery
-// may scan any table, including this one, without deadlocking — then the
-// apply phase takes the store gate, appends the change record (which assigns
-// the change's LSNs), stamps and installs versions under mu, and publishes
-// the new visible LSN. Readers pinned at earlier LSNs keep seeing exactly the
-// versions their snapshot could see.
+// Table holds the rows of one base relation in a heap of version slots, the
+// newest version of each row with superseded ones chained behind it
+// (mvcc.go). A reader walks the heap it loaded with a Cursor at its snapshot
+// LSN, with no lock and no copy, and never blocks on writers. A write runs
+// under writeMu in two phases: it decides (a WHERE subquery may scan any
+// table, this one too), then under the store gate appends its change record,
+// which assigns its LSNs, stamps versions and publishes the visible LSN.
 type Table struct {
 	writeMu sync.Mutex
-	mu      sync.RWMutex
 	def     *catalog.TableDef
-	// store is the owning store: its gate serializes apply phases, its log
-	// assigns LSNs, and its durability gate is consulted before a write
-	// decides and waited on before it is acknowledged.
+	// store owns the gate, the log and the durability gate writes go through.
 	store *Store
-	slots []*rowVersion
-	// live counts the slots whose newest version is live (under mu). The
-	// stamps keep it: an insert adds its rows, a delete takes its rows away.
+	// heap is the published slot list readers load (mvcc.go).
+	heap atomic.Pointer[heap]
+	// live counts the slots whose newest version is live (under writeMu).
 	live int
-	// lastMod is the LSN of the last change applied to THIS table (under
-	// mu). Any snapshot at or past it sees the table's current contents,
-	// which is what lets the materialization cache serve steady-state reads
-	// zero-copy.
-	lastMod uint64
-	// cache is the table's materialized read view (mvcc.go).
-	cache atomic.Pointer[matRows]
 }
-
-// Def returns the table definition.
-func (t *Table) Def() *catalog.TableDef { return t.def }
 
 // checkRow validates arity, nullability and coerces values to column types.
 func (t *Table) checkRow(row value.Row) (value.Row, error) {
@@ -116,22 +93,17 @@ func (t *Table) fits(row value.Row) error {
 }
 
 // lsnRange says which rows of a (possibly split) change record landed at
-// which LSN: record rows [lo:hi) carry lsn. Version stamps come from these,
-// so a split mutation's versions match the log records a replica will replay
-// one by one.
+// which LSN: record rows [lo:hi) carry lsn, and so do their versions.
 type lsnRange struct {
 	lsn    uint64
 	lo, hi int
 }
 
-// maxRecordRows and maxRecordBytes cap one change record: a single huge
-// mutation (CREATE TABLE AS over a large provenance query, an unqualified
-// DELETE or UPDATE on a wide table) is logged as several consecutive
-// records, so an encoded record always fits comfortably inside a wire frame
-// — a record that cannot frame would wedge every subscription on it
-// forever. The byte bound is approximate (string payloads dominate); 8 MiB
-// leaves an 8× margin under the 64 MiB frame limit. The split happens
-// inside one gate-held apply, so snapshots and readers still see all or
+// maxRecordRows and maxRecordBytes cap one change record: a huge mutation is
+// logged as several consecutive records, so an encoded record always fits a
+// wire frame (one that cannot would wedge every subscription on it). The byte
+// bound is approximate: 8 MiB leaves an 8× margin under the 64 MiB frame
+// limit. The split happens inside one gate-held apply, so readers see all or
 // none of it.
 const (
 	maxRecordRows  = 4096
@@ -154,14 +126,11 @@ func approxRowBytes(row value.Row) int {
 const bulkLSN = math.MaxUint64
 
 // appendRecord routes a record to the log and reports which LSNs its rows
-// landed at: records without an LSN (primary mutations) are assigned the
-// next ones, splitting oversized row sets; records carrying an LSN (a
-// replica replaying the primary's feed — already split by the primary) must
-// land at exactly that position; records at bulkLSN land at 0, unlogged.
-// The replica's apply loop verifies continuity before mutating, so a failed
-// AppendAt here means that check was bypassed — a programming error — and
-// the record is dropped (nil return, the caller skips its apply) rather than
-// corrupting the LSN space.
+// landed at: a record without an LSN (a primary's mutation) takes the next
+// ones, split when oversized; one carrying an LSN (a replica's replay, split
+// by the primary) lands at exactly it; one at bulkLSN lands at 0, unlogged.
+// A failed AppendAt means the replica's continuity check was bypassed: the
+// record is dropped (nil return) rather than corrupting the LSN space.
 func appendRecord(log *repl.ChangeLog, rec repl.Record) []lsnRange {
 	if rec.LSN == bulkLSN {
 		return []lsnRange{{lsn: 0, lo: 0, hi: len(rec.Rows)}}
@@ -216,38 +185,31 @@ func cutRecord(rows, oldRows []value.Row, i int) int {
 }
 
 // apply is the apply phase of one change record: it appends the record
-// (assigning LSNs), lets stamp install and stamp versions under mu with
-// those LSNs, and sets the catalog's row count from the live count — the one
-// place it is set. Callers hold writeMu and the store gate (Store.gated),
-// which publishes the visible LSN once every record of the change is in.
-// The return value is false only when a replica-positioned record was
-// refused by the log, in which case nothing was applied.
+// (assigning LSNs), lets stamp install and stamp versions with them, and sets
+// the catalog's row count — the one place it is set. Callers hold writeMu and
+// the store gate. It returns false, having applied nothing, when the log
+// refused a replica-positioned record.
 func (t *Table) apply(rec *repl.Record, stamp func(ranges []lsnRange)) bool {
 	ranges := appendRecord(t.store.log, *rec)
 	if ranges == nil {
 		return false
 	}
-	t.mu.Lock()
 	stamp(ranges)
-	t.lastMod = ranges[len(ranges)-1].lsn
-	// A new lastMod outdates the cached read view; the bulk stamp leaves
-	// lastMod at 0, so the view is dropped outright.
-	t.cache.Store(nil)
-	live := t.live
-	t.mu.Unlock()
-	t.store.catalog.SetRowCount(t.def.Name, live)
+	t.store.catalog.SetRowCount(t.def.Name, t.live)
 	return true
 }
 
 // insertLocked appends one new version per row, stamped per LSN range.
-// Callers are inside an apply's stamp callback (mu held).
+// Callers are inside an apply's stamp callback.
 func (t *Table) insertLocked(rows []value.Row, ranges []lsnRange) {
+	h := t.heap.Load()
 	for _, rg := range ranges {
 		for _, row := range rows[rg.lo:rg.hi] {
-			t.slots = append(t.slots, &rowVersion{row: row, created: rg.lsn})
-			t.live++
+			h = h.push(&rowVersion{row: row, created: rg.lsn})
 		}
 	}
+	t.heap.Store(h)
+	t.live += len(rows)
 }
 
 // target is one row a change supersedes: the version, the slot it heads,
@@ -260,13 +222,16 @@ type target struct {
 
 // supersedeLocked stamps each target deleted at its LSN range and, for an
 // update, installs its replacement in its slot as the slot's newest
-// version. Callers are inside an apply's stamp callback (mu held).
+// version. Callers are inside an apply's stamp callback.
 func (t *Table) supersedeLocked(targets []target, update bool, ranges []lsnRange) {
+	h := t.heap.Load()
 	for _, rg := range ranges {
 		for _, tg := range targets[rg.lo:rg.hi] {
-			tg.v.deleted = rg.lsn
+			tg.v.deleted.Store(rg.lsn)
 			if update {
-				t.slots[tg.slot] = &rowVersion{row: tg.row, created: rg.lsn, next: tg.v}
+				v := &rowVersion{row: tg.row, created: rg.lsn}
+				v.next.Store(tg.v)
+				h.slot(tg.slot).Store(v)
 			} else {
 				t.live--
 			}
@@ -322,46 +287,35 @@ func (t *Table) InsertBatch(rows []value.Row) (int, error) {
 	return t.Write(nil, func(x *Txn) (int, error) { return x.Insert(t, rows) })
 }
 
-// Delete removes all rows for which pred returns true and reports how many
-// were removed. A nil pred removes every row. pred runs in the decision
-// phase — outside the table's locks — so it may itself query this table
-// (DELETE ... WHERE x IN (SELECT ... FROM same_table)).
+// Delete removes the rows pred accepts (all, for a nil pred) and reports how
+// many. pred runs in the decision phase and may query any table.
 func (t *Table) Delete(pred func(value.Row) (bool, error)) (int, error) {
 	return t.Write(nil, func(x *Txn) (int, error) { return x.Delete(t, pred) })
 }
 
-// Update applies fn to every row matching pred, replacing the row with fn's
-// result after type checking. It reports how many rows changed. Like
-// Delete's pred, both callbacks run outside the table locks and may query
-// any table, including this one.
+// Update replaces each row pred accepts with fn's result, type-checked, and
+// reports how many. Like Delete's pred, both callbacks may query any table.
 func (t *Table) Update(pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
 	return t.Write(nil, func(x *Txn) (int, error) { return x.Update(t, pred, fn) })
 }
 
-// Store couples a catalog with the physical tables.
-//
-// Two locks protect it: mu guards the catalog/tables pairing (DDL holds it
-// exclusively so the catalog and the heap map never disagree), and gate
-// serializes apply phases — record append, version stamping and the
-// visible-LSN publication of one mutation (or one transaction commit)
-// happen as a unit, so readers pinning the visible position always see
-// whole changes and snapshot collection captures an exact LSN. Readers
-// never take the gate: they pin the visible LSN and materialize versions
-// under per-table read locks.
+// Store couples a catalog with the physical tables. mu guards the
+// catalog/tables pairing (DDL holds it exclusively), and gate serializes
+// apply phases: the record append, version stamping and visible-LSN
+// publication of one mutation or commit happen as a unit, so a reader pinning
+// the visible position sees whole changes and snapshot collection an exact
+// LSN. Readers never take the gate.
 type Store struct {
 	mu      sync.RWMutex
 	gate    sync.Mutex
 	catalog *catalog.Catalog
 	tables  map[string]*Table
-	// log is the store's logical change log. DML appends under the gate
-	// from Table.apply; DDL appends under mu (exclusive) AND the gate.
-	// Snapshot collection holds mu (shared) and gate, so the LSN it captures
-	// is exact: no mutation of either kind can be half-recorded.
+	// log is the store's change log: DML appends under the gate, DDL under
+	// mu (exclusive) and the gate.
 	log *repl.ChangeLog
-	// visible is the published snapshot position: the LSN up to which every
-	// change is fully stamped and installed. Readers pin it (PinSnapshot);
-	// appliers advance it as the last step of their gate-held apply. It
-	// equals log.LastLSN() whenever the gate is free.
+	// visible is the LSN up to which every change is stamped and installed:
+	// readers pin it, appliers advance it last under the gate. It equals
+	// log.LastLSN() whenever the gate is free.
 	visible atomic.Uint64
 	// pinMu guards pins, the multiset of snapshot LSNs readers currently
 	// hold (mvcc.go); the vacuum horizon is their minimum.
@@ -373,16 +327,11 @@ type Store struct {
 	vacuumRemoved atomic.Uint64
 	conflicts     atomic.Uint64
 	// origin identifies the history this store's LSNs belong to: random at
-	// creation, adopted from the snapshot on Restore. Two stores share an
-	// origin exactly when one descends from the other's history, so a
-	// replication follower whose origin differs from the primary's must
-	// bootstrap from a snapshot — its LSNs count a different past, even if
-	// the numbers happen to line up.
+	// creation, adopted on Restore. A follower whose origin differs from the
+	// primary's must bootstrap from a snapshot: its LSNs count another past.
 	origin atomic.Uint64
-	// dur holds the store's Durability gate (a durabilityBox; nil d when the
-	// store is purely in-memory). Loaded on every mutation, stored once at
-	// startup, hence atomic rather than under mu.
-	dur atomic.Value
+	// dur holds the Durability gate (nil: in-memory), loaded on every write.
+	dur atomic.Pointer[Durability]
 }
 
 // Durability is the write-ahead log's contract with the store: WaitDurable
@@ -395,34 +344,26 @@ type Durability interface {
 	Err() error
 }
 
-type durabilityBox struct{ d Durability }
-
 // SetDurability installs (or, with nil, removes) the durability gate. The
 // WAL manager calls it after recovery, before the store serves traffic.
-func (s *Store) SetDurability(d Durability) {
-	s.dur.Store(durabilityBox{d: d})
-}
-
-func (s *Store) durability() Durability {
-	if box, ok := s.dur.Load().(durabilityBox); ok {
-		return box.d
-	}
-	return nil
-}
+func (s *Store) SetDurability(d Durability) { s.dur.Store(&d) }
 
 // Durability returns the installed durability gate (nil when the store is
 // purely in-memory). The cluster layer uses it to wrap the WAL gate with a
 // replica-acknowledgment quorum without the two layers knowing each other.
-func (s *Store) Durability() Durability { return s.durability() }
+func (s *Store) Durability() Durability {
+	if d := s.dur.Load(); d != nil {
+		return *d
+	}
+	return nil
+}
 
 // WaitDurable blocks until the store's current change-log position is
-// durable. Mutations call it after their critical section: the log position
-// is at least their own record's LSN, and durability is monotone, so
-// waiting for the newer position is correct (and naturally group-commits
-// concurrent writers). A replication follower calls it once per applied
-// batch instead of once per record.
+// durable. Mutations call it after their critical section (durability is
+// monotone, so waiting for a newer position group-commits concurrent
+// writers); a replication follower calls it once per applied batch.
 func (s *Store) WaitDurable() error {
-	d := s.durability()
+	d := s.Durability()
 	if d == nil {
 		return nil
 	}
@@ -432,7 +373,7 @@ func (s *Store) WaitDurable() error {
 // writeAllowed refuses new mutations while the durability gate's sticky
 // failure stands; reads are unaffected.
 func (s *Store) writeAllowed() error {
-	d := s.durability()
+	d := s.Durability()
 	if d == nil {
 		return nil
 	}
@@ -528,6 +469,7 @@ func (s *Store) createTable(def *catalog.TableDef, lsn uint64) (*Table, error) {
 // attach allocates the heap for a registered definition. Callers hold s.mu.
 func (s *Store) attach(def *catalog.TableDef) *Table {
 	t := &Table{def: def, store: s}
+	t.heap.Store(&heap{})
 	s.tables[keyOf(def.Name)] = t
 	return t
 }
@@ -576,26 +518,28 @@ func (s *Store) Analyze(name string) error {
 	if name == "" {
 		names = s.catalog.TableNames()
 	}
+	// Every column is counted at one pinned snapshot.
+	snap := s.PinSnapshot()
+	defer s.UnpinSnapshot(snap)
 	var key []byte
 	for _, n := range names {
 		t := s.Table(n)
 		if t == nil {
 			return fmt.Errorf("table %q does not exist", n)
 		}
-		rows := t.Snapshot()
 		for ci, col := range t.def.Columns {
-			frac := 1.0
-			if len(rows) > 0 {
-				// Keys are built in one scratch buffer: only a value not
-				// seen before allocates (its map key).
-				seen := make(map[string]struct{})
-				for _, r := range rows {
-					key = r[ci].AppendKey(key[:0])
-					if _, dup := seen[string(key)]; !dup {
-						seen[string(key)] = struct{}{}
-					}
+			// Keys are built in one scratch buffer: only a value not seen
+			// before allocates (its map key).
+			seen, rows, c := make(map[string]struct{}), 0, t.Scan(snap)
+			for r := c.Next(); r != nil; r, rows = c.Next(), rows+1 {
+				key = r[ci].AppendKey(key[:0])
+				if _, dup := seen[string(key)]; !dup {
+					seen[string(key)] = struct{}{}
 				}
-				frac = float64(len(seen)) / float64(len(rows))
+			}
+			frac := 1.0
+			if rows > 0 {
+				frac = float64(len(seen)) / float64(rows)
 			}
 			rec.Rows = append(rec.Rows, value.Row{value.NewString(t.def.Name), value.NewString(col.Name), value.NewFloat(frac)})
 		}
@@ -605,10 +549,9 @@ func (s *Store) Analyze(name string) error {
 
 // installStats applies an ANALYZE record: it installs the fractions it
 // carries at the record's LSN, under the store lock and the gate, so a
-// primary and its replicas take statistics in LSN order and hold the same
-// bits. Row counts need no refresh: every apply keeps them. Nothing is
-// rescanned: an older record without fractions installs nothing. A table
-// dropped since the scan is skipped, as DML on a dropped table is.
+// primary and its replicas hold the same bits. Nothing is rescanned (an
+// older record without fractions installs nothing); a dropped table is
+// skipped.
 func (s *Store) installStats(rec repl.Record) error {
 	for i, r := range rec.Rows {
 		if len(r) != 3 || r[0].Kind() != value.KindString || r[1].Kind() != value.KindString || r[2].Kind() != value.KindFloat {
@@ -632,18 +575,12 @@ func (s *Store) installStats(rec repl.Record) error {
 
 // ApplyChange is the one path a change record takes into the store: from a
 // primary's feed, WAL replay, a snapshot (Restore, at bulkLSN), and this
-// store's own DROP TABLE, view DDL and ANALYZE (Store.change). It validates
-// and performs the change and logs the record at its LSN, atomically with
-// respect to snapshot collection and readers. Records arrive in LSN order
-// (the follower and WAL replay check continuity against Log().LastLSN()).
-//
-// DML against a relation this store does not have is skipped silently and
-// logged: a primary's commit into a table a concurrent DROP detached fails
-// with ErrWriteConflict, but WAL segments written by older builds may carry
-// such records, and the visible state on both sides is identical — no
-// table. A row image that does not fit its table (ErrBadRowImage) or match
-// the live rows is an error, with nothing applied, so the caller can
-// re-bootstrap from a snapshot.
+// store's own DROP TABLE, view DDL and ANALYZE (Store.change). It performs
+// the change and logs the record at its LSN, atomically with respect to
+// snapshot collection and readers. Records arrive in LSN order. DML on a
+// relation this store does not have is logged and skipped (older WAL
+// segments may carry it). A row image that does not fit its table
+// (ErrBadRowImage) or match the live rows is an error, with nothing applied.
 func (s *Store) ApplyChange(rec repl.Record) error {
 	if err := s.writeAllowed(); err != nil {
 		return err
@@ -685,8 +622,7 @@ func (s *Store) ApplyChange(rec repl.Record) error {
 }
 
 // ddl makes a catalog change (none, for a change whose relation is gone)
-// and logs its record, under the store lock so that the catalog and the
-// heap map never disagree.
+// and logs its record under the store lock.
 func (s *Store) ddl(rec repl.Record, change func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -731,12 +667,10 @@ func (t *Table) applyChange(rec repl.Record) error {
 }
 
 // matchImages resolves deleted or updated row images to live versions by
-// multiset match in slot order — the order the primary's scan met them in,
-// so the surviving rows come out byte-identical to the primary's. For an
-// update, news are the new images parallel to olds: duplicate old images
-// consume them in order, reproducing the primary's scan exactly, and each
-// lands beside its target, in slot order. Callers hold writeMu, so the
-// live versions stay put until they apply.
+// multiset match in slot order, the order the primary's scan met them in.
+// For an update, news are the new images parallel to olds; duplicate old
+// images consume them in order. Callers hold writeMu, so the live versions
+// stay put until they apply.
 func (t *Table) matchImages(olds, news []value.Row) ([]target, error) {
 	queue := make(map[string][]int, len(olds))
 	var keyBuf []byte
@@ -744,16 +678,12 @@ func (t *Table) matchImages(olds, news []value.Row) ([]target, error) {
 		keyBuf = img.AppendKey(keyBuf[:0])
 		queue[string(keyBuf)] = append(queue[string(keyBuf)], i)
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	targets := make([]target, 0, len(olds))
-	for i, v := range t.slots {
-		if v.deleted != 0 {
-			continue
-		}
-		keyBuf = v.row.AppendKey(keyBuf[:0])
+	c := t.Scan(bulkLSN) // every slot's newest version, if live
+	for tg, ok := c.next(); ok; tg, ok = c.next() {
+		keyBuf = tg.row.AppendKey(keyBuf[:0])
 		if q := queue[string(keyBuf)]; len(q) > 0 {
-			tg := target{v: v, slot: i}
+			tg.row = nil
 			if news != nil {
 				tg.row = news[q[0]]
 			}

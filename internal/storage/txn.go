@@ -11,29 +11,21 @@ import (
 	"perm/internal/value"
 )
 
-// ErrWriteConflict is the typed error a transaction commit fails with when
+// ErrWriteConflict is the typed error a commit fails with when
 // first-committer-wins validation finds that another writer changed or
-// removed a row this transaction also wrote. The losing transaction is
-// rolled back; the caller retries it from BEGIN. The engine re-exports it
-// and the network server maps it to a wire error code, so it stays typed
-// all the way to database/sql callers.
+// removed a row this transaction also wrote; it is rolled back, to be retried
+// from BEGIN. It stays typed up to database/sql callers.
 var ErrWriteConflict = errors.New("storage: write conflict: row changed by a concurrent transaction, retry the transaction")
 
 // errTxnDone guards use-after-finish.
 var errTxnDone = errors.New("storage: transaction is already committed or rolled back")
 
-// Txn is a snapshot-isolation transaction: every read sees exactly the
-// versions visible at the snapshot LSN pinned at Begin (plus the
-// transaction's own buffered writes), and writes are buffered until Commit,
-// which validates first-committer-wins — if any row this transaction
-// deleted or updated was meanwhile changed by another committed writer, the
-// commit fails with ErrWriteConflict and nothing is applied. Every DML
-// statement of a primary runs in one: outside BEGIN, Table.Write runs the
-// statement in a Txn of its own.
-//
-// A Txn is single-goroutine on its write side (the owning session executes
-// one statement at a time); concurrent readers of the same Txn (parallel
-// query workers) are safe because they only read the buffered state.
+// Txn is a snapshot-isolation transaction: it reads the versions visible at
+// the snapshot LSN pinned at Begin plus its own buffered writes, and Commit
+// validates first-committer-wins (ErrWriteConflict, nothing applied, when
+// another writer changed a row it deleted or updated). Every DML statement
+// of a primary runs in one. A Txn is single-goroutine on its write side;
+// parallel query workers may read it concurrently.
 type Txn struct {
 	store *Store
 	snap  uint64
@@ -43,12 +35,10 @@ type Txn struct {
 
 // txnTable is one table's buffered effects.
 type txnTable struct {
-	// mods maps a row version this transaction read (the version visible at
-	// its snapshot) to what the transaction did to it: the replacement row
-	// of an update, or a nil row for a delete, and the slot the version was
-	// in when read. The version pointer is the conflict-detection token: at
-	// commit it must still be live, or someone else changed the row first.
-	// It is nil until the transaction first deletes or updates a row.
+	// mods maps a version this transaction read to what it did to it: the
+	// replacement row of an update or a nil row for a delete, and the slot
+	// the version was read in. At commit the version must still be live, or
+	// someone else changed the row first. Nil until the first such write.
 	mods map[*rowVersion]target
 	// ins are rows this transaction inserted; entries deleted again by the
 	// same transaction are nil.
@@ -83,50 +73,19 @@ func (x *Txn) table(t *Table) *txnTable {
 	return tt
 }
 
-// each calls fn with every row of t this transaction sees, in the order
-// TableRows lists them: the versions visible at its snapshot in slot order,
-// its own updates applied and its own deletes left out, each with the slot
-// it was read in; then the rows it inserted itself, with no version and
-// their index in tt.ins as the slot. It stops once fn returns false.
-func (x *Txn) each(t *Table, tt *txnTable, fn func(tg target) bool) {
-	t.mu.RLock()
-	for i, v := range t.slots {
-		if w := v.visibleAt(x.snap); w != nil {
-			tg := target{v: w, slot: i, row: w.row}
-			if m, ok := tt.mods[w]; ok {
-				tg.row = m.row
-			}
-			if tg.row != nil && !fn(tg) {
-				t.mu.RUnlock()
-				return
-			}
-		}
+// Scan opens a cursor over the rows of t as this transaction sees them: the
+// versions visible at its snapshot in slot order, its own updates applied
+// and its own deletes left out, then the rows it inserted itself. The
+// executor's scans read transactions through this, and a Pick names a row by
+// its position in what the cursor yields. The cursor reads the buffered
+// writes as it goes: the transaction writes nothing while one still reads.
+func (x *Txn) Scan(t *Table) Cursor {
+	c := t.Scan(x.snap)
+	if tt := x.tabs[t]; tt != nil && (len(tt.mods) > 0 || len(tt.ins) > 0) {
+		c.tt = tt
+		c.end += len(tt.ins)
 	}
-	t.mu.RUnlock()
-	for i, r := range tt.ins {
-		if r != nil && !fn(target{slot: i, row: r}) {
-			return
-		}
-	}
-}
-
-// TableRows returns the rows of t as this transaction sees them: the
-// snapshot image with buffered updates and deletes applied and buffered
-// inserts appended. The executor's scans read transactions through this,
-// and a Pick names a row by its position here.
-func (x *Txn) TableRows(t *Table) []value.Row {
-	tt := x.tabs[t]
-	if tt == nil || (len(tt.mods) == 0 && len(tt.ins) == 0) {
-		// No writes to this table: the plain snapshot read, sharing the
-		// table's materialization cache with every other reader.
-		return t.SnapshotAt(x.snap)
-	}
-	var out []value.Row
-	x.each(t, tt, func(tg target) bool {
-		out = append(out, tg.row)
-		return true
-	})
-	return out
+	return c
 }
 
 // Insert buffers rows for insertion at commit, after type checking.
@@ -162,7 +121,7 @@ func (x *Txn) Delete(t *Table, pred func(value.Row) (bool, error)) (int, error) 
 
 // Update buffers the replacement of every visible row matching pred with
 // fn's result, after type checking (with a nil fn, Delete): it picks them
-// from TableRows and hands the picks to Rewrite. Rows this transaction
+// from what Scan yields and hands the picks to Rewrite. Rows this transaction
 // inserted are rewritten in place. Like Delete's, both callbacks run
 // outside all storage locks.
 func (x *Txn) Update(t *Table, pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
@@ -170,7 +129,12 @@ func (x *Txn) Update(t *Table, pred func(value.Row) (bool, error), fn func(value
 		return 0, errTxnDone
 	}
 	var picks []Pick
-	for id, row := range x.TableRows(t) {
+	c := x.Scan(t)
+	for id := 0; ; id++ {
+		row := c.Next()
+		if row == nil {
+			break
+		}
 		if pred != nil {
 			if ok, err := pred(row); err != nil || !ok {
 				if err != nil {
@@ -192,7 +156,7 @@ func (x *Txn) Update(t *Table, pred func(value.Row) (bool, error), fn func(value
 }
 
 // Pick is a statement's decision on one row of t the transaction sees,
-// named by its position in TableRows: replace it with Row, or delete it
+// named by its position in what Txn.Scan yields: replace it with Row, or delete it
 // when Row is nil.
 type Pick struct {
 	ID  int
@@ -216,20 +180,26 @@ func (x *Txn) Rewrite(t *Table, picks []Pick) (int, error) {
 			picks[i].Row = row
 		}
 	}
-	tt := x.table(t)
 	decided := make([]target, 0, len(picks))
 	id := 0
-	x.each(t, tt, func(tg target) bool {
-		if len(decided) < len(picks) && picks[len(decided)].ID == id {
-			tg.row = picks[len(decided)].Row
-			decided = append(decided, tg)
+	for c := x.Scan(t); len(decided) < len(picks); id++ {
+		if picks[len(decided)].ID != id {
+			if c.Next() == nil { // rows it skips take Next's fast path
+				break
+			}
+			continue
 		}
-		id++
-		return len(decided) < len(picks)
-	})
+		tg, ok := c.next()
+		if !ok {
+			break
+		}
+		tg.row = picks[len(decided)].Row
+		decided = append(decided, tg)
+	}
 	if len(decided) < len(picks) {
 		return 0, fmt.Errorf("storage: picks out of order or past the %d rows of %q the transaction sees", id, t.def.Name)
 	}
+	tt := x.table(t)
 	for _, d := range decided {
 		switch {
 		case d.v == nil:
@@ -251,15 +221,11 @@ type commitTable struct {
 	ins        []value.Row
 }
 
-// Commit validates and applies the transaction. Validation is
-// first-committer-wins: every version this transaction deleted or updated
-// must still be its slot's newest, live version — if a concurrent committed
-// writer superseded, deleted, or (via vacuum after deletion) removed it,
-// Commit aborts everything with ErrWriteConflict. So does a table that a
-// concurrent DROP TABLE detached from the store. On success all buffered
-// effects across all tables become visible atomically at one gate-held
-// apply, and Commit then waits for durability. Whatever the outcome, the
-// transaction is finished afterwards.
+// Commit validates and applies the transaction: every version it deleted or
+// updated must still be its slot's newest, live version, and every table it
+// wrote still in the store, or it aborts with ErrWriteConflict. On success
+// all its effects become visible at one gate-held apply, and Commit waits for
+// durability. Either way the transaction is finished afterwards.
 func (x *Txn) Commit() error {
 	if x.done {
 		return errTxnDone
@@ -349,15 +315,16 @@ func (x *Txn) commitLocked(plans []commitTable) error {
 // targets in slot order, the order replay re-matches images in. Caller
 // holds the table's writeMu, which also keeps the slots still.
 func (p *commitTable) validate() bool {
-	slots := p.t.slots
+	h := p.t.heap.Load()
+	n := int(h.n.Load())
 	for _, tgs := range [][]target{p.dels, p.upds} {
 		for i := range tgs {
 			tg := &tgs[i]
-			if tg.v.deleted != 0 {
+			if tg.v.deleted.Load() != 0 {
 				return false
 			}
-			tg.slot = min(tg.slot, len(slots)-1)
-			for tg.slot >= 0 && slots[tg.slot] != tg.v {
+			tg.slot = min(tg.slot, n-1)
+			for tg.slot >= 0 && h.slot(tg.slot).Load() != tg.v {
 				tg.slot--
 			}
 			if tg.slot < 0 {
