@@ -137,6 +137,9 @@ func analyzedTree(plan algebra.Op, root *executor.OpStats, pl *planner.Planner) 
 		if n.SpillFiles > 0 {
 			fmt.Fprintf(&sb, " spill=%d/%s", n.SpillFiles, fmtBytes(n.SpillBytes))
 		}
+		if n.Chunks > 0 {
+			fmt.Fprintf(&sb, " chunks=%d/%d", n.Chunks-n.ChunksSkipped, n.Chunks)
+		}
 		if n.BuildRows > 0 {
 			fmt.Fprintf(&sb, " build=%d", n.BuildRows)
 		}

@@ -37,18 +37,12 @@ func Compile(e algebra.Expr) compiledExpr {
 	case *algebra.Param:
 		idx := x.Index
 		return func(_ value.Row, ctx *Context) (value.Value, error) {
-			if idx < 0 || idx >= len(ctx.Params) {
-				return value.Null, fmt.Errorf("executor: parameter $%d not bound (%d bound)", idx+1, len(ctx.Params))
-			}
-			return ctx.Params[idx], nil
+			return param(idx, ctx)
 		}
 	case *algebra.ColIdx:
 		idx := x.Idx
 		return func(row value.Row, _ *Context) (value.Value, error) {
-			if idx < 0 || idx >= len(row) {
-				return value.Null, fmt.Errorf("executor: column index %d out of range (row width %d)", idx, len(row))
-			}
-			return row[idx], nil
+			return column(idx, row)
 		}
 	case *algebra.OuterRef:
 		idx := x.Idx
@@ -133,9 +127,61 @@ func Compile(e algebra.Expr) compiledExpr {
 	}
 }
 
-// compilePred wraps a compiled expression with WHERE truth semantics.
+// param returns the bound `?` argument idx.
+func param(idx int, ctx *Context) (value.Value, error) {
+	if idx < 0 || idx >= len(ctx.Params) {
+		return value.Null, fmt.Errorf("executor: parameter $%d not bound (%d bound)", idx+1, len(ctx.Params))
+	}
+	return ctx.Params[idx], nil
+}
+
+// column returns row's column idx.
+func column(idx int, row value.Row) (value.Value, error) {
+	if idx < 0 || idx >= len(row) {
+		return value.Null, fmt.Errorf("executor: column index %d out of range (row width %d)", idx, len(row))
+	}
+	return row[idx], nil
+}
+
+// compilePred compiles e with WHERE truth semantics. A comparison of a
+// column with a constant or a parameter, or an AND-chain of such comparisons,
+// compiles to one fused kernel (fusedPred); anything else is its compiled
+// expression under wherePred.
 func compilePred(e algebra.Expr) compiledPred {
-	ce := Compile(e)
+	if terms, ok := fuseTerms(nil, e); ok {
+		return fusedPred(terms)
+	}
+	return wherePred(Compile(e))
+}
+
+// fusedPred is the WHERE predicate of an AND-chain of comparison terms: it
+// gives compileBin's results and errors, in compileBin's order.
+func fusedPred(terms []cmpTerm) compiledPred {
+	if len(terms) == 1 {
+		t := &terms[0]
+		return func(row value.Row, ctx *Context) (bool, error) {
+			r, err := t.eval(row, ctx)
+			return r == truthTrue, err
+		}
+	}
+	return func(row value.Row, ctx *Context) (bool, error) {
+		// A FALSE term decides the chain and stops it; a NULL one does not,
+		// so the terms after it still run and may fail.
+		null := false
+		for i := range terms {
+			r, err := terms[i].eval(row, ctx)
+			if err != nil || r == truthFalse {
+				return false, err
+			}
+			null = null || r == truthNull
+		}
+		return !null, nil
+	}
+}
+
+// wherePred wraps a compiled expression with WHERE truth semantics: TRUE
+// accepts, FALSE and NULL reject, anything else is an error.
+func wherePred(ce compiledExpr) compiledPred {
 	return func(row value.Row, ctx *Context) (bool, error) {
 		v, err := ce(row, ctx)
 		if err != nil {
@@ -149,6 +195,145 @@ func compilePred(e algebra.Expr) compiledPred {
 		}
 		return v.Bool(), nil
 	}
+}
+
+// cmpTerm is one comparison of a column with a constant or a `?` parameter,
+// in either operand order: the fused kernel of a filter over a scan.
+type cmpTerm struct {
+	val     value.Value // the other operand, when not byParam
+	col     int32       // the column operand's index
+	param   int32       // the other operand's parameter index, when byParam
+	byParam bool
+	colLeft bool // the column is the left operand
+	// accept has bit c+1 set when the comparison is TRUE for
+	// Compare(column, other) = c, whichever side the column is written on.
+	accept uint8
+}
+
+// The truth of a term, a bit of its accept mask or NULL.
+const (
+	truthFalse uint8 = iota
+	truthTrue
+	truthNull
+)
+
+// fuseTerms appends e's comparisons to dst, in evaluation order, when e is a
+// comparison of a column with a constant or a parameter or an AND-chain of
+// such comparisons, and reports whether it is.
+func fuseTerms(dst []cmpTerm, e algebra.Expr) ([]cmpTerm, bool) {
+	x, ok := e.(*algebra.Bin)
+	if !ok {
+		return dst, false
+	}
+	if x.Op == sql.OpAnd {
+		if dst, ok = fuseTerms(dst, x.L); !ok {
+			return dst, false
+		}
+		return fuseTerms(dst, x.R)
+	}
+	var t cmpTerm
+	switch x.Op {
+	case sql.OpEq:
+		t.accept = 0b010
+	case sql.OpNeq:
+		t.accept = 0b101
+	case sql.OpLt:
+		t.accept = 0b001
+	case sql.OpLte:
+		t.accept = 0b011
+	case sql.OpGt:
+		t.accept = 0b100
+	case sql.OpGte:
+		t.accept = 0b110
+	default:
+		return dst, false
+	}
+	col, other := x.L, x.R
+	if _, ok := col.(*algebra.ColIdx); !ok {
+		// const op column is column op' const, op' the mirror of op.
+		col, other = x.R, x.L
+		t.accept = t.accept&0b010 | t.accept>>2&1 | t.accept<<2&0b100
+	}
+	c, ok := col.(*algebra.ColIdx)
+	if !ok {
+		return dst, false
+	}
+	t.col, t.colLeft = int32(c.Idx), col == x.L
+	switch o := other.(type) {
+	case *algebra.Const:
+		t.val = o.Val
+	case *algebra.Param:
+		t.param, t.byParam = int32(o.Index), true
+		if int(t.param) != o.Index {
+			return dst, false
+		}
+	default:
+		return dst, false
+	}
+	if int(t.col) != c.Idx {
+		return dst, false
+	}
+	return append(dst, t), true
+}
+
+// eval returns the term's truth on row, or the error compileBin's
+// comparison fails with. Two INTs compare inline.
+func (t *cmpTerm) eval(row value.Row, ctx *Context) (uint8, error) {
+	other := t.val
+	if t.byParam {
+		if uint(t.param) >= uint(len(ctx.Params)) {
+			return t.slow(row, ctx)
+		}
+		other = ctx.Params[t.param]
+	}
+	if uint(t.col) < uint(len(row)) {
+		if a, ok := row[t.col].AsInt(); ok {
+			if b, ok := other.AsInt(); ok {
+				c := 1 // bit of Compare(a, b) = 0
+				if a < b {
+					c = 0
+				} else if a > b {
+					c = 2
+				}
+				return t.accept >> c & 1, nil
+			}
+		}
+	}
+	return t.slow(row, ctx)
+}
+
+// slow is eval for every other pair of operands, read in source order so the
+// first error is compileBin's.
+func (t *cmpTerm) slow(row value.Row, ctx *Context) (uint8, error) {
+	operand := func() (value.Value, error) {
+		if t.byParam {
+			return param(int(t.param), ctx)
+		}
+		return t.val, nil
+	}
+	var l, r value.Value
+	var err error
+	if t.colLeft {
+		if l, err = column(int(t.col), row); err == nil {
+			r, err = operand()
+		}
+	} else if l, err = operand(); err == nil {
+		r, err = column(int(t.col), row)
+	}
+	if err != nil {
+		return truthFalse, err
+	}
+	if l.IsNull() || r.IsNull() {
+		return truthNull, nil
+	}
+	c, err := value.Compare(l, r)
+	if err != nil {
+		return truthFalse, err
+	}
+	if !t.colLeft {
+		c = -c
+	}
+	return t.accept >> (c + 1) & 1, nil
 }
 
 func compileBin(x *algebra.Bin) compiledExpr {

@@ -315,6 +315,11 @@ type builder struct {
 	// that hands its input's rows on (filter, limit, UNION ALL, a projection
 	// of leading columns) passes the word down.
 	reuse bool
+	// terms, set for one build call like emit, are the fused conjuncts of the
+	// Select directly above: a scan built under it skips the heap chunks
+	// that cannot hold a row they accept. Handed over at build time, so the
+	// serial scan, a worker's range and an instrumented build prune alike.
+	terms []cmpTerm
 	// slots hands the operators that drain a whole input their size hints,
 	// in build order; nil for an uncached plan and for a worker's subtree.
 	slots *slotCursor
@@ -357,8 +362,8 @@ func emitsThrough(p *algebra.Project) bool {
 func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 	op = skipMarkers(op)
 	n := node(parent, op)
-	emit, reuse := b.emit, b.reuse
-	b.emit, b.reuse = nil, false
+	emit, reuse, terms := b.emit, b.reuse, b.terms
+	b.emit, b.reuse, b.terms = nil, false, nil
 	// A subtree that can run partition-wise is built as the ordinary serial
 	// iterator and handed to a gather, which fans out over it at Open when
 	// the statement's degree and the table's size warrant, and otherwise
@@ -378,19 +383,19 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		var it iterator
 		b.reuse = reuse
 		it, err = b.build(child, n)
-		b.reuse = false
+		b.reuse, b.terms = false, nil
 		return it
 	}
 	var it iterator
 	switch o := op.(type) {
 	case *algebra.Scan:
-		if b.part != nil {
-			it = &scanIter{cur: b.part.leaf}
-		} else {
-			it = &scanIter{op: o}
-			if o.RowID {
-				it.(*scanIter).rowid = &rowIDs{maker: rowMaker{reuse: reuse}}
-			}
+		switch {
+		case b.part != nil:
+			it = &scanIter{cur: b.part.leaf, prune: pruneOf(terms, o.Sch)}
+		case o.RowID:
+			it = &rowIDScan{scanIter: scanIter{op: o}, maker: rowMaker{reuse: reuse}}
+		default:
+			it = &scanIter{op: o, prune: pruneOf(terms, o.Sch)}
 		}
 	case *algebra.Modify:
 		// A DELETE reads only the row id; INSERT and UPDATE keep their rows
@@ -410,7 +415,12 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 			it = &projectIter{op: o, input: input(o.Input, true), rows: rowMaker{reuse: reuse}}
 		}
 	case *algebra.Select:
-		it = &filterIter{op: o, input: input(o.Input, reuse)}
+		f := &filterIter{op: o}
+		if terms, ok := fuseTerms(nil, o.Cond); ok {
+			f.pred, b.terms = fusedPred(terms), terms
+		}
+		f.input = input(o.Input, reuse)
+		it = f
 	case *algebra.Join:
 		// Lateral joins always run nested-loop with per-left-row re-execution
 		// of the right side; equi-joins run as hash joins; everything else

@@ -3,6 +3,7 @@ package executor
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"perm/internal/algebra"
@@ -16,18 +17,135 @@ import (
 // scanIter walks a table's rows in place with a storage cursor: the row
 // versions visible at the statement's pinned snapshot (or its transaction's
 // view), straight from the table's heap, with no lock and no copy. With no
-// op it reads a worker's slot range of the coordinator's cursor, once. A
-// RowID scan extends each row by its position, its storage.Pick ID.
+// op it reads a worker's slot range of the coordinator's cursor, once.
 type scanIter struct {
 	op    *algebra.Scan
 	cur   storage.Cursor
-	rowid *rowIDs // RowID scans only: a scan stays in its 64-byte size class
+	prune *scanPrune // a scan stays in its 64-byte size class
 }
 
-// rowIDs numbers a RowID scan's rows into rows from maker.
-type rowIDs struct {
-	maker rowMaker
-	n     int64
+// scanPrune is what a scan directly under a Select holds of it: the
+// Select's conjuncts and, resolved to INT bounds at each Open, what lets the
+// cursor skip the heap chunks that cannot hold a row they accept.
+type scanPrune struct {
+	terms []cmpTerm
+	p     storage.Prune    // no bounds: this Open skips nothing
+	bound [1]storage.Bound // p.Bounds' storage while one column is bounded
+	owner *OpStats         // the scan's stats node; nil when uninstrumented
+}
+
+// pruneOf returns the pruning of a scan under a Select whose conjuncts are
+// terms, or nil when they cannot let it skip chunks. They can only when every
+// one compares an INT column with a constant or a parameter, the comparisons
+// that raise no error: in owner > 3 AND id = 5, a skipped chunk would hide
+// the error the first row raises.
+func pruneOf(terms []cmpTerm, sch algebra.Schema) *scanPrune {
+	if terms == nil {
+		return nil
+	}
+	for _, t := range terms {
+		if uint(t.col) >= uint(len(sch)) || sch[t.col].Type != value.KindInt {
+			return nil
+		}
+	}
+	return &scanPrune{terms: terms}
+}
+
+// resolve turns the conjuncts into this Open's bounds, with `?` bound. It
+// leaves them empty, so nothing is skipped, when a conjunct may raise an
+// error after all (a parameter not bound, or bound to a kind an INT does not
+// compare with) or when no conjunct bounds anything.
+func (pr *scanPrune) resolve(ctx *Context, cur *storage.Cursor) {
+	pr.flush()
+	pr.p.Bounds = nil
+	bounds := pr.bound[:0]
+	for i := range pr.terms {
+		t := &pr.terms[i]
+		v := t.val
+		if t.byParam {
+			if uint(t.param) >= uint(len(ctx.Params)) {
+				return
+			}
+			v = ctx.Params[t.param]
+		}
+		lo, hi, ok := intRange(t.accept, v)
+		if !ok {
+			return
+		}
+		if lo == math.MinInt64 && hi == math.MaxInt64 {
+			continue
+		}
+		j := 0
+		for j < len(bounds) && bounds[j].Col != int(t.col) {
+			j++
+		}
+		if j == len(bounds) {
+			bounds = append(bounds, storage.Bound{Col: int(t.col), Lo: lo, Hi: hi})
+		} else {
+			bounds[j].Lo, bounds[j].Hi = max(bounds[j].Lo, lo), min(bounds[j].Hi, hi)
+		}
+	}
+	if len(bounds) == 0 {
+		return
+	}
+	pr.p.Bounds = bounds
+	if pr.owner = ctx.owner; pr.owner != nil {
+		pr.owner.Chunks += int64(cur.Chunks())
+	}
+}
+
+// flush moves the chunks skipped so far to the stats node, at Close and at
+// a re-Open.
+func (pr *scanPrune) flush() {
+	if pr.owner != nil {
+		pr.owner.ChunksSkipped += int64(pr.p.Skipped)
+	}
+	pr.p.Skipped = 0
+}
+
+// intRange returns a closed range holding every INT i for which
+// Compare(i, v) = c has bit c+1 set in accept (lo > hi: no INT does), or
+// false when v is of a kind an INT does not compare with. The range may hold
+// more: for <> it is every INT.
+func intRange(accept uint8, v value.Value) (lo, hi int64, ok bool) {
+	type span struct {
+		lo, hi int64
+		some   bool
+	}
+	// The INTs below v, equal to it and above it.
+	var parts [3]span
+	around := func(k int64) {
+		parts = [3]span{{math.MinInt64, k - 1, k != math.MinInt64}, {k, k, true}, {k + 1, math.MaxInt64, k != math.MaxInt64}}
+	}
+	switch v.Kind() {
+	case value.KindNull:
+		return 1, 0, true
+	case value.KindInt:
+		around(v.Int())
+	case value.KindFloat:
+		// As value.Compare orders them: NaN above every number.
+		switch f := v.Float(); {
+		case f != f || f >= 1<<63:
+			parts[0] = span{math.MinInt64, math.MaxInt64, true}
+		case f < -(1 << 63):
+			parts[2] = span{math.MinInt64, math.MaxInt64, true}
+		case f == math.Floor(f):
+			around(int64(f))
+		default:
+			fl := int64(math.Floor(f))
+			parts[0] = span{math.MinInt64, fl, true}
+			parts[2] = span{fl + 1, math.MaxInt64, true}
+		}
+	default:
+		return 0, 0, false
+	}
+	lo, hi = math.MaxInt64, math.MinInt64
+	for c, p := range parts {
+		if p.some && accept>>c&1 != 0 {
+			lo, hi = min(lo, p.lo), max(hi, p.hi)
+		}
+	}
+	return lo, hi, true
 }
 
 func (s *scanIter) Open(ctx *Context) (err error) {
@@ -36,31 +154,56 @@ func (s *scanIter) Open(ctx *Context) (err error) {
 	if s.op != nil {
 		s.cur, err = ctx.Scan(s.op.Table)
 	}
-	if s.rowid != nil {
-		s.rowid.n = 0
+	if s.prune != nil && err == nil {
+		s.prune.resolve(ctx, &s.cur)
 	}
 	return err
 }
 
 func (s *scanIter) Next() (value.Row, error) {
+	if pr := s.prune; pr != nil && pr.p.Bounds != nil {
+		return s.cur.NextIn(&pr.p), nil
+	}
 	row := s.cur.Head()
 	if row == nil {
 		row = s.cur.Next()
 	}
-	if row == nil || s.rowid == nil {
-		return row, nil
-	}
-	out := s.rowid.maker.New(len(row) + 1)
-	out[copy(out, row)] = value.NewInt(s.rowid.n)
-	s.rowid.n++
-	return out, nil
+	return row, nil
 }
 
 func (s *scanIter) Close() error {
+	if s.prune != nil {
+		s.prune.flush()
+	}
 	if s.op != nil {
 		s.cur = storage.Cursor{}
 	}
 	return nil
+}
+
+// rowIDScan is a RowID scan: it extends each row by its position among the
+// rows the scan yields, its storage.Pick ID, into rows from maker. It skips
+// no chunk: a Pick ID counts every row the transaction sees.
+type rowIDScan struct {
+	scanIter
+	maker rowMaker
+	n     int64
+}
+
+func (r *rowIDScan) Open(ctx *Context) error {
+	r.n = 0
+	return r.scanIter.Open(ctx)
+}
+
+func (r *rowIDScan) Next() (value.Row, error) {
+	row, _ := r.scanIter.Next()
+	if row == nil {
+		return nil, nil
+	}
+	out := r.maker.New(len(row) + 1)
+	out[copy(out, row)] = value.NewInt(r.n)
+	r.n++
+	return out, nil
 }
 
 // --- Modify --------------------------------------------------------------------
@@ -259,8 +402,8 @@ type filterIter struct {
 
 func (f *filterIter) Open(ctx *Context) error {
 	f.ctx = ctx
-	if f.pred == nil {
-		f.pred = compilePred(f.op.Cond)
+	if f.pred == nil { // the builder already fused a condition that fuses
+		f.pred = wherePred(Compile(f.op.Cond))
 	}
 	return f.input.Open(ctx)
 }

@@ -47,6 +47,12 @@ type OpStats struct {
 	// stream the right side per outer row).
 	BuildRows int64
 
+	// Chunks and ChunksSkipped count the heap chunks a scan under a Select
+	// had in its range and the ones it skipped because their zones rule out
+	// every row the Select accepts (0 for a scan that did not prune).
+	Chunks        int64
+	ChunksSkipped int64
+
 	// Workers is the fan-out degree of an operator that ran partition-wise
 	// (0 when it ran serial). WorkerRows/WorkerNs are the per-worker output
 	// row counts and wall times, indexed by worker; they are written only
@@ -99,6 +105,8 @@ func (n *OpStats) absorbWorkers(roots []*OpStats, rows, ns []int64) {
 				d.Rows += w.Rows
 				d.OpenNs += w.OpenNs
 				d.NextNs += w.NextNs
+				d.Chunks += w.Chunks
+				d.ChunksSkipped += w.ChunksSkipped
 			}
 		})
 	}

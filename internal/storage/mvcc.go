@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"sync/atomic"
 
 	"perm/internal/value"
@@ -44,34 +45,108 @@ func (v *rowVersion) visibleAt(snap uint64) *rowVersion {
 // chunkSlots is the number of slots in one heap chunk.
 const chunkSlots = 512
 
-// chunk is a fixed run of heap slots.
-type chunk [chunkSlots]atomic.Pointer[rowVersion]
+// chunk is a fixed run of heap slots and its zone: per column, a closed
+// range [lo, hi] holding every INT value any version installed in the chunk
+// has in that column. A writer widens the zone under writeMu before it
+// stores the version, and a zone never narrows, so it covers every version a
+// pinned snapshot can see in the chunk; a scan that wants only values outside
+// it skips the chunk (Cursor.NextIn). A column that is not INT keeps the full
+// range, and a chunk with no INT value in a column has lo > hi there. Zones
+// are neither logged nor saved: replay, restore and vacuum widen them again
+// as they install versions.
+type chunk struct {
+	slots [chunkSlots]atomic.Pointer[rowVersion]
+	zone  []zoneRange
+}
+
+type zoneRange struct{ lo, hi atomic.Int64 }
+
+// newChunk makes an empty chunk for a table whose INT columns ints marks.
+func newChunk(ints []bool) *chunk {
+	c := &chunk{zone: make([]zoneRange, len(ints))}
+	for i, isInt := range ints {
+		if isInt {
+			c.zone[i].lo.Store(math.MaxInt64)
+			c.zone[i].hi.Store(math.MinInt64)
+		} else {
+			c.zone[i].lo.Store(math.MinInt64)
+			c.zone[i].hi.Store(math.MaxInt64)
+		}
+	}
+	return c
+}
+
+// widen makes the zone cover row. A value that is neither NULL nor an INT
+// (never in an INT column: images are checked before they are installed)
+// widens its column to the full range. Callers hold writeMu.
+func (c *chunk) widen(row value.Row) {
+	for i := range min(len(row), len(c.zone)) {
+		if row[i].IsNull() {
+			continue
+		}
+		lo, ok := row[i].AsInt()
+		hi := lo
+		if !ok {
+			lo, hi = math.MinInt64, math.MaxInt64
+		}
+		z := &c.zone[i]
+		if lo < z.lo.Load() {
+			z.lo.Store(lo)
+		}
+		if hi > z.hi.Load() {
+			z.hi.Store(hi)
+		}
+	}
+}
+
+// admits reports whether the chunk may hold a row inside every bound.
+func (c *chunk) admits(bounds []Bound) bool {
+	for _, b := range bounds {
+		if b.Lo > b.Hi {
+			return false
+		}
+		if b.Col < 0 || b.Col >= len(c.zone) {
+			continue
+		}
+		if z := &c.zone[b.Col]; z.lo.Load() > b.Hi || z.hi.Load() < b.Lo {
+			return false
+		}
+	}
+	return true
+}
 
 // heap is one published list of a table's slots: slot i is
-// chunks[i/chunkSlots][i%chunkSlots], and slots [0, n) are in use. Writers,
-// under writeMu, fill the tail chunk and then advance n; a full tail, or a
-// vacuum that drops slots, publishes a new heap, and a reader that loaded
-// this one finishes on it. Chunks are never compacted in place.
+// chunks[i/chunkSlots].slots[i%chunkSlots], and slots [0, n) are in use.
+// Writers, under writeMu, fill the tail chunk and then advance n; a full
+// tail, or a vacuum that drops slots, publishes a new heap, and a reader that
+// loaded this one finishes on it. Chunks are never compacted in place. ints
+// marks the table's INT columns, the ones its zones track.
 type heap struct {
 	chunks []*chunk
 	n      atomic.Int64
+	ints   []bool
 }
 
 func (h *heap) slot(i int) *atomic.Pointer[rowVersion] {
-	return &h.chunks[uint(i)/chunkSlots][uint(i)%chunkSlots]
+	return &h.chunks[uint(i)/chunkSlots].slots[uint(i)%chunkSlots]
 }
 
 // push installs v in the next free slot and returns the heap that holds it:
 // h, or when h is full a new heap with one more chunk, for the caller to
-// publish. Callers hold writeMu.
+// publish. The chunk's zone is widened by every version of v's chain first
+// (vacuum pushes whole kept chains). Callers hold writeMu.
 func (h *heap) push(v *rowVersion) *heap {
 	n := int(h.n.Load())
 	if n == len(h.chunks)*chunkSlots {
-		grown := &heap{chunks: append(h.chunks[:len(h.chunks):len(h.chunks)], new(chunk))}
+		grown := &heap{chunks: append(h.chunks[:len(h.chunks):len(h.chunks)], newChunk(h.ints)), ints: h.ints}
 		grown.n.Store(int64(n))
 		h = grown
 	}
-	h.slot(n).Store(v)
+	c := h.chunks[n/chunkSlots]
+	for w := v; w != nil; w = w.next.Load() {
+		c.widen(w.row)
+	}
+	c.slots[n%chunkSlots].Store(v)
 	h.n.Store(int64(n + 1))
 	return h
 }
@@ -123,6 +198,75 @@ func (c *Cursor) Head() value.Row {
 		}
 	}
 	return nil
+}
+
+// Bound is the closed range [Lo, Hi] of INT values in column Col; Lo > Hi
+// is empty.
+type Bound struct {
+	Col    int
+	Lo, Hi int64
+}
+
+// Prune is what a reader tells NextIn it wants: rows whose INT columns lie
+// inside every bound. Skipped counts the chunks the cursor skipped for it.
+type Prune struct {
+	Bounds  []Bound
+	Skipped int
+}
+
+// NextIn is Next for a reader that wants only rows inside p's bounds: at each
+// chunk boundary it skips the chunks whose zones rule such rows out. It may
+// still return rows outside the bounds. It skips nothing while the cursor's
+// transaction has buffered updates or deletes of the table: their images are
+// in no zone.
+func (c *Cursor) NextIn(p *Prune) value.Row {
+	if c.pos%chunkSlots != 0 {
+		if row := c.Head(); row != nil {
+			return row
+		}
+	}
+	return c.nextIn(p)
+}
+
+func (c *Cursor) nextIn(p *Prune) value.Row {
+	for c.pos < c.end {
+		if c.pos%chunkSlots == 0 {
+			c.skip(p)
+		}
+		if row := c.Head(); row != nil {
+			return row
+		}
+		// The slow path, stopping at the next chunk boundary.
+		end := c.end
+		c.end = min(end, (c.pos/chunkSlots+1)*chunkSlots)
+		tg, ok := c.next()
+		c.end = end
+		if ok {
+			return tg.row
+		}
+	}
+	return nil
+}
+
+// skip moves the cursor, at a chunk boundary, past the chunks whose zones
+// admit no row inside p's bounds.
+func (c *Cursor) skip(p *Prune) {
+	if c.tt != nil && len(c.tt.mods) > 0 {
+		return
+	}
+	for c.pos%chunkSlots == 0 && c.pos < min(c.end, c.n) && !c.h.chunks[c.pos/chunkSlots].admits(p.Bounds) {
+		c.pos = min(c.pos+chunkSlots, c.end, c.n)
+		p.Skipped++
+	}
+}
+
+// Chunks is the number of heap chunks the cursor's remaining slots span.
+func (c *Cursor) Chunks() int {
+	end := min(c.end, c.n)
+	if c.pos >= end {
+		return 0
+	}
+	return (end-1)/chunkSlots - c.pos/chunkSlots + 1
 }
 
 // next returns the next row with the version it was read from and its slot
@@ -301,7 +445,7 @@ func (t *Table) vacuum(h uint64) int {
 			// is too (they were superseded even earlier): no reader at or
 			// past the horizon can see any of them. Drop the whole slot.
 			if compacted == nil {
-				compacted = &heap{}
+				compacted = &heap{ints: old.ints}
 				for j := range i {
 					compacted = compacted.push(old.slot(j).Load())
 				}

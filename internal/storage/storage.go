@@ -221,8 +221,9 @@ type target struct {
 }
 
 // supersedeLocked stamps each target deleted at its LSN range and, for an
-// update, installs its replacement in its slot as the slot's newest
-// version. Callers are inside an apply's stamp callback.
+// update, installs its replacement in its slot as the slot's newest version,
+// its chunk's zone widened first. Callers are inside an apply's stamp
+// callback.
 func (t *Table) supersedeLocked(targets []target, update bool, ranges []lsnRange) {
 	h := t.heap.Load()
 	for _, rg := range ranges {
@@ -231,6 +232,7 @@ func (t *Table) supersedeLocked(targets []target, update bool, ranges []lsnRange
 			if update {
 				v := &rowVersion{row: tg.row, created: rg.lsn}
 				v.next.Store(tg.v)
+				h.chunks[tg.slot/chunkSlots].widen(v.row)
 				h.slot(tg.slot).Store(v)
 			} else {
 				t.live--
@@ -469,7 +471,11 @@ func (s *Store) createTable(def *catalog.TableDef, lsn uint64) (*Table, error) {
 // attach allocates the heap for a registered definition. Callers hold s.mu.
 func (s *Store) attach(def *catalog.TableDef) *Table {
 	t := &Table{def: def, store: s}
-	t.heap.Store(&heap{})
+	ints := make([]bool, len(def.Columns))
+	for i, c := range def.Columns {
+		ints[i] = c.Type == value.KindInt
+	}
+	t.heap.Store(&heap{ints: ints})
 	s.tables[keyOf(def.Name)] = t
 	return t
 }

@@ -163,6 +163,12 @@ func (v Value) Int() int64 {
 	return 0
 }
 
+// AsInt returns the integer payload and true when v is an INT, without
+// Int's coercion: the one-compare test a per-row kernel can inline.
+func (v Value) AsInt() (int64, bool) {
+	return int64(v.num), v.ptr == unsafe.Pointer(&kindTag[KindInt])
+}
+
 // Float returns the numeric payload as float64; 0 for non-numeric kinds.
 func (v Value) Float() float64 {
 	switch v.Kind() {
