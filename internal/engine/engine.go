@@ -397,17 +397,27 @@ type MemStatus struct {
 	SpillFiles, SpillBytes int64
 	// TempDir is where spill files are created ("" = the OS temp directory).
 	TempDir string
+	// IdleSlabBytes and IdleSlabs are what the session keeps between
+	// statements: the hash-table, build-row, group, count and sort-buffer
+	// slabs its blocking operators gave back, for the next statement to take
+	// (at most 16 per element type, no more than work_mem bytes when it is
+	// positive, dropped by Close).
+	IdleSlabBytes int64
+	IdleSlabs     int
 }
 
 // MemStatus reports the session's memory and spill state.
 func (s *Session) MemStatus() MemStatus {
+	idleBytes, idleSlabs := s.mem.Idle()
 	return MemStatus{
-		WorkMem:    s.mem.Budget(),
-		Tracked:    s.mem.Tracked(),
-		Peak:       s.mem.Peak(),
-		SpillFiles: s.mem.Pool().Files(),
-		SpillBytes: s.mem.Pool().Bytes(),
-		TempDir:    s.mem.Dir(),
+		WorkMem:       s.mem.Budget(),
+		Tracked:       s.mem.Tracked(),
+		Peak:          s.mem.Peak(),
+		SpillFiles:    s.mem.Pool().Files(),
+		SpillBytes:    s.mem.Pool().Bytes(),
+		TempDir:       s.mem.Dir(),
+		IdleSlabBytes: idleBytes,
+		IdleSlabs:     idleSlabs,
 	}
 }
 
@@ -954,7 +964,8 @@ var showViews = map[string]showView{
 		},
 	},
 	"memory_status": {
-		slices.Concat(showCols(value.KindInt, "work_mem", "tracked", "peak", "spill_files", "spill_bytes"), showCols(value.KindString, "temp_dir")),
+		slices.Concat(showCols(value.KindInt, "work_mem", "tracked", "peak", "spill_files", "spill_bytes"), showCols(value.KindString, "temp_dir"),
+			showCols(value.KindInt, "idle_slab_bytes", "idle_slabs")),
 		func(s *Session) ([]value.Row, error) {
 			ms := s.MemStatus()
 			tempDir := ms.TempDir
@@ -962,7 +973,8 @@ var showViews = map[string]showView{
 				tempDir = "(os default)"
 			}
 			return []value.Row{{value.NewInt(ms.WorkMem), value.NewInt(ms.Tracked), value.NewInt(ms.Peak),
-				value.NewInt(ms.SpillFiles), value.NewInt(ms.SpillBytes), value.NewString(tempDir)}}, nil
+				value.NewInt(ms.SpillFiles), value.NewInt(ms.SpillBytes), value.NewString(tempDir),
+				value.NewInt(ms.IdleSlabBytes), value.NewInt(int64(ms.IdleSlabs))}}, nil
 		},
 	},
 	"last_trace": {

@@ -195,7 +195,7 @@ func TestWorkMemSetting(t *testing.T) {
 		}
 	}
 	res := mustExecSpill(t, s, `SHOW memory_status`)
-	wantCols := "work_mem|tracked|peak|spill_files|spill_bytes|temp_dir"
+	wantCols := "work_mem|tracked|peak|spill_files|spill_bytes|temp_dir|idle_slab_bytes|idle_slabs"
 	if got := strings.Join(res.Columns, "|"); got != wantCols {
 		t.Fatalf("memory_status columns = %q", got)
 	}

@@ -178,7 +178,7 @@ func decodeAggStates(rest []byte, states []aggState) (fragBytes int64, err error
 
 func (a *aggIter) Open(ctx *Context) error {
 	a.release()
-	if err := a.input.Open(ctx); err != nil {
+	if err := openOrClose(a.input, ctx); err != nil {
 		return err
 	}
 	defer a.input.Close()
@@ -391,9 +391,10 @@ func (f *aggFold) statesOf(gi int) []aggState {
 // newGroup makes g resident under the key in keyScratch and returns its number.
 func (f *aggFold) newGroup(g aggGroup) int {
 	gi, _ := f.keys.insert(f.keyScratch)
-	f.groups = append(roomFor(f.groups, 1), g)
+	m := f.acct.mem()
+	f.groups = append(roomFor(m, f.groups, 1), g)
 	f.live++
-	f.states = roomFor(f.states, len(f.a.op.Aggs))
+	f.states = roomFor(m, f.states, len(f.a.op.Aggs))
 	for _, ae := range f.a.op.Aggs {
 		st := aggState{}
 		if ae.Distinct {
@@ -755,9 +756,10 @@ func (a *aggIter) start(ctx *Context) {
 	a.d.start(ctx, &a.fold)
 	a.fold.a = a
 	a.fold.begin([2]*spill.File{})
+	a.fold.keys.mem = ctx.Mem
 	if n, k := a.slot.size(ctx, aggGroupBytes+keyEntryBytes+int64(len(a.op.Aggs))*aggStateBytes); n > 0 {
-		a.fold.groups = make([]aggGroup, 0, n)
-		a.fold.states = make([]aggState, 0, n*len(a.op.Aggs))
+		a.fold.groups = takeSlab[aggGroup](ctx.Mem, n)
+		a.fold.states = takeSlab[aggState](ctx.Mem, n*len(a.op.Aggs))
 		a.fold.keys.presize(n, k)
 	}
 }
@@ -766,7 +768,8 @@ func (a *aggIter) start(ctx *Context) {
 // output, accounting, spill files.
 func (a *aggIter) release() {
 	a.fold.release()
-	a.fold.keys, a.fold.groups, a.fold.states = keyTable{}, nil, nil
+	a.fold.keys.free()
+	a.fold.groups, a.fold.states = giveSlab(a.fold.acct.mem(), a.fold.groups), giveSlab(a.fold.acct.mem(), a.fold.states)
 	a.d.release()
 }
 

@@ -617,7 +617,7 @@ func compileSubplan(sp *algebra.Subplan) compiledExpr {
 				if err != nil || n.IsNull() {
 					return value.Null, err
 				}
-				set, sawNull := cached.membership()
+				set, sawNull := cached.membership(ctx.Mem)
 				key = n.AppendKey(key[:0])
 				if set.find(key) >= 0 {
 					return value.NewBool(!sp.Neg), nil

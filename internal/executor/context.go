@@ -99,12 +99,18 @@ type Context struct {
 // reader is done, or the version vacuum could never advance).
 func (c *Context) SetUnpin(f func()) { c.unpin = f }
 
-// Release releases the statement's snapshot pin. Idempotent; safe on
-// contexts that never pinned.
+// Release releases the statement's snapshot pin and gives back the slabs of
+// its IN-membership indexes. Idempotent; safe on contexts that never pinned.
 func (c *Context) Release() {
 	if c.unpin != nil {
 		c.unpin()
 		c.unpin = nil
+	}
+	for _, r := range c.subplanCache {
+		if r.inSet != nil {
+			r.inSet.free()
+			r.inSet = nil
+		}
 	}
 }
 
@@ -177,10 +183,11 @@ type subplanResult struct {
 	inSawNull bool
 }
 
-// membership returns the IN-membership index, building it lazily.
-func (r *subplanResult) membership() (*keyTable, bool) {
+// membership returns the IN-membership index, building it lazily on slabs of
+// m, which the statement's Release gives back.
+func (r *subplanResult) membership(m *MemTracker) (*keyTable, bool) {
 	if r.inSet == nil {
-		r.inSet = &keyTable{}
+		r.inSet = &keyTable{mem: m}
 		var scratch []byte
 		for _, row := range r.rows {
 			if row[0].IsNull() {

@@ -40,6 +40,7 @@ func (s *dedupState) start(ctx *Context) {
 	s.d.start(ctx, s)
 	s.acct.ctx = ctx
 	s.seq = 0
+	s.seen.mem = ctx.Mem
 	s.begin([2]*spill.File{})
 	if n, k := s.slot.size(ctx, keyEntryBytes); n > 0 {
 		s.seen.presize(n, k)
@@ -132,7 +133,7 @@ func (s *dedupState) finish() error {
 
 // release drops all dedup state, accounting, and spill files.
 func (s *dedupState) release() {
-	s.seen = keyTable{}
+	s.seen.free()
 	s.acct.releaseAll()
 	s.d.release()
 }

@@ -231,7 +231,7 @@ func (m *modifyIter) Open(ctx *Context) error {
 	m.n, err = t.Write(txn, func(x *storage.Txn) (int, error) {
 		// The input, subqueries too, reads through the write's transaction.
 		ctx.Txn, ctx.SnapLSN = x, x.Snap()
-		if err := m.input.Open(ctx); err != nil {
+		if err := openOrClose(m.input, ctx); err != nil {
 			return 0, err
 		}
 		defer m.input.Close()
@@ -458,7 +458,7 @@ type sortKeyed struct {
 func (s *sortIter) Open(ctx *Context) error {
 	s.release() // re-Open (lateral re-execution) must not leak prior state
 	s.acct.ctx = ctx
-	if err := s.input.Open(ctx); err != nil {
+	if err := openOrClose(s.input, ctx); err != nil {
 		return err
 	}
 	defer s.input.Close()
@@ -469,8 +469,9 @@ func (s *sortIter) Open(ctx *Context) error {
 
 	var all []sortKeyed
 	if n, _ := s.slot.size(ctx, sortKeyedBytes); n > 0 {
-		all = make([]sortKeyed, 0, n)
+		all = takeSlab[sortKeyed](ctx.Mem, n)
 	}
+	defer func() { s.buf = all }() // released with the sort, on every path
 	var keyAlloc value.RowAlloc
 	// The order (keys, input sequence) is total, so an unstable sort under it
 	// is the stable sort by keys.
@@ -519,7 +520,7 @@ func (s *sortIter) Open(ctx *Context) error {
 			}
 			row = ext
 		}
-		all = append(roomFor(all, 1), sortKeyed{row: row, seq: len(all)})
+		all = append(roomFor(ctx.Mem, all, 1), sortKeyed{row: row, seq: len(all)})
 		n := rowBytes(row)
 		s.acct.grow(n)
 		batchBytes += n
@@ -542,7 +543,7 @@ func (s *sortIter) Open(ctx *Context) error {
 		// Everything fit: the in-memory path, output aliasing the buffer.
 		s.slot.record(len(all), 0)
 		sortBatch()
-		s.buf, s.pos = all, 0
+		s.pos = 0
 		return nil
 	}
 	if len(all) > 0 {
@@ -568,7 +569,7 @@ func (s *sortIter) Next() (value.Row, error) {
 
 // release drops all sort state: buffered rows, accounting, spill files.
 func (s *sortIter) release() {
-	s.buf, s.pos = nil, 0
+	s.buf, s.pos = giveSlab(s.acct.mem(), s.buf), 0
 	s.merger.Close()
 	s.merger = nil
 	s.reg.closeAll()
@@ -695,16 +696,15 @@ func (c *concatIter) Close() error {
 
 // --- draining -------------------------------------------------------------------
 
-// roomFor returns s with capacity for n more elements, doubling a slice that
-// is full. The buffers a whole input drains into end up thousands of elements
-// long, where append's own growth has slowed to 1.25× and a slice that ends
-// at n elements has allocated some 4.5n on the way; doubling allocates 3n on
-// average.
-func roomFor[T any](s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
+// openOrClose opens an input its parent drains and closes itself, closing it
+// at once when its Open fails: what it holds by then (tracked bytes, slabs,
+// spill files) is released, though no one will Close it later.
+func openOrClose(it iterator, ctx *Context) error {
+	err := it.Open(ctx)
+	if err != nil {
+		it.Close()
 	}
-	return slices.Grow(s, max(n, len(s)))
+	return err
 }
 
 // drainRows pulls src to its end, handing each row to fn. Every operator that
@@ -737,7 +737,7 @@ func drainRows(ctx *Context, src interface{ Next() (value.Row, error) }, fn func
 // and correlated subplans re-execute a subtree per outer row without
 // rebuilding (and recompiling) it.
 func reopenAndDrain(it iterator, ctx *Context) ([]value.Row, error) {
-	if err := it.Open(ctx); err != nil {
+	if err := openOrClose(it, ctx); err != nil {
 		return nil, err
 	}
 	defer it.Close()

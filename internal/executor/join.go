@@ -246,11 +246,12 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 			h.cond = compilePred(h.residual)
 		}
 	}
-	if err := h.right.Open(ctx); err != nil {
+	if err := openOrClose(h.right, ctx); err != nil {
 		return err
 	}
+	h.table.mem = ctx.Mem
 	if n, k := h.slot.size(ctx, buildRowBytes+keyEntryBytes); n > 0 {
-		h.rows = make([]buildRow, 0, n)
+		h.rows = takeSlab[buildRow](ctx.Mem, n)
 		h.table.presize(n, k)
 	}
 	// Stream the build side in, charging every retained row (its payload, its
@@ -293,7 +294,7 @@ func (h *hashJoinIter) addBuild(row value.Row, key []byte, hashable bool) {
 		key = nil
 	}
 	h.table.add(key, hashable)
-	h.rows = append(roomFor(h.rows, 1), buildRow{row: row})
+	h.rows = append(roomFor(h.ctx.Mem, h.rows, 1), buildRow{row: row})
 	h.acct.grow(rowBytes(row) + buildRowBytes + keyEntryBytes + int64(len(key)))
 }
 
@@ -421,7 +422,8 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 
 // release drops the build table, grace state, spill files and accounted bytes.
 func (h *hashJoinIter) release() {
-	h.rows, h.table = nil, keyTable{}
+	h.rows = giveSlab(h.acct.mem(), h.rows)
+	h.table.free()
 	h.graceJoin = graceJoin{}
 	h.acct.releaseAll()
 	h.d.release()
@@ -510,7 +512,7 @@ func (n *nlJoinIter) Open(ctx *Context) error {
 	if n.cond == nil && n.op.Cond != nil {
 		n.cond = compilePred(n.op.Cond)
 	}
-	if err := n.right.Open(ctx); err != nil {
+	if err := openOrClose(n.right, ctx); err != nil {
 		return err
 	}
 	b := &n.build

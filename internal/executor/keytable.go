@@ -32,6 +32,7 @@ type keyTable struct {
 	// entries[:linked] are in the chains: insert links its entry at once, add
 	// leaves its entries to the next lookup, which relinks the table.
 	linked int
+	mem    *MemTracker // where the slabs come from and go back to
 }
 
 // key returns entry i's bytes, nil for a dead entry.
@@ -53,11 +54,16 @@ func (t *keyTable) reset() {
 	t.entries, t.arena, t.heads, t.linked = t.entries[:0], t.arena[:0], t.heads[:0], 0
 }
 
+// free gives the table's slabs back and empties it.
+func (t *keyTable) free() {
+	t.entries, t.arena, t.heads, t.linked = giveSlab(t.mem, t.entries), giveSlab(t.mem, t.arena), giveSlab(t.mem, t.heads), 0
+}
+
 // presize gives an empty table room for n > 0 keys of keyBytes in all.
 func (t *keyTable) presize(n, keyBytes int) {
-	t.entries = make([]keyEntry, 0, n)
-	t.arena = make([]byte, 0, keyBytes)
-	t.heads = make([]int32, 0, max(8, 1<<bits.Len(uint(n))))
+	t.entries = takeSlab[keyEntry](t.mem, n)
+	t.arena = takeSlab[byte](t.mem, keyBytes)
+	t.heads = takeSlab[int32](t.mem, max(8, 1<<bits.Len(uint(n))))
 }
 
 // add appends an entry for key, a duplicate or not, and returns its number;
@@ -73,13 +79,13 @@ func (t *keyTable) add(key []byte, keyed bool) int {
 func (t *keyTable) push(e keyEntry, key []byte) int {
 	if t.entries == nil {
 		// Room for a handful: a four-group aggregation grows nothing.
-		t.entries, t.arena = make([]keyEntry, 0, 8), make([]byte, 0, 8*max(len(key), 8))
+		t.entries, t.arena = takeSlab[keyEntry](t.mem, 8), takeSlab[byte](t.mem, 8*max(len(key), 8))
 	}
 	if e.n >= 0 {
 		e.off, e.n = len(t.arena), int32(len(key))
-		t.arena = append(roomFor(t.arena, len(key)), key...)
+		t.arena = append(roomFor(t.mem, t.arena, len(key)), key...)
 	}
-	t.entries = append(roomFor(t.entries, 1), e)
+	t.entries = append(roomFor(t.mem, t.entries, 1), e)
 	return len(t.entries) - 1
 }
 
@@ -92,7 +98,8 @@ func (t *keyTable) link() {
 		buckets <<= 1
 	}
 	if cap(t.heads) < buckets {
-		t.heads = make([]int32, buckets)
+		giveSlab(t.mem, t.heads)
+		t.heads = takeSlab[int32](t.mem, buckets)
 	}
 	t.heads = t.heads[:buckets]
 	for b := range t.heads {

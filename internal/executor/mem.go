@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -25,6 +26,7 @@ type MemTracker struct {
 	cur    atomic.Int64
 	peak   atomic.Int64
 	pool   *spill.Pool
+	free   freeSlabs
 }
 
 // NewMemTracker returns a tracker with the given byte budget (<= 0 =
@@ -80,11 +82,168 @@ func (m *MemTracker) Tracked() int64 { return m.cur.Load() }
 // Peak reports the high-water tracked byte total.
 func (m *MemTracker) Peak() int64 { return m.peak.Load() }
 
-// Cleanup force-removes every live spill file (session teardown).
+// Idle reports the bytes and the number of the slabs the session keeps
+// between statements.
+func (m *MemTracker) Idle() (bytes int64, slabs int) {
+	m.free.mu.Lock()
+	defer m.free.mu.Unlock()
+	for _, n := range m.free.n {
+		slabs += n
+	}
+	return m.free.bytes, slabs
+}
+
+// Cleanup force-removes every live spill file and drops the idle slabs
+// (session teardown).
 func (m *MemTracker) Cleanup() {
 	if m != nil {
 		m.pool.Cleanup()
+		m.free.mu.Lock()
+		m.free.lists, m.free.n, m.free.bytes = [slabKinds][slabsKept]idleSlab{}, [slabKinds]int{}, 0
+		m.free.mu.Unlock()
 	}
+}
+
+// A slab is the backing array of a blocking operator's accumulating slice: a
+// key table's entries, arena and buckets, build rows, groups, states, counts,
+// a sort buffer. Operators take slabs from the session and give them back at
+// release, so a cached plan's next run gets what its last run held. A session
+// keeps at most slabsKept idle slabs per element type and, under a positive
+// work_mem, no more than work_mem idle bytes; the smallest go first.
+const slabsKept, slabKinds, rowSlabs = 16, 8, 4
+
+// slabTypes are the element types with a free list, numbered by position;
+// those from rowSlabs on hold rows.
+var slabTypes = [slabKinds]any{(*keyEntry)(nil), (*byte)(nil), (*int32)(nil), (*setCount)(nil),
+	(*buildRow)(nil), (*aggGroup)(nil), (*aggState)(nil), (*sortKeyed)(nil)}
+
+// slabKindOf numbers T's free list, -1 for a type without one.
+func slabKindOf[T any]() int {
+	for k, t := range slabTypes {
+		if _, ok := t.(*T); ok {
+			return k
+		}
+	}
+	return -1
+}
+
+type idleSlab struct {
+	p     unsafe.Pointer // the first element
+	cap   int
+	bytes int64
+}
+
+// freeSlabs is a session's idle slabs, shared by its statements and workers.
+type freeSlabs struct {
+	mu    sync.Mutex
+	lists [slabKinds][slabsKept]idleSlab
+	n     [slabKinds]int
+	bytes int64
+}
+
+// take removes the best-fitting idle slab of kind k for n elements and returns
+// it whole, nil for none. One over 2n is no fit: its holder would keep twice
+// what it asked for.
+func (f *freeSlabs) take(k, n int) (unsafe.Pointer, int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	j := -1
+	for i, s := range f.lists[k][:f.n[k]] {
+		if s.cap >= n && s.cap <= 2*n && (j < 0 || s.cap < f.lists[k][j].cap) {
+			j = i
+		}
+	}
+	if j < 0 {
+		return nil, 0
+	}
+	s := f.drop(k, j)
+	return s.p, s.cap
+}
+
+func (f *freeSlabs) drop(k, i int) idleSlab {
+	s, l := f.lists[k][i], &f.lists[k]
+	f.n[k]--
+	l[i], l[f.n[k]] = l[f.n[k]], idleSlab{}
+	f.bytes -= s.bytes
+	return s
+}
+
+// put keeps s, making room by dropping the smallest idle slabs: of its kind
+// while its list is full (s itself when it is the smallest), and of any kind
+// while the idle bytes would pass a positive budget.
+func (f *freeSlabs) put(k int, s idleSlab, budget int64) {
+	if budget > 0 && s.bytes > budget {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for full := f.n[k] == slabsKept; full || budget > 0 && f.bytes+s.bytes > budget; full = f.n[k] == slabsKept {
+		vk, vi := -1, -1
+		for kk := range f.lists {
+			for i, v := range f.lists[kk][:f.n[kk]] {
+				if (!full || kk == k) && (vi < 0 || v.bytes < f.lists[vk][vi].bytes) {
+					vk, vi = kk, i
+				}
+			}
+		}
+		if full && f.lists[vk][vi].bytes >= s.bytes {
+			return
+		}
+		f.drop(vk, vi)
+	}
+	f.lists[k][f.n[k]] = s
+	f.n[k]++
+	f.bytes += s.bytes
+}
+
+// takeSlab returns an empty slice with room for n elements: an idle slab of
+// the session's when one fits, whole (a slab cut to n would keep its tail
+// where no one counts it), else a new one of exactly n.
+func takeSlab[T any](m *MemTracker, n int) []T {
+	if k := slabKindOf[T](); m != nil && k >= 0 {
+		if p, c := m.free.take(k, n); p != nil {
+			return unsafe.Slice((*T)(p), c)[:0]
+		}
+	}
+	return make([]T, 0, n)
+}
+
+// giveSlab gives s's slab to the session once its holder, which drops it for
+// the nil returned, reads it no more. A slab of rows is cleared, so an idle
+// slab keeps none alive; under stalerows the others are filled with 0xA5 —
+// entries dead, heads, links and counts negative — for a read after return to
+// show in a differential.
+func giveSlab[T any](m *MemTracker, s []T) []T {
+	if k := slabKindOf[T](); m != nil && k >= 0 && cap(s) > 0 {
+		s = s[:cap(s)]
+		p, size := unsafe.Pointer(unsafe.SliceData(s)), int64(cap(s))*int64(unsafe.Sizeof(s[0]))
+		if k >= rowSlabs {
+			clear(s)
+		} else if poisonStaleRows {
+			for b := unsafe.Slice((*byte)(p), size); len(b) > 0; b = b[1:] {
+				b[0] = 0xA5
+			}
+		}
+		m.free.put(k, idleSlab{p, cap(s), size}, m.Budget())
+	}
+	return nil
+}
+
+// roomFor returns s with capacity for n more elements, doubling a slice that
+// is full. The buffers a whole input drains into end up thousands of elements
+// long, where append's own growth has slowed to 1.25× and a slice that ends
+// at n elements has allocated some 4.5n on the way; doubling allocates 3n on
+// average. A slab grows through the session's free list, and goes back to it.
+func roomFor[T any](m *MemTracker, s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	if m == nil || slabKindOf[T]() < 0 {
+		return slices.Grow(s, max(n, len(s)))
+	}
+	t := append(takeSlab[T](m, len(s)+max(n, len(s))), s...)
+	giveSlab(m, s)
+	return t
 }
 
 // valueFixedBytes is the in-memory footprint of one Value struct; string

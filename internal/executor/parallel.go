@@ -448,7 +448,11 @@ func (g *gatherIter) fanOut(ctx *Context, ranges []storage.Cursor) error {
 			g.ex.rows[w] = int64(len(parts[w].groups)) // a fold's output is its groups
 		}
 		g.release()
-		if err := agg.mergePartials(ctx, parts); err != nil {
+		err := agg.mergePartials(ctx, parts)
+		for w := range parts { // merged: the workers' slabs are read no more
+			parts[w].groups, parts[w].states = giveSlab(ctx.Mem, parts[w].groups), giveSlab(ctx.Mem, parts[w].states)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -469,7 +473,7 @@ func (g *gatherIter) materializeRight(ctx *Context) ([]value.Row, error) {
 	defer g.right.Close()
 	var rows []value.Row
 	err := drainRows(ctx, g.right, func(row value.Row) error {
-		rows = append(roomFor(rows, 1), row)
+		rows = append(roomFor(nil, rows, 1), row)
 		g.acct.grow(rowBytes(row) + rowSliceBytes)
 		if g.acct.spillable() && g.acct.over() {
 			return errParallelOverflow

@@ -38,11 +38,12 @@ func (s *setOpIter) Open(ctx *Context) error {
 	s.release()
 	s.d.start(ctx, s)
 	s.acct.ctx = ctx
+	s.keys.mem = ctx.Mem
 	if n, k := s.slot.size(ctx, keyEntryBytes+setCountBytes); n > 0 {
 		s.keys.presize(n, k)
-		s.count = make([]setCount, 0, n)
+		s.count = takeSlab[setCount](ctx.Mem, n)
 	}
-	if err := s.left.Open(ctx); err != nil {
+	if err := openOrClose(s.left, ctx); err != nil {
 		return err
 	}
 	defer s.left.Close()
@@ -60,7 +61,7 @@ func (s *setOpIter) Open(ctx *Context) error {
 	}); err != nil {
 		return err
 	}
-	if err := s.right.Open(ctx); err != nil {
+	if err := openOrClose(s.right, ctx); err != nil {
 		return err
 	}
 	defer s.right.Close()
@@ -145,7 +146,7 @@ func (s *setOpIter) counted(row value.Row, add bool) (c *setCount, isNew bool) {
 		return nil, false
 	}
 	if isNew {
-		s.count = append(roomFor(s.count, 1), setCount{})
+		s.count = append(roomFor(s.acct.mem(), s.count, 1), setCount{})
 	}
 	return &s.count[i], isNew
 }
@@ -263,7 +264,8 @@ func (s *setOpIter) Next() (value.Row, error) { return s.d.Next() }
 func (s *setOpIter) release() {
 	s.lbuf, s.rbuf, s.probe = nil, nil, nil
 	s.dropCounts()
-	s.keys, s.count = keyTable{}, nil
+	s.keys.free()
+	s.count = giveSlab(s.acct.mem(), s.count)
 	s.d.release()
 }
 

@@ -157,7 +157,7 @@ func (s *Stream) Drain() ([]value.Row, error) {
 		rows = make([]value.Row, 0, n)
 	}
 	if err := drainRows(s.ctx, s, func(row value.Row) error {
-		rows = append(roomFor(rows, 1), row)
+		rows = append(roomFor(nil, rows, 1), row)
 		return nil
 	}); err != nil {
 		s.Close()
