@@ -297,6 +297,7 @@ type aggFold struct {
 	keyScratch      []byte
 	distinctScratch []byte
 	rec             []byte
+	order           []int // finish's emission order, evictOver's candidates
 }
 
 func (f *aggFold) begin([2]*spill.File) bool {
@@ -341,7 +342,10 @@ func (f *aggFold) finish() error {
 	}
 	var order []int // nil: every group, in the table's order
 	if a.d.level > 0 || f.live < len(f.groups) {
-		order = f.liveGroups()
+		// The walk below owns the scratch slice until it ends: an eviction
+		// meanwhile makes its own.
+		order, f.order = f.liveGroups(f.order), nil
+		defer func() { f.order = order[:0] }()
 		slices.SortFunc(order, func(x, y int) int { return cmp.Compare(f.groups[x].firstSeq, f.groups[y].firstSeq) })
 	}
 	a.d.expect(f.live)
@@ -373,14 +377,15 @@ func (f *aggFold) release() {
 	f.acct.releaseAll()
 }
 
-func (f *aggFold) liveGroups() []int {
-	order := make([]int, 0, f.live)
+// liveGroups appends the numbers of the resident groups to dst[:0].
+func (f *aggFold) liveGroups(dst []int) []int {
+	dst = slices.Grow(dst[:0], f.live)
 	for gi := range f.groups {
 		if !f.keys.dead(gi) {
-			order = append(order, gi)
+			dst = append(dst, gi)
 		}
 	}
-	return order
+	return dst
 }
 
 func (f *aggFold) statesOf(gi int) []aggState {
@@ -531,7 +536,9 @@ func (f *aggFold) evictOver() error {
 	if m.Tracked() <= target || f.live == 0 {
 		return nil
 	}
-	cands := f.liveGroups()
+	cands := f.liveGroups(f.order)
+	f.order = nil
+	defer func() { f.order = cands[:0] }()
 	slices.SortFunc(cands, func(x, y int) int {
 		return cmp.Or(cmp.Compare(f.groups[y].bytes, f.groups[x].bytes), cmp.Compare(x, y))
 	})

@@ -1,7 +1,19 @@
-// Package spill gives blocking executor operators a disk surface: temp files
-// of length-framed records, tracked by a Pool so that every byte written is
-// counted and every file is removed however the query ends — normal
-// completion, timeout, client disconnect, session close or server shutdown.
+// Package spill gives blocking executor operators a disk surface: logical
+// files of length-framed records, tracked by a Pool so that every byte
+// written is counted and every file is removed however the query ends —
+// normal completion, timeout, client disconnect, session close or server
+// shutdown.
+//
+// A pool's logical files share one backing temp file, as the tapes of
+// PostgreSQL's logtape.c share one BufFile. The backing file is created with
+// the first file while none is live and removed with the last one (or by
+// Cleanup), so a spilling session holds at most one temp file and one
+// descriptor however many grace partitions, sort runs and merge outputs it
+// has open. The backing file is cut into blocks the size of a file's buffer;
+// a logical file is the list of the blocks its full buffers were written to,
+// taken from the pool's free-block list or from the end of the backing file,
+// and given back to that list when it closes. So the backing file never grows
+// past the peak of live blocks.
 //
 // A file's one buffer comes from its pool and goes back when the file
 // closes, so hundreds of files allocate a handful of buffers, each a
@@ -18,6 +30,7 @@ package spill
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -52,20 +65,29 @@ func AppendRow(dst []byte, row value.Row) []byte { return value.AppendRow(dst, r
 // DecodeRow reverses AppendRow into a row of its own: value.DecodeRow.
 func DecodeRow(b []byte) (value.Row, []byte, error) { return value.DecodeRow(nil, b) }
 
-// --- tracked temp files ----------------------------------------------------------
+// --- tracked logical files -------------------------------------------------------
 
-// Pool creates and tracks spill files under one directory. Files deregister
-// themselves on Close; Cleanup force-removes whatever is still live, which is
-// how a session teardown (close, disconnect, shutdown) guarantees zero
-// leftover temp files even if an iterator tree was abandoned mid-stream.
-// Counters are cumulative for the pool's lifetime — they feed
-// SHOW memory_status.
+// Pool creates and tracks spill files in one backing temp file under its
+// directory. Files deregister themselves on Close; Cleanup force-closes
+// whatever is still live, which is how a session teardown (close,
+// disconnect, shutdown) guarantees zero leftover temp files even if an
+// iterator tree was abandoned mid-stream. Counters are cumulative for the
+// pool's lifetime — they feed SHOW memory_status. Parallel workers share
+// their session's pool: it is safe for concurrent use.
 type Pool struct {
 	mu      sync.Mutex
 	dir     string
 	live    map[*File]struct{}
 	bufSize int
 	free    [][]byte // buffers of bufSize, at most MergeFanIn
+
+	// The backing file while any file is live: its block size (the buffer
+	// size when it was made), the offset past its last block, and the blocks
+	// closed files gave back.
+	backing    *os.File
+	blockSize  int
+	end        int64
+	freeBlocks []int64
 
 	files atomic.Int64 // files ever created
 	bytes atomic.Int64 // bytes ever written
@@ -76,7 +98,7 @@ func NewPool(dir string) *Pool {
 	return &Pool{dir: dir, live: make(map[*File]struct{}), bufSize: maxBufferSize}
 }
 
-// SetDir changes the directory future files are created in.
+// SetDir changes the directory future backing files are created in.
 func (p *Pool) SetDir(dir string) {
 	p.mu.Lock()
 	p.dir = dir
@@ -85,6 +107,7 @@ func (p *Pool) SetDir(dir string) {
 
 // SetBudget sizes the buffers of future files from the session's work_mem
 // (<= 0: unlimited), so MergeFanIn open files hold no more than the budget.
+// Files created while the backing file exists keep its block size.
 func (p *Pool) SetBudget(workMem int64) {
 	size := maxBufferSize
 	if workMem > 0 {
@@ -117,32 +140,48 @@ func (p *Pool) Live() int {
 	return len(p.live)
 }
 
-// Create opens a fresh spill file in the pool's directory.
+// Create opens a fresh, empty spill file, and the backing file in the pool's
+// directory if no file is live.
 func (p *Pool) Create() (*File, error) {
 	p.mu.Lock()
-	dir := p.dir
-	p.mu.Unlock()
-	f, err := os.CreateTemp(dir, "perm-spill-*")
-	if err != nil {
-		return nil, fmt.Errorf("spill: create temp file: %w", err)
+	defer p.mu.Unlock()
+	if p.backing == nil {
+		f, err := os.CreateTemp(p.dir, "perm-spill-*")
+		if err != nil {
+			return nil, fmt.Errorf("spill: create temp file: %w", err)
+		}
+		p.backing, p.blockSize, p.end = f, p.bufSize, 0
 	}
-	sf := &File{pool: p, f: f}
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
+	sf := &File{pool: p, f: p.backing, block: p.blockSize}
+	sf.blocks = sf.first[:0] // most files are a few blocks
+	if n := len(p.free); n > 0 && len(p.free[n-1]) == p.blockSize {
 		sf.buf, p.free = p.free[n-1], p.free[:n-1]
 	} else {
-		sf.buf = make([]byte, p.bufSize)
+		sf.buf = make([]byte, p.blockSize)
 	}
 	p.live[sf] = struct{}{}
-	p.mu.Unlock()
 	p.files.Add(1)
 	mSpillFiles.Inc()
 	return sf, nil
 }
 
-// Cleanup closes and removes every file still live, then drops the free
-// buffers. Idempotent; safe to call concurrently with Close (a file is
-// removed exactly once).
+// takeBlock returns the offset of a free block of the backing file.
+func (p *Pool) takeBlock() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.freeBlocks); n > 0 {
+		off := p.freeBlocks[n-1]
+		p.freeBlocks = p.freeBlocks[:n-1]
+		return off
+	}
+	off := p.end
+	p.end += int64(p.blockSize)
+	return off
+}
+
+// Cleanup closes every file still live, which removes the backing file, then
+// drops the free buffers. Idempotent; safe to call concurrently with Close (a
+// file is closed exactly once).
 func (p *Pool) Cleanup() {
 	p.mu.Lock()
 	live := make([]*File, 0, len(p.live))
@@ -154,21 +193,32 @@ func (p *Pool) Cleanup() {
 		f.Close()
 	}
 	p.mu.Lock()
-	p.free = nil
+	p.free, p.freeBlocks = nil, nil
 	p.mu.Unlock()
 }
 
-// File is one spill file: append length-framed records, then StartRead to
-// rewind and stream them back, as often as needed. Close removes the file from
-// disk and returns its buffer to the pool. A File is single-goroutine, like
-// the operators above it.
+var errClosed = errors.New("spill: file is closed")
+
+// File is one logical spill file: append length-framed records, then
+// StartRead to rewind and stream them back, as often as needed. Its bytes
+// lie in blocks of the pool's backing file, every block full but the last.
+// Close gives the blocks and the buffer back to the pool. A File is
+// single-goroutine, like the operators above it.
 type File struct {
 	pool *Pool
-	f    *os.File
+	// f is the backing file, kept by the file itself: once Cleanup closed it,
+	// a read fails with an error.
+	f      *os.File
+	block  int     // the backing file's block size
+	blocks []int64 // the offsets of the file's blocks, in file order
+	first  [4]int64
+	size   int64 // the bytes in the blocks
 	// buf is the file's one buffer: buf[:w] are pending writes until the
-	// first StartRead, buf[r:w] the read-ahead after it.
+	// first StartRead, buf[r:w] the read-ahead after it, which ends at the
+	// file's byte pos.
 	buf     []byte
 	r, w    int
+	pos     int64
 	reading bool
 	written int64
 	records int64
@@ -203,8 +253,18 @@ func (f *File) write(p []byte) error {
 	return nil
 }
 
+// flush writes the pending bytes to a block of their own.
 func (f *File) flush() error {
-	_, err := f.f.Write(f.buf[:f.w])
+	if f.buf == nil {
+		return errClosed
+	}
+	if f.w == 0 {
+		return nil
+	}
+	off := f.pool.takeBlock()
+	f.blocks = append(f.blocks, off)
+	f.size += int64(f.w)
+	_, err := f.f.WriteAt(f.buf[:f.w], off)
 	f.w = 0
 	return err
 }
@@ -222,22 +282,53 @@ func (f *File) StartRead() error {
 		}
 		f.reading = true
 	}
+	if f.buf == nil {
+		return errClosed
+	}
 	f.pool.bytes.Add(f.written)
 	mSpillBytes.Add(uint64(f.written))
 	f.written = 0
-	f.r, f.w = 0, 0
-	_, err := f.f.Seek(0, io.SeekStart)
-	return err
+	f.r, f.w, f.pos = 0, 0, 0
+	return nil
 }
 
-// fill moves the read-ahead to the front of the buffer and reads behind it
-// until it holds want bytes (io.ErrUnexpectedEOF or io.EOF if the file ends).
+// fill moves the read-ahead to the front of the buffer and reads the file's
+// next bytes behind it until the buffer is full or the file ends, one call per
+// run of adjacent blocks; it fails with io.ErrUnexpectedEOF or io.EOF if the
+// buffer then holds fewer than want bytes. Reads stop at the file's size, so
+// a reused block never yields the bytes another file left in it.
 func (f *File) fill(want int) error {
+	if f.buf == nil {
+		return errClosed
+	}
 	f.w = copy(f.buf, f.buf[f.r:f.w])
 	f.r = 0
-	n, err := io.ReadAtLeast(f.f, f.buf[f.w:], want-f.w)
-	f.w += n
-	return err
+	bs := int64(f.block)
+	for f.w < len(f.buf) && f.pos < f.size {
+		room := min(int64(len(f.buf)-f.w), f.size-f.pos)
+		i := int(f.pos / bs)
+		off := f.blocks[i] + f.pos%bs
+		n := bs - f.pos%bs
+		for i++; n < room && i < len(f.blocks) && f.blocks[i] == f.blocks[i-1]+bs; i++ {
+			n += bs
+		}
+		n = min(n, room)
+		m, err := f.f.ReadAt(f.buf[f.w:f.w+int(n)], off)
+		f.w, f.pos = f.w+m, f.pos+int64(m)
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF // the backing file is shorter than the blocks
+		}
+		if err != nil {
+			return err
+		}
+	}
+	switch {
+	case f.w >= want:
+		return nil
+	case f.w == 0:
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
 }
 
 // Next returns the next record, or (nil, nil) at end of file. The returned
@@ -270,28 +361,39 @@ func (f *File) Next() ([]byte, error) {
 	return rec, nil
 }
 
-// Close closes and deletes the file and returns its buffer to the pool.
-// Idempotent.
+// Close gives the file's blocks and buffer back to the pool; the last live
+// file closes and removes the backing file. Idempotent.
 func (f *File) Close() error {
-	f.pool.mu.Lock()
+	p := f.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if f.closed {
-		f.pool.mu.Unlock()
 		return nil
 	}
 	f.closed = true
-	delete(f.pool.live, f)
-	if len(f.buf) == f.pool.bufSize && len(f.pool.free) < MergeFanIn {
-		f.pool.free = append(f.pool.free, f.buf)
+	delete(p.live, f)
+	// Last block first, so a file that takes them reads them in order.
+	for i := len(f.blocks) - 1; i >= 0; i-- {
+		p.freeBlocks = append(p.freeBlocks, f.blocks[i])
 	}
-	f.buf = nil
-	f.pool.mu.Unlock()
+	if len(f.buf) == p.bufSize && len(p.free) < MergeFanIn {
+		p.free = append(p.free, f.buf)
+	}
+	f.buf, f.blocks, f.r, f.w = nil, nil, 0, 0
 	// Bytes written but never read back (an interrupted run) still count as
 	// spilled traffic.
-	f.pool.bytes.Add(f.written)
+	p.bytes.Add(f.written)
 	mSpillBytes.Add(uint64(f.written))
-	name := f.f.Name()
-	err := f.f.Close()
-	if rerr := os.Remove(name); err == nil {
+	f.written = 0
+	if len(p.live) > 0 {
+		return nil
+	}
+	// Removed under the lock: a Create racing this one makes the next
+	// backing file only once this one is gone from the directory.
+	backing := p.backing
+	p.backing, p.freeBlocks, p.end = nil, p.freeBlocks[:0], 0
+	err := backing.Close()
+	if rerr := os.Remove(backing.Name()); err == nil {
 		err = rerr
 	}
 	return err

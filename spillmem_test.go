@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"perm/internal/engine"
+	"perm/internal/value"
 )
 
 // TestSpilledGroupByKeepsItsTable: a spilling aggregation folds every grace
@@ -61,5 +62,79 @@ func TestSpilledGroupByKeepsItsTable(t *testing.T) {
 	t.Logf("the second run allocated %d bytes, %.1f a group", got, float64(got)/groups)
 	if got > limit {
 		t.Errorf("the second run allocated %d bytes, want at most %d", got, limit)
+	}
+}
+
+// TestSpilledGroupByReusesItsOrder: below level 0 a fold emits its groups in
+// first-appearance order, and an eviction sheds its largest groups first;
+// both sort the resident groups' numbers in one scratch slice the fold keeps,
+// not in a slice made afresh per fold and per eviction. A warm prepared GROUP
+// BY of 20 000 groups under 64 KiB of work_mem, drained through a borrowed
+// stream, allocates each group's key row and its share of the merge, under
+// 80 bytes a group. Measured: 71 bytes a group; 87 with a fresh slice each
+// time.
+func TestSpilledGroupByReusesItsOrder(t *testing.T) {
+	if raceEnabled || staleRows {
+		t.Skip("allocation counts are not meaningful under the race detector or poisoned rows")
+	}
+	const groups, workMem, perGroup = 20_000, 64 << 10, 80
+	s := engine.NewDB().NewSession()
+	defer s.Close()
+	exec := func(q string) {
+		t.Helper()
+		if _, err := s.Execute(q); err != nil {
+			t.Fatalf("%.60s: %v", q, err)
+		}
+	}
+	exec(`CREATE TABLE g (k int)`)
+	for lo := 0; lo < groups; lo += 1000 {
+		var vals []string
+		for i := lo; i < lo+1000; i++ {
+			vals = append(vals, fmt.Sprintf("(%d)", i))
+		}
+		exec(`INSERT INTO g VALUES ` + strings.Join(vals, ", "))
+	}
+	exec(fmt.Sprintf(`SET work_mem = %d`, workMem))
+	p, err := s.Prepare(`SELECT k, count(*) FROM g WHERE k >= ? GROUP BY k`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		t.Helper()
+		rows, err := p.QueryBorrowed(value.NewInt(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		n := 0
+		for ; ; n++ {
+			row, err := rows.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == nil {
+				break
+			}
+		}
+		if n != groups {
+			t.Fatalf("%d groups, want %d", n, groups)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	files := s.MemStatus().SpillFiles
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if n := s.MemStatus().SpillFiles - files; n < 8 {
+		t.Fatalf("the warm run created %d spill files: it never spilled into 8 partitions", n)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("the warm run allocated %d bytes, %.1f a group", got, float64(got)/groups)
+	if got > groups*perGroup {
+		t.Errorf("the warm run allocated %d bytes, want at most %d", got, groups*perGroup)
 	}
 }
