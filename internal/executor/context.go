@@ -1,7 +1,7 @@
 // Package executor implements Perm's Volcano-style query executor: iterators
-// over the logical algebra with runtime choices (hash vs. nested-loop joins,
-// hash aggregation), SQL three-valued logic, correlated subplan evaluation,
-// and the LATERAL joins the provenance rewriter emits for nested subqueries.
+// over the logical algebra (one hash join for every join but LATERAL, hash
+// aggregation), SQL three-valued logic, correlated subplan evaluation, and
+// the LATERAL joins the provenance rewriter emits for nested subqueries.
 package executor
 
 import (
@@ -429,9 +429,10 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		f.input = input(o.Input, reuse)
 		it = f
 	case *algebra.Join:
-		// Lateral joins always run nested-loop with per-left-row re-execution
-		// of the right side; equi-joins run as hash joins; everything else
-		// falls back to a generic nested loop.
+		out := newJoinEmit(o, emit)
+		out.rows.reuse = reuse
+		// Lateral joins re-run the right side per left row; every other join
+		// is a hash join, on the empty key when the condition has no equi key.
 		if o.Lateral {
 			switch o.Kind {
 			case algebra.JoinInner, algebra.JoinCross, algebra.JoinLeft:
@@ -441,11 +442,9 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 			// Both inputs stay serial: the right side re-runs once per outer
 			// row, and fanning that out would launch workers per row.
 			b.graft = false
-			it = &lateralJoinIter{op: o, left: input(o.Left, false), right: input(o.Right, false)}
+			it = &lateralJoinIter{op: o, left: input(o.Left, false), right: input(o.Right, false), out: out}
 			break
 		}
-		out := newJoinEmit(o, emit)
-		out.rows.reuse = reuse
 		// The probe row is read into the output row, never handed up itself.
 		left := input(o.Left, true)
 		var right iterator
@@ -457,11 +456,8 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		if g != nil {
 			g.right = right
 		}
-		if keys, residual := extractEquiKeys(o); len(keys) > 0 {
-			it = &hashJoinIter{op: o, slot: b.slots.next(), left: left, right: right, keys: keys, residual: residual, out: out, d: graceDriver{reuse: reuse}}
-		} else {
-			it = &nlJoinIter{op: o, left: left, right: right, out: out}
-		}
+		keys, residual := extractEquiKeys(o)
+		it = &hashJoinIter{op: o, slot: b.slots.next(), left: left, right: right, keys: keys, residual: residual, out: out, d: graceDriver{reuse: reuse}}
 	case *algebra.Agg:
 		it = &aggIter{op: o, slot: b.slots.next(), input: input(o.Input, true), part: b.part, d: graceDriver{reuse: reuse}}
 	case *algebra.Distinct:

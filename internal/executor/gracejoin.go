@@ -110,8 +110,7 @@ func (h *hashJoinIter) routeRow(side int, ord uint64, hashable bool, key []byte,
 // level-0 partitions.
 func (h *hashJoinIter) spillTable() error {
 	for i := range h.rows {
-		key := h.table.key(i)
-		if err := h.routeRow(0, uint64(i), key != nil, key, h.rows[i].row); err != nil {
+		if err := h.routeRow(0, uint64(i), !h.table.dead(i), h.table.key(i), h.rows[i].row); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,6 @@ package executor
 
 import (
 	"perm/internal/algebra"
-	"perm/internal/spill"
 	"perm/internal/sql"
 	"perm/internal/value"
 )
@@ -22,7 +21,9 @@ type equiKey struct {
 // is not evaluated again: candidates are pairs whose keys are byte-equal, and
 // the key encoding is the equality of value.Compare (NULL with NULL only under
 // IS NOT DISTINCT FROM: a strict key holding a NULL is never hashed), so on
-// every candidate the conjunct is true.
+// every candidate the conjunct is true. A join with no key (a theta join, a
+// cross product) is the hash join on the empty key: every build row is a
+// candidate of every probe row, and the whole condition is the residual.
 func extractEquiKeys(op *algebra.Join) (keys []equiKey, residual algebra.Expr) {
 	if op.Cond == nil {
 		return nil, nil
@@ -156,10 +157,10 @@ func (e *joinEmit) row(l, r value.Row) value.Row {
 
 // --- one probe step ---------------------------------------------------------------
 
-// probeState follows one probe row through its candidate build rows. Both
-// join operators drive it — the hash join from a bucket chain, the nested
-// loop from its whole build side — and it is the one place the join kind
-// decides what a match, or the lack of one, emits.
+// probeState follows one probe row through its candidate build rows — the
+// hash join's from a bucket chain, the lateral join's from the right side it
+// re-ran for the row — and is the one place the join kind decides what a
+// match, or the lack of one, emits.
 type probeState struct {
 	kind    algebra.JoinKind
 	row     value.Row // the probe row in flight; nil between probes
@@ -190,7 +191,9 @@ type hashJoinIter struct {
 	op    *algebra.Join
 	left  iterator
 	right iterator
-	keys  []equiKey
+	// keys are the equi keys, none for a theta join or a cross product: then
+	// every build row has the empty key and one chain holds them all.
+	keys []equiKey
 	// residual is the part of the condition the keys do not already decide.
 	residual algebra.Expr
 	out      *joinEmit
@@ -242,9 +245,9 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 			h.leftKey = append(h.leftKey, Compile(k.left))
 			h.rightKey = append(h.rightKey, Compile(k.right))
 		}
-		if h.residual != nil {
-			h.cond = compilePred(h.residual)
-		}
+	}
+	if h.cond == nil && h.residual != nil {
+		h.cond = compilePred(h.residual)
 	}
 	if err := openOrClose(h.right, ctx); err != nil {
 		return err
@@ -342,12 +345,22 @@ func (h *hashJoinIter) startProbe(row value.Row, key []byte, hashable bool) {
 // walks the entries of the probe's key in the table, which holds the whole build
 // side or — for a grace partition joined in chunks — one chunk of it. Only
 // when the table holds the last of the build rows this probe can meet may
-// resolve be set, so that a probe left without a match emits alone.
+// resolve be set, so that a probe left without a match emits alone. It polls
+// for cancellation per candidate: a chain can hold the whole build side.
 func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err error) {
 	p := &h.p
 	for h.cur >= 0 {
+		if err := h.ctx.tick(); err != nil {
+			return nil, nil, false, err
+		}
 		br := &h.rows[h.cur]
-		h.cur = h.table.next(h.cur, h.probeKey)
+		if len(h.keys) > 0 {
+			h.cur = h.table.next(h.cur, h.probeKey)
+		} else if h.cur++; h.cur == len(h.rows) {
+			// No key: the one chain is the build side in insertion order,
+			// stepped by position instead of by link and key compare.
+			h.cur = -1
+		}
 		if h.cond != nil {
 			ok, err := h.cond(combineScratch(&h.comb, p.row, br.row), h.ctx)
 			if err != nil {
@@ -424,6 +437,7 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 func (h *hashJoinIter) release() {
 	h.rows = giveSlab(h.acct.mem(), h.rows)
 	h.table.free()
+	h.bmAcct.releaseAll()
 	h.graceJoin = graceJoin{}
 	h.acct.releaseAll()
 	h.d.release()
@@ -432,184 +446,6 @@ func (h *hashJoinIter) release() {
 func (h *hashJoinIter) Close() error {
 	h.release()
 	return h.left.Close()
-}
-
-// --- nested-loop join ---------------------------------------------------------------
-
-type nlJoinIter struct {
-	op    *algebra.Join
-	left  iterator
-	right iterator
-	out   *joinEmit
-	ctx   *Context
-	cond  compiledPred
-
-	// build is the materialized right side, which every probe row (and then
-	// the FULL/RIGHT tail) walks in insertion order.
-	build nlBuild
-	acct  memAcct
-	reg   fileReg
-
-	comb   value.Row
-	p      probeState
-	inTail bool
-	done   bool
-}
-
-// nlBuild is the nested loop's build side and the cursor over it. Once the
-// materialized rows cross work_mem, every further row appends to one spill
-// file in insertion order, and a walk streams the file after the resident
-// prefix — the same candidates in the same order as a fully resident loop.
-type nlBuild struct {
-	rows []buildRow
-	file *spill.File
-	// fileMatched mirrors buildRow.matched for spilled rows, by file ordinal.
-	fileMatched []bool
-	// cursor: pos counts the candidates handed out since rewind
-	pos int
-	// alloc makes the rows read back from file
-	alloc value.RowAlloc
-}
-
-func (b *nlBuild) rewind() { b.pos = 0 }
-
-// next returns the next candidate and its matched flag, a nil row at the end.
-// It polls for cancellation per candidate: one probe row can scan the whole
-// build side without a match.
-func (b *nlBuild) next(ctx *Context) (value.Row, *bool, error) {
-	if err := ctx.tick(); err != nil {
-		return nil, nil, err
-	}
-	i := b.pos
-	b.pos++
-	if i < len(b.rows) {
-		return b.rows[i].row, &b.rows[i].matched, nil
-	}
-	if i -= len(b.rows); i >= len(b.fileMatched) {
-		return nil, nil, nil
-	}
-	if i == 0 {
-		// The file position carries across emitted rows; only a rewind
-		// restarts it.
-		if err := b.file.StartRead(); err != nil {
-			return nil, nil, err
-		}
-	}
-	rec, err := b.file.Next()
-	if err != nil {
-		return nil, nil, err
-	}
-	row, _, err := value.DecodeRow(&b.alloc, rec)
-	return row, &b.fileMatched[i], err
-}
-
-func (n *nlJoinIter) Open(ctx *Context) error {
-	n.release()
-	n.ctx = ctx
-	n.done, n.inTail = false, false
-	n.p = probeState{kind: n.op.Kind}
-	n.acct.ctx = ctx
-	if n.cond == nil && n.op.Cond != nil {
-		n.cond = compilePred(n.op.Cond)
-	}
-	if err := openOrClose(n.right, ctx); err != nil {
-		return err
-	}
-	b := &n.build
-	var rec []byte
-	err := drainRows(ctx, n.right, func(row value.Row) (err error) {
-		if b.file == nil && n.acct.spillable() && n.acct.over() && len(b.rows) >= minBufferRows {
-			if b.file, err = n.reg.create(ctx); err != nil {
-				return err
-			}
-		}
-		if b.file == nil {
-			b.rows = append(b.rows, buildRow{row: row})
-			n.acct.grow(rowBytes(row) + buildRowBytes)
-			return nil
-		}
-		b.fileMatched = append(b.fileMatched, false)
-		n.acct.grow(1) // the matched flag stays resident per spilled row
-		rec = value.AppendRow(rec[:0], row)
-		return b.file.Append(rec)
-	})
-	n.right.Close()
-	if err != nil {
-		return err
-	}
-	if ctx.owner != nil {
-		ctx.owner.BuildRows = int64(len(b.rows) + len(b.fileMatched))
-	}
-	return n.left.Open(ctx)
-}
-
-func (n *nlJoinIter) Next() (value.Row, error) {
-	for !n.done {
-		if n.inTail {
-			// FULL/RIGHT JOIN: emit unmatched build-side rows null-padded.
-			row, matched, err := n.build.next(n.ctx)
-			if err != nil {
-				return nil, err
-			}
-			if row == nil {
-				n.done = true
-			} else if !*matched {
-				return n.out.row(nil, row), nil
-			}
-			continue
-		}
-		if n.p.row == nil {
-			probe, err := n.left.Next()
-			if err != nil {
-				return nil, err
-			}
-			n.build.rewind()
-			if probe == nil {
-				n.inTail = n.p.buildTail()
-				n.done = !n.inTail
-				continue
-			}
-			n.p.start(probe)
-		}
-		for {
-			row, matched, err := n.build.next(n.ctx)
-			if err != nil {
-				return nil, err
-			}
-			if row == nil {
-				break
-			}
-			if n.cond != nil {
-				ok, err := n.cond(combineScratch(&n.comb, n.p.row, row), n.ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			*matched, n.p.matched = true, true
-			return n.out.row(n.p.row, row), nil
-		}
-		probe := n.p.row
-		n.p.row = nil
-		if n.p.alone() {
-			return n.out.row(probe, nil), nil
-		}
-	}
-	return nil, nil
-}
-
-// release drops the materialized right side, spill file and accounted bytes.
-func (n *nlJoinIter) release() {
-	n.build = nlBuild{}
-	n.reg.closeAll()
-	n.acct.releaseAll()
-}
-
-func (n *nlJoinIter) Close() error {
-	n.release()
-	return n.left.Close()
 }
 
 // --- lateral join ---------------------------------------------------------------------
@@ -624,50 +460,36 @@ type lateralJoinIter struct {
 	op    *algebra.Join
 	left  iterator
 	right iterator
+	out   *joinEmit
 	ctx   *Context
 	cond  compiledPred
 
-	curProbe value.Row
-	curRows  []value.Row
-	curIdx   int
-	curMatch bool
-	alloc    value.RowAlloc
+	comb value.Row
+	p    probeState
+	// the right side's rows for the probe in flight, and the next to try
+	curRows []value.Row
+	curIdx  int
 }
 
 func (l *lateralJoinIter) Open(ctx *Context) error {
 	l.ctx = ctx
-	l.curProbe = nil
+	l.p = probeState{kind: l.op.Kind}
 	if l.cond == nil && l.op.Cond != nil {
 		l.cond = compilePred(l.op.Cond)
 	}
 	return l.left.Open(ctx)
 }
 
-// concat makes the output row probe⧺rrow, nRight columns wide on the right;
-// a nil rrow leaves them NULL.
-func (l *lateralJoinIter) concat(probe, rrow value.Row, nRight int) value.Row {
-	out := l.alloc.New(len(probe) + nRight)
-	copy(out[copy(out, probe):], rrow)
-	return out
-}
-
 func (l *lateralJoinIter) Next() (value.Row, error) {
-	nRight := len(l.op.Right.Schema())
 	for {
 		if err := l.ctx.tick(); err != nil {
 			return nil, err
 		}
-		if l.curProbe == nil {
+		if l.p.row == nil {
 			probe, err := l.left.Next()
-			if err != nil {
+			if err != nil || probe == nil {
 				return nil, err
 			}
-			if probe == nil {
-				return nil, nil
-			}
-			l.curProbe = probe
-			l.curIdx = 0
-			l.curMatch = false
 			// Re-open the prebuilt right side under this probe row.
 			l.ctx.pushOuter(probe)
 			rows, err := reopenAndDrain(l.right, l.ctx)
@@ -675,31 +497,28 @@ func (l *lateralJoinIter) Next() (value.Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			l.curRows = rows
+			l.p.start(probe)
+			l.curRows, l.curIdx = rows, 0
 		}
 		for l.curIdx < len(l.curRows) {
-			rrow := l.curRows[l.curIdx]
+			r := l.curRows[l.curIdx]
 			l.curIdx++
-			combined := l.concat(l.curProbe, rrow, nRight)
-			ok := true
 			if l.cond != nil {
-				var err error
-				ok, err = l.cond(combined, l.ctx)
+				ok, err := l.cond(combineScratch(&l.comb, l.p.row, r), l.ctx)
 				if err != nil {
 					return nil, err
 				}
+				if !ok {
+					continue
+				}
 			}
-			if !ok {
-				continue
-			}
-			l.curMatch = true
-			return combined, nil
+			l.p.matched = true
+			return l.out.row(l.p.row, r), nil
 		}
-		probe := l.curProbe
-		matched := l.curMatch
-		l.curProbe = nil
-		if l.op.Kind == algebra.JoinLeft && !matched {
-			return l.concat(probe, nil, nRight), nil
+		probe := l.p.row
+		l.p.row = nil
+		if l.p.alone() {
+			return l.out.row(probe, nil), nil
 		}
 	}
 }

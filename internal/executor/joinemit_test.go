@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -21,34 +22,38 @@ import (
 func emitStore(t *testing.T) *storage.Store {
 	t.Helper()
 	s := storage.NewStore()
-	mk := func(name, payload string, n int, key func(i int) value.Value) {
-		tab, err := s.CreateTable(&catalog.TableDef{Name: name, Columns: []catalog.Column{
-			{Name: "k", Type: value.KindInt}, {Name: payload, Type: value.KindString},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := make([]value.Row, n)
-		for i := range rows {
-			rows[i] = value.Row{key(i), value.NewString(fmt.Sprintf("%s-%d with some width to it", payload, i))}
-		}
-		if _, err := tab.InsertBatch(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("probe", "a", 700, func(i int) value.Value {
+	emitTable(t, s, "probe", "a", 700, func(i int) value.Value {
 		if i%35 == 0 {
 			return value.Null
 		}
 		return value.NewInt(int64(i % 90))
 	})
-	mk("build", "b", 500, func(i int) value.Value {
+	emitTable(t, s, "build", "b", 500, func(i int) value.Value {
 		if i%45 == 0 {
 			return value.Null
 		}
 		return value.NewInt(int64(20 + i%100))
 	})
 	return s
+}
+
+// emitTable adds the table name(k, payload) of n rows to s, row i keyed
+// key(i), its payload a string with some width to it.
+func emitTable(t *testing.T, s *storage.Store, name, payload string, n int, key func(i int) value.Value) {
+	t.Helper()
+	tab, err := s.CreateTable(&catalog.TableDef{Name: name, Columns: []catalog.Column{
+		{Name: "k", Type: value.KindInt}, {Name: payload, Type: value.KindString},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = value.Row{key(i), value.NewString(fmt.Sprintf("%s-%d with some width to it", payload, i))}
+	}
+	if _, err := tab.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func emitScan(table, payload string) *algebra.Scan {
@@ -138,6 +143,78 @@ func TestJoinEmitsThroughProjection(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestHotKeyJoinReleasesItsBitmap: a build side of one key over work_mem
+// cannot be split by rehashing, so the grace join block-joins it in chunks
+// and carries the probe-matched bitmap across them; once the join is closed
+// every byte it charged the session is given back, the bitmap's too.
+func TestHotKeyJoinReleasesItsBitmap(t *testing.T) {
+	s := storage.NewStore()
+	// Both sides hold the one key, so they meet in one partition and the
+	// chunked pair is the last the join folds.
+	five := func(int) value.Value { return value.NewInt(5) }
+	emitTable(t, s, "hotprobe", "a", 200, five)
+	emitTable(t, s, "hot", "b", 500, five)
+	keysEqual := &algebra.Bin{Op: sql.OpEq, L: intCol(0), R: intCol(2)}
+	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinLeft, algebra.JoinFull} {
+		t.Run(kind.String(), func(t *testing.T) {
+			ctx := NewContext(s)
+			ctx.Mem = NewMemTracker(4096, t.TempDir())
+			defer ctx.Mem.Cleanup()
+			stream, err := Open(ctx, algebra.NewJoin(kind, emitScan("hotprobe", "a"), emitScan("hot", "b"), keysEqual))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			rows, err := stream.Drain()
+			if err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if len(rows) != 200*500 {
+				t.Fatalf("the join returned %d rows, want %d", len(rows), 200*500)
+			}
+			if ctx.Mem.Pool().Bytes() == 0 {
+				t.Fatal("the join did not spill")
+			}
+			if tracked := ctx.Mem.Tracked(); tracked != 0 {
+				t.Errorf("tracked bytes after drain = %d", tracked)
+			}
+			stream.Close()
+			if tracked := ctx.Mem.Tracked(); tracked != 0 {
+				t.Errorf("tracked bytes after Close = %d", tracked)
+			}
+		})
+	}
+}
+
+// TestJoinPollsPerCandidate: one probe row walking a long run of candidates,
+// none of which qualifies, still notices that its deadline has passed —
+// through a hot key and through a join with no key at all.
+func TestJoinPollsPerCandidate(t *testing.T) {
+	s := storage.NewStore()
+	emitTable(t, s, "one", "a", 1, func(int) value.Value { return value.NewInt(5) })
+	emitTable(t, s, "many", "b", 100_000, func(int) value.Value { return value.NewInt(5) })
+	str := func(i int) *algebra.ColIdx { return &algebra.ColIdx{Idx: i, Typ: value.KindString} }
+	// "a-0 …" sorts before every "b-…": the residual never holds.
+	never := &algebra.Bin{Op: sql.OpGt, L: str(1), R: str(3)}
+	for name, cond := range map[string]algebra.Expr{
+		"hot key": &algebra.Bin{Op: sql.OpAnd, L: &algebra.Bin{Op: sql.OpEq, L: intCol(0), R: intCol(2)}, R: never},
+		"no key":  never,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx := NewContext(s)
+			stream, err := Open(ctx, algebra.NewJoin(algebra.JoinInner, emitScan("one", "a"), emitScan("many", "b"), cond))
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer stream.Close()
+			// The build side is in; from here on only the probe runs.
+			ctx.DeadlineNs = 1
+			if row, err := stream.Next(); !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("Next past the deadline = %v, %v; want ErrInterrupted", row, err)
+			}
+		})
 	}
 }
 

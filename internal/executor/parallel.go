@@ -22,11 +22,11 @@ import (
 //     chain; the coordinator concatenates worker outputs in worker order,
 //     which for contiguous ranges over order-preserving operators is exactly
 //     the serial row order.
-//   - A hash or nested-loop join whose probe (left) side is such a chain. The
-//     coordinator materializes the build side once; each worker joins its
-//     probe range against the shared read-only rows with a private join
-//     iterator (its own compiled expressions, hash table, and memory account
-//     against the one shared budget). Probe-side-local kinds only
+//   - A join whose probe (left) side is such a chain. The coordinator
+//     materializes the build side once; each worker joins its probe range
+//     against the shared read-only rows with a private hash join (its own
+//     compiled expressions, hash table, and memory account against the one
+//     shared budget; on the empty key when the join has no equi key). Probe-side-local kinds only
 //     (INNER/LEFT/CROSS): their output factors by probe row, so
 //     worker-order concatenation again reproduces the serial order byte for
 //     byte.

@@ -42,9 +42,9 @@ type OpStats struct {
 	SpillFiles int64
 	SpillBytes int64
 
-	// BuildRows is the materialized build-side cardinality of a hash or
-	// nested-loop join (0 for other operators and lateral joins, which
-	// stream the right side per outer row).
+	// BuildRows is the materialized build-side cardinality of a hash join
+	// (0 for other operators and lateral joins, which re-run the right side
+	// per outer row).
 	BuildRows int64
 
 	// Chunks and ChunksSkipped count the heap chunks a scan under a Select
