@@ -15,7 +15,7 @@ import (
 // file may outlive its query.
 
 // seedParallelDB extends the spill fixture with a small table for bounded
-// nested-loop joins. big has 6000 rows and other 3000 — both above the
+// joins with no equi key. big has 6000 rows and other 3000 — both above the
 // executor's fan-out floor.
 func seedParallelDB(t testing.TB) *DB {
 	t.Helper()
@@ -36,8 +36,8 @@ func seedParallelDB(t testing.TB) *DB {
 }
 
 // parallelSuite spans every parallel operator plus shapes that must fall back
-// to the serial path and still agree: gather chains, partition-wise hash and
-// nested-loop joins, partition-wise aggregation, DISTINCT aggregates and
+// to the serial path and still agree: gather chains, partition-wise joins with
+// and without an equi key, partition-wise aggregation, DISTINCT aggregates and
 // float sums (ineligible), subqueries, sorts, and provenance rewrites.
 // fansOut marks the shapes that must really run on workers at degree >= 2
 // under a wide budget; the rest may fall back. The planner turns the comma
@@ -53,7 +53,7 @@ var parallelSuite = []struct {
 	{`SELECT b.k, b.v, o.v FROM big b, other o WHERE b.v = o.v`, true},
 	{`SELECT b.k, o.s FROM big b JOIN other o ON b.v = o.v WHERE b.k % 2 = 0`, true},
 	{`SELECT b.v, o.v FROM big b LEFT JOIN other o ON b.v = o.v WHERE b.v < 500`, true},
-	// partition-wise nested-loop and cross joins
+	// partition-wise theta and cross joins (no equi key)
 	{`SELECT b.v, sm.w FROM big b, small sm WHERE b.v % 97 < sm.w AND b.v % 11 = 0`, true},
 	{`SELECT count(*) FROM big b, small sm`, true},
 	// partition-wise aggregation with worker-order partial merge

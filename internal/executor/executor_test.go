@@ -166,7 +166,7 @@ func TestHashJoinLeft(t *testing.T) {
 
 func TestNLJoinRightAndFull(t *testing.T) {
 	s := testStore(t)
-	// Force nested loop with a non-equi condition.
+	// A non-equi condition: the hash join on the empty key.
 	cond := &algebra.Bin{Op: sql.OpLt, L: intCol(0), R: intCol(2)}
 	right := algebra.NewJoin(algebra.JoinRight, scanT(), scanU(), cond)
 	rows := runPlan(t, s, right)

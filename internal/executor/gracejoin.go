@@ -89,11 +89,9 @@ type graceJoin struct {
 	multiKey bool
 	// seen is the cross-chunk probe-matched bitmap, indexed by the probe
 	// row's position in the pair's probe file (identical on every scan).
-	// Only a multi-chunk pair allocates it. Its words are charged to bmAcct,
-	// which lives for the whole pair.
-	seen   []uint64
-	bmAcct memAcct
-	rec    []byte
+	// Only a multi-chunk pair allocates it.
+	seen bitSet
+	rec  []byte
 }
 
 // routeRow sends one input row (side 0 build, 1 probe) with its ordinal on
@@ -149,9 +147,8 @@ func (h *hashJoinIter) openGrace() error {
 
 func (h *hashJoinIter) begin(in [2]*spill.File) bool {
 	h.resetTable()
-	h.bmAcct.ctx = h.ctx
-	h.bmAcct.releaseAll()
-	h.probe, h.ords, h.seen = in[1], h.ords[:0], h.seen[:0]
+	h.seen.reset(h.ctx)
+	h.probe, h.ords = in[1], h.ords[:0]
 	h.chunk, h.full, h.multiKey = 0, false, false
 	// Without build rows a pair matters only to a join kind that emits
 	// unmatched probes.
@@ -243,7 +240,7 @@ func (h *hashJoinIter) joinChunk(last bool) error {
 		if err != nil {
 			return err
 		}
-		before := multiChunk && h.getSeen(pos-1) // matched in an earlier chunk
+		before := multiChunk && h.seen.get(pos-1) // matched in an earlier chunk
 		h.startProbe(probe, key, hashable)
 		for h.p.row != nil {
 			l, r, ok, err := h.nextOutput(last && !before)
@@ -257,7 +254,7 @@ func (h *hashJoinIter) joinChunk(last bool) error {
 			}
 		}
 		if h.p.matched && multiChunk {
-			h.setSeen(pos - 1)
+			h.seen.set(pos - 1)
 		}
 		return nil
 	})
@@ -279,16 +276,29 @@ func (h *hashJoinIter) joinChunk(last bool) error {
 	return nil
 }
 
-func (h *hashJoinIter) setSeen(p uint64) {
-	w := p >> 6
-	for uint64(len(h.seen)) <= w {
-		h.seen = append(h.seen, 0)
-		h.bmAcct.grow(8)
-	}
-	h.seen[w] |= 1 << (p & 63)
+// bitSet is a growable bitmap whose words are charged to work_mem.
+type bitSet struct {
+	words []uint64
+	acct  memAcct
 }
 
-func (h *hashJoinIter) getSeen(p uint64) bool {
-	w := p >> 6
-	return w < uint64(len(h.seen)) && h.seen[w]&(1<<(p&63)) != 0
+// reset empties the set and gives its bytes back; ctx is the statement its
+// next words are charged to.
+func (b *bitSet) reset(ctx *Context) {
+	b.acct.releaseAll()
+	b.words, b.acct.ctx = b.words[:0], ctx
+}
+
+func (b *bitSet) set(i uint64) {
+	w := i >> 6
+	for uint64(len(b.words)) <= w {
+		b.words = append(b.words, 0)
+		b.acct.grow(8)
+	}
+	b.words[w] |= 1 << (i & 63)
+}
+
+func (b *bitSet) get(i uint64) bool {
+	w := i >> 6
+	return w < uint64(len(b.words)) && b.words[w]&(1<<(i&63)) != 0
 }

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"perm/internal/algebra"
+	"perm/internal/spill"
 	"perm/internal/sql"
 	"perm/internal/value"
 )
@@ -230,6 +231,16 @@ type hashJoinIter struct {
 	acct memAcct
 	d    graceDriver
 	graceJoin
+	// A join with no key has no hash to partition on. Past the budget its
+	// resident rows stay, the rest of the build side goes, in order, to
+	// over, and every probe walks the file after the resident chain: the
+	// output streams in the in-memory order, and the disk holds the build
+	// side, never the output. overAt is the file ordinal the walk in flight
+	// reads next (-1: no walk); overHit marks the file rows a probe matched,
+	// for the FULL/RIGHT tail.
+	over    *spill.File
+	overAt  int64
+	overHit bitSet
 }
 
 func (h *hashJoinIter) Open(ctx *Context) error {
@@ -239,6 +250,7 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	h.tailIdx = 0
 	h.p = probeState{kind: h.op.Kind}
 	h.acct.ctx = ctx
+	h.overHit.reset(ctx)
 	h.d.start(ctx, h)
 	if h.leftKey == nil {
 		for _, k := range h.keys {
@@ -268,11 +280,19 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 			return err
 		}
 		nBuild++
-		if h.d.spilled() {
+		switch {
+		case h.d.spilled():
 			return h.routeRow(0, nBuild-1, hashable, key, row)
+		case h.over != nil:
+			h.rec = value.AppendRow(h.rec[:0], row)
+			return h.over.Append(h.rec)
 		}
 		h.addBuild(row, key, hashable)
 		if h.d.overflow(&h.acct, len(h.rows), minBufferRows) {
+			if len(h.keys) == 0 {
+				h.over, err = h.d.reg.create(ctx)
+				return err
+			}
 			return h.spillTable()
 		}
 		return nil
@@ -334,19 +354,53 @@ func combineScratch(scratch *value.Row, l, r value.Row) value.Row {
 // lasts; an unhashable probe has no candidates.
 func (h *hashJoinIter) startProbe(row value.Row, key []byte, hashable bool) {
 	h.p.start(row)
-	h.probeKey, h.cur = key, -1
+	h.probeKey, h.cur, h.overAt = key, -1, -1
 	if hashable {
 		h.cur = h.table.find(key)
+		h.startOver()
 	}
+}
+
+// startOver starts a walk of the overflow file, if there is one.
+func (h *hashJoinIter) startOver() {
+	h.overAt = -1
+	if h.over != nil {
+		h.overAt = 0
+	}
+}
+
+// nextOver returns the next row of the overflow walk in flight, which
+// overAt >= 0 says there is, and its ordinal in the file; nil at the walk's
+// end. The row is valid until the next call. It polls for cancellation per
+// row.
+func (h *hashJoinIter) nextOver() (value.Row, uint64, error) {
+	if err := h.ctx.tick(); err != nil {
+		return nil, 0, err
+	}
+	if h.overAt == 0 {
+		if err := h.over.StartRead(); err != nil {
+			return nil, 0, err
+		}
+	}
+	rec, err := h.over.Next()
+	if err != nil || rec == nil {
+		h.overAt = -1
+		return nil, 0, err
+	}
+	at := uint64(h.overAt)
+	h.overAt++
+	row, _, err := value.DecodeRow(h.d.recRow(), rec)
+	return row, at, err
 }
 
 // nextOutput advances the probe in flight to its next output row, l⧺r with a
 // nil r reading as NULLs; ok=false means the probe ended without another. It
 // walks the entries of the probe's key in the table, which holds the whole build
-// side or — for a grace partition joined in chunks — one chunk of it. Only
-// when the table holds the last of the build rows this probe can meet may
-// resolve be set, so that a probe left without a match emits alone. It polls
-// for cancellation per candidate: a chain can hold the whole build side.
+// side or — for a grace partition joined in chunks — one chunk of it, and then
+// the overflow file of a join with no key. Only when the table holds the last
+// of the build rows this probe can meet may resolve be set, so that a probe
+// left without a match emits alone. It polls for cancellation per candidate:
+// a chain can hold the whole build side.
 func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err error) {
 	p := &h.p
 	for h.cur >= 0 {
@@ -354,13 +408,7 @@ func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err er
 			return nil, nil, false, err
 		}
 		br := &h.rows[h.cur]
-		if len(h.keys) > 0 {
-			h.cur = h.table.next(h.cur, h.probeKey)
-		} else if h.cur++; h.cur == len(h.rows) {
-			// No key: the one chain is the build side in insertion order,
-			// stepped by position instead of by link and key compare.
-			h.cur = -1
-		}
+		h.cur = h.table.next(h.cur, h.probeKey)
 		if h.cond != nil {
 			ok, err := h.cond(combineScratch(&h.comb, p.row, br.row), h.ctx)
 			if err != nil {
@@ -372,6 +420,29 @@ func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err er
 		}
 		br.matched, p.matched = true, true
 		return p.row, br.row, true, nil
+	}
+	for h.overAt >= 0 {
+		row, at, err := h.nextOver()
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if row == nil {
+			break
+		}
+		if h.cond != nil {
+			ok, err := h.cond(combineScratch(&h.comb, p.row, row), h.ctx)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		if p.buildTail() {
+			h.overHit.set(at)
+		}
+		p.matched = true
+		return p.row, row, true, nil
 	}
 	l, p.row = p.row, nil
 	return l, nil, resolve && p.alone(), nil
@@ -393,12 +464,22 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 			return nil, nil
 		}
 		if h.inTail {
-			// FULL/RIGHT JOIN: emit unmatched build-side rows null-padded.
+			// FULL/RIGHT JOIN: emit unmatched build-side rows null-padded,
+			// the resident ones and then those of the overflow file.
 			for h.tailIdx < len(h.rows) {
 				br := &h.rows[h.tailIdx]
 				h.tailIdx++
 				if !br.matched {
 					return h.out.row(nil, br.row), nil
+				}
+			}
+			for h.overAt >= 0 {
+				row, at, err := h.nextOver()
+				if err != nil {
+					return nil, err
+				}
+				if row != nil && !h.overHit.get(at) {
+					return h.out.row(nil, row), nil
 				}
 			}
 			h.done = true
@@ -412,6 +493,7 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 			if probe == nil {
 				if h.p.buildTail() {
 					h.inTail = true
+					h.startOver()
 					continue
 				}
 				h.done = true
@@ -437,10 +519,12 @@ func (h *hashJoinIter) Next() (value.Row, error) {
 func (h *hashJoinIter) release() {
 	h.rows = giveSlab(h.acct.mem(), h.rows)
 	h.table.free()
-	h.bmAcct.releaseAll()
+	h.seen.reset(nil)
 	h.graceJoin = graceJoin{}
+	h.overHit.reset(nil)
+	h.over = nil
 	h.acct.releaseAll()
-	h.d.release()
+	h.d.release() // closes the overflow file too
 }
 
 func (h *hashJoinIter) Close() error {

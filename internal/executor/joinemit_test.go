@@ -3,6 +3,7 @@ package executor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,8 +77,10 @@ func renderExact(rows []value.Row) string {
 // projection above it returns byte for byte, row for row, what a projectIter
 // over the same join returns — for the matched rows, the NULL-padded probe
 // rows of LEFT/FULL and the tail of RIGHT/FULL, in memory and through the
-// grace join at a 4 KiB budget, hashed and nested-loop, with a constant among
-// the projected columns.
+// join at a 4 KiB budget, with an equi key and without one (the "nested loop"
+// cases: the hash join on the empty key, whose build side over the budget
+// streams from its overflow file), with a constant among the projected
+// columns.
 func TestJoinEmitsThroughProjection(t *testing.T) {
 	s := emitStore(t)
 	keysEqual := &algebra.Bin{Op: sql.OpEq, L: intCol(0), R: intCol(2)}
@@ -190,7 +193,8 @@ func TestHotKeyJoinReleasesItsBitmap(t *testing.T) {
 
 // TestJoinPollsPerCandidate: one probe row walking a long run of candidates,
 // none of which qualifies, still notices that its deadline has passed —
-// through a hot key and through a join with no key at all.
+// through a hot key and through a join with no key at all, in memory and
+// streaming its build side from disk.
 func TestJoinPollsPerCandidate(t *testing.T) {
 	s := storage.NewStore()
 	emitTable(t, s, "one", "a", 1, func(int) value.Value { return value.NewInt(5) })
@@ -198,13 +202,24 @@ func TestJoinPollsPerCandidate(t *testing.T) {
 	str := func(i int) *algebra.ColIdx { return &algebra.ColIdx{Idx: i, Typ: value.KindString} }
 	// "a-0 …" sorts before every "b-…": the residual never holds.
 	never := &algebra.Bin{Op: sql.OpGt, L: str(1), R: str(3)}
-	for name, cond := range map[string]algebra.Expr{
-		"hot key": &algebra.Bin{Op: sql.OpAnd, L: &algebra.Bin{Op: sql.OpEq, L: intCol(0), R: intCol(2)}, R: never},
-		"no key":  never,
+	hotKey := &algebra.Bin{Op: sql.OpAnd, L: &algebra.Bin{Op: sql.OpEq, L: intCol(0), R: intCol(2)}, R: never}
+	for _, tc := range []struct {
+		name    string
+		cond    algebra.Expr
+		workMem int64
+	}{
+		{"hot key", hotKey, 0},
+		{"no key", never, 0},
+		// Past the budget the candidates come from the overflow file.
+		{"no key over work_mem", never, 4096},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx := NewContext(s)
-			stream, err := Open(ctx, algebra.NewJoin(algebra.JoinInner, emitScan("one", "a"), emitScan("many", "b"), cond))
+			if tc.workMem > 0 {
+				ctx.Mem = NewMemTracker(tc.workMem, t.TempDir())
+				defer ctx.Mem.Cleanup()
+			}
+			stream, err := Open(ctx, algebra.NewJoin(algebra.JoinInner, emitScan("one", "a"), emitScan("many", "b"), tc.cond))
 			if err != nil {
 				t.Fatalf("open: %v", err)
 			}
@@ -252,16 +267,150 @@ func TestHashedConjunctsLeaveTheResidual(t *testing.T) {
 			t.Errorf("%s: %d keys and residual %q, want %d and %q", tc.name, len(keys), got, tc.keys, want)
 		}
 	}
-	// Keys alone decide the join: its rows are those of the nested loop, which
-	// evaluates the condition itself.
+	// Keys alone decide the join: its rows are those of the join on the empty
+	// key, which evaluates the whole condition as an expression.
 	for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinFull} {
 		for _, cond := range []algebra.Expr{keysEqual, and(keysEqual, longer)} {
 			hashed := runPlan(t, s, algebra.NewJoin(kind, emitScan("probe", "a"), emitScan("build", "b"), cond))
 			looped := runPlan(t, s, algebra.NewJoin(kind, emitScan("probe", "a"), emitScan("build", "b"),
 				bin(sql.OpOr, cond, &algebra.Const{Val: value.NewBool(false)})))
 			if len(hashed) == 0 || renderExact(hashed) != renderExact(looped) {
-				t.Errorf("%s on %s: the hash join returned %d rows, the nested loop %d, or they differ", kind, cond, len(hashed), len(looped))
+				t.Errorf("%s on %s: the hashed join returned %d rows, the keyless one %d, or they differ", kind, cond, len(hashed), len(looped))
 			}
 		}
+	}
+}
+
+// loopJoin is the reference for a join with no equi key, written out as a
+// double loop over the two inputs' rows: every pair cond holds on, in probe
+// order and then build order; after its pairs, a probe row that met none,
+// NULL-padded (LEFT, FULL); and last the build rows no probe met (RIGHT,
+// FULL). A nil cond holds on every pair.
+func loopJoin(t *testing.T, s *storage.Store, kind algebra.JoinKind, left, right algebra.Op, cond algebra.Expr) []value.Row {
+	t.Helper()
+	probe, build := runPlan(t, s, left), runPlan(t, s, right)
+	ctx := NewContext(s)
+	nulls := func(n int) value.Row {
+		row := make(value.Row, n)
+		for i := range row {
+			row[i] = value.Null
+		}
+		return row
+	}
+	met := make([]bool, len(build))
+	var out []value.Row
+	for _, l := range probe {
+		alone := true
+		for j, r := range build {
+			pair := slices.Concat(l, r)
+			if cond != nil {
+				ok, err := compilePred(cond)(pair, ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue
+				}
+			}
+			out = append(out, pair)
+			alone, met[j] = false, true
+		}
+		if alone && (kind == algebra.JoinLeft || kind == algebra.JoinFull) {
+			out = append(out, slices.Concat(l, nulls(len(right.Schema()))))
+		}
+	}
+	if kind == algebra.JoinRight || kind == algebra.JoinFull {
+		for j, r := range build {
+			if !met[j] {
+				out = append(out, slices.Concat(nulls(len(left.Schema())), r))
+			}
+		}
+	}
+	return out
+}
+
+// TestKeylessJoinMatchesDoubleLoop: a join with no equi key returns, row for
+// row, what a double loop over its inputs returns, for every join kind, in
+// memory and with its build side over a 4 KiB work_mem — and gives back every
+// byte it charged the session.
+func TestKeylessJoinMatchesDoubleLoop(t *testing.T) {
+	s := emitStore(t)
+	bin := func(op sql.BinOp, l, r algebra.Expr) algebra.Expr { return &algebra.Bin{Op: op, L: l, R: r} }
+	plus := func(e algebra.Expr, n int64) algebra.Expr { return bin(sql.OpAdd, e, intConst(n)) }
+	// A band: each probe key meets the build keys a few above it; NULL keys
+	// meet nothing.
+	band := bin(sql.OpAnd, bin(sql.OpLt, plus(intCol(0), 3), intCol(2)), bin(sql.OpLt, intCol(2), plus(intCol(0), 8)))
+	for _, tc := range []struct {
+		kind algebra.JoinKind
+		cond algebra.Expr
+	}{
+		{algebra.JoinInner, band}, {algebra.JoinLeft, band}, {algebra.JoinRight, band}, {algebra.JoinFull, band},
+		{algebra.JoinCross, nil},
+	} {
+		left, right := emitScan("probe", "a"), emitScan("build", "b")
+		want := renderExact(loopJoin(t, s, tc.kind, left, right, tc.cond))
+		for _, budget := range []int64{0, 4096} {
+			t.Run(fmt.Sprintf("%s/work_mem=%d", tc.kind, budget), func(t *testing.T) {
+				ctx := NewContext(s)
+				ctx.Mem = NewMemTracker(budget, t.TempDir())
+				defer ctx.Mem.Cleanup()
+				stream, err := Open(ctx, algebra.NewJoin(tc.kind, left, right, tc.cond))
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				rows, err := stream.Drain()
+				if err != nil {
+					t.Fatalf("drain: %v", err)
+				}
+				if got := renderExact(rows); got != want {
+					t.Fatalf("the join differs from the double loop (%d rows, want %d):\nwant:\n%.1500s\ngot:\n%.1500s",
+						len(rows), strings.Count(want, "\n"), want, got)
+				}
+				if spilled := ctx.Mem.Pool().Bytes(); (budget > 0) != (spilled > 0) {
+					t.Errorf("work_mem=%d spilled %d bytes", budget, spilled)
+				}
+				stream.Close()
+				if tracked := ctx.Mem.Tracked(); tracked != 0 {
+					t.Errorf("tracked bytes after Close = %d", tracked)
+				}
+			})
+		}
+	}
+}
+
+// TestKeylessJoinStreams: a cross product whose build side is over work_mem
+// writes no more than its build side to disk, however many rows it hands up:
+// the output streams, it is never materialized.
+func TestKeylessJoinStreams(t *testing.T) {
+	s := emitStore(t)
+	left, right := emitScan("probe", "a"), emitScan("build", "b")
+	var buildBytes int64
+	for _, row := range runPlan(t, s, right) {
+		buildBytes += int64(len(value.AppendRow(nil, row)))
+	}
+	ctx := NewContext(s)
+	ctx.Mem = NewMemTracker(4096, t.TempDir())
+	defer ctx.Mem.Cleanup()
+	stream, err := Open(ctx, algebra.NewJoin(algebra.JoinCross, left, right, nil))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer stream.Close()
+	n := 0
+	for ; ; n++ {
+		row, err := stream.Next()
+		if err != nil {
+			t.Fatalf("next: %v", err)
+		}
+		if row == nil {
+			break
+		}
+	}
+	if n != 700*500 {
+		t.Fatalf("the cross product has %d rows, want %d", n, 700*500)
+	}
+	// Each spilled record carries a length prefix the row encoding does not.
+	if spilled := ctx.Mem.Pool().Bytes(); spilled == 0 || spilled > 2*buildBytes {
+		t.Errorf("spilled %d bytes; the build side encodes to %d", spilled, buildBytes)
 	}
 }

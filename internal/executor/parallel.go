@@ -26,10 +26,10 @@ import (
 //     materializes the build side once; each worker joins its probe range
 //     against the shared read-only rows with a private hash join (its own
 //     compiled expressions, hash table, and memory account against the one
-//     shared budget; on the empty key when the join has no equi key). Probe-side-local kinds only
-//     (INNER/LEFT/CROSS): their output factors by probe row, so
-//     worker-order concatenation again reproduces the serial order byte for
-//     byte.
+//     shared budget; on the empty key when the join has no equi key).
+//     Probe-side-local kinds only (INNER/LEFT/CROSS): their output factors
+//     by probe row, so worker-order concatenation again reproduces the
+//     serial order byte for byte.
 //   - Hash aggregation over such a chain. Workers fold partial group states
 //     over their range; the coordinator merges partials in worker order
 //     (count/sum/min/max compose exactly), which reproduces the serial
