@@ -15,10 +15,33 @@
 // positions of all original output columns and only appends provenance
 // columns. Every rule relies on this to reuse the original, already-resolved
 // expressions unchanged.
+//
+// The rules, by operator (rewrite dispatches on it):
+//   - base relation, and a BASERELATION subtree: rewriteBase
+//   - projection Π: rewriteProject
+//   - selection σ: rewriteSelect; a positive EXISTS, IN, ANY or scalar
+//     subquery becomes a (lateral) join with the rewritten subquery
+//     (decorrelateConjunct, joinSubquery), a negated or ALL form stays a
+//     filter
+//   - join ⋈ of every kind: rewriteJoin
+//   - aggregation α: rewriteAgg (AggJoinGroup, AggCrossFilter)
+//   - duplicate elimination δ: rewriteDistinct (DistinctPass, DistinctJoin)
+//   - union: rewriteUnion (SetPad, SetJoin); intersection: rewriteIntersect;
+//     difference: rewriteExcept
+//   - ORDER BY τ passes through; LIMIT: rewriteLimit
+//   - a subtree that carries its provenance already (PROVENANCE (attrs), a
+//     nested SELECT PROVENANCE) passes through untouched
+//
+// Every rule ends in one projection, built by a layout (layout.go): data
+// columns first, provenance after, with the C-CS copies tracked. Aggregation,
+// DistinctJoin, SetJoin, intersection, difference and LIMIT share one form,
+// op(T) ⋈≐ T⁺, which joinBack builds; Options select among the alternatives
+// and applyCopyMask applies the COPY semantics at the root.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"perm/internal/algebra"
 	"perm/internal/sql"
@@ -183,31 +206,30 @@ func (r *Rewriter) Rewrite(q algebra.Op) (algebra.Op, error) {
 // into any data column of the final result (static C-CS).
 func (r *Rewriter) applyCopyMask(res result) algebra.Op {
 	sch := res.op.Schema()
-	kept := make(map[int]bool)
-	for i, c := range sch {
-		if c.IsProv {
-			continue
-		}
-		for _, p := range res.copies[i] {
-			kept[p] = true
-		}
-	}
-	exprs := algebra.IdentityExprs(sch)
-	masked := false
+	mask := make([]bool, len(sch))
 	for _, p := range res.prov {
-		if kept[p] || !r.created[sch[p].Name] {
-			continue
-		}
-		exprs[p] = &algebra.Cast{E: algebra.NewNull(), To: sch[p].Type}
-		masked = true
+		mask[p] = r.created[sch[p].Name]
 	}
-	if !masked {
+	for i, c := range sch {
+		if !c.IsProv {
+			for _, p := range res.copies[i] {
+				mask[p] = false
+			}
+		}
+	}
+	if !slices.Contains(mask, true) {
 		return res.op
 	}
-	proj := algebra.NewProject(res.op, exprs, sch.Names())
-	copy(proj.Sch, sch)
+	l := over(res, len(sch))
+	for i, c := range sch {
+		if mask[i] {
+			l.null(c)
+		} else {
+			l.keep(i)
+		}
+	}
 	r.note("COPY mask: nulled non-copied provenance attributes")
-	return proj
+	return l.finish().op
 }
 
 func (r *Rewriter) note(format string, args ...interface{}) {
@@ -248,9 +270,9 @@ func (r *Rewriter) rewrite(op algebra.Op) (result, error) {
 	}
 	switch o := op.(type) {
 	case *algebra.Scan:
-		return r.rewriteBase(o, o.Table, o.Sch)
+		return r.rewriteBase(o, o.Table)
 	case *algebra.BaseRel:
-		return r.rewriteBase(o.Input, o.RelName, o.Input.Schema())
+		return r.rewriteBase(o.Input, o.RelName)
 	case *algebra.Values:
 		return result{op: o, copies: emptyCopies(len(o.Sch))}, nil
 	case *algebra.Project:
@@ -281,32 +303,19 @@ func (r *Rewriter) rewrite(op algebra.Op) (result, error) {
 // attribute as a provenance attribute named prov_<schema>_<rel>_<attr>.
 // It serves Scan (actual base relations) and BaseRel (SQL-PLE BASERELATION
 // subtrees treated like base relations).
-func (r *Rewriter) rewriteBase(input algebra.Op, rel string, sch algebra.Schema) (result, error) {
+func (r *Rewriter) rewriteBase(input algebra.Op, rel string) (result, error) {
 	inst := r.instanceName(rel)
-	n := len(sch)
-	exprs := make([]algebra.Expr, 0, 2*n)
-	names := make([]string, 0, 2*n)
-	exprs = append(exprs, algebra.IdentityExprs(sch)...)
-	names = append(names, sch.Names()...)
+	sch := input.Schema()
+	l := newLayout(input, 2*len(sch), nil, len(sch), nil)
+	for i := range sch {
+		l.keep(i)
+	}
 	for i, c := range sch {
-		exprs = append(exprs, &algebra.ColIdx{Idx: i, Typ: c.Type, Name: c.Name})
-		names = append(names, ProvAttrName(r.opts.SchemaName, inst, c.Name))
+		name := ProvAttrName(r.opts.SchemaName, inst, c.Name)
+		l.prov(i, algebra.Column{Name: name, Type: c.Type, IsProv: true, ProvRel: inst, ProvAttr: c.Name})
+		r.created[name] = true
 	}
-	proj := algebra.NewProject(input, exprs, names)
-	copy(proj.Sch[:n], sch)
-	prov := make([]int, n)
-	copies := emptyCopies(2 * n)
-	for i := 0; i < n; i++ {
-		p := n + i
-		prov[i] = p
-		proj.Sch[p].IsProv = true
-		proj.Sch[p].ProvRel = inst
-		proj.Sch[p].ProvAttr = sch[i].Name
-		r.created[proj.Sch[p].Name] = true
-		copies[i] = []int{p}
-		copies[p] = []int{p}
-	}
-	return result{op: proj, prov: prov, copies: copies}, nil
+	return l.finish(), nil
 }
 
 // rewriteProject implements (Π_A(T))+ = Π_{A,P(T+)}(T+).
@@ -320,55 +329,16 @@ func (r *Rewriter) rewriteProject(p *algebra.Project) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	nOut := len(p.Exprs)
-	exprs := make([]algebra.Expr, 0, nOut+len(in.prov))
-	names := make([]string, 0, nOut+len(in.prov))
-	exprs = append(exprs, p.Exprs...)
-	names = append(names, p.Sch.Names()...)
-	inSch := in.op.Schema()
-	// old prov index -> new position
-	newPos := make(map[int]int, len(in.prov))
-	for _, pi := range in.prov {
-		newPos[pi] = len(exprs)
-		exprs = append(exprs, &algebra.ColIdx{Idx: pi, Typ: inSch[pi].Type, Name: inSch[pi].Name})
-		names = append(names, inSch[pi].Name)
-	}
-	proj := algebra.NewProject(in.op, exprs, names)
-	copy(proj.Sch[:nOut], p.Sch)
-	prov := make([]int, 0, len(in.prov))
-	copies := emptyCopies(len(exprs))
-	for _, pi := range in.prov {
-		np := newPos[pi]
-		proj.Sch[np] = inSch[pi]
-		prov = append(prov, np)
-		copies[np] = translate(in.copies[pi], newPos)
-	}
+	l := over(in, len(p.Exprs)+len(in.prov))
 	for j, e := range p.Exprs {
+		from := noCopies
 		if ci, ok := e.(*algebra.ColIdx); ok {
-			copies[j] = translate(in.copies[ci.Idx], newPos)
+			from = ci.Idx
 		}
+		l.data(e, p.Sch[j], from)
 	}
-	return result{op: proj, prov: prov, copies: copies}, nil
-}
-
-// translate maps old provenance indices through newPos, dropping unmapped.
-func translate(old []int, newPos map[int]int) []int {
-	var out []int
-	for _, p := range old {
-		if np, ok := newPos[p]; ok {
-			out = append(out, np)
-		}
-	}
-	return out
-}
-
-// identityPos builds the identity translation for n columns.
-func identityPos(n int) map[int]int {
-	m := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		m[i] = i
-	}
-	return m
+	l.provOf(in, 0)
+	return l.finish(), nil
 }
 
 // rewriteSelect implements (σ_c(T))+ = σ_c(T+), plus the EDBT '09 nested-
@@ -409,34 +379,32 @@ func (r *Rewriter) rewriteSelect(s *algebra.Select) (result, error) {
 // the rewritten subquery. Returns handled=false when the conjunct shape is
 // not rewritable into a join (it then stays a runtime filter).
 func (r *Rewriter) decorrelateConjunct(cur result, conj algebra.Expr) (result, bool, error) {
+	var sp *algebra.Subplan
+	var needle algebra.Expr // nil: a pure EXISTS, joined without a condition
+	var cmp *sql.BinOp
 	switch x := conj.(type) {
 	case *algebra.Subplan:
-		switch x.Mode {
-		case algebra.ExistsSubplan:
-			if x.Neg {
-				// NOT EXISTS: runtime filter, no subquery provenance.
-				r.note("NOT EXISTS kept as filter (no subquery provenance, PI-CS negation)")
-				return cur, false, nil
-			}
+		sp = x
+		switch {
+		case x.Mode == algebra.ExistsSubplan && x.Neg:
+			// NOT EXISTS: runtime filter, no subquery provenance.
+			r.note("NOT EXISTS kept as filter (no subquery provenance, PI-CS negation)")
+			return cur, false, nil
+		case x.Mode == algebra.ExistsSubplan:
 			r.note("EXISTS de-correlated into %sjoin", lateralWord(x.Correlated))
-			next, err := r.joinSubquery(cur, x.Plan, x.Correlated, nil, nil)
-			return next, err == nil, err
-		case algebra.InSubplan:
-			if x.Neg {
-				r.note("NOT IN kept as filter (no subquery provenance, PI-CS negation)")
-				return cur, false, nil
-			}
+		case x.Mode == algebra.InSubplan && x.Neg:
+			r.note("NOT IN kept as filter (no subquery provenance, PI-CS negation)")
+			return cur, false, nil
+		case x.Mode == algebra.InSubplan:
 			r.note("IN de-correlated into %sjoin", lateralWord(x.Correlated))
-			next, err := r.joinSubquery(cur, x.Plan, x.Correlated, x.Needle, eqOp())
-			return next, err == nil, err
-		case algebra.AnySubplan:
+			needle, cmp = x.Needle, eqOp()
+		case x.Mode == algebra.AnySubplan:
 			// needle op ANY (sub) joins on the comparison: one witness row
 			// per matching subquery tuple — the quantifier's positive form.
 			r.note("%s ANY de-correlated into %sjoin", x.CmpOp, lateralWord(x.Correlated))
 			op := x.CmpOp
-			next, err := r.joinSubquery(cur, x.Plan, x.Correlated, x.Needle, &op)
-			return next, err == nil, err
-		case algebra.AllSubplan:
+			needle, cmp = x.Needle, &op
+		case x.Mode == algebra.AllSubplan:
 			// ALL is a universal quantifier (negation-shaped): kept as a
 			// runtime filter, contributing no subquery provenance, like
 			// NOT IN and set difference under PI-CS.
@@ -447,22 +415,20 @@ func (r *Rewriter) decorrelateConjunct(cur result, conj algebra.Expr) (result, b
 		}
 	case *algebra.Bin:
 		// Comparison against a scalar subquery: lhs op (SELECT ...).
-		if sp, ok := x.R.(*algebra.Subplan); ok && sp.Mode == algebra.ScalarSubplan && !algebra.HasSubplan(x.L) {
-			r.note("scalar subquery comparison de-correlated into %sjoin", lateralWord(sp.Correlated))
-			next, err := r.joinSubquery(cur, sp.Plan, sp.Correlated, x.L, &x.Op)
-			return next, err == nil, err
+		if q, ok := x.R.(*algebra.Subplan); ok && q.Mode == algebra.ScalarSubplan && !algebra.HasSubplan(x.L) {
+			sp, needle, cmp = q, x.L, &x.Op
+		} else if q, ok := x.L.(*algebra.Subplan); ok && q.Mode == algebra.ScalarSubplan && !algebra.HasSubplan(x.R) {
+			sp, needle, cmp = q, x.R, flipComparison(x.Op)
 		}
-		if sp, ok := x.L.(*algebra.Subplan); ok && sp.Mode == algebra.ScalarSubplan && !algebra.HasSubplan(x.R) {
-			flipped := flipComparison(x.Op)
-			if flipped == nil {
-				return cur, false, nil
-			}
-			r.note("scalar subquery comparison de-correlated into %sjoin", lateralWord(sp.Correlated))
-			next, err := r.joinSubquery(cur, sp.Plan, sp.Correlated, x.R, flipped)
-			return next, err == nil, err
+		if cmp == nil {
+			return cur, false, nil
 		}
+		r.note("scalar subquery comparison de-correlated into %sjoin", lateralWord(sp.Correlated))
+	default:
+		return cur, false, nil
 	}
-	return cur, false, nil
+	next, err := r.joinSubquery(cur, sp.Plan, sp.Correlated, needle, cmp)
+	return next, err == nil, err
 }
 
 func lateralWord(correlated bool) string {
@@ -509,7 +475,7 @@ func (r *Rewriter) joinSubquery(cur result, plan algebra.Op, correlated bool, ne
 	if err != nil {
 		return result{}, err
 	}
-	nCur := len(cur.op.Schema())
+	nCur := len(cur.copies)
 	subSch := sub.op.Schema()
 	var cond algebra.Expr
 	if needle != nil {
@@ -526,30 +492,10 @@ func (r *Rewriter) joinSubquery(cur result, plan algebra.Op, correlated bool, ne
 	}
 	join := algebra.NewJoin(algebra.JoinInner, cur.op, sub.op, cond)
 	join.Lateral = correlated
-
-	// Keep cur's columns and only the subquery's provenance columns.
-	exprs := algebra.IdentityExprs(cur.op.Schema())
-	names := append([]string{}, cur.op.Schema().Names()...)
-	newPos := identityPos(nCur)
-	joinSch := join.Sch
-	for _, p := range sub.prov {
-		jp := nCur + p
-		newPos[jp] = len(exprs)
-		exprs = append(exprs, &algebra.ColIdx{Idx: jp, Typ: joinSch[jp].Type, Name: joinSch[jp].Name})
-		names = append(names, joinSch[jp].Name)
-	}
-	proj := algebra.NewProject(join, exprs, names)
-	copy(proj.Sch[:nCur], cur.op.Schema())
-	prov := append([]int{}, cur.prov...)
-	copies := emptyCopies(len(exprs))
-	copy(copies, cur.copies)
-	for _, p := range sub.prov {
-		np := newPos[nCur+p]
-		proj.Sch[np] = subSch[p]
-		prov = append(prov, np)
-		copies[np] = []int{np}
-	}
-	return result{op: proj, prov: prov, copies: copies}, nil
+	l := newLayout(join, nCur+len(sub.prov), cur.copies, nCur, sub.copies)
+	l.keepAll(cur)
+	l.provOf(sub, nCur)
+	return l.finish(), nil
 }
 
 // rewriteJoin implements (T1 ⋈_c T2)+ = Π_reorder(T1+ ⋈_c' T2+): both inputs
@@ -570,7 +516,7 @@ func (r *Rewriter) rewriteJoin(j *algebra.Join) (result, error) {
 	}
 	nL := len(j.Left.Schema())
 	nR := len(j.Right.Schema())
-	nLplus := len(left.op.Schema())
+	nLplus := len(left.copies)
 	var cond algebra.Expr
 	if j.Cond != nil {
 		cond = algebra.MapCols(j.Cond, func(c *algebra.ColIdx) algebra.Expr {
@@ -583,58 +529,22 @@ func (r *Rewriter) rewriteJoin(j *algebra.Join) (result, error) {
 	join := algebra.NewJoin(j.Kind, left.op, right.op, cond)
 	join.Lateral = j.Lateral
 
-	// Reorder to [T1 data, T2 data, P1, P2].
-	joinSch := join.Sch
-	exprs := make([]algebra.Expr, 0, len(joinSch))
-	names := make([]string, 0, len(joinSch))
-	newPos := make(map[int]int)
-	take := func(idx int) {
-		newPos[idx] = len(exprs)
-		exprs = append(exprs, &algebra.ColIdx{Idx: idx, Typ: joinSch[idx].Type, Name: joinSch[idx].Name})
-		names = append(names, joinSch[idx].Name)
+	// Reorder to [T1 data, T2 data, P1, P2]. An original column its input
+	// also carries as provenance (PROVENANCE (attrs)) stays data by name and
+	// type only, copying nothing.
+	l := newLayout(join, nL+nR+len(left.prov)+len(right.prov), left.copies, nLplus, right.copies)
+	keep := func(side result, off, n int) {
+		for i := 0; i < n; i++ {
+			if c := l.inSch[off+i]; slices.Contains(side.prov, i) {
+				l.data(l.col(off+i), algebra.Column{Name: c.Name, Type: c.Type}, noCopies)
+			} else {
+				l.keep(off + i)
+			}
+		}
 	}
-	for i := 0; i < nL; i++ {
-		take(i)
-	}
-	for i := 0; i < nR; i++ {
-		take(nLplus + i)
-	}
-	for _, p := range left.prov {
-		take(p)
-	}
-	for _, p := range right.prov {
-		take(nLplus + p)
-	}
-	proj := algebra.NewProject(join, exprs, names)
-	for old, np := range newPos {
-		proj.Sch[np] = joinSch[old]
-	}
-	prov := make([]int, 0, len(left.prov)+len(right.prov))
-	copies := emptyCopies(len(exprs))
-	for i := 0; i < nL; i++ {
-		copies[newPos[i]] = translate(left.copies[i], newPos)
-	}
-	for i := 0; i < nR; i++ {
-		shifted := shiftList(right.copies[i], nLplus)
-		copies[newPos[nLplus+i]] = translate(shifted, newPos)
-	}
-	for _, p := range left.prov {
-		np := newPos[p]
-		prov = append(prov, np)
-		copies[np] = []int{np}
-	}
-	for _, p := range right.prov {
-		np := newPos[nLplus+p]
-		prov = append(prov, np)
-		copies[np] = []int{np}
-	}
-	return result{op: proj, prov: prov, copies: copies}, nil
-}
-
-func shiftList(xs []int, delta int) []int {
-	out := make([]int, len(xs))
-	for i, x := range xs {
-		out[i] = x + delta
-	}
-	return out
+	keep(left, 0, nL)
+	keep(right, nLplus, nR)
+	l.provOf(left, 0)
+	l.provOf(right, nLplus)
+	return l.finish(), nil
 }

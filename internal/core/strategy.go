@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"perm/internal/algebra"
-	"perm/internal/sql"
-	"perm/internal/value"
 )
 
 // This file holds the rewrite rules with multiple strategies — aggregation,
@@ -14,39 +13,24 @@ import (
 // provide a heuristic and a cost-based solution for choosing the best
 // rewrite strategy").
 
-// estimate returns the estimated cardinality of op, or def when no estimator
-// is configured.
-func (r *Rewriter) estimate(op algebra.Op, def float64) float64 {
-	if r.opts.Estimator == nil {
-		return def
-	}
-	return r.opts.Estimator(op)
-}
-
 // chooseAgg picks the aggregation strategy.
 func (r *Rewriter) chooseAgg(a *algebra.Agg) AggStrategy {
 	if r.opts.AggForced {
 		return r.opts.Agg
 	}
-	switch r.opts.Mode {
-	case ModeCost:
-		if r.opts.Estimator != nil {
-			// Join-back costs ~ build(input) + probe(groups); cross-filter
-			// costs groups × input. Cross wins only when their product is
-			// smaller than the hash overhead — i.e. for tiny inputs.
-			in := r.estimate(a.Input, 1000)
-			groups := r.estimate(a, 10)
-			if groups*in < 64 {
-				r.note("cost-based: AggCrossFilter (|groups|×|input| = %.0f)", groups*in)
-				return AggCrossFilter
-			}
-			r.note("cost-based: AggJoinGroup (|groups|×|input| = %.0f)", groups*in)
-			return AggJoinGroup
-		}
-		return AggJoinGroup
-	default:
+	if r.opts.Mode != ModeCost || r.opts.Estimator == nil {
 		return AggJoinGroup
 	}
+	// Join-back costs ~ build(input) + probe(groups); cross-filter costs
+	// groups × input. Cross wins only when their product is smaller than the
+	// hash overhead — i.e. for tiny inputs.
+	in, groups := r.opts.Estimator(a.Input), r.opts.Estimator(a)
+	if groups*in < 64 {
+		r.note("cost-based: AggCrossFilter (|groups|×|input| = %.0f)", groups*in)
+		return AggCrossFilter
+	}
+	r.note("cost-based: AggJoinGroup (|groups|×|input| = %.0f)", groups*in)
+	return AggJoinGroup
 }
 
 // chooseSet picks the set-operation strategy.
@@ -54,27 +38,22 @@ func (r *Rewriter) chooseSet(s *algebra.SetOp) SetStrategy {
 	if r.opts.SetForced {
 		return r.opts.Set
 	}
-	switch r.opts.Mode {
-	case ModeCost:
-		if r.opts.Estimator != nil {
-			// Padding reads each branch once. Join-back additionally
-			// computes the original set operation and a join; it only wins
-			// when the set operation shrinks the result a lot and provenance
-			// consumers filter on it — heuristically when the distinct
-			// result is much smaller than the union of branches.
-			union := r.estimate(s.Left, 1000) + r.estimate(s.Right, 1000)
-			distinct := r.estimate(s, union)
-			if distinct < union/8 {
-				r.note("cost-based: SetJoin (|setop| %.0f ≪ |branches| %.0f)", distinct, union)
-				return SetJoin
-			}
-			r.note("cost-based: SetPad (|setop| %.0f vs |branches| %.0f)", distinct, union)
-			return SetPad
-		}
-		return SetPad
-	default:
+	if r.opts.Mode != ModeCost || r.opts.Estimator == nil {
 		return SetPad
 	}
+	// Padding reads each branch once. Join-back additionally computes the
+	// original set operation and a join; it only wins when the set operation
+	// shrinks the result a lot and provenance consumers filter on it —
+	// heuristically when the distinct result is much smaller than the union
+	// of branches.
+	union := r.opts.Estimator(s.Left) + r.opts.Estimator(s.Right)
+	distinct := r.opts.Estimator(s)
+	if distinct < union/8 {
+		r.note("cost-based: SetJoin (|setop| %.0f ≪ |branches| %.0f)", distinct, union)
+		return SetJoin
+	}
+	r.note("cost-based: SetPad (|setop| %.0f vs |branches| %.0f)", distinct, union)
+	return SetPad
 }
 
 // chooseDistinct picks the duplicate-elimination strategy.
@@ -107,72 +86,30 @@ func (r *Rewriter) rewriteAgg(a *algebra.Agg) (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	strategy := r.chooseAgg(a)
-	nAgg := len(a.Sch)
-
 	// Null-safe equality between the aggregate's group columns and the group
 	// expressions recomputed over the rewritten input (whose original columns
-	// are a position-preserving prefix).
-	var conds []algebra.Expr
+	// are a position-preserving prefix); AggCrossFilter filters a cross
+	// product on it instead of joining on it.
+	nAgg := len(a.Sch)
+	on := make([]algebra.Expr, len(a.GroupBy))
 	for i, g := range a.GroupBy {
-		shifted := algebra.ShiftCols(g, nAgg)
-		conds = append(conds, &algebra.Bin{
-			Op: sql.OpNotDistinct,
-			L:  &algebra.ColIdx{Idx: i, Typ: a.Sch[i].Type, Name: a.Sch[i].Name},
-			R:  shifted,
-		})
+		on[i] = algebra.ShiftCols(g, nAgg)
 	}
-	var join *algebra.Join
-	switch strategy {
-	case AggCrossFilter:
-		join = algebra.NewJoin(algebra.JoinLeft, a, in.op, nil)
-		if cond := algebra.AndAll(conds); cond != nil {
-			// Cross then filter: the filter sits above the join.
-			filtered := &algebra.Select{Input: join, Cond: cond}
-			return r.aggProject(a, in, filtered, nAgg)
-		}
-	default:
-		join = algebra.NewJoin(algebra.JoinLeft, a, in.op, algebra.AndAll(conds))
-	}
-	return r.aggProject(a, in, join, nAgg)
-}
-
-// aggProject projects the joined aggregation down to [agg outputs, P(T+)].
-func (r *Rewriter) aggProject(a *algebra.Agg, in result, joined algebra.Op, nAgg int) (result, error) {
-	joinSch := joined.Schema()
-	exprs := make([]algebra.Expr, 0, nAgg+len(in.prov))
-	names := make([]string, 0, nAgg+len(in.prov))
-	for i := 0; i < nAgg; i++ {
-		exprs = append(exprs, &algebra.ColIdx{Idx: i, Typ: joinSch[i].Type, Name: joinSch[i].Name})
-		names = append(names, a.Sch[i].Name)
-	}
-	newPos := make(map[int]int)
-	for _, p := range in.prov {
-		jp := nAgg + p
-		newPos[jp] = len(exprs)
-		exprs = append(exprs, &algebra.ColIdx{Idx: jp, Typ: joinSch[jp].Type, Name: joinSch[jp].Name})
-		names = append(names, joinSch[jp].Name)
-	}
-	proj := algebra.NewProject(joined, exprs, names)
-	copy(proj.Sch[:nAgg], a.Sch)
-	prov := make([]int, 0, len(in.prov))
-	copies := emptyCopies(len(exprs))
-	inSch := in.op.Schema()
-	for _, p := range in.prov {
-		np := newPos[nAgg+p]
-		proj.Sch[np] = inSch[p]
-		prov = append(prov, np)
-		copies[np] = []int{np}
-	}
+	crossFilter := r.chooseAgg(a) == AggCrossFilter
+	l := joinBack(algebra.JoinLeft, result{op: a}, in, on, crossFilter, nAgg+len(in.prov))
 	// C-CS: group columns that are plain column references copy their base
 	// attribute; aggregate results copy nothing.
-	for i, g := range a.GroupBy {
-		if ci, ok := g.(*algebra.ColIdx); ok {
-			shifted := shiftList(in.copies[ci.Idx], nAgg)
-			copies[i] = translate(shifted, newPos)
+	for i := 0; i < nAgg; i++ {
+		from := noCopies
+		if i < len(a.GroupBy) {
+			if ci, ok := a.GroupBy[i].(*algebra.ColIdx); ok {
+				from = nAgg + ci.Idx
+			}
 		}
+		l.data(l.col(i), a.Sch[i], from)
 	}
-	return result{op: proj, prov: prov, copies: copies}, nil
+	l.provOf(in, nAgg)
+	return l.finish(), nil
 }
 
 // --- distinct --------------------------------------------------------------------
@@ -190,53 +127,7 @@ func (r *Rewriter) rewriteDistinct(d *algebra.Distinct) (result, error) {
 		return in, nil
 	}
 	r.note("DistinctJoin strategy: joining δ(T) back to T+")
-	return r.joinBackOnTuple(d, d.Input.Schema(), in)
-}
-
-// joinBackOnTuple joins an original operator to a rewritten input on
-// null-safe equality over all original data columns, projecting to
-// [original columns, P(T+)]. Shared by DistinctJoin, SetJoin and Limit.
-func (r *Rewriter) joinBackOnTuple(orig algebra.Op, origSch algebra.Schema, in result) (result, error) {
-	nOrig := len(origSch)
-	inSch := in.op.Schema()
-	var conds []algebra.Expr
-	for i := 0; i < nOrig; i++ {
-		conds = append(conds, &algebra.Bin{
-			Op: sql.OpNotDistinct,
-			L:  &algebra.ColIdx{Idx: i, Typ: origSch[i].Type, Name: origSch[i].Name},
-			R:  &algebra.ColIdx{Idx: nOrig + i, Typ: inSch[i].Type, Name: inSch[i].Name},
-		})
-	}
-	join := algebra.NewJoin(algebra.JoinInner, orig, in.op, algebra.AndAll(conds))
-	joinSch := join.Sch
-	exprs := make([]algebra.Expr, 0, nOrig+len(in.prov))
-	names := make([]string, 0, nOrig+len(in.prov))
-	for i := 0; i < nOrig; i++ {
-		exprs = append(exprs, &algebra.ColIdx{Idx: i, Typ: joinSch[i].Type, Name: joinSch[i].Name})
-		names = append(names, origSch[i].Name)
-	}
-	newPos := make(map[int]int)
-	for _, p := range in.prov {
-		jp := nOrig + p
-		newPos[jp] = len(exprs)
-		exprs = append(exprs, &algebra.ColIdx{Idx: jp, Typ: joinSch[jp].Type, Name: joinSch[jp].Name})
-		names = append(names, joinSch[jp].Name)
-	}
-	proj := algebra.NewProject(join, exprs, names)
-	copy(proj.Sch[:nOrig], origSch)
-	prov := make([]int, 0, len(in.prov))
-	copies := emptyCopies(len(exprs))
-	for i := 0; i < nOrig; i++ {
-		shifted := shiftList(in.copies[i], nOrig)
-		copies[i] = translate(shifted, newPos)
-	}
-	for _, p := range in.prov {
-		np := newPos[nOrig+p]
-		proj.Sch[np] = inSch[p]
-		prov = append(prov, np)
-		copies[np] = []int{np}
-	}
-	return result{op: proj, prov: prov, copies: copies}, nil
+	return tupleJoinBack(d, in), nil
 }
 
 // --- set operations -----------------------------------------------------------------
@@ -257,97 +148,53 @@ func (r *Rewriter) joinBackOnTuple(orig algebra.Op, origSch algebra.Schema, in r
 // difference back to T1+ only; T2's provenance columns are appended as
 // NULLs to keep the full provenance schema.
 func (r *Rewriter) rewriteSetOp(s *algebra.SetOp) (result, error) {
-	switch s.Kind {
-	case algebra.UnionAll, algebra.UnionDistinct:
-		return r.rewriteUnion(s)
-	case algebra.IntersectAll, algebra.IntersectDistinct:
-		return r.rewriteIntersect(s)
-	case algebra.ExceptAll, algebra.ExceptDistinct:
-		return r.rewriteExcept(s)
-	}
-	return result{}, fmt.Errorf("provenance rewrite: unknown set operation %v", s.Kind)
-}
-
-// padBranch projects a rewritten branch to [data cols, own prov, NULLs for
-// other prov] or [data cols, NULLs, own prov] depending on side.
-func padBranch(branch result, dataSch algebra.Schema, ownFirst bool, otherProvSch []algebra.Column) (*algebra.Project, []int, [][]int) {
-	brSch := branch.op.Schema()
-	nData := len(dataSch)
-	exprs := make([]algebra.Expr, 0, nData+len(branch.prov)+len(otherProvSch))
-	names := make([]string, 0, cap(exprs))
-	for i := 0; i < nData; i++ {
-		exprs = append(exprs, &algebra.ColIdx{Idx: i, Typ: brSch[i].Type, Name: brSch[i].Name})
-		names = append(names, dataSch[i].Name)
-	}
-	newPos := make(map[int]int)
-	appendOwn := func() {
-		for _, p := range branch.prov {
-			newPos[p] = len(exprs)
-			exprs = append(exprs, &algebra.ColIdx{Idx: p, Typ: brSch[p].Type, Name: brSch[p].Name})
-			names = append(names, brSch[p].Name)
-		}
-	}
-	var nullStart int
-	appendNulls := func() {
-		nullStart = len(exprs)
-		for _, c := range otherProvSch {
-			exprs = append(exprs, &algebra.Cast{E: algebra.NewNull(), To: c.Type})
-			names = append(names, c.Name)
-		}
-	}
-	if ownFirst {
-		appendOwn()
-		appendNulls()
-	} else {
-		appendNulls()
-		appendOwn()
-	}
-	proj := algebra.NewProject(branch.op, exprs, names)
-	copy(proj.Sch[:nData], dataSch)
-	prov := make([]int, 0, len(branch.prov)+len(otherProvSch))
-	copies := emptyCopies(len(exprs))
-	for i := 0; i < nData; i++ {
-		copies[i] = translate(branch.copies[i], newPos)
-	}
-	for _, p := range branch.prov {
-		np := newPos[p]
-		proj.Sch[np] = brSch[p]
-		copies[np] = []int{np}
-	}
-	for j, c := range otherProvSch {
-		proj.Sch[nullStart+j] = c
-	}
-	// Provenance indices in output order (own/other interleaved by position).
-	for i := nData; i < len(exprs); i++ {
-		prov = append(prov, i)
-	}
-	return proj, prov, copies
-}
-
-func (r *Rewriter) rewriteUnion(s *algebra.SetOp) (result, error) {
 	left, err := r.rewrite(s.Left)
 	if err != nil {
 		return result{}, err
 	}
+	// EXCEPT rewrites its right branch only to learn its provenance schema:
+	// the attributes of every accessed relation appear in the result schema.
 	right, err := r.rewrite(s.Right)
 	if err != nil {
 		return result{}, err
 	}
-	dataSch := s.Sch
-	lSch, rSch := left.op.Schema(), right.op.Schema()
-	lProvSch := make([]algebra.Column, len(left.prov))
-	for i, p := range left.prov {
-		lProvSch[i] = lSch[p]
+	switch s.Kind {
+	case algebra.UnionAll, algebra.UnionDistinct:
+		return r.rewriteUnion(s, left, right), nil
+	case algebra.IntersectAll, algebra.IntersectDistinct:
+		return rewriteIntersect(s, left, right), nil
+	case algebra.ExceptAll, algebra.ExceptDistinct:
+		return r.rewriteExcept(s, left, right), nil
 	}
-	rProvSch := make([]algebra.Column, len(right.prov))
-	for i, p := range right.prov {
-		rProvSch[i] = rSch[p]
+	return result{}, fmt.Errorf("provenance rewrite: unknown set operation %v", s.Kind)
+}
+
+// padBranch lays a rewritten branch out as [data cols, own prov, NULLs for
+// the other branch's prov] or [data cols, NULLs, own prov] depending on side.
+func padBranch(branch result, dataSch algebra.Schema, ownFirst bool, other result) result {
+	l := over(branch, len(dataSch)+len(branch.prov)+len(other.prov))
+	for i, c := range dataSch {
+		l.data(l.col(i), c, i)
 	}
-	lPad, _, lCopies := padBranch(left, dataSch, true, rProvSch)
-	rPad, prov, rCopies := padBranch(right, dataSch, false, lProvSch)
-	union := algebra.NewSetOp(algebra.UnionAll, lPad, rPad)
+	if ownFirst {
+		l.provOf(branch, 0)
+	}
+	otherSch := other.op.Schema()
+	for _, p := range other.prov {
+		l.null(otherSch[p])
+	}
+	if !ownFirst {
+		l.provOf(branch, 0)
+	}
+	return l.finish()
+}
+
+func (r *Rewriter) rewriteUnion(s *algebra.SetOp, left, right result) result {
+	lPad := padBranch(left, s.Sch, true, right)
+	rPad := padBranch(right, s.Sch, false, left)
+	union := algebra.NewSetOp(algebra.UnionAll, lPad.op, rPad.op)
 	// Union schema follows the left branch, whose prov metadata is complete.
-	union.Sch = lPad.Sch.Clone()
+	union.Sch = lPad.op.Schema().Clone()
 	copies := emptyCopies(len(union.Sch))
 	for i := range copies {
 		if r.opts.Semantics == CopyCompleteSemantics {
@@ -356,28 +203,24 @@ func (r *Rewriter) rewriteUnion(s *algebra.SetOp) (result, error) {
 			// NULL-padded on the other side, so they can never be complete
 			// copies into a data column — only attributes whose copy chains
 			// exist in both branches survive.
-			copies[i] = intersectInts(lCopies[i], rCopies[i])
+			copies[i] = intersectInts(lPad.copies[i], rPad.copies[i])
 		} else {
-			copies[i] = unionInts(lCopies[i], rCopies[i])
+			copies[i] = unionInts(lPad.copies[i], rPad.copies[i])
 		}
 	}
-	res := result{op: union, prov: prov, copies: copies}
+	res := result{op: union, prov: rPad.prov, copies: copies}
 
 	if s.Kind == algebra.UnionDistinct && r.chooseSet(s) == SetJoin {
 		r.note("SetJoin strategy: joining the original UNION back to the padded branches")
-		return r.joinBackOnTuple(s, s.Sch, res)
+		return tupleJoinBack(s, res)
 	}
-	return res, nil
+	return res
 }
 
 func intersectInts(a, b []int) []int {
-	inB := make(map[int]bool, len(b))
-	for _, x := range b {
-		inB[x] = true
-	}
 	var out []int
 	for _, x := range a {
-		if inB[x] {
+		if slices.Contains(b, x) {
 			out = append(out, x)
 		}
 	}
@@ -385,113 +228,43 @@ func intersectInts(a, b []int) []int {
 }
 
 func unionInts(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
 	var out []int
-	for _, x := range append(append([]int{}, a...), b...) {
-		if !seen[x] {
-			seen[x] = true
+	for _, x := range slices.Concat(a, b) {
+		if !slices.Contains(out, x) {
 			out = append(out, x)
 		}
 	}
 	return out
 }
 
-func (r *Rewriter) rewriteIntersect(s *algebra.SetOp) (result, error) {
-	left, err := r.rewrite(s.Left)
-	if err != nil {
-		return result{}, err
+func rewriteIntersect(s *algebra.SetOp, left, right result) result {
+	// (T1 ∩ T2) joined to T1+ on tuple equality, then to T2+ on its data
+	// columns; keep [data, P1, P2].
+	step1 := tupleJoinBack(s, left)
+	sch, rSch := step1.op.Schema(), right.op.Schema()
+	n := len(sch)
+	on := make([]algebra.Expr, n)
+	for i, c := range sch {
+		if !c.IsProv {
+			on[i] = &algebra.ColIdx{Idx: n + i, Typ: rSch[i].Type, Name: rSch[i].Name}
+		}
 	}
-	right, err := r.rewrite(s.Right)
-	if err != nil {
-		return result{}, err
-	}
-	// (T1 ∩ T2) joined to T1+ on tuple equality, then to T2+ on tuple
-	// equality; keep [data, P1, P2].
-	step1, err := r.joinBackOnTuple(s, s.Sch, left)
-	if err != nil {
-		return result{}, err
-	}
-	return r.joinBackKeep(step1, right)
+	l := joinBack(algebra.JoinInner, step1, right, on, false, n+len(right.prov))
+	l.keepAll(step1)
+	l.provOf(right, n)
+	return l.finish()
 }
 
-// joinBackKeep joins cur (data+prov so far) to another rewritten branch on
-// the data columns, appending that branch's provenance columns.
-func (r *Rewriter) joinBackKeep(cur result, branch result) (result, error) {
-	curSch := cur.op.Schema()
-	brSch := branch.op.Schema()
-	nCur := len(curSch)
-	data := curSch.DataIdx()
-	var conds []algebra.Expr
-	for _, i := range data {
-		conds = append(conds, &algebra.Bin{
-			Op: sql.OpNotDistinct,
-			L:  &algebra.ColIdx{Idx: i, Typ: curSch[i].Type, Name: curSch[i].Name},
-			R:  &algebra.ColIdx{Idx: nCur + i, Typ: brSch[i].Type, Name: brSch[i].Name},
-		})
-	}
-	join := algebra.NewJoin(algebra.JoinInner, cur.op, branch.op, algebra.AndAll(conds))
-	joinSch := join.Sch
-	exprs := algebra.IdentityExprs(curSch)
-	names := append([]string{}, curSch.Names()...)
-	newPos := identityPos(nCur)
-	for _, p := range branch.prov {
-		jp := nCur + p
-		newPos[jp] = len(exprs)
-		exprs = append(exprs, &algebra.ColIdx{Idx: jp, Typ: joinSch[jp].Type, Name: joinSch[jp].Name})
-		names = append(names, joinSch[jp].Name)
-	}
-	proj := algebra.NewProject(join, exprs, names)
-	copy(proj.Sch[:nCur], curSch)
-	prov := append([]int{}, cur.prov...)
-	copies := emptyCopies(len(exprs))
-	copy(copies, cur.copies)
-	for _, p := range branch.prov {
-		np := newPos[nCur+p]
-		proj.Sch[np] = brSch[p]
-		prov = append(prov, np)
-		copies[np] = []int{np}
-	}
-	return result{op: proj, prov: prov, copies: copies}, nil
-}
-
-func (r *Rewriter) rewriteExcept(s *algebra.SetOp) (result, error) {
-	left, err := r.rewrite(s.Left)
-	if err != nil {
-		return result{}, err
-	}
-	// Rewrite the right branch only to learn its provenance schema (the
-	// attributes of every accessed relation appear in the result schema,
-	// NULL-filled under PI-CS's left-only difference semantics).
-	right, err := r.rewrite(s.Right)
-	if err != nil {
-		return result{}, err
-	}
-	step1, err := r.joinBackOnTuple(s, s.Sch, left)
-	if err != nil {
-		return result{}, err
-	}
-	// Append NULL columns for the right branch's provenance attributes.
-	curSch := step1.op.Schema()
+func (r *Rewriter) rewriteExcept(s *algebra.SetOp, left, right result) result {
+	step1 := tupleJoinBack(s, left)
+	l := over(step1, len(step1.copies)+len(right.prov))
+	l.keepAll(step1)
 	rSch := right.op.Schema()
-	exprs := algebra.IdentityExprs(curSch)
-	names := append([]string{}, curSch.Names()...)
-	start := len(exprs)
 	for _, p := range right.prov {
-		exprs = append(exprs, &algebra.Cast{E: algebra.NewNull(), To: rSch[p].Type})
-		names = append(names, rSch[p].Name)
-	}
-	proj := algebra.NewProject(step1.op, exprs, names)
-	copy(proj.Sch[:len(curSch)], curSch)
-	prov := append([]int{}, step1.prov...)
-	copies := emptyCopies(len(exprs))
-	copy(copies, step1.copies)
-	for i, p := range right.prov {
-		np := start + i
-		proj.Sch[np] = rSch[p]
-		prov = append(prov, np)
+		l.null(rSch[p])
 	}
 	r.note("EXCEPT: right branch contributes no provenance (PI-CS left-only difference)")
-	return result{op: proj, prov: prov, copies: copies}, nil
+	return l.finish()
 }
 
 // --- limit -----------------------------------------------------------------------
@@ -506,10 +279,5 @@ func (r *Rewriter) rewriteLimit(l *algebra.Limit) (result, error) {
 		return result{}, err
 	}
 	r.note("LIMIT: join-back on tuple equality (over-approximates under duplicates)")
-	return r.joinBackOnTuple(l, l.Input.Schema(), in)
-}
-
-// typedNull builds a NULL constant of the kind (helper kept for tests).
-func typedNull(k value.Kind) algebra.Expr {
-	return &algebra.Cast{E: algebra.NewNull(), To: k}
+	return tupleJoinBack(l, in), nil
 }
