@@ -185,6 +185,23 @@ func TestGroupByPositionAndAlias(t *testing.T) {
 	}
 }
 
+// TestGroupByRefusesAggregates: a group expression is analyzed with
+// aggregates disallowed, so an aggregate in GROUP BY is refused there, by
+// name, however it is reached: written out, through a select-list alias or
+// by position.
+func TestGroupByRefusesAggregates(t *testing.T) {
+	const want = "GROUP BY: aggregate function count is not allowed here"
+	for _, q := range []string{
+		"SELECT count(*) FROM t GROUP BY count(*)",
+		"SELECT count(*) AS n FROM t GROUP BY n",
+		"SELECT b, count(*) FROM t GROUP BY 2",
+	} {
+		if _, err := analyze(t, q); err == nil || err.Error() != want {
+			t.Errorf("analyze(%q) error = %v, want %q", q, err, want)
+		}
+	}
+}
+
 func TestAggregateInWhereRejected(t *testing.T) {
 	_, err := analyze(t, "SELECT a FROM t WHERE count(*) > 1")
 	if err == nil {
