@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -239,5 +240,40 @@ func TestSubplanType(t *testing.T) {
 	sp.Mode = ExistsSubplan
 	if sp.Type() != value.KindBool {
 		t.Errorf("exists subplan type = %v", sp.Type())
+	}
+}
+
+// TestVisitExprsReachesNestedPlans: the walk reaches an outer reference in
+// every place a plan holds expressions — a Sort key, an aggregate argument,
+// a VALUES row, the needle of a subplan, and the plan of a subplan nested in
+// a join condition inside another subplan's plan.
+func TestVisitExprsReachesNestedPlans(t *testing.T) {
+	outer := func(i int) *OuterRef { return &OuterRef{Idx: i, Typ: value.KindInt, Name: "o"} }
+	inner := &Select{Input: scan("u", "c"), Cond: &Bin{Op: sql.OpEq, L: col(0), R: outer(7)}}
+	join := NewJoin(JoinInner, scan("t", "a"), scan("v", "b"),
+		&Subplan{Mode: ExistsSubplan, Plan: inner, Correlated: true})
+	nested := &Select{Input: scan("w", "d"), Cond: &Subplan{Mode: InSubplan, Needle: outer(1), Plan: join}}
+	plans := []Op{
+		&Sort{Input: scan("t", "a"), Keys: []SortKey{{Expr: &Neg{E: outer(2)}}}},
+		NewAgg(scan("t", "a"), nil, []AggExpr{{Func: "sum", Arg: &Cast{E: outer(3), To: value.KindFloat}}}, nil, []string{"sum"}),
+		&Values{Rows: [][]Expr{{&Const{Val: value.NewInt(1)}}, {outer(4)}}, Sch: Schema{{Name: "x", Type: value.KindInt}}},
+		nested,
+	}
+	for i, p := range plans {
+		var refs []int
+		VisitExprs(p, func(e Expr) {
+			if o, ok := e.(*OuterRef); ok {
+				refs = append(refs, o.Idx)
+			}
+		})
+		slices.Sort(refs)
+		if want := [][]int{{2}, {3}, {4}, {1, 7}}[i]; !slices.Equal(refs, want) {
+			t.Errorf("plan %d: outer refs %v, want %v", i, refs, want)
+		}
+	}
+	var none int
+	VisitExprs(scan("t", "a"), func(Expr) { none++ })
+	if none != 0 {
+		t.Errorf("a scan has no expressions, the walk visited %d", none)
 	}
 }

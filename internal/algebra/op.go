@@ -646,6 +646,22 @@ func Walk(op Op, fn func(Op)) {
 	}
 }
 
+// VisitExprs calls fn on every expression node of the plan: each operator's
+// expressions (those MapOwnExprs maps), node by node, and, inside a subplan,
+// every expression node of its plan too.
+func VisitExprs(op Op, fn func(Expr)) {
+	visit := func(e Expr) Expr {
+		walkExpr(e, func(x Expr) {
+			fn(x)
+			if sp, ok := x.(*Subplan); ok {
+				VisitExprs(sp.Plan, fn)
+			}
+		})
+		return e
+	}
+	Walk(op, func(o Op) { MapOwnExprs(o, visit) })
+}
+
 // MapExprs returns a copy of the tree with every expression of every operator
 // rewritten through fn (top-level expressions only; fn receives each stored
 // expression and returns the replacement).

@@ -717,9 +717,6 @@ func (a *Analyzer) analyzeAggregation(core *sql.SelectCore, input algebra.Op, sc
 		if err != nil {
 			return nil, nil, nil, nil, exprCtx{}, fmt.Errorf("GROUP BY: %v", err)
 		}
-		if containsAggExpr(e) {
-			return nil, nil, nil, nil, exprCtx{}, fmt.Errorf("aggregate functions are not allowed in GROUP BY")
-		}
 		key := e.String()
 		if _, dup := groupKeys[key]; dup {
 			continue
@@ -796,15 +793,6 @@ func (a *Analyzer) analyzeAggregation(core *sql.SelectCore, input algebra.Op, sc
 		meta[i] = m
 	}
 	return op, exprs, names, meta, ctx, nil
-}
-
-// containsAggExpr reports whether a resolved expression contains an Agg
-// output reference; group expressions must not.
-func containsAggExpr(e algebra.Expr) bool {
-	// Aggregates are resolved to ColIdx during analysis, so a resolved group
-	// expression can only contain them if analysis placed them — which it
-	// refuses; this remains as a defense for direct construction.
-	return false
 }
 
 // --- INSERT, UPDATE, DELETE ---------------------------------------------------------
@@ -1351,25 +1339,26 @@ func (a *Analyzer) analyzeFunc(x *sql.FuncCall, sc *scope, ctx exprCtx) (algebra
 		}
 		return &algebra.ColIdx{Idx: ctx.groupCount + idx, Typ: ae.Type(), Name: string(ae.Func)}, nil
 	}
-	sig, ok := scalarFuncs[x.Name]
+	fn, ok := value.LookupFunc(x.Name)
 	if !ok {
 		return nil, fmt.Errorf("unknown function %q", x.Name)
 	}
 	if x.Star || x.Distinct {
 		return nil, fmt.Errorf("%q is not an aggregate function", x.Name)
 	}
-	if len(x.Args) < sig.minArgs || (sig.maxArgs >= 0 && len(x.Args) > sig.maxArgs) {
-		return nil, fmt.Errorf("function %q expects %s arguments, got %d", x.Name, sig.arity(), len(x.Args))
+	if !fn.Accepts(len(x.Args)) {
+		return nil, fmt.Errorf("function %q expects %s arguments, got %d", x.Name, fn.Arity(), len(x.Args))
 	}
 	args := make([]algebra.Expr, len(x.Args))
+	kinds := make([]value.Kind, len(x.Args))
 	for i, arg := range x.Args {
 		ae, err := a.analyzeExpr(arg, sc, ctx)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = ae
+		args[i], kinds[i] = ae, ae.Type()
 	}
-	return &algebra.Func{Name: x.Name, Args: args, Typ: sig.result(args)}, nil
+	return &algebra.Func{Name: x.Name, Args: args, Typ: fn.Result(kinds)}, nil
 }
 
 func (a *Analyzer) analyzeCase(x *sql.CaseExpr, sc *scope, ctx exprCtx) (algebra.Expr, error) {
@@ -1420,155 +1409,10 @@ func (a *Analyzer) analyzeSubquery(st *sql.SelectStmt, sc *scope) (algebra.Op, b
 		return nil, false, err
 	}
 	correlated := false
-	algebra.Walk(plan, func(op algebra.Op) {
-		checkExprs(op, func(e algebra.Expr) {
-			walkForOuter(e, &correlated)
-		})
+	algebra.VisitExprs(plan, func(e algebra.Expr) {
+		if _, ok := e.(*algebra.OuterRef); ok {
+			correlated = true
+		}
 	})
 	return plan, correlated, nil
-}
-
-// checkExprs visits the top-level expressions of an operator.
-func checkExprs(op algebra.Op, fn func(algebra.Expr)) {
-	switch o := op.(type) {
-	case *algebra.Project:
-		for _, e := range o.Exprs {
-			fn(e)
-		}
-	case *algebra.Select:
-		fn(o.Cond)
-	case *algebra.Join:
-		if o.Cond != nil {
-			fn(o.Cond)
-		}
-	case *algebra.Agg:
-		for _, g := range o.GroupBy {
-			fn(g)
-		}
-		for _, ae := range o.Aggs {
-			if ae.Arg != nil {
-				fn(ae.Arg)
-			}
-		}
-	case *algebra.Sort:
-		for _, k := range o.Keys {
-			fn(k.Expr)
-		}
-	case *algebra.Values:
-		for _, row := range o.Rows {
-			for _, e := range row {
-				fn(e)
-			}
-		}
-	}
-}
-
-func walkForOuter(e algebra.Expr, found *bool) {
-	if e == nil || *found {
-		return
-	}
-	switch x := e.(type) {
-	case *algebra.OuterRef:
-		*found = true
-	case *algebra.Bin:
-		walkForOuter(x.L, found)
-		walkForOuter(x.R, found)
-	case *algebra.Not:
-		walkForOuter(x.E, found)
-	case *algebra.Neg:
-		walkForOuter(x.E, found)
-	case *algebra.IsNull:
-		walkForOuter(x.E, found)
-	case *algebra.Func:
-		for _, arg := range x.Args {
-			walkForOuter(arg, found)
-		}
-	case *algebra.Case:
-		for _, w := range x.Whens {
-			walkForOuter(w.Cond, found)
-			walkForOuter(w.Result, found)
-		}
-		walkForOuter(x.Else, found)
-	case *algebra.InList:
-		walkForOuter(x.E, found)
-		for _, it := range x.List {
-			walkForOuter(it, found)
-		}
-	case *algebra.Like:
-		walkForOuter(x.E, found)
-		walkForOuter(x.Pattern, found)
-	case *algebra.Cast:
-		walkForOuter(x.E, found)
-	case *algebra.Subplan:
-		walkForOuter(x.Needle, found)
-		algebra.Walk(x.Plan, func(op algebra.Op) {
-			checkExprs(op, func(e2 algebra.Expr) { walkForOuter(e2, found) })
-		})
-	}
-}
-
-// --- scalar function signatures ----------------------------------------------------
-
-type funcSig struct {
-	minArgs int
-	maxArgs int // -1 = variadic
-	kind    func(args []algebra.Expr) value.Kind
-}
-
-func (s funcSig) arity() string {
-	if s.maxArgs < 0 {
-		return fmt.Sprintf("at least %d", s.minArgs)
-	}
-	if s.minArgs == s.maxArgs {
-		return fmt.Sprintf("%d", s.minArgs)
-	}
-	return fmt.Sprintf("%d to %d", s.minArgs, s.maxArgs)
-}
-
-func (s funcSig) result(args []algebra.Expr) value.Kind { return s.kind(args) }
-
-func fixed(k value.Kind) func([]algebra.Expr) value.Kind {
-	return func([]algebra.Expr) value.Kind { return k }
-}
-
-func sameAsFirst(args []algebra.Expr) value.Kind {
-	if len(args) > 0 {
-		return args[0].Type()
-	}
-	return value.KindNull
-}
-
-func commonOfAll(args []algebra.Expr) value.Kind {
-	k := value.KindNull
-	for _, a := range args {
-		k = value.CommonKind(k, a.Type())
-	}
-	return k
-}
-
-// scalarFuncs is the function registry shared with the executor's evaluator.
-var scalarFuncs = map[string]funcSig{
-	"upper":     {1, 1, fixed(value.KindString)},
-	"lower":     {1, 1, fixed(value.KindString)},
-	"length":    {1, 1, fixed(value.KindInt)},
-	"abs":       {1, 1, sameAsFirst},
-	"coalesce":  {1, -1, commonOfAll},
-	"nullif":    {2, 2, sameAsFirst},
-	"substr":    {2, 3, fixed(value.KindString)},
-	"substring": {2, 3, fixed(value.KindString)},
-	"trim":      {1, 1, fixed(value.KindString)},
-	"ltrim":     {1, 1, fixed(value.KindString)},
-	"rtrim":     {1, 1, fixed(value.KindString)},
-	"replace":   {3, 3, fixed(value.KindString)},
-	"concat":    {1, -1, fixed(value.KindString)},
-	"round":     {1, 2, fixed(value.KindFloat)},
-	"floor":     {1, 1, fixed(value.KindFloat)},
-	"ceil":      {1, 1, fixed(value.KindFloat)},
-	"ceiling":   {1, 1, fixed(value.KindFloat)},
-	"sqrt":      {1, 1, fixed(value.KindFloat)},
-	"power":     {2, 2, fixed(value.KindFloat)},
-	"mod":       {2, 2, fixed(value.KindInt)},
-	"greatest":  {1, -1, commonOfAll},
-	"least":     {1, -1, commonOfAll},
-	"strpos":    {2, 2, fixed(value.KindInt)},
 }

@@ -475,7 +475,7 @@ func compileArith(l, r compiledExpr, op func(a, b value.Value) (value.Value, err
 
 func compileFunc(x *algebra.Func) compiledExpr {
 	name := x.Name
-	b, known := lookupBuiltin(name)
+	fn, known := value.LookupFunc(name)
 	if !known {
 		return func(value.Row, *Context) (value.Value, error) {
 			return value.Null, fmt.Errorf("executor: unknown function %q", name)
@@ -497,14 +497,7 @@ func compileFunc(x *algebra.Func) compiledExpr {
 			}
 			scratch[i] = v
 		}
-		if !b.tolerant {
-			for _, a := range scratch {
-				if a.IsNull() {
-					return value.Null, nil
-				}
-			}
-		}
-		return b.fn(scratch)
+		return fn.Call(scratch)
 	}
 }
 

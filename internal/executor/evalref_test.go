@@ -242,9 +242,9 @@ func evalInMembership(needle value.Value, list []algebra.Expr, row value.Row, ct
 	return value.NewBool(neg), nil
 }
 
-// evalFunc evaluates a scalar function call through the builtin registry.
+// evalFunc evaluates a scalar function call through the function table.
 func evalFunc(f *algebra.Func, row value.Row, ctx *Context) (value.Value, error) {
-	b, ok := lookupBuiltin(f.Name)
+	fn, ok := value.LookupFunc(f.Name)
 	if !ok {
 		return value.Null, fmt.Errorf("executor: unknown function %q", f.Name)
 	}
@@ -256,12 +256,5 @@ func evalFunc(f *algebra.Func, row value.Row, ctx *Context) (value.Value, error)
 		}
 		args[i] = v
 	}
-	if !b.tolerant {
-		for _, a := range args {
-			if a.IsNull() {
-				return value.Null, nil
-			}
-		}
-	}
-	return b.fn(args)
+	return fn.Call(args)
 }
