@@ -337,7 +337,7 @@ func (f *aggFold) finish() error {
 		f.keyScratch = f.keyScratch[:0]
 		f.newGroup(aggGroup{keys: value.Row{}})
 	}
-	if !a.d.spilled() {
+	if a.d.level == 0 && !f.routing { // else recorded by route
 		a.slot.record(len(f.groups), len(f.keys.arena))
 	}
 	var order []int // nil: every group, in the table's order
@@ -482,10 +482,20 @@ func (f *aggFold) shed() error {
 // which they do from the first overflow on. (A worker's partial fold never
 // spills; see addRow.)
 func (f *aggFold) routes() bool {
-	if !f.routing && f.a.part == nil {
-		f.routing = f.a.d.overflow(&f.acct, f.live, minFoldGroups)
+	if !f.routing && f.a.part == nil && f.a.d.overflow(&f.acct, f.live, minFoldGroups) {
+		f.route()
 	}
 	return f.routing
+}
+
+// route switches the fold to routing, at its first overflow: a new group
+// past the budget, or a group evicted to make room. The next run of a cached
+// plan sizes its level-0 table for what this one held then.
+func (f *aggFold) route() {
+	if !f.routing && f.a.d.level == 0 {
+		f.a.slot.record(len(f.groups), len(f.keys.arena))
+	}
+	f.routing = true
 }
 
 // addPartial folds one serialized partial group state (rec includes the
@@ -577,7 +587,7 @@ func (f *aggFold) evictOver() error {
 		if err := f.a.d.route(0, f.keys.key(gi), f.rec); err != nil {
 			return err
 		}
-		f.routing = true
+		f.route()
 		f.keys.kill(gi)
 		clear(states) // the slots stay; what they point at goes
 		f.live--

@@ -94,6 +94,9 @@ func (s *dedupState) see(key []byte, tomb bool, seq uint64, row value.Row) (firs
 		return false, nil // already emitted, routed, or tombstoned
 	}
 	if !s.frozen && s.d.overflow(&s.acct, len(s.seen.entries), minFoldGroups) {
+		if s.d.level == 0 {
+			s.slot.record(len(s.seen.entries), len(s.seen.arena))
+		}
 		for i := 0; i < len(s.seen.entries); i++ {
 			if err := s.routeTombstone(s.seen.key(i)); err != nil {
 				return false, err

@@ -489,6 +489,9 @@ func (s *sortIter) Open(ctx *Context) error {
 	var rec []byte
 	// flushRun sorts the buffered batch and writes it out as one run.
 	flushRun := func() error {
+		if len(runs) == 0 {
+			s.slot.record(len(all), 0)
+		}
 		sortBatch()
 		f, err := s.reg.create(ctx)
 		if err != nil {

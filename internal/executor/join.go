@@ -289,6 +289,7 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 		}
 		h.addBuild(row, key, hashable)
 		if h.d.overflow(&h.acct, len(h.rows), minBufferRows) {
+			h.slot.record(len(h.rows), len(h.table.arena))
 			if len(h.keys) == 0 {
 				h.over, err = h.d.reg.create(ctx)
 				return err

@@ -354,8 +354,9 @@ func (a *memAcct) spillable() bool {
 
 // SizeHints is a cached plan's memory of its last run: per site that drains a
 // whole input (result drain, join build, groups, DISTINCT and set operation
-// keys, sort buffer) the rows and key bytes it last held without spilling, so
-// the next Open sizes its slabs once: capacity, never a result. Concurrent-safe.
+// keys, sort buffer) the rows and key bytes it last held in memory — all of
+// them, or what it held when it first overflowed work_mem — so the next Open
+// sizes its slabs once: capacity, never a result. Concurrent-safe.
 type SizeHints struct {
 	mu    sync.Mutex
 	slots []*sizeSlot // in build order
@@ -383,7 +384,8 @@ func (c *slotCursor) next() *sizeSlot {
 	return c.h.slots[c.n-1]
 }
 
-// record remembers the counts a site finished with in memory.
+// record remembers the counts a site finished with in memory, or held when it
+// first spilled.
 func (s *sizeSlot) record(rows, keyBytes int) {
 	if s != nil {
 		s.rows.Store(int64(rows))

@@ -84,16 +84,22 @@ func (s *setOpIter) buffered(row value.Row) error {
 	if !s.d.overflow(&s.acct, len(s.lbuf)+len(s.rbuf), minBufferRows) {
 		return nil
 	}
+	keyBytes := 0
 	for i, row := range s.lbuf {
 		if err := s.routeLeft(uint64(i), row); err != nil {
 			return err
 		}
+		keyBytes += len(s.scratch)
 	}
 	for _, row := range s.rbuf {
 		if err := s.routeRight(row); err != nil {
 			return err
 		}
+		keyBytes += len(s.scratch)
 	}
+	// At most one key per buffered row: the next run of a cached plan sizes
+	// its counts for that.
+	s.slot.record(len(s.lbuf)+len(s.rbuf), keyBytes)
 	s.lbuf, s.rbuf = nil, nil
 	s.acct.releaseAll()
 	return nil

@@ -69,3 +69,57 @@ func TestSizeHintCappedByWorkMem(t *testing.T) {
 		t.Errorf("64 KiB work_mem: the build side made room for %d rows in %d bytes, want some within %d", cap(h.rows), slabBytes(h), budget)
 	}
 }
+
+// TestSizeHintOfASpilledGroupBy: a cached GROUP BY that spills records what
+// its group table held when it first overflowed work_mem, so its next run
+// takes its group and state slabs once, at Open, sized for that, and folds
+// the level-0 pass and every partition in them without growing them.
+func TestSizeHintOfASpilledGroupBy(t *testing.T) {
+	const keys = 2000
+	s := storage.NewStore()
+	tab, err := s.CreateTable(&catalog.TableDef{Name: "g", Columns: []catalog.Column{
+		{Name: "k", Type: value.KindInt}, {Name: "v", Type: value.KindInt}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]value.Row, 2*keys)
+	for i := range batch {
+		batch[i] = value.Row{value.NewInt(int64(i % keys)), value.NewInt(int64(i))}
+	}
+	if _, err := tab.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	sch := algebra.Schema{{Name: "k", Table: "g", Type: value.KindInt}, {Name: "v", Table: "g", Type: value.KindInt}}
+	plan := algebra.NewAgg(&algebra.Scan{Table: "g", Alias: "g", Sch: sch}, []algebra.Expr{intCol(0)},
+		[]algebra.AggExpr{{Func: algebra.AggSum, Arg: intCol(1)}, {Func: algebra.AggCount}}, []string{"k"}, []string{"sum", "count"})
+	var hints SizeHints
+	run := func() (*aggIter, int) {
+		// A fresh tracker each run: its free list is empty, so a slab is made
+		// exactly as large as asked for.
+		ctx := NewContext(s)
+		ctx.Mem = NewMemTracker(64<<10, t.TempDir())
+		stream, err := OpenCached(ctx, plan, &hints, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { stream.Close() })
+		a, ok := stream.it.(*aggIter)
+		if !ok {
+			t.Fatalf("the plan's root is a %T", stream.it)
+		}
+		if a.d.merger == nil {
+			t.Fatal("the GROUP BY did not spill at 64 KiB")
+		}
+		n, _ := a.slot.size(ctx, aggGroupBytes+keyEntryBytes+2*aggStateBytes)
+		return a, n
+	}
+	run()
+	a, n := run()
+	if n == 0 || n >= keys {
+		t.Fatalf("the spilled run recorded room for %d groups, want some of the %d", n, keys)
+	}
+	if cap(a.fold.groups) != n || cap(a.fold.states) != 2*n {
+		t.Errorf("the second run ended with slabs of %d groups and %d states, want the %d and %d it took at Open",
+			cap(a.fold.groups), cap(a.fold.states), n, 2*n)
+	}
+}
