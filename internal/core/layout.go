@@ -9,8 +9,9 @@ import (
 // data (original columns first, the prefix invariant), then the provenance
 // columns, each kept from the input or a typed NULL. It tracks the C-CS
 // copies of what it keeps, and finishes into the rule's result. The input is
-// one rewritten subtree or a join of two; a side without a copies table is
-// a base relation, each of whose columns copies itself.
+// one rewritten subtree or a join of two. A side without a copies table — a
+// base relation, or the original operator of a join-back — has each of its
+// columns copy itself.
 type layout struct {
 	in    algebra.Op
 	inSch algebra.Schema
