@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -300,13 +299,6 @@ func inline(v reflect.Value) string {
 			parts[i] = inline(v.Index(i))
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
-	case reflect.Map:
-		keys := make([]string, 0, v.Len())
-		for _, k := range v.MapKeys() {
-			keys = append(keys, inline(k)+":"+inline(v.MapIndex(k)))
-		}
-		sort.Strings(keys)
-		return "map[" + strings.Join(keys, ", ") + "]"
 	case reflect.Struct:
 		switch x := v.Interface().(type) {
 		case value.Value:
