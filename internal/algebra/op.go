@@ -99,8 +99,9 @@ type Op interface {
 
 // Scan reads a base relation. Alias is the FROM-clause correlation name used
 // for column qualification. With RowID, each row ends with one more column,
-// its row id: its position among the rows the statement's transaction sees
-// (how UPDATE and DELETE read the table they write).
+// its row id: the position in the scan's cursor the row was read at (how
+// UPDATE and DELETE read the table they write; the Modify above resolves the
+// ids in that same cursor).
 type Scan struct {
 	Table string
 	Alias string

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"perm/internal/algebra"
 	"perm/internal/executor"
 	"perm/internal/storage"
 	"perm/internal/value"
@@ -449,4 +450,131 @@ func TestScanPruningKeepsErrors(t *testing.T) {
 	if res, err := st.Exec(value.NewFloat(math.NaN())); err != nil || len(res.Rows) != 0 {
 		t.Fatalf("id = NaN: %v, %v", res, err)
 	}
+}
+
+// TestScanPruningDML: an UPDATE's or a DELETE's row-id scan under `id = ?`
+// or `id >= ? AND id < ?` skips chunks like a SELECT's, and every statement
+// leaves the table as the same statement written so that nothing fuses
+// (`id + 0`) does, with the same count or the same error: in autocommit;
+// inside a transaction, after its own INSERT and after its own UPDATE of the
+// table; after a vacuum; and with `?` bound to a kind an INT does not compare
+// with. Over keys in order, the autocommit statements read 1 of the 5
+// chunks, and nothing is skipped while the transaction has updates buffered.
+func TestScanPruningDML(t *testing.T) {
+	const (
+		upd = `UPDATE t SET v = v + 1000, s = 'u' WHERE %s = ?`
+		mov = `UPDATE t SET id = ? WHERE %s = ?`
+		del = `DELETE FROM t WHERE %[1]s >= ? AND %[1]s < ?`
+	)
+	type step struct {
+		sql  string // a statement with %s for the key, another statement, or "vacuum"
+		args []int64
+		str  bool // bind the arguments as TEXT
+		// read is how many chunks of 5 the row-id scan of a statement with a
+		// key reads over keys in order (-1: not checked).
+		read int
+	}
+	steps := []step{
+		{sql: upd, args: []int64{1234}, read: 1},
+		{sql: del, args: []int64{100, 140}, read: 1},
+		{sql: upd, args: []int64{99999}, read: 0},
+		{sql: `BEGIN`},
+		{sql: `INSERT INTO t VALUES (5000, 1, 'mine'), (-3, 2, 'mine'), (-2, 3, 'mine')`},
+		{sql: upd, args: []int64{5000}, read: 0},
+		{sql: del, args: []int64{-3, -2}, read: 0},
+		{sql: mov, args: []int64{7777, 1700}, read: 1},
+		{sql: upd, args: []int64{7777}, read: 5},
+		{sql: upd, args: []int64{-2}, read: 5},
+		{sql: del, args: []int64{300, 320}, read: 5},
+		{sql: `COMMIT`},
+		{sql: "vacuum"},
+		{sql: upd, args: []int64{1800}, read: -1},
+		{sql: del, args: []int64{2000, 2010}, read: -1},
+		{sql: upd, args: []int64{7}, str: true, read: -1},
+		{sql: del, args: []int64{1, 9}, str: true, read: -1},
+		{sql: `BEGIN`},
+		{sql: upd, args: []int64{8}, str: true, read: -1},
+		{sql: `ROLLBACK`},
+	}
+	for name, ids := range pruneOrders() {
+		t.Run(name, func(t *testing.T) {
+			var dbs [2]*DB
+			var sess [2]*Session
+			for i := range dbs {
+				dbs[i] = NewDB()
+				sess[i] = dbs[i].NewSession()
+				defer sess[i].Close()
+				loadPruneTable(t, sess[i], ids)
+				mustExecSpill(t, sess[i], `SET trace = on`)
+			}
+			for k, st := range steps {
+				if st.sql == "vacuum" {
+					for _, db := range dbs {
+						if db.Store().Vacuum() == 0 {
+							t.Fatal("the vacuum removed nothing")
+						}
+					}
+					continue
+				}
+				var args []value.Value
+				for _, a := range st.args {
+					if st.str {
+						args = append(args, value.NewString(fmt.Sprint(a)))
+					} else {
+						args = append(args, value.NewInt(a))
+					}
+				}
+				dml := strings.Contains(st.sql, "%")
+				var out [2]string
+				for i, key := range []string{"id", "id + 0"} {
+					q := st.sql
+					if dml {
+						q = fmt.Sprintf(q, key)
+					}
+					res, err := prepareExec(sess[i], q, args)
+					if out[i] = fmt.Sprint(err); err == nil {
+						out[i] = res.Tag
+					}
+				}
+				if out[0] != out[1] || st.str != strings.Contains(out[0], "cannot compare") {
+					t.Fatalf("step %d %s %v: %q, unfused %q", k, st.sql, st.args, out[0], out[1])
+				}
+				if name == "in order" && dml && st.read >= 0 {
+					chunks, skipped := rowIDScanChunks(t, sess[0])
+					if chunks != 5 || chunks-skipped != int64(st.read) {
+						t.Fatalf("step %d %s %v: the row-id scan read %d of %d chunks, want %d of 5", k, st.sql, st.args, chunks-skipped, chunks, st.read)
+					}
+				}
+				const all = `SELECT id, v, s FROM t`
+				if got, want := renderRows(mustExecSpill(t, sess[0], all)), renderRows(mustExecSpill(t, sess[1], all)); got != want {
+					t.Fatalf("step %d %s %v: the table diverged from the unfused statements':\ngot  %.300q\nwant %.300q", k, st.sql, st.args, got, want)
+				}
+			}
+		})
+	}
+}
+
+// prepareExec prepares q and runs it with args.
+func prepareExec(s *Session, q string, args []value.Value) (*Result, error) {
+	p, err := s.Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(args...)
+}
+
+// rowIDScanChunks returns the chunk counters of the row-id scan in the
+// session's last traced statement.
+func rowIDScanChunks(t *testing.T, s *Session) (chunks, skipped int64) {
+	t.Helper()
+	found := false
+	s.LastTrace().Stats.Walk(func(n *executor.OpStats) {
+		if sc, ok := n.Op.(*algebra.Scan); ok && sc.RowID {
+			chunks, skipped, found = n.Chunks, n.ChunksSkipped, true
+		}
+	})
+	if !found {
+		t.Fatalf("the last trace (%s) has no row-id scan", s.LastTrace().SQL)
+	}
+	return chunks, skipped
 }

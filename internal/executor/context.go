@@ -330,6 +330,8 @@ type builder struct {
 	// slots hands the operators that drain a whole input their size hints,
 	// in build order; nil for an uncached plan and for a worker's subtree.
 	slots *slotCursor
+	// sink, set under a Modify, is handed the RowID scan built there.
+	sink *modifyIter
 }
 
 // isPrefix reports whether the projection's expressions are columns 0..n-1 of
@@ -400,14 +402,18 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		case b.part != nil:
 			it = &scanIter{cur: b.part.leaf, prune: pruneOf(terms, o.Sch)}
 		case o.RowID:
-			it = &rowIDScan{scanIter: scanIter{op: o}, maker: rowMaker{reuse: reuse}}
+			b.sink.scan = &rowIDScan{scanIter: scanIter{op: o, prune: pruneOf(terms, o.Sch)}, maker: rowMaker{reuse: reuse}}
+			it = b.sink.scan
 		default:
 			it = &scanIter{op: o, prune: pruneOf(terms, o.Sch)}
 		}
 	case *algebra.Modify:
 		// A DELETE reads only the row id; INSERT and UPDATE keep their rows
 		// until they buffer them.
-		it = &modifyIter{op: o, input: input(o.Input, o.Kind == algebra.Delete)}
+		m := &modifyIter{op: o}
+		b.sink = m
+		m.input = input(o.Input, o.Kind == algebra.Delete)
+		it = m
 	case *algebra.Values:
 		it = &valuesIter{op: o}
 	case *algebra.Project:

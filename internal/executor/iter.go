@@ -181,18 +181,12 @@ func (s *scanIter) Close() error {
 	return nil
 }
 
-// rowIDScan is a RowID scan: it extends each row by its position among the
-// rows the scan yields, its storage.Pick ID, into rows from maker. It skips
-// no chunk: a Pick ID counts every row the transaction sees.
+// rowIDScan is a RowID scan: it extends each row by its row id, the cursor
+// position it was read at, into rows from maker. The Modify above it
+// resolves the ids in the same cursor, so it prunes like any scan.
 type rowIDScan struct {
 	scanIter
 	maker rowMaker
-	n     int64
-}
-
-func (r *rowIDScan) Open(ctx *Context) error {
-	r.n = 0
-	return r.scanIter.Open(ctx)
 }
 
 func (r *rowIDScan) Next() (value.Row, error) {
@@ -201,8 +195,7 @@ func (r *rowIDScan) Next() (value.Row, error) {
 		return nil, nil
 	}
 	out := r.maker.New(len(row) + 1)
-	out[copy(out, row)] = value.NewInt(r.n)
-	r.n++
+	out[copy(out, row)] = value.NewInt(int64(r.cur.Pos()))
 	return out, nil
 }
 
@@ -211,12 +204,14 @@ func (r *rowIDScan) Next() (value.Row, error) {
 // modifyIter is the sink of an INSERT, UPDATE or DELETE plan. At Open it
 // runs its input to the end inside one write of the table — the statement's
 // transaction, or in autocommit one of its own, decided and committed under
-// the table's writer lock — and buffers what the input says. Its one row is
-// the count of rows written.
+// the table's writer lock — and buffers what the input says, resolving an
+// UPDATE's or a DELETE's row ids in the cursor of the RowID scan that read
+// them. Its one row is the count of rows written.
 type modifyIter struct {
 	op    *algebra.Modify
 	input iterator
-	n     int // rows written; -1 once the count is out
+	scan  *rowIDScan // the RowID scan under an UPDATE or a DELETE
+	n     int        // rows written; -1 once the count is out
 	count [1]value.Value
 }
 
@@ -254,7 +249,7 @@ func (m *modifyIter) Open(ctx *Context) error {
 		if m.op.Kind == algebra.Insert {
 			return x.Insert(t, rows)
 		}
-		return x.Rewrite(t, picks)
+		return x.Rewrite(t, &m.scan.cur, picks)
 	})
 	return err
 }

@@ -103,7 +103,7 @@ func exprParSafe(e algebra.Expr) bool {
 func gatherLeaf(op algebra.Op) *algebra.Scan {
 	switch o := skipMarkers(op).(type) {
 	case *algebra.Scan:
-		if o.RowID { // its row ids are positions in one transaction's view
+		if o.RowID { // the Modify resolves its row ids in the one cursor that read them
 			return nil
 		}
 		return o

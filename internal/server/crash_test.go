@@ -75,15 +75,31 @@ func crashIns(k int64) func(*storage.Store) error {
 }
 
 func crashUpdAll(s *storage.Store) error {
-	_, err := s.Table("kv").Update(nil, func(r value.Row) (value.Row, error) {
-		return value.Row{r[0], value.NewInt(r[1].Int() + 1)}, nil
+	tab := s.Table("kv")
+	_, err := tab.Write(nil, func(x *storage.Txn) (int, error) {
+		var picks []storage.Pick
+		c := x.Scan(tab)
+		for r := c.Next(); r != nil; r = c.Next() {
+			picks = append(picks, storage.Pick{ID: c.Pos(), Row: value.Row{r[0], value.NewInt(r[1].Int() + 1)}})
+		}
+		return x.Rewrite(tab, &c, picks)
 	})
 	return err
 }
 
 func crashDel(k int64) func(*storage.Store) error {
 	return func(s *storage.Store) error {
-		_, err := s.Table("kv").Delete(func(r value.Row) (bool, error) { return r[0].Int() == k, nil })
+		tab := s.Table("kv")
+		_, err := tab.Write(nil, func(x *storage.Txn) (int, error) {
+			var picks []storage.Pick
+			c := x.Scan(tab)
+			for r := c.Next(); r != nil; r = c.Next() {
+				if r[0].Int() == k {
+					picks = append(picks, storage.Pick{ID: c.Pos()})
+				}
+			}
+			return x.Rewrite(tab, &c, picks)
+		})
 		return err
 	}
 }

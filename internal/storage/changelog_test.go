@@ -38,14 +38,14 @@ func TestChangeLogRecordsMutations(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Update(
+	if _, err := rewrite(nil, tab,
 		func(r value.Row) (bool, error) { return r[0].Int() == 2, nil },
 		func(r value.Row) (value.Row, error) {
 			return value.Row{r[0], value.NewString("u")}, nil
 		}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].Int() == 1, nil }); err != nil {
+	if _, err := rewrite(nil, tab, func(r value.Row) (bool, error) { return r[0].Int() == 1, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CreateView(&catalog.ViewDef{Name: "v", Text: "SELECT i FROM t"}); err != nil {
@@ -98,14 +98,14 @@ func TestNoOpMutationsNotLogged(t *testing.T) {
 	if _, err := tab.InsertBatch(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Delete(func(value.Row) (bool, error) { return false, nil }); err != nil {
+	if _, err := rewrite(nil, tab, func(value.Row) (bool, error) { return false, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Update(func(value.Row) (bool, error) { return false, nil },
+	if _, err := rewrite(nil, tab, func(value.Row) (bool, error) { return false, nil },
 		func(r value.Row) (value.Row, error) { return r, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Delete(nil); err != nil { // truncate of an empty table
+	if _, err := rewrite(nil, tab, nil, nil); err != nil { // truncate of an empty table
 		t.Fatal(err)
 	}
 	if got := s.Log().LastLSN(); got != before {
@@ -125,13 +125,13 @@ func TestApplyChangeReplay(t *testing.T) {
 	if _, err := tab.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Update(
+	if _, err := rewrite(nil, tab,
 		func(r value.Row) (bool, error) { return r[0].Int()%3 == 0, nil },
 		func(r value.Row) (value.Row, error) { return value.Row{r[0], value.NewString("upd")}, nil },
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].Int() == 1, nil }); err != nil {
+	if _, err := rewrite(nil, tab, func(r value.Row) (bool, error) { return r[0].Int() == 1, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -298,6 +298,22 @@ func (c *Cursor) next() (target, bool) {
 	return target{}, false
 }
 
+// Pos is the position of the row the cursor returned last: its slot in the
+// cursor's heap, or for a transaction's buffered insert a position past the
+// heap's slots. Vacuum never renumbers the heap a cursor holds.
+func (c *Cursor) Pos() int { return c.pos - 1 }
+
+// at returns what next returns for position i alone, or false when i is
+// outside the cursor's positions or holds no row its reader sees.
+func (c *Cursor) at(i int) (target, bool) {
+	if i < 0 || i >= c.end {
+		return target{}, false
+	}
+	one := *c
+	one.pos, one.end = i, i+1
+	return one.next()
+}
+
 // Len is the number of positions left in the cursor's range: an upper bound
 // on the rows it yields.
 func (c *Cursor) Len() int { return c.end - c.pos }

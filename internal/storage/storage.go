@@ -289,18 +289,6 @@ func (t *Table) InsertBatch(rows []value.Row) (int, error) {
 	return t.Write(nil, func(x *Txn) (int, error) { return x.Insert(t, rows) })
 }
 
-// Delete removes the rows pred accepts (all, for a nil pred) and reports how
-// many. pred runs in the decision phase and may query any table.
-func (t *Table) Delete(pred func(value.Row) (bool, error)) (int, error) {
-	return t.Write(nil, func(x *Txn) (int, error) { return x.Delete(t, pred) })
-}
-
-// Update replaces each row pred accepts with fn's result, type-checked, and
-// reports how many. Like Delete's pred, both callbacks may query any table.
-func (t *Table) Update(pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
-	return t.Write(nil, func(x *Txn) (int, error) { return x.Update(t, pred, fn) })
-}
-
 // Store couples a catalog with the physical tables. mu guards the
 // catalog/tables pairing (DDL holds it exclusively), and gate serializes
 // apply phases: the record append, version stamping and visible-LSN

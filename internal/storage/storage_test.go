@@ -90,14 +90,14 @@ func TestDelete(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		tab.Insert(value.Row{value.NewInt(int64(i))})
 	}
-	n, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].Int()%2 == 0, nil })
+	n, err := rewrite(nil, tab, func(r value.Row) (bool, error) { return r[0].Int()%2 == 0, nil }, nil)
 	if err != nil || n != 2 {
 		t.Fatalf("Delete: %d, %v", n, err)
 	}
 	if tab.RowCount() != 3 {
 		t.Errorf("rows left = %d", tab.RowCount())
 	}
-	n, err = tab.Delete(nil)
+	n, err = rewrite(nil, tab, nil, nil)
 	if err != nil || n != 3 {
 		t.Fatalf("Delete(nil): %d, %v", n, err)
 	}
@@ -109,7 +109,7 @@ func TestUpdate(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		tab.Insert(value.Row{value.NewInt(int64(i))})
 	}
-	n, err := tab.Update(
+	n, err := rewrite(nil, tab,
 		func(r value.Row) (bool, error) { return r[0].Int() > 1, nil },
 		func(r value.Row) (value.Row, error) {
 			return value.Row{value.NewInt(r[0].Int() * 10)}, nil
@@ -127,7 +127,7 @@ func TestUpdateTypeChecked(t *testing.T) {
 	s := NewStore()
 	tab := intTable(t, s, "t", "a")
 	tab.Insert(value.Row{value.NewInt(1)})
-	_, err := tab.Update(nil, func(r value.Row) (value.Row, error) {
+	_, err := rewrite(nil, tab, nil, func(r value.Row) (value.Row, error) {
 		return value.Row{value.NewString("bad")}, nil
 	})
 	if err == nil {
@@ -247,10 +247,10 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	}
 	snap := tab.Snapshot()
 
-	if _, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].Int() == 2, nil }); err != nil {
+	if _, err := rewrite(nil, tab, func(r value.Row) (bool, error) { return r[0].Int() == 2, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.Update(nil, func(r value.Row) (value.Row, error) {
+	if _, err := rewrite(nil, tab, nil, func(r value.Row) (value.Row, error) {
 		return value.Row{value.NewInt(r[0].Int() * 10)}, nil
 	}); err != nil {
 		t.Fatal(err)

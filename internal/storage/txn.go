@@ -77,8 +77,8 @@ func (x *Txn) table(t *Table) *txnTable {
 // versions visible at its snapshot in slot order, its own updates applied
 // and its own deletes left out, then the rows it inserted itself. The
 // executor's scans read transactions through this, and a Pick names a row by
-// its position in what the cursor yields. The cursor reads the buffered
-// writes as it goes: the transaction writes nothing while one still reads.
+// the cursor's Pos. The cursor reads the buffered writes as it goes: the
+// transaction writes nothing while one still reads.
 func (x *Txn) Scan(t *Table) Cursor {
 	c := t.Scan(x.snap)
 	if tt := x.tabs[t]; tt != nil && (len(tt.mods) > 0 || len(tt.ins) > 0) {
@@ -112,92 +112,43 @@ func (x *Txn) Insert(t *Table, rows []value.Row) (int, error) {
 	return len(checked), nil
 }
 
-// Delete buffers the deletion of every visible row matching pred (all rows
-// when pred is nil), including rows this transaction itself inserted or
-// updated. pred runs outside all storage locks and may query any table.
-func (x *Txn) Delete(t *Table, pred func(value.Row) (bool, error)) (int, error) {
-	return x.Update(t, pred, nil)
-}
-
-// Update buffers the replacement of every visible row matching pred with
-// fn's result, after type checking (with a nil fn, Delete): it picks them
-// from what Scan yields and hands the picks to Rewrite. Rows this transaction
-// inserted are rewritten in place. Like Delete's, both callbacks run
-// outside all storage locks.
-func (x *Txn) Update(t *Table, pred func(value.Row) (bool, error), fn func(value.Row) (value.Row, error)) (int, error) {
-	if x.done {
-		return 0, errTxnDone
-	}
-	var picks []Pick
-	c := x.Scan(t)
-	for id := 0; ; id++ {
-		row := c.Next()
-		if row == nil {
-			break
-		}
-		if pred != nil {
-			if ok, err := pred(row); err != nil || !ok {
-				if err != nil {
-					return 0, err
-				}
-				continue
-			}
-		}
-		p := Pick{ID: id}
-		if fn != nil {
-			var err error
-			if p.Row, err = fn(row); err != nil {
-				return 0, err
-			}
-		}
-		picks = append(picks, p)
-	}
-	return x.Rewrite(t, picks)
-}
-
 // Pick is a statement's decision on one row of t the transaction sees,
-// named by its position in what Txn.Scan yields: replace it with Row, or delete it
-// when Row is nil.
+// named by the position Cursor.Pos reported when the transaction's cursor
+// over t returned it: replace it with Row, or delete it when Row is nil.
 type Pick struct {
 	ID  int
 	Row value.Row
 }
 
 // Rewrite buffers picks, in ascending ID order, and reports how many rows
-// it rewrote. It type-checks every replacement before it buffers any pick,
-// so a statement that fails on some row leaves the transaction as it was;
-// the checked images replace the picks' rows.
-func (x *Txn) Rewrite(t *Table, picks []Pick) (int, error) {
+// it rewrote. c is the cursor of x over t the picks' positions came from:
+// each pick is sought in it, in the heap it read and under its snapshot and
+// overlay, so a vacuum since cannot misdirect one. A pick out of order or
+// repeated, past the cursor's end, or naming no row the transaction sees is
+// refused. Rewrite checks every pick and type-checks every replacement
+// before it buffers any, so a statement that fails on some row leaves the
+// transaction as it was.
+func (x *Txn) Rewrite(t *Table, c *Cursor, picks []Pick) (int, error) {
 	if x.done {
 		return 0, errTxnDone
 	}
-	for i := range picks {
-		if picks[i].Row != nil {
-			row, err := t.checkRow(picks[i].Row)
-			if err != nil {
+	decided := make([]target, len(picks))
+	for i, p := range picks {
+		if i > 0 && p.ID <= picks[i-1].ID {
+			return 0, fmt.Errorf("storage: picks of %q out of order or repeated at position %d", t.def.Name, p.ID)
+		}
+		tg, ok := c.at(p.ID)
+		if !ok {
+			return 0, fmt.Errorf("storage: position %d names no row of %q the transaction sees", p.ID, t.def.Name)
+		}
+		tg.row = p.Row
+		if p.Row != nil {
+			var err error
+			if tg.row, err = t.checkRow(p.Row); err != nil {
 				return 0, err
 			}
-			picks[i].Row = row
 		}
-	}
-	decided := make([]target, 0, len(picks))
-	id := 0
-	for c := x.Scan(t); len(decided) < len(picks); id++ {
-		if picks[len(decided)].ID != id {
-			if c.Next() == nil { // rows it skips take Next's fast path
-				break
-			}
-			continue
-		}
-		tg, ok := c.next()
-		if !ok {
-			break
-		}
-		tg.row = picks[len(decided)].Row
-		decided = append(decided, tg)
-	}
-	if len(decided) < len(picks) {
-		return 0, fmt.Errorf("storage: picks out of order or past the %d rows of %q the transaction sees", id, t.def.Name)
+		decided[i] = tg
 	}
 	tt := x.table(t)
 	for _, d := range decided {

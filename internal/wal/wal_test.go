@@ -153,12 +153,27 @@ func TestRecoverAllRecordKinds(t *testing.T) {
 	s, m, _ := testOpen(t, dir, Options{})
 	seed(t, s, 0, 5)
 	tab := s.Table("kv")
-	if _, err := tab.Update(func(r value.Row) (bool, error) { return r[0].Int() == 2, nil },
-		func(r value.Row) (value.Row, error) { return value.Row{r[0], value.NewInt(99)}, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.Delete(func(r value.Row) (bool, error) { return r[0].Int() == 3, nil }); err != nil {
-		t.Fatal(err)
+	// An UPDATE of key 2, then a DELETE of key 3, each picking its row by
+	// the position its scan read it at.
+	for _, w := range []struct {
+		k   int64
+		img func(value.Row) value.Row
+	}{
+		{2, func(r value.Row) value.Row { return value.Row{r[0], value.NewInt(99)} }},
+		{3, func(value.Row) value.Row { return nil }},
+	} {
+		if _, err := tab.Write(nil, func(x *storage.Txn) (int, error) {
+			var picks []storage.Pick
+			c := x.Scan(tab)
+			for r := c.Next(); r != nil; r = c.Next() {
+				if r[0].Int() == w.k {
+					picks = append(picks, storage.Pick{ID: c.Pos(), Row: w.img(r)})
+				}
+			}
+			return x.Rewrite(tab, &c, picks)
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := s.CreateView(&catalog.ViewDef{Name: "vv", Text: "SELECT k FROM kv", Columns: []catalog.Column{{Name: "k", Type: value.KindInt}}}); err != nil {
 		t.Fatal(err)
