@@ -520,3 +520,45 @@ func SplitAnd(e Expr) []Expr {
 	}
 	return []Expr{e}
 }
+
+// Sides reports which inputs of a join, whose left input has nLeft columns,
+// e reads.
+func Sides(e Expr, nLeft int) (left, right bool) {
+	walkExpr(e, func(x Expr) {
+		if c, ok := x.(*ColIdx); ok {
+			left, right = left || c.Idx < nLeft, right || c.Idx >= nLeft
+		}
+	})
+	return left, right
+}
+
+// EquiKey is a join conjunct equating an expression over the left input
+// with one over the right: what the hash join hashes on. Both read the join's
+// input row, the left input's columns then the right's. NullEq marks IS NOT
+// DISTINCT FROM, under which NULL matches NULL.
+type EquiKey struct {
+	Left, Right Expr
+	NullEq      bool
+}
+
+// EquiKeyOf reads a conjunct of a join condition, over a left input of nLeft
+// columns and the right input after it, as an equi key: an equality between
+// an expression over the left input and one over the right, neither holding
+// a subplan. An operand that reads no column counts as the left input's. The
+// planner's build-side choice and the executor's hash join both decide with
+// it.
+func EquiKeyOf(conj Expr, nLeft int) (EquiKey, bool) {
+	b, ok := conj.(*Bin)
+	if !ok || (b.Op != sql.OpEq && b.Op != sql.OpNotDistinct) || HasSubplan(conj) {
+		return EquiKey{}, false
+	}
+	ll, lr := Sides(b.L, nLeft)
+	rl, rr := Sides(b.R, nLeft)
+	switch {
+	case ll && lr || rl && rr || lr == rr:
+		return EquiKey{}, false
+	case lr:
+		return EquiKey{Left: b.R, Right: b.L, NullEq: b.Op == sql.OpNotDistinct}, true
+	}
+	return EquiKey{Left: b.L, Right: b.R, NullEq: b.Op == sql.OpNotDistinct}, true
+}

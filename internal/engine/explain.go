@@ -113,10 +113,11 @@ func (s *Session) explain(st sql.Statement, text string, analyze bool) (*Explana
 // pass-through nodes (BaseRel, ProvDone) executed no iterator and carry no
 // annotation.
 func analyzedTree(plan algebra.Op, root *executor.OpStats, pl *planner.Planner) string {
-	byOp := map[algebra.Op]*executor.OpStats{}
-	root.Walk(func(n *executor.OpStats) { byOp[n.Op] = n })
+	var inOrder []*executor.OpStats
+	statsInPlanOrder(plan, []*executor.OpStats{root}, &inOrder)
 	return algebra.AnnotatedTree(plan, func(op algebra.Op) string {
-		n := byOp[op]
+		n := inOrder[0]
+		inOrder = inOrder[1:]
 		if n == nil {
 			return ""
 		}
@@ -159,6 +160,28 @@ func analyzedTree(plan algebra.Op, root *executor.OpStats, pl *planner.Planner) 
 		sb.WriteByte(')')
 		return sb.String()
 	})
+}
+
+// statsInPlanOrder appends, for op and each node beneath it in preorder (the
+// order AnnotatedTree annotates in), the stats node at its place in the
+// stats tree, or nil for a node that ran no operator of its own. cands are
+// the stats nodes at op's level; it returns those op did not take. A plan
+// may hold one node at two places — a provenance join-back reads T's scans
+// again in T⁺ — and each place shows the numbers of its own execution.
+func statsInPlanOrder(op algebra.Op, cands []*executor.OpStats, out *[]*executor.OpStats) []*executor.OpStats {
+	if len(cands) == 0 || cands[0].Op != op {
+		*out = append(*out, nil)
+		for _, c := range op.Children() {
+			cands = statsInPlanOrder(c, cands, out)
+		}
+		return cands
+	}
+	*out = append(*out, cands[0])
+	kids := cands[0].Children
+	for _, c := range op.Children() {
+		kids = statsInPlanOrder(c, kids, out)
+	}
+	return cands[1:]
 }
 
 // fmtBytes renders a byte count with a binary-unit suffix.

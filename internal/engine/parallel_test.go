@@ -2,17 +2,17 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// Intra-query parallelism coverage: parallel execution must be byte-identical
-// to serial across degrees, memory budgets, and provenance rewriting; workers
-// must observe interrupts and deadlines promptly; and no goroutine or spill
-// file may outlive its query.
+// Intra-query parallelism coverage: a session is serial by default, parallel
+// plans read the statement's own snapshot, workers observe interrupts and
+// deadlines promptly, no goroutine outlives its query, and the trace counts
+// what fanned out. Parallel results against serial ones are internal/server's
+// TestResultMatrix.
 
 // seedParallelDB extends the spill fixture with a small table for bounded
 // joins with no equi key. big has 6000 rows and other 3000 — both above the
@@ -33,97 +33,6 @@ func seedParallelDB(t testing.TB) *DB {
 	}
 	mustExecSpill(t, s, b.String())
 	return db
-}
-
-// parallelSuite spans every parallel operator plus shapes that must fall back
-// to the serial path and still agree: gather chains, partition-wise joins with
-// and without an equi key, partition-wise aggregation, DISTINCT aggregates and
-// float sums (ineligible), subqueries, sorts, and provenance rewrites.
-// fansOut marks the shapes that must really run on workers at degree >= 2
-// under a wide budget; the rest may fall back. The planner turns the comma
-// joins' equality into the join condition, so they run as hash joins.
-var parallelSuite = []struct {
-	q       string
-	fansOut bool
-}{
-	// gather: scan/filter/project chains
-	{`SELECT k, v FROM big WHERE v % 3 = 0`, true},
-	{`SELECT k + v, s FROM big WHERE k < 25`, true},
-	// partition-wise hash join
-	{`SELECT b.k, b.v, o.v FROM big b, other o WHERE b.v = o.v`, true},
-	{`SELECT b.k, o.s FROM big b JOIN other o ON b.v = o.v WHERE b.k % 2 = 0`, true},
-	{`SELECT b.v, o.v FROM big b LEFT JOIN other o ON b.v = o.v WHERE b.v < 500`, true},
-	// partition-wise theta and cross joins (no equi key)
-	{`SELECT b.v, sm.w FROM big b, small sm WHERE b.v % 97 < sm.w AND b.v % 11 = 0`, true},
-	{`SELECT count(*) FROM big b, small sm`, true},
-	// partition-wise aggregation with worker-order partial merge
-	{`SELECT k, count(*), sum(v), min(s), max(v) FROM big GROUP BY k`, true},
-	{`SELECT k % 7, count(*), avg(v) FROM big WHERE v % 2 = 0 GROUP BY k % 7`, true},
-	{`SELECT count(*), sum(v), min(v), max(s) FROM big`, true},
-	// serial-fallback shapes (DISTINCT aggregates, sorts, subqueries)
-	{`SELECT k, count(DISTINCT s) FROM big GROUP BY k`, false},
-	{`SELECT k, v FROM big ORDER BY v DESC, k LIMIT 100`, false},
-	{`SELECT DISTINCT k FROM big`, false},
-	{`SELECT k FROM big WHERE v IN (SELECT v FROM other) ORDER BY k LIMIT 50`, false},
-	// provenance-rewritten plans through the same operators
-	{`SELECT PROVENANCE k, v FROM big WHERE v % 5 = 0`, true},
-	{`SELECT PROVENANCE b.k, o.v FROM big b, other o WHERE b.v = o.v`, true},
-	{`SELECT PROVENANCE k, count(*), sum(v) FROM big GROUP BY k`, true},
-}
-
-// TestParallelDifferential pins the headline contract: for every query in the
-// suite, every (parallelism, work_mem) combination must produce bytes
-// identical to the serial wide-budget run — including the forced-spill
-// configurations, where parallel operators either spill per worker (joins) or
-// fall back to the serial spilling path (aggregation). The trace proves the
-// wide-budget runs at degree >= 2 really fanned out, so the suite cannot pass
-// by falling back everywhere.
-func TestParallelDifferential(t *testing.T) {
-	db := seedParallelDB(t)
-	base := db.NewSession()
-	defer base.Close()
-	mustExecSpill(t, base, `SET parallelism = 1`)
-	want := make(map[string]string, len(parallelSuite))
-	for _, c := range parallelSuite {
-		want[c.q] = renderFull(mustExecSpill(t, base, c.q))
-	}
-
-	for _, deg := range []int{1, 2, 8} {
-		for _, tiny := range []bool{false, true} {
-			name := fmt.Sprintf("parallelism=%d/tiny=%v", deg, tiny)
-			t.Run(name, func(t *testing.T) {
-				s := db.NewSession()
-				defer s.Close()
-				dir := t.TempDir()
-				s.SetTempDir(dir)
-				mustExecSpill(t, s, fmt.Sprintf(`SET parallelism = %d`, deg))
-				mustExecSpill(t, s, `SET trace = on`)
-				if tiny {
-					mustExecSpill(t, s, fmt.Sprintf(`SET work_mem = %d`, tinyWorkMem))
-				}
-				for _, c := range parallelSuite {
-					got := renderFull(mustExecSpill(t, s, c.q))
-					if got != want[c.q] {
-						t.Fatalf("diverged on %q:\nwant:\n%.2000s\ngot:\n%.2000s", c.q, want[c.q], got)
-					}
-					if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-						t.Fatalf("%q left %d files in temp dir (err %v)", c.q, len(ents), err)
-					}
-					tr := s.LastTrace()
-					if deg == 1 && tr.ParallelOps != 0 {
-						t.Errorf("%q fanned out (%d ops) at parallelism 1", c.q, tr.ParallelOps)
-					}
-					if deg > 1 && !tiny && c.fansOut && (tr.ParallelOps == 0 || tr.ParallelWorkers < int64(deg)) {
-						t.Errorf("%q never fanned out at parallelism %d: %d ops, %d workers",
-							c.q, deg, tr.ParallelOps, tr.ParallelWorkers)
-					}
-				}
-				if ms := s.MemStatus(); ms.Tracked != 0 {
-					t.Fatalf("tracked memory leaked: %d bytes", ms.Tracked)
-				}
-			})
-		}
-	}
 }
 
 // TestParallelDefaultDegree: a fresh session is serial on any host — the
@@ -259,32 +168,6 @@ func TestParallelPinnedSnapshot(t *testing.T) {
 	}
 }
 
-// TestParallelErrorAgreement: a query that fails must fail identically at
-// every degree (same error text), not hang or half-succeed.
-func TestParallelErrorAgreement(t *testing.T) {
-	db := seedParallelDB(t)
-	q := `SELECT b.v / (o.v - o.v) FROM big b, other o WHERE b.v = o.v`
-	var want string
-	for i, deg := range []int{1, 2, 8} {
-		s := db.NewSession()
-		mustExecSpill(t, s, fmt.Sprintf(`SET parallelism = %d`, deg))
-		_, err := s.Execute(q)
-		if err == nil {
-			s.Close()
-			t.Fatalf("parallelism=%d: expected division error, got success", deg)
-		}
-		if i == 0 {
-			want = err.Error()
-		} else if err.Error() != want {
-			t.Fatalf("parallelism=%d error diverged:\nwant %q\ngot  %q", deg, want, err.Error())
-		}
-		if ms := s.MemStatus(); ms.Tracked != 0 {
-			t.Fatalf("parallelism=%d leaked %d tracked bytes after error", deg, ms.Tracked)
-		}
-		s.Close()
-	}
-}
-
 // TestParallelInterrupt arms the session kill channel mid-query: every worker
 // must observe the interrupt and the statement must unwind promptly even with
 // workers parked in the exchange.
@@ -365,84 +248,6 @@ func TestParallelGoroutineLeak(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > before {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("goroutines leaked: %d before, %d after\n%s", before, after, buf[:runtime.Stack(buf, true)])
-	}
-}
-
-// TestParallelJoinBuildSpillRegression is the build-side memory-bug
-// regression: a hash join whose build side dwarfs work_mem must account it,
-// spill, stay within ~2x the budget, and produce byte-identical rows — at
-// every parallelism degree (the parallel join detects the overflow and takes
-// the serial grace path).
-func TestParallelJoinBuildSpillRegression(t *testing.T) {
-	const budget = 131072
-	db := seedParallelDB(t)
-	base := db.NewSession()
-	defer base.Close()
-	q := `SELECT b.k, b.v, o.s FROM big b JOIN other o ON b.v = o.v`
-	want := renderFull(mustExecSpill(t, base, q))
-	for _, deg := range []int{1, 4} {
-		s := db.NewSession()
-		s.SetTempDir(t.TempDir())
-		mustExecSpill(t, s, fmt.Sprintf(`SET parallelism = %d`, deg))
-		mustExecSpill(t, s, fmt.Sprintf(`SET work_mem = %d`, budget))
-		got := renderFull(mustExecSpill(t, s, q))
-		if got != want {
-			t.Fatalf("parallelism=%d: forced-spill join diverged", deg)
-		}
-		ms := s.MemStatus()
-		if ms.SpillFiles == 0 {
-			t.Fatalf("parallelism=%d: join build side never spilled: %+v", deg, ms)
-		}
-		if ms.Peak > 2*budget {
-			t.Fatalf("parallelism=%d: peak tracked bytes %d exceed 2x budget %d", deg, ms.Peak, 2*budget)
-		}
-		s.Close()
-	}
-}
-
-// TestParallelDistinctSpillRegression is the resident-DISTINCT memory-bug
-// regression: per-group seen-sets far beyond work_mem must shed to sorted
-// element runs and stay within ~2x the budget, byte-identical to the
-// unbounded run.
-func TestParallelDistinctSpillRegression(t *testing.T) {
-	const budget = 131072
-	db := NewDB()
-	seed := db.NewSession()
-	mustExecSpill(t, seed, `CREATE TABLE d (g int, x int)`)
-	for off := 0; off < 60000; off += 1000 {
-		var b strings.Builder
-		b.WriteString(`INSERT INTO d VALUES `)
-		for i := 0; i < 1000; i++ {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "(%d, %d)", (off+i)%8, off+i)
-		}
-		mustExecSpill(t, seed, b.String())
-	}
-	seed.Close()
-
-	q := `SELECT g, count(DISTINCT x), min(x), avg(x) FROM d GROUP BY g`
-	base := db.NewSession()
-	defer base.Close()
-	want := renderFull(mustExecSpill(t, base, q))
-	for _, deg := range []int{1, 4} {
-		s := db.NewSession()
-		s.SetTempDir(t.TempDir())
-		mustExecSpill(t, s, fmt.Sprintf(`SET parallelism = %d`, deg))
-		mustExecSpill(t, s, fmt.Sprintf(`SET work_mem = %d`, budget))
-		got := renderFull(mustExecSpill(t, s, q))
-		if got != want {
-			t.Fatalf("parallelism=%d: forced-spill DISTINCT diverged", deg)
-		}
-		ms := s.MemStatus()
-		if ms.SpillFiles == 0 {
-			t.Fatalf("parallelism=%d: DISTINCT states never spilled: %+v", deg, ms)
-		}
-		if ms.Peak > 2*budget {
-			t.Fatalf("parallelism=%d: peak tracked bytes %d exceed 2x budget %d", deg, ms.Peak, 2*budget)
-		}
-		s.Close()
 	}
 }
 

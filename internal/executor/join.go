@@ -3,18 +3,8 @@ package executor
 import (
 	"perm/internal/algebra"
 	"perm/internal/spill"
-	"perm/internal/sql"
 	"perm/internal/value"
 )
-
-// equiKey is one hashable join key pair: leftExpr over the left schema,
-// rightExpr over the right schema (already un-shifted). nullEq marks
-// IS NOT DISTINCT FROM keys where NULL joins NULL.
-type equiKey struct {
-	left   algebra.Expr
-	right  algebra.Expr
-	nullEq bool
-}
 
 // extractEquiKeys finds the hashable equality conjuncts of the join condition
 // and returns, beside them, what is left of the condition for the join to
@@ -25,66 +15,17 @@ type equiKey struct {
 // every candidate the conjunct is true. A join with no key (a theta join, a
 // cross product) is the hash join on the empty key: every build row is a
 // candidate of every probe row, and the whole condition is the residual.
-func extractEquiKeys(op *algebra.Join) (keys []equiKey, residual algebra.Expr) {
-	if op.Cond == nil {
-		return nil, nil
-	}
+func extractEquiKeys(op *algebra.Join) (keys []algebra.EquiKey, residual algebra.Expr) {
 	nLeft := len(op.Left.Schema())
 	var rest []algebra.Expr
 	for _, conj := range algebra.SplitAnd(op.Cond) {
-		if key, ok := equiKeyOf(conj, nLeft); ok {
+		if key, ok := algebra.EquiKeyOf(conj, nLeft); ok {
 			keys = append(keys, key)
 		} else {
 			rest = append(rest, conj)
 		}
 	}
 	return keys, algebra.AndAll(rest)
-}
-
-// equiKeyOf reads conj as an equality between an expression over the left
-// input and one over the right.
-func equiKeyOf(conj algebra.Expr, nLeft int) (equiKey, bool) {
-	b, ok := conj.(*algebra.Bin)
-	if !ok || (b.Op != sql.OpEq && b.Op != sql.OpNotDistinct) {
-		return equiKey{}, false
-	}
-	if algebra.HasSubplan(b.L) || algebra.HasSubplan(b.R) {
-		return equiKey{}, false
-	}
-	lSide, lOK := sideOf(b.L, nLeft)
-	rSide, rOK := sideOf(b.R, nLeft)
-	l, r := b.L, b.R
-	switch {
-	case !lOK || !rOK || lSide == rSide:
-		return equiKey{}, false
-	case lSide == 1:
-		l, r = r, l
-	}
-	return equiKey{left: l, right: algebra.ShiftCols(r, -nLeft), nullEq: b.Op == sql.OpNotDistinct}, true
-}
-
-// sideOf classifies which input an expression references: 0 = left only,
-// 1 = right only. ok is false when it references both sides or neither
-// determinately (constants count as either; pure constants return left).
-func sideOf(e algebra.Expr, nLeft int) (int, bool) {
-	used := map[int]bool{}
-	algebra.ColsUsed(e, used)
-	left, right := false, false
-	for idx := range used {
-		if idx < nLeft {
-			left = true
-		} else {
-			right = true
-		}
-	}
-	switch {
-	case left && right:
-		return 0, false
-	case right:
-		return 1, true
-	default:
-		return 0, true
-	}
 }
 
 // buildRow is one materialized build-side row, and whether a probe has
@@ -194,7 +135,7 @@ type hashJoinIter struct {
 	right iterator
 	// keys are the equi keys, none for a theta join or a cross product: then
 	// every build row has the empty key and one chain holds them all.
-	keys []equiKey
+	keys []algebra.EquiKey
 	// residual is the part of the condition the keys do not already decide.
 	residual algebra.Expr
 	out      *joinEmit
@@ -253,9 +194,10 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 	h.overHit.reset(ctx)
 	h.d.start(ctx, h)
 	if h.leftKey == nil {
+		nLeft := len(h.op.Left.Schema())
 		for _, k := range h.keys {
-			h.leftKey = append(h.leftKey, Compile(k.left))
-			h.rightKey = append(h.rightKey, Compile(k.right))
+			h.leftKey = append(h.leftKey, Compile(k.Left))
+			h.rightKey = append(h.rightKey, Compile(algebra.ShiftCols(k.Right, -nLeft)))
 		}
 	}
 	if h.cond == nil && h.residual != nil {
@@ -329,7 +271,7 @@ func (h *hashJoinIter) keyOf(row value.Row, side []compiledExpr) (key []byte, ha
 	h.keyScratch = h.keyScratch[:0]
 	for i, ce := range side {
 		v, err := ce(row, h.ctx)
-		if err != nil || (v.IsNull() && !h.keys[i].nullEq) {
+		if err != nil || (v.IsNull() && !h.keys[i].NullEq) {
 			return nil, false, err
 		}
 		h.keyScratch = v.AppendKey(h.keyScratch)

@@ -85,30 +85,39 @@ func (n *OpStats) Walk(f func(*OpStats)) {
 // absorbWorkers publishes a joined fan-out on the operator's node: the
 // per-worker rollup, and every worker's private stats tree summed operator by
 // operator into the displayed subtree, so each operator shows its total
-// however many goroutines ran it. Callers invoke it only after the workers are
-// joined.
+// however many goroutines ran it. A worker's tree has the displayed subtree's
+// shape, less the inputs it shares with the coordinator, so operators pair by
+// place. Callers invoke it only after the workers are joined.
 func (n *OpStats) absorbWorkers(roots []*OpStats, rows, ns []int64) {
 	n.Workers, n.WorkerRows, n.WorkerNs = len(roots), rows, ns
-	shown := map[algebra.Op]*OpStats{}
-	n.Walk(func(d *OpStats) { shown[d.Op] = d })
 	for _, root := range roots {
-		root.Walk(func(w *OpStats) {
-			d := shown[w.Op]
-			if d == nil {
-				return // the worker's sentinel root
-			}
-			d.MemPeak += w.MemPeak
-			if d != n {
+		for _, w := range root.Children { // under the worker's sentinel root
+			if w.Op == n.Op {
 				// n's own rows and times are the coordinator's, measured by
 				// its statIter like any operator's.
-				d.Opens += w.Opens
-				d.Rows += w.Rows
-				d.OpenNs += w.OpenNs
-				d.NextNs += w.NextNs
-				d.Chunks += w.Chunks
-				d.ChunksSkipped += w.ChunksSkipped
+				n.MemPeak += w.MemPeak
+				n.absorbChildren(w)
 			}
-		})
+		}
+	}
+}
+
+// absorbChildren adds the children of w, a worker's node at n's place, into
+// n's children.
+func (n *OpStats) absorbChildren(w *OpStats) {
+	for i, wc := range w.Children {
+		if i >= len(n.Children) || n.Children[i].Op != wc.Op {
+			continue
+		}
+		d := n.Children[i]
+		d.MemPeak += wc.MemPeak
+		d.Opens += wc.Opens
+		d.Rows += wc.Rows
+		d.OpenNs += wc.OpenNs
+		d.NextNs += wc.NextNs
+		d.Chunks += wc.Chunks
+		d.ChunksSkipped += wc.ChunksSkipped
+		d.absorbChildren(wc)
 	}
 }
 

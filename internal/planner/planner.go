@@ -276,20 +276,6 @@ func cheap(e algebra.Expr) bool {
 	return false
 }
 
-// sides reports which inputs of a join whose left input has nLeft columns
-// the expression reads.
-func sides(e algebra.Expr, nLeft int) (left, right bool) {
-	algebra.MapCols(e, func(c *algebra.ColIdx) algebra.Expr {
-		if c.Idx < nLeft {
-			left = true
-		} else {
-			right = true
-		}
-		return c
-	})
-	return left, right
-}
-
 // pushIntoJoin moves the filter's conjuncts to where an inner or cross join
 // can use them: one that reads a single input goes below the join, one that
 // reads both becomes part of the join condition (a cross join turns inner),
@@ -308,7 +294,7 @@ func pushIntoJoin(sel *algebra.Select, join *algebra.Join) (algebra.Op, bool) {
 			rest = append(rest, conj)
 			continue
 		}
-		switch left, right := sides(conj, nLeft); {
+		switch left, right := algebra.Sides(conj, nLeft); {
 		case left && right:
 			joinConds = append(joinConds, conj)
 		case left:
@@ -348,27 +334,12 @@ func pushIntoJoin(sel *algebra.Select, join *algebra.Join) (algebra.Op, bool) {
 // nothing, in the order they were written.
 const buildSideRatio = 2
 
-// isEquiKey reports whether a join conjunct is an equality between the two
-// inputs — what the executor hashes on. Like the executor's key extraction
-// it counts an operand without columns as belonging to the left input.
-func isEquiKey(conj algebra.Expr, nLeft int) bool {
-	b, ok := conj.(*algebra.Bin)
-	if !ok || (b.Op != sql.OpEq && b.Op != sql.OpNotDistinct) || algebra.HasSubplan(conj) {
-		return false
-	}
-	ll, lr := sides(b.L, nLeft)
-	rl, rr := sides(b.R, nLeft)
-	if (ll && lr) || (rl && rr) {
-		return false
-	}
-	return lr != rr
-}
-
-// joinConjuncts counts the condition's equi keys and its other conjuncts.
+// joinConjuncts counts the condition's equi keys, what the executor hashes
+// on, and its other conjuncts.
 func joinConjuncts(j *algebra.Join) (equi, residual int) {
 	nLeft := len(j.Left.Schema())
 	for _, conj := range algebra.SplitAnd(j.Cond) {
-		if isEquiKey(conj, nLeft) {
+		if _, ok := algebra.EquiKeyOf(conj, nLeft); ok {
 			equi++
 		} else {
 			residual++

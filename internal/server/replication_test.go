@@ -68,27 +68,6 @@ var replicationSuite = []string{
 	`SELECT m.mId, a.uId FROM messages m LEFT OUTER JOIN approved a ON m.mId = a.mId ORDER BY m.mId, a.uId`,
 }
 
-// renderResult flattens a result to a byte-comparable string: column names,
-// provenance flags, types, and every row value in order.
-func renderResult(res *engine.Result) string {
-	var b strings.Builder
-	for i, c := range res.Columns {
-		fmt.Fprintf(&b, "%s|", c)
-		if i < len(res.Schema) {
-			fmt.Fprintf(&b, "%s|%v|", res.Schema[i].Type, res.Schema[i].IsProv)
-		}
-	}
-	b.WriteString("\n")
-	for _, row := range res.Rows {
-		for _, v := range row {
-			b.WriteString(v.SQLLiteral())
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // assertIdentical runs the suite on both databases and compares the rendered
 // results byte for byte.
 func assertIdentical(t *testing.T, primary, replica *engine.DB, queries []string) {
@@ -97,12 +76,7 @@ func assertIdentical(t *testing.T, primary, replica *engine.DB, queries []string
 	defer ps.Close()
 	defer rs.Close()
 	for _, q := range queries {
-		pres, perr := ps.Execute(q)
-		rres, rerr := rs.Execute(q)
-		if perr != nil || rerr != nil {
-			t.Fatalf("query %q: primary err %v, replica err %v", q, perr, rerr)
-		}
-		if p, r := renderResult(pres), renderResult(rres); p != r {
+		if p, r := drain(ps.Query(q)), drain(rs.Query(q)); p != r || strings.HasPrefix(p, "ERROR: ") {
 			t.Fatalf("query %q diverged:\nprimary:\n%s\nreplica:\n%s", q, p, r)
 		}
 	}

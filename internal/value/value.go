@@ -29,7 +29,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -341,55 +340,6 @@ func Distinct(a, b Value) bool {
 		return a.IsNull() != b.IsNull()
 	}
 	return !Equal(a, b)
-}
-
-// Hash returns a hash of the value consistent with Distinct: values that are
-// not distinct hash identically (ints and floats representing the same number
-// collide on purpose).
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	v.HashInto(h)
-	return h.Sum64()
-}
-
-// hashWriter is the subset of hash.Hash64 HashInto needs.
-type hashWriter interface {
-	Write(p []byte) (int, error)
-}
-
-// HashInto feeds the value into h using a kind-tagged encoding.
-func (v Value) HashInto(h hashWriter) {
-	var tag [1]byte
-	switch v.Kind() {
-	case KindNull:
-		tag[0] = 0
-		h.Write(tag[:])
-	case KindBool:
-		tag[0] = 1
-		h.Write(tag[:])
-		h.Write([]byte{byte(v.num)})
-	case KindInt, KindFloat:
-		tag[0] = 2
-		h.Write(tag[:])
-		// Equal numbers share a float64 image (an integer above 2^53 merely
-		// collides with its neighbours); -0 and every NaN are normalized.
-		f := v.Float()
-		if f == 0 {
-			f = 0
-		} else if f != f {
-			f = math.NaN()
-		}
-		bits := math.Float64bits(f)
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-	case KindString:
-		tag[0] = 3
-		h.Write(tag[:])
-		h.Write([]byte(v.Str()))
-	}
 }
 
 // Key returns a canonical string key for the value, usable as a Go map key,
