@@ -43,9 +43,9 @@ type stmt struct {
 	args []value.Value
 	// fansOut: at degree 2 and up under the default work_mem, it runs on at
 	// least as many workers as the degree. bounded: its state in the
-	// reference is four times boundedWorkMem; under that budget it spills and
-	// its peak stays within twice the budget. fails: it fails in the
-	// reference.
+	// reference is at least four times boundedWorkMem; under that budget it
+	// spills and its peak stays within twice the budget. fails: it fails in
+	// the reference.
 	fansOut, bounded, fails bool
 }
 
@@ -57,7 +57,7 @@ func (st stmt) literal() string {
 	return q
 }
 
-// shapes are the blocking and parallel operators over big, other and small,
+// shapes are the blocking and parallel operators over big, other, small and d,
 // queries without an ORDER BY included: spilling and parallel paths keep the
 // serial in-memory emission order. The planner turns the comma joins'
 // equality into the join condition, so they run as hash joins.
