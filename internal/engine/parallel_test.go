@@ -11,8 +11,8 @@ import (
 // Intra-query parallelism coverage: a session is serial by default, parallel
 // plans read the statement's own snapshot, workers observe interrupts and
 // deadlines promptly, no goroutine outlives its query, and the trace counts
-// what fanned out. Parallel results against serial ones are internal/server's
-// TestResultMatrix.
+// what fanned out. Parallel results against serial ones are the result
+// matrix's (matrix_test.go).
 
 // seedParallelDB extends the spill fixture with a small table for bounded
 // joins with no equi key. big has 6000 rows and other 3000 — both above the

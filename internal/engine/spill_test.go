@@ -11,7 +11,7 @@ import (
 // Spill-to-disk coverage at the engine layer: the external sort keeps equal
 // keys in input order, work_mem is set and shown, and closing a session
 // removes the spill files of a stream it abandoned. The result differential
-// over every work_mem is internal/server's TestResultMatrix.
+// over every work_mem is the result matrix's (matrix_test.go).
 
 // tinyWorkMem forces every blocking operator over budget immediately (the
 // per-operator floors still guarantee forward progress).

@@ -2,658 +2,121 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
 	"perm/internal/engine"
+	"perm/internal/resultmatrix"
 	"perm/internal/value"
 	"perm/internal/wire"
 	"perm/internal/workload"
 )
 
-// TestResultMatrix states the engine's result contract once: however a
-// statement runs — at any parallelism degree, under any work_mem, from the
-// plan cache, in a session that ran other statements before it, prepared, or
-// over the wire at any fetch size — it returns the bytes it returns alone in a
-// fresh serial session under the default work_mem with the plan cache off, or
-// fails with the same message. One corpus runs in every cell. Each cell also
-// checks that no statement leaves a spill file or a tracked byte behind, and
-// that the cell took the path it is named for.
-
-const (
-	// spillRows is big's size, and other has half as many rows: both above
-	// the executor's fan-out floor of 2048 rows. big's rows hold four times
-	// boundedWorkMem.
-	spillRows      = 6400
-	tinyWorkMem    = 4096 // every blocking operator is over it at once
-	boundedWorkMem = 128 << 10
-)
+// The result matrix's path cells: the corpus's statements travel every path
+// to a client and return what the one reference returns (see package
+// resultmatrix). The session cells are the engine's.
 
 // differentialFetchSizes are the fetch sizes the wire runs at: 0 streams to
 // Complete, 1 and 7 cross many Fetch round trips, 512 is the driver's.
 var differentialFetchSizes = []int{0, 1, 7, 512}
 
-// stmt is one statement of the corpus. The reference runs it with its args
-// spelled out as literals.
-type stmt struct {
-	sql  string
-	args []value.Value
-	// fansOut: at degree 2 and up under the default work_mem, it runs on at
-	// least as many workers as the degree. bounded: its state in the
-	// reference is at least four times boundedWorkMem; under that budget it
-	// spills and its peak stays within twice the budget. fails: it fails in
-	// the reference.
-	fansOut, bounded, fails bool
-}
+// renderWire is the matrix's renderer.
+var renderWire = resultmatrix.Render
 
-func (st stmt) literal() string {
-	q := st.sql
-	for _, a := range st.args {
-		q = strings.Replace(q, "?", a.SQLLiteral(), 1)
+// runPaths runs m's statements along the paths a statement travels, under
+// workMem (0: the default): the embedded stream, an embedded prepared
+// statement, and over the wire as a one-shot Execute with the SQL inline and
+// as a prepared statement executed by name, at every fetch size. No path
+// leaves a spill file, a tracked byte or a portal behind; under
+// resultmatrix.TinyWorkMem the embedded session spilled.
+func runPaths(t *testing.T, m *resultmatrix.Matrix, workMem int64, fetchSizes []int) {
+	dir := t.TempDir()
+	addr, srv, shutdown := startServerSrv(t, m.DB, Config{CursorBatchRows: 3, TempDir: dir, WorkMem: workMem})
+	defer shutdown()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
 	}
-	return q
-}
-
-// shapes are the blocking and parallel operators over big, other, small and d,
-// queries without an ORDER BY included: spilling and parallel paths keep the
-// serial in-memory emission order. The planner turns the comma joins'
-// equality into the join condition, so they run as hash joins.
-var shapes = []stmt{
-	// sorts, whose stability shows through duplicate keys
-	{sql: `SELECT k, v, s FROM big ORDER BY k, v DESC`},
-	{sql: `SELECT k, v FROM big ORDER BY s DESC, v`},
-	{sql: `SELECT k FROM big ORDER BY k`},
-	{sql: `SELECT k, v FROM big ORDER BY v DESC, k LIMIT 100`},
-	// aggregation, partition-wise with the partials merged in worker order
-	{sql: `SELECT k, count(*), sum(v), min(s), max(v) FROM big GROUP BY k`, fansOut: true},
-	{sql: `SELECT k, count(*), sum(v) FROM big GROUP BY k ORDER BY k`},
-	{sql: `SELECT k % 7, count(*), avg(v) FROM big WHERE v % 2 = 0 GROUP BY k % 7`, fansOut: true},
-	{sql: `SELECT count(*), sum(v), min(v), max(s) FROM big`, fansOut: true},
-	{sql: `SELECT v % 701, count(DISTINCT s), avg(v) FROM big GROUP BY v % 701`},
-	{sql: `SELECT k, count(DISTINCT s) FROM big GROUP BY k`},
-	{sql: `SELECT count(*), count(DISTINCT k) FROM big`},
-	// DISTINCT and the set operations
-	{sql: `SELECT DISTINCT k, s FROM big`},
-	{sql: `SELECT DISTINCT v % 83 FROM big`},
-	{sql: `SELECT DISTINCT k FROM big`},
-	{sql: `SELECT k, s FROM big INTERSECT SELECT k, s FROM other`},
-	{sql: `SELECT k, v, s FROM big INTERSECT ALL SELECT k, v, s FROM other`},
-	{sql: `SELECT k, s FROM big EXCEPT SELECT k, s FROM other`},
-	{sql: `SELECT k, s FROM big EXCEPT ALL SELECT k, s FROM other`},
-	{sql: `SELECT k, s FROM big UNION SELECT k, s FROM other`},
-	{sql: `SELECT k FROM big UNION SELECT k FROM other ORDER BY k`},
-	// gathers over scan, filter and project chains
-	{sql: `SELECT k, v FROM big WHERE v % 3 = 0`, fansOut: true},
-	{sql: `SELECT k + v, s FROM big WHERE k < 25`, fansOut: true},
-	// partition-wise joins, with an equi key and without
-	{sql: `SELECT b.k, b.v, o.v FROM big b, other o WHERE b.v = o.v`, fansOut: true},
-	{sql: `SELECT b.k, o.s FROM big b JOIN other o ON b.v = o.v WHERE b.k % 2 = 0`, fansOut: true},
-	{sql: `SELECT b.v, o.v FROM big b LEFT JOIN other o ON b.v = o.v WHERE b.v < 500`, fansOut: true},
-	{sql: `SELECT b.v, sm.w FROM big b, small sm WHERE b.v % 97 < sm.w AND b.v % 11 = 0`, fansOut: true},
-	{sql: `SELECT count(*) FROM big b, small sm`, fansOut: true},
-	{sql: `SELECT k FROM big WHERE v IN (SELECT v FROM other) ORDER BY k LIMIT 50`},
-	// provenance through the same operators; an aggregation's join-back
-	// α(T) ⟕ T⁺ builds on the groups and emits through the projection
-	{sql: `SELECT PROVENANCE k, v FROM big WHERE v % 5 = 0`, fansOut: true},
-	{sql: `SELECT PROVENANCE b.k, o.v FROM big b, other o WHERE b.v = o.v`, fansOut: true},
-	{sql: `SELECT PROVENANCE k, count(*), sum(v) FROM big GROUP BY k`, fansOut: true},
-	{sql: `SELECT PROVENANCE v % 701, count(*), sum(v) FROM big GROUP BY v % 701`},
-	// a sort, a grouping with a DISTINCT aggregate and a set operation under
-	// provenance, a join's build side, and per-group DISTINCT seen-sets
-	{sql: `SELECT PROVENANCE k, v, s FROM big ORDER BY v DESC, k`, bounded: true},
-	{sql: `SELECT PROVENANCE k, count(*), sum(v), count(DISTINCT s) FROM big GROUP BY k`, bounded: true},
-	{sql: `SELECT PROVENANCE k, s FROM big INTERSECT SELECT k, s FROM other`, bounded: true},
-	{sql: `SELECT b.k, b.v, o.s FROM big b JOIN other o ON b.v = o.v`, bounded: true},
-	{sql: `SELECT g, count(DISTINCT x), min(x), avg(x) FROM d GROUP BY g`, bounded: true},
-	// failures, the same at every degree and budget
-	{sql: `SELECT b.v / (o.v - o.v) FROM big b, other o WHERE b.v = o.v`, fails: true},
-	{sql: failsMidBuild, fails: true},
-}
-
-// A statement that fails while its join drains the build side, and one that
-// the reused-session cells cancel.
-const (
-	failsMidBuild = `SELECT m.mid, u.name FROM messages m JOIN users u ON m.uid = u.uid / (u.uid - 50)`
-	cancelled     = `SELECT PROVENANCE count(*), text FROM v1 JOIN approved a ON v1.mid = a.mid GROUP BY v1.mid, text`
-)
-
-// forumClasses are the benchmark's seven statement classes, each run plain
-// and with SELECT PROVENANCE.
-var forumClasses = []string{
-	`m.mid, m.text, u.name FROM messages m JOIN users u ON m.uid = u.uid WHERE m.mid % 10 = 0`,
-	`count(*), text FROM v1 JOIN approved a ON v1.mid = a.mid GROUP BY v1.mid, text`,
-	`mid, text FROM messages UNION SELECT mid, text FROM imports`,
-	`mid, text FROM messages WHERE mid IN (SELECT mid FROM approved)`,
-	`m.mid, u.name FROM messages m, users u WHERE m.uid = u.uid AND m.mid <= 300 AND u.uid <= 200`,
-	`u.name, count(*) FROM messages m JOIN users u ON m.uid = u.uid GROUP BY u.name`,
-	`mid, text, uid FROM messages ORDER BY text, mid`,
-}
-
-// forumStmts are the blocking operators the classes do not reach and
-// statements with binds.
-var forumStmts = []stmt{
-	{sql: `SELECT mid, text FROM messages INTERSECT SELECT mid, text FROM imports`},
-	{sql: `SELECT mid FROM approved INTERSECT ALL SELECT mid FROM messages`},
-	{sql: `SELECT mid, text FROM imports EXCEPT SELECT mid, text FROM messages`},
-	{sql: `SELECT uid FROM approved EXCEPT ALL SELECT uid FROM users`},
-	{sql: `SELECT DISTINCT uid, mid % 7 FROM approved`},
-	{sql: `SELECT uid, count(DISTINCT mid), min(mid) FROM approved GROUP BY uid`},
-	{sql: `SELECT uid, count(*), min(mid), max(mid) FROM approved GROUP BY uid`},
-	{sql: `SELECT name, uid FROM users ORDER BY name DESC, uid`},
-	{sql: `SELECT a.uid, count(*) FROM approved a JOIN messages m ON a.mid = m.mid GROUP BY a.uid ORDER BY a.uid`},
-	{sql: `SELECT PROVENANCE mId, text FROM messages WHERE mId > ? ORDER BY mId`, args: []value.Value{value.NewInt(1)}},
-	{sql: `SELECT PROVENANCE name FROM users u, messages m WHERE u.uId = m.uId AND name <> ? ORDER BY name`, args: []value.Value{value.NewString("nobody")}},
-	{sql: `SELECT mId, text FROM messages WHERE text LIKE ? ORDER BY mId`, args: []value.Value{value.NewString("%a%")}},
-	{sql: `SELECT PROVENANCE uId, count(*) FROM approved WHERE uId >= ? GROUP BY uId HAVING count(*) >= ? ORDER BY uId`, args: []value.Value{value.NewInt(0), value.NewInt(1)}},
-	{sql: `SELECT mId, ? FROM messages WHERE mId IN (?, ?) ORDER BY mId`, args: []value.Value{value.NewString("tag"), value.NewInt(1), value.NewInt(3)}},
-	{sql: `SELECT PROVENANCE mId FROM messages WHERE mId > ANY (SELECT mId FROM approved WHERE uId <> ?) ORDER BY mId`, args: []value.Value{value.NewInt(99)}},
-	{sql: `SELECT CASE WHEN mId = ? THEN ? ELSE NULL END FROM messages ORDER BY mId`, args: []value.Value{value.NewInt(2), value.NewFloat(2.5)}},
-}
-
-// matrixCorpus is the shapes; the forum's statements, with the paper's suite
-// replicationSuite; and spillGen's queries for the seeds {1, 424242}, or for
-// PERM_SPILL_SEED. It returns where the forum's statements end.
-func matrixCorpus(t *testing.T) (c []stmt, forumEnd int) {
-	c = append(append([]stmt(nil), shapes...), forumStmts...)
-	for _, q := range replicationSuite {
-		c = append(c, stmt{sql: q})
+	defer c.Close()
+	s := m.DB.NewSession()
+	defer s.Close()
+	s.SetTempDir(dir)
+	if workMem != 0 {
+		s.SetWorkMem(workMem)
 	}
-	for _, b := range forumClasses {
-		c = append(c, stmt{sql: "SELECT " + b}, stmt{sql: "SELECT PROVENANCE " + b})
-	}
-	forumEnd = len(c)
-	seeds := []int64{1, 424242}
-	if env := os.Getenv("PERM_SPILL_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad PERM_SPILL_SEED %q: %v", env, err)
+	for i, st := range m.Stmts {
+		resultmatrix.Check(t, dir, "stream "+st.SQL, m.Want[i], resultmatrix.Drain(s.Query(st.SQL, st.Args...)))
+		// A statement that fails in the reference may fail as it is prepared.
+		switch prep, err := s.Prepare(st.SQL); {
+		case err != nil:
+			resultmatrix.Check(t, dir, "prepare "+st.SQL, m.Want[i], resultmatrix.Outcome(err, nil, nil))
+		case prep.NumParams() != len(st.Args):
+			t.Fatalf("prepare %s: %d params", st.SQL, prep.NumParams())
+		default:
+			resultmatrix.Check(t, dir, "prepared "+st.SQL, m.Want[i], resultmatrix.Drain(prep.Query(st.Args...)))
 		}
-		seeds = []int64{v}
-	}
-	for _, seed := range seeds {
-		t.Logf("spillGen seed %d (reproduce with PERM_SPILL_SEED=%d)", seed, seed)
-		gen := &spillGen{rng: rand.New(rand.NewSource(seed))}
-		for range 80 {
-			c = append(c, stmt{sql: gen.query()})
+		switch n, err := c.Prepare("q", st.SQL); {
+		case err != nil:
+			resultmatrix.Check(t, dir, "wire prepare "+st.SQL, m.Want[i], resultmatrix.Outcome(err, nil, nil))
+			continue
+		case n != len(st.Args):
+			t.Fatalf("wire prepare %s: %d params", st.SQL, n)
+		}
+		for _, fetch := range fetchSizes {
+			for _, name := range []string{"", "q"} {
+				text := st.SQL
+				if name != "" {
+					text = ""
+				}
+				cur, err := c.Execute(name, text, st.Args, fetch)
+				got := resultmatrix.Outcome(err, func() (value.Row, error) { return cur.Next() },
+					func() (wire.RowDesc, string) { return cur.Desc, cur.Complete.Tag })
+				if cur != nil {
+					cur.Close()
+				}
+				resultmatrix.Check(t, dir, fmt.Sprintf("wire %q fetch %d: %s", name, fetch, st.SQL), m.Want[i], got)
+			}
+		}
+		if err := c.CloseStmt("q"); err != nil {
+			t.Fatalf("close stmt: %v", err)
 		}
 	}
-	return c, forumEnd
+	if ms := s.MemStatus(); ms.Tracked != 0 || srv.ActivePortals() != 0 || workMem == resultmatrix.TinyWorkMem && ms.SpillFiles == 0 {
+		t.Fatalf("%d tracked bytes, %d portals after the last statement; %d spill files", ms.Tracked, srv.ActivePortals(), ms.SpillFiles)
+	}
 }
 
-// seedMatrixDB loads the corpus's database with bigRows rows in big.
-func seedMatrixDB(t *testing.T, bigRows int) *engine.DB {
-	t.Helper()
+// paperPaths runs the forum's statements with args, or those without, on the
+// paper's database along the paths.
+func paperPaths(t *testing.T, withArgs bool) {
 	db := engine.NewDB()
-	// SELECT PROVENANCE ... > ANY pairs every message with every approval,
-	// so the forum is small. Its uids reach 50, where failsMidBuild divides
-	// by zero.
-	forum := workload.DefaultForum(100)
-	forum.Users = 60
-	if err := workload.LoadForum(db, forum); err != nil {
+	if err := workload.LoadPaperExample(db); err != nil {
 		t.Fatal(err)
 	}
-	s := db.NewSession()
-	defer s.Close()
-	for _, table := range []string{"big (k int, v int, s text)", "other (k int, v int, s text)", "small (w int)",
-		"r1 (a int, b int, c text, d float)", "r2 (a int, b int, c text, d float)", "d (g int, x int)"} {
-		mustExec(t, s, "CREATE TABLE "+table)
-	}
-	fillSpillTables(t, s, 0, bigRows)
-	insertRows(t, s, "small", 12, func(i int) string { return strconv.Itoa(i * 3 % 40) })
-	// spillGen's tables, with NULLs and duplicates: a sort of a whole table
-	// holds two minimum runs of 256 rows, so it spills under tinyWorkMem, as
-	// the grouping, DISTINCT and set operations do far sooner.
-	rng := rand.New(rand.NewSource(7))
-	for _, table := range []string{"r1", "r2"} {
-		insertRows(t, s, table, 600, func(int) string {
-			c, d := fmt.Sprintf("'word%d'", rng.Intn(30)), fmt.Sprintf("%d.5", rng.Intn(400))
-			if rng.Intn(20) == 0 {
-				c = "NULL"
-			}
-			if rng.Intn(20) == 0 {
-				d = "NULL"
-			}
-			return fmt.Sprintf("%d, %d, %s, %s", rng.Intn(400), rng.Intn(1000), c, d)
-		})
-	}
-	// 8000 distinct x: DISTINCT seen-sets of four times boundedWorkMem
-	insertRows(t, s, "d", 8000, func(i int) string { return fmt.Sprintf("%d, %d", i%8, i) })
-	return db
-}
-
-// fillSpillTables adds big's rows [from, to) and other's [from/2, to/2):
-// distinct values, keys repeated fifty ways in an order no partition of the
-// rows repeats, payloads cycling through 997. Deleting the rows at v >= n
-// leaves the tables as filling them to n did.
-func fillSpillTables(t *testing.T, s *engine.Session, from, to int) {
-	t.Helper()
-	for _, tb := range []struct {
-		name     string
-		from, to int
-		mul      uint32
-	}{{"big", from, to, 2654435761}, {"other", from / 2, to / 2, 2246822519}} {
-		insertRows(t, s, tb.name, tb.to-tb.from, func(i int) string {
-			v := tb.from + i
-			return fmt.Sprintf("%d, %d, 'payload %d'", uint32(v)*tb.mul>>20%50, v, v%997)
-		})
-	}
-}
-
-// insertRows inserts n rows into table, 1000 a statement; row(i) is row i's
-// values.
-func insertRows(t *testing.T, s *engine.Session, table string, n int, row func(i int) string) {
-	t.Helper()
-	for lo := 0; lo < n; lo += 1000 {
-		var vals []string
-		for i := lo; i < min(lo+1000, n); i++ {
-			vals = append(vals, "("+row(i)+")")
-		}
-		mustExec(t, s, fmt.Sprintf("INSERT INTO %s VALUES %s", table, strings.Join(vals, ", ")))
-	}
-}
-
-// renderWire flattens a result — column names, types and provenance flags,
-// every value as an SQL literal, and the command tag — into a string that
-// compares byte for byte.
-func renderWire(desc wire.RowDesc, rows []value.Row, tag string) string {
-	var b strings.Builder
-	for i, c := range desc.Names {
-		fmt.Fprintf(&b, "%s|", c)
-		fmt.Fprintf(&b, "%s|%v|", desc.Kinds[i], desc.IsProv[i])
-	}
-	b.WriteString("\n")
-	for _, row := range rows {
-		for _, v := range row {
-			b.WriteString(v.SQLLiteral())
-			b.WriteString(",")
-		}
-		b.WriteString("\n")
-	}
-	b.WriteString(tag)
-	return b.String()
-}
-
-// outcome is what the matrix compares: the result read from next to the end
-// and rendered, or the error message.
-func outcome(err error, next func() (value.Row, error), desc func() (wire.RowDesc, string)) string {
-	var rows []value.Row
-	for err == nil {
-		var row value.Row
-		if row, err = next(); row == nil {
-			break
-		}
-		rows = append(rows, row)
-	}
-	if se, ok := err.(*wire.ServerError); ok {
-		return "ERROR: " + se.Message
-	} else if err != nil {
-		return "ERROR: " + err.Error()
-	}
-	d, tag := desc()
-	return renderWire(d, rows, tag)
-}
-
-// drain is the outcome of an engine stream read row by row.
-func drain(rows *engine.Rows, err error) string {
-	return outcome(err, func() (value.Row, error) { return rows.Next() },
-		func() (wire.RowDesc, string) { return rowDescOf(rows), rows.Tag() })
-}
-
-// execute is the outcome of text run the way Session.Execute runs it: the
-// stream drained by DrainResult.
-func execute(s *engine.Session, text string) string {
-	rows, err := s.Query(text)
-	var res *engine.Result
-	if err == nil {
-		res, err = rows.DrainResult()
-	}
-	return outcome(err, func() (row value.Row, _ error) {
-		if len(res.Rows) > 0 {
-			row, res.Rows = res.Rows[0], res.Rows[1:]
-		}
-		return row, nil
-	}, func() (wire.RowDesc, string) { return rowDescOf(rows), res.Tag })
-}
-
-// reference is each statement's outcome alone in a fresh serial session
-// under the default work_mem with the plan cache off, and its peak tracked
-// bytes there. Of spillGen's queries, which start at generated, at most half
-// may fail.
-func reference(t *testing.T, db *engine.DB, corpus []stmt, generated int) (want []string, peak []int64) {
-	t.Helper()
-	want, peak = make([]string, len(corpus)), make([]int64, len(corpus))
-	failed := 0
-	for i, st := range corpus {
-		s := db.NewSession()
-		s.SetTempDir(t.TempDir())
-		mustExec(t, s, `SET plan_cache = 'off'`)
-		want[i], peak[i] = execute(s, st.literal()), s.MemStatus().Peak
-		s.Close()
-		if fails := strings.HasPrefix(want[i], "ERROR: "); i >= generated && fails {
-			failed++
-		} else if i < generated && fails != st.fails {
-			t.Fatalf("%s: the reference returned %.200s", st.literal(), want[i])
+	var stmts []resultmatrix.Stmt
+	for _, st := range resultmatrix.Paper() {
+		if len(st.Args) > 0 == withArgs {
+			stmts = append(stmts, st)
 		}
 	}
-	if failed > (len(corpus)-generated)/2 {
-		t.Fatalf("%d of %d generated statements failed", failed, len(corpus)-generated)
-	}
-	return want, peak
+	runPaths(t, resultmatrix.Reference(t, db, stmts), 0, differentialFetchSizes)
 }
 
-// cell is a session configuration, and how it runs the corpus: traced, it
-// checks what fans out, which the configured cells do under the default
-// work_mem and at degree 1 (a traced build is also the instrumented one,
-// which takes no size hints and keeps its rows); reused, it runs the
-// statements shuffled with interference between them; fresh, each statement
-// runs in a session of its own, so a bounded shape's spills and peak are its
-// own.
-type cell struct {
-	workMem               int64 // 0: the default
-	degree                int
-	traced, reused, fresh bool
-}
+// TestDifferentialSuite: the forum's statements without binds.
+func TestDifferentialSuite(t *testing.T) { paperPaths(t, false) }
 
-func (c cell) String() string {
-	kind := ""
-	if c.reused {
-		kind = "reused/"
-	} else if c.fresh {
-		kind = "bounded/"
-	}
-	return fmt.Sprintf("%swork_mem=%d/parallelism=%d", kind, c.workMem, c.degree)
-}
+// TestDifferentialParams: the statements with binds, against their literal
+// text in the reference.
+func TestDifferentialParams(t *testing.T) { paperPaths(t, true) }
 
-// open starts a session in the cell's configuration, spilling into a
-// directory of its own, which it returns.
-func (c cell) open(t *testing.T, db *engine.DB) (*engine.Session, string) {
-	t.Helper()
-	s, dir := db.NewSession(), t.TempDir()
-	s.SetTempDir(dir)
-	if c.workMem != 0 {
-		s.SetWorkMem(c.workMem)
-	}
-	s.SetParallelism(c.degree)
-	if c.traced {
-		mustExec(t, s, `SET trace = on`)
-	}
-	return s, dir
-}
-
-// check compares the outcome of what with the reference's, and checks that
-// it left no file in dir.
-func check(t *testing.T, dir, what, want, got string) {
-	t.Helper()
-	if got != want {
-		t.Fatalf("%s diverged from the reference:\nwant:\n%.1500s\ngot:\n%.1500s", what, want, got)
-	}
-	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-		t.Fatalf("%s left %d files in temp_dir (err %v)", what, len(ents), err)
-	}
-}
-
-// checkEnd checks that the session tracks no byte, that it spilled under
-// tinyWorkMem, and that it did not under the default work_mem.
-func (c cell) checkEnd(t *testing.T, s *engine.Session) {
-	t.Helper()
-	if ms := s.MemStatus(); ms.Tracked != 0 || c.workMem == tinyWorkMem && ms.SpillFiles == 0 || c.workMem == 0 && ms.SpillFiles != 0 {
-		t.Fatalf("%d tracked bytes after the last statement, %d spill files", ms.Tracked, ms.SpillFiles)
-	}
-}
-
-// run runs the corpus in the cell.
-func (c cell) run(t *testing.T, db *engine.DB, corpus []stmt, want []string, peak []int64) {
-	s, dir := c.open(t, db)
-	defer func() { s.Close() }()
-	rng := rand.New(rand.NewSource(c.workMem + int64(c.degree)))
-	perm := rng.Perm(len(corpus))
-	for i, st := range corpus {
-		if c.reused {
-			i, st = perm[i], corpus[perm[i]]
-			interfere(t, s, st, rng)
-		}
-		if c.fresh {
-			c.checkEnd(t, s)
-			s.Close()
-			s, dir = c.open(t, db)
-		}
-		check(t, dir, st.sql, want[i], drain(s.Query(st.sql, st.args...)))
-		switch tr := s.LastTrace(); {
-		case !c.traced:
-		case c.degree == 1 && tr.ParallelOps != 0:
-			t.Errorf("%s fanned out (%d ops) at parallelism 1", st.sql, tr.ParallelOps)
-		case c.degree > 1 && c.workMem == 0 && st.fansOut && (tr.ParallelOps == 0 || tr.ParallelWorkers < int64(c.degree)):
-			t.Errorf("%s did not fan out at parallelism %d: %d ops, %d workers", st.sql, c.degree, tr.ParallelOps, tr.ParallelWorkers)
-		}
-		if ms := s.MemStatus(); c.fresh && st.bounded && (peak[i] < 4*c.workMem || ms.SpillFiles == 0 || ms.Peak > 2*c.workMem) {
-			t.Fatalf("%s: peak %d bytes in the reference; at work_mem %d, %d spill files and peak %d",
-				st.sql, peak[i], c.workMem, ms.SpillFiles, ms.Peak)
-		}
-	}
-	if c.checkEnd(t, s); c.reused && s.MemStatus().IdleSlabs == 0 {
-		t.Fatal("the session kept no slab for the next statement")
-	}
-}
-
-// interfere may close a stream of st after a few rows, run a statement that
-// fails mid-build, or cancel one.
-func interfere(t *testing.T, s *engine.Session, st stmt, rng *rand.Rand) {
-	switch rng.Intn(4) {
-	case 0:
-		if rows, err := s.Query(st.sql, st.args...); err == nil {
-			for n := rng.Intn(5); n > 0; n-- {
-				rows.Next()
-			}
-			rows.Close()
-		}
-	case 1:
-		if _, err := s.Execute(failsMidBuild); err == nil {
-			t.Fatal("a join whose build keys divide by zero succeeded")
-		}
-	case 2:
-		kill := make(chan struct{})
-		close(kill)
-		s.SetInterrupt(kill)
-		if _, err := s.Execute(cancelled); err == nil || !strings.Contains(err.Error(), "interrupted") {
-			t.Fatalf("a cancelled statement returned %v", err)
-		}
-		s.SetInterrupt(nil)
-	}
-}
-
-func TestResultMatrix(t *testing.T) {
-	corpus, generated := matrixCorpus(t)
-	db := seedMatrixDB(t, spillRows)
-	want, peak := reference(t, db, corpus, generated)
-
-	var cells []cell
-	for _, workMem := range []int64{0, 1 << 20, tinyWorkMem} {
-		for _, degree := range []int{1, 2, 8} {
-			cells = append(cells, cell{workMem: workMem, degree: degree, traced: workMem == 0 || degree == 1})
-		}
-		for _, degree := range []int{1, 2} {
-			cells = append(cells, cell{workMem: workMem, degree: degree, reused: true})
-		}
-	}
-	for _, degree := range []int{1, 4} {
-		cells = append(cells, cell{workMem: boundedWorkMem, degree: degree, fresh: true})
-	}
-	for _, c := range cells {
-		t.Run(c.String(), func(t *testing.T) {
+// TestDifferentialSpillProperty: spillGen's queries for each seed along the
+// paths under resultmatrix.TinyWorkMem, where every blocking operator spills.
+func TestDifferentialSpillProperty(t *testing.T) {
+	for _, seed := range resultmatrix.Seeds(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			c.run(t, db, corpus, want, peak)
+			t.Logf("spillGen seed %d (reproduce with PERM_SPILL_SEED=%d)", seed, seed)
+			m := resultmatrix.Reference(t, resultmatrix.SeedDB(t, 0), resultmatrix.Generated(seed))
+			runPaths(t, m, resultmatrix.TinyWorkMem, []int{7})
 		})
-	}
-
-	// The shapes, which read the tables that change, run twice at each size
-	// while big and other grow tenfold and shrink back, so the size hints a
-	// cached plan keeps from its last run are stale in both directions.
-	t.Run("plan_cache/work_mem=0/parallelism=2", func(t *testing.T) {
-		t.Parallel()
-		db, c := seedMatrixDB(t, spillRows/10), cell{degree: 2}
-		s, dir := c.open(t, db)
-		defer s.Close()
-		for phase := range 3 {
-			want := want[:len(shapes)] // at spillRows, db holds what the reference read
-			switch phase {
-			case 0:
-				want, _ = reference(t, db, shapes, len(shapes))
-			case 1:
-				fillSpillTables(t, s, spillRows/10, spillRows)
-			case 2:
-				mustExec(t, s, fmt.Sprintf(`DELETE FROM big WHERE v >= %d`, spillRows/10))
-				mustExec(t, s, fmt.Sprintf(`DELETE FROM other WHERE v >= %d`, spillRows/20))
-				want, _ = reference(t, db, shapes, len(shapes))
-			}
-			for i, st := range shapes {
-				for range 2 {
-					check(t, dir, st.sql, want[i], drain(s.Query(st.sql, st.args...)))
-				}
-			}
-		}
-		c.checkEnd(t, s)
-		if hits, _, _ := s.PlanCacheStats(); hits == 0 {
-			t.Fatal("the session never hit its plan cache")
-		}
-	})
-
-	// The forum's statements run on the paper's database along the paths a
-	// statement travels, at the reference's configuration: the embedded
-	// stream, an embedded prepared statement, and over the wire as a one-shot
-	// Execute with the SQL inline and as a prepared statement executed by
-	// name, at every fetch size.
-	t.Run("paths", func(t *testing.T) {
-		t.Parallel()
-		db := engine.NewDB()
-		if err := workload.LoadPaperExample(db); err != nil {
-			t.Fatal(err)
-		}
-		paper := corpus[len(shapes):generated]
-		want, _ := reference(t, db, paper, len(paper))
-		dir := t.TempDir()
-		addr, srv, shutdown := startServerSrv(t, db, Config{CursorBatchRows: 3, TempDir: dir})
-		defer shutdown()
-		c, err := wire.Dial(addr)
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		defer c.Close()
-		s := db.NewSession()
-		defer s.Close()
-		s.SetTempDir(dir)
-		for i, st := range paper {
-			check(t, dir, "stream "+st.sql, want[i], drain(s.Query(st.sql, st.args...)))
-			prep, err := s.Prepare(st.sql)
-			if err != nil || prep.NumParams() != len(st.args) {
-				t.Fatalf("prepare %s: %v", st.sql, err)
-			}
-			check(t, dir, "prepared "+st.sql, want[i], drain(prep.Query(st.args...)))
-			if n, err := c.Prepare("q", st.sql); err != nil || n != len(st.args) {
-				t.Fatalf("wire prepare %s: %d params, %v", st.sql, n, err)
-			}
-			for _, fetch := range differentialFetchSizes {
-				for _, name := range []string{"", "q"} {
-					text := st.sql
-					if name != "" {
-						text = ""
-					}
-					cur, err := c.Execute(name, text, st.args, fetch)
-					got := outcome(err, func() (value.Row, error) { return cur.Next() },
-						func() (wire.RowDesc, string) { return cur.Desc, cur.Complete.Tag })
-					if cur != nil {
-						cur.Close()
-					}
-					check(t, dir, fmt.Sprintf("wire %q fetch %d: %s", name, fetch, st.sql), want[i], got)
-				}
-			}
-			if err := c.CloseStmt("q"); err != nil {
-				t.Fatalf("close stmt: %v", err)
-			}
-		}
-		if ms := s.MemStatus(); ms.Tracked != 0 || srv.ActivePortals() != 0 {
-			t.Fatalf("%d tracked bytes, %d portals after the last statement", ms.Tracked, srv.ActivePortals())
-		}
-	})
-}
-
-// spillGen generates random valid queries over r1 and r2, both (a int, b int,
-// c text, d float), covering every blocking operator: ORDER BY with several
-// ascending and descending keys, GROUP BY with plain and DISTINCT aggregates
-// and HAVING, INTERSECT, EXCEPT and UNION in ALL and DISTINCT flavours, and
-// DISTINCT projection, each optionally under SELECT PROVENANCE.
-type spillGen struct {
-	rng *rand.Rand
-}
-
-func (g *spillGen) pick(opts ...string) string { return opts[g.rng.Intn(len(opts))] }
-
-func (g *spillGen) table() string { return g.pick("r1", "r2") }
-
-// where returns a random predicate clause, or "".
-func (g *spillGen) where() string {
-	switch g.rng.Intn(4) {
-	case 0:
-		return fmt.Sprintf(" WHERE a < %d", 50+g.rng.Intn(350))
-	case 1:
-		return fmt.Sprintf(" WHERE b %% %d = %d", 2+g.rng.Intn(4), g.rng.Intn(2))
-	case 2:
-		return fmt.Sprintf(" WHERE c <> 'word%d'", g.rng.Intn(30))
-	}
-	return ""
-}
-
-// orderBy returns a multi-key ORDER BY over cols, each key asc or desc.
-func (g *spillGen) orderBy(cols ...string) string {
-	n := 1 + g.rng.Intn(len(cols))
-	g.rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
-	keys := make([]string, n)
-	for i := 0; i < n; i++ {
-		keys[i] = cols[i] + g.pick("", " ASC", " DESC")
-	}
-	return " ORDER BY " + strings.Join(keys, ", ")
-}
-
-// prov optionally turns the query into a provenance rewrite.
-func (g *spillGen) prov() string {
-	if g.rng.Intn(5) < 2 {
-		return "PROVENANCE "
-	}
-	return ""
-}
-
-func (g *spillGen) query() string {
-	switch g.rng.Intn(4) {
-	case 0: // multi-key ORDER BY
-		return fmt.Sprintf(`SELECT %sa, b, c, d FROM %s%s%s`,
-			g.prov(), g.table(), g.where(), g.orderBy("a", "b", "c", "d"))
-	case 1: // GROUP BY with plain and DISTINCT aggregates
-		agg := g.pick(`count(*), sum(b)`, `count(DISTINCT c), min(b), max(b)`,
-			`count(DISTINCT b), avg(d)`, `count(*), count(DISTINCT c), sum(b)`)
-		q := fmt.Sprintf(`SELECT %sa, %s FROM %s%s GROUP BY a`,
-			g.prov(), agg, g.table(), g.where())
-		if g.rng.Intn(2) == 0 {
-			q += ` HAVING count(*) >= ` + strconv.Itoa(1+g.rng.Intn(3))
-		}
-		if g.rng.Intn(2) == 0 {
-			q += g.orderBy("a")
-		}
-		return q
-	case 2: // set operations
-		op := g.pick("INTERSECT", "INTERSECT ALL", "EXCEPT", "EXCEPT ALL", "UNION", "UNION ALL")
-		q := fmt.Sprintf(`SELECT %sa, c FROM r1%s %s SELECT a, c FROM r2%s`,
-			g.prov(), g.where(), op, g.where())
-		if g.rng.Intn(2) == 0 {
-			q += g.orderBy("a", "c")
-		}
-		return q
-	default: // DISTINCT projection
-		q := fmt.Sprintf(`SELECT %sDISTINCT a, c FROM %s%s`, g.prov(), g.table(), g.where())
-		if g.rng.Intn(2) == 0 {
-			q += g.orderBy("a", "c")
-		}
-		return q
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"perm/internal/engine"
+	"perm/internal/resultmatrix"
 	"perm/internal/value"
 	"perm/internal/wire"
 	"perm/internal/workload"
@@ -50,23 +51,9 @@ func waitCaughtUp(t *testing.T, primary *engine.DB, f *Follower) {
 }
 
 // replicationSuite is the query battery both sides must answer identically:
-// plain SQL, provenance with its rewrite strategies (aggregation, set
-// operations, DISTINCT, nested subqueries), views, and EXPLAIN-adjacent
-// SHOW output is excluded (it is node-local by design).
-var replicationSuite = []string{
-	`SELECT mId, text, uId FROM messages ORDER BY mId`,
-	`SELECT * FROM v1 ORDER BY mId, text`,
-	`SELECT PROVENANCE mId, text FROM messages`,
-	`SELECT PROVENANCE name FROM users u, messages m WHERE u.uId = m.uId ORDER BY name`,
-	`SELECT PROVENANCE count(*) FROM messages`,
-	`SELECT PROVENANCE uId, count(*) FROM approved GROUP BY uId ORDER BY uId`,
-	`SELECT PROVENANCE mId, text FROM messages UNION SELECT mId, text FROM imports ORDER BY mId, text`,
-	`SELECT PROVENANCE DISTINCT text FROM (SELECT text FROM messages UNION ALL SELECT text FROM imports) sub ORDER BY text`,
-	`SELECT PROVENANCE mId FROM messages WHERE mId > ANY (SELECT mId FROM approved) ORDER BY mId`,
-	`SELECT PROVENANCE ON CONTRIBUTION (COPY COMPLETE) mId, text FROM messages`,
-	`SELECT PROVENANCE * FROM v1 ORDER BY mId, text`,
-	`SELECT m.mId, a.uId FROM messages m LEFT OUTER JOIN approved a ON m.mId = a.mId ORDER BY m.mId, a.uId`,
-}
+// the matrix's battery over the paper's database. EXPLAIN-adjacent SHOW
+// output is excluded (it is node-local by design).
+var replicationSuite = resultmatrix.PaperSuite
 
 // assertIdentical runs the suite on both databases and compares the rendered
 // results byte for byte.
@@ -76,7 +63,7 @@ func assertIdentical(t *testing.T, primary, replica *engine.DB, queries []string
 	defer ps.Close()
 	defer rs.Close()
 	for _, q := range queries {
-		if p, r := drain(ps.Query(q)), drain(rs.Query(q)); p != r || strings.HasPrefix(p, "ERROR: ") {
+		if p, r := resultmatrix.Drain(ps.Query(q)), resultmatrix.Drain(rs.Query(q)); p != r || strings.HasPrefix(p, "ERROR: ") {
 			t.Fatalf("query %q diverged:\nprimary:\n%s\nreplica:\n%s", q, p, r)
 		}
 	}
