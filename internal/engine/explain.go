@@ -109,9 +109,10 @@ func (s *Session) explain(st sql.Statement, text string, analyze bool) (*Explana
 // analyzedTree renders the optimized plan annotated with the measured
 // per-operator counters — the EXPLAIN ANALYZE payload — each beside the
 // planner's estimate for the operator, so the estimator's error reads off
-// one line. Stats nodes are matched to plan nodes by operator identity;
-// pass-through nodes (BaseRel, ProvDone) executed no iterator and carry no
-// annotation.
+// one line. Stats nodes are matched to plan nodes by their place in the
+// plan, so each place a shared node appears at (a join-back's T⁺ reuses
+// T's scans) shows its own execution; pass-through nodes (BaseRel,
+// ProvDone) executed no iterator and carry no annotation.
 func analyzedTree(plan algebra.Op, root *executor.OpStats, pl *planner.Planner) string {
 	var inOrder []*executor.OpStats
 	statsInPlanOrder(plan, []*executor.OpStats{root}, &inOrder)

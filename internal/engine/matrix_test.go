@@ -12,9 +12,11 @@ import (
 // with the others. The paths a statement travels to a client are the
 // server's.
 
-// runCells runs each cell on m as a parallel subtest named name(c).
-func runCells(t *testing.T, m *resultmatrix.Matrix, cells []resultmatrix.Cell, name func(resultmatrix.Cell) string) {
+// runCells runs each cell on load's matrix as a parallel subtest named
+// name(c).
+func runCells(t *testing.T, load func(*testing.T) *resultmatrix.Matrix, cells []resultmatrix.Cell, name func(resultmatrix.Cell) string) {
 	t.Parallel()
+	m := load(t)
 	for _, c := range cells {
 		t.Run(name(c), func(t *testing.T) {
 			t.Parallel()
@@ -33,7 +35,7 @@ func TestParallelDifferential(t *testing.T) {
 			cells = append(cells, resultmatrix.Cell{WorkMem: workMem, Degree: degree, Traced: workMem == 0 || degree == 1})
 		}
 	}
-	runCells(t, resultmatrix.Load(t), cells, func(c resultmatrix.Cell) string {
+	runCells(t, resultmatrix.Load, cells, func(c resultmatrix.Cell) string {
 		return fmt.Sprintf("parallelism=%d/tiny=%v", c.Degree, c.WorkMem != 0)
 	})
 }
@@ -45,12 +47,13 @@ func TestSpillDifferential(t *testing.T) {
 	for _, degree := range []int{1, 2, 8} {
 		cells = append(cells, resultmatrix.Cell{WorkMem: 1 << 20, Degree: degree, Traced: degree == 1})
 	}
-	runCells(t, resultmatrix.Load(t), cells, resultmatrix.Cell.String)
+	runCells(t, resultmatrix.Load, cells, resultmatrix.Cell.String)
 }
 
-// TestSlabRecyclingNeverChangesResults: the corpus shuffled in one session,
-// with streams closed early, a statement failing mid-build and a cancelled
-// one between the statements; the session keeps slabs for the next.
+// TestSlabRecyclingNeverChangesResults: the corpus three times, shuffled, in
+// one session, with streams closed early, a statement failing mid-build and
+// a cancelled one between the statements; the session keeps slabs for the
+// next.
 func TestSlabRecyclingNeverChangesResults(t *testing.T) {
 	var cells []resultmatrix.Cell
 	for _, workMem := range []int64{1 << 20, resultmatrix.TinyWorkMem, 0} {
@@ -58,26 +61,19 @@ func TestSlabRecyclingNeverChangesResults(t *testing.T) {
 			cells = append(cells, resultmatrix.Cell{WorkMem: workMem, Degree: degree, Reused: true})
 		}
 	}
-	runCells(t, resultmatrix.Load(t), cells, resultmatrix.Cell.String)
+	runCells(t, resultmatrix.Load, cells, resultmatrix.Cell.String)
 }
 
-// TestSizeHintsNeverChangeResults: the plan-cached cells, whose size hints go
-// stale in both directions.
+// TestSizeHintsNeverChangeResults: the plan-cached cells that grow, whose
+// size hints go stale in both directions.
 func TestSizeHintsNeverChangeResults(t *testing.T) {
-	t.Parallel()
-	ref := func(bigRows int) *resultmatrix.Matrix {
-		return resultmatrix.Reference(t, resultmatrix.SeedDB(t, bigRows), resultmatrix.Shapes)
-	}
-	small, large := ref(resultmatrix.SpillRows/20), ref(resultmatrix.SpillRows/2)
+	var cells []resultmatrix.Cell
 	for _, workMem := range []int64{resultmatrix.TinyWorkMem, 0} {
 		for _, degree := range []int{1, 2} {
-			c := resultmatrix.Cell{WorkMem: workMem, Degree: degree}
-			t.Run(c.String(), func(t *testing.T) {
-				t.Parallel()
-				c.RunPlanCache(t, small, large)
-			})
+			cells = append(cells, resultmatrix.Cell{WorkMem: workMem, Degree: degree, Grows: true})
 		}
 	}
+	runCells(t, resultmatrix.Growing, cells, resultmatrix.Cell.String)
 }
 
 // TestParallelErrorAgreement: the failing statements, each in a fresh
@@ -88,8 +84,9 @@ func TestParallelErrorAgreement(t *testing.T) {
 	for _, degree := range []int{1, 2, 8} {
 		cells = append(cells, resultmatrix.Cell{Degree: degree, Fresh: true})
 	}
-	m := resultmatrix.Load(t).Where(func(st resultmatrix.Stmt) bool { return st.Fails })
-	runCells(t, m, cells, resultmatrix.Cell.String)
+	runCells(t, func(t *testing.T) *resultmatrix.Matrix {
+		return resultmatrix.Load(t).Where(func(st resultmatrix.Stmt) bool { return st.Fails })
+	}, cells, resultmatrix.Cell.String)
 }
 
 // runBounded runs the bounded shape named shape, each statement in a fresh
@@ -100,11 +97,13 @@ func runBounded(t *testing.T, shape string) {
 	for _, degree := range []int{1, 4} {
 		cells = append(cells, resultmatrix.Cell{WorkMem: resultmatrix.BoundedWorkMem, Degree: degree, Fresh: true})
 	}
-	m := resultmatrix.Load(t).Where(func(st resultmatrix.Stmt) bool { return st.Bounded == shape })
-	if len(m.Stmts) == 0 {
-		t.Fatalf("no %s shape in the corpus", shape)
-	}
-	runCells(t, m, cells, resultmatrix.Cell.String)
+	runCells(t, func(t *testing.T) *resultmatrix.Matrix {
+		m := resultmatrix.Load(t).Where(func(st resultmatrix.Stmt) bool { return st.Bounded == shape })
+		if len(m.Stmts) == 0 {
+			t.Fatalf("no %s shape in the corpus", shape)
+		}
+		return m
+	}, cells, resultmatrix.Cell.String)
 }
 
 // TestSpill100kProvenance: a sort, a grouping with a DISTINCT aggregate and a

@@ -20,6 +20,13 @@ const (
 	SpillRows      = 6400
 	TinyWorkMem    = 4096 // every blocking operator is over it at once
 	BoundedWorkMem = 128 << 10
+	// spillGenRows is the size of r1 and r2, spillGen's tables: below the
+	// fan-out floor, and large enough that a sort of a whole table outgrows
+	// the external sort's 128 KiB minimum run and merges its runs from disk.
+	spillGenRows = 2000
+	// growFrom is big's size in Growing's matrix, which the growing cells
+	// take to ten times that and back.
+	growFrom = SpillRows / 20
 )
 
 // Stmt is one statement of the corpus. The reference runs it with its args
@@ -36,6 +43,9 @@ type Stmt struct {
 	// grouping with a DISTINCT aggregate and a set operation under
 	// provenance), "join build" and "distinct" (per-group seen-sets).
 	Bounded string
+	// Spills: under TinyWorkMem it writes a spill file of its own, on the
+	// database its matrix was made on.
+	Spills bool
 	// generated: one of spillGen's, which may fail in the reference.
 	generated bool
 }
@@ -54,10 +64,11 @@ func (st Stmt) Literal() string {
 // serial in-memory emission order. The planner turns the comma joins'
 // equality into the join condition, so they run as hash joins.
 var Shapes = []Stmt{
-	// sorts, whose stability shows through duplicate keys
-	{SQL: `SELECT k, v, s FROM big ORDER BY k, v DESC`},
-	{SQL: `SELECT k, v FROM big ORDER BY s DESC, v`},
-	{SQL: `SELECT k FROM big ORDER BY k`},
+	// sorts, which outgrow the external sort's minimum run; the last one's
+	// stability shows through its duplicate keys
+	{SQL: `SELECT k, v, s FROM big ORDER BY k, v DESC`, Spills: true},
+	{SQL: `SELECT k, v FROM big ORDER BY s DESC, v`, Spills: true},
+	{SQL: `SELECT k, v FROM big ORDER BY k`, Spills: true},
 	{SQL: `SELECT k, v FROM big ORDER BY v DESC, k LIMIT 100`},
 	// aggregation, partition-wise with the partials merged in worker order
 	{SQL: `SELECT k, count(*), sum(v), min(s), max(v) FROM big GROUP BY k`, FansOut: true},
@@ -113,7 +124,8 @@ const (
 
 // PaperSuite is a battery over the paper's database: plain SQL, provenance
 // with its rewrite strategies (aggregation, set operations, DISTINCT, nested
-// subqueries) and views.
+// subqueries) and views. The replication tests run it on both ends of a feed,
+// so it holds no SHOW output, which is node-local.
 var PaperSuite = []string{
 	`SELECT mId, text, uId FROM messages ORDER BY mId`,
 	`SELECT * FROM v1 ORDER BY mId, text`,
@@ -188,28 +200,26 @@ func Seeds(t *testing.T) []int64 {
 	return []int64{1, 424242}
 }
 
-// Generated is spillGen's 80 queries for seed.
-func Generated(seed int64) []Stmt {
+// Generated is spillGen's draw for seed, from one stream: r1's spillGenRows
+// rows, r2's, then 80 queries over them. An unfiltered sort of a whole table
+// Spills.
+func Generated(seed int64) (rows []string, stmts []Stmt) {
 	gen := &spillGen{rng: rand.New(rand.NewSource(seed))}
-	c := make([]Stmt, 80)
-	for i := range c {
-		c[i] = Stmt{SQL: gen.query(), generated: true}
+	rows = make([]string, 2*spillGenRows)
+	for i := range rows {
+		rows[i] = gen.row()
 	}
-	return c
+	stmts = make([]Stmt, 80)
+	for i := range stmts {
+		q, wholeSort := gen.query()
+		stmts[i] = Stmt{SQL: q, Spills: wholeSort, generated: true}
+	}
+	return rows, stmts
 }
 
-// corpus is the shapes, the forum's statements, and the generated queries
-// for each seed.
-func corpus(t *testing.T) []Stmt {
-	c := append(append([]Stmt(nil), Shapes...), Paper()...)
-	for _, seed := range Seeds(t) {
-		c = append(c, Generated(seed)...)
-	}
-	return c
-}
-
-// SeedDB loads the corpus's database with bigRows rows in big.
-func SeedDB(t *testing.T, bigRows int) *engine.DB {
+// SeedDB loads the corpus's database with bigRows rows in big, and genRows,
+// a draw of Generated, in r1 and r2 (empty if nil).
+func SeedDB(t *testing.T, bigRows int, genRows []string) *engine.DB {
 	t.Helper()
 	db := engine.NewDB()
 	// SELECT PROVENANCE ... > ANY pairs every message with every approval,
@@ -228,21 +238,9 @@ func SeedDB(t *testing.T, bigRows int) *engine.DB {
 	}
 	fillSpillTables(t, s, 0, bigRows)
 	insertRows(t, s, "small", 12, func(i int) string { return strconv.Itoa(i * 3 % 40) })
-	// spillGen's tables, with NULLs and duplicates: a sort of a whole table
-	// holds two minimum runs of 256 rows, so it spills under TinyWorkMem, as
-	// the grouping, DISTINCT and set operations do far sooner.
-	rng := rand.New(rand.NewSource(7))
-	for _, table := range []string{"r1", "r2"} {
-		insertRows(t, s, table, 600, func(int) string {
-			c, d := fmt.Sprintf("'word%d'", rng.Intn(30)), fmt.Sprintf("%d.5", rng.Intn(400))
-			if rng.Intn(20) == 0 {
-				c = "NULL"
-			}
-			if rng.Intn(20) == 0 {
-				d = "NULL"
-			}
-			return fmt.Sprintf("%d, %d, %s, %s", rng.Intn(400), rng.Intn(1000), c, d)
-		})
+	for half, table := range []string{"r1", "r2"} {
+		rows := genRows[len(genRows)/2*half : len(genRows)/2*(half+1)]
+		insertRows(t, s, table, len(rows), func(i int) string { return rows[i] })
 	}
 	// 8000 distinct x: DISTINCT seen-sets of four times BoundedWorkMem
 	insertRows(t, s, "d", 8000, func(i int) string { return fmt.Sprintf("%d, %d", i%8, i) })
@@ -325,11 +323,26 @@ func (g *spillGen) prov() string {
 	return ""
 }
 
-func (g *spillGen) query() string {
+// row returns a row of r1 or r2, with duplicate-heavy keys and NULLs.
+func (g *spillGen) row() string {
+	c := fmt.Sprintf("'word%d'", g.rng.Intn(30))
+	if g.rng.Intn(20) == 0 {
+		c = "NULL"
+	}
+	d := fmt.Sprintf("%d.5", g.rng.Intn(400))
+	if g.rng.Intn(20) == 0 {
+		d = "NULL"
+	}
+	return fmt.Sprintf("%d, %d, %s, %s", g.rng.Intn(400), g.rng.Intn(1000), c, d)
+}
+
+// query returns a query, and whether it sorts a whole table.
+func (g *spillGen) query() (string, bool) {
 	switch g.rng.Intn(4) {
 	case 0: // multi-key ORDER BY
+		prov, table, where := g.prov(), g.table(), g.where()
 		return fmt.Sprintf(`SELECT %sa, b, c, d FROM %s%s%s`,
-			g.prov(), g.table(), g.where(), g.orderBy("a", "b", "c", "d"))
+			prov, table, where, g.orderBy("a", "b", "c", "d")), where == ""
 	case 1: // GROUP BY with plain and DISTINCT aggregates
 		agg := g.pick(`count(*), sum(b)`, `count(DISTINCT c), min(b), max(b)`,
 			`count(DISTINCT b), avg(d)`, `count(*), count(DISTINCT c), sum(b)`)
@@ -341,7 +354,7 @@ func (g *spillGen) query() string {
 		if g.rng.Intn(2) == 0 {
 			q += g.orderBy("a")
 		}
-		return q
+		return q, false
 	case 2: // set operations
 		op := g.pick("INTERSECT", "INTERSECT ALL", "EXCEPT", "EXCEPT ALL", "UNION", "UNION ALL")
 		q := fmt.Sprintf(`SELECT %sa, c FROM r1%s %s SELECT a, c FROM r2%s`,
@@ -349,12 +362,12 @@ func (g *spillGen) query() string {
 		if g.rng.Intn(2) == 0 {
 			q += g.orderBy("a", "c")
 		}
-		return q
+		return q, false
 	default: // DISTINCT projection
 		q := fmt.Sprintf(`SELECT %sDISTINCT a, c FROM %s%s`, g.prov(), g.table(), g.where())
 		if g.rng.Intn(2) == 0 {
 			q += g.orderBy("a", "c")
 		}
-		return q
+		return q, false
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,12 +101,14 @@ func execute(s *engine.Session, text string) string {
 }
 
 // Matrix is a corpus on its database, with each statement's outcome in the
-// reference and the peak tracked bytes it reached there.
+// reference and the peak tracked bytes it reached there. Grown, in a matrix
+// of Growing's, is the outcomes once big and other grew tenfold.
 type Matrix struct {
 	DB    *engine.DB
 	Stmts []Stmt
 	Want  []string
 	Peak  []int64
+	Grown []string
 }
 
 // Reference runs each statement alone in a fresh serial session under the
@@ -154,31 +157,45 @@ var loaded struct {
 	m    *Matrix
 }
 
-// Load is the whole corpus on a database with SpillRows rows in big, and its
-// reference, made once for all the tests of a binary.
+// Load is the shapes and the forum's statements on a database with SpillRows
+// rows in big, and their reference, made once for all the tests of a binary.
+// spillGen's queries are the server's: over r1 and r2, below the fan-out
+// floor, they run serially at every degree, as they do in an embedded
+// session.
 func Load(t *testing.T) *Matrix {
 	t.Helper()
-	loaded.once.Do(func() { loaded.m = Reference(t, SeedDB(t, SpillRows), corpus(t)) })
+	loaded.once.Do(func() { loaded.m = Reference(t, SeedDB(t, SpillRows, nil), slices.Concat(Shapes, Paper())) })
 	if loaded.m == nil {
 		t.Fatal("the matrix's reference failed in an earlier test")
 	}
-	for _, seed := range Seeds(t) {
-		t.Logf("spillGen seed %d (reproduce with PERM_SPILL_SEED=%d)", seed, seed)
-	}
 	return loaded.m
+}
+
+// Growing is the shapes on a database with growFrom rows in big, with their
+// reference there and once big and other grew tenfold, for the cells that
+// grow.
+func Growing(t *testing.T) *Matrix {
+	t.Helper()
+	m := Reference(t, SeedDB(t, growFrom, nil), Shapes)
+	m.Grown = Reference(t, SeedDB(t, 10*growFrom, nil), Shapes).Want
+	return m
 }
 
 // Cell is a session configuration, and how it runs a corpus: traced, it
 // checks what fans out, which the configured cells do under the default
 // work_mem and at degree 1 (a traced build is also the instrumented one,
 // which takes no size hints and keeps its rows); reused, it runs the
-// statements shuffled with interference between them; fresh, each statement
-// runs in a session of its own, so a bounded shape's spills and peak are its
-// own.
+// statements three times, shuffled, with interference between them, so each
+// runs again on slabs it gave back and from a plan that kept its last run's
+// size hints; grows, it runs a matrix of Growing's twice at each size on a
+// database of its own while big and other grow tenfold and shrink back, so
+// the size hints a cached plan keeps are stale in both directions; fresh,
+// each statement runs in a session of its own, so a bounded shape's spills
+// and peak are its own.
 type Cell struct {
-	WorkMem               int64 // 0: the default
-	Degree                int
-	Traced, Reused, Fresh bool
+	WorkMem                      int64 // 0: the default
+	Degree                       int
+	Traced, Reused, Grows, Fresh bool
 }
 
 // String names the cell by its work_mem and degree.
@@ -227,58 +244,100 @@ func (c Cell) checkEnd(t *testing.T, s *engine.Session) {
 	}
 }
 
-// Run runs m's statements in the cell; spillGen's, whose tables are below
-// the fan-out floor and spill only under TinyWorkMem, only under that. In a
-// fresh cell, a bounded statement must hold at least four times the cell's
-// work_mem in the reference, spill, and peak within twice the work_mem.
+// Run runs m's statements in the cell. Under TinyWorkMem, a statement that
+// Spills must write a spill file, but in a cell that grows, whose database is
+// not m's. In a fresh cell, a bounded statement must hold at least four
+// times the cell's work_mem in the reference, spill, and peak within twice
+// the work_mem.
 func (c Cell) Run(t *testing.T, m *Matrix) {
-	s, dir := c.open(t, m.DB)
+	db, passes := m.DB, 1
+	switch {
+	case c.Reused:
+		passes = 3
+	case c.Grows:
+		db, passes = SeedDB(t, growFrom, nil), 6
+	}
+	s, dir := c.open(t, db)
 	defer func() { s.Close() }()
 	rng := rand.New(rand.NewSource(c.WorkMem + int64(c.Degree)))
-	perm := rng.Perm(len(m.Stmts))
-	for i, st := range m.Stmts {
-		if c.Reused {
-			i, st = perm[i], m.Stmts[perm[i]]
+	for pass := range passes {
+		want := m.Want
+		if c.Grows {
+			want = resize(t, s, pass, m)
 		}
-		if st.generated && c.WorkMem != TinyWorkMem {
-			continue // elsewhere they take the reference's path
+		order := rng.Perm(len(m.Stmts))
+		if !c.Reused {
+			slices.Sort(order)
 		}
-		if c.Reused {
-			interfere(t, s, st, rng)
-		}
-		if c.Fresh {
-			c.checkEnd(t, s)
-			s.Close()
-			s, dir = c.open(t, m.DB)
-		}
-		Check(t, dir, st.SQL, m.Want[i], Drain(s.Query(st.SQL, st.Args...)))
-		switch tr := s.LastTrace(); {
-		case !c.Traced:
-		case c.Degree == 1 && tr.ParallelOps != 0:
-			t.Errorf("%s fanned out (%d ops) at parallelism 1", st.SQL, tr.ParallelOps)
-		case c.Degree > 1 && c.WorkMem == 0 && st.FansOut && (tr.ParallelOps == 0 || tr.ParallelWorkers < int64(c.Degree)):
-			t.Errorf("%s did not fan out at parallelism %d: %d ops, %d workers", st.SQL, c.Degree, tr.ParallelOps, tr.ParallelWorkers)
-		}
-		if ms := s.MemStatus(); c.Fresh && st.Bounded != "" && (m.Peak[i] < 4*c.WorkMem || ms.SpillFiles == 0 || ms.Peak > 2*c.WorkMem) {
-			t.Fatalf("%s: peak %d bytes in the reference; at work_mem %d, %d spill files and peak %d",
-				st.SQL, m.Peak[i], c.WorkMem, ms.SpillFiles, ms.Peak)
+		for _, i := range order {
+			st := m.Stmts[i]
+			if c.Reused {
+				interfere(t, s, st, strings.HasPrefix(want[i], "ERROR: "), rng)
+			}
+			if c.Fresh {
+				c.checkEnd(t, s)
+				s.Close()
+				s, dir = c.open(t, db)
+			}
+			spilled := s.MemStatus().SpillFiles
+			Check(t, dir, st.SQL, want[i], Drain(s.Query(st.SQL, st.Args...)))
+			ms := s.MemStatus()
+			if c.WorkMem == TinyWorkMem && st.Spills && !c.Grows && ms.SpillFiles == spilled {
+				t.Fatalf("%s wrote no spill file under work_mem %d", st.SQL, c.WorkMem)
+			}
+			switch tr := s.LastTrace(); {
+			case !c.Traced:
+			case c.Degree == 1 && tr.ParallelOps != 0:
+				t.Errorf("%s fanned out (%d ops) at parallelism 1", st.SQL, tr.ParallelOps)
+			case c.Degree > 1 && c.WorkMem == 0 && st.FansOut && (tr.ParallelOps == 0 || tr.ParallelWorkers < int64(c.Degree)):
+				t.Errorf("%s did not fan out at parallelism %d: %d ops, %d workers", st.SQL, c.Degree, tr.ParallelOps, tr.ParallelWorkers)
+			}
+			if c.Fresh && st.Bounded != "" && (m.Peak[i] < 4*c.WorkMem || ms.SpillFiles == 0 || ms.Peak > 2*c.WorkMem) {
+				t.Fatalf("%s: peak %d bytes in the reference; at work_mem %d, %d spill files and peak %d",
+					st.SQL, m.Peak[i], c.WorkMem, ms.SpillFiles, ms.Peak)
+			}
 		}
 	}
-	if c.checkEnd(t, s); c.Reused && s.MemStatus().IdleSlabs == 0 {
+	c.checkEnd(t, s)
+	if c.Reused && s.MemStatus().IdleSlabs == 0 {
 		t.Fatal("the session kept no slab for the next statement")
+	}
+	if hits, _, _ := s.PlanCacheStats(); c.Grows && hits == 0 {
+		t.Fatal("the session never hit its plan cache")
 	}
 }
 
+// resize grows big and other tenfold before a growing cell's third pass and
+// shrinks them back before its fifth, and returns the pass's reference.
+func resize(t *testing.T, s *engine.Session, pass int, m *Matrix) []string {
+	switch pass {
+	case 2:
+		fillSpillTables(t, s, growFrom, 10*growFrom)
+	case 4:
+		mustExec(t, s, fmt.Sprintf(`DELETE FROM big WHERE v >= %d`, growFrom))
+		mustExec(t, s, fmt.Sprintf(`DELETE FROM other WHERE v >= %d`, growFrom/2))
+	}
+	if pass == 2 || pass == 3 {
+		return m.Grown
+	}
+	return m.Want
+}
+
 // interfere may close a stream of st after a few rows, run a statement that
-// fails mid-build, or cancel one.
-func interfere(t *testing.T, s *engine.Session, st Stmt, rng *rand.Rand) {
+// fails mid-build, or cancel one. A stream of a statement that does not fail
+// in the reference must not fail.
+func interfere(t *testing.T, s *engine.Session, st Stmt, fails bool, rng *rand.Rand) {
 	switch rng.Intn(4) {
 	case 0:
-		if rows, err := s.Query(st.SQL, st.Args...); err == nil {
-			for n := rng.Intn(5); n > 0; n-- {
-				rows.Next()
-			}
+		rows, err := s.Query(st.SQL, st.Args...)
+		for n := rng.Intn(5); n > 0 && err == nil; n-- {
+			_, err = rows.Next()
+		}
+		if rows != nil {
 			rows.Close()
+		}
+		if err != nil && !fails {
+			t.Fatalf("%s, closed early: %v", st.SQL, err)
 		}
 	case 1:
 		if _, err := s.Execute(failsMidBuild); err == nil {
@@ -292,35 +351,6 @@ func interfere(t *testing.T, s *engine.Session, st Stmt, rng *rand.Rand) {
 			t.Fatalf("a cancelled statement returned %v", err)
 		}
 		s.SetInterrupt(nil)
-	}
-}
-
-// RunPlanCache runs the shapes twice at each size in one plan-cached session
-// while big and other grow tenfold from small's size to large's and shrink
-// back, so the size hints a cached plan keeps from its last run are stale in
-// both directions. small and large are the shapes' references on SeedDB at
-// SpillRows/20 and SpillRows/2 rows.
-func (c Cell) RunPlanCache(t *testing.T, small, large *Matrix) {
-	const lo, hi = SpillRows / 20, SpillRows / 2
-	s, dir := c.open(t, SeedDB(t, lo))
-	defer s.Close()
-	for phase, want := range [][]string{small.Want, large.Want, small.Want} {
-		switch phase {
-		case 1:
-			fillSpillTables(t, s, lo, hi)
-		case 2:
-			mustExec(t, s, fmt.Sprintf(`DELETE FROM big WHERE v >= %d`, lo))
-			mustExec(t, s, fmt.Sprintf(`DELETE FROM other WHERE v >= %d`, lo/2))
-		}
-		for i, st := range Shapes {
-			for range 2 {
-				Check(t, dir, st.SQL, want[i], Drain(s.Query(st.SQL, st.Args...)))
-			}
-		}
-	}
-	c.checkEnd(t, s)
-	if hits, _, _ := s.PlanCacheStats(); hits == 0 {
-		t.Fatal("the session never hit its plan cache")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"perm/internal/engine"
+	"perm/internal/resultmatrix"
 	"perm/internal/value"
 	"perm/internal/wire"
 	"perm/internal/workload"
@@ -64,7 +65,7 @@ func TestDifferentialErrors(t *testing.T) {
 		if wantErr == nil {
 			t.Fatalf("embedded %q: want an error", tc.sql)
 		}
-		want := renderWire(wire.RowDesc{}, wantRows, wantErr.Error())
+		want := resultmatrix.Render(wire.RowDesc{}, wantRows, wantErr.Error())
 
 		name := fmt.Sprintf("eq%d", i)
 		if _, err := c.Prepare(name, tc.sql); err != nil {
@@ -88,7 +89,7 @@ func TestDifferentialErrors(t *testing.T) {
 				if !ok {
 					t.Fatalf("%q fetch %d named %v: error %T %v, want *wire.ServerError", tc.sql, fetch, named, err, err)
 				}
-				if got := renderWire(wire.RowDesc{}, rows, se.Message); got != want || se.Code != tc.code {
+				if got := resultmatrix.Render(wire.RowDesc{}, rows, se.Message); got != want || se.Code != tc.code {
 					t.Fatalf("%q fetch %d named %v diverged (code %d, want %d):\nwant:\n%s\ngot:\n%s",
 						tc.sql, fetch, named, se.Code, tc.code, want, got)
 				}
@@ -174,7 +175,7 @@ func TestDifferentialDML(t *testing.T) {
 			t.Fatalf("dml %q: bind tag %q, literal tag %q", st.sql, done.Complete.Tag, lres.Tag)
 		}
 	}
-	assertIdentical(t, bindDB, litDB, append(replicationSuite,
+	assertIdentical(t, bindDB, litDB, append(resultmatrix.PaperSuite,
 		`SELECT * FROM imports ORDER BY mId, text`,
 		`SELECT PROVENANCE * FROM messages ORDER BY mId`,
 	))

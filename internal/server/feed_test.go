@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"perm/internal/engine"
+	"perm/internal/resultmatrix"
 	"perm/internal/wire"
 	"perm/internal/workload"
 )
@@ -109,7 +110,7 @@ func TestDamagedFeedFrameNeverApplied(t *testing.T) {
 	mustExec(t, s, `INSERT INTO messages VALUES (901, 'after the damage', 2)`)
 	s.Close()
 	waitCaughtUp(t, primary, f)
-	assertIdentical(t, primary, replica, replicationSuite)
+	assertIdentical(t, primary, replica, resultmatrix.PaperSuite)
 
 	mu.Lock()
 	defer mu.Unlock()

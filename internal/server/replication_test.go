@@ -50,11 +50,6 @@ func waitCaughtUp(t *testing.T, primary *engine.DB, f *Follower) {
 	}
 }
 
-// replicationSuite is the query battery both sides must answer identically:
-// the matrix's battery over the paper's database. EXPLAIN-adjacent SHOW
-// output is excluded (it is node-local by design).
-var replicationSuite = resultmatrix.PaperSuite
-
 // assertIdentical runs the suite on both databases and compares the rendered
 // results byte for byte.
 func assertIdentical(t *testing.T, primary, replica *engine.DB, queries []string) {
@@ -84,7 +79,7 @@ func TestReplicaBootstrapAndLiveChanges(t *testing.T) {
 	if f.Snapshots() != 1 {
 		t.Fatalf("bootstrap used %d snapshots, want 1", f.Snapshots())
 	}
-	assertIdentical(t, primary, replica, replicationSuite)
+	assertIdentical(t, primary, replica, resultmatrix.PaperSuite)
 
 	// Live changes: every DML shape, view DDL and ANALYZE flow through.
 	ps := primary.NewSession()
@@ -103,7 +98,7 @@ func TestReplicaBootstrapAndLiveChanges(t *testing.T) {
 		}
 	}
 	waitCaughtUp(t, primary, f)
-	assertIdentical(t, primary, replica, append(replicationSuite,
+	assertIdentical(t, primary, replica, append(resultmatrix.PaperSuite,
 		`SELECT * FROM recent ORDER BY mId`,
 		`SELECT PROVENANCE mId, tag FROM tags ORDER BY mId`,
 	))
@@ -299,7 +294,7 @@ func TestReplicaRestartResume(t *testing.T) {
 	if f2.Snapshots() != 0 {
 		t.Fatalf("resumed follower took %d snapshots, want 0 (incremental catch-up)", f2.Snapshots())
 	}
-	assertIdentical(t, primary, restarted, replicationSuite)
+	assertIdentical(t, primary, restarted, resultmatrix.PaperSuite)
 }
 
 // TestReplicaResnapshotAfterLogTrim forces the primary to trim its change
@@ -333,7 +328,7 @@ func TestReplicaResnapshotAfterLogTrim(t *testing.T) {
 	if f2.Snapshots() != 1 {
 		t.Fatalf("trim-lagged follower took %d snapshots, want 1", f2.Snapshots())
 	}
-	assertIdentical(t, primary, replica, replicationSuite)
+	assertIdentical(t, primary, replica, resultmatrix.PaperSuite)
 }
 
 // TestChainedReplication replicates a replica: LSNs are global, so a
@@ -363,7 +358,7 @@ func TestChainedReplication(t *testing.T) {
 	}
 	waitCaughtUp(t, primary, f1)
 	waitCaughtUp(t, primary, f2)
-	assertIdentical(t, primary, leaf, replicationSuite)
+	assertIdentical(t, primary, leaf, resultmatrix.PaperSuite)
 }
 
 // TestSnapshotLSNConsistency hammers a table while snapshots stream, and
@@ -590,7 +585,7 @@ func TestReplicaTimelineForkForcesSnapshot(t *testing.T) {
 	if f2.Snapshots() != 1 {
 		t.Fatalf("forked-timeline follower took %d snapshots, want 1", f2.Snapshots())
 	}
-	assertIdentical(t, reborn, replica, append(replicationSuite,
+	assertIdentical(t, reborn, replica, append(resultmatrix.PaperSuite,
 		`SELECT count(*) FROM users WHERE name = 'post-fork'`,
 		`SELECT count(*) FROM users WHERE name = 'pre-fork'`, // must be 0: old timeline discarded
 	))

@@ -11,6 +11,7 @@ import (
 
 	"perm/internal/engine"
 	"perm/internal/repl"
+	"perm/internal/resultmatrix"
 	"perm/internal/wal"
 	"perm/internal/wire"
 	"perm/internal/workload"
@@ -80,7 +81,7 @@ func TestWALReplayEqualsReplicationFeed(t *testing.T) {
 	if rec.LastLSN != primary.Store().Log().LastLSN() {
 		t.Fatalf("recovered to LSN %d, primary was at %d", rec.LastLSN, primary.Store().Log().LastLSN())
 	}
-	queries := append([]string{}, replicationSuite...)
+	queries := append([]string{}, resultmatrix.PaperSuite...)
 	queries = append(queries, `SELECT * FROM walv ORDER BY mId`)
 	assertIdentical(t, recovered, replica, queries)
 
@@ -193,7 +194,7 @@ func TestReplicaWALRestartResumesLocally(t *testing.T) {
 	// And it keeps following live traffic after the restart.
 	appendTraffic(t, primary, 400, 3)
 	waitCaughtUp(t, primary, f2)
-	assertIdentical(t, primary, replica2, replicationSuite)
+	assertIdentical(t, primary, replica2, resultmatrix.PaperSuite)
 }
 
 func mustExec(t *testing.T, s *engine.Session, q string) {
