@@ -38,7 +38,6 @@ func main() {
 		probe       = flag.Duration("probe", 500*time.Millisecond, "member health-probe interval")
 		lease       = flag.Duration("lease", 3*time.Second, "primary lease: unseen this long, failover is declared")
 		dialTO      = flag.Duration("dial-timeout", 2*time.Second, "backend connect + probe timeout")
-		quiet       = flag.Bool("quiet", false, "disable routing and probe logging")
 		metricsAddr = flag.String("metrics-addr", "", "serve Prometheus metrics and pprof on this address; empty disables")
 		logFormat   = flag.String("log-format", "text", "log output format: text | json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug | info | warn | error")
@@ -62,52 +61,48 @@ func main() {
 		os.Exit(1)
 	}
 
-	logf := logger.Printf
-	if *quiet {
-		logf = nil
-	}
 	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Members:       memberList,
 		ProbeInterval: *probe,
 		LeaseTimeout:  *lease,
 		DialTimeout:   *dialTO,
-		Logf:          logf,
+		Log:           logger,
 	})
 	go coord.Run()
 
 	router := cluster.NewRouter(cluster.RouterConfig{
 		Topology:    coord,
 		DialTimeout: *dialTO,
-		Logf:        logf,
+		Log:         logger,
 	})
 
 	if *metricsAddr != "" {
 		msrv := &http.Server{Addr: *metricsAddr, Handler: metrics.Default.Handler()}
 		go func() {
 			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Printf("metrics listener: %v", err)
+				logger.Error("metrics listener failed", "err", err)
 			}
 		}()
 		defer msrv.Close()
-		logger.Printf("metrics and pprof on http://%s/metrics", *metricsAddr)
+		logger.Info("metrics and pprof", "url", "http://"+*metricsAddr+"/metrics")
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- router.ListenAndServe(*addr) }()
-	logger.Printf("routing %s over %d members (probe %s, lease %s)", *addr, len(memberList), *probe, *lease)
+	logger.Info("routing", "addr", *addr, "members", len(memberList), "probe", *probe, "lease", *lease)
 
 	exitCode := 0
 	select {
 	case err := <-serveErr:
-		logger.Printf("serve: %v", err)
+		logger.Error("serve failed", "err", err)
 		exitCode = 1
 	case s := <-sig:
-		logger.Printf("received %s, closing", s)
+		logger.Info("closing", "signal", s.String())
 	}
 	router.Close()
 	coord.Stop()
-	logger.Printf("goodbye")
+	logger.Info("goodbye")
 	os.Exit(exitCode)
 }

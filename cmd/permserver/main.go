@@ -54,9 +54,7 @@ func main() {
 		walSync      = flag.String("wal-sync", "always", "WAL fsync policy: always | group | group(<ms>) | off (SET wal_sync changes it at runtime)")
 		ckInterval   = flag.Duration("checkpoint-interval", time.Minute, "background checkpoint interval with -data-dir (0 = only on shutdown)")
 		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		quiet        = flag.Bool("quiet", false, "disable per-session logging")
 		replicaOf    = flag.String("replica-of", "", "run as a read-only replica of the primary at host:port")
-		replRetain   = flag.Int("repl-retain", repl.DefaultRetention, "change-log records retained for follower catch-up (0 = unlimited)")
 		replRetainMB = flag.Int("repl-retain-mb", repl.DefaultRetentionBytes>>20, "approximate change-log memory budget in MiB (0 = unlimited)")
 		heartbeat    = flag.Duration("heartbeat", time.Second, "replication heartbeat interval sent to followers")
 		cursorBatch  = flag.Int("cursor-batch", 0, "rows per streamed result batch frame (0 = default 256)")
@@ -77,13 +75,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	slog := logx.New(os.Stderr, *logFormat, minLevel, "permserver")
-	logger := logAdapter{slog}
+	logger := logx.New(os.Stderr, *logFormat, minLevel, "permserver")
+	fatal := func(msg string, fields ...any) {
+		logger.Error(msg, fields...)
+		os.Exit(1)
+	}
 	if *replicaOf != "" && *load != "" {
-		logger.Fatalf("-load writes to the database; a replica (-replica-of) is read-only — load the primary instead")
+		fatal("-load writes to the database; a replica (-replica-of) is read-only — load the primary instead")
 	}
 	if *dataDir != "" && *open != "" {
-		logger.Fatalf("-open conflicts with -data-dir: the data directory has its own snapshot; use one or the other")
+		fatal("-open conflicts with -data-dir: the data directory has its own snapshot; use one or the other")
 	}
 
 	var db *engine.DB
@@ -92,37 +93,37 @@ func main() {
 		store, m, rec, err := wal.Open(*dataDir, wal.Options{
 			Sync:               *walSync,
 			CheckpointInterval: *ckInterval,
-			Logf:               logger.Printf,
+			Log:                logger,
 		})
 		if err != nil {
-			logger.Fatalf("recover %s: %v", *dataDir, err)
+			fatal("recovery failed", "dir", *dataDir, "err", err)
 		}
 		mgr = m
 		db = engine.NewDBFrom(store)
 		db.SetWALController(server.WALController(mgr))
-		logger.Printf("recovered %s: %s", *dataDir, rec)
+		logger.Info("recovered", "dir", *dataDir, "snapshot_lsn", rec.SnapshotLSN, "replayed", rec.Replayed,
+			"lsn", rec.LastLSN, "truncated_bytes", rec.TruncatedBytes)
 	} else {
 		db = engine.NewDB()
 	}
-	db.Store().Log().SetRetention(*replRetain)
 	db.Store().Log().SetRetentionBytes(*replRetainMB << 20)
 	if *open != "" {
 		f, err := os.Open(*open)
 		if err != nil {
-			logger.Fatalf("open snapshot: %v", err)
+			fatal("open snapshot failed", "err", err)
 		}
 		err = db.Store().Restore(f)
 		f.Close()
 		if err != nil {
-			logger.Fatalf("restore %s: %v", *open, err)
+			fatal("restore failed", "file", *open, "err", err)
 		}
-		logger.Printf("restored database from %s", *open)
+		logger.Info("restored database", "file", *open)
 	}
 	if *load != "" {
 		if err := loadDataset(db, *load); err != nil {
-			logger.Fatalf("load %s: %v", *load, err)
+			fatal("load failed", "dataset", *load, "err", err)
 		}
-		logger.Printf("loaded dataset %s", *load)
+		logger.Info("loaded dataset", "dataset", *load)
 	}
 
 	cfg := server.Config{
@@ -136,10 +137,7 @@ func main() {
 		SyncReplicas:      *syncReplicas,
 		SyncTimeout:       *syncTimeout,
 		SlowQueryMs:       *slowQueryMs,
-		Log:               slog,
-	}
-	if !*quiet {
-		cfg.Logf = logger.Printf
+		Log:               logger,
 	}
 	srv := server.New(db, cfg)
 
@@ -162,40 +160,37 @@ func main() {
 		// rebases the local WAL onto the primary's history.
 		fcfg.PrepareStore = mgr.AdoptStore
 	}
-	if !*quiet {
-		fcfg.Logf = logger.Printf
-	}
 	node, err := server.NewClusterNode(db, srv, server.ClusterNodeConfig{
 		DataDir:  *dataDir,
 		Follower: fcfg,
-		Logf:     logger.Printf,
+		Log:      logger,
 	})
 	if err != nil {
-		logger.Fatalf("cluster harness: %v", err)
+		fatal("cluster harness failed", "err", err)
 	}
 	if *replicaOf != "" {
 		node.Follow(*replicaOf)
-		logger.Printf("replica of %s (resuming after LSN %d)", *replicaOf, db.Store().Log().LastLSN())
+		logger.Info("replica", "primary", *replicaOf, "after_lsn", db.Store().Log().LastLSN())
 	} else if err := node.EnsurePrimaryEpoch(); err != nil {
-		logger.Fatalf("cluster harness: %v", err)
+		fatal("cluster harness failed", "err", err)
 	}
 
 	if *metricsAddr != "" {
 		msrv := &http.Server{Addr: *metricsAddr, Handler: metrics.Default.Handler()}
 		go func() {
 			if err := msrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Printf("metrics listener: %v", err)
+				logger.Error("metrics listener failed", "err", err)
 			}
 		}()
 		defer msrv.Close()
-		logger.Printf("metrics and pprof on http://%s/metrics", *metricsAddr)
+		logger.Info("metrics and pprof", "url", "http://"+*metricsAddr+"/metrics")
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.ListenAndServe(*addr) }()
-	logger.Printf("serving on %s (max-conns=%d, query-timeout=%s)", *addr, *maxConns, *queryTimeout)
+	logger.Info("serving", "addr", *addr, "max_conns", *maxConns, "query_timeout", *queryTimeout)
 
 	exitCode := 0
 	select {
@@ -203,19 +198,19 @@ func main() {
 		// Even a fatal serve error must not lose the database when the
 		// operator asked for a shutdown snapshot: drain and fall through to
 		// the -save block below.
-		logger.Printf("serve: %v", err)
+		logger.Error("serve failed", "err", err)
 		exitCode = 1
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			logger.Printf("shutdown: %v (connections force-closed)", err)
+			logger.Warn("shutdown: connections force-closed", "err", err)
 		}
 	case s := <-sig:
-		logger.Printf("received %s, draining (deadline %s)", s, *drain)
+		logger.Info("draining", "signal", s.String(), "deadline", *drain)
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			logger.Printf("shutdown: %v (connections force-closed)", err)
+			logger.Warn("shutdown: connections force-closed", "err", err)
 		}
 	}
 
@@ -224,8 +219,7 @@ func main() {
 		// LSN the restarted replica resumes from.
 		st := follower.Status()
 		node.Stop()
-		logger.Printf("replication stopped at LSN %d (primary at %d, lag %d)",
-			st.AppliedLSN, st.PrimaryLSN, st.Lag())
+		logger.Info("replication stopped", "lsn", st.AppliedLSN, "primary_lsn", st.PrimaryLSN, "lag", st.Lag())
 	}
 
 	if mgr != nil {
@@ -233,42 +227,31 @@ func main() {
 		// then detach — everything acknowledged is already fsync'd per the
 		// sync policy, so even a failed checkpoint loses nothing.
 		if err := mgr.Checkpoint(); err != nil {
-			logger.Printf("final checkpoint: %v (WAL replay will cover it)", err)
+			logger.Warn("final checkpoint failed; WAL replay will cover it", "err", err)
 		}
 		if err := mgr.Close(); err != nil {
-			logger.Printf("closing WAL: %v", err)
+			logger.Error("closing WAL failed", "err", err)
 		} else {
-			logger.Printf("data directory %s closed cleanly", *dataDir)
+			logger.Info("data directory closed cleanly", "dir", *dataDir)
 		}
 	}
 
 	if *save != "" {
 		f, err := os.Create(*save)
 		if err != nil {
-			logger.Fatalf("create snapshot: %v", err)
+			fatal("create snapshot failed", "err", err)
 		}
 		err = db.Store().Save(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			logger.Fatalf("save %s: %v", *save, err)
+			fatal("save failed", "file", *save, "err", err)
 		}
-		logger.Printf("saved snapshot to %s", *save)
+		logger.Info("saved snapshot", "file", *save)
 	}
-	logger.Printf("served %d queries, goodbye", srv.QueriesServed())
+	logger.Info("goodbye", "queries", srv.QueriesServed())
 	os.Exit(exitCode)
-}
-
-// logAdapter keeps the printf-style call sites over the structured logger
-// and gives Fatalf back (logx deliberately has no exiting level).
-type logAdapter struct{ l *logx.Logger }
-
-func (a logAdapter) Printf(format string, args ...any) { a.l.Printf(format, args...) }
-
-func (a logAdapter) Fatalf(format string, args ...any) {
-	a.l.Error(fmt.Sprintf(format, args...))
-	os.Exit(1)
 }
 
 // loadDataset bootstraps one of the built-in workloads: "example",

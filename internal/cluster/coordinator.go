@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"perm/internal/logx"
 	"perm/internal/wire"
 )
 
@@ -24,8 +25,8 @@ type CoordinatorConfig struct {
 	LeaseTimeout time.Duration
 	// DialTimeout bounds each probe's connect + status round trip; default 1s.
 	DialTimeout time.Duration
-	// Logf, when set, receives probe failures and role-transition logs.
-	Logf func(format string, args ...any)
+	// Log receives failover and role-transition records; nil logs nothing.
+	Log *logx.Logger
 }
 
 func (c *CoordinatorConfig) fill() {
@@ -99,12 +100,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	// dead still fails over, but only after a full lease of evidence.
 	c.primarySeen = time.Now()
 	return c
-}
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
 }
 
 // Run probes until Stop. It blocks; run it in a goroutine.
@@ -283,23 +278,23 @@ func (c *Coordinator) failover() {
 	}
 	if candidate == nil {
 		c.mu.Unlock()
-		c.logf("cluster: primary lease expired but no healthy replica to promote")
+		c.cfg.Log.Error("cluster: primary lease expired but no healthy replica to promote", "primary", c.PrimaryAddr())
 		return
 	}
 	newEpoch := c.epoch + 1
 	addr := candidate.Addr
 	c.mu.Unlock()
 
-	c.logf("cluster: primary %q lease expired; promoting %s at epoch %d", c.PrimaryAddr(), addr, newEpoch)
+	c.cfg.Log.Warn("cluster: primary lease expired; promoting", "primary", c.PrimaryAddr(), "candidate", addr, "epoch", newEpoch)
 	cli, err := c.client(addr)
 	if err != nil {
-		c.logf("cluster: promote %s: %v", addr, err)
+		c.cfg.Log.Error("cluster: promote failed", "candidate", addr, "err", err)
 		return
 	}
 	st, err := c.timed(cli, func() (wire.NodeStatus, error) { return cli.Promote(newEpoch) })
 	if err != nil {
 		c.retire(addr, cli)
-		c.logf("cluster: promote %s at epoch %d: %v", addr, newEpoch, err)
+		c.cfg.Log.Error("cluster: promote failed", "candidate", addr, "epoch", newEpoch, "err", err)
 		return
 	}
 
@@ -316,7 +311,7 @@ func (c *Coordinator) failover() {
 		m.LastSeen = time.Now()
 	}
 	c.mu.Unlock()
-	c.logf("cluster: %s is primary at epoch %d", addr, newEpoch)
+	c.cfg.Log.Info("cluster: new primary", "primary", addr, "epoch", newEpoch)
 	c.converge(addr)
 }
 
@@ -344,7 +339,7 @@ func (c *Coordinator) converge(primary string) {
 		st, err := c.timed(cli, func() (wire.NodeStatus, error) { return cli.Demote(epoch, primary) })
 		if err != nil {
 			c.retire(addr, cli)
-			c.logf("cluster: demote %s to follow %s at epoch %d: %v", addr, primary, epoch, err)
+			c.cfg.Log.Warn("cluster: demote failed", "member", addr, "primary", primary, "epoch", epoch, "err", err)
 			continue
 		}
 		c.mu.Lock()

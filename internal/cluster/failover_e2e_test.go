@@ -30,6 +30,7 @@ import (
 
 	"perm/internal/cluster"
 	"perm/internal/engine"
+	"perm/internal/logx"
 	"perm/internal/server"
 	"perm/internal/wal"
 	"perm/internal/wire"
@@ -183,7 +184,7 @@ func TestKillPrimaryFailover(t *testing.T) {
 		ProbeInterval: 50 * time.Millisecond,
 		LeaseTimeout:  400 * time.Millisecond,
 		DialTimeout:   time.Second,
-		Logf:          t.Logf,
+		Log:           logx.New(testLog{t}, "text", logx.LevelInfo, "coordinator"),
 	})
 	go coord.Run()
 	defer coord.Stop()
@@ -342,7 +343,7 @@ func TestKillPrimaryFailover(t *testing.T) {
 		ProbeInterval: 50 * time.Millisecond,
 		LeaseTimeout:  time.Hour, // phase 2 must never fail over
 		DialTimeout:   time.Second,
-		Logf:          t.Logf,
+		Log:           logx.New(testLog{t}, "text", logx.LevelInfo, "coordinator"),
 	})
 	go c2.Run()
 	defer c2.Stop()
@@ -392,4 +393,12 @@ func assertAckedPresent(t *testing.T, db *engine.DB, acked []int, who string) {
 		}
 	}
 	t.Logf("%s holds all %d acked keys (%d rows total)", who, len(acked), len(present))
+}
+
+// testLog writes each log record to the test's output.
+type testLog struct{ t *testing.T }
+
+func (w testLog) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"perm/internal/logx"
 	"perm/internal/wire"
 )
 
@@ -28,8 +29,8 @@ type RouterConfig struct {
 	Topology Topology
 	// DialTimeout bounds each backend connect + handshake; default 2s.
 	DialTimeout time.Duration
-	// Logf, when set, receives connection lifecycle and routing logs.
-	Logf func(format string, args ...any)
+	// Log receives routing error records; nil logs nothing.
+	Log *logx.Logger
 }
 
 func (c *RouterConfig) dialTimeout() time.Duration {
@@ -74,12 +75,6 @@ func NewRouter(cfg RouterConfig) *Router {
 		cfg:       cfg,
 		listeners: make(map[net.Listener]struct{}),
 		sessions:  make(map[net.Conn]struct{}),
-	}
-}
-
-func (r *Router) logf(format string, args ...any) {
-	if r.cfg.Logf != nil {
-		r.cfg.Logf(format, args...)
 	}
 }
 
@@ -243,7 +238,7 @@ func (s *routerSession) serve() {
 				return
 			}
 			// Backend-side failure already reported in-band; session lives on.
-			s.r.logf("router: %v", err)
+			s.r.cfg.Log.Warn("router: backend failed", "err", err)
 		}
 		if typ == wire.MsgTerminate {
 			return
@@ -623,7 +618,7 @@ func (s *routerSession) prepareBackend(b *backend, stmt string) error {
 			// The member rejected a setting the session carries (version
 			// skew). Keep going: the setting applied where it was issued, and
 			// refusing all routing over it would take the session down.
-			s.r.logf("router: replaying %q on %s: %v", sql, b.addr, serr)
+			s.r.cfg.Log.Warn("router: replaying a setting failed", "sql", sql, "member", b.addr, "err", serr)
 		}
 		b.applied++
 	}

@@ -15,6 +15,7 @@ import (
 
 	"perm/internal/cluster"
 	"perm/internal/engine"
+	"perm/internal/logx"
 	"perm/internal/server"
 	"perm/internal/value"
 	"perm/internal/wire"
@@ -344,7 +345,7 @@ func TestCoordinatorFailover(t *testing.T) {
 		ProbeInterval: time.Hour, // stepped manually via Tick
 		LeaseTimeout:  150 * time.Millisecond,
 		DialTimeout:   time.Second,
-		Logf:          t.Logf,
+		Log:           logx.New(testLog{t}, "text", logx.LevelInfo, "coordinator"),
 	})
 	defer coord.Stop()
 	coord.Tick()

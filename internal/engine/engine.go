@@ -22,6 +22,7 @@ import (
 	"perm/internal/catalog"
 	"perm/internal/core"
 	"perm/internal/executor"
+	"perm/internal/logx"
 	"perm/internal/metrics"
 	"perm/internal/planner"
 	"perm/internal/sql"
@@ -211,6 +212,7 @@ func (db *DB) NewSession() *Session {
 		cache:    newPlanCache(),
 		mem:      executor.NewMemTracker(DefaultWorkMem, ""),
 	}
+	s.log.Store(logx.Default)
 	// Defaults go through the same code SET does, so every memo starts out
 	// derived from the setting it mirrors.
 	for name, spec := range sessionSettings {
@@ -322,12 +324,12 @@ type Session struct {
 	// Observability state (observe.go): the memoized SET trace flag, the
 	// most recent traced-statement profile (SHOW last_trace), the
 	// slow-query threshold in ms (-1 = off, memoized from the setting), and
-	// the installed slow-query sink. All atomic: the shared implicit
+	// the logger slow queries go to. All atomic: the shared implicit
 	// session executes statements from many goroutines.
 	traceFlag atomic.Bool
 	lastTrace atomic.Pointer[Trace]
 	slowMs    atomic.Int64
-	slowSink  atomic.Pointer[func(SlowQuery)]
+	log       atomic.Pointer[logx.Logger]
 	// parDeg memoizes the parallelism setting (SET parallelism; 0 = use
 	// GOMAXPROCS, resolved per statement) so execContextOn never takes the
 	// settings lock on the hot path.

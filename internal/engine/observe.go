@@ -66,21 +66,9 @@ type Trace struct {
 	Stats *executor.OpStats
 }
 
-// SlowQuery is one slow-query log record. Bind values are never included —
-// only their count — so logs stay free of data values from parameterized
-// statements.
-type SlowQuery struct {
-	SQL        string
-	Duration   time.Duration
-	Rows       int64
-	CacheHit   bool
-	SpillBytes int64
-	Params     int
-}
-
 // SetSlowQueryMs sets the slow-query threshold programmatically (the
-// -slow-query-ms flag): statements taking >= ms log one SlowQuery record.
-// 0 logs every statement; negative disables (the default).
+// -slow-query-ms flag): statements taking >= ms log one WARN "slow query"
+// record. 0 logs every statement; negative disables (the default).
 func (s *Session) SetSlowQueryMs(ms int64) {
 	val := "off"
 	if ms >= 0 {
@@ -89,11 +77,10 @@ func (s *Session) SetSlowQueryMs(ms int64) {
 	s.mustSet("slow_query_ms", val)
 }
 
-// SetSlowQueryLog installs the slow-query sink (the network server points
-// this at its structured logger). Nil restores the default stderr logger.
-func (s *Session) SetSlowQueryLog(fn func(SlowQuery)) {
-	s.slowSink.Store(&fn)
-}
+// SetLog points the session's slow-query records at l (a session starts on
+// logx.Default; nil logs nothing). The server hands each connection's
+// session a child of its logger that carries the peer's address.
+func (s *Session) SetLog(l *logx.Logger) { s.log.Store(l) }
 
 // LastTrace returns the most recent SET trace profile, or nil.
 func (s *Session) LastTrace() *Trace { return s.lastTrace.Load() }
@@ -115,25 +102,15 @@ func (s *Session) noteStatement(sqlText string, t Timings, rows int64, cacheHit 
 		return
 	}
 	mSlowQueries.Inc()
-	rec := SlowQuery{
-		SQL:        sqlText,
-		Duration:   total,
-		Rows:       rows,
-		CacheHit:   cacheHit,
-		SpillBytes: spillBytes,
-		Params:     nparams,
-	}
-	if fn := s.slowSink.Load(); fn != nil && *fn != nil {
-		(*fn)(rec)
-		return
-	}
-	logx.Default.Warn("slow query",
-		"duration", rec.Duration,
-		"rows", rec.Rows,
-		"cache_hit", rec.CacheHit,
-		"spill_bytes", rec.SpillBytes,
-		"params", rec.Params,
-		"sql", rec.SQL,
+	// Bind values are never logged, only their count, so the log stays free
+	// of the data of parameterized statements.
+	s.log.Load().Warn("slow query",
+		"duration", total,
+		"rows", rows,
+		"cache_hit", cacheHit,
+		"spill_bytes", spillBytes,
+		"params", nparams,
+		"sql", sqlText,
 	)
 }
 

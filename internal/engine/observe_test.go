@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"regexp"
 	"strings"
 	"testing"
 
 	"perm/internal/executor"
+	"perm/internal/logx"
 	"perm/internal/sql"
 	"perm/internal/value"
 )
@@ -320,27 +323,58 @@ func colIndex(t *testing.T, cols []string, name string) int {
 	return -1
 }
 
-// TestSlowQueryLog checks the threshold and the sink: with slow_query_ms = 0
-// every statement is logged (Postgres convention), with it negative nothing
-// is, and bind parameters are reported only as a count.
+// slowRecord is one slow-query record as the session's JSON logger wrote it.
+type slowRecord struct {
+	Level  string
+	Msg    string
+	SQL    string
+	Rows   int64
+	Params int
+}
+
+// slowRecords decodes every record in buf.
+func slowRecords(t *testing.T, buf *bytes.Buffer) []slowRecord {
+	t.Helper()
+	var recs []slowRecord
+	for _, line := range bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var r slowRecord
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if r.Level != "warn" || r.Msg != "slow query" {
+			t.Fatalf("unexpected record %q", line)
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// TestSlowQueryLog checks the threshold and the session's logger: with
+// slow_query_ms = 0 every statement is logged (Postgres convention), with it
+// negative nothing is, and bind parameters are reported only as a count.
 func TestSlowQueryLog(t *testing.T) {
 	s := seedObsDB(t)
-	var got []SlowQuery
-	s.SetSlowQueryLog(func(q SlowQuery) { got = append(got, q) })
+	var buf bytes.Buffer
+	s.SetLog(logx.New(&buf, "json", logx.LevelWarn, ""))
+	got := func() []slowRecord { return slowRecords(t, &buf) }
 
 	exec(t, s, `SELECT count(*) FROM emp`)
-	if len(got) != 0 {
-		t.Fatalf("slow log fired while disabled: %+v", got)
+	if len(got()) != 0 {
+		t.Fatalf("slow log fired while disabled: %+v", got())
 	}
 
 	exec(t, s, `SET slow_query_ms = 0`)
 	exec(t, s, `SELECT count(*) FROM emp`)
 	// The SET itself may have been logged too (threshold 0 logs everything
 	// after it takes effect); the SELECT must be the most recent record.
-	if len(got) == 0 {
+	recs := got()
+	if len(recs) == 0 {
 		t.Fatal("slow log did not fire at threshold 0")
 	}
-	last := got[len(got)-1]
+	last := recs[len(recs)-1]
 	if last.SQL != `SELECT count(*) FROM emp` {
 		t.Errorf("logged sql = %q", last.SQL)
 	}
@@ -349,7 +383,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 
 	// Parameterized statements log the parameter count, never the values.
-	n := len(got)
+	n := len(got())
 	prep, err := s.Prepare(`SELECT count(*) FROM emp WHERE salary > ?`)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
@@ -361,21 +395,22 @@ func TestSlowQueryLog(t *testing.T) {
 	if _, err := rows.DrainResult(); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if len(got) <= n {
+	recs = got()
+	if len(recs) <= n {
 		t.Fatal("parameterized query not logged")
 	}
-	last = got[len(got)-1]
+	last = recs[len(recs)-1]
 	if last.Params != 1 {
 		t.Errorf("logged params = %d, want 1", last.Params)
 	}
-	if strings.Contains(last.SQL, "1100") {
-		t.Errorf("bind value leaked into slow log: %q", last.SQL)
+	if strings.Contains(buf.String(), "1100") {
+		t.Errorf("bind value leaked into slow log: %q", buf.String())
 	}
 
 	exec(t, s, `SET slow_query_ms = off`)
-	n = len(got)
+	n = len(got())
 	exec(t, s, `SELECT 1`)
-	if len(got) != n {
+	if len(got()) != n {
 		t.Errorf("slow log fired while re-disabled")
 	}
 }

@@ -359,7 +359,6 @@ func TestScanPruningReplicaAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Log().SetRetention(0)
 	store.Log().SetRetentionBytes(0)
 	primary := NewDBFrom(store)
 	s := primary.NewSession()

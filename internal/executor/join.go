@@ -134,7 +134,8 @@ type hashJoinIter struct {
 	left  iterator
 	right iterator
 	// keys are the equi keys, none for a theta join or a cross product: then
-	// every build row has the empty key and one chain holds them all.
+	// the join keeps no key table and every probe meets the build rows in
+	// order.
 	keys []algebra.EquiKey
 	// residual is the part of the condition the keys do not already decide.
 	residual algebra.Expr
@@ -147,8 +148,8 @@ type hashJoinIter struct {
 	cond     compiledPred // nil when the keys decide the whole condition
 
 	// The build side: rows in insertion order and, under the same numbers,
-	// their keys in table (dead for a NULL in a strict-equality key), sized
-	// from slot.
+	// their keys in table (dead for a NULL in a strict-equality key; empty
+	// when the join has no key), sized from slot.
 	rows  []buildRow
 	table keyTable
 	slot  *sizeSlot
@@ -207,9 +208,15 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 		return err
 	}
 	h.table.mem = ctx.Mem
-	if n, k := h.slot.size(ctx, buildRowBytes+keyEntryBytes); n > 0 {
+	perRow := buildRowBytes
+	if len(h.keys) > 0 {
+		perRow += keyEntryBytes
+	}
+	if n, k := h.slot.size(ctx, perRow); n > 0 {
 		h.rows = takeSlab[buildRow](ctx.Mem, n)
-		h.table.presize(n, k)
+		if len(h.keys) > 0 {
+			h.table.presize(n, k)
+		}
 	}
 	// Stream the build side in, charging every retained row (its payload, its
 	// key bytes, and the struct/bucket overhead). The moment the budget is
@@ -256,12 +263,16 @@ func (h *hashJoinIter) Open(ctx *Context) error {
 
 // addBuild appends and charges one build row; key is read only if hashable.
 func (h *hashJoinIter) addBuild(row value.Row, key []byte, hashable bool) {
-	if !hashable {
-		key = nil
+	cost := rowBytes(row) + buildRowBytes
+	if len(h.keys) > 0 {
+		if !hashable {
+			key = nil
+		}
+		h.table.add(key, hashable)
+		cost += keyEntryBytes + int64(len(key))
 	}
-	h.table.add(key, hashable)
 	h.rows = append(roomFor(h.ctx.Mem, h.rows, 1), buildRow{row: row})
-	h.acct.grow(rowBytes(row) + buildRowBytes + keyEntryBytes + int64(len(key)))
+	h.acct.grow(cost)
 }
 
 // keyOf encodes a row's hash key, by the given side's compiled key
@@ -299,7 +310,11 @@ func (h *hashJoinIter) startProbe(row value.Row, key []byte, hashable bool) {
 	h.p.start(row)
 	h.probeKey, h.cur, h.overAt = key, -1, -1
 	if hashable {
-		h.cur = h.table.find(key)
+		if len(h.keys) > 0 {
+			h.cur = h.table.find(key)
+		} else if len(h.rows) > 0 {
+			h.cur = 0
+		}
 		h.startOver()
 	}
 }
@@ -339,10 +354,10 @@ func (h *hashJoinIter) nextOver() (value.Row, uint64, error) {
 // nextOutput advances the probe in flight to its next output row, l⧺r with a
 // nil r reading as NULLs; ok=false means the probe ended without another. It
 // walks the entries of the probe's key in the table, which holds the whole build
-// side or — for a grace partition joined in chunks — one chunk of it, and then
-// the overflow file of a join with no key. Only when the table holds the last
-// of the build rows this probe can meet may resolve be set, so that a probe
-// left without a match emits alone. It polls for cancellation per candidate:
+// side or — for a grace partition joined in chunks — one chunk of it; a join
+// with no key walks its resident build rows in order and then its overflow
+// file. Only when the table holds the last of the build rows this probe can
+// meet may resolve be set, so that a probe left without a match emits alone. It polls for cancellation per candidate:
 // a chain can hold the whole build side.
 func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err error) {
 	p := &h.p
@@ -351,7 +366,11 @@ func (h *hashJoinIter) nextOutput(resolve bool) (l, r value.Row, ok bool, err er
 			return nil, nil, false, err
 		}
 		br := &h.rows[h.cur]
-		h.cur = h.table.next(h.cur, h.probeKey)
+		if len(h.keys) > 0 {
+			h.cur = h.table.next(h.cur, h.probeKey)
+		} else if h.cur++; h.cur == len(h.rows) {
+			h.cur = -1
+		}
 		if h.cond != nil {
 			ok, err := h.cond(combineScratch(&h.comb, p.row, br.row), h.ctx)
 			if err != nil {

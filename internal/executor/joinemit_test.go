@@ -414,3 +414,26 @@ func TestKeylessJoinStreams(t *testing.T) {
 		t.Errorf("spilled %d bytes; the build side encodes to %d", spilled, buildBytes)
 	}
 }
+
+// TestKeylessJoinChargesNoKeyEntry: a join with no equi key keeps no key
+// table, so an in-memory build charges each build row its payload and its
+// buildRow slot and nothing for a key.
+func TestKeylessJoinChargesNoKeyEntry(t *testing.T) {
+	s := emitStore(t)
+	left, right := emitScan("probe", "a"), emitScan("build", "b")
+	var want int64
+	for _, row := range runPlan(t, s, right) {
+		want += rowBytes(row) + buildRowBytes
+	}
+	ctx := NewContext(s)
+	ctx.Mem = NewMemTracker(0, t.TempDir())
+	defer ctx.Mem.Cleanup()
+	stream, err := Open(ctx, algebra.NewJoin(algebra.JoinCross, left, right, nil))
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer stream.Close()
+	if got := ctx.Mem.Tracked(); got != want {
+		t.Fatalf("the build side charged %d bytes, want %d (rowBytes + buildRowBytes per row)", got, want)
+	}
+}

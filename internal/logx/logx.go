@@ -1,13 +1,16 @@
-// Package logx is the minimal leveled structured logger shared by the Perm
-// binaries. It exists so slow-query and recovery-summary lines are
-// machine-parseable: every record is a level, a message, and key=value
-// fields, rendered either as aligned text or as one JSON object per line
-// (-log-format text|json).
+// Package logx is the one logger of the Perm system: every component that
+// logs — the server and its sessions' slow-query records, the follower, the
+// cluster node, the coordinator, the router and the write-ahead log — takes
+// a *Logger in its configuration, and a nil *Logger logs nothing.
 //
-// The Printf method is a compatibility adapter for the many existing
-// Logf(func(string, ...any)) seams in server, follower, coordinator and
-// router — those callers keep their printf-style call sites and gain level,
-// timestamp and format handling for free.
+// A record is a level, a message and key=value fields, rendered either as
+// aligned text or as one JSON object per line (-log-format text|json) with
+// the fields as typed keys. The levels mean the same thing everywhere:
+// Error for a failure that needs an operator (the WAL refusing writes, a
+// failed promotion), Warn for an error the component retries or recovers
+// from, Info for lifecycle, Debug for per-connection detail. With binds
+// fields — a connection's peer, later a statement id — once for every
+// record a child logger writes.
 package logx
 
 import (
@@ -44,8 +47,15 @@ func (l Level) String() string {
 	return fmt.Sprintf("LEVEL(%d)", int(l))
 }
 
-// Logger writes leveled records to one destination. Safe for concurrent use.
+// Logger writes leveled records to one destination. Safe for concurrent use;
+// a nil *Logger drops every record.
 type Logger struct {
+	out    *output
+	fields []any // bound by With, written before each record's own
+}
+
+// output is what a logger shares with the children With makes of it.
+type output struct {
 	mu        sync.Mutex
 	w         io.Writer
 	jsonMode  bool
@@ -57,17 +67,17 @@ type Logger struct {
 // New builds a logger. format is "text" or "json" (anything else falls back
 // to text). Records below min are dropped.
 func New(w io.Writer, format string, min Level, component string) *Logger {
-	return &Logger{
+	return &Logger{out: &output{
 		w:         w,
 		jsonMode:  strings.EqualFold(format, "json"),
 		level:     min,
 		component: component,
 		now:       time.Now,
-	}
+	}}
 }
 
-// Default logs text at Info to stderr, for embedded users that never
-// configured logging.
+// Default logs text at Info to stderr: where an embedded session's
+// slow-query records go unless SetLog points them elsewhere.
 var Default = New(os.Stderr, "text", LevelInfo, "")
 
 // ParseLevel maps a -log-level flag value to a Level.
@@ -85,23 +95,39 @@ func ParseLevel(s string) (Level, error) {
 	return LevelInfo, fmt.Errorf("unknown log level %q (debug|info|warn|error)", s)
 }
 
+// With returns a child logger that writes fields (alternating keys and
+// values) before each record's own. It shares l's writer, lock and level.
+func (l *Logger) With(fields ...any) *Logger {
+	if l == nil {
+		return nil
+	}
+	if len(fields)%2 == 1 {
+		fields = append(fields[:len(fields)-1:len(fields)-1], "arg", fields[len(fields)-1])
+	}
+	return &Logger{out: l.out, fields: append(l.fields[:len(l.fields):len(l.fields)], fields...)}
+}
+
 // Log emits one record with alternating key, value fields. Keys must be
 // strings; values are rendered with %v (JSON mode keeps string/int/bool/
 // float types native). Odd trailing fields get the key "arg".
 func (l *Logger) Log(level Level, msg string, fields ...any) {
-	if l == nil || level < l.level {
+	if l == nil || level < l.out.level {
 		return
 	}
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.jsonMode {
+	if len(l.fields) > 0 {
+		fields = append(l.fields[:len(l.fields):len(l.fields)], fields...)
+	}
+	o := l.out
+	ts := o.now().UTC().Format(time.RFC3339Nano)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.jsonMode {
 		rec := make(map[string]any, 4+len(fields)/2)
 		rec["ts"] = ts
 		rec["level"] = strings.ToLower(level.String())
 		rec["msg"] = msg
-		if l.component != "" {
-			rec["component"] = l.component
+		if o.component != "" {
+			rec["component"] = o.component
 		}
 		for i := 0; i+1 < len(fields); i += 2 {
 			key, ok := fields[i].(string)
@@ -117,7 +143,7 @@ func (l *Logger) Log(level Level, msg string, fields ...any) {
 		if err != nil {
 			b = []byte(fmt.Sprintf(`{"ts":%q,"level":"error","msg":"logx: marshal: %v"}`, ts, err))
 		}
-		l.w.Write(append(b, '\n'))
+		o.w.Write(append(b, '\n'))
 		return
 	}
 	var sb strings.Builder
@@ -125,8 +151,8 @@ func (l *Logger) Log(level Level, msg string, fields ...any) {
 	sb.WriteByte(' ')
 	sb.WriteString(level.String())
 	sb.WriteByte(' ')
-	if l.component != "" {
-		sb.WriteString(l.component)
+	if o.component != "" {
+		sb.WriteString(o.component)
 		sb.WriteString(": ")
 	}
 	sb.WriteString(msg)
@@ -137,7 +163,7 @@ func (l *Logger) Log(level Level, msg string, fields ...any) {
 		fmt.Fprintf(&sb, " arg=%s", textValue(fields[len(fields)-1]))
 	}
 	sb.WriteByte('\n')
-	io.WriteString(l.w, sb.String())
+	io.WriteString(o.w, sb.String())
 }
 
 // jsonValue keeps JSON-native types as-is and stringifies the rest.
@@ -171,12 +197,3 @@ func (l *Logger) Debug(msg string, fields ...any) { l.Log(LevelDebug, msg, field
 func (l *Logger) Info(msg string, fields ...any)  { l.Log(LevelInfo, msg, fields...) }
 func (l *Logger) Warn(msg string, fields ...any)  { l.Log(LevelWarn, msg, fields...) }
 func (l *Logger) Error(msg string, fields ...any) { l.Log(LevelError, msg, fields...) }
-
-// Printf is the legacy adapter for Logf seams: the formatted string becomes
-// an Info record's message with no fields.
-func (l *Logger) Printf(format string, args ...any) {
-	if l == nil || LevelInfo < l.level {
-		return
-	}
-	l.Log(LevelInfo, fmt.Sprintf(format, args...))
-}

@@ -7,22 +7,19 @@ import (
 	"perm/internal/value"
 )
 
-// DefaultRetention is the number of records a ChangeLog keeps by default.
-// A follower that falls further behind than the retained tail cannot resume
-// incrementally and must re-bootstrap from a snapshot.
-const DefaultRetention = 100_000
-
 // DefaultRetentionBytes bounds the approximate memory the retained tail may
-// pin (64 MiB). Record counts alone don't bound memory — delete/update
+// pin (64 MiB). A follower that falls further behind than the retained tail
+// cannot resume incrementally and must re-bootstrap from a snapshot. The
+// bound is in bytes because a record count bounds no memory: delete/update
 // records alias full row images, so a handful of full-table mutations on a
-// wide table could otherwise pin multiples of the live heap.
+// wide table could pin multiples of the live heap.
 const DefaultRetentionBytes = 64 << 20
 
 // ChangeLog is an in-memory, bounded log of committed changes. It is safe
 // for concurrent use: the storage engine appends from mutation critical
 // sections while subscription streams read tails and wait for growth.
 //
-// The log is a sliding window: records past the retention limit are trimmed
+// The log is a sliding window: records past the retention bound are trimmed
 // from the front, and Since reports when a requested position has been
 // trimmed away so the caller can fall back to a full snapshot.
 type ChangeLog struct {
@@ -36,7 +33,6 @@ type ChangeLog struct {
 	// base is the LSN of the last record trimmed away (0 when nothing ever
 	// was), i.e. the log currently describes (base, base+len(recs)].
 	base        uint64
-	retain      int
 	retainBytes int
 	// trimmed counts records dropped since the last reallocation; slicing
 	// from the front pins the backing array (and every row it references),
@@ -52,39 +48,30 @@ type ChangeLog struct {
 	hook func(Record)
 }
 
-// NewChangeLog returns an empty log with the default retention bounds.
+// NewChangeLog returns an empty log with the default retention bound.
 func NewChangeLog() *ChangeLog {
 	return &ChangeLog{
-		retain:      DefaultRetention,
 		retainBytes: DefaultRetentionBytes,
 		notify:      make(chan struct{}),
 	}
 }
 
-// SetRetention bounds the number of retained records; n <= 0 keeps every
-// record (tests, short-lived tools). Lowering it takes effect on the next
-// append.
-func (l *ChangeLog) SetRetention(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.retain = n
-}
-
-// SetRetentionBytes bounds the approximate memory of the retained tail;
-// n <= 0 removes the byte bound. The newest record is always kept, so one
-// oversized mutation streams through rather than wedging the log.
+// SetRetentionBytes bounds the approximate memory of the retained tail (see
+// recordCost); n <= 0 keeps every record. The newest record is always kept,
+// so one oversized mutation streams through rather than wedging the log.
+// Lowering it takes effect on the next append.
 func (l *ChangeLog) SetRetentionBytes(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.retainBytes = n
 }
 
-// Retention reports the record-count and byte bounds, so a freshly
-// bootstrapped store can inherit the configuration of the one it replaces.
-func (l *ChangeLog) Retention() (records, bytes int) {
+// Retention reports the byte bound, so a freshly bootstrapped store can
+// inherit the configuration of the one it replaces.
+func (l *ChangeLog) Retention() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.retain, l.retainBytes
+	return l.retainBytes
 }
 
 // recordCost approximates the bytes rec pins while retained: slice and
@@ -138,7 +125,7 @@ func (l *ChangeLog) SetAppendHook(fn func(Record)) {
 	l.hook = fn
 }
 
-// push appends under l.mu, trims past the retention bounds, and wakes
+// push appends under l.mu, trims past the retention bound, and wakes
 // subscribers.
 func (l *ChangeLog) push(rec Record) {
 	if l.hook != nil {
@@ -147,21 +134,12 @@ func (l *ChangeLog) push(rec Record) {
 	l.recs = append(l.recs, rec)
 	l.costs = append(l.costs, recordCost(rec))
 	l.totalCost += l.costs[len(l.costs)-1]
+	// Drop the oldest records until under the byte budget, but never the
+	// newest one.
 	drop := 0
-	if l.retain > 0 && len(l.recs) > l.retain {
-		drop = len(l.recs) - l.retain
-	}
 	if l.retainBytes > 0 {
-		// Drop oldest records until under the byte budget, but never the
-		// newest one. Start from the cost of what the count bound already
-		// kept — the prefix it drops must not count against the budget too.
-		cost := l.totalCost
-		for _, c := range l.costs[:drop] {
-			cost -= c
-		}
-		for drop < len(l.recs)-1 && cost > l.retainBytes {
+		for cost := l.totalCost; drop < len(l.recs)-1 && cost > l.retainBytes; drop++ {
 			cost -= l.costs[drop]
-			drop++
 		}
 	}
 	if drop > 0 {

@@ -41,9 +41,10 @@ func TestLogAppendSince(t *testing.T) {
 
 func TestLogTrim(t *testing.T) {
 	l := NewChangeLog()
-	l.SetRetention(3)
+	rec := Record{Kind: KindInsert, Table: "t"}
+	l.SetRetentionBytes(3 * recordCost(rec))
 	for i := 0; i < 10; i++ {
-		l.Append(Record{Kind: KindInsert, Table: "t"})
+		l.Append(rec)
 	}
 	if got := l.LastLSN(); got != 10 {
 		t.Fatalf("LastLSN = %d", got)
@@ -116,7 +117,7 @@ func TestLogWaitCh(t *testing.T) {
 // race detector.
 func TestLogConcurrentAppend(t *testing.T) {
 	l := NewChangeLog()
-	l.SetRetention(64)
+	l.SetRetentionBytes(64 * recordCost(Record{Kind: KindInsert, Table: "t"}))
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -244,11 +245,10 @@ func TestRecordFramesRefuseDamage(t *testing.T) {
 	}
 }
 
-// TestLogRetentionBytes: the byte budget trims wide-row records even when
-// the record-count bound is far away, and never drops the newest record.
+// TestLogRetentionBytes: the byte budget trims wide-row records and never
+// drops the newest record.
 func TestLogRetentionBytes(t *testing.T) {
 	l := NewChangeLog()
-	l.SetRetention(0) // count bound off; bytes only
 	l.SetRetentionBytes(64 << 10)
 	wide := value.Row{value.NewString(string(make([]byte, 8<<10)))}
 	for i := 0; i < 100; i++ {
@@ -270,22 +270,6 @@ func TestLogRetentionBytes(t *testing.T) {
 	lsn := l.Append(Record{Kind: KindInsert, Table: "t", Rows: []value.Row{huge}})
 	if recs, ok := l.Since(lsn-1, 0); !ok || len(recs) != 1 {
 		t.Fatalf("oversized record not retained: %d, ok=%v", len(recs), ok)
-	}
-}
-
-// TestLogRetentionBothBounds: when the count bound already trims, the byte
-// budget must not double-count the dropped prefix and over-trim.
-func TestLogRetentionBothBounds(t *testing.T) {
-	l := NewChangeLog()
-	row := value.Row{value.NewString(string(make([]byte, 1024)))}
-	cost := recordCost(Record{Kind: KindInsert, Table: "t", Rows: []value.Row{row}})
-	l.SetRetention(5)
-	l.SetRetentionBytes(5*cost + cost/2) // five records fit comfortably
-	for i := 0; i < 50; i++ {
-		l.Append(Record{Kind: KindInsert, Table: "t", Rows: []value.Row{row}})
-	}
-	if got := l.LastLSN() - l.OldestLSN() + 1; got != 5 {
-		t.Fatalf("retained %d records, want exactly 5 (count bound; byte budget not exceeded)", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"perm/internal/cluster"
 	"perm/internal/engine"
+	"perm/internal/logx"
 	"perm/internal/storage"
 )
 
@@ -189,8 +190,9 @@ type ClusterNodeConfig struct {
 	// while demoted; PrimaryAddr is overwritten per demotion. PrepareStore
 	// should be the WAL manager's AdoptStore on durable nodes.
 	Follower FollowerConfig
-	// Logf, when set, receives role-transition logs.
-	Logf func(format string, args ...any)
+	// Log receives role-transition records, and the follower's too when
+	// Follower.Log is nil; nil logs nothing.
+	Log *logx.Logger
 }
 
 // ClusterNode makes one server a managed cluster member: it owns the node's
@@ -231,12 +233,6 @@ func NewClusterNode(db *engine.DB, srv *Server, cfg ClusterNodeConfig) (*Cluster
 	return n, nil
 }
 
-func (n *ClusterNode) logf(format string, args ...any) {
-	if n.cfg.Logf != nil {
-		n.cfg.Logf(format, args...)
-	}
-}
-
 // persistEpoch durably records e before it is exposed. The file content is
 // monotonic even under concurrent persists (promote vs. stream-observed
 // epochs): a lower epoch never overwrites a higher one.
@@ -273,7 +269,7 @@ func (n *ClusterNode) ObserveEpoch(e uint64) {
 		return
 	}
 	if err := n.adoptEpoch(e); err != nil {
-		n.logf("cluster: persisting observed epoch %d: %v", e, err)
+		n.cfg.Log.Warn("cluster: persisting observed epoch failed", "epoch", e, "err", err)
 	}
 }
 
@@ -322,7 +318,7 @@ func (n *ClusterNode) Promote(epoch uint64) error {
 		// store's WAL gate with the replica-acknowledgment quorum.
 		n.srv.InstallSyncGate()
 	}
-	n.logf("cluster: promoted to primary at epoch %d", epoch)
+	n.cfg.Log.Info("cluster: promoted to primary", "epoch", epoch)
 	return nil
 }
 
@@ -352,7 +348,7 @@ func (n *ClusterNode) Demote(epoch uint64, primaryAddr string) error {
 		n.follower = nil
 	}
 	n.startFollowerLocked(primaryAddr)
-	n.logf("cluster: demoted to follower of %s at epoch %d", primaryAddr, epoch)
+	n.cfg.Log.Info("cluster: demoted to follower", "primary", primaryAddr, "epoch", epoch)
 	return nil
 }
 
@@ -371,8 +367,8 @@ func (n *ClusterNode) Follow(addr string) {
 func (n *ClusterNode) startFollowerLocked(addr string) {
 	fcfg := n.cfg.Follower
 	fcfg.PrimaryAddr = addr
-	if fcfg.Logf == nil {
-		fcfg.Logf = n.cfg.Logf
+	if fcfg.Log == nil {
+		fcfg.Log = n.cfg.Log
 	}
 	fcfg.ObserveEpoch = n.ObserveEpoch
 	n.follower = StartFollower(n.db, fcfg)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"perm/internal/engine"
+	"perm/internal/logx"
 	"perm/internal/resultmatrix"
 	"perm/internal/wire"
 	"perm/internal/workload"
@@ -77,7 +78,7 @@ func TestDamagedFeedFrameNeverApplied(t *testing.T) {
 	var (
 		mu      sync.Mutex
 		damaged bool
-		logs    []string
+		out     logBuffer
 	)
 	relay := startRelay(t, addr, func(typ byte, payload []byte) []byte {
 		mu.Lock()
@@ -95,11 +96,7 @@ func TestDamagedFeedFrameNeverApplied(t *testing.T) {
 		return payload
 	})
 	fcfg := fastFollower(relay)
-	fcfg.Logf = func(format string, args ...any) {
-		mu.Lock()
-		logs = append(logs, format)
-		mu.Unlock()
-	}
+	fcfg.Log = out.logger(logx.LevelInfo)
 	replica := engine.NewDB()
 	f := StartFollower(replica, fcfg)
 	defer f.Stop()
@@ -117,14 +114,8 @@ func TestDamagedFeedFrameNeverApplied(t *testing.T) {
 	if !damaged {
 		t.Fatal("no change batch passed the relay")
 	}
-	streamErrors := 0
-	for _, l := range logs {
-		if strings.HasPrefix(l, "replication stream from") {
-			streamErrors++
-		}
-	}
-	if streamErrors == 0 {
-		t.Fatalf("the damaged batch logged no stream error; logs: %q", logs)
+	if len(out.records(t, "replication stream failed")) == 0 {
+		t.Fatalf("the damaged batch logged no stream error; logs: %q", out.String())
 	}
 	if n := f.Snapshots(); n != 1 {
 		t.Fatalf("follower took %d snapshots, want 1: a damaged frame resumes, it does not re-seed", n)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"perm/internal/engine"
+	"perm/internal/logx"
 	"perm/internal/metrics"
 	"perm/internal/repl"
 	"perm/internal/storage"
@@ -42,8 +43,9 @@ type FollowerConfig struct {
 	// forget that an old primary was fenced. When nil the epoch is adopted
 	// in memory only.
 	ObserveEpoch func(epoch uint64)
-	// Logf, when set, receives connection lifecycle and error logs.
-	Logf func(format string, args ...any)
+	// Log receives the stream's lifecycle and error records; nil logs
+	// nothing.
+	Log *logx.Logger
 }
 
 func (c *FollowerConfig) fill() {
@@ -116,12 +118,6 @@ func StartFollower(db *engine.DB, cfg FollowerConfig) *Follower {
 	return f
 }
 
-func (f *Follower) logf(format string, args ...any) {
-	if f.cfg.Logf != nil {
-		f.cfg.Logf(format, args...)
-	}
-}
-
 // Stop terminates the follower and waits for its goroutine to exit.
 func (f *Follower) Stop() {
 	f.stopOnce.Do(func() { close(f.stop) })
@@ -187,7 +183,7 @@ func (f *Follower) loop() {
 			return
 		}
 		if err != nil {
-			f.logf("replication stream from %s: %v", f.cfg.PrimaryAddr, err)
+			f.cfg.Log.Warn("replication stream failed", "primary", f.cfg.PrimaryAddr, "err", err)
 			mReplReconnects.Inc()
 		}
 		// A stream that ran for a while earned a fresh backoff; only rapid
@@ -304,7 +300,7 @@ func (f *Follower) streamOnce() error {
 			}
 			f.setConnected()
 			f.noteProgress()
-			f.logf("live at LSN %d (primary %s, snapshot %v)", live.LSN, f.cfg.PrimaryAddr, typ == wire.MsgSubSnapshot)
+			f.cfg.Log.Info("replication live", "lsn", live.LSN, "primary", f.cfg.PrimaryAddr, "snapshot", typ == wire.MsgSubSnapshot)
 		case wire.MsgChanges:
 			// The payload is WAL frames: a damaged one fails the stream
 			// before its record is applied, and the next subscription
@@ -368,7 +364,7 @@ func (f *Follower) streamOnce() error {
 			if serr.Code == wire.ErrCodeLogTrimmed {
 				// Retained tail moved past us mid-stream; the next attempt's
 				// Subscribe will be answered with a snapshot automatically.
-				f.logf("primary trimmed its change log past our position; re-bootstrapping")
+				f.cfg.Log.Warn("primary trimmed its change log past our position; re-bootstrapping", "primary", f.cfg.PrimaryAddr)
 			}
 			return serr
 		default:
@@ -389,11 +385,9 @@ func (f *Follower) bootstrap(conn *wire.Conn, nc net.Conn) (wire.SubLive, error)
 	// Restore off to the side: sessions keep serving the current (old but
 	// complete) store until the new one is whole, then the swap is atomic.
 	// A failed bootstrap leaves the old data serving. The fresh store
-	// inherits the old one's log retention (the operator's -repl-retain*).
+	// inherits the old one's log retention (the operator's -repl-retain-mb).
 	fresh := storage.NewStore()
-	recs, bytes := f.db.Store().Log().Retention()
-	fresh.Log().SetRetention(recs)
-	fresh.Log().SetRetentionBytes(bytes)
+	fresh.Log().SetRetentionBytes(f.db.Store().Log().Retention())
 	snap := wire.NewSnapshotReader(conn, wire.MsgSubLive, func() {
 		nc.SetReadDeadline(time.Now().Add(f.cfg.ReadTimeout))
 	})

@@ -305,7 +305,7 @@ func TestReplicaResnapshotAfterLogTrim(t *testing.T) {
 	if err := workload.LoadPaperExample(primary); err != nil {
 		t.Fatal(err)
 	}
-	primary.Store().Log().SetRetention(8)
+	primary.Store().Log().SetRetentionBytes(2 << 10) // a handful of the inserts below
 	addr, shutdown := startServer(t, primary, replCfg())
 	defer shutdown()
 
@@ -316,7 +316,7 @@ func TestReplicaResnapshotAfterLogTrim(t *testing.T) {
 
 	ps := primary.NewSession()
 	defer ps.Close()
-	for i := 0; i < 30; i++ { // far beyond the retained 8 records
+	for i := 0; i < 30; i++ { // far beyond the retained handful
 		if _, err := ps.Execute(fmt.Sprintf(`INSERT INTO users VALUES (%d, 'u%d')`, 100+i, i)); err != nil {
 			t.Fatal(err)
 		}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,18 +95,10 @@ type Config struct {
 	// at or over the threshold are logged through Log. 0 keeps the engine
 	// default (off); sessions can still opt in per-connection with SET.
 	SlowQueryMs int64
-	// Log, when set, receives structured records (slow queries); nil means
-	// the process-default logger.
+	// Log receives the server's records: connection lifecycle and errors,
+	// and every session's slow queries, each with the peer's address as
+	// "remote". nil logs nothing.
 	Log *logx.Logger
-	// Logf, when set, receives connection lifecycle and error logs.
-	Logf func(format string, args ...any)
-}
-
-func (c Config) slog() *logx.Logger {
-	if c.Log != nil {
-		return c.Log
-	}
-	return logx.Default
 }
 
 func (c Config) heartbeat() time.Duration {
@@ -199,12 +192,6 @@ func New(db *engine.DB, cfg Config) *Server {
 	return s
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 // QueriesServed reports the total number of statements executed.
 func (s *Server) QueriesServed() uint64 { return s.queries.Load() }
 
@@ -265,7 +252,7 @@ func (s *Server) Serve(l net.Listener) error {
 				} else if acceptDelay *= 2; acceptDelay > time.Second {
 					acceptDelay = time.Second
 				}
-				s.logf("accept: %v; retrying in %v", err, acceptDelay)
+				s.cfg.Log.Warn("accept failed; retrying", "err", err, "delay", acceptDelay)
 				time.Sleep(acceptDelay)
 				continue
 			}
@@ -554,27 +541,17 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 	if s.cfg.SlowQueryMs > 0 {
 		sess.SetSlowQueryMs(s.cfg.SlowQueryMs)
 	}
-	// Slow-query records go through the server's structured logger with the
-	// peer attached, whether the threshold came from config or from a
-	// per-connection SET slow_query_ms.
-	remote := nc.RemoteAddr().String()
-	sess.SetSlowQueryLog(func(q engine.SlowQuery) {
-		s.cfg.slog().Warn("slow query",
-			"remote", remote,
-			"duration", q.Duration,
-			"rows", q.Rows,
-			"cache_hit", q.CacheHit,
-			"spill_bytes", q.SpillBytes,
-			"params", q.Params,
-			"sql", q.SQL,
-		)
-	})
+	// Every record of the connection carries its peer as "remote", the
+	// session's slow queries too, whether their threshold came from config or
+	// from a per-connection SET slow_query_ms.
+	lg := s.cfg.Log.With("remote", nc.RemoteAddr().String())
+	sess.SetLog(lg)
 	// The connection's kill channel is the session's standing interrupt, so a
 	// forced shutdown unwinds an in-flight query promptly; per-query timeouts
 	// ride on the session deadline (see execute).
 	sess.SetInterrupt(kill)
-	s.logf("session open from %s (client %q)", nc.RemoteAddr(), hello.Client)
-	defer s.logf("session closed from %s", nc.RemoteAddr())
+	lg.Debug("session open", "client", hello.Client)
+	defer lg.Debug("session closed")
 
 	// Per-connection protocol state: named prepared statements and the (at
 	// most one) open portal. Both die with the connection: an abrupt client
@@ -587,7 +564,7 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 		typ, body, err := conn.ReadMessage()
 		if err != nil {
 			if err != io.EOF {
-				s.logf("read from %s: %v", nc.RemoteAddr(), err)
+				lg.Warn("read failed", "err", err)
 			}
 			return
 		}
@@ -617,10 +594,10 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 					sub.Epoch, s.db.Epoch()), wire.ErrCodeStaleEpoch)
 				return
 			}
-			s.logf("replication subscription from %s (after LSN %d, origin %x, force-snapshot %v)",
-				nc.RemoteAddr(), sub.After, sub.Origin, sub.Force)
-			if err := s.serveSubscription(conn, nc, sub, kill); err != nil {
-				s.logf("replication stream to %s: %v", nc.RemoteAddr(), err)
+			lg.Info("replication subscription", "after_lsn", sub.After,
+				"origin", strconv.FormatUint(sub.Origin, 16), "force_snapshot", sub.Force)
+			if err := s.serveSubscription(conn, nc, sub, kill, lg); err != nil {
+				lg.Warn("replication stream failed", "err", err)
 			}
 			return
 		}
@@ -700,7 +677,7 @@ func (s *Server) serveConn(nc net.Conn, kill <-chan struct{}) {
 			return
 		}
 		if fatal != nil {
-			s.logf("write to %s: %v", nc.RemoteAddr(), fatal)
+			lg.Warn("write failed", "err", fatal)
 			return
 		}
 		nc.SetWriteDeadline(time.Time{})
@@ -1234,7 +1211,7 @@ const changeBatchMaxRecords = 512
 // log is idle. The loop runs until the connection dies, the kill channel
 // fires (forced shutdown) or the server begins shutting down — followers are
 // expected to reconnect and resume from their applied LSN.
-func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub wire.Subscribe, kill <-chan struct{}) error {
+func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub wire.Subscribe, kill <-chan struct{}, lg *logx.Logger) error {
 	// The store (and its log) are pinned for the stream's lifetime — the
 	// snapshot, the origin check and the change stream must all describe one
 	// store. If this server is itself a replica and re-bootstraps, the
@@ -1264,7 +1241,7 @@ func (s *Server) serveSubscription(conn *wire.Conn, nc net.Conn, sub wire.Subscr
 		// `after` already trimmed) resume on the LSN/origin checks alone.
 		if recs, ok := log.Since(after-1, 1); ok && len(recs) == 1 && recs[0].LSN == after {
 			if repl.RecordHash(recs[0]) != sub.ResumeHash {
-				s.logf("subscription resume hash mismatch at LSN %d: follower is on a forked timeline, re-seeding", after)
+				lg.Warn("subscription resume hash mismatch: follower is on a forked timeline, re-seeding", "lsn", after)
 				needSnapshot = true
 			}
 		}

@@ -342,7 +342,6 @@ func TestReplicaStatisticsMatchPrimary(t *testing.T) {
 	s := NewStore()
 	// The replica replays the whole log, however many batches the writer
 	// below gets in before it stops.
-	s.Log().SetRetention(0)
 	s.Log().SetRetentionBytes(0)
 	tab := mustCreate(t, s, "t", intCol("a"), textCol("b"))
 	batch := func(from int) []value.Row {

@@ -16,9 +16,8 @@ import (
 // policy surface behind SET wal_sync / SHOW wal_status (adapted to the
 // engine's controller interface by internal/server).
 type Manager struct {
-	dir  string
-	log  *seglog
-	logf func(format string, args ...any)
+	dir string
+	log *seglog
 
 	mu            sync.Mutex
 	store         *storage.Store
@@ -138,9 +137,9 @@ func (m *Manager) checkpointLocked() error {
 		floor = oldest
 	}
 	if n := m.log.removeBelow(floor); n > 0 {
-		m.logf("wal: checkpoint at LSN %d, removed %d obsolete segments", lsn, n)
+		m.log.lg.Info("wal: checkpoint", "lsn", lsn, "removed_segments", n)
 	} else {
-		m.logf("wal: checkpoint at LSN %d", lsn)
+		m.log.lg.Info("wal: checkpoint", "lsn", lsn)
 	}
 	return nil
 }
@@ -171,7 +170,7 @@ func (m *Manager) StartCheckpointer(interval time.Duration) {
 			m.mu.Lock()
 			if m.store.Log().LastLSN() != m.checkpointLSN {
 				if err := m.checkpointLocked(); err != nil {
-					m.logf("wal: background checkpoint: %v", err)
+					m.log.lg.Warn("wal: background checkpoint failed", "err", err)
 				}
 			}
 			m.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"time"
 
+	"perm/internal/logx"
 	"perm/internal/repl"
 	"perm/internal/storage"
 	"perm/internal/wal/walfault"
@@ -29,8 +30,9 @@ type Options struct {
 	CheckpointInterval time.Duration
 	// Hooks injects crash and I/O faults (tests only).
 	Hooks *walfault.Hooks
-	// Logf, when set, receives recovery, checkpoint and failure logs.
-	Logf func(format string, args ...any)
+	// Log receives recovery, checkpoint and failure records; nil logs
+	// nothing.
+	Log *logx.Logger
 }
 
 // Recovery summarizes what Open found and replayed — permserver logs it on
@@ -77,10 +79,6 @@ func Open(dir string, opts Options) (*storage.Store, *Manager, Recovery, error) 
 	if err != nil {
 		return nil, nil, rec, err
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	waldir := filepath.Join(dir, walSubdir)
 	if err := os.MkdirAll(waldir, 0o755); err != nil {
 		return nil, nil, rec, fmt.Errorf("wal: create data dir: %w", err)
@@ -102,17 +100,17 @@ func Open(dir string, opts Options) (*storage.Store, *Manager, Recovery, error) 
 		return nil, nil, rec, fmt.Errorf("wal: open snapshot: %w", err)
 	}
 
-	sealed, err := replayDir(waldir, store, rec.SnapshotLSN, &rec, logf)
+	sealed, err := replayDir(waldir, store, rec.SnapshotLSN, &rec, opts.Log)
 	if err != nil {
 		return nil, nil, rec, err
 	}
 	rec.LastLSN = store.Log().LastLSN()
 
-	l, err := newSeglog(waldir, rec.LastLSN, store.Origin(), sealed, mode, interval, opts.SegmentBytes, opts.Hooks, logf)
+	l, err := newSeglog(waldir, rec.LastLSN, store.Origin(), sealed, mode, interval, opts)
 	if err != nil {
 		return nil, nil, rec, err
 	}
-	m := &Manager{dir: dir, log: l, store: store, logf: logf}
+	m := &Manager{dir: dir, log: l, store: store}
 	m.checkpointLSN = rec.SnapshotLSN
 	m.attach(store)
 	if opts.CheckpointInterval > 0 {
@@ -131,7 +129,7 @@ func orDefault(s, def string) string {
 // replayDir replays every decodable record past snapLSN into store, in LSN
 // order, truncating at the first torn or corrupt frame. It returns the
 // surviving segments (oldest first) for the append side's GC bookkeeping.
-func replayDir(waldir string, store *storage.Store, snapLSN uint64, rec *Recovery, logf func(string, ...any)) ([]segment, error) {
+func replayDir(waldir string, store *storage.Store, snapLSN uint64, rec *Recovery, lg *logx.Logger) ([]segment, error) {
 	entries, err := os.ReadDir(waldir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: read dir: %w", err)
@@ -174,7 +172,7 @@ func replayDir(waldir string, store *storage.Store, snapLSN uint64, rec *Recover
 		// segments, so the next life appends from a clean, verified tail.
 		rec.Truncated = true
 		rec.TruncatedBytes += segs[i].bytes - offset
-		logf("wal: %s in %s at offset %d; truncating", why, segs[i].path, offset)
+		lg.Warn("wal: truncating the log", "reason", why, "segment", segs[i].path, "offset", offset)
 		if offset <= segHeaderSize {
 			if err := os.Remove(segs[i].path); err != nil {
 				return nil, fmt.Errorf("wal: remove torn segment: %w", err)
@@ -187,7 +185,7 @@ func replayDir(waldir string, store *storage.Store, snapLSN uint64, rec *Recover
 		}
 		for _, s := range segs[i+1:] {
 			rec.TruncatedBytes += s.bytes
-			logf("wal: dropping unreachable segment %s (%d bytes)", s.path, s.bytes)
+			lg.Warn("wal: dropping unreachable segment", "segment", s.path, "bytes", s.bytes)
 			if err := os.Remove(s.path); err != nil {
 				return nil, fmt.Errorf("wal: remove unreachable segment: %w", err)
 			}
@@ -216,7 +214,7 @@ func replayDir(waldir string, store *storage.Store, snapLSN uint64, rec *Recover
 		// as sealed and as the live tail would let a later checkpoint GC
 		// unlink the segment being appended to, losing acknowledged writes.
 		if i == len(segs)-1 && good == segHeaderSize {
-			logf("wal: dropping empty trailing segment %s", seg.path)
+			lg.Info("wal: dropping empty trailing segment", "segment", seg.path)
 			if err := os.Remove(seg.path); err != nil {
 				return nil, fmt.Errorf("wal: remove empty segment: %w", err)
 			}

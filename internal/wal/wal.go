@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"perm/internal/logx"
 	"perm/internal/metrics"
 	"perm/internal/repl"
 	"perm/internal/wal/walfault"
@@ -143,7 +144,7 @@ type segment struct {
 type seglog struct {
 	dir   string // the wal/ subdirectory
 	hooks *walfault.Hooks
-	logf  func(format string, args ...any)
+	lg    *logx.Logger
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -201,17 +202,15 @@ func parseSegName(name string) (uint64, bool) {
 // newSeglog opens the append side positioned after lastLSN, creating a
 // fresh segment for the next record. sealed lists the segments recovery
 // left on disk (oldest first), for garbage collection.
-func newSeglog(dir string, lastLSN, origin uint64, sealed []segment, mode int, interval time.Duration, segBytes int64, hooks *walfault.Hooks, logf func(string, ...any)) (*seglog, error) {
+func newSeglog(dir string, lastLSN, origin uint64, sealed []segment, mode int, interval time.Duration, opts Options) (*seglog, error) {
+	segBytes := opts.SegmentBytes
 	if segBytes <= segHeaderSize {
 		segBytes = defaultSegmentBytes
 	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	l := &seglog{
 		dir:        dir,
-		hooks:      hooks,
-		logf:       logf,
+		hooks:      opts.Hooks,
+		lg:         opts.Log,
 		mode:       mode,
 		interval:   interval,
 		segBytes:   segBytes,
@@ -378,7 +377,7 @@ func (l *seglog) fsyncLocked() error {
 func (l *seglog) failLocked(err error) {
 	if l.err == nil {
 		l.err = fmt.Errorf("%w: %v", ErrWALFailed, err)
-		l.logf("wal: FAILURE, refusing further writes: %v", err)
+		l.lg.Error("wal: FAILURE, refusing further writes", "err", err)
 	}
 	l.cond.Broadcast()
 }
@@ -496,11 +495,11 @@ func (l *seglog) removeBelow(floor uint64) int {
 		// the append side reuses its name). Unlinking it here would send
 		// later writes to an unlinked file — acknowledged-write loss.
 		if l.sealed[0].path == l.curPath {
-			l.logf("wal: BUG: sealed list contains the live segment %s; refusing to remove it", l.curPath)
+			l.lg.Error("wal: BUG: sealed list contains the live segment; refusing to remove it", "segment", l.curPath)
 			break
 		}
 		if err := os.Remove(l.sealed[0].path); err != nil && !os.IsNotExist(err) {
-			l.logf("wal: removing obsolete segment %s: %v", l.sealed[0].path, err)
+			l.lg.Warn("wal: removing obsolete segment failed", "segment", l.sealed[0].path, "err", err)
 			break
 		}
 		l.sealed = l.sealed[1:]

@@ -222,9 +222,10 @@ func TestCheckpointThenTailReplay(t *testing.T) {
 func TestSegmentRotationAndGC(t *testing.T) {
 	dir := t.TempDir()
 	s, m, _ := testOpen(t, dir, Options{SegmentBytes: 128})
-	// Tight in-memory retention so the checkpoint GC floor can advance past
-	// sealed segments (by default the change log retains far more).
-	s.Log().SetRetention(1)
+	// Tight in-memory retention (a budget below one record keeps only the
+	// newest) so the checkpoint GC floor can advance past sealed segments (by
+	// default the change log retains far more).
+	s.Log().SetRetentionBytes(1)
 	seed(t, s, 0, 20)
 	if n := len(segPaths(t, dir)); n < 3 {
 		t.Fatalf("%d segments after 21 records at 128-byte rotation, want several", n)
@@ -239,7 +240,7 @@ func TestSegmentRotationAndGC(t *testing.T) {
 		t.Fatalf("replayed %d records across segments, want 21", rec.Replayed)
 	}
 	wantKeys(t, s2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)
-	s2.Log().SetRetention(1)
+	s2.Log().SetRetentionBytes(1)
 	seed(t, s2, 100, 1) // advance retention past the recovered tail
 	if err := m2.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -538,7 +539,7 @@ func TestEmptyTrailingSegmentNotDoubleTracked(t *testing.T) {
 	if s2.Origin() != origin {
 		t.Fatalf("recovered origin %x, want %x (adopted from the empty segment)", s2.Origin(), origin)
 	}
-	s2.Log().SetRetention(1)
+	s2.Log().SetRetentionBytes(1)
 	seed(t, s2, 0, 3)
 	// In the buggy version the live segment sat in the sealed list too, and
 	// this checkpoint's GC unlinked it out from under the appender.
