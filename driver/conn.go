@@ -88,13 +88,11 @@ func (c *connector) connectMulti(ctx context.Context) (sqldriver.Conn, error) {
 			}
 			attempts = append(attempts, h+": role "+role)
 		default: // "primary"
-			// Pre-cluster servers report no role; treat them as writable
-			// rather than unusable.
-			if role != "replica" {
+			if role == "primary" {
 				return &conn{remote: client, readOnly: c.readOnly}, nil
 			}
 			client.Close()
-			attempts = append(attempts, h+": role replica")
+			attempts = append(attempts, h+": role "+role)
 		}
 	}
 	if fallback != nil {

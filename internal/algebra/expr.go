@@ -298,71 +298,81 @@ func ShiftCols(e Expr, delta int) Expr {
 	})
 }
 
-// MapCols rewrites e bottom-up, replacing every ColIdx via fn. All other
-// nodes are copied structurally; Subplan plans are left untouched (their
-// column spaces are private) but their Needle and OuterRefs are not remapped
-// either — callers that need that use MapOuterRefs.
-func MapCols(e Expr, fn func(*ColIdx) Expr) Expr {
+// Rewrite returns a copy of e rebuilt bottom-up: every node goes through fn
+// once its operands are rewritten. A Subplan's Needle is an operand and its
+// plan is not; fn receives a copy of the Subplan, which it may modify.
+func Rewrite(e Expr, fn func(Expr) Expr) Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
-	case *Const:
-		return x
-	case *Param:
-		return x
-	case *ColIdx:
-		return fn(x)
-	case *OuterRef:
-		return x
+	case *Const, *Param, *ColIdx, *OuterRef:
 	case *Bin:
-		return &Bin{Op: x.Op, L: MapCols(x.L, fn), R: MapCols(x.R, fn)}
+		e = &Bin{Op: x.Op, L: Rewrite(x.L, fn), R: Rewrite(x.R, fn)}
 	case *Not:
-		return &Not{E: MapCols(x.E, fn)}
+		e = &Not{E: Rewrite(x.E, fn)}
 	case *Neg:
-		return &Neg{E: MapCols(x.E, fn)}
+		e = &Neg{E: Rewrite(x.E, fn)}
 	case *IsNull:
-		return &IsNull{E: MapCols(x.E, fn), Not: x.Not}
+		e = &IsNull{E: Rewrite(x.E, fn), Not: x.Not}
 	case *Func:
 		args := make([]Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = MapCols(a, fn)
+			args[i] = Rewrite(a, fn)
 		}
-		return &Func{Name: x.Name, Args: args, Typ: x.Typ}
+		e = &Func{Name: x.Name, Args: args, Typ: x.Typ}
 	case *Case:
 		whens := make([]CaseWhen, len(x.Whens))
 		for i, w := range x.Whens {
-			whens[i] = CaseWhen{Cond: MapCols(w.Cond, fn), Result: MapCols(w.Result, fn)}
+			whens[i] = CaseWhen{Cond: Rewrite(w.Cond, fn), Result: Rewrite(w.Result, fn)}
 		}
-		return &Case{Whens: whens, Else: MapCols(x.Else, fn), Typ: x.Typ}
+		e = &Case{Whens: whens, Else: Rewrite(x.Else, fn), Typ: x.Typ}
 	case *InList:
 		list := make([]Expr, len(x.List))
 		for i, a := range x.List {
-			list[i] = MapCols(a, fn)
+			list[i] = Rewrite(a, fn)
 		}
-		return &InList{E: MapCols(x.E, fn), List: list, Neg: x.Neg}
+		e = &InList{E: Rewrite(x.E, fn), List: list, Neg: x.Neg}
 	case *Like:
-		return &Like{E: MapCols(x.E, fn), Pattern: MapCols(x.Pattern, fn), Neg: x.Neg}
+		e = &Like{E: Rewrite(x.E, fn), Pattern: Rewrite(x.Pattern, fn), Neg: x.Neg}
 	case *Cast:
-		return &Cast{E: MapCols(x.E, fn), To: x.To}
+		e = &Cast{E: Rewrite(x.E, fn), To: x.To}
 	case *Subplan:
 		out := *x
-		if x.Needle != nil {
-			out.Needle = MapCols(x.Needle, fn)
-		}
-		if x.Correlated {
-			out.Plan = mapPlanOuterCols(x.Plan, fn)
-		}
-		return &out
+		out.Needle = Rewrite(x.Needle, fn)
+		e = &out
+	default:
+		panic(fmt.Sprintf("algebra.Rewrite: unknown expression %T", e))
 	}
-	panic(fmt.Sprintf("algebra.MapCols: unknown expression %T", e))
+	return fn(e)
+}
+
+// MapCols rewrites e bottom-up, replacing every ColIdx via fn. Subplan plans
+// keep their private column spaces, but a correlated plan's OuterRefs index
+// the same row as e's columns and are remapped with them.
+func MapCols(e Expr, fn func(*ColIdx) Expr) Expr {
+	return Rewrite(e, func(x Expr) Expr {
+		switch x := x.(type) {
+		case *ColIdx:
+			return fn(x)
+		case *Subplan:
+			if x.Correlated {
+				x.Plan = mapPlanOuterCols(x.Plan, fn)
+			}
+		}
+		return x
+	})
 }
 
 // mapPlanOuterCols rewrites OuterRef indices inside a correlated subplan when
 // the outer row layout changes. OuterRefs index the outer row, which is the
 // same coordinate space as the ColIdx space being remapped.
 func mapPlanOuterCols(op Op, fn func(*ColIdx) Expr) Op {
-	mapped := MapExprs(op, func(e Expr) Expr {
-		return mapOuterRefs(e, func(o *OuterRef) Expr {
+	return MapExprs(op, func(e Expr) Expr {
+		return Rewrite(e, func(x Expr) Expr {
+			o, ok := x.(*OuterRef)
+			if !ok {
+				return x
+			}
 			r := fn(&ColIdx{Idx: o.Idx, Typ: o.Typ, Name: o.Name})
 			if ci, ok := r.(*ColIdx); ok {
 				return &OuterRef{Idx: ci.Idx, Typ: ci.Typ, Name: ci.Name}
@@ -370,55 +380,6 @@ func mapPlanOuterCols(op Op, fn func(*ColIdx) Expr) Op {
 			return r
 		})
 	})
-	return mapped
-}
-
-func mapOuterRefs(e Expr, fn func(*OuterRef) Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *OuterRef:
-		return fn(x)
-	case *Const, *ColIdx, *Param:
-		return x
-	case *Bin:
-		return &Bin{Op: x.Op, L: mapOuterRefs(x.L, fn), R: mapOuterRefs(x.R, fn)}
-	case *Not:
-		return &Not{E: mapOuterRefs(x.E, fn)}
-	case *Neg:
-		return &Neg{E: mapOuterRefs(x.E, fn)}
-	case *IsNull:
-		return &IsNull{E: mapOuterRefs(x.E, fn), Not: x.Not}
-	case *Func:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = mapOuterRefs(a, fn)
-		}
-		return &Func{Name: x.Name, Args: args, Typ: x.Typ}
-	case *Case:
-		whens := make([]CaseWhen, len(x.Whens))
-		for i, w := range x.Whens {
-			whens[i] = CaseWhen{Cond: mapOuterRefs(w.Cond, fn), Result: mapOuterRefs(w.Result, fn)}
-		}
-		return &Case{Whens: whens, Else: mapOuterRefs(x.Else, fn), Typ: x.Typ}
-	case *InList:
-		list := make([]Expr, len(x.List))
-		for i, a := range x.List {
-			list[i] = mapOuterRefs(a, fn)
-		}
-		return &InList{E: mapOuterRefs(x.E, fn), List: list, Neg: x.Neg}
-	case *Like:
-		return &Like{E: mapOuterRefs(x.E, fn), Pattern: mapOuterRefs(x.Pattern, fn), Neg: x.Neg}
-	case *Cast:
-		return &Cast{E: mapOuterRefs(x.E, fn), To: x.To}
-	case *Subplan:
-		out := *x
-		if x.Needle != nil {
-			out.Needle = mapOuterRefs(x.Needle, fn)
-		}
-		return &out
-	}
-	panic(fmt.Sprintf("algebra.mapOuterRefs: unknown expression %T", e))
 }
 
 // ColsUsed appends the ColIdx indices referenced by e to set.
@@ -432,7 +393,7 @@ func ColsUsed(e Expr, set map[int]bool) {
 // HasSubplan reports whether e contains a Subplan node.
 func HasSubplan(e Expr) bool {
 	found := false
-	walkExpr(e, func(x Expr) {
+	WalkExpr(e, func(x Expr) {
 		if _, ok := x.(*Subplan); ok {
 			found = true
 		}
@@ -441,12 +402,12 @@ func HasSubplan(e Expr) bool {
 }
 
 // HasOuterRef reports whether e contains an OuterRef anywhere outside nested
-// subplans (walkExpr does not descend into Subplan plans, whose outer refs
+// subplans (WalkExpr does not descend into Subplan plans, whose outer refs
 // bind to their own scope). Such expressions must evaluate on the statement's
 // context — parallel workers do not inherit the correlation stack.
 func HasOuterRef(e Expr) bool {
 	found := false
-	walkExpr(e, func(x Expr) {
+	WalkExpr(e, func(x Expr) {
 		if _, ok := x.(*OuterRef); ok {
 			found = true
 		}
@@ -454,43 +415,45 @@ func HasOuterRef(e Expr) bool {
 	return found
 }
 
-func walkExpr(e Expr, fn func(Expr)) {
+// WalkExpr calls fn on e and on every expression node under it, pre-order,
+// without entering subplans' plans.
+func WalkExpr(e Expr, fn func(Expr)) {
 	if e == nil {
 		return
 	}
 	fn(e)
 	switch x := e.(type) {
 	case *Bin:
-		walkExpr(x.L, fn)
-		walkExpr(x.R, fn)
+		WalkExpr(x.L, fn)
+		WalkExpr(x.R, fn)
 	case *Not:
-		walkExpr(x.E, fn)
+		WalkExpr(x.E, fn)
 	case *Neg:
-		walkExpr(x.E, fn)
+		WalkExpr(x.E, fn)
 	case *IsNull:
-		walkExpr(x.E, fn)
+		WalkExpr(x.E, fn)
 	case *Func:
 		for _, a := range x.Args {
-			walkExpr(a, fn)
+			WalkExpr(a, fn)
 		}
 	case *Case:
 		for _, w := range x.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Result, fn)
+			WalkExpr(w.Cond, fn)
+			WalkExpr(w.Result, fn)
 		}
-		walkExpr(x.Else, fn)
+		WalkExpr(x.Else, fn)
 	case *InList:
-		walkExpr(x.E, fn)
+		WalkExpr(x.E, fn)
 		for _, a := range x.List {
-			walkExpr(a, fn)
+			WalkExpr(a, fn)
 		}
 	case *Like:
-		walkExpr(x.E, fn)
-		walkExpr(x.Pattern, fn)
+		WalkExpr(x.E, fn)
+		WalkExpr(x.Pattern, fn)
 	case *Cast:
-		walkExpr(x.E, fn)
+		WalkExpr(x.E, fn)
 	case *Subplan:
-		walkExpr(x.Needle, fn)
+		WalkExpr(x.Needle, fn)
 	}
 }
 
@@ -524,7 +487,7 @@ func SplitAnd(e Expr) []Expr {
 // Sides reports which inputs of a join, whose left input has nLeft columns,
 // e reads.
 func Sides(e Expr, nLeft int) (left, right bool) {
-	walkExpr(e, func(x Expr) {
+	WalkExpr(e, func(x Expr) {
 		if c, ok := x.(*ColIdx); ok {
 			left, right = left || c.Idx < nLeft, right || c.Idx >= nLeft
 		}

@@ -652,7 +652,7 @@ func Walk(op Op, fn func(Op)) {
 // every expression node of its plan too.
 func VisitExprs(op Op, fn func(Expr)) {
 	visit := func(e Expr) Expr {
-		walkExpr(e, func(x Expr) {
+		WalkExpr(e, func(x Expr) {
 			fn(x)
 			if sp, ok := x.(*Subplan); ok {
 				VisitExprs(sp.Plan, fn)

@@ -75,6 +75,10 @@ type Coordinator struct {
 	epoch       uint64 // highest fencing epoch observed anywhere
 	primary     string // member serving as primary under epoch; "" while unknown
 	primarySeen time.Time
+	// stranded: the primary's lease expired and no healthy replica could be
+	// promoted. Logged once when it begins and once when it ends, not per
+	// probe.
+	stranded bool
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -248,7 +252,12 @@ func (c *Coordinator) evaluate() {
 	expired := time.Since(c.primarySeen) > c.cfg.LeaseTimeout
 	primaryHealthy := primary != "" && c.members[primary] != nil && c.members[primary].Healthy &&
 		c.members[primary].Status.Role == "primary" && c.members[primary].Status.Epoch >= c.epoch
+	recovered := c.stranded && (primaryHealthy || !expired)
+	c.stranded = c.stranded && !recovered
 	c.mu.Unlock()
+	if recovered {
+		c.cfg.Log.Info("cluster: primary serving again", "primary", primary)
+	}
 
 	if !primaryHealthy && expired {
 		c.failover()
@@ -277,12 +286,18 @@ func (c *Coordinator) failover() {
 		}
 	}
 	if candidate == nil {
+		began := !c.stranded
+		c.stranded = true
+		primary := c.primary
 		c.mu.Unlock()
-		c.cfg.Log.Error("cluster: primary lease expired but no healthy replica to promote", "primary", c.PrimaryAddr())
+		if began {
+			c.cfg.Log.Error("cluster: primary lease expired but no healthy replica to promote", "primary", primary)
+		}
 		return
 	}
 	newEpoch := c.epoch + 1
 	addr := candidate.Addr
+	c.stranded = false // what follows logs the promotion
 	c.mu.Unlock()
 
 	c.cfg.Log.Warn("cluster: primary lease expired; promoting", "primary", c.PrimaryAddr(), "candidate", addr, "epoch", newEpoch)

@@ -734,10 +734,12 @@ func (s *Session) analyzeOriginalOn(store *storage.Store, st sql.Statement) (alg
 	return an.Analyze(st)
 }
 
-// planOn optimizes a resolved plan per the session's optimizer setting.
+// planOn optimizes a resolved plan per the session's optimizer setting. With
+// the optimizer off it only lowers the DISTINCT aggregates, which the
+// executor does not run.
 func (s *Session) planOn(store *storage.Store, op algebra.Op) algebra.Op {
 	if opt, _ := s.setting("optimizer"); opt == "off" {
-		return op
+		return planner.LowerDistinct(op)
 	}
 	return planner.New(store.Catalog()).Optimize(op)
 }

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"perm/internal/resultmatrix"
@@ -115,3 +116,32 @@ func TestParallelJoinBuildSpillRegression(t *testing.T) { runBounded(t, "join bu
 
 // TestParallelDistinctSpillRegression: per-group DISTINCT seen-sets.
 func TestParallelDistinctSpillRegression(t *testing.T) { runBounded(t, "distinct") }
+
+// TestDistinctAggregatesWithOptimizerOff: a session with the optimizer off
+// still lowers DISTINCT aggregates, which the executor does not run, and the
+// corpus's statements holding one return the reference's bytes under the
+// default work_mem and 4 KiB. (The order of a provenance join-back's rows is
+// the optimizer's choice, so those statements sit out.)
+func TestDistinctAggregatesWithOptimizerOff(t *testing.T) {
+	t.Parallel()
+	m := resultmatrix.Load(t).Where(func(st resultmatrix.Stmt) bool {
+		return strings.Contains(st.SQL, "(DISTINCT ") && !strings.Contains(st.SQL, "PROVENANCE")
+	})
+	if len(m.Stmts) < 5 {
+		t.Fatalf("%d statements with a DISTINCT aggregate in the corpus", len(m.Stmts))
+	}
+	for _, workMem := range []int64{0, resultmatrix.TinyWorkMem} {
+		s, dir := m.DB.NewSession(), t.TempDir()
+		s.SetTempDir(dir)
+		if workMem != 0 {
+			s.SetWorkMem(workMem)
+		}
+		if _, err := s.Execute(`SET optimizer = off`); err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range m.Stmts {
+			resultmatrix.Check(t, dir, fmt.Sprintf("%s (work_mem %d, optimizer off)", st.SQL, workMem), m.Want[i], resultmatrix.Drain(s.Query(st.SQL, st.Args...)))
+		}
+		s.Close()
+	}
+}

@@ -58,6 +58,10 @@ func TestSQLLogic(t *testing.T) {
 		{"min max", `SELECT min(n), max(n) FROM nums`, "1|4"},
 		{"count distinct", `SELECT count(DISTINCT a) FROM pairs`, "3"},
 		{"sum distinct", `SELECT sum(DISTINCT a) FROM pairs`, "6"},
+		{"distinct aggregates over empty", `SELECT count(DISTINCT a), sum(DISTINCT a) FROM pairs WHERE a > 100`, "0|null"},
+		{"distinct aggregates of all-null group", `SELECT s, count(DISTINCT n), sum(DISTINCT n), count(*) FROM nums WHERE s = 'none' GROUP BY s`, "none|0|null|1"},
+		{"min max distinct", `SELECT a, min(DISTINCT b), count(DISTINCT b), max(DISTINCT b) FROM pairs GROUP BY a ORDER BY a`, "1|1|2|2\n2|4|1|4\n3|9|1|9"},
+		{"distinct aggregate in subquery", `SELECT n FROM nums WHERE n = (SELECT count(DISTINCT a) FROM pairs)`, "3"},
 		{"group by having", `SELECT a, count(*) FROM pairs GROUP BY a HAVING count(*) > 1`, "1|2"},
 		{"group by expression", `SELECT n % 2, count(*) FROM nums WHERE n IS NOT NULL GROUP BY n % 2 ORDER BY 1`, "0|2\n1|2"},
 		{"order by desc nulls", `SELECT n FROM nums ORDER BY n DESC`, "4\n3\n2\n1\nnull"},

@@ -1,35 +1,29 @@
 package executor
 
 import (
-	"bytes"
-	"cmp"
-	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"perm/internal/algebra"
 	"perm/internal/spill"
 	"perm/internal/value"
 )
 
-// aggIter implements hash aggregation with DISTINCT support. With no GROUP BY
-// expressions it emits exactly one row (the SQL scalar-aggregate case), even
-// over empty input.
+// aggIter implements hash aggregation. With no GROUP BY expressions it emits
+// exactly one row (the SQL scalar-aggregate case), even over empty input.
+// DISTINCT aggregates never reach it: the planner rewrites them into
+// aggregations over deduplicated inputs (planner.LowerDistinct), so every
+// state is a flat count and value, whatever the input.
 //
 // Memory behavior (hybrid grace hash aggregation): the fold consumes its
 // input streaming — the input is never materialized — and accounts the group
-// table (keys, states, DISTINCT seen-sets) against the session budget. Once
-// over budget, resident groups keep absorbing their rows in memory, while
-// rows of NEW groups route to hash partitions on disk; the grace driver
-// resolves the partitions recursively with the same fold. Resident state that itself outgrows the
-// budget sheds in one of two ways: COUNT(DISTINCT …) seen-sets flush their
-// fragment as sorted element runs (merged back with dedup at emission, so even
-// one giant set never sits fully resident), and other oversized groups
-// serialize whole into the partition files as mergeable partial records, their
-// remaining rows following them down by key. Every group's output row is
-// tagged with the group's first input sequence, and the final merge replays
-// groups in ascending first-appearance order — byte-identical to the
-// in-memory path.
+// table (keys and states) against the session budget. A group only grows
+// when it is made, so memory is shed one way: once over budget, resident
+// groups keep absorbing their rows in memory, while rows of NEW groups route
+// to hash partitions on disk; the grace driver resolves the partitions
+// recursively with the same fold. Every group's output row is tagged with
+// the group's first input sequence; a fold makes its groups in that order,
+// and the final merge replays them in it — byte-identical to the in-memory
+// path.
 type aggIter struct {
 	op    *algebra.Agg
 	input iterator
@@ -53,39 +47,12 @@ type aggIter struct {
 }
 
 // aggState accumulates one aggregate within one group: a flat record in the
-// fold's state slab, with nothing on the heap unless the aggregate is DISTINCT.
+// fold's state slab.
 type aggState struct {
 	count int64
 	// acc is the running sum (SUM, AVG) or extremum (MIN, MAX) of the non-NULL
 	// inputs: NULL before the first, and for COUNT.
-	acc      value.Value
-	distinct *distinctSet // non-nil iff DISTINCT
-}
-
-// distinctSet is a DISTINCT state's seen-set: a resident fragment (canonical
-// key → value, the values under the keys' entry numbers) plus zero or more
-// sorted runs on disk. While no run exists the aggregate folds eagerly. Once
-// memory pressure flushes the first fragment (flushFragment), the eager values
-// stop being meaningful — an element absent from the fragment may still be in
-// a run — and finalizeDistinct recomputes them from a deduplicating merge of
-// all runs before the group emits.
-type distinctSet struct {
-	keys      keyTable
-	vals      []value.Value
-	fragBytes int64         // the fragment's accounted footprint
-	runs      []*spill.File // the flushed sorted element runs
-}
-
-// add records one element and reports the bytes the fragment grew by: zero
-// for an element it already holds.
-func (d *distinctSet) add(key []byte, v value.Value) int64 {
-	if _, isNew := d.keys.insert(key); !isNew {
-		return 0
-	}
-	d.vals = append(d.vals, v)
-	grew := int64(len(key)) + keyEntryBytes + valueFixedBytes + int64(len(v.Str()))
-	d.fragBytes += grew
-	return grew
+	acc value.Value
 }
 
 // aggGroup is one group: its key values and the input sequence of its first
@@ -93,87 +60,6 @@ func (d *distinctSet) add(key []byte, v value.Value) int64 {
 type aggGroup struct {
 	keys     value.Row
 	firstSeq uint64
-	// bytes is the group's accounted footprint (key, states, DISTINCT
-	// entries), released in one piece when the group is evicted.
-	bytes int64
-}
-
-// groupBaseBytes is a group's footprint before key bytes and DISTINCT entries.
-func groupBaseBytes(keys value.Row, nStates int) int64 {
-	return rowBytes(keys) + aggGroupBytes + keyEntryBytes + int64(nStates)*aggStateBytes
-}
-
-// Aggregation partition files hold two record kinds, discriminated by their
-// first byte: raw input rows (sequence-tagged, folded downstream) and partial
-// group states (an evicted resident group — counts, sums, extrema and the
-// DISTINCT seen-set — merged downstream with the group's remaining rows).
-const (
-	aggRecRaw     = 0x00
-	aggRecPartial = 0x01
-)
-
-// appendAggPartial serializes a group's partial state behind the aggRecPartial
-// discriminator. A DISTINCT state's fragment follows its count and value as
-// length-prefixed canonical element keys, each followed by its source value.
-// Groups holding runs are never serialized (evictOver only flushes them): a
-// run is a file, and files cannot ride inside a partition record.
-func appendAggPartial(dst []byte, g *aggGroup, states []aggState) []byte {
-	dst = append(dst, aggRecPartial)
-	dst = binary.AppendUvarint(dst, g.firstSeq)
-	dst = value.AppendRow(dst, g.keys)
-	for i := range states {
-		st := &states[i]
-		dst = binary.AppendUvarint(dst, uint64(st.count))
-		dst = value.AppendValue(dst, st.acc)
-		if st.distinct == nil {
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(len(st.distinct.vals)))
-		for e, v := range st.distinct.vals {
-			dst = appendElemRec(dst, st.distinct.keys.key(e), v)
-		}
-	}
-	return dst
-}
-
-var errCorruptPartial = fmt.Errorf("executor: corrupt partial aggregate record")
-
-// decodeAggStates reads what appendAggPartial wrote after the key row into the
-// group's fresh states, returning the bytes of the DISTINCT fragments rebuilt.
-func decodeAggStates(rest []byte, states []aggState) (fragBytes int64, err error) {
-	for i := range states {
-		st := &states[i]
-		count, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, errCorruptPartial
-		}
-		st.count = int64(count)
-		if st.acc, rest, err = value.DecodeValue(rest[n:]); err != nil {
-			return 0, err
-		}
-		if st.distinct == nil {
-			continue
-		}
-		nElems, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, errCorruptPartial
-		}
-		rest = rest[n:]
-		for j := uint64(0); j < nElems; j++ {
-			klen, n := binary.Uvarint(rest)
-			if n <= 0 || uint64(len(rest)-n) < klen {
-				return 0, errCorruptPartial
-			}
-			key := rest[n : n+int(klen)]
-			var v value.Value
-			if v, rest, err = value.DecodeValue(rest[n+int(klen):]); err != nil {
-				return 0, err
-			}
-			st.distinct.add(key, v)
-		}
-		fragBytes += st.distinct.fragBytes
-	}
-	return fragBytes, nil
 }
 
 func (a *aggIter) Open(ctx *Context) error {
@@ -234,9 +120,8 @@ func (a *aggIter) mergePartials(ctx *Context, parts []partition) error {
 			di := fold.keys.find(fold.keyScratch)
 			if di < 0 {
 				copy(fold.statesOf(fold.newGroup(g)), src)
-				fold.acct.grow(g.bytes)
-				if fold.acct.spillable() && fold.acct.over() {
-					return errParallelOverflow
+				if err := fold.overParallel(); err != nil {
+					return err
 				}
 				continue
 			}
@@ -251,28 +136,6 @@ func (a *aggIter) mergePartials(ctx *Context, parts []partition) error {
 	return a.d.finish()
 }
 
-// groupRow builds one output row: group keys then finalized aggregates.
-// DISTINCT states that flushed runs first recompute their values from the
-// deduplicating merge.
-func (a *aggIter) groupRow(g *aggGroup, states []aggState) (value.Row, error) {
-	row := a.alloc.New(len(g.keys) + len(states))
-	copy(row, g.keys)
-	for i, ae := range a.op.Aggs {
-		st := &states[i]
-		if st.distinct != nil && st.distinct.runs != nil {
-			if err := st.finalizeDistinct(a.ctx, &a.d.reg, ae); err != nil {
-				return nil, err
-			}
-		}
-		v, err := st.result(ae)
-		if err != nil {
-			return nil, err
-		}
-		row[len(g.keys)+i] = v
-	}
-	return row, nil
-}
-
 // aggFold is one in-memory aggregation pass — the live input at level 0, one
 // partition file below it: a group table, which once over budget routes the
 // rows of non-resident groups one level down through the driver.
@@ -281,55 +144,36 @@ type aggFold struct {
 	acct memAcct
 	// The group table: keys in first-appearance order; under a key's entry
 	// number its group and, one per aggregate, its states, contiguous in their
-	// slabs. An evicted group's entry is dead; live counts the others.
+	// slabs.
 	keys    keyTable
 	groups  []aggGroup
 	states  []aggState
-	live    int
 	routing bool // rows of non-resident groups go to the partitions
-	// evictStuck records that the last evictOver scan released nothing;
-	// growSinceEvict accrues charged growth since that scan, so the next one
-	// only runs once a fragment can plausibly have crossed the run floor.
-	evictStuck     bool
-	growSinceEvict int64
 	// scratch buffers, reused across rows
-	keyVals         value.Row
-	keyScratch      []byte
-	distinctScratch []byte
-	rec             []byte
-	order           []int // finish's emission order, evictOver's candidates
+	keyVals    value.Row
+	keyScratch []byte
+	rec        []byte
 }
 
 func (f *aggFold) begin([2]*spill.File) bool {
 	f.release()
 	f.acct.ctx = f.a.ctx
-	f.routing, f.evictStuck, f.growSinceEvict = false, false, 0
+	f.routing = false
 	return true
 }
 
-// add folds one partition record: a sequence-tagged raw row, or the partial
-// state of a group evicted upstream.
+// add folds one partition record: a sequence-tagged input row.
 func (f *aggFold) add(rec []byte) error {
-	if len(rec) == 0 {
-		return fmt.Errorf("executor: empty aggregation spill record")
+	seq, row, err := decodeSeqRow(f.a.d.recRow(), rec)
+	if err != nil {
+		return err
 	}
-	switch rec[0] {
-	case aggRecRaw:
-		seq, row, err := decodeSeqRow(f.a.d.recRow(), rec[1:])
-		if err != nil {
-			return err
-		}
-		return f.addRow(seq, row)
-	case aggRecPartial:
-		return f.addPartial(rec)
-	}
-	return fmt.Errorf("executor: unknown aggregation spill record kind %d", rec[0])
+	return f.addRow(seq, row)
 }
 
 // finish turns the fold's groups into output rows, tagged by first
-// appearance. A level-0 fold inserted its groups in that order already; below
-// it an admitted partial (evicted upstream later than its first row) can sit
-// behind younger groups, and an output file must ascend.
+// appearance: the order the fold made them in, at any level, because a
+// partition file holds its rows in input order.
 func (f *aggFold) finish() error {
 	a := f.a
 	// Scalar aggregation over empty input still produces one (empty) group.
@@ -337,27 +181,20 @@ func (f *aggFold) finish() error {
 		f.keyScratch = f.keyScratch[:0]
 		f.newGroup(aggGroup{keys: value.Row{}})
 	}
-	if a.d.level == 0 && !f.routing { // else recorded by route
+	if a.d.level == 0 && !f.routing { // else recorded by routes
 		a.slot.record(len(f.groups), len(f.keys.arena))
 	}
-	var order []int // nil: every group, in the table's order
-	if a.d.level > 0 || f.live < len(f.groups) {
-		// The walk below owns the scratch slice until it ends: an eviction
-		// meanwhile makes its own.
-		order, f.order = f.liveGroups(f.order), nil
-		defer func() { f.order = order[:0] }()
-		slices.SortFunc(order, func(x, y int) int { return cmp.Compare(f.groups[x].firstSeq, f.groups[y].firstSeq) })
-	}
-	a.d.expect(f.live)
-	for k := 0; k < f.live; k++ {
-		gi := k
-		if order != nil {
-			gi = order[k]
-		}
+	a.d.expect(len(f.groups))
+	for gi := range f.groups {
 		g := &f.groups[gi]
-		row, err := a.groupRow(g, f.statesOf(gi))
-		if err != nil {
-			return err
+		row := a.alloc.New(len(g.keys) + len(a.op.Aggs))
+		copy(row, g.keys)
+		for i, st := range f.statesOf(gi) {
+			v, err := st.result(a.op.Aggs[i])
+			if err != nil {
+				return err
+			}
+			row[len(g.keys)+i] = v
 		}
 		if err := a.d.emit(g.firstSeq, row); err != nil {
 			return err
@@ -373,19 +210,8 @@ func (f *aggFold) release() {
 	f.keys.reset()
 	clear(f.groups)
 	clear(f.states)
-	f.groups, f.states, f.live = f.groups[:0], f.states[:0], 0
+	f.groups, f.states = f.groups[:0], f.states[:0]
 	f.acct.releaseAll()
-}
-
-// liveGroups appends the numbers of the resident groups to dst[:0].
-func (f *aggFold) liveGroups(dst []int) []int {
-	dst = slices.Grow(dst[:0], f.live)
-	for gi := range f.groups {
-		if !f.keys.dead(gi) {
-			dst = append(dst, gi)
-		}
-	}
-	return dst
 }
 
 func (f *aggFold) statesOf(gi int) []aggState {
@@ -393,27 +219,27 @@ func (f *aggFold) statesOf(gi int) []aggState {
 	return f.states[gi*n : (gi+1)*n : (gi+1)*n]
 }
 
-// newGroup makes g resident under the key in keyScratch and returns its number.
+// newGroup makes g resident under the key in keyScratch, charges it, and
+// returns its number.
 func (f *aggFold) newGroup(g aggGroup) int {
 	gi, _ := f.keys.insert(f.keyScratch)
 	m := f.acct.mem()
 	f.groups = append(roomFor(m, f.groups, 1), g)
-	f.live++
-	f.states = roomFor(m, f.states, len(f.a.op.Aggs))
-	for _, ae := range f.a.op.Aggs {
-		st := aggState{}
-		if ae.Distinct {
-			st.distinct = &distinctSet{}
-		}
-		f.states = append(f.states, st)
-	}
+	n, k := len(f.a.op.Aggs), len(f.states)
+	f.states = roomFor(m, f.states, n)[:k+n]
+	clear(f.states[k:])
+	f.acct.grow(int64(len(f.keyScratch)) + rowBytes(g.keys) + aggGroupBytes + keyEntryBytes + int64(n)*aggStateBytes)
 	return gi
 }
 
-func (f *aggFold) grew(gi int, n int64) {
-	f.groups[gi].bytes += n
-	f.acct.grow(n)
-	f.growSinceEvict += n
+// overParallel reports a worker's partial fold, or the merge of the
+// workers' folds, outgrowing the budget: neither spills, the serial
+// aggregation that then runs does.
+func (f *aggFold) overParallel() error {
+	if f.acct.spillable() && f.acct.over() {
+		return errParallelOverflow
+	}
+	return nil
 }
 
 // addRow folds one (sequence, row) pair: accumulate into a resident group,
@@ -431,13 +257,17 @@ func (f *aggFold) addRow(seq uint64, row value.Row) error {
 	gi := f.keys.find(f.keyScratch)
 	if gi < 0 {
 		if f.routes() {
-			f.rec = appendSeqRow(append(f.rec[:0], aggRecRaw), seq, row)
+			f.rec = appendSeqRow(f.rec[:0], seq, row)
 			return f.a.d.route(0, f.keyScratch, f.rec)
 		}
 		keys := f.a.alloc.New(len(f.keyVals))
 		copy(keys, f.keyVals)
 		gi = f.newGroup(aggGroup{keys: keys, firstSeq: seq})
-		f.grew(gi, int64(len(f.keyScratch))+groupBaseBytes(keys, len(f.a.op.Aggs)))
+		if f.a.part != nil {
+			if err := f.overParallel(); err != nil {
+				return err
+			}
+		}
 	}
 	states := f.statesOf(gi)
 	for i, ae := range f.a.op.Aggs {
@@ -449,185 +279,40 @@ func (f *aggFold) addRow(seq uint64, row value.Row) error {
 			}
 			arg = v
 		}
-		grew, err := states[i].accumulate(ae, arg, &f.distinctScratch)
-		if err != nil {
+		if err := states[i].accumulate(ae, arg); err != nil {
 			return err
 		}
-		if grew > 0 {
-			f.grew(gi, grew)
-		}
-	}
-	return f.shed()
-}
-
-// shed evicts when resident state (DISTINCT seen-sets) outgrew the budget —
-// the one growth path the new-group gate cannot bound. After a scan that found
-// nothing to shed it rescans only once enough growth accrued for a fragment to
-// have crossed the run floor.
-func (f *aggFold) shed() error {
-	if !f.acct.spillable() || !f.acct.over() {
-		return nil
-	}
-	if f.a.part != nil {
-		// A worker's partial fold never spills; the serial aggregation does.
-		return errParallelOverflow
-	}
-	if !f.evictStuck || f.growSinceEvict >= minDistinctRunBytes {
-		return f.evictOver()
 	}
 	return nil
 }
 
 // routes reports whether rows of non-resident groups go to the partitions,
-// which they do from the first overflow on. (A worker's partial fold never
-// spills; see addRow.)
+// which they do from the first new group past the budget on. The next run of
+// a cached plan sizes its level-0 table for what this one held then. (A
+// worker's partial fold never spills; see addRow.)
 func (f *aggFold) routes() bool {
-	if !f.routing && f.a.part == nil && f.a.d.overflow(&f.acct, f.live, minFoldGroups) {
-		f.route()
+	if !f.routing && f.a.part == nil && f.a.d.overflow(&f.acct, len(f.groups), minFoldGroups) {
+		if f.a.d.level == 0 {
+			f.a.slot.record(len(f.groups), len(f.keys.arena))
+		}
+		f.routing = true
 	}
 	return f.routing
 }
 
-// route switches the fold to routing, at its first overflow: a new group
-// past the budget, or a group evicted to make room. The next run of a cached
-// plan sizes its level-0 table for what this one held then.
-func (f *aggFold) route() {
-	if !f.routing && f.a.d.level == 0 {
-		f.a.slot.record(len(f.groups), len(f.keys.arena))
-	}
-	f.routing = true
-}
-
-// addPartial folds one serialized partial group state (rec includes the
-// discriminator). The partial either passes through to a deeper partition
-// (when the fold is already routing) or becomes a resident group; its
-// remaining raw rows always follow it in file order, because an eviction
-// precedes every routed row of its group.
-func (f *aggFold) addPartial(rec []byte) error {
-	firstSeq, n := binary.Uvarint(rec[1:])
-	if n <= 0 {
-		return errCorruptPartial
-	}
-	keys, rest, err := value.DecodeRow(&f.a.alloc, rec[1+n:])
-	if err != nil {
-		return err
-	}
-	f.keyScratch = keys.AppendKey(f.keyScratch[:0])
-	if f.keys.find(f.keyScratch) >= 0 {
-		return fmt.Errorf("executor: internal: partial aggregate state after its group became resident")
-	}
-	if f.routes() {
-		return f.a.d.route(0, f.keyScratch, rec)
-	}
-	gi := f.newGroup(aggGroup{keys: keys, firstSeq: firstSeq})
-	fragBytes, err := decodeAggStates(rest, f.statesOf(gi))
-	if err != nil {
-		return err
-	}
-	f.grew(gi, int64(len(f.keyScratch))+groupBaseBytes(keys, len(f.a.op.Aggs))+fragBytes)
-	return f.shed()
-}
-
-// evictOver sheds resident footprint — largest groups first — until tracked
-// memory is back under 3/4 of the budget (the hysteresis keeps one growing
-// seen-set from re-triggering a scan per element). A group carrying a sizable
-// DISTINCT fragment flushes it to a sorted run and stays resident: its rows
-// keep folding in place, bounding even a single giant seen-set, and the runs
-// merge back at emission (finalizeDistinct). Other groups serialize whole into
-// the partition files as partial records and leave the table; their later rows
-// route to the same partition by key and merge one level deeper. Groups
-// already behind runs can only flush — a run file cannot ride inside a
-// partition record — and partial eviction needs headroom below maxSpillLevel,
-// while flushing works at any level.
-func (f *aggFold) evictOver() error {
-	m := f.a.ctx.Mem
-	target := m.Budget() - m.Budget()/4
-	f.growSinceEvict = 0
-	if m.Tracked() <= target || f.live == 0 {
-		return nil
-	}
-	cands := f.liveGroups(f.order)
-	f.order = nil
-	defer func() { f.order = cands[:0] }()
-	slices.SortFunc(cands, func(x, y int) int {
-		return cmp.Or(cmp.Compare(f.groups[y].bytes, f.groups[x].bytes), cmp.Compare(x, y))
-	})
-	released := false
-	for _, gi := range cands {
-		if m.Tracked() <= target {
-			break
-		}
-		g, states := &f.groups[gi], f.statesOf(gi)
-		var flushed int64
-		hasRuns := false
-		for i := range states {
-			d := states[i].distinct
-			if d == nil {
-				continue
-			}
-			if d.fragBytes >= minDistinctRunBytes {
-				rel, err := d.flushFragment(f.a.ctx, &f.a.d.reg)
-				if err != nil {
-					return err
-				}
-				flushed += rel
-			}
-			hasRuns = hasRuns || d.runs != nil
-		}
-		if flushed > 0 {
-			g.bytes -= flushed
-			f.acct.release(flushed)
-			released = true
-			continue
-		}
-		if hasRuns || f.a.d.level >= maxSpillLevel {
-			continue
-		}
-		f.rec = appendAggPartial(f.rec[:0], g, states)
-		if err := f.a.d.route(0, f.keys.key(gi), f.rec); err != nil {
-			return err
-		}
-		f.route()
-		f.keys.kill(gi)
-		clear(states) // the slots stay; what they point at goes
-		f.live--
-		released = true
-		f.acct.release(g.bytes)
-	}
-	f.evictStuck = !released
-	return nil
-}
-
-// accumulate folds one input value into the state. scratch is a shared
-// reusable buffer for DISTINCT seen-set keys; the returned byte count is the
-// DISTINCT set growth to account.
-func (s *aggState) accumulate(ae algebra.AggExpr, arg value.Value, scratch *[]byte) (int64, error) {
+// accumulate folds one input value into the state.
+func (s *aggState) accumulate(ae algebra.AggExpr, arg value.Value) error {
 	if ae.Func == algebra.AggCount && ae.Arg == nil {
 		s.count++ // COUNT(*): every row counts
-		return 0, nil
+		return nil
 	}
 	if arg.IsNull() {
-		return 0, nil // aggregates skip NULLs
+		return nil // aggregates skip NULLs
 	}
-	var grew int64
-	if d := s.distinct; d != nil {
-		*scratch = arg.AppendKey((*scratch)[:0])
-		if grew = d.add(*scratch, arg); grew == 0 {
-			return 0, nil
-		}
-		if d.runs != nil {
-			// An element absent from the fragment may still sit in a flushed
-			// run, so the eager values below would double-count; they are
-			// garbage from the first flush on, and finalizeDistinct recomputes
-			// them from the merge before the group emits.
-			return grew, nil
-		}
-	}
-	return grew, s.fold(ae, arg)
+	return s.fold(ae, arg)
 }
 
-// fold applies one non-NULL value to the running aggregate (any DISTINCT
-// bookkeeping already done by the caller).
+// fold applies one non-NULL value to the running aggregate.
 func (s *aggState) fold(ae algebra.AggExpr, arg value.Value) (err error) {
 	s.count++
 	switch {
@@ -648,8 +333,8 @@ func (s *aggState) fold(ae algebra.AggExpr, arg value.Value) (err error) {
 }
 
 // merge folds another partial state of the same aggregate into this one.
-// Exact for count, min, max and integer sums; float SUM/AVG and DISTINCT never
-// reach here (parAggEligible).
+// Exact for count, min, max and integer sums; float SUM/AVG never reach here
+// (parAggEligible).
 func (s *aggState) merge(ae algebra.AggExpr, src *aggState) (err error) {
 	n := s.count + src.count
 	if !src.acc.IsNull() {
@@ -657,95 +342,6 @@ func (s *aggState) merge(ae algebra.AggExpr, src *aggState) (err error) {
 	}
 	s.count = n
 	return err
-}
-
-// minDistinctRunBytes floors the fragment size worth flushing as a run, so a
-// permanently over-budget tracker cannot degrade into per-element run files.
-const minDistinctRunBytes = 2048
-
-// flushFragment writes the resident DISTINCT fragment as one sorted run file
-// and clears it, returning the released footprint. Canonical keys sort
-// bytewise, so every run is internally ascending and duplicate-free;
-// duplicates exist only across runs and fall to the merge's dedup.
-func (d *distinctSet) flushFragment(ctx *Context, reg *fileReg) (int64, error) {
-	order := make([]int, len(d.vals))
-	for e := range order {
-		order[e] = e
-	}
-	slices.SortFunc(order, func(x, y int) int { return bytes.Compare(d.keys.key(x), d.keys.key(y)) })
-	f, err := reg.create(ctx)
-	if err != nil {
-		return 0, err
-	}
-	var rec []byte
-	for _, e := range order {
-		rec = appendElemRec(rec[:0], d.keys.key(e), d.vals[e])
-		if err := f.Append(rec); err != nil {
-			return 0, err
-		}
-	}
-	d.runs = append(d.runs, f)
-	released := d.fragBytes
-	d.keys, d.vals, d.fragBytes = keyTable{}, nil, 0
-	return released, nil
-}
-
-// appendElemRec encodes one record of a DISTINCT run: the element's
-// length-prefixed canonical key, then the element.
-func appendElemRec(dst, key []byte, val value.Value) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	return value.AppendValue(dst, val)
-}
-
-// elemOrder is the merge order of DISTINCT runs: by canonical element key,
-// bytewise, each element once. Equal keys carry equal values, so which copy
-// surfaces does not matter. Keys copy out of the file's read buffer (Next
-// aliases it); values copy by construction (DecodeValue).
-var elemOrder = &mergeOrder{
-	decode: func(_ value.RowSource, rec []byte, r *mergeRec) (err error) {
-		klen, n := binary.Uvarint(rec)
-		if n <= 0 || uint64(len(rec)-n) < klen {
-			return fmt.Errorf("executor: corrupt DISTINCT run record")
-		}
-		r.key = append(r.key[:0], rec[n:n+int(klen)]...)
-		r.val, _, err = value.DecodeValue(rec[n+int(klen):])
-		return err
-	},
-	encode:   func(dst []byte, r *mergeRec) []byte { return appendElemRec(dst, r.key, r.val) },
-	cmp:      func(a, b *mergeRec) int { return bytes.Compare(a.key, b.key) },
-	collapse: true,
-}
-
-// finalizeDistinct recomputes a spilled DISTINCT state's aggregates from the
-// deduplicating merge of its runs (plus the final resident fragment, flushed
-// as one more run), then drops the runs. States that never flushed keep their
-// eager values and never reach here.
-func (s *aggState) finalizeDistinct(ctx *Context, reg *fileReg, ae algebra.AggExpr) error {
-	d := s.distinct
-	if len(d.vals) > 0 {
-		if _, err := d.flushFragment(ctx, reg); err != nil {
-			return err
-		}
-	}
-	m, err := newMerger(ctx, reg, elemOrder, d.runs, false)
-	if err != nil {
-		return err
-	}
-	d.runs = nil
-	s.count, s.acc = 0, value.Null
-	for r := m.head(); r != nil; r = m.head() {
-		if err := ctx.tick(); err != nil {
-			return err
-		}
-		if err := s.fold(ae, r.val); err != nil {
-			return err
-		}
-		if err := m.step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // result finalizes the aggregate value.

@@ -465,6 +465,11 @@ func (b builder) build(op algebra.Op, parent *OpStats) (iterator, error) {
 		keys, residual := extractEquiKeys(o)
 		it = &hashJoinIter{op: o, slot: b.slots.next(), left: left, right: right, keys: keys, residual: residual, out: out, d: graceDriver{reuse: reuse}}
 	case *algebra.Agg:
+		for _, ae := range o.Aggs {
+			if ae.Distinct {
+				return nil, fmt.Errorf("executor: internal: %s reached the executor unlowered (planner.LowerDistinct)", ae)
+			}
+		}
 		it = &aggIter{op: o, slot: b.slots.next(), input: input(o.Input, true), part: b.part, d: graceDriver{reuse: reuse}}
 	case *algebra.Distinct:
 		it = &distinctIter{input: input(o.Input, false), dedup: dedupState{slot: b.slots.next(), d: graceDriver{reuse: reuse}}}

@@ -286,15 +286,22 @@ func TestScalarAggOverEmptyInput(t *testing.T) {
 	}
 }
 
+// TestAggDistinct: count(DISTINCT a) and sum(DISTINCT a) as the planner
+// lowers them, α over δ(π_a T); the builder refuses them unlowered.
 func TestAggDistinct(t *testing.T) {
 	s := testStore(t)
-	agg := algebra.NewAgg(scanT(), nil, []algebra.AggExpr{
-		{Func: algebra.AggCount, Arg: intCol(0), Distinct: true},
-		{Func: algebra.AggSum, Arg: intCol(0), Distinct: true},
-	}, nil, nil)
-	rows := runPlan(t, s, agg)
+	aggs := []algebra.AggExpr{
+		{Func: algebra.AggCount, Arg: intCol(0)},
+		{Func: algebra.AggSum, Arg: intCol(0)},
+	}
+	distinct := &algebra.Distinct{Input: algebra.NewProject(scanT(), []algebra.Expr{intCol(0)}, []string{"a"})}
+	rows := runPlan(t, s, algebra.NewAgg(distinct, nil, aggs, nil, nil))
 	if rows[0][0].Int() != 3 || rows[0][1].Int() != 6 { // distinct a: 1,2,3
 		t.Errorf("distinct agg = %v", rows[0])
+	}
+	aggs[1].Distinct = true
+	if _, err := Run(NewContext(s), algebra.NewAgg(scanT(), nil, aggs, nil, nil)); err == nil || !strings.Contains(err.Error(), "internal") {
+		t.Errorf("an unlowered DISTINCT aggregate ran: %v", err)
 	}
 }
 

@@ -90,17 +90,18 @@ func TestGraceDriverRecursion(t *testing.T) {
 		name string
 		plan algebra.Op
 	}{
-		{"aggregation with evicted partials", &algebra.Agg{
-			Input:   graceScan("wide"),
-			GroupBy: []algebra.Expr{icol(1)},
+		// The branch the planner lowers count(DISTINCT s) by g into: an
+		// aggregation over δ(π_{g,s} dup), both spilling.
+		{"aggregation over DISTINCT", &algebra.Agg{
+			Input:   &algebra.Distinct{Input: project(graceScan("dup"), 1, 2)},
+			GroupBy: []algebra.Expr{icol(0)},
 			Aggs: []algebra.AggExpr{
 				{Func: algebra.AggCount},
-				{Func: algebra.AggSum, Arg: icol(0)},
-				{Func: algebra.AggMin, Arg: scol(2)},
-				{Func: algebra.AggCount, Arg: scol(2), Distinct: true},
+				{Func: algebra.AggMin, Arg: scol(1)},
+				{Func: algebra.AggCount, Arg: scol(1)},
 			},
 			Sch: algebra.Schema{{Name: "g", Type: value.KindInt}, {Name: "n", Type: value.KindInt},
-				{Name: "sum", Type: value.KindInt}, {Name: "min", Type: value.KindString}, {Name: "nd", Type: value.KindInt}},
+				{Name: "min", Type: value.KindString}, {Name: "nd", Type: value.KindInt}},
 		}},
 		{"DISTINCT tombstones", &algebra.Distinct{Input: graceScan("dup")}},
 		{"UNION DISTINCT", &algebra.SetOp{Kind: algebra.UnionDistinct, Left: graceScan("dup"), Right: graceScan("wide"), Sch: graceScan("wide").Sch}},

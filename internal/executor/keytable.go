@@ -11,7 +11,7 @@ var keyHashSeed = maphash.MakeSeed()
 
 // keyEntry is one key of a keyTable: where its bytes sit in the arena, its
 // hash, and the next entry of its bucket chain (-1 at the end). n < 0 marks a
-// dead entry, which no lookup matches: an unkeyed build row, an evicted group.
+// dead entry, which no lookup matches: an unkeyed build row.
 type keyEntry struct {
 	hash uint64
 	off  int
@@ -45,9 +45,6 @@ func (t *keyTable) key(i int) []byte {
 }
 
 func (t *keyTable) dead(i int) bool { return t.entries[i].n < 0 }
-
-// kill makes entry i dead. It keeps its number and its place in its chain.
-func (t *keyTable) kill(i int) { t.entries[i].n = -1 }
 
 // reset empties the table, keeping its storage for the next load.
 func (t *keyTable) reset() {

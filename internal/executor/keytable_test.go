@@ -64,7 +64,7 @@ func checkKeyTable(t *testing.T, tbl *keyTable, m *keyModel, probes []string) {
 }
 
 // TestKeyTableAgainstMap: insert and lookup against a map[string] reference
-// across several rehashes, with dead entries, an empty key and one-byte keys;
+// across several rehashes, with an empty key and one-byte keys;
 // entry numbers are insertion ordinals throughout.
 func TestKeyTableAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -92,13 +92,6 @@ func TestKeyTableAgainstMap(t *testing.T) {
 		}
 		if len(tbl.heads) != buckets {
 			rehashes, buckets = rehashes+1, len(tbl.heads)
-		}
-		// Now and then an entry dies: it keeps its number, matches nothing,
-		// and its key can be inserted afresh.
-		if n%97 == 5 {
-			d := rng.Intn(len(m.keys))
-			tbl.kill(d)
-			m.dead[d] = true
 		}
 		if n%500 == 0 {
 			checkKeyTable(t, &tbl, m, append(keys[:n+1:n+1], "absent", "key-"))
@@ -145,7 +138,7 @@ func TestKeyTableDuplicateChains(t *testing.T) {
 	}
 }
 
-// FuzzKeyTable replays a byte string as inserts, adds (keyed or not), kills
+// FuzzKeyTable replays a byte string as inserts, keyed adds, unkeyed adds
 // and lookups, over keys of zero to two bytes, against the map reference.
 func FuzzKeyTable(f *testing.F) {
 	f.Add([]byte{4, 'a', 0, 5, 'a', 4, 'b', 2, 3, 8, 'a', 'b', 1, 3})
@@ -171,10 +164,8 @@ func FuzzKeyTable(f *testing.F) {
 					t.Fatalf("add(%q) = %d, want %d", k, got, want)
 				}
 			case 2:
-				if len(m.keys) > 0 {
-					d := len(probes) % len(m.keys)
-					tbl.kill(d)
-					m.dead[d] = true
+				if got, want := tbl.add([]byte(k), false), m.add(k, false); got != want {
+					t.Fatalf("unkeyed add(%q) = %d, want %d", k, got, want)
 				}
 			case 3:
 				checkKeyTable(t, &tbl, m, probes)

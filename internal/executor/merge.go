@@ -8,20 +8,18 @@ import (
 )
 
 // One k-way merge reassembles everything the blocking operators spill: the
-// sorted runs of an external sort, the sequence-tagged output files of the
-// grace driver, and the sorted element runs of a spilled COUNT(DISTINCT).
-// The three differ only in their record format and in the order their files
-// are written in, which is what a mergeOrder describes; the cursor, the heap,
-// the step past the minimum and the fan-in reduction exist once, here.
+// sorted runs of an external sort and the sequence-tagged output files of the
+// grace driver. The two differ only in their record format and in the order
+// their files are written in, which is what a mergeOrder describes; the
+// cursor, the heap, the step past the minimum and the fan-in reduction exist
+// once, here.
 
 // mergeRec is the decoded head record of one merge input. Which fields a
 // record format fills is its mergeOrder's business.
 type mergeRec struct {
-	seq  uint64      // sequence-tagged output: the row's place in the unspilled operator's output
-	keys value.Row   // sort run: the payload row extended by its computed ORDER BY keys
-	key  []byte      // DISTINCT run: the canonical element key, in a buffer the cursor reuses
-	val  value.Value // DISTINCT run: the element
-	row  value.Row   // sequence-tagged output and sort run: the payload row
+	seq  uint64    // sequence-tagged output: the row's place in the unspilled operator's output
+	keys value.Row // sort run: the payload row extended by its computed ORDER BY keys
+	row  value.Row // sequence-tagged output and sort run: the payload row
 }
 
 // mergeOrder is a spill record format and the order its files hold it in.
@@ -33,9 +31,6 @@ type mergeOrder struct {
 	decode func(a value.RowSource, rec []byte, into *mergeRec) error
 	encode func(dst []byte, r *mergeRec) []byte // reverses decode, for reduction passes
 	cmp    func(a, b *mergeRec) int
-	// collapse makes records that compare equal surface once (one DISTINCT
-	// element sits in many runs).
-	collapse bool
 }
 
 // mergeCursor is one input file primed with its next record.
@@ -72,9 +67,6 @@ func (h *mergeHeap) Pop() any {
 // one record per file.
 type merger struct {
 	h mergeHeap
-	// last is the record a collapsing merge is stepping past; it trades
-	// buffers with the head cursor so neither allocates per record.
-	last mergeRec
 	// alloc makes the rows of the records it decodes, unless its consumer
 	// drops each row before it asks for the next: then each cursor decodes
 	// into its own one row, and Next steps past a row on the following call.
@@ -153,8 +145,8 @@ func (m *merger) load(c *mergeCursor) (more bool, err error) {
 	return true, m.h.ord.decode(&m.alloc, rec, &c.rec)
 }
 
-// advance moves the head cursor to its next record and restores the heap.
-func (m *merger) advance() error {
+// step moves the head cursor past its record and restores the heap.
+func (m *merger) step() error {
 	more, err := m.load(m.h.cs[0])
 	if err != nil {
 		return err
@@ -173,23 +165,6 @@ func (m *merger) head() *mergeRec {
 		return nil
 	}
 	return &m.h.cs[0].rec
-}
-
-// step moves past the head record — and, collapsing, past every record equal
-// to it.
-func (m *merger) step() error {
-	if !m.h.ord.collapse {
-		return m.advance()
-	}
-	m.last, m.h.cs[0].rec = m.h.cs[0].rec, m.last
-	for {
-		if err := m.advance(); err != nil {
-			return err
-		}
-		if r := m.head(); r == nil || m.h.ord.cmp(r, &m.last) != 0 {
-			return nil
-		}
-	}
 }
 
 // Next steps past the row it returned last and returns the head record's

@@ -50,7 +50,7 @@ func ints(vs ...int64) value.Row {
 	return row
 }
 
-// TestMerger drives the one k-way merger through each of its three orders.
+// TestMerger drives the one k-way merger through each of its two orders.
 // Every multi-file case uses more than mergeFanIn inputs, so what it asserts
 // holds through a fan-in reduction pass too.
 func TestMerger(t *testing.T) {
@@ -115,25 +115,6 @@ func TestMerger(t *testing.T) {
 				}
 				return w
 			},
-		},
-		{
-			// "a" and "z" sit in every run, "m<f%5>" in a fifth of them: each
-			// element surfaces once.
-			name: "DISTINCT runs: equal keys surface once",
-			ord:  elemOrder,
-			files: func() (fs [][]mergeRec) {
-				for f := 0; f < nFiles; f++ {
-					m := fmt.Sprintf("m%d", f%5)
-					fs = append(fs, []mergeRec{
-						{key: []byte("a"), val: value.NewString("a")},
-						{key: []byte(m), val: value.NewString(m)},
-						{key: []byte("z"), val: value.NewString("z")},
-					})
-				}
-				return fs
-			},
-			render: func(r *mergeRec) string { return string(r.key) + "=" + r.val.Str() },
-			want:   func() []string { return []string{"a=a", "m0=m0", "m1=m1", "m2=m2", "m3=m3", "m4=m4", "z=z"} },
 		},
 		{
 			name: "empty and single-record files",

@@ -142,8 +142,7 @@ func parJoinEligible(o *algebra.Join) bool {
 	return gatherLeaf(o.Left) != nil
 }
 
-// parAggEligible: partitionable input, parallel-safe expressions, no DISTINCT
-// aggregates (their seen-sets do not merge cheaply across workers), and no
+// parAggEligible: partitionable input, parallel-safe expressions, and no
 // float SUM/AVG (float addition is not associative, so worker-block fold order
 // could diverge from the serial row order in the last bits).
 func parAggEligible(o *algebra.Agg) bool {
@@ -153,9 +152,6 @@ func parAggEligible(o *algebra.Agg) bool {
 		}
 	}
 	for _, ae := range o.Aggs {
-		if ae.Distinct {
-			return false
-		}
 		if ae.Arg != nil {
 			if !exprParSafe(ae.Arg) {
 				return false

@@ -26,12 +26,13 @@ func New(cat *catalog.Catalog) *Planner {
 	return &Planner{Cat: cat}
 }
 
-// Optimize applies the logical rewrite rules to their fixpoint, then picks
-// the build side of every hash join from the estimates.
+// Optimize applies the logical rewrite rules to their fixpoint, picks the
+// build side of every hash join from the estimates, and lowers the DISTINCT
+// aggregates (LowerDistinct).
 func (p *Planner) Optimize(op algebra.Op) algebra.Op {
 	op, _ = pass(op)
 	op, _ = buildSides(op, &estimator{cat: p.Cat})
-	return op
+	return LowerDistinct(op)
 }
 
 // mapChildren rebuilds op over fn's results for its children, returning op

@@ -41,7 +41,7 @@ type Stmt struct {
 	// times BoundedWorkMem; under that budget it spills and its peak stays
 	// within twice the budget. The shapes are "provenance" (a sort, a
 	// grouping with a DISTINCT aggregate and a set operation under
-	// provenance), "join build" and "distinct" (per-group seen-sets).
+	// provenance), "join build" and "distinct" (a DISTINCT aggregate's δ).
 	Bounded string
 	// Spills: under TinyWorkMem it writes a spill file of its own, on the
 	// database its matrix was made on.
@@ -78,6 +78,11 @@ var Shapes = []Stmt{
 	{SQL: `SELECT v % 701, count(DISTINCT s), avg(v) FROM big GROUP BY v % 701`},
 	{SQL: `SELECT k, count(DISTINCT s) FROM big GROUP BY k`},
 	{SQL: `SELECT count(*), count(DISTINCT k) FROM big`},
+	// DISTINCT float sums fold each group's arguments in first-occurrence
+	// order under any work_mem; two distinct arguments, a plain aggregate and
+	// a HAVING on a distinct aggregate
+	{SQL: `SELECT k, sum(DISTINCT v * 0.1), avg(DISTINCT v / 7.0), count(DISTINCT v) FROM big GROUP BY k`},
+	{SQL: `SELECT k, count(DISTINCT s), sum(DISTINCT v % 13), max(v) FROM big GROUP BY k HAVING count(DISTINCT s) > 100`},
 	// DISTINCT and the set operations
 	{SQL: `SELECT DISTINCT k, s FROM big`},
 	{SQL: `SELECT DISTINCT v % 83 FROM big`},
@@ -104,9 +109,10 @@ var Shapes = []Stmt{
 	{SQL: `SELECT PROVENANCE b.k, o.v FROM big b, other o WHERE b.v = o.v`, FansOut: true},
 	{SQL: `SELECT PROVENANCE k, count(*), sum(v) FROM big GROUP BY k`, FansOut: true},
 	{SQL: `SELECT PROVENANCE v % 701, count(*), sum(v) FROM big GROUP BY v % 701`},
+	{SQL: `SELECT PROVENANCE k, count(*), sum(v), count(DISTINCT s) FROM big GROUP BY k`},
 	// the bounded shapes
 	{SQL: `SELECT PROVENANCE k, v, s FROM big ORDER BY v DESC, k`, Bounded: "provenance"},
-	{SQL: `SELECT PROVENANCE k, count(*), sum(v), count(DISTINCT s) FROM big GROUP BY k`, Bounded: "provenance"},
+	{SQL: `SELECT PROVENANCE g, count(*), sum(x), count(DISTINCT x) FROM d GROUP BY g`, Bounded: "provenance"},
 	{SQL: `SELECT PROVENANCE k, s FROM big INTERSECT SELECT k, s FROM other`, Bounded: "provenance"},
 	{SQL: `SELECT b.k, b.v, o.s FROM big b JOIN other o ON b.v = o.v`, Bounded: "join build"},
 	{SQL: `SELECT g, count(DISTINCT x), min(x), avg(x) FROM d GROUP BY g`, Bounded: "distinct"},
@@ -242,8 +248,9 @@ func SeedDB(t *testing.T, bigRows int, genRows []string) *engine.DB {
 		rows := genRows[len(genRows)/2*half : len(genRows)/2*(half+1)]
 		insertRows(t, s, table, len(rows), func(i int) string { return rows[i] })
 	}
-	// 8000 distinct x: DISTINCT seen-sets of four times BoundedWorkMem
-	insertRows(t, s, "d", 8000, func(i int) string { return fmt.Sprintf("%d, %d", i%8, i) })
+	// 10 000 distinct (g, x) pairs: a δ of four times BoundedWorkMem under the
+	// DISTINCT aggregates over d
+	insertRows(t, s, "d", 10000, func(i int) string { return fmt.Sprintf("%d, %d", i%8, i) })
 	return db
 }
 

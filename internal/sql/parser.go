@@ -130,13 +130,6 @@ func (p *Parser) next() Token {
 	return t
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func (p *Parser) describe() string {
 	t := p.peek()
 	if t.Type == EOF {
@@ -1215,7 +1208,7 @@ func (p *Parser) parseInTail(left Expr, not bool) (Expr, error) {
 		if _, err := p.expect(RPAREN); err != nil {
 			return nil, err
 		}
-		return p.continueComparisonAfter(&InExpr{E: left, Subquery: sel, Not: not})
+		return &InExpr{E: left, Subquery: sel, Not: not}, nil
 	}
 	in := &InExpr{E: left, Not: not}
 	for {
@@ -1232,13 +1225,8 @@ func (p *Parser) parseInTail(left Expr, not bool) (Expr, error) {
 	if _, err := p.expect(RPAREN); err != nil {
 		return nil, err
 	}
-	return p.continueComparisonAfter(in)
+	return in, nil
 }
-
-// continueComparisonAfter lets forms like "x IN (...) AND ..." continue; the
-// IN result itself cannot be the left side of another comparison operator,
-// so this just returns the expression.
-func (p *Parser) continueComparisonAfter(e Expr) (Expr, error) { return e, nil }
 
 func (p *Parser) parseAdditive() (Expr, error) {
 	left, err := p.parseMultiplicative()
